@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_LABEL ?= local
 
-.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz clean
+.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-harness bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz clean
 
 all: check
 
@@ -15,10 +15,11 @@ all: check
 # publish-path benchmarks (catches benchmarks broken by refactors
 # without the cost of a measured run), the allocation-regression
 # gate over the E1 publish benchmarks, the 3-shard cluster smoke
-# (cross-shard publish/inquire plus one live split), and the
+# (cross-shard publish/inquire plus one live split), the
 # replication failover smoke (1 primary + 2 replica processes, kill
-# the primary, the promoted replica serves).
-check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-gate
+# the primary, the promoted replica serves), and the end-to-end
+# benchmark harness (its own module: vet, unit tests, quick run).
+check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-gate bench-harness
 
 build:
 	$(GO) build ./...
@@ -76,6 +77,16 @@ bench-baseline:
 		|| (cat benchgate.out; rm -f benchgate.out; exit 1)
 	$(GO) run ./cmd/css-benchgate -baseline BENCH_baseline.json -update < benchgate.out
 	@rm -f benchgate.out
+
+# The end-to-end benchmark harness is a nested module (benchmark/,
+# replace repro => ../) that imports internal/... and spawns the
+# daemons, so the root `go vet ./...` and `go test ./...` skip it. Vet
+# it, run its unit tests, then drive all four topologies once with
+# `-quick` (~8 s): an internal API or flag change that breaks the
+# harness fails here instead of in the pipeline's benchmark run.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -quick
 
 # Sharded saturation run plus the same-run rate gates: the 1-shard row
 # must stay within 5% of the unsharded binary saturation row (the

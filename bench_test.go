@@ -475,6 +475,23 @@ func BenchmarkE1_PublishParallel(b *testing.B) {
 // across the framework's b.N growth reruns.
 var replSeq atomic.Int64
 
+// benchReplNode starts and attaches c's replication node, wired as
+// css-controller wires it.
+func benchReplNode(b *testing.B, c *core.Controller, cfg replication.NodeConfig) *replication.Node {
+	b.Helper()
+	stores, err := c.ReplStores()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Stores, cfg.Promote, cfg.OnApply = stores, c.Promote, c.OnReplicatedApply
+	n, err := replication.NewNode(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.AttachReplication(n)
+	return n
+}
+
 // BenchmarkE1_ReplicatedPublish measures the publish pipeline cost of
 // WAL-shipping replication to one follower over a real TCP link, in
 // four modes: standalone (no replication attached, the floor), async
@@ -487,7 +504,8 @@ var replSeq atomic.Int64
 func BenchmarkE1_ReplicatedPublish(b *testing.B) {
 	for _, mode := range []string{"standalone", "async", "async-heartbeat", "quorum"} {
 		b.Run("mode="+mode, func(b *testing.B) {
-			pri, err := core.New(core.Config{DefaultConsent: true, DataDir: b.TempDir()})
+			priDir := b.TempDir()
+			pri, err := core.New(core.Config{DefaultConsent: true, DataDir: priDir})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -499,42 +517,25 @@ func BenchmarkE1_ReplicatedPublish(b *testing.B) {
 				b.Fatal(err)
 			}
 			if mode != "standalone" {
-				rep, err := core.New(core.Config{
-					DefaultConsent: true, DataDir: b.TempDir(), Replica: true,
-				})
+				repDir := b.TempDir()
+				rep, err := core.New(core.Config{DefaultConsent: true, DataDir: repDir})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer rep.Close()
-				rs, err := rep.ReplStores()
-				if err != nil {
-					b.Fatal(err)
-				}
-				fol, err := replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-					Stores: rs, Epoch: 1, OnApply: rep.OnReplicatedApply(),
+				repNode := benchReplNode(b, rep, replication.NodeConfig{
+					Role: replication.RoleReplica, DataDir: repDir, Listen: "127.0.0.1:0",
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer fol.Close()
-				ps, err := pri.ReplStores()
-				if err != nil {
-					b.Fatal(err)
-				}
+				defer repNode.Close()
 				var beat time.Duration
 				if mode == "async-heartbeat" {
 					beat = 100 * time.Millisecond
 				}
-				shipper, err := replication.NewPrimary(replication.PrimaryConfig{
-					Stores: ps, Epoch: 1, Quorum: mode == "quorum",
-					HeartbeatEvery: beat,
+				priNode := benchReplNode(b, pri, replication.NodeConfig{
+					Role: replication.RolePrimary, DataDir: priDir, Peers: []string{repNode.Addr()},
+					Quorum: mode == "quorum", HeartbeatEvery: beat,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer shipper.Close()
-				shipper.AddFollower(fol.Addr())
-				pri.AttachReplication(shipper)
+				defer priNode.Close()
 			}
 			b.ResetTimer()
 			start := time.Now()

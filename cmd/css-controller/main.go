@@ -46,7 +46,9 @@
 //	                -data and -repl-listen, applies a primary's WAL
 //	                stream, serves index inquiries locally, refuses
 //	                writes with the not-primary redirect, and flips to
-//	                primary on POST /ws/promote
+//	                primary on POST /ws/promote. Either role restarts at
+//	                the fencing epoch it last held (<data>/election.epoch,
+//	                1 on a fresh data dir)
 //	-repl-listen    replica only: TCP address the WAL-stream follower
 //	                listens on (e.g. 127.0.0.1:9301)
 //	-replicate-to   comma-separated follower addresses this node ships
@@ -56,8 +58,6 @@
 //	-quorum         wait for a majority of followers to fsync before
 //	                acknowledging each publish (durable failover; adds
 //	                one network round-trip overlapped with fan-out)
-//	-repl-epoch     fencing epoch this node ships/accepts at (default 1);
-//	                the shard map's epoch after a manual failover
 //	-election       replica only: self-healing failover. The replica
 //	                watches the primary's heartbeats (plus -primary-url
 //	                as an HTTP probe), and when both channels go silent
@@ -97,13 +97,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/election"
 	"repro/internal/event"
 	"repro/internal/identity"
 	"repro/internal/overload"
@@ -150,7 +148,6 @@ func main() {
 	replListen := flag.String("repl-listen", "", "replica: TCP address the WAL-stream follower listens on")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower addresses to ship WALs to")
 	quorum := flag.Bool("quorum", false, "wait for a follower fsync quorum before acknowledging publishes")
-	replEpoch := flag.Uint64("repl-epoch", 1, "replication fencing epoch")
 	electionOn := flag.Bool("election", false, "replica: campaign for promotion when the primary goes silent")
 	heartbeatEvery := flag.Duration("heartbeat-interval", 100*time.Millisecond, "primary heartbeat cadence on idle replication links")
 	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "minimum primary silence before a replica campaigns")
@@ -226,20 +223,13 @@ func main() {
 		if *electionOn {
 			log.Fatal("election: -election is a replica flag (a primary is campaigned against, not for)")
 		}
-		if *replicateTo != "" && *dataDir == "" {
-			log.Fatal("replication: WAL shipping requires -data")
-		}
 	case "replica":
-		if *dataDir == "" {
-			log.Fatal("replication: a replica requires -data (WAL shipping needs WALs)")
-		}
 		if *replListen == "" {
 			log.Fatal("replication: -repl-listen is required for a replica")
 		}
 		if *electionOn && *replicateTo == "" {
 			log.Fatal("election: -election needs -replicate-to (the voting peers)")
 		}
-		cfg.Replica = true
 	default:
 		log.Fatalf("replication: unknown -role %q (want primary or replica)", *role)
 	}
@@ -291,139 +281,43 @@ func main() {
 
 	srv := transport.NewServer(ctrl)
 
-	// Replication wiring. A primary with -replicate-to ships its WALs
-	// from boot; a replica runs the stream follower and installs a
-	// promote hook that fences the old epoch, flips the controller to
-	// primary, and (with -replicate-to) starts shipping to the surviving
-	// replicas.
-	var follower *replication.Follower
-	var manager *election.Manager
-	var shipper atomic.Pointer[replication.Primary]
-	replLogf := func(format string, args ...any) {
-		telemetry.Logger().Info("repl: " + fmt.Sprintf(format, args...))
-	}
-	startShipping := func(epoch uint64) (*replication.Primary, error) {
-		stores, err := ctrl.ReplStores()
-		if err != nil {
-			return nil, err
-		}
-		p, err := replication.NewPrimary(replication.PrimaryConfig{
-			Stores: stores, Epoch: epoch, Quorum: *quorum,
-			HeartbeatEvery: *heartbeatEvery,
-			Metrics:        telemetry.Default(), Logf: replLogf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range strings.Split(*replicateTo, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				p.AddFollower(a)
-			}
-		}
-		return p, nil
-	}
-	switch {
-	case *role == "primary" && *replicateTo != "":
-		p, err := startShipping(*replEpoch)
-		if err != nil {
-			log.Fatalf("replication: %v", err)
-		}
-		shipper.Store(p)
-		ctrl.AttachReplication(p)
-		srv.SetReplication(p)
-		telemetry.Logger().Info("WAL shipping enabled",
-			"followers", *replicateTo, "quorum", *quorum, "epoch", *replEpoch)
-	case *role == "replica":
+	// Replication: one node owns this process's role, its durable fencing
+	// epoch (<data>/election.epoch, read at boot on either role), the WAL
+	// shipper, the stream follower and the election loop; the flags map
+	// onto its config (DESIGN.md §13).
+	var node *replication.Node
+	if *role == replication.RoleReplica || *replicateTo != "" {
 		stores, err := ctrl.ReplStores()
 		if err != nil {
 			log.Fatalf("replication: %v", err)
 		}
-		// A node that granted (or claimed) a fencing epoch before a
-		// crash must not come back below it: the durable promise floor
-		// overrides -repl-epoch.
-		epochs, err := election.OpenEpochStore(filepath.Join(*dataDir, "election.epoch"))
-		if err != nil {
-			log.Fatalf("election: %v", err)
+		ncfg := replication.NodeConfig{
+			Role: *role, DataDir: *dataDir, Stores: stores,
+			Listen: *replListen, Peers: splitList(*replicateTo),
+			Quorum: *quorum, Election: *electionOn,
+			HeartbeatEvery: *heartbeatEvery, SuspectAfter: *suspectAfter,
+			Promote: ctrl.Promote, OnApply: ctrl.OnReplicatedApply,
+			OnPromoted: func(epoch uint64) { telemetry.Logger().Info("promoted to primary", "epoch", epoch) },
+			Metrics:    telemetry.Default(), Tracer: ctrl.Tracer(),
+			Logf: func(format string, args ...any) {
+				telemetry.Logger().Info("repl: " + fmt.Sprintf(format, args...))
+			},
 		}
-		startEpoch := *replEpoch
-		if p := epochs.Promised(); p > startEpoch {
-			startEpoch = p
-		}
-		follower, err = replication.NewFollower(*replListen, replication.FollowerConfig{
-			Stores: stores, Epoch: startEpoch, OnApply: ctrl.OnReplicatedApply(),
-			Metrics: telemetry.Default(), Logf: replLogf,
-		})
-		if err != nil {
-			log.Fatalf("replication: %v", err)
-		}
-		srv.SetFollower(follower)
-		promote := func(epoch uint64) error {
-			// Fence first: once the follower holds the new epoch, the
-			// deposed primary's frames are denied even if it is still up.
-			follower.SetEpoch(epoch)
-			if err := ctrl.Promote(epoch); err != nil {
+		if *primaryURL != "" {
+			probe := transport.NewClient(*primaryURL, nil)
+			ncfg.Probe = func(ctx context.Context) error {
+				_, err := probe.ReplStatus(ctx)
 				return err
 			}
-			if *replicateTo != "" {
-				p, err := startShipping(epoch)
-				if err != nil {
-					return err
-				}
-				shipper.Store(p)
-				ctrl.AttachReplication(p)
-				srv.SetReplication(p)
-			}
-			telemetry.Logger().Info("promoted to primary", "epoch", epoch)
-			return nil
 		}
-		srv.SetPromoteHook(promote)
-		if *electionOn {
-			// The shipping targets double as the electorate: every
-			// address this node would feed after winning is a voter.
-			var peers []string
-			for _, a := range strings.Split(*replicateTo, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					peers = append(peers, a)
-				}
-			}
-			var probe func(ctx context.Context) error
-			if *primaryURL != "" {
-				probeClient := transport.NewClient(*primaryURL, nil)
-				probe = func(ctx context.Context) error {
-					_, err := probeClient.ReplStatus(ctx)
-					return err
-				}
-			}
-			mgr, err := election.NewManager(election.Config{
-				Peers:          peers,
-				HeartbeatEvery: *heartbeatEvery,
-				SuspectAfter:   *suspectAfter,
-				Epochs:         epochs,
-				CurrentEpoch:   follower.Epoch,
-				Offsets:        follower.Offsets,
-				Campaign: func(ctx context.Context, addr string, epoch uint64, cursors map[string]int64) (bool, uint64, error) {
-					return replication.Campaign(ctx, nil, addr, epoch, cursors)
-				},
-				Promote:  promote,
-				Probe:    probe,
-				Promoted: func() bool { return !ctrl.IsReplica() },
-				Metrics:  telemetry.Default(),
-				Tracer:   ctrl.Tracer(),
-				Logf:     replLogf,
-			})
-			if err != nil {
-				log.Fatalf("election: %v", err)
-			}
-			manager = mgr
-			follower.SetContactHook(mgr.Observe)
-			follower.SetVoteHook(mgr.Vote)
-			srv.SetElection(mgr.Status)
-			telemetry.Logger().Info("election manager armed",
-				"peers", *replicateTo, "suspect_after", suspectAfter.String(),
-				"heartbeat", heartbeatEvery.String())
+		if node, err = replication.NewNode(ncfg); err != nil {
+			log.Fatalf("replication: %v", err)
 		}
-		telemetry.Logger().Info("replica following",
-			"listen", follower.Addr(), "epoch", startEpoch)
+		ctrl.AttachReplication(node)
+		srv.SetNode(node)
+		telemetry.Logger().Info("replication node started",
+			"role", *role, "epoch", node.Status().Epoch, "listen", node.Addr(),
+			"peers", *replicateTo, "quorum", *quorum, "election", *electionOn)
 	}
 
 	if len(gateways) > 0 {
@@ -529,14 +423,8 @@ func main() {
 		{Name: "http-shutdown", Run: httpSrv.Shutdown},
 		{Name: "bus-flush", Run: ctrl.FlushContext},
 		{Name: "repl-close", Run: func(context.Context) error {
-			if manager != nil {
-				manager.Close()
-			}
-			if p := shipper.Load(); p != nil {
-				p.Close()
-			}
-			if follower != nil {
-				follower.Close()
+			if node != nil {
+				return node.Close()
 			}
 			return nil
 		}},
@@ -564,12 +452,8 @@ func parseShardTopology(mapSpec, peers string) (*cluster.Map, error) {
 	var entries []string
 	switch {
 	case peers != "":
-		next := 0
-		for _, u := range strings.Split(peers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				entries = append(entries, fmt.Sprintf("%d=%s", next, u))
-				next++
-			}
+		for id, u := range splitList(peers) {
+			entries = append(entries, fmt.Sprintf("%d=%s", id, u))
 		}
 	case strings.HasPrefix(mapSpec, "@"):
 		data, err := os.ReadFile(strings.TrimPrefix(mapSpec, "@"))
@@ -582,11 +466,7 @@ func parseShardTopology(mapSpec, peers string) (*cluster.Map, error) {
 			}
 		}
 	default:
-		for _, e := range strings.Split(mapSpec, ",") {
-			if e = strings.TrimSpace(e); e != "" {
-				entries = append(entries, e)
-			}
-		}
+		entries = splitList(mapSpec)
 	}
 	shards := make([]cluster.ShardInfo, 0, len(entries))
 	for _, e := range entries {
@@ -601,6 +481,17 @@ func parseShardTopology(mapSpec, peers string) (*cluster.Map, error) {
 		shards = append(shards, cluster.ShardInfo{ID: cluster.ShardID(id), Addr: strings.TrimSpace(url)})
 	}
 	return cluster.NewMap(1, 0, shards)
+}
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(v string) []string {
+	var out []string
+	for _, a := range strings.Split(v, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 func orMem(dir string) string {

@@ -109,12 +109,6 @@ type Config struct {
 	// meaningful when ShardMap is set. An id absent from the map boots
 	// cold — owning no keys until a reshard flips in a map naming it.
 	ShardID cluster.ShardID
-	// Replica starts the controller as a read replica: its stores are
-	// fed by a replication follower applying the primary's WAL stream,
-	// index inquiries are served locally, and every write flow answers
-	// cluster.NotPrimaryError until Promote. Requires DataDir (WAL
-	// shipping needs WALs).
-	Replica bool
 }
 
 // Stats aggregates controller counters. It is a compatibility view over
@@ -272,13 +266,11 @@ type Controller struct {
 	// shard is the cluster identity; nil when unsharded (see cluster.go).
 	shard *shardState
 
-	// Replication role (see replica.go): replica gates the write flows,
-	// repl carries the attached shipping primary for the quorum barrier,
-	// replStores lists the persistent stores in write-path dependency
-	// order for replication wiring.
-	replica    atomic.Bool
-	replEpoch  atomic.Uint64
-	repl       atomic.Pointer[replication.Primary]
+	// Replication (see replica.go): repl is the attached node, which
+	// holds this process's role — a replica gates the write flows — and
+	// runs the quorum barrier; replStores lists the persistent stores in
+	// write-path dependency order for replication wiring.
+	repl       atomic.Pointer[replication.Node]
 	replStores []replication.NamedStore
 
 	mu     sync.Mutex
@@ -293,11 +285,7 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.PlaintextIndex && cfg.MasterKey != nil {
 		return nil, ErrPlaintextConflict
 	}
-	if cfg.Replica && cfg.DataDir == "" {
-		return nil, ErrNotPersistent
-	}
 	c := &Controller{cfg: cfg, subs: make(map[string]*Subscription)}
-	c.replica.Store(cfg.Replica)
 	c.now = cfg.Now
 	if c.now == nil {
 		c.now = time.Now
@@ -469,7 +457,7 @@ func (c *Controller) RegisterProducer(id event.ProducerID, name string) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return c.notPrimary()
 	}
 	if err := c.reg.RegisterProducer(id, name); err != nil {
@@ -487,7 +475,7 @@ func (c *Controller) RegisterConsumer(actor event.Actor, name string) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return c.notPrimary()
 	}
 	if err := c.reg.RegisterConsumer(actor, name); err != nil {
@@ -506,7 +494,7 @@ func (c *Controller) DeclareClass(producer event.ProducerID, s *schema.Schema) e
 	if c.isClosed() {
 		return ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return c.notPrimary()
 	}
 	if err := c.reg.DeclareClass(producer, s); err != nil {
@@ -557,7 +545,7 @@ func (c *Controller) DefinePolicy(p *policy.Policy) (*policy.Policy, error) {
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return nil, c.notPrimary()
 	}
 	decl, err := c.reg.Class(p.Class)
@@ -589,7 +577,7 @@ func (c *Controller) RevokePolicy(id policy.ID) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return c.notPrimary()
 	}
 	if err := c.enf.RemovePolicy(id); err != nil {
@@ -613,7 +601,7 @@ func (c *Controller) RecordConsent(d consent.Directive) (consent.Directive, erro
 	if c.isClosed() {
 		return consent.Directive{}, ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return consent.Directive{}, c.notPrimary()
 	}
 	stored, err := c.con.Record(d)

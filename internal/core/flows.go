@@ -43,7 +43,7 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	if c.isClosed() {
 		return "", ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return "", c.notPrimary()
 	}
 	if err := n.Validate(); err != nil {
@@ -296,7 +296,7 @@ func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h Handler
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		// Subscriptions audit and deliver; both are primary duties.
 		return nil, c.notPrimary()
 	}
@@ -433,7 +433,7 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		// Detail disclosure must be audited on the chain of record (the
 		// primary's); replicas serve only index reads.
 		return nil, c.notPrimary()
@@ -557,7 +557,7 @@ func (c *Controller) PrefetchDetailsContext(ctx context.Context, r *event.Detail
 	if c.isClosed() {
 		return ErrClosed
 	}
-	if c.replica.Load() {
+	if c.IsReplica() {
 		return c.notPrimary()
 	}
 	if err := r.Validate(); err != nil {

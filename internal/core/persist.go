@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -78,75 +79,98 @@ func (c *Controller) unpersistPolicy(id policy.ID) error {
 	return c.persist.policies.Delete("p/" + string(id))
 }
 
-// reload restores catalog and policies from the stores. Called once from
-// New, before the controller is visible to callers.
+// reload syncs the registry and the policy set from the catalog and
+// policy stores. It is the one loader: New runs it against an empty
+// registry, and a replica runs it against live state after an applied
+// segment or at promotion — so entries that are already loaded are
+// tolerated, and policies deleted on the primary are revoked here too.
 func (c *Controller) reload() error {
-	if c.persist.catalog != nil {
-		var rerr error
-		err := c.persist.catalog.AscendPrefix("prod/", func(k string, v []byte) bool {
-			rerr = c.reg.RegisterProducer(event.ProducerID(strings.TrimPrefix(k, "prod/")), string(v))
-			return rerr == nil
-		})
-		if err != nil {
-			return err
-		}
-		if rerr != nil {
-			return fmt.Errorf("core: reload producers: %w", rerr)
-		}
-		err = c.persist.catalog.AscendPrefix("cons/", func(k string, v []byte) bool {
-			rerr = c.reg.RegisterConsumer(event.Actor(strings.TrimPrefix(k, "cons/")), string(v))
-			return rerr == nil
-		})
-		if err != nil {
-			return err
-		}
-		if rerr != nil {
-			return fmt.Errorf("core: reload consumers: %w", rerr)
-		}
-		err = c.persist.catalog.AscendPrefix("class/", func(k string, v []byte) bool {
-			sep := strings.IndexByte(string(v), 0)
-			if sep < 0 {
-				rerr = errors.New("core: corrupt class record " + k)
-				return false
-			}
-			producer := event.ProducerID(v[:sep])
-			s, err := schema.Decode(v[sep+1:])
-			if err != nil {
-				rerr = fmt.Errorf("core: reload class %s: %w", k, err)
-				return false
-			}
-			rerr = c.reg.DeclareClass(producer, s)
-			return rerr == nil
-		})
-		if err != nil {
-			return err
-		}
-		if rerr != nil {
-			return rerr
-		}
+	if c.persist.catalog == nil {
+		return nil
 	}
-	if c.persist.policies != nil {
-		var rerr error
-		err := c.persist.policies.AscendPrefix("p/", func(k string, v []byte) bool {
-			p, err := policy.Decode(v)
-			if err != nil {
-				rerr = fmt.Errorf("core: reload policy %s: %w", k, err)
-				return false
-			}
-			if _, err := c.enf.AddPolicy(p); err != nil {
-				rerr = fmt.Errorf("core: reload policy %s: %w", k, err)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
+	err := ascend(c.persist.catalog, "prod/", func(id string, v []byte) error {
+		if err := c.reg.RegisterProducer(event.ProducerID(id), string(v)); err != nil && !registryDuplicate(err) {
+			return fmt.Errorf("core: reload producer %s: %w", id, err)
 		}
-		if rerr != nil {
-			return rerr
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	err = ascend(c.persist.catalog, "cons/", func(actor string, v []byte) error {
+		if err := c.reg.RegisterConsumer(event.Actor(actor), string(v)); err != nil && !registryDuplicate(err) {
+			return fmt.Errorf("core: reload consumer %s: %w", actor, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	err = ascend(c.persist.catalog, "class/", func(class string, v []byte) error {
+		sep := bytes.IndexByte(v, 0)
+		if sep < 0 {
+			return errors.New("core: corrupt class record " + class)
+		}
+		producer := event.ProducerID(v[:sep])
+		s, err := schema.Decode(v[sep+1:])
+		if err != nil {
+			return fmt.Errorf("core: reload class %s: %w", class, err)
+		}
+		if err := c.reg.DeclareClass(producer, s); err != nil {
+			// Identical re-declaration by the same owner is the steady
+			// state of a refresh; anything else is real.
+			if existing, gerr := c.reg.Class(s.Class()); gerr != nil ||
+				existing.Producer != producer || existing.Schema.Version() != s.Version() {
+				return fmt.Errorf("core: reload class %s: %w", class, err)
+			}
+		}
+		return nil
+	})
+	if err != nil || c.persist.policies == nil {
+		return err
+	}
+	present := make(map[policy.ID]bool)
+	err = ascend(c.persist.policies, "p/", func(id string, v []byte) error {
+		p, err := policy.Decode(v)
+		if err != nil {
+			return fmt.Errorf("core: reload policy %s: %w", id, err)
+		}
+		present[p.ID] = true
+		if _, err := c.enf.Repository().Get(p.ID); err == nil {
+			return nil // already installed
+		}
+		if _, err := c.enf.AddPolicy(p); err != nil {
+			return fmt.Errorf("core: reload policy %s: %w", id, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	// Policies revoked on the primary are gone from the replicated store;
+	// drop them from the live PDP too.
+	for _, p := range c.enf.Repository().All() {
+		if !present[p.ID] {
+			if err := c.enf.RemovePolicy(p.ID); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// ascend walks the keys under prefix in order, handing fn each key with
+// the prefix cut off, and stops at fn's first error.
+func ascend(st *store.Store, prefix string, fn func(name string, v []byte) error) error {
+	var ferr error
+	err := st.AscendPrefix(prefix, func(k string, v []byte) bool {
+		ferr = fn(strings.TrimPrefix(k, prefix), v)
+		return ferr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return ferr
 }
 
 // registryDuplicate reports the benign idempotent-rejoin case.

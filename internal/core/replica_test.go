@@ -18,12 +18,33 @@ import (
 )
 
 // replRig wires a primary controller to a replica controller over a
-// real replication link.
+// real replication link, each role held by its replication node.
 type replRig struct {
 	primary *Controller
 	replica *Controller
-	pri     *replication.Primary
-	fol     *replication.Follower
+	pri     *replication.Node
+	rep     *replication.Node
+}
+
+// attachNode starts the replication node for c in the given role and
+// attaches it.
+func attachNode(t *testing.T, c *Controller, role string, quorum bool, peers ...string) *replication.Node {
+	t.Helper()
+	stores, err := c.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := replication.NewNode(replication.NodeConfig{
+		Role: role, DataDir: c.cfg.DataDir, Stores: stores, Listen: "127.0.0.1:0",
+		Peers: peers, Quorum: quorum,
+		Promote: c.Promote, OnApply: c.OnReplicatedApply,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	c.AttachReplication(n)
+	return n
 }
 
 func newReplRig(t *testing.T, quorum bool) *replRig {
@@ -34,42 +55,14 @@ func newReplRig(t *testing.T, quorum bool) *replRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	replica, err := New(Config{DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true, Replica: true})
+	replica, err := New(Config{DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { replica.Close() })
-
-	rs, err := replica.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fol, err := replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-		Stores:  rs,
-		Epoch:   1,
-		OnApply: replica.OnReplicatedApply(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fol.Close() })
-
-	ps, err := primary.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pri, err := replication.NewPrimary(replication.PrimaryConfig{
-		Stores: ps,
-		Epoch:  1,
-		Quorum: quorum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pri.Close() })
-	primary.AttachReplication(pri)
-	pri.AddFollower(fol.Addr())
-	return &replRig{primary: primary, replica: replica, pri: pri, fol: fol}
+	rep := attachNode(t, replica, replication.RoleReplica, quorum)
+	pri := attachNode(t, primary, replication.RolePrimary, quorum, rep.Addr())
+	return &replRig{primary: primary, replica: replica, pri: pri, rep: rep}
 }
 
 // waitReplicated blocks until the replica's stores hold everything the
@@ -77,12 +70,12 @@ func newReplRig(t *testing.T, quorum bool) *replRig {
 func (r *replRig) waitReplicated(t *testing.T) {
 	t.Helper()
 	ps, _ := r.primary.ReplStores()
+	rs, _ := r.replica.ReplStores()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		caught := true
-		offs := r.fol.Offsets()
-		for _, ns := range ps {
-			if offs[ns.Name] != ns.Store.WALOffset() {
+		for i, ns := range ps {
+			if rs[i].Store.WALOffset() != ns.Store.WALOffset() {
 				caught = false
 				break
 			}
@@ -215,14 +208,14 @@ func TestPromoteReplicaAcceptsWritesWithIntactChain(t *testing.T) {
 	// Primary dies; the surviving replica is promoted at the next epoch.
 	rig.pri.Close()
 	rig.primary.Close()
-	if err := rig.replica.Promote(2); err != nil {
+	if err := rig.rep.Promote(2); err != nil {
 		t.Fatal(err)
 	}
 	if rig.replica.IsReplica() {
 		t.Fatal("promoted node still reports replica")
 	}
-	if rig.replica.ReplicationEpoch() != 2 {
-		t.Fatalf("promoted epoch = %d, want 2", rig.replica.ReplicationEpoch())
+	if e := rig.rep.Status().Epoch; e != 2 {
+		t.Fatalf("promoted epoch = %d, want 2", e)
 	}
 
 	// The replicated audit chain verifies end-to-end on the promoted
@@ -270,7 +263,7 @@ func TestPromoteReplicaAcceptsWritesWithIntactChain(t *testing.T) {
 	}
 
 	// Promote is a one-way door.
-	if err := rig.replica.Promote(3); !errors.Is(err, ErrNotReplica) {
+	if err := rig.rep.Promote(3); !errors.Is(err, replication.ErrNotReplica) {
 		t.Fatalf("second promote = %v, want ErrNotReplica", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"time"
 )
 
 // Campaign dials a follower's replication listener and submits an
@@ -18,9 +17,7 @@ import (
 // an error here and never counts as a vote.
 func Campaign(ctx context.Context, dial func(addr string) (net.Conn, error), addr string, epoch uint64, cursors map[string]int64) (granted bool, voterEpoch uint64, err error) {
 	if dial == nil {
-		dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
+		dial = dialTCP
 	}
 	conn, err := dial(addr)
 	if err != nil {
@@ -45,7 +42,7 @@ func Campaign(ctx context.Context, dial func(addr string) (net.Conn, error), add
 	if err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: hello: %w", addr, err)
 	}
-	voterEpoch, _, err = decodeHello(msg)
+	voterEpoch, _, err = decodeCursors(msg, FrameHello)
 	if err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: hello: %w", addr, err)
 	}
@@ -55,7 +52,7 @@ func Campaign(ctx context.Context, dial func(addr string) (net.Conn, error), add
 		offsets = append(offsets, storeOffset{name: name, offset: off})
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i].name < offsets[j].name })
-	if err := writeMsg(conn, encodeCampaign(epoch, offsets)); err != nil {
+	if err := writeMsg(conn, encodeCursors(FrameCampaign, epoch, offsets)); err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: %w", addr, err)
 	}
 	msg, err = readMsg(br)

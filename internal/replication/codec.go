@@ -25,7 +25,11 @@
 // frame and drops the connection, so a deposed primary's late writes
 // can never land. Epochs are recorded per shard in the versioned shard
 // map (cluster.ShardInfo.Epoch) — the promotion that bumps the map
-// version is the lease claim.
+// version is the lease claim. A process's own epoch lives in exactly
+// one place, the Node's durable cell (node.go, epoch.go): the Node owns
+// the role, that epoch, the Primary it ships with while it leads, the
+// Follower it listens with while it follows, and the election loop
+// between the two.
 //
 // Cross-store consistency: a publish touches idmap, then index, then
 // audit. The shipper captures per-store targets in *reverse* dependency
@@ -167,25 +171,33 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-func encodeHello(epoch uint64, offsets []storeOffset) []byte {
+// encodeCursors builds the shared body of hello and campaign frames: an
+// epoch and a list of per-store cursors, each with a prefix CRC in a
+// hello only.
+func encodeCursors(kind event.FrameType, epoch uint64, offsets []storeOffset) []byte {
+	withCRC := kind == FrameHello
 	size := event.FrameHeaderLen + uvarintLen(epoch) + uvarintLen(uint64(len(offsets)))
 	for _, o := range offsets {
+		// Room for the CRC either way: a campaign just leaves it unused.
 		size += uvarintLen(uint64(len(o.name))) + len(o.name) + uvarintLen(uint64(o.offset)) + 4
 	}
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameHello)
+	dst = event.AppendFrameHeader(dst, kind)
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(len(offsets)))
 	for _, o := range offsets {
 		dst = event.AppendFrameString(dst, o.name)
 		dst = binary.AppendUvarint(dst, uint64(o.offset))
-		dst = binary.LittleEndian.AppendUint32(dst, o.crc)
+		if withCRC {
+			dst = binary.LittleEndian.AppendUint32(dst, o.crc)
+		}
 	}
 	return dst
 }
 
-func decodeHello(data []byte) (epoch uint64, offsets []storeOffset, err error) {
-	p, err := event.FrameBody(data, FrameHello)
+func decodeCursors(data []byte, kind event.FrameType) (epoch uint64, offsets []storeOffset, err error) {
+	withCRC := kind == FrameHello
+	p, err := event.FrameBody(data, kind)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -206,21 +218,22 @@ func decodeHello(data []byte) (epoch uint64, offsets []storeOffset, err error) {
 	}
 	offsets = make([]storeOffset, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var name string
-		if name, p, err = event.FrameString(p); err != nil {
+		var o storeOffset
+		if o.name, p, err = event.FrameString(p); err != nil {
 			return 0, nil, err
 		}
 		off, n := binary.Uvarint(p)
 		if n <= 0 {
 			return 0, nil, errCodecVarint
 		}
-		p = p[n:]
-		if len(p) < 4 {
-			return 0, nil, errCodecBomb
+		o.offset, p = int64(off), p[n:]
+		if withCRC {
+			if len(p) < 4 {
+				return 0, nil, errCodecBomb
+			}
+			o.crc, p = binary.LittleEndian.Uint32(p), p[4:]
 		}
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		offsets = append(offsets, storeOffset{name: name, offset: int64(off), crc: crc})
+		offsets = append(offsets, o)
 	}
 	if len(p) != 0 {
 		return 0, nil, errCodecTrail
@@ -271,16 +284,17 @@ func decodeData(data []byte) (store string, epoch uint64, offset int64, seg []by
 	return store, epoch, int64(off), p, nil
 }
 
-func encodeAck(store string, offset int64) []byte {
+// encodeStoreOffset builds the shared body of ack and truncate frames.
+func encodeStoreOffset(kind event.FrameType, store string, offset int64) []byte {
 	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) + uvarintLen(uint64(offset))
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameAck)
+	dst = event.AppendFrameHeader(dst, kind)
 	dst = event.AppendFrameString(dst, store)
 	return binary.AppendUvarint(dst, uint64(offset))
 }
 
-func decodeAck(data []byte) (store string, offset int64, err error) {
-	p, err := event.FrameBody(data, FrameAck)
+func decodeStoreOffset(data []byte, kind event.FrameType) (store string, offset int64, err error) {
+	p, err := event.FrameBody(data, kind)
 	if err != nil {
 		return "", 0, err
 	}
@@ -297,14 +311,15 @@ func decodeAck(data []byte) (store string, offset int64, err error) {
 	return store, int64(off), nil
 }
 
-func encodeDeny(epoch uint64) []byte {
+// encodeEpoch builds the shared body of deny and heartbeat frames.
+func encodeEpoch(kind event.FrameType, epoch uint64) []byte {
 	dst := make([]byte, 0, event.FrameHeaderLen+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, FrameDeny)
+	dst = event.AppendFrameHeader(dst, kind)
 	return binary.AppendUvarint(dst, epoch)
 }
 
-func decodeDeny(data []byte) (epoch uint64, err error) {
-	p, err := event.FrameBody(data, FrameDeny)
+func decodeEpoch(data []byte, kind event.FrameType) (epoch uint64, err error) {
+	p, err := event.FrameBody(data, kind)
 	if err != nil {
 		return 0, err
 	}
@@ -316,80 +331,6 @@ func decodeDeny(data []byte) (epoch uint64, err error) {
 		return 0, errCodecTrail
 	}
 	return epoch, nil
-}
-
-func encodeHeartbeat(epoch uint64) []byte {
-	dst := make([]byte, 0, event.FrameHeaderLen+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, FrameHeartbeat)
-	return binary.AppendUvarint(dst, epoch)
-}
-
-func decodeHeartbeat(data []byte) (epoch uint64, err error) {
-	p, err := event.FrameBody(data, FrameHeartbeat)
-	if err != nil {
-		return 0, err
-	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return 0, errCodecTrail
-	}
-	return epoch, nil
-}
-
-func encodeCampaign(epoch uint64, offsets []storeOffset) []byte {
-	size := event.FrameHeaderLen + uvarintLen(epoch) + uvarintLen(uint64(len(offsets)))
-	for _, o := range offsets {
-		size += uvarintLen(uint64(len(o.name))) + len(o.name) + uvarintLen(uint64(o.offset))
-	}
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameCampaign)
-	dst = binary.AppendUvarint(dst, epoch)
-	dst = binary.AppendUvarint(dst, uint64(len(offsets)))
-	for _, o := range offsets {
-		dst = event.AppendFrameString(dst, o.name)
-		dst = binary.AppendUvarint(dst, uint64(o.offset))
-	}
-	return dst
-}
-
-func decodeCampaign(data []byte) (epoch uint64, offsets []storeOffset, err error) {
-	p, err := event.FrameBody(data, FrameCampaign)
-	if err != nil {
-		return 0, nil, err
-	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	if count > uint64(len(p))/2 {
-		return 0, nil, errCodecBomb
-	}
-	offsets = make([]storeOffset, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var name string
-		if name, p, err = event.FrameString(p); err != nil {
-			return 0, nil, err
-		}
-		off, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, nil, errCodecVarint
-		}
-		p = p[n:]
-		offsets = append(offsets, storeOffset{name: name, offset: int64(off)})
-	}
-	if len(p) != 0 {
-		return 0, nil, errCodecTrail
-	}
-	return epoch, offsets, nil
 }
 
 func encodeGrant(granted bool, epoch uint64) []byte {
@@ -525,32 +466,6 @@ func decodeDigests(data []byte) (store string, done bool, ds []recordDigest, err
 		return "", false, nil, errCodecTrail
 	}
 	return store, d == 1, ds, nil
-}
-
-func encodeTruncate(store string, offset int64) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) + uvarintLen(uint64(offset))
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameTruncate)
-	dst = event.AppendFrameString(dst, store)
-	return binary.AppendUvarint(dst, uint64(offset))
-}
-
-func decodeTruncate(data []byte) (store string, offset int64, err error) {
-	p, err := event.FrameBody(data, FrameTruncate)
-	if err != nil {
-		return "", 0, err
-	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, err
-	}
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return "", 0, errCodecTrail
-	}
-	return store, int64(off), nil
 }
 
 func encodeSyncStart() []byte {

@@ -1,14 +1,4 @@
-// Package election closes PR 9's failover loop: a phi-accrual-style
-// failure detector watches the primary's heartbeats (and an optional
-// HTTP status probe), and when both channels go silent the replica
-// campaigns for the next epoch, collecting durably promised grants from
-// a majority of the replica set before self-promoting through the same
-// Promote path the manual runbook used. Split-brain safety rests on the
-// fencing epochs PR 9 introduced: a voter that grants epoch E raises
-// its own fencing epoch to E, so a deposed primary's frames — and any
-// rival candidate at the same epoch — are denied by the very quorum
-// that elected the winner.
-package election
+package replication
 
 import (
 	"math"
@@ -16,7 +6,7 @@ import (
 	"time"
 )
 
-// Detector is a phi-accrual-style failure detector (Hayashibara et
+// detector is a phi-accrual-style failure detector (Hayashibara et
 // al.): it keeps a sliding window of heartbeat inter-arrival times and
 // converts "time since last contact" into a suspicion level
 //
@@ -29,7 +19,7 @@ import (
 // configured floor on elapsed silence guards the other direction, where
 // a burst of rapid-fire arrivals would otherwise shrink the mean toward
 // zero and make any pause look fatal.
-type Detector struct {
+type detector struct {
 	mu        sync.Mutex
 	last      time.Time
 	intervals [64]float64 // seconds, ring buffer
@@ -38,18 +28,21 @@ type Detector struct {
 	prior     float64 // expected interval before enough samples arrive
 }
 
-// NewDetector builds a detector primed with the expected heartbeat
+// defaultBeat is the heartbeat cadence assumed when none is configured.
+const defaultBeat = 100 * time.Millisecond
+
+// newDetector builds a detector primed with the expected heartbeat
 // interval — the mean used until real arrivals accumulate.
-func NewDetector(expected time.Duration) *Detector {
+func newDetector(expected time.Duration) *detector {
 	if expected <= 0 {
-		expected = 100 * time.Millisecond
+		expected = defaultBeat
 	}
-	return &Detector{prior: expected.Seconds()}
+	return &detector{prior: expected.Seconds()}
 }
 
 // Observe records one contact (heartbeat, data frame, or successful
 // probe) at time now.
-func (d *Detector) Observe(now time.Time) {
+func (d *detector) Observe(now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.last.IsZero() {
@@ -73,7 +66,7 @@ func (d *Detector) Observe(now time.Time) {
 // Phi returns the current suspicion level. Before the first contact it
 // reports zero: a primary that never spoke is the probe channel's
 // problem, not a crash of something the detector was tracking.
-func (d *Detector) Phi(now time.Time) float64 {
+func (d *detector) Phi(now time.Time) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.last.IsZero() {
@@ -99,7 +92,7 @@ func (d *Detector) Phi(now time.Time) float64 {
 
 // Elapsed returns the silence since the last contact (zero before the
 // first contact).
-func (d *Detector) Elapsed(now time.Time) time.Duration {
+func (d *detector) Elapsed(now time.Time) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.last.IsZero() {

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -16,8 +16,9 @@ import (
 type FollowerConfig struct {
 	// Stores to apply into, in the same order as the primary's.
 	Stores []NamedStore
-	// Epoch is the highest primary epoch this follower has seen; data
-	// frames stamped lower are denied (fencing).
+	// Epoch seeds a standalone follower's fencing epoch (a Node's
+	// follower shares the node's durable one): data frames stamped
+	// lower are denied.
 	Epoch uint64
 	// OnApply, when set, runs after every applied segment with the
 	// store's name — the controller refreshes derived in-memory state
@@ -31,40 +32,44 @@ type FollowerConfig struct {
 
 // Follower listens for a primary's replication stream and applies the
 // shipped WAL segments into its local stores, fsyncing before every
-// acknowledgement. It holds the node's fencing epoch: a frame from an
-// older epoch is denied and the connection dropped. It is also the
-// election endpoint: a candidate dials the same listener, reads the
+// acknowledgement. A frame from an epoch older than the node's is
+// denied and the connection dropped; a newer one is adopted. It is also
+// the election endpoint: a candidate dials the same listener, reads the
 // hello, and sends a campaign frame; whether the vote is granted is
-// decided by the hook the election manager installs.
+// decided by the Node the follower belongs to.
 type Follower struct {
 	cfg   FollowerConfig
 	ln    net.Listener
-	epoch atomic.Uint64
-	logf  func(format string, args ...any)
-
-	// contact is invoked (when installed) every time a live primary at
-	// an acceptable epoch is heard from — heartbeat or data frame. The
-	// election manager's failure detector samples arrivals through it.
-	contact atomic.Pointer[func(epoch uint64)]
-	// vote decides a campaign after the follower's own up-to-date check
-	// passed: it must durably persist the promised epoch before
-	// returning true. Nil (never installed) denies every campaign.
-	vote atomic.Pointer[func(epoch uint64) bool]
+	epoch *epochCell
+	// node is the Node this follower serves: its detector samples every
+	// contact and it decides campaigns. Nil for a standalone follower,
+	// which denies every campaign.
+	node *Node
+	logf func(format string, args ...any)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 
-	applied    *telemetry.Counter
-	fenced     *telemetry.Counter
-	epochGauge *telemetry.Gauge
-	truncates  *telemetry.Counter
+	applied   *telemetry.Counter
+	fenced    *telemetry.Counter
+	truncates *telemetry.Counter
 }
 
 // NewFollower listens on addr (host:port, port 0 for ephemeral) and
-// serves replication connections until Close.
+// serves replication connections until Close. Its epoch starts at
+// cfg.Epoch and lives in memory; a Node's follower shares the node's
+// durable cell instead.
 func NewFollower(addr string, cfg FollowerConfig) (*Follower, error) {
+	epoch, err := openEpoch("", cfg.Epoch, cfg.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	return newFollower(addr, cfg, epoch, nil)
+}
+
+func newFollower(addr string, cfg FollowerConfig, epoch *epochCell, node *Node) (*Follower, error) {
 	if len(cfg.Stores) == 0 {
 		return nil, errors.New("replication: follower needs at least one store")
 	}
@@ -72,16 +77,13 @@ func NewFollower(addr string, cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replication: listen %s: %w", addr, err)
 	}
-	f := &Follower{cfg: cfg, ln: ln, logf: cfg.Logf, conns: make(map[net.Conn]struct{})}
-	f.epoch.Store(cfg.Epoch)
+	f := &Follower{cfg: cfg, ln: ln, epoch: epoch, node: node, logf: cfg.Logf, conns: make(map[net.Conn]struct{})}
 	if f.logf == nil {
 		f.logf = func(string, ...any) {}
 	}
 	if m := cfg.Metrics; m != nil {
 		f.applied = m.Counter("css_repl_applied_bytes_total", "Replicated WAL bytes applied, per store.", "store")
 		f.fenced = m.Counter("css_repl_fenced_total", "Frames or connections rejected for a stale epoch.")
-		f.epochGauge = m.Gauge("css_repl_epoch", "Fencing epoch this node ships or applies under.")
-		f.epochGauge.Set(float64(cfg.Epoch))
 		f.truncates = m.Counter("css_repl_truncates_total", "WAL truncations performed while rejoining as follower.")
 	}
 	f.wg.Add(1)
@@ -95,46 +97,6 @@ func (f *Follower) Addr() string { return f.ln.Addr().String() }
 
 // Epoch returns the highest primary epoch seen.
 func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
-
-// SetEpoch raises the fencing epoch — promotion calls this on the
-// surviving followers (directly or via the promoted primary's first
-// frame) so the deposed primary is denied everywhere.
-func (f *Follower) SetEpoch(e uint64) {
-	for {
-		cur := f.epoch.Load()
-		if e <= cur || f.epoch.CompareAndSwap(cur, e) {
-			break
-		}
-	}
-	if f.epochGauge != nil {
-		f.epochGauge.Set(float64(f.epoch.Load()))
-	}
-}
-
-// SetContactHook installs fn to be called on every heartbeat or data
-// frame from a primary holding an acceptable epoch — the failure
-// detector's sample source. Pass nil to uninstall.
-func (f *Follower) SetContactHook(fn func(epoch uint64)) {
-	if fn == nil {
-		f.contact.Store(nil)
-		return
-	}
-	f.contact.Store(&fn)
-}
-
-// SetVoteHook installs the campaign decision. The hook runs after the
-// follower's own checks (candidate epoch strictly above the current
-// fencing epoch, candidate cursors at or past this node's on every
-// store); it must durably persist the promised epoch before returning
-// true. While no hook is installed every campaign is denied, so a
-// non-electing deployment never grants votes.
-func (f *Follower) SetVoteHook(fn func(epoch uint64) bool) {
-	if fn == nil {
-		f.vote.Store(nil)
-		return
-	}
-	f.vote.Store(&fn)
-}
 
 // Offsets snapshots the per-store WAL offsets — the catch-up cursor
 // this follower would announce, and the measure of "most caught up"
@@ -177,27 +139,30 @@ func (f *Follower) acceptLoop() {
 	}
 }
 
-// noteContact feeds the failure detector, if one is listening.
-func (f *Follower) noteContact(epoch uint64) {
-	if fn := f.contact.Load(); fn != nil {
-		(*fn)(epoch)
+// noteContact feeds the node's failure detector: a live primary at an
+// acceptable epoch was heard from.
+func (f *Follower) noteContact() {
+	if f.node != nil {
+		f.node.det.Observe(time.Now())
 	}
 }
 
 // checkEpoch applies the fencing rule to an incoming frame: deny and
-// drop anything below the current epoch, adopt anything above it.
-// Returns an error when the connection must be closed.
+// drop anything below the current epoch, durably adopt anything above
+// it. Returns an error when the connection must be closed.
 func (f *Follower) checkEpoch(conn net.Conn, epoch uint64) error {
 	cur := f.epoch.Load()
 	if epoch < cur {
 		if f.fenced != nil {
 			f.fenced.Inc()
 		}
-		writeMsg(conn, encodeDeny(cur))
+		writeMsg(conn, encodeEpoch(FrameDeny, cur))
 		return fmt.Errorf("denied stale epoch %d (holding %d)", epoch, cur)
 	}
 	if epoch > cur {
-		f.SetEpoch(epoch)
+		if _, err := f.epoch.Raise(epoch); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -221,13 +186,26 @@ func (f *Follower) handleConn(conn net.Conn) error {
 		}
 		offsets[i] = storeOffset{name: ns.Name, offset: off, crc: crc}
 	}
-	if err := writeMsg(conn, encodeHello(f.epoch.Load(), offsets)); err != nil {
+	if err := writeMsg(conn, encodeCursors(FrameHello, f.epoch.Load(), offsets)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 
 	br := bufio.NewReader(conn)
 	touched := make(map[int]struct{})
 	for {
+		// Batch the fsync+ack over every frame already buffered: under a
+		// storm one fsync covers many segments (group commit shape). The
+		// flush runs whenever the read buffer drains, whatever kind the
+		// last frame was — a heartbeat buffered behind a data frame must
+		// not withhold that frame's ack until the next write.
+		if br.Buffered() == 0 {
+			for i := range touched {
+				if err := syncAck(conn, f.cfg.Stores[i]); err != nil {
+					return err
+				}
+			}
+			clear(touched)
+		}
 		msg, err := readMsg(br)
 		if err != nil {
 			return err
@@ -242,26 +220,23 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			// primary starts from the true durable state instead of
 			// waiting for each store's next write.
 			for _, ns := range f.cfg.Stores {
-				if err := ns.Store.SyncWAL(); err != nil {
-					return err
-				}
-				if err := writeMsg(conn, encodeAck(ns.Name, ns.Store.WALOffset())); err != nil {
+				if err := syncAck(conn, ns); err != nil {
 					return err
 				}
 			}
 
 		case FrameHeartbeat:
-			epoch, err := decodeHeartbeat(msg)
+			epoch, err := decodeEpoch(msg, FrameHeartbeat)
 			if err != nil {
 				return err
 			}
 			if err := f.checkEpoch(conn, epoch); err != nil {
 				return err
 			}
-			f.noteContact(epoch)
+			f.noteContact()
 
 		case FrameCampaign:
-			epoch, theirs, err := decodeCampaign(msg)
+			epoch, theirs, err := decodeCursors(msg, FrameCampaign)
 			if err != nil {
 				return err
 			}
@@ -298,7 +273,7 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			}
 
 		case FrameTruncate:
-			name, offset, err := decodeTruncate(msg)
+			name, offset, err := decodeStoreOffset(msg, FrameTruncate)
 			if err != nil {
 				return err
 			}
@@ -316,7 +291,7 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			if f.cfg.OnApply != nil {
 				f.cfg.OnApply(name)
 			}
-			if err := writeMsg(conn, encodeAck(name, offset)); err != nil {
+			if err := writeMsg(conn, encodeStoreOffset(FrameAck, name, offset)); err != nil {
 				return err
 			}
 
@@ -328,14 +303,8 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			if err := f.checkEpoch(conn, epoch); err != nil {
 				return err
 			}
-			f.noteContact(epoch)
-			idx := -1
-			for i, ns := range f.cfg.Stores {
-				if ns.Name == name {
-					idx = i
-					break
-				}
-			}
+			f.noteContact()
+			idx := storeIndex(f.cfg.Stores, name)
 			if idx < 0 {
 				return fmt.Errorf("data for unknown store %q", name)
 			}
@@ -349,21 +318,6 @@ func (f *Follower) handleConn(conn net.Conn) error {
 				f.cfg.OnApply(name)
 			}
 			touched[idx] = struct{}{}
-			// Batch the fsync+ack over every frame already buffered: under
-			// a storm one fsync covers many segments (group commit shape).
-			if br.Buffered() > 0 {
-				continue
-			}
-			for i := range touched {
-				ns := f.cfg.Stores[i]
-				if err := ns.Store.SyncWAL(); err != nil {
-					return err
-				}
-				if err := writeMsg(conn, encodeAck(ns.Name, ns.Store.WALOffset())); err != nil {
-					return err
-				}
-			}
-			clear(touched)
 
 		default:
 			return fmt.Errorf("unexpected frame type %d", frameKind(msg))
@@ -371,17 +325,24 @@ func (f *Follower) handleConn(conn net.Conn) error {
 	}
 }
 
+// syncAck fsyncs one store and acknowledges the offset it is durable
+// through.
+func syncAck(conn net.Conn, ns NamedStore) error {
+	if err := ns.Store.SyncWAL(); err != nil {
+		return err
+	}
+	return writeMsg(conn, encodeStoreOffset(FrameAck, ns.Name, ns.Store.WALOffset()))
+}
+
 // decideVote applies the election rules to one campaign: the candidate
-// must claim an epoch strictly above this node's fencing epoch (a
-// deposed primary re-campaigning with its old epoch always loses), its
-// cursors must be at or past this node's on every store (a stale
-// replica can never be elected over a more caught-up voter), and the
-// installed vote hook must durably persist the promise. Granting raises
-// the fencing epoch to the promised one, so a second candidate at the
-// same epoch is denied — at most one grant per epoch per voter.
+// must claim an epoch strictly above this node's (a deposed primary
+// re-campaigning with its old epoch always loses), its cursors must be
+// at or past this node's on every store (a stale replica can never be
+// elected over a more caught-up voter), and the Node must grant — which
+// durably raises the epoch to the promised one, so a second candidate
+// at the same epoch is denied: at most one grant per epoch per voter.
 func (f *Follower) decideVote(epoch uint64, theirs []storeOffset) bool {
-	cur := f.epoch.Load()
-	if epoch <= cur {
+	if cur := f.epoch.Load(); epoch <= cur {
 		if f.fenced != nil {
 			f.fenced.Inc()
 		}
@@ -399,26 +360,18 @@ func (f *Follower) decideVote(epoch uint64, theirs []storeOffset) bool {
 			return false
 		}
 	}
-	hook := f.vote.Load()
-	if hook == nil {
-		f.logf("repl: denying campaign at epoch %d: no vote hook installed", epoch)
+	if f.node == nil || !f.node.vote(epoch) {
+		f.logf("repl: denying campaign at epoch %d: not this node's to grant", epoch)
 		return false
 	}
-	if !(*hook)(epoch) {
-		return false
-	}
-	// The promise is durable; fence everything below it.
-	f.SetEpoch(epoch)
 	f.logf("repl: granted epoch %d", epoch)
 	return true
 }
 
 // storeNamed finds a replicated store by name, nil when unknown.
 func (f *Follower) storeNamed(name string) *store.Store {
-	for _, ns := range f.cfg.Stores {
-		if ns.Name == name {
-			return ns.Store
-		}
+	if i := storeIndex(f.cfg.Stores, name); i >= 0 {
+		return f.cfg.Stores[i].Store
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/store"
@@ -23,6 +22,21 @@ import (
 type NamedStore struct {
 	Name  string
 	Store *store.Store
+}
+
+// storeIndex finds a replicated store by name, -1 when unknown.
+func storeIndex(stores []NamedStore, name string) int {
+	for i, ns := range stores {
+		if ns.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// dialTCP is the default dialer: plain TCP with a 5s connect timeout.
+func dialTCP(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, 5*time.Second)
 }
 
 // ErrClosed reports an operation on a closed Primary.
@@ -41,7 +55,8 @@ const segmentBytes = 256 << 10
 type PrimaryConfig struct {
 	// Stores to replicate, in write-path dependency order.
 	Stores []NamedStore
-	// Epoch is the fencing token stamped on every shipped frame.
+	// Epoch is the fencing token stamped on every shipped frame, fixed
+	// for the shipper's life: a promotion starts a new Primary.
 	Epoch uint64
 	// Quorum makes Barrier wait for ⌈N/2⌉ follower fsyncs (N = number
 	// of registered followers); false means async shipping and Barrier
@@ -65,10 +80,9 @@ type PrimaryConfig struct {
 // registered follower, tracking per-follower fsync cursors for the
 // quorum barrier and the lag gauge.
 type Primary struct {
-	cfg   PrimaryConfig
-	epoch atomic.Uint64
-	dial  func(addr string) (net.Conn, error)
-	logf  func(format string, args ...any)
+	cfg  PrimaryConfig
+	dial func(addr string) (net.Conn, error)
+	logf func(format string, args ...any)
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -79,7 +93,6 @@ type Primary struct {
 	lag        *telemetry.Gauge
 	acks       *telemetry.Counter
 	fenced     *telemetry.Counter
-	epochGauge *telemetry.Gauge
 	quorumWait *telemetry.Histogram
 }
 
@@ -102,11 +115,8 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	p := &Primary{cfg: cfg, dial: cfg.Dial, logf: cfg.Logf}
 	p.cond = sync.NewCond(&p.mu)
-	p.epoch.Store(cfg.Epoch)
 	if p.dial == nil {
-		p.dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
+		p.dial = dialTCP
 	}
 	if p.logf == nil {
 		p.logf = func(string, ...any) {}
@@ -115,27 +125,9 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		p.lag = m.Gauge("css_repl_lag_bytes", "Unacked WAL bytes per follower (primary view).", "follower")
 		p.acks = m.Counter("css_repl_acks_total", "Follower fsync acknowledgements received.", "follower")
 		p.fenced = m.Counter("css_repl_fenced_total", "Frames or connections rejected for a stale epoch.")
-		p.epochGauge = m.Gauge("css_repl_epoch", "Fencing epoch this node ships or applies under.")
 		p.quorumWait = m.Histogram("css_repl_quorum_wait_seconds", "Time publishes spent in the quorum barrier.")
-		p.epochGauge.Set(float64(cfg.Epoch))
 	}
 	return p, nil
-}
-
-// Epoch returns the fencing token currently stamped on shipped frames.
-func (p *Primary) Epoch() uint64 { return p.epoch.Load() }
-
-// Quorum reports whether Barrier waits for follower fsyncs. The publish
-// path checks it before spending a goroutine on the overlapped barrier.
-func (p *Primary) Quorum() bool { return p.cfg.Quorum }
-
-// SetEpoch changes the stamped epoch — promotion raises it; a deposed
-// primary in tests keeps its stale one.
-func (p *Primary) SetEpoch(e uint64) {
-	p.epoch.Store(e)
-	if p.epochGauge != nil {
-		p.epochGauge.Set(float64(e))
-	}
 }
 
 // AddFollower registers a follower address and starts shipping to it
@@ -156,13 +148,6 @@ func (p *Primary) AddFollower(addr string) {
 	p.wg.Add(1)
 	p.mu.Unlock()
 	go p.runFollower(link)
-}
-
-// Followers returns the registered follower count (the N in ⌈N/2⌉).
-func (p *Primary) Followers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.followers)
 }
 
 // runFollower is the per-follower connect/ship/reconnect loop.
@@ -214,13 +199,13 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-	theirEpoch, offsets, err := decodeHello(msg)
+	theirEpoch, offsets, err := decodeCursors(msg, FrameHello)
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-	if theirEpoch > p.epoch.Load() {
+	if theirEpoch > p.cfg.Epoch {
 		p.markFenced(link)
-		return fmt.Errorf("%w (follower at epoch %d, we ship %d)", ErrFenced, theirEpoch, p.epoch.Load())
+		return fmt.Errorf("%w (follower at epoch %d, we ship %d)", ErrFenced, theirEpoch, p.cfg.Epoch)
 	}
 
 	n := len(p.cfg.Stores)
@@ -281,7 +266,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 		default:
 		}
 		if hb > 0 && !time.Now().Before(nextBeat) {
-			if err := writeMsg(conn, encodeHeartbeat(p.epoch.Load())); err != nil {
+			if err := writeMsg(conn, encodeEpoch(FrameHeartbeat, p.cfg.Epoch)); err != nil {
 				return fmt.Errorf("heartbeat: %w", err)
 			}
 			nextBeat = time.Now().Add(jittered())
@@ -304,7 +289,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 				if seg == nil {
 					break
 				}
-				frame := encodeData(ns.Name, p.epoch.Load(), cursors[i], seg)
+				frame := encodeData(ns.Name, p.cfg.Epoch, cursors[i], seg)
 				if err := writeMsg(conn, frame); err != nil {
 					return fmt.Errorf("ship %s: %w", ns.Name, err)
 				}
@@ -374,14 +359,14 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 				continue
 			}
 		}
-		common, err := p.firstDivergence(conn, br, ns, gens[i], min64(theirs.offset, ourOff))
+		common, err := p.firstDivergence(conn, br, ns, gens[i], min(theirs.offset, ourOff))
 		if err != nil {
 			return nil, fmt.Errorf("digest walk %s: %w", ns.Name, err)
 		}
 		if common < theirs.offset {
 			p.logf("repl: follower %s diverged on %s at %d (its log ends at %d): ordering truncate",
 				link.addr, ns.Name, common, theirs.offset)
-			if err := writeMsg(conn, encodeTruncate(ns.Name, common)); err != nil {
+			if err := writeMsg(conn, encodeStoreOffset(FrameTruncate, ns.Name, common)); err != nil {
 				return nil, fmt.Errorf("truncate %s: %w", ns.Name, err)
 			}
 			name, acked, err := p.readAck(br)
@@ -447,21 +432,14 @@ func (p *Primary) readAck(br *bufio.Reader) (string, int64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if ep, derr := decodeDeny(msg); derr == nil {
+	if ep, derr := decodeEpoch(msg, FrameDeny); derr == nil {
 		return "", 0, fmt.Errorf("%w (follower holds epoch %d)", ErrFenced, ep)
 	}
-	name, offset, err := decodeAck(msg)
+	name, offset, err := decodeStoreOffset(msg, FrameAck)
 	if err != nil {
 		return "", 0, err
 	}
 	return name, offset, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // readAcks folds the follower's ack stream into the link state until
@@ -472,21 +450,15 @@ func (p *Primary) readAcks(link *followerLink, br *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
-		if ep, derr := decodeDeny(msg); derr == nil {
+		if ep, derr := decodeEpoch(msg, FrameDeny); derr == nil {
 			p.markFenced(link)
 			return fmt.Errorf("%w (follower %s holds epoch %d)", ErrFenced, link.addr, ep)
 		}
-		name, offset, err := decodeAck(msg)
+		name, offset, err := decodeStoreOffset(msg, FrameAck)
 		if err != nil {
 			return fmt.Errorf("ack: %w", err)
 		}
-		idx := -1
-		for i, ns := range p.cfg.Stores {
-			if ns.Name == name {
-				idx = i
-				break
-			}
-		}
+		idx := storeIndex(p.cfg.Stores, name)
 		if idx < 0 {
 			return fmt.Errorf("ack for unknown store %q", name)
 		}
@@ -622,49 +594,26 @@ func (p *Primary) Barrier(ctx context.Context) error {
 	}
 }
 
-// FollowerStatus is one follower's view for Status.
-type FollowerStatus struct {
-	Addr      string
-	Connected bool
-	Fenced    bool
-	Acked     map[string]int64
-	LagBytes  int64
-}
-
-// Status is a point-in-time snapshot for operators (served by the
-// transport's replication-status endpoint).
-type Status struct {
-	Epoch     uint64
-	Quorum    bool
-	Offsets   map[string]int64
-	Followers []FollowerStatus
-}
-
-// Status snapshots the primary's shipping state.
-func (p *Primary) Status() Status {
-	st := Status{Epoch: p.epoch.Load(), Quorum: p.cfg.Quorum, Offsets: make(map[string]int64, len(p.cfg.Stores))}
+// followerStatus snapshots every follower link for Node.Status.
+func (p *Primary) followerStatus() []FollowerStatus {
 	var total int64
 	for _, ns := range p.cfg.Stores {
-		off := ns.Store.WALOffset()
-		st.Offsets[ns.Name] = off
-		total += off
+		total += ns.Store.WALOffset()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	out := make([]FollowerStatus, 0, len(p.followers))
 	for _, l := range p.followers {
-		fs := FollowerStatus{Addr: l.addr, Connected: l.connected, Fenced: l.denied, Acked: make(map[string]int64, len(l.acked))}
-		var acked int64
-		for i, ns := range p.cfg.Stores {
-			fs.Acked[ns.Name] = l.acked[i]
-			acked += l.acked[i]
+		fs := FollowerStatus{Addr: l.addr, Connected: l.connected, Fenced: l.denied, LagBytes: total}
+		for _, acked := range l.acked {
+			fs.LagBytes -= acked
 		}
-		fs.LagBytes = total - acked
 		if fs.LagBytes < 0 {
 			fs.LagBytes = 0
 		}
-		st.Followers = append(st.Followers, fs)
+		out = append(out, fs)
 	}
-	return st
+	return out
 }
 
 // Close stops every follower loop and wakes barrier waiters with

@@ -144,84 +144,30 @@ func TestGracefulDrainCheckpointsOffsets(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsFeedContactHook: a primary with HeartbeatEvery set
-// keeps the follower's contact hook firing even with zero writes.
-func TestHeartbeatsFeedContactHook(t *testing.T) {
-	dir := t.TempDir()
-	ps := openStores(t, filepath.Join(dir, "p"))
-	fs := openStores(t, filepath.Join(dir, "f"))
-
-	var contacts atomic.Int64
-	fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: fs, Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fol.Close()
-	fol.SetContactHook(func(epoch uint64) {
-		if epoch != 1 {
-			t.Errorf("heartbeat at epoch %d, want 1", epoch)
-		}
-		contacts.Add(1)
-	})
-
-	pri, err := NewPrimary(PrimaryConfig{Stores: ps, Epoch: 1, HeartbeatEvery: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pri.Close()
-	pri.AddFollower(fol.Addr())
-
-	deadline := time.Now().Add(5 * time.Second)
-	for contacts.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d heartbeats in 5s", contacts.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestCampaignVoting covers the epoch-fencing election edge cases at
-// the wire level (satellite 3): a deposed primary campaigning with its
-// old epoch, simultaneous candidates at equal epochs, a candidate with
-// stale cursors, and a follower with no vote hook must all lose
+// the wire level: a deposed primary campaigning with its old epoch,
+// simultaneous candidates at equal epochs, a candidate with stale
+// cursors, and a standalone follower (no Node behind it) must all lose
 // deterministically.
 func TestCampaignVoting(t *testing.T) {
-	newVoter := func(t *testing.T, epoch uint64, seedKeys int) (*Follower, []NamedStore) {
+	newVoter := func(t *testing.T, epoch uint64, seedKeys int) *Node {
 		t.Helper()
-		fs := openStores(t, t.TempDir())
+		n := testNode(t, t.TempDir(), nil)
 		for i := 0; i < seedKeys; i++ {
-			fs[0].Store.Put(fmt.Sprintf("seed-%03d", i), []byte("x"))
+			n.cfg.Stores[0].Store.Put(fmt.Sprintf("seed-%03d", i), []byte("x"))
 		}
-		fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: fs, Epoch: epoch})
-		if err != nil {
+		if _, err := n.epoch.Raise(epoch); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { fol.Close() })
-		return fol, fs
-	}
-	// grantAll is a vote hook with the EpochStore's raise-only promise
-	// semantics, in memory.
-	grantAll := func() func(uint64) bool {
-		var mu sync.Mutex
-		var promised uint64
-		return func(e uint64) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			if e <= promised {
-				return false
-			}
-			promised = e
-			return true
-		}
+		return n
 	}
 	ctx := context.Background()
-	caughtUp := func(fol *Follower) map[string]int64 { return fol.Offsets() }
+	caughtUp := func(n *Node) map[string]int64 { return n.follower.Offsets() }
 
 	t.Run("deposed primary with old epoch loses", func(t *testing.T) {
-		fol, _ := newVoter(t, 5, 0)
-		fol.SetVoteHook(grantAll())
+		voter := newVoter(t, 5, 0)
 		for _, epoch := range []uint64{4, 5} {
-			granted, voterEpoch, err := Campaign(ctx, nil, fol.Addr(), epoch, caughtUp(fol))
+			granted, voterEpoch, err := Campaign(ctx, nil, voter.Addr(), epoch, caughtUp(voter))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,14 +178,13 @@ func TestCampaignVoting(t *testing.T) {
 				t.Fatalf("voter reports epoch %d, want 5", voterEpoch)
 			}
 		}
-		if granted, _, err := Campaign(ctx, nil, fol.Addr(), 6, caughtUp(fol)); err != nil || !granted {
+		if granted, _, err := Campaign(ctx, nil, voter.Addr(), 6, caughtUp(voter)); err != nil || !granted {
 			t.Fatalf("epoch 6 campaign = %v, %v; want granted", granted, err)
 		}
 	})
 
 	t.Run("simultaneous candidates at equal epochs get one grant", func(t *testing.T) {
-		fol, _ := newVoter(t, 1, 0)
-		fol.SetVoteHook(grantAll())
+		voter := newVoter(t, 1, 0)
 		const candidates = 4
 		var granted atomic.Int64
 		var wg sync.WaitGroup
@@ -247,7 +192,7 @@ func TestCampaignVoting(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g, _, err := Campaign(ctx, nil, fol.Addr(), 2, caughtUp(fol))
+				g, _, err := Campaign(ctx, nil, voter.Addr(), 2, caughtUp(voter))
 				if err != nil {
 					t.Error(err)
 					return
@@ -261,37 +206,38 @@ func TestCampaignVoting(t *testing.T) {
 		if granted.Load() != 1 {
 			t.Fatalf("%d grants for epoch 2, want exactly 1", granted.Load())
 		}
-		if fol.Epoch() != 2 {
-			t.Fatalf("voter epoch %d after granting 2, want 2", fol.Epoch())
+		if e := voter.Status().Epoch; e != 2 {
+			t.Fatalf("voter epoch %d after granting 2, want 2", e)
 		}
 	})
 
 	t.Run("stale candidate cursors are denied", func(t *testing.T) {
-		fol, fs := newVoter(t, 1, 10)
-		fol.SetVoteHook(grantAll())
+		voter := newVoter(t, 1, 10)
 		stale := map[string]int64{"idmap": 0, "index": 0, "audit": 0}
-		granted, _, err := Campaign(ctx, nil, fol.Addr(), 2, stale)
+		granted, _, err := Campaign(ctx, nil, voter.Addr(), 2, stale)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if granted {
 			t.Fatal("voter granted a candidate whose log is behind its own")
 		}
-		// The same claim with caught-up cursors wins.
-		upToDate := map[string]int64{
-			"idmap": fs[0].Store.WALOffset(),
-			"index": fs[1].Store.WALOffset(),
-			"audit": fs[2].Store.WALOffset(),
+		if e := voter.Status().Epoch; e != 1 {
+			t.Fatalf("denied campaign raised voter epoch to %d", e)
 		}
-		if granted, _, err := Campaign(ctx, nil, fol.Addr(), 2, upToDate); err != nil || !granted {
+		// The same claim with caught-up cursors wins.
+		if granted, _, err := Campaign(ctx, nil, voter.Addr(), 2, caughtUp(voter)); err != nil || !granted {
 			t.Fatalf("caught-up campaign = %v, %v; want granted", granted, err)
 		}
 	})
 
-	t.Run("no vote hook denies everything", func(t *testing.T) {
-		fol, _ := newVoter(t, 1, 0)
-		if granted, _, err := Campaign(ctx, nil, fol.Addr(), 99, caughtUp(fol)); err != nil || granted {
-			t.Fatalf("hookless voter granted = %v, %v; want deny", granted, err)
+	t.Run("standalone follower denies everything", func(t *testing.T) {
+		fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: openStores(t, t.TempDir()), Epoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fol.Close()
+		if granted, _, err := Campaign(ctx, nil, fol.Addr(), 99, fol.Offsets()); err != nil || granted {
+			t.Fatalf("standalone follower granted = %v, %v; want deny", granted, err)
 		}
 		if fol.Epoch() != 1 {
 			t.Fatalf("denied campaign raised voter epoch to %d", fol.Epoch())

@@ -1,10 +1,13 @@
 package replication
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -208,7 +211,9 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 
 	// Failover happened elsewhere: the follower learns the promoted
 	// primary's epoch. The deposed primary keeps shipping at epoch 1.
-	fol.SetEpoch(2)
+	if _, err := fol.epoch.Raise(2); err != nil {
+		t.Fatal(err)
+	}
 	before := fs[0].Store.WALOffset()
 
 	ps[0].Store.Put("late-write", []byte("poison"))
@@ -260,8 +265,8 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 }
 
 func TestCodecRoundTrips(t *testing.T) {
-	he := encodeHello(7, []storeOffset{{name: "idmap", offset: 123}, {name: "audit", offset: 0}})
-	ep, offs, err := decodeHello(he)
+	he := encodeCursors(FrameHello, 7, []storeOffset{{name: "idmap", offset: 123}, {name: "audit", offset: 0}})
+	ep, offs, err := decodeCursors(he, FrameHello)
 	if err != nil || ep != 7 || len(offs) != 2 || offs[0].offset != 123 || offs[1].name != "audit" {
 		t.Fatalf("hello round-trip: %v %d %+v", err, ep, offs)
 	}
@@ -271,18 +276,18 @@ func TestCodecRoundTrips(t *testing.T) {
 	if err != nil || name != "index" || ep2 != 9 || off != 456 || !bytes.Equal(got, seg) {
 		t.Fatalf("data round-trip: %v %s %d %d", err, name, ep2, off)
 	}
-	ak := encodeAck("audit", 789)
-	aname, aoff, err := decodeAck(ak)
+	ak := encodeStoreOffset(FrameAck, "audit", 789)
+	aname, aoff, err := decodeStoreOffset(ak, FrameAck)
 	if err != nil || aname != "audit" || aoff != 789 {
 		t.Fatalf("ack round-trip: %v %s %d", err, aname, aoff)
 	}
-	de := encodeDeny(4)
-	dep, err := decodeDeny(de)
+	de := encodeEpoch(FrameDeny, 4)
+	dep, err := decodeEpoch(de, FrameDeny)
 	if err != nil || dep != 4 {
 		t.Fatalf("deny round-trip: %v %d", err, dep)
 	}
 	// Cross-type decode must fail loudly.
-	if _, _, err := decodeAck(he); err == nil {
+	if _, _, err := decodeStoreOffset(he, FrameAck); err == nil {
 		t.Fatal("hello decoded as ack")
 	}
 	// Truncations fail cleanly.
@@ -290,5 +295,133 @@ func TestCodecRoundTrips(t *testing.T) {
 		if _, _, _, _, err := decodeData(da[:cut]); err == nil {
 			t.Fatalf("truncated data frame (%d bytes) decoded", cut)
 		}
+	}
+}
+
+// TestAckNotWithheldBehindHeartbeat is the withheld-ack regression on a
+// raw connection: one data frame and one heartbeat written back to back
+// land in the follower's read buffer together, and the data frame's ack
+// must still arrive without any further traffic.
+func TestAckNotWithheldBehindHeartbeat(t *testing.T) {
+	dir := t.TempDir()
+	ps := openStores(t, filepath.Join(dir, "p"))
+	fs := openStores(t, filepath.Join(dir, "f"))
+	fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: fs, Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+
+	conn, err := net.Dial("tcp", fol.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Second))
+	br := bufio.NewReader(conn)
+	if _, err := readMsg(br); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if err := writeMsg(conn, encodeSyncStart()); err != nil {
+		t.Fatal(err)
+	}
+	for range fs { // the prefix certification: one ack per store
+		if _, err := readMsg(br); err != nil {
+			t.Fatalf("syncstart ack: %v", err)
+		}
+	}
+
+	ps[0].Store.Put("k", []byte("v"))
+	seg, err := ps[0].Store.ReadWAL(ps[0].Store.WALGen(), 0, segmentBytes)
+	if err != nil || seg == nil {
+		t.Fatalf("read wal: %d bytes, %v", len(seg), err)
+	}
+	var both bytes.Buffer
+	writeMsg(&both, encodeData("idmap", 1, 0, seg))
+	writeMsg(&both, encodeEpoch(FrameHeartbeat, 1))
+	if _, err := conn.Write(both.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := readMsg(br)
+	if err != nil {
+		t.Fatalf("no ack for a data frame followed by a heartbeat: %v", err)
+	}
+	if name, off, err := decodeStoreOffset(msg, FrameAck); err != nil || name != "idmap" || off != int64(len(seg)) {
+		t.Fatalf("ack = (%s, %d, %v), want (idmap, %d)", name, off, err, len(seg))
+	}
+}
+
+// heldConn delays every data frame until the heartbeat that follows it
+// and then writes both at once, so the follower always finds a heartbeat
+// buffered right behind the data — the worst case for ack batching.
+type heldConn struct {
+	net.Conn
+	pending []byte // bytes of an incomplete message
+	held    []byte // complete data messages waiting for a heartbeat
+}
+
+func (c *heldConn) Write(b []byte) (int, error) {
+	c.pending = append(c.pending, b...)
+	for len(c.pending) >= 4 {
+		n := 4 + int(binary.LittleEndian.Uint32(c.pending))
+		if len(c.pending) < n {
+			break
+		}
+		msg := c.pending[:n]
+		c.pending = c.pending[n:]
+		if frameKind(msg[4:]) == FrameData {
+			c.held = append(c.held, msg...)
+			continue
+		}
+		out := append(c.held, msg...)
+		c.held = nil
+		if _, err := c.Conn.Write(out); err != nil {
+			return 0, err
+		}
+	}
+	return len(b), nil
+}
+
+// TestQuorumBarrierOnIdleHeartbeatLink: with heartbeats riding the link,
+// a publish's quorum barrier returns within one heartbeat interval of
+// the write — it must not wait for the next data frame to shake the ack
+// loose.
+func TestQuorumBarrierOnIdleHeartbeatLink(t *testing.T) {
+	dir := t.TempDir()
+	ps := openStores(t, filepath.Join(dir, "p"))
+	fs := openStores(t, filepath.Join(dir, "f"))
+	fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: fs, Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	const beat = 50 * time.Millisecond
+	pri, err := NewPrimary(PrimaryConfig{
+		Stores: ps, Epoch: 1, Quorum: true, HeartbeatEvery: beat,
+		Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &heldConn{Conn: conn}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pri.Close()
+	pri.AddFollower(fol.Addr())
+	waitCaughtUp(t, ps, fs, 5*time.Second)
+
+	ps[0].Store.Put("idle-link-write", []byte("v"))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*beat)
+	defer cancel()
+	start := time.Now()
+	if err := pri.Barrier(ctx); err != nil {
+		t.Fatalf("barrier on an idle heartbeat link: %v", err)
+	}
+	// One interval plus its 20% jitter, plus scheduling slack.
+	if took := time.Since(start); took > 2*beat {
+		t.Fatalf("barrier took %s, want within one heartbeat interval (%s)", took, beat)
 	}
 }

@@ -630,8 +630,8 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 
 // Promote asks a read replica to assume the primary role at the given
 // fencing epoch. A node already primary answers a conflict
-// (errors.Is(err, core.ErrNotReplica) does not survive the wire — the
-// fault is a plain bad-request conflict).
+// (errors.Is(err, replication.ErrNotReplica) does not survive the wire
+// — the fault is a plain bad-request conflict).
 func (c *Client) Promote(ctx context.Context, epoch uint64) (ReplStatus, error) {
 	body, err := encodeXML(&promoteRequest{Epoch: epoch})
 	if err != nil {

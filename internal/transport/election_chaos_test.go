@@ -1,7 +1,7 @@
 package transport
 
 // Self-healing failover chaos: a primary shipping to two replicas, each
-// replica running an election manager over real campaign frames. The
+// replica's node campaigning over real campaign frames. The
 // primary is killed mid-storm with no operator in the loop — the
 // detectors must notice, exactly one replica must win a quorum and
 // promote, acknowledged publishes must land exactly once on the winner,
@@ -17,16 +17,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/election"
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/replication"
@@ -35,23 +32,23 @@ import (
 )
 
 // electionRig is one shard deployed for self-healing drills: a primary
-// heartbeating WALs to two replicas, each replica campaigning through a
-// partitionable dialer when the primary goes silent.
+// heartbeating WALs to two replicas, each replica's node campaigning
+// through a partitionable dialer when the primary goes silent.
 type electionRig struct {
 	heartbeat time.Duration
 
-	pri       *core.Controller
-	priSrv    *httptest.Server
-	priShip   *replication.Primary
-	priStores []replication.NamedStore
+	pri     *core.Controller
+	priSrv  *httptest.Server
+	priNode *replication.Node
 
-	reps     [2]*core.Controller
-	repSrvs  [2]*httptest.Server
-	repURLs  [2]string
-	stores   [2][]replication.NamedStore
-	fols     [2]*replication.Follower
-	mgrs     [2]*election.Manager
-	shippers [2]atomic.Pointer[replication.Primary]
+	reps    [2]*core.Controller
+	repSrvs [2]*httptest.Server
+	repURLs [2]string
+	nodes   [2]*replication.Node
+	// rejoinAddr is where the dead primary's stores come back as a
+	// follower: every replica names it as a peer from the start, so the
+	// winner ships to it as soon as it listens.
+	rejoinAddr string
 
 	part *resilience.Partitioner[net.Conn]
 	v1   *cluster.Map
@@ -65,10 +62,21 @@ type promotion struct {
 	epoch   uint64
 }
 
+// freeAddr reserves a loopback address for a listener started later.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
 func newElectionRig(t *testing.T, seed int64) *electionRig {
 	t.Helper()
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
-	rig := &electionRig{heartbeat: 20 * time.Millisecond}
+	rig := &electionRig{heartbeat: 20 * time.Millisecond, rejoinAddr: freeAddr(t)}
 	rig.part = resilience.NewPartitioner(func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, 2*time.Second)
 	})
@@ -89,90 +97,50 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 	}
 	rig.v1 = v1
 
+	priDir := t.TempDir()
 	rig.pri, err = core.New(core.Config{
-		DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
+		DataDir: priDir, MasterKey: key, DefaultConsent: true,
 		ShardID: 0, ShardMap: v1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rig.pri.Close() })
+
+	// Each replica's electorate is the other replica; cluster size 3 (the
+	// primary holds the third seat), so a candidate needs its own durable
+	// claim plus the peer's grant — a strict majority that one
+	// partitioned node can never fake.
+	listen := [2]string{freeAddr(t), freeAddr(t)}
 	for i := range rig.reps {
+		dir := t.TempDir()
 		rig.reps[i], err = core.New(core.Config{
-			DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
-			Replica: true, ShardID: 0, ShardMap: v1,
+			DataDir: dir, MasterKey: key, DefaultConsent: true,
+			ShardID: 0, ShardMap: v1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := rig.reps[i]
+		rep, idx := rig.reps[i], i
 		t.Cleanup(func() { rep.Close() })
-		rig.stores[i], err = rep.ReplStores()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.fols[i], err = replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-			Stores: rig.stores[i], Epoch: 1, OnApply: rep.OnReplicatedApply(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fol := rig.fols[i]
-		t.Cleanup(func() { fol.Close() })
-	}
-
-	rig.priStores, err = rig.pri.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.priShip, err = replication.NewPrimary(replication.PrimaryConfig{
-		Stores: rig.priStores, Epoch: 1, Quorum: true, HeartbeatEvery: rig.heartbeat,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rig.priShip.Close() })
-	rig.pri.AttachReplication(rig.priShip)
-	for _, fol := range rig.fols {
-		rig.priShip.AddFollower(fol.Addr())
-	}
-
-	// Election managers: each replica's electorate is the other replica;
-	// cluster size 3 (the primary holds the third, non-voting-listener
-	// seat), so a candidate needs its own durable claim plus the peer's
-	// grant — a strict majority that one partitioned node can never fake.
-	for i := range rig.reps {
-		es, err := election.OpenEpochStore(filepath.Join(t.TempDir(), "election.epoch"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := i
-		mgr, err := election.NewManager(election.Config{
-			Peers:          []string{rig.fols[1-i].Addr()},
-			ClusterSize:    3,
+		rig.nodes[i] = startNode(t, rep, replication.NodeConfig{
+			Role: replication.RoleReplica, DataDir: dir, Listen: listen[i],
+			Peers: []string{listen[1-i], rig.rejoinAddr}, ClusterSize: 3,
+			Quorum: true, Election: true,
 			HeartbeatEvery: rig.heartbeat,
 			SuspectAfter:   300 * time.Millisecond,
 			Phi:            4,
 			LeaseFor:       400 * time.Millisecond,
 			Backoff:        150 * time.Millisecond,
-			Epochs:         es,
-			CurrentEpoch:   rig.fols[i].Epoch,
-			Offsets:        rig.fols[i].Offsets,
-			Campaign: func(ctx context.Context, addr string, epoch uint64, cursors map[string]int64) (bool, uint64, error) {
-				return replication.Campaign(ctx, rig.part.Dial, addr, epoch, cursors)
-			},
-			Promote:  func(epoch uint64) error { return rig.promote(idx, epoch) },
-			Promoted: func() bool { return !rig.reps[idx].IsReplica() },
-			Seed:     seed*2 + int64(i) + 1,
+			Seed:           seed*2 + int64(i) + 1,
+			Dial:           rig.part.Dial,
+			OnPromoted:     func(epoch uint64) { rig.promoted(t, idx, epoch) },
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mgr.Close)
-		rig.mgrs[i] = mgr
-		rig.fols[i].SetContactHook(mgr.Observe)
-		rig.fols[i].SetVoteHook(mgr.Vote)
 	}
+	rig.priNode = startNode(t, rig.pri, replication.NodeConfig{
+		Role: replication.RolePrimary, DataDir: priDir, Peers: listen[:],
+		Quorum: true, HeartbeatEvery: rig.heartbeat,
+	})
 
 	if err := rig.pri.RegisterProducer("hospital", "Hospital"); err != nil {
 		t.Fatal(err)
@@ -187,11 +155,11 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 		t.Fatal(err)
 	}
 
-	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.pri).SetReplication(rig.priShip)}
+	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.pri).SetNode(rig.priNode)}
 	rig.priSrv.Start()
 	t.Cleanup(rig.priSrv.Close)
 	for i, s := range rig.repSrvs {
-		s.Config = &http.Server{Handler: NewServer(rig.reps[i]).SetFollower(rig.fols[i]).SetElection(rig.mgrs[i].Status)}
+		s.Config = &http.Server{Handler: NewServer(rig.reps[i]).SetNode(rig.nodes[i])}
 		s.Start()
 		t.Cleanup(s.Close)
 	}
@@ -199,56 +167,28 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 	// Quorum mode already barriers every publish on a majority fsync,
 	// but provisioning must reach BOTH replicas before the kill — either
 	// may win the election.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		caught := true
-		for i := range rig.fols {
-			offs := rig.fols[i].Offsets()
-			for _, ns := range rig.priStores {
-				if offs[ns.Name] != ns.Store.WALOffset() {
-					caught = false
-				}
-			}
-		}
-		if caught {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replicas never caught up with provisioning")
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, rep := range rig.reps {
+		waitSameWALs(t, rig.pri, rep)
 	}
 	return rig
 }
 
-// promote is what a winning manager runs: fence, flip the controller,
-// start shipping to the other replica with heartbeats, and install the
-// successor map so stale clients can be rescued off this node.
-func (rig *electionRig) promote(i int, epoch uint64) error {
-	rig.fols[i].SetEpoch(epoch)
-	if err := rig.reps[i].Promote(epoch); err != nil {
-		return err
-	}
-	p, err := replication.NewPrimary(replication.PrimaryConfig{
-		Stores: rig.stores[i], Epoch: epoch, Quorum: true, HeartbeatEvery: rig.heartbeat,
-	})
-	if err != nil {
-		return err
-	}
-	p.AddFollower(rig.fols[1-i].Addr())
-	rig.shippers[i].Store(p)
-	rig.reps[i].AttachReplication(p)
+// promoted observes a replica's node finishing a promotion: install the
+// successor map so stale clients can be rescued off this node, and
+// record the win.
+func (rig *electionRig) promoted(t *testing.T, i int, epoch uint64) {
 	v2, err := rig.v1.WithPromotedReplica(0, rig.repURLs[i])
 	if err != nil {
-		return err
+		t.Errorf("successor map: %v", err)
+		return
 	}
 	if err := rig.reps[i].AdoptMap(v2); err != nil {
-		return err
+		t.Errorf("adopt successor map: %v", err)
+		return
 	}
 	rig.promoMu.Lock()
 	rig.promotions = append(rig.promotions, promotion{replica: i, epoch: epoch})
 	rig.promoMu.Unlock()
-	return nil
 }
 
 func (rig *electionRig) snapshotPromotions() []promotion {
@@ -262,7 +202,7 @@ func (rig *electionRig) snapshotPromotions() []promotion {
 func (rig *electionRig) kill() {
 	rig.priSrv.CloseClientConnections()
 	go rig.priSrv.Close()
-	rig.priShip.Close()
+	rig.priNode.Close()
 }
 
 // winner returns the final authority: the promoted replica at the
@@ -385,9 +325,9 @@ func TestChaosElectionFailover(t *testing.T) {
 			if epoch < 2 {
 				t.Fatalf("winner at epoch %d, want >= 2", epoch)
 			}
-			if winner.IsReplica() || winner.ReplicationEpoch() != epoch {
+			if held := rig.nodes[win].Status().Epoch; winner.IsReplica() || held != epoch {
 				t.Fatalf("winner role: replica=%v epoch=%d, want primary at %d",
-					winner.IsReplica(), winner.ReplicationEpoch(), epoch)
+					winner.IsReplica(), held, epoch)
 			}
 
 			// Exactly-once on the winner, storm retries included.
@@ -409,13 +349,17 @@ func TestChaosElectionFailover(t *testing.T) {
 
 			// Zero split-brain: a shipper still claiming the dead epoch is
 			// fenced at hello by the very followers that elected the winner.
+			priStores, err := rig.pri.ReplStores()
+			if err != nil {
+				t.Fatal(err)
+			}
 			deposed, err := replication.NewPrimary(replication.PrimaryConfig{
-				Stores: rig.priStores, Epoch: 1, Quorum: true,
+				Stores: priStores, Epoch: 1, Quorum: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			deposed.AddFollower(rig.fols[1-win].Addr())
+			deposed.AddFollower(rig.nodes[1-win].Addr())
 			fenceWait := time.Now().Add(5 * time.Second)
 			for !deposed.Fenced() {
 				if time.Now().After(fenceWait) {
@@ -429,26 +373,24 @@ func TestChaosElectionFailover(t *testing.T) {
 			// Rejoin: the dead node's stores — including any unreplicated
 			// old-epoch suffix — come back as a follower and converge to
 			// the winner's bytes.
-			rig.priStores[0].Store.Put("rogue-unreplicated", []byte("old-epoch suffix"))
-			rejoin, err := replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-				Stores: rig.priStores, Epoch: 1,
+			priStores[0].Store.Put("rogue-unreplicated", []byte("old-epoch suffix"))
+			rejoin, err := replication.NewFollower(rig.rejoinAddr, replication.FollowerConfig{
+				Stores: priStores, Epoch: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rejoin.Close()
-			ship := rig.shippers[win].Load()
-			if ship == nil {
-				t.Fatal("winner has no shipper")
+			winStores, err := winner.ReplStores()
+			if err != nil {
+				t.Fatal(err)
 			}
-			defer ship.Close()
-			ship.AddFollower(rejoin.Addr())
 			catchUp := time.Now().Add(10 * time.Second)
 			for {
 				same := true
-				for si, ns := range rig.stores[win] {
+				for si, ns := range winStores {
 					w := ns.Store
-					r := rig.priStores[si].Store
+					r := priStores[si].Store
 					if r.WALOffset() != w.WALOffset() {
 						same = false
 						break
@@ -468,7 +410,7 @@ func TestChaosElectionFailover(t *testing.T) {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			if v, ok, _ := rig.priStores[0].Store.Get("rogue-unreplicated"); ok {
+			if v, ok, _ := priStores[0].Store.Get("rogue-unreplicated"); ok {
 				t.Errorf("old-epoch suffix %q survived the rejoin", v)
 			}
 		})
@@ -500,7 +442,7 @@ func TestChaosElectionPartitionedCampaign(t *testing.T) {
 			kill := func() {
 				// Partition first, then kill: every campaign triggered by
 				// the death runs into the cut links.
-				rig.part.Block(rig.fols[0].Addr(), rig.fols[1].Addr())
+				rig.part.Block(rig.nodes[0].Addr(), rig.nodes[1].Addr())
 				rig.kill()
 				go func() {
 					defer close(healed)
@@ -509,7 +451,7 @@ func TestChaosElectionPartitionedCampaign(t *testing.T) {
 					if got := rig.snapshotPromotions(); len(got) != 0 {
 						t.Errorf("%d promotions during the partition, want 0 (minority self-election)", len(got))
 					}
-					rig.part.Heal(rig.fols[0].Addr(), rig.fols[1].Addr())
+					rig.part.Heal(rig.nodes[0].Addr(), rig.nodes[1].Addr())
 				}()
 			}
 			electionStorm(t, sc, persons, kill)
@@ -517,9 +459,9 @@ func TestChaosElectionPartitionedCampaign(t *testing.T) {
 
 			win, epoch := rig.winner(t)
 			winner := rig.reps[win]
-			if winner.IsReplica() || winner.ReplicationEpoch() != epoch {
+			if held := rig.nodes[win].Status().Epoch; winner.IsReplica() || held != epoch {
 				t.Fatalf("winner role: replica=%v epoch=%d, want primary at %d",
-					winner.IsReplica(), winner.ReplicationEpoch(), epoch)
+					winner.IsReplica(), held, epoch)
 			}
 			for _, person := range persons {
 				notes, err := winner.InquireIndex("family-doctor", index.Inquiry{PersonID: person})

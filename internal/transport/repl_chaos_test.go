@@ -31,14 +31,13 @@ import (
 )
 
 // replChaosRig is one shard as deployed for failover drills: a primary
-// and a read replica joined by a quorum-mode WAL shipper over a flaky
-// link, each behind its own HTTP server, routed by a map that names the
-// replica.
+// and a read replica, each role held by its replication node, joined by
+// a quorum-mode WAL shipper over a flaky link, each behind its own HTTP
+// server, routed by a map that names the replica.
 type replChaosRig struct {
 	primary, replica *core.Controller
 	priSrv, repSrv   *httptest.Server
-	shipper          *replication.Primary
-	follower         *replication.Follower
+	priNode, repNode *replication.Node
 	v1               *cluster.Map
 }
 
@@ -59,8 +58,9 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 	}
 	rig.v1 = v1
 
+	priDir, repDir := t.TempDir(), t.TempDir()
 	rig.primary, err = core.New(core.Config{
-		DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
+		DataDir: priDir, MasterKey: key, DefaultConsent: true,
 		ShardID: 0, ShardMap: v1,
 	})
 	if err != nil {
@@ -68,45 +68,40 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 	}
 	t.Cleanup(func() { rig.primary.Close() })
 	rig.replica, err = core.New(core.Config{
-		DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
-		Replica: true, ShardID: 0, ShardMap: v1,
+		DataDir: repDir, MasterKey: key, DefaultConsent: true,
+		ShardID: 0, ShardMap: v1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rig.replica.Close() })
 
-	rs, err := rig.replica.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.follower, err = replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-		Stores: rs, Epoch: 1, OnApply: rig.replica.OnReplicatedApply(),
+	rig.repNode = startNode(t, rig.replica, replication.NodeConfig{
+		Role: replication.RoleReplica, DataDir: repDir,
+		// The promoted node installs the successor map, so stale clients
+		// can be rescued off it.
+		OnPromoted: func(uint64) {
+			v2, err := rig.v1.WithPromotedReplica(0, repURL)
+			if err != nil {
+				t.Errorf("successor map: %v", err)
+				return
+			}
+			if err := rig.replica.AdoptMap(v2); err != nil {
+				t.Errorf("adopt successor map: %v", err)
+			}
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rig.follower.Close() })
-	ps, err := rig.primary.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Quorum mode with a flaky link: every acked publish is fsynced on
 	// the follower first, so a kill cannot lose acknowledged events, and
 	// the injected dial failures exercise the reconnect/catch-up path
 	// mid-storm.
-	rig.shipper, err = replication.NewPrimary(replication.PrimaryConfig{
-		Stores: ps, Epoch: 1, Quorum: true,
+	rig.priNode = startNode(t, rig.primary, replication.NodeConfig{
+		Role: replication.RolePrimary, DataDir: priDir,
+		Peers: []string{rig.repNode.Addr()}, Quorum: true,
 		Dial: resilience.FlakyDialer(seed, 0.3, func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 2*time.Second)
 		}),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rig.shipper.Close() })
-	rig.primary.AttachReplication(rig.shipper)
-	rig.shipper.AddFollower(rig.follower.Addr())
 
 	if err := rig.primary.RegisterProducer("hospital", "Hospital"); err != nil {
 		t.Fatal(err)
@@ -121,55 +116,28 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 		t.Fatal(err)
 	}
 
-	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.primary).SetReplication(rig.shipper)}
+	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.primary).SetNode(rig.priNode)}
 	rig.priSrv.Start()
 	t.Cleanup(rig.priSrv.Close)
-	rig.repSrv.Config = &http.Server{Handler: NewServer(rig.replica)}
+	rig.repSrv.Config = &http.Server{Handler: NewServer(rig.replica).SetNode(rig.repNode)}
 	rig.repSrv.Start()
 	t.Cleanup(rig.repSrv.Close)
 
 	// The storm must not race provisioning onto the replica: wait until
 	// the catalog and policy writes are applied before any failover can
 	// strand them on the dead node.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		caught := true
-		offs := rig.follower.Offsets()
-		for _, ns := range ps {
-			if offs[ns.Name] != ns.Store.WALOffset() {
-				caught = false
-				break
-			}
-		}
-		if caught {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replica never caught up with provisioning")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitSameWALs(t, rig.primary, rig.replica)
 	return rig
 }
 
-// failover is the runbook executed mid-storm: fence the old epoch on
-// the follower (the lease claim), promote the replica, install the
-// successor map on it, and only then yank the old primary off the
+// failover is the runbook executed mid-storm: promote the replica at the
+// next epoch (its node fences the old one, flips the role and installs
+// the successor map), and only then yank the old primary off the
 // network — the harshest ordering, since clients keep hammering the
 // deposed node while the replica already owns the shard.
 func (rig *replChaosRig) failover(t *testing.T) {
-	rig.follower.SetEpoch(2)
-	if err := rig.replica.Promote(2); err != nil {
+	if err := rig.repNode.Promote(2); err != nil {
 		t.Errorf("promote: %v", err)
-		return
-	}
-	v2, err := rig.v1.WithPromotedReplica(0, "http://"+rig.repSrv.Listener.Addr().String())
-	if err != nil {
-		t.Errorf("successor map: %v", err)
-		return
-	}
-	if err := rig.replica.AdoptMap(v2); err != nil {
-		t.Errorf("adopt successor map: %v", err)
 		return
 	}
 	rig.priSrv.CloseClientConnections()
@@ -280,9 +248,9 @@ func TestChaosReplFailover(t *testing.T) {
 			if err := rig.replica.Audit().Verify(); err != nil {
 				t.Errorf("audit chain on the survivor: %v", err)
 			}
-			if rig.replica.IsReplica() || rig.replica.ReplicationEpoch() != 2 {
+			if st := rig.repNode.Status(); rig.replica.IsReplica() || st.Epoch != 2 {
 				t.Errorf("survivor role: replica=%v epoch=%d, want promoted at epoch 2",
-					rig.replica.IsReplica(), rig.replica.ReplicationEpoch())
+					rig.replica.IsReplica(), st.Epoch)
 			}
 			if v := sc.Map().Version(); v != 2 {
 				t.Errorf("client routes by map v%d, want the successor v2", v)
@@ -296,7 +264,7 @@ func TestChaosReplFailover(t *testing.T) {
 			if !errors.Is(err, replication.ErrFenced) {
 				t.Errorf("deposed primary publish = %v, want ErrFenced", err)
 			}
-			if !rig.shipper.Fenced() {
+			if !rig.priNode.Status().Fenced {
 				t.Error("deposed shipper does not report fenced")
 			}
 			ghosts, err := rig.replica.InquireIndex("family-doctor", index.Inquiry{PersonID: "RFO-SPLIT-BRAIN"})

@@ -25,6 +25,60 @@ import (
 	"repro/internal/schema"
 )
 
+// startNode starts ctrl's replication node — the wiring css-controller
+// does from its flags — attaches it, and closes it with the test. cfg
+// carries the role, the controller's data dir and whatever the test
+// varies; a replica listens on an ephemeral port unless cfg names one.
+func startNode(t *testing.T, ctrl *core.Controller, cfg replication.NodeConfig) *replication.Node {
+	t.Helper()
+	stores, err := ctrl.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Stores, cfg.Promote, cfg.OnApply = stores, ctrl.Promote, ctrl.OnReplicatedApply
+	if cfg.Listen == "" {
+		cfg.Listen = "127.0.0.1:0"
+	}
+	n, err := replication.NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ctrl.AttachReplication(n)
+	return n
+}
+
+// waitSameWALs blocks until every store of behind is as long as its
+// counterpart in ahead.
+func waitSameWALs(t *testing.T, ahead, behind *core.Controller) {
+	t.Helper()
+	as, err := ahead.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := behind.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		caught := true
+		for i, ns := range as {
+			if bs[i].Store.WALOffset() != ns.Store.WALOffset() {
+				caught = false
+				break
+			}
+		}
+		if caught {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replica never caught up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestNotPrimaryFaultRoundTrip(t *testing.T) {
 	orig := &cluster.NotPrimaryError{Shard: 3, Version: 7}
 	f, status := faultOf(orig)
@@ -70,14 +124,16 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	}
 
 	// The deposed node: replica role, already holding the successor map.
+	deposedDir := t.TempDir()
 	deposed, err := core.New(core.Config{
-		DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
-		Replica: true, ShardID: 0, ShardMap: v2,
+		DataDir: deposedDir, MasterKey: key, DefaultConsent: true,
+		ShardID: 0, ShardMap: v2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { deposed.Close() })
+	startNode(t, deposed, replication.NodeConfig{Role: replication.RoleReplica, DataDir: deposedDir})
 	deposedSrv.Config = &http.Server{Handler: NewServer(deposed)}
 	deposedSrv.Start()
 	t.Cleanup(deposedSrv.Close)
@@ -175,14 +231,16 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 
 	// The deposed node rejoined as a replica still holding the OLD map:
 	// its not-primary faults carry version 1, same as the client's.
+	deposedDir := t.TempDir()
 	deposed, err := core.New(core.Config{
-		DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true,
-		Replica: true, ShardID: 0, ShardMap: v1,
+		DataDir: deposedDir, MasterKey: key, DefaultConsent: true,
+		ShardID: 0, ShardMap: v1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { deposed.Close() })
+	startNode(t, deposed, replication.NodeConfig{Role: replication.RoleReplica, DataDir: deposedDir})
 	deposedSrv.Config = &http.Server{Handler: NewServer(deposed)}
 	deposedSrv.Start()
 	t.Cleanup(deposedSrv.Close)
@@ -233,8 +291,7 @@ type replicatedPair struct {
 	primary, replica        *core.Controller
 	priSrv, repSrv          *httptest.Server
 	priInquiries, repueries atomic.Int32
-	shipper                 *replication.Primary
-	follower                *replication.Follower
+	priNode, repNode        *replication.Node
 }
 
 func newReplicatedPair(t *testing.T) *replicatedPair {
@@ -242,41 +299,22 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 	rp := &replicatedPair{}
 
-	primary, err := core.New(core.Config{DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true})
+	priDir, repDir := t.TempDir(), t.TempDir()
+	primary, err := core.New(core.Config{DataDir: priDir, MasterKey: key, DefaultConsent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	replica, err := core.New(core.Config{DataDir: t.TempDir(), MasterKey: key, DefaultConsent: true, Replica: true})
+	replica, err := core.New(core.Config{DataDir: repDir, MasterKey: key, DefaultConsent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { replica.Close() })
 	rp.primary, rp.replica = primary, replica
-
-	rs, err := replica.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fol, err := replication.NewFollower("127.0.0.1:0", replication.FollowerConfig{
-		Stores: rs, Epoch: 1, OnApply: replica.OnReplicatedApply(),
+	rp.repNode = startNode(t, replica, replication.NodeConfig{Role: replication.RoleReplica, DataDir: repDir})
+	rp.priNode = startNode(t, primary, replication.NodeConfig{
+		Role: replication.RolePrimary, DataDir: priDir, Peers: []string{rp.repNode.Addr()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fol.Close() })
-	ps, err := primary.ReplStores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pri, err := replication.NewPrimary(replication.PrimaryConfig{Stores: ps, Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pri.Close() })
-	primary.AttachReplication(pri)
-	pri.AddFollower(fol.Addr())
-	rp.shipper, rp.follower = pri, fol
 
 	if err := primary.RegisterProducer("hospital", "Hospital"); err != nil {
 		t.Fatal(err)
@@ -291,7 +329,7 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 		t.Fatal(err)
 	}
 
-	priHandler := NewServer(primary).SetReplication(pri)
+	priHandler := NewServer(primary).SetNode(rp.priNode)
 	rp.priSrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/ws/inquire" {
 			rp.priInquiries.Add(1)
@@ -299,7 +337,7 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 		priHandler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(rp.priSrv.Close)
-	repHandler := NewServer(replica)
+	repHandler := NewServer(replica).SetNode(rp.repNode)
 	rp.repSrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/ws/inquire" {
 			rp.repueries.Add(1)
@@ -308,30 +346,6 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 	}))
 	t.Cleanup(rp.repSrv.Close)
 	return rp
-}
-
-// waitCaughtUp blocks until the follower holds every primary WAL byte.
-func (rp *replicatedPair) waitCaughtUp(t *testing.T) {
-	t.Helper()
-	ps, _ := rp.primary.ReplStores()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		caught := true
-		offs := rp.follower.Offsets()
-		for _, ns := range ps {
-			if offs[ns.Name] != ns.Store.WALOffset() {
-				caught = false
-				break
-			}
-		}
-		if caught {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replica never caught up")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 func TestShardedClientRoutesReadsToReplica(t *testing.T) {
@@ -358,7 +372,7 @@ func TestShardedClientRoutesReadsToReplica(t *testing.T) {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	rp.waitCaughtUp(t)
+	waitSameWALs(t, rp.primary, rp.replica)
 
 	got, err := sc.InquireIndex(ctx, "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
 	if err != nil {
@@ -402,9 +416,9 @@ func TestReplStatusAndPromoteOverTheWire(t *testing.T) {
 	if _, err := publishOne(priClient, "src-a"); err != nil {
 		t.Fatal(err)
 	}
-	rp.waitCaughtUp(t)
+	waitSameWALs(t, rp.primary, rp.replica)
 
-	// waitCaughtUp tracks the follower's applied offsets; the ack that
+	// waitSameWALs tracks the follower's applied offsets; the ack that
 	// drives the primary's lag gauge can trail the apply by a beat, so
 	// poll the status surface rather than asserting zero lag once.
 	var st ReplStatus
@@ -441,7 +455,7 @@ func TestReplStatusAndPromoteOverTheWire(t *testing.T) {
 
 	// Failover: stop shipping, promote over the wire, write to the
 	// promoted node.
-	rp.shipper.Close()
+	rp.priNode.Close()
 	st, err = repClient.Promote(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,11 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/consent"
 	"repro/internal/core"
-	"repro/internal/election"
 	"repro/internal/event"
 	"repro/internal/identity"
 	"repro/internal/index"
@@ -76,20 +74,9 @@ type Server struct {
 	// healthDetails contribute key/value lines to /healthz (breaker
 	// states of attached remote gateways, outbox depths, …).
 	healthDetails []func() map[string]string
-	// repl, when set via SetReplication, enriches /ws/replstatus with
-	// the WAL shipper's per-follower state.
-	repl atomic.Pointer[replication.Primary]
-	// follower, when set via SetFollower, supplies the fencing epoch a
-	// replica reports on /ws/replstatus (the controller's own epoch is
-	// only assigned at promotion).
-	follower atomic.Pointer[replication.Follower]
-	// onPromote, when set via SetPromoteHook, replaces the default
-	// controller Promote for POST /ws/promote — daemons use it to also
-	// start shipping their own WALs after assuming the primary role.
-	onPromote atomic.Pointer[func(epoch uint64) error]
-	// election, when set via SetElection, enriches /ws/replstatus with
-	// the self-healing election manager's state.
-	election atomic.Pointer[func() election.Status]
+	// node, when set via SetNode, is the replication node /ws/replstatus
+	// reports and /ws/promote drives.
+	node *replication.Node
 }
 
 // AddHealthDetail registers a detail contributor for /healthz: its
@@ -337,40 +324,16 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, event.ContentTypeBinary, m.EncodeFrame())
 }
 
-// SetReplication attaches the WAL shipper whose follower state the
-// replication-status endpoint reports. Call when (re)wiring a primary;
-// a replica leaves it unset until promotion.
-func (s *Server) SetReplication(p *replication.Primary) *Server {
-	s.repl.Store(p)
-	return s
-}
-
-// SetFollower attaches the WAL-stream follower whose fencing epoch the
-// replication-status endpoint reports while the node is a replica.
-func (s *Server) SetFollower(f *replication.Follower) *Server {
-	s.follower.Store(f)
-	return s
-}
-
-// SetElection attaches the election manager's status snapshot, merged
-// into /ws/replstatus so operators (and the probe channel of peer
-// detectors) can see each node's detection and campaign state.
-func (s *Server) SetElection(fn func() election.Status) *Server {
-	s.election.Store(&fn)
-	return s
-}
-
-// SetPromoteHook replaces the default promote action (the wrapped
-// controller's Promote) for POST /ws/promote. The css-controller daemon
-// installs a hook that also brings up its own replication primary so the
-// promoted node starts shipping to the surviving replicas.
-func (s *Server) SetPromoteHook(fn func(epoch uint64) error) *Server {
-	s.onPromote.Store(&fn)
+// SetNode attaches the controller's replication node: /ws/replstatus
+// renders its status and POST /ws/promote runs its promote transition.
+func (s *Server) SetNode(n *replication.Node) *Server {
+	s.node = n
 	return s
 }
 
 // handleReplStatus reports the node's replication role, fencing epoch,
-// and (on a primary with an attached shipper) per-follower lag. The
+// election state and (on a node that ships) per-follower lag; a
+// controller with no replication node is a primary at epoch 0. The
 // payload carries operational state only, never personal data, but it
 // still sits behind authentication like every other /ws route.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
@@ -378,29 +341,19 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 		writeAuthFault(w, err)
 		return
 	}
-	resp := &ReplStatus{Role: "primary", Epoch: s.ctrl.ReplicationEpoch()}
-	if s.ctrl.IsReplica() {
-		resp.Role = "replica"
-		if f := s.follower.Load(); f != nil {
-			resp.Epoch = f.Epoch()
-		}
-	}
-	if p := s.repl.Load(); p != nil {
-		st := p.Status()
-		resp.Epoch = st.Epoch
-		resp.Quorum = st.Quorum
-		resp.Fenced = p.Fenced()
+	resp := &ReplStatus{Role: replication.RolePrimary}
+	if s.node != nil {
+		st := s.node.Status()
+		resp.Role, resp.Epoch, resp.Quorum, resp.Fenced = st.Role, st.Epoch, st.Quorum, st.Fenced
 		for _, f := range st.Followers {
 			resp.Followers = append(resp.Followers, ReplFollower{
 				Addr: f.Addr, Connected: f.Connected, Fenced: f.Fenced, LagBytes: f.LagBytes,
 			})
 		}
-	}
-	if fn := s.election.Load(); fn != nil {
-		st := (*fn)()
-		resp.Election = st.State
-		resp.Promised = st.Promised
-		resp.Phi = st.Phi
+		if st.Election != "" {
+			// One durable epoch: what the node promised is what it holds.
+			resp.Election, resp.Promised, resp.Phi = st.Election, st.Epoch, st.Phi
+		}
 	}
 	writeXML(w, http.StatusOK, resp)
 }
@@ -421,15 +374,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "promote needs a nonzero epoch"})
 		return
 	}
-	promote := s.ctrl.Promote
-	if fn := s.onPromote.Load(); fn != nil {
-		promote = *fn
+	if s.node == nil {
+		writeFault(w, replication.ErrNotReplica)
+		return
 	}
-	if err := promote(req.Epoch); err != nil {
+	if err := s.node.Promote(req.Epoch); err != nil {
 		writeFault(w, err)
 		return
 	}
-	writeXML(w, http.StatusOK, &ReplStatus{Role: "primary", Epoch: s.ctrl.ReplicationEpoch()})
+	writeXML(w, http.StatusOK, &ReplStatus{Role: replication.RolePrimary, Epoch: s.node.Status().Epoch})
 }
 
 func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request) {

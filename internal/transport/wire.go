@@ -140,7 +140,7 @@ func faultFor(err error) (string, int) {
 		// longer the primary, whatever it believes — steer the client to
 		// refresh its map and find the promoted node.
 		return CodeNotPrimary, http.StatusMisdirectedRequest
-	case errors.Is(err, core.ErrNotReplica):
+	case errors.Is(err, replication.ErrNotReplica):
 		// Promote on a node already primary: the transition already
 		// happened, a conflict rather than a server failure.
 		return CodeBadRequest, http.StatusConflict
@@ -405,8 +405,9 @@ type ReplStatus struct {
 	XMLName xml.Name `xml:"replication"`
 	// Role is "primary" or "replica".
 	Role string `xml:"role,attr"`
-	// Epoch is the fencing epoch this node last adopted or was
-	// promoted at (zero until either happens).
+	// Epoch is the node's one durable fencing epoch: the highest it
+	// booted at, adopted, granted, claimed or was promoted at (zero on a
+	// controller with no replication node).
 	Epoch uint64 `xml:"epoch,attr"`
 	// Quorum reports whether publishes wait for follower fsyncs.
 	Quorum bool `xml:"quorum,attr,omitempty"`
@@ -418,7 +419,9 @@ type ReplStatus struct {
 	// manual-failover-only deployments.
 	Election string `xml:"election,attr,omitempty"`
 	// Promised is the highest epoch this node has durably promised — by
-	// granting a vote or claiming an epoch for its own campaign.
+	// granting a vote or claiming an epoch for its own campaign. With
+	// one epoch per node it equals Epoch; it is reported while the
+	// election loop is armed.
 	Promised uint64 `xml:"promised,attr,omitempty"`
 	// Phi is the failure detector's current suspicion level for the
 	// primary (0 while this node is itself the primary).
