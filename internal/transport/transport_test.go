@@ -34,6 +34,12 @@ type rig struct {
 	client     *Client
 }
 
+// testGatewayServer is the one place the tests construct a gateway
+// server, so a constructor change touches no test table.
+func testGatewayServer(gw *gateway.Gateway) *GatewayServer {
+	return NewGatewayServer(gw)
+}
+
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	ctrl, err := core.New(core.Config{
