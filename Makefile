@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_LABEL ?= local
 
-.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-harness bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz clean
+.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-harness bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz loc clean
 
 all: check
 
@@ -18,8 +18,9 @@ all: check
 # (cross-shard publish/inquire plus one live split), the
 # replication failover smoke (1 primary + 2 replica processes, kill
 # the primary, the promoted replica serves), and the end-to-end
-# benchmark harness (its own module: vet, unit tests, quick run).
-check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-gate bench-harness
+# benchmark harness (its own module: vet, unit tests, quick run). The
+# code-size report (`loc`) prints last.
+check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-gate bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -211,6 +212,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/
+
+# Code size, the measure issues set targets in: non-test, non-comment,
+# non-blank Go lines per package and in total, without the nested
+# benchmark/ module.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
+LOC_COUNT = xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'
+loc:
+	@for d in $$($(LOC_FILES) -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$($(LOC_FILES) -path "$$d/*" ! -path "$$d/*/*" | $(LOC_COUNT)) $$d; \
+	done
+	@printf '%6d total\n' $$($(LOC_FILES) | $(LOC_COUNT))
 
 # git clean keeps the committed seed corpus and removes only the
 # crasher inputs the fuzzer writes next to it.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -64,7 +65,7 @@ func runE13(quick bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: transport.NewGatewayServer(gwLocal)}
+	srv := &http.Server{Handler: transport.NewGatewayServer(gwLocal, telemetry.NewRegistry())}
 	go srv.Serve(ln)
 	defer srv.Close()
 	remote := transport.NewRemoteGateway("http://"+ln.Addr().String(), nil)

@@ -90,18 +90,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/event"
 	"repro/internal/identity"
 	"repro/internal/overload"
@@ -127,23 +124,15 @@ func (g gatewayFlags) Set(v string) error {
 }
 
 func main() {
+	run := daemon.Flags("controller", "identity authority key file (hex); enables bearer-token authentication (mint tokens with css-token)")
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "", "data directory (empty: in-memory)")
 	keyFile := flag.String("key-file", "", "master key file (hex); created if absent")
-	authKeyFile := flag.String("auth-key-file", "", "identity authority key file (hex); enables bearer-token authentication (mint tokens with css-token)")
 	denyDefault := flag.Bool("deny-default-consent", false, "deny flows without an opt-in directive")
 	scenario := flag.Bool("scenario", false, "provision the demo scenario")
-	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	logJSON := flag.Bool("log-json", false, "structured JSON logs on stderr")
 	slow := flag.Duration("slow", telemetry.DefaultSlowThreshold, "slow-operation warning threshold")
-	maxInflight := flag.Int("max-inflight", overload.DefaultMaxInFlight, "global concurrent-request budget (negative: unbounded)")
-	actorRPS := flag.Float64("actor-rps", overload.DefaultActorRPS, "per-actor admission rate, requests/second (negative: unlimited)")
 	queueCap := flag.Int("queue-cap", 1024, "per-subscription bus queue bound (<=0: unbounded)")
 	codecName := flag.String("codec", "", `internal wire codec: "xml" (default) or "binary"`)
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGTERM")
-	spanFile := flag.String("span-file", "", "durable span export file (JSONL ring; empty: disabled)")
-	spanSample := flag.Float64("span-sample", telemetry.DefaultSampleRate, "head-sampling rate for span recording and export (0..1)")
-	spanSlow := flag.Duration("span-slow", telemetry.DefaultSlowTail, "tail-keep exported spans at least this slow (negative: disabled)")
 	role := flag.String("role", "primary", `replication role: "primary" or "replica"`)
 	replListen := flag.String("repl-listen", "", "replica: TCP address the WAL-stream follower listens on")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower addresses to ship WALs to")
@@ -159,18 +148,14 @@ func main() {
 	flag.Var(gateways, "gateway", "attach a remote cooperation gateway as producer=URL (repeatable)")
 	gatewayToken := flag.String("gateway-token", "", "bearer token presented to remote gateways (auth-enabled gateways)")
 	flag.Parse()
-
-	telemetry.SetLogger(telemetry.NewLogger(*logJSON, slog.LevelInfo))
+	run.Start()
 	telemetry.SetSlowThreshold(*slow)
 
 	cfg := core.Config{
 		DataDir:        *dataDir,
 		DefaultConsent: !*denyDefault,
 		Metrics:        telemetry.Default(),
-		// One sampling knob: the same rate decides which traces the
-		// tracer records (ring + /debug/spans) and which the exporter
-		// writes; the FNV draw keeps both layers consistent.
-		SpanSampleRate: *spanSample,
+		SpanSampleRate: run.SpanSample,
 	}
 	// -codec picks the format the controller uses where IT is the
 	// client: callback deliveries it originates default to this codec.
@@ -181,7 +166,7 @@ func main() {
 		log.Fatalf("-codec: %v", err)
 	}
 	cfg.Codec = codec
-	if *spanSample <= 0 {
+	if run.SpanSample <= 0 {
 		cfg.SpanSampleRate = -1 // explicit zero means "record nothing"
 	}
 	if *queueCap > 0 {
@@ -247,23 +232,7 @@ func main() {
 			"shards", len(m.Shards()), "vnodes", m.VNodes())
 	}
 
-	// Durable span export: head-sampled plus error/latency tail, flushed
-	// and fsynced as a drain step so a post-mortem always has the spans
-	// of the flows that were in flight.
-	var spanExporter *telemetry.Exporter
-	if *spanFile != "" {
-		spanExporter, err = telemetry.NewExporter(telemetry.ExporterConfig{
-			Path:       *spanFile,
-			SampleRate: *spanSample,
-			SlowTail:   *spanSlow,
-		}, "controller")
-		if err != nil {
-			log.Fatalf("span exporter: %v", err)
-		}
-		ctrl.Tracer().SetExporter(spanExporter)
-		telemetry.Logger().Info("span export enabled",
-			"file", *spanFile, "sample", *spanSample, "slow_tail", spanSlow.String())
-	}
+	run.ExportSpans(ctrl.Tracer())
 
 	if *scenario {
 		platform, err := workload.Provision(ctrl)
@@ -352,8 +321,8 @@ func main() {
 			return out
 		})
 	}
-	if *authKeyFile != "" {
-		key, err := loadOrCreateKey(*authKeyFile)
+	if run.AuthKeyFile != "" {
+		key, err := loadOrCreateKey(run.AuthKeyFile)
 		if err != nil {
 			log.Fatalf("auth key: %v", err)
 		}
@@ -362,15 +331,10 @@ func main() {
 			log.Fatalf("authority: %v", err)
 		}
 		srv.RequireAuth(authority)
-		telemetry.Logger().Info("bearer-token authentication enabled", "key", *authKeyFile)
+		telemetry.Logger().Info("bearer-token authentication enabled", "key", run.AuthKeyFile)
 	}
 
-	gate := overload.NewGate(overload.Config{
-		MaxInFlight: *maxInflight,
-		ActorRPS:    *actorRPS,
-		Metrics:     telemetry.Default(),
-	})
-	srv.SetAdmission(gate)
+	srv.SetAdmission(run.Gate())
 
 	// Per-flow latency objectives, computed from the same histogram
 	// families /metrics exposes. Targets sit on bucket bounds.
@@ -386,60 +350,19 @@ func main() {
 	)
 	srv.SetSLO(slo)
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv)
-	if *pprofFlag {
-		telemetry.RegisterPprof(mux)
-		telemetry.Logger().Info("pprof profiling enabled", "path", "/debug/pprof/")
-	}
-	telemetry.Logger().Info("CSS data controller listening",
-		"addr", *addr, "data", orMem(*dataDir),
-		"metrics", "/metrics", "healthz", "/healthz",
-		"max_inflight", *maxInflight, "actor_rps", *actorRPS,
-		"queue_cap", *queueCap, "drain_timeout", drainTimeout.String(),
-		"slow_threshold", slow.String())
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go slo.Run(ctx)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-serveErr:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: the gate refuses new admissions first (503s carry
-	// Retry-After, so clients back off onto a healthy replica), then each
-	// step runs under the remaining -drain-timeout budget. Accepted work
-	// is never abandoned: in-flight requests finish, queued bus messages
-	// flush, and the stores fsync on Close.
-	telemetry.Logger().Info("shutdown signal received, draining", "timeout", drainTimeout.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	steps := []overload.Step{
-		{Name: "http-shutdown", Run: httpSrv.Shutdown},
-		{Name: "bus-flush", Run: ctrl.FlushContext},
-		{Name: "repl-close", Run: func(context.Context) error {
+	telemetry.Logger().Info("controller configured", "data", orMem(*dataDir),
+		"queue_cap", *queueCap, "slow_threshold", slow.String())
+	// Drain: in-flight requests finish (the runner's http-shutdown), queued
+	// bus messages flush, replication stops, and the stores fsync on Close.
+	run.Serve(*addr, "CSS data controller", srv, slo,
+		overload.Step{Name: "bus-flush", Run: ctrl.FlushContext},
+		overload.Step{Name: "repl-close", Run: func(context.Context) error {
 			if node != nil {
 				return node.Close()
 			}
 			return nil
 		}},
-	}
-	if spanExporter != nil {
-		steps = append(steps, overload.Step{Name: "span-flush", Run: func(context.Context) error {
-			return spanExporter.Close()
-		}})
-	}
-	steps = append(steps, overload.Step{Name: "store-close", Run: ctrl.CloseContext})
-	err = overload.Drain(drainCtx, gate, steps...)
-	if err != nil {
-		telemetry.Logger().Error("drain incomplete", "err", err)
-		os.Exit(1)
-	}
+		overload.Step{Name: "store-close", Run: ctrl.CloseContext})
 }
 
 // parseShardTopology builds the boot shard map (version 1, default

@@ -42,16 +42,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/daemon"
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/identity"
@@ -75,21 +71,13 @@ func (c fetchedCatalog) Schema(id event.ClassID) (*schema.Schema, error) {
 }
 
 func main() {
+	run := daemon.Flags("gateway", "identity authority key (hex); restricts get-response to the controller's token and persist to the producer's")
 	addr := flag.String("addr", ":8081", "listen address")
 	producer := flag.String("producer", "", "owning producer id (required)")
 	dataDir := flag.String("data", "", "data directory (empty: in-memory)")
 	controller := flag.String("controller", "", "controller base URL for catalog fetch")
 	token := flag.String("token", "", "bearer token for the catalog fetch (auth-enabled controller)")
-	authKeyFile := flag.String("auth-key-file", "", "identity authority key (hex); restricts get-response to the controller's token and persist to the producer's")
 	controllerActor := flag.String("controller-actor", "data-controller", "actor the data controller's tokens are issued for")
-	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	logJSON := flag.Bool("log-json", false, "structured JSON logs on stderr")
-	maxInflight := flag.Int("max-inflight", overload.DefaultMaxInFlight, "global concurrent-request budget (negative: unbounded)")
-	actorRPS := flag.Float64("actor-rps", overload.DefaultActorRPS, "per-actor admission rate, requests/second (negative: unlimited)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGTERM")
-	spanFile := flag.String("span-file", "", "durable span export file (JSONL ring; empty: disabled)")
-	spanSample := flag.Float64("span-sample", telemetry.DefaultSampleRate, "head-sampling rate for span recording and export (0..1)")
-	spanSlow := flag.Duration("span-slow", telemetry.DefaultSlowTail, "tail-keep exported spans at least this slow (negative: disabled)")
 	codecName := flag.String("codec", "", `wire codec toward the controller: "xml" (default) or "binary"`)
 	flag.Parse()
 	if *producer == "" {
@@ -99,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("-codec: %v", err)
 	}
-	telemetry.SetLogger(telemetry.NewLogger(*logJSON, slog.LevelInfo))
+	run.Start()
 
 	var st *store.Store
 	if *dataDir == "" {
@@ -166,22 +154,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("gateway: %v", err)
 	}
-	srv := transport.NewGatewayServerWithRegistry(gw, telemetry.Default())
-	srv.Tracer().SetSampleRate(*spanSample)
-	var spanExporter *telemetry.Exporter
-	if *spanFile != "" {
-		spanExporter, err = telemetry.NewExporter(telemetry.ExporterConfig{
-			Path:       *spanFile,
-			SampleRate: *spanSample,
-			SlowTail:   *spanSlow,
-		}, "gateway")
-		if err != nil {
-			log.Fatalf("span exporter: %v", err)
-		}
-		srv.Tracer().SetExporter(spanExporter)
-		telemetry.Logger().Info("span export enabled",
-			"file", *spanFile, "sample", *spanSample, "slow_tail", spanSlow.String())
-	}
+	srv := transport.NewGatewayServer(gw, telemetry.Default())
+	srv.Tracer().SetSampleRate(run.SpanSample)
+	run.ExportSpans(srv.Tracer())
 	// The gateway's latency objective rides its own HTTP histogram: the
 	// filtered-retrieval endpoint is the producer-side stage of the
 	// detail flow.
@@ -215,8 +190,8 @@ func main() {
 		telemetry.Logger().Info("publish relay enabled",
 			"controller", *controller, "outbox_depth", qp.Depth())
 	}
-	if *authKeyFile != "" {
-		raw, err := os.ReadFile(*authKeyFile)
+	if run.AuthKeyFile != "" {
+		raw, err := os.ReadFile(run.AuthKeyFile)
 		if err != nil {
 			log.Fatalf("auth key: %v", err)
 		}
@@ -232,58 +207,19 @@ func main() {
 		telemetry.Logger().Info("bearer-token authentication enabled", "controller_actor", *controllerActor)
 	}
 
-	gate := overload.NewGate(overload.Config{
-		MaxInFlight: *maxInflight,
-		ActorRPS:    *actorRPS,
-		Metrics:     telemetry.Default(),
-	})
-	srv.SetAdmission(gate)
+	srv.SetAdmission(run.Gate())
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv)
-	if *pprofFlag {
-		telemetry.RegisterPprof(mux)
-		telemetry.Logger().Info("pprof profiling enabled", "path", "/debug/pprof/")
-	}
-	telemetry.Logger().Info("local cooperation gateway listening",
-		"producer", *producer, "addr", *addr,
-		"metrics", "/metrics", "healthz", "/healthz",
-		"max_inflight", *maxInflight, "drain_timeout", drainTimeout.String())
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go slo.Run(ctx)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-serveErr:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: stop admitting, finish in-flight requests, give the
-	// outbox one bounded chance to hand its backlog to the controller
-	// (entries left behind stay durable in the WAL), then fsync the detail
-	// store on Close.
-	telemetry.Logger().Info("shutdown signal received, draining", "timeout", drainTimeout.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	steps := []overload.Step{
-		{Name: "http-shutdown", Run: httpSrv.Shutdown},
-	}
+	// Drain: in-flight requests finish (the runner's http-shutdown), the
+	// outbox gets one bounded chance to hand its backlog to the controller
+	// (entries left behind stay durable in the WAL), then the detail store
+	// fsyncs on Close.
+	var steps []overload.Step
 	if qp != nil {
-		steps = append(steps, overload.Step{Name: "outbox-drain", Run: qp.DrainContext})
-		steps = append(steps, overload.Step{Name: "outbox-close", Run: func(context.Context) error { qp.Close(); return nil }})
-	}
-	if spanExporter != nil {
-		steps = append(steps, overload.Step{Name: "span-flush", Run: func(context.Context) error {
-			return spanExporter.Close()
-		}})
+		steps = append(steps,
+			overload.Step{Name: "outbox-drain", Run: qp.DrainContext},
+			overload.Step{Name: "outbox-close", Run: func(context.Context) error { qp.Close(); return nil }})
 	}
 	steps = append(steps, overload.Step{Name: "store-close", Run: func(context.Context) error { return st.Close() }})
-	if err := overload.Drain(drainCtx, gate, steps...); err != nil {
-		telemetry.Logger().Error("drain incomplete", "err", err)
-		os.Exit(1)
-	}
+	telemetry.Logger().Info("gateway configured", "producer", *producer)
+	run.Serve(*addr, "local cooperation gateway", srv, slo, steps...)
 }

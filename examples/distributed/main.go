@@ -27,6 +27,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gwURL := serve(transport.NewGatewayServer(gw))
+	gwURL := serve(transport.NewGatewayServer(gw, telemetry.NewRegistry()))
 	fmt.Printf("hospital gateway listening at %s\n", gwURL)
 	// The controller reaches the gateway over HTTP, like in the field.
 	if err := ctrl.AttachGateway("hospital", transport.NewRemoteGateway(gwURL, nil)); err != nil {

@@ -40,7 +40,7 @@ type Message struct {
 	// Body is the payload.
 	Body []byte
 	// Payload optionally carries the publisher's already-decoded form of
-	// Body (see PublishPayload). All subscriptions of the topic receive
+	// Body (see PublishPayloadSpan). All subscriptions of the topic receive
 	// the same Payload value, so it must be treated as immutable.
 	Payload any
 	// PublishedAt is when the broker accepted the message.
@@ -323,26 +323,21 @@ func (b *Broker) Unsubscribe(topic, name string) error {
 // BlockTimeout); every other policy keeps publishers non-blocking. The
 // assigned sequence number is returned.
 func (b *Broker) Publish(topic string, body []byte) (uint64, error) {
-	return b.PublishPayload(topic, body, nil)
+	return b.PublishPayloadSpan(topic, body, nil, "")
 }
 
-// PublishPayload is Publish with an already-decoded form of body riding
-// along. The broker fans the one payload value out to every subscription
-// of the topic without copying, so consumers can skip re-decoding the
-// wire bytes; in exchange, everyone downstream must treat it as
-// read-only. The body remains the authoritative wire representation
-// (transports that re-encode or relay use it, not the payload).
+// PublishPayloadSpan is Publish with an already-decoded form of body
+// and the publisher's span ID (see Message.SpanParent) riding along. The
+// broker fans the one payload value out to every subscription of the
+// topic without copying, so consumers can skip re-decoding the wire
+// bytes; in exchange, everyone downstream must treat it as read-only.
+// The body remains the authoritative wire representation (transports
+// that re-encode or relay use it, not the payload).
 //
 // Under the Reject overflow policy a full subscription refuses the
 // message: the publish still reaches the topic's other subscriptions,
 // the message is accepted (a sequence number is returned), and the error
 // satisfies errors.Is(err, ErrQueueFull) so the publisher can slow down.
-func (b *Broker) PublishPayload(topic string, body []byte, payload any) (uint64, error) {
-	return b.PublishPayloadSpan(topic, body, payload, "")
-}
-
-// PublishPayloadSpan is PublishPayload with the publisher's span ID
-// riding on the message (see Message.SpanParent).
 func (b *Broker) PublishPayloadSpan(topic string, body []byte, payload any, spanParent string) (uint64, error) {
 	if topic == "" {
 		return 0, errors.New("bus: empty topic")

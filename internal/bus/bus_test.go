@@ -465,7 +465,7 @@ func TestPublishPayloadSharedAcrossSubscriptions(t *testing.T) {
 		}
 	}
 	want := &decoded{ID: "evt-1"}
-	if _, err := b.PublishPayload("t", []byte("<wire/>"), want); err != nil {
+	if _, err := b.PublishPayloadSpan("t", []byte("<wire/>"), want, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Publish("t", []byte("<bare/>")); err != nil {

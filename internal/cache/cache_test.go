@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -126,7 +127,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, shared, err := g.Do("k", func() (int, error) {
+		v, shared, err := g.Do(context.Background(), "k", func() (int, error) {
 			calls.Add(1)
 			close(started)
 			<-release
@@ -142,7 +143,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := g.Do("k", func() (int, error) {
+			v, shared, err := g.Do(context.Background(), "k", func() (int, error) {
 				calls.Add(1)
 				return -1, nil
 			})
@@ -185,7 +186,7 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := g.Do(i, func() (int, error) {
+			v, _, err := g.Do(context.Background(), i, func() (int, error) {
 				calls.Add(1)
 				return i * 10, nil
 			})
@@ -203,12 +204,12 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 func TestSingleflightError(t *testing.T) {
 	var g Group[string, int]
 	sentinel := errors.New("boom")
-	_, _, err := g.Do("k", func() (int, error) { return 0, sentinel })
+	_, _, err := g.Do(context.Background(), "k", func() (int, error) { return 0, sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
 	// The failed flight must not be cached: a retry runs fn again.
-	v, shared, err := g.Do("k", func() (int, error) { return 7, nil })
+	v, shared, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 || shared {
 		t.Fatalf("retry = %d, shared=%v, err=%v; want 7, false, nil", v, shared, err)
 	}
@@ -222,7 +223,7 @@ func TestSingleflightPanicDoesNotHangWaiters(t *testing.T) {
 	waiterErr := make(chan error, 1)
 	go func() {
 		defer func() { recover() }()
-		g.Do("k", func() (int, error) {
+		g.Do(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			panic("leader died")
@@ -230,7 +231,7 @@ func TestSingleflightPanicDoesNotHangWaiters(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		_, _, err := g.Do("k", func() (int, error) { return 1, nil })
+		_, _, err := g.Do(context.Background(), "k", func() (int, error) { return 1, nil })
 		waiterErr <- err
 	}()
 	// Give the waiter time to attach to the in-flight call, then kill
@@ -247,5 +248,52 @@ func TestSingleflightPanicDoesNotHangWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter hung after leader panic")
+	}
+}
+
+// A follower re-runs the call only when the leader itself gave up; an
+// error that merely looks like one (a downstream timeout under a live
+// leader context) is a result like any other and is shared.
+func TestSingleflightFollowerOutlivesLeaderCancellation(t *testing.T) {
+	for _, leaderGivesUp := range []bool{true, false} {
+		var g Group[string, int]
+		leaderCtx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		release := make(chan struct{})
+		leaderDone := make(chan error, 1)
+		go func() {
+			_, _, err := g.Do(leaderCtx, "k", func() (int, error) {
+				close(started)
+				<-release
+				return 0, context.Canceled
+			})
+			leaderDone <- err
+		}()
+		<-started
+		followerDone := make(chan error, 1)
+		var reran atomic.Bool
+		go func() {
+			_, _, err := g.Do(context.Background(), "k", func() (int, error) {
+				reran.Store(true)
+				return 7, nil
+			})
+			followerDone <- err
+		}()
+		time.Sleep(50 * time.Millisecond) // let the follower reach the wait
+		if leaderGivesUp {
+			cancel()
+		}
+		close(release)
+		if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("leader err = %v", err)
+		}
+		err := <-followerDone
+		if leaderGivesUp && (err != nil || !reran.Load()) {
+			t.Errorf("leader gave up: follower err = %v, reran = %v; want its own run", err, reran.Load())
+		}
+		if !leaderGivesUp && (!errors.Is(err, context.Canceled) || reran.Load()) {
+			t.Errorf("leader live: follower err = %v, reran = %v; want the shared error", err, reran.Load())
+		}
+		cancel()
 	}
 }

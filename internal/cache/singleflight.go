@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"sync"
 )
@@ -25,6 +26,7 @@ type Group[K comparable, V any] struct {
 }
 
 type flight[V any] struct {
+	ctx  context.Context // the leader's
 	done chan struct{}
 	val  V
 	err  error
@@ -34,19 +36,31 @@ type flight[V any] struct {
 // whether the result was produced by another caller's fn — callers that
 // hand the value on must clone it when shared, so no two consumers ever
 // alias one mutable result.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (val V, shared bool, err error) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[K]*flight[V])
-	}
-	if f, ok := g.calls[key]; ok {
+//
+// fn runs under its caller's context, so a shared flight ends when its
+// leader gives up. A follower handed the leader's context error while
+// its own ctx is still live never abandoned anything: it runs the call
+// again, leading the next flight or joining one already begun.
+func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (val V, shared bool, err error) {
+	var f *flight[V]
+	for f == nil {
+		g.mu.Lock()
+		if g.calls == nil {
+			g.calls = make(map[K]*flight[V])
+		}
+		lead, ok := g.calls[key]
+		if !ok {
+			f = &flight[V]{ctx: ctx, done: make(chan struct{}), err: ErrFlightAbandoned}
+			g.calls[key] = f
+		}
 		g.mu.Unlock()
-		<-f.done
-		return f.val, true, f.err
+		if ok {
+			<-lead.done
+			if gaveUp := lead.ctx.Err(); gaveUp == nil || !errors.Is(lead.err, gaveUp) || ctx.Err() != nil {
+				return lead.val, true, lead.err
+			}
+		}
 	}
-	f := &flight[V]{done: make(chan struct{}), err: ErrFlightAbandoned}
-	g.calls[key] = f
-	g.mu.Unlock()
 
 	// Even if fn panics the flight is finalized (waiters see
 	// ErrFlightAbandoned instead of hanging) and the panic propagates.

@@ -105,3 +105,92 @@ func TestCancelledMidFlowAuditsCancelled(t *testing.T) {
 		t.Fatalf("gateway fetched %d times past the deadline", got)
 	}
 }
+
+// hangUpSource is a context-aware detail source whose first fetch hangs
+// until its caller gives up; later fetches go through to the gateway.
+type hangUpSource struct {
+	inner   enforcer.DetailSource
+	calls   atomic.Int64
+	entered chan struct{}
+}
+
+func (s *hangUpSource) GetResponse(src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
+	return s.inner.GetResponse(src, fields)
+}
+
+func (s *hangUpSource) GetResponseContext(ctx context.Context, _ string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
+	if s.calls.Add(1) == 1 {
+		close(s.entered)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return s.inner.GetResponse(src, fields)
+}
+
+// TestCoalescedFollowerNotAuditedCancelled: two consumers share one
+// gateway fetch and the one that started it hangs up. Only that consumer
+// abandoned anything: its record says "cancelled", while the follower
+// gets its detail and a "permit" record.
+func TestCoalescedFollowerNotAuditedCancelled(t *testing.T) {
+	w := newWorld(t)
+	gid := w.producePublish(t, "bt-follow", "PERSON-F")
+	w.doctorPolicy(t)
+	src := &hangUpSource{inner: w.gw, entered: make(chan struct{})}
+	if err := w.c.AttachGateway("hospital", src); err != nil {
+		t.Fatal(err)
+	}
+	request := func(ctx context.Context, trace string) (*event.Detail, error) {
+		r := w.request(gid)
+		r.Trace = trace
+		return w.c.RequestDetailsContext(ctx, r)
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := request(leaderCtx, "aaaaaaaaaaaaaaa1")
+		leaderErr <- err
+	}()
+	<-src.entered
+
+	type result struct {
+		d   *event.Detail
+		err error
+	}
+	followerDone := make(chan result, 1)
+	go func() {
+		d, err := request(context.Background(), "aaaaaaaaaaaaaaa2")
+		followerDone <- result{d, err}
+	}()
+	// The follower's decision lookup is its last observable step before it
+	// joins the flight; give it a moment to get from there to the wait.
+	lookups := func() uint64 {
+		return w.c.met.cacheEvents.Value("pdp.decision", "hit") + w.c.met.cacheEvents.Value("pdp.decision", "miss")
+	}
+	for lookups() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	hangUp()
+
+	if err := <-leaderErr; !errors.Is(err, ErrCancelled) {
+		t.Errorf("leader err = %v, want ErrCancelled", err)
+	}
+	got := <-followerDone
+	if got.err != nil {
+		t.Fatalf("follower err = %v, want the detail (it never hung up)", got.err)
+	}
+	if v, _ := got.d.Get("hemoglobin"); v != "13.5" {
+		t.Errorf("follower detail = %+v", got.d)
+	}
+	for trace, want := range map[string]string{"aaaaaaaaaaaaaaa1": "cancelled", "aaaaaaaaaaaaaaa2": "permit"} {
+		recs, err := w.c.Audit().Search(audit.Query{Kind: audit.KindDetailRequest, Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Outcome != want {
+			t.Errorf("audit records of trace %s = %+v, want one with outcome %q", trace, recs, want)
+		}
+	}
+}

@@ -111,18 +111,6 @@ type Config struct {
 	ShardID cluster.ShardID
 }
 
-// Stats aggregates controller counters. It is a compatibility view over
-// the telemetry registry (the single source of truth, see Metrics).
-type Stats struct {
-	Published           uint64 // notifications accepted
-	Delivered           uint64 // notifications handed to subscriber handlers
-	ConsentDrops        uint64 // deliveries suppressed by consent
-	SubscriptionDenials uint64 // subscription requests rejected
-	DetailPermits       uint64 // detail requests permitted
-	DetailDenials       uint64 // detail requests denied
-	Inquiries           uint64 // index inquiries answered
-}
-
 // instruments are the controller's registered telemetry metrics.
 type instruments struct {
 	published    *telemetry.Counter // css_publish_total
@@ -616,21 +604,7 @@ func (c *Controller) ConsentDirectives(personID string) []consent.Directive {
 	return c.con.Directives(personID)
 }
 
-// --- stats & telemetry ------------------------------------------------------
-
-// Stats returns a snapshot of the controller counters. It is a
-// compatibility view computed from the telemetry registry.
-func (c *Controller) Stats() Stats {
-	return Stats{
-		Published:           c.met.published.Value(),
-		Delivered:           c.met.delivered.Value(),
-		ConsentDrops:        c.met.consentDrops.Value(),
-		SubscriptionDenials: c.met.subDenials.Value(),
-		DetailPermits:       c.met.decisions.Value("permit"),
-		DetailDenials:       c.met.decisions.Value("deny"),
-		Inquiries:           c.met.inquiries.Value(),
-	}
-}
+// --- telemetry ------------------------------------------------------
 
 // Metrics exposes the controller's telemetry registry (the serving layer
 // mounts it at /metrics).

@@ -29,6 +29,16 @@ type world struct {
 	now time.Time
 }
 
+// counter reads one controller counter from the telemetry registry the
+// way an operator's scrape would see it.
+func counter(c *Controller, name string, labelValues ...string) uint64 {
+	var labels []string
+	if name == "css_detail_decisions_total" {
+		labels = []string{"outcome"}
+	}
+	return c.Metrics().Counter(name, "", labels...).Value(labelValues...)
+}
+
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	w := &world{now: time.Date(2010, 6, 1, 9, 0, 0, 0, time.UTC)}
@@ -183,7 +193,7 @@ func TestSubscribeDenyByDefaultThenPermit(t *testing.T) {
 	if _, err := w.c.Subscribe("family-doctor", schema.ClassBloodTest, handler); !errors.Is(err, ErrSubscriptionDeny) {
 		t.Fatalf("subscribe without policy = %v", err)
 	}
-	if w.c.Stats().SubscriptionDenials != 1 {
+	if counter(w.c, "css_subscription_denials_total") != 1 {
 		t.Error("denial not counted")
 	}
 	w.doctorPolicy(t)
@@ -243,8 +253,8 @@ func TestEndToEndNotificationDelivery(t *testing.T) {
 	if n.SourceID != "" {
 		t.Error("source id leaked to consumer")
 	}
-	if w.c.Stats().Delivered != 1 {
-		t.Errorf("stats = %+v", w.c.Stats())
+	if got := counter(w.c, "css_deliveries_total"); got != 1 {
+		t.Errorf("css_deliveries_total = %d", got)
 	}
 }
 
@@ -271,8 +281,8 @@ func TestDeliveryHonorsConsentOptOut(t *testing.T) {
 	if count != 1 {
 		t.Errorf("delivered %d, want 1 (opt-out suppressed)", count)
 	}
-	if w.c.Stats().ConsentDrops != 1 {
-		t.Errorf("ConsentDrops = %d", w.c.Stats().ConsentDrops)
+	if got := counter(w.c, "css_consent_drops_total"); got != 1 {
+		t.Errorf("css_consent_drops_total = %d", got)
 	}
 }
 
@@ -330,8 +340,8 @@ func TestRequestDetailsTwoPhase(t *testing.T) {
 			t.Errorf("unauthorized field %s released", hidden)
 		}
 	}
-	if w.c.Stats().DetailPermits != 1 {
-		t.Errorf("stats = %+v", w.c.Stats())
+	if got := counter(w.c, "css_detail_decisions_total", "permit"); got != 1 {
+		t.Errorf("permits = %d", got)
 	}
 }
 
@@ -361,9 +371,9 @@ func TestRequestDetailsDenials(t *testing.T) {
 	if _, err := w.c.RequestDetails(w.request(gid)); !errors.Is(err, ErrConsentDeny) {
 		t.Errorf("consent opt-out = %v", err)
 	}
-	st := w.c.Stats()
-	if st.DetailDenials != 3 || st.DetailPermits != 0 {
-		t.Errorf("stats = %+v", st)
+	denies, permits := counter(w.c, "css_detail_decisions_total", "deny"), counter(w.c, "css_detail_decisions_total", "permit")
+	if denies != 3 || permits != 0 {
+		t.Errorf("denies = %d, permits = %d", denies, permits)
 	}
 }
 

@@ -535,56 +535,6 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 	return d, nil
 }
 
-// PrefetchDetails warms the detail-request read path for r without
-// releasing anything to the caller: the consent check and policy
-// decision run (and the decision is cached), and on permit one gateway
-// fetch is driven whose result is discarded — it populates the
-// producer-side decoded-detail cache and coalesces with identical
-// concurrent RequestDetails calls. No data is disclosed to any consumer,
-// so the flow is not audited as an access; controller-side storage of
-// details stays prohibited (E13).
-func (c *Controller) PrefetchDetails(r *event.DetailRequest) error {
-	return c.PrefetchDetailsContext(context.Background(), r)
-}
-
-// PrefetchDetailsContext is PrefetchDetails under a request context. A
-// prefetch is speculative by definition, so it honors cancellation at
-// every stage and is the first flow an overloaded deployment sheds.
-func (c *Controller) PrefetchDetailsContext(ctx context.Context, r *event.DetailRequest) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.IsReplica() {
-		return c.notPrimary()
-	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if !c.reg.HasConsumer(r.Requester) {
-		return fmt.Errorf("%w: %s", ErrNotConsumer, r.Requester)
-	}
-	n, err := c.idx.Get(r.EventID)
-	if err != nil {
-		if errors.Is(err, index.ErrNotFound) {
-			return fmt.Errorf("%w: %s", enforcer.ErrUnknownEvent, r.EventID)
-		}
-		return err
-	}
-	if !c.con.Allows(n.PersonID, r.Class, r.Requester, r.Purpose) {
-		return ErrConsentDeny
-	}
-	if err := c.enf.PrefetchContext(ctx, r); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %w", ErrCancelled, err)
-		}
-		return err
-	}
-	return nil
-}
-
 func (c *Controller) auditDetail(r *event.DetailRequest, outcome, policyID, note string) {
 	c.aud.Append(audit.Record{
 		Kind:     audit.KindDetailRequest,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/consent"
-	"repro/internal/enforcer"
 )
 
 func TestConsentOptOutDeniesNextRequest(t *testing.T) {
@@ -80,56 +79,6 @@ func TestCacheEventsCounterCoversReadPath(t *testing.T) {
 		if hits < 2 {
 			t.Errorf("%s: hits = %d, want >=2 for 3 identical requests", cache, hits)
 		}
-	}
-}
-
-func TestPrefetchDetails(t *testing.T) {
-	w := newWorld(t)
-	gid := w.producePublish(t, "src-1", "PRS-1")
-	w.doctorPolicy(t)
-
-	if err := w.c.PrefetchDetails(w.request(gid)); err != nil {
-		t.Fatalf("PrefetchDetails: %v", err)
-	}
-	// Prefetch discloses nothing to any consumer, so it is not an access:
-	// the access stats and audit trail must not move.
-	if st := w.c.Stats(); st.DetailPermits != 0 || st.DetailDenials != 0 {
-		t.Errorf("prefetch counted as access: %+v", st)
-	}
-	// It warmed the decision cache for the real request that follows.
-	if _, err := w.c.RequestDetails(w.request(gid)); err != nil {
-		t.Fatalf("post-prefetch request: %v", err)
-	}
-	if h := w.c.met.cacheEvents.Value("pdp.decision", "hit"); h != 1 {
-		t.Errorf("decision hits after prefetch+request = %d, want 1", h)
-	}
-}
-
-func TestPrefetchDetailsEnforcesEveryGuard(t *testing.T) {
-	w := newWorld(t)
-	gid := w.producePublish(t, "src-1", "PRS-1")
-
-	// Deny-by-default without a policy.
-	if err := w.c.PrefetchDetails(w.request(gid)); !errors.Is(err, enforcer.ErrDenied) {
-		t.Errorf("no policy: err = %v, want ErrDenied", err)
-	}
-	w.doctorPolicy(t)
-	// Unknown requester.
-	r := w.request(gid)
-	r.Requester = "never-registered"
-	if err := w.c.PrefetchDetails(r); !errors.Is(err, ErrNotConsumer) {
-		t.Errorf("unknown requester: err = %v", err)
-	}
-	// Unknown event.
-	if err := w.c.PrefetchDetails(w.request("evt-ghost")); !errors.Is(err, enforcer.ErrUnknownEvent) {
-		t.Errorf("unknown event: err = %v", err)
-	}
-	// Consent opt-out blocks prefetching too.
-	if _, err := w.c.RecordConsent(consent.Directive{PersonID: "PRS-1", Allow: false}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.c.PrefetchDetails(w.request(gid)); !errors.Is(err, ErrConsentDeny) {
-		t.Errorf("opted out: err = %v, want ErrConsentDeny", err)
 	}
 }
 

@@ -192,11 +192,12 @@ func TestControllerStress(t *testing.T) {
 	if violations.Load() != 0 {
 		t.Fatalf("%d privacy violations under concurrency", violations.Load())
 	}
-	st := c.Stats()
-	if st.Published != producers*perStream {
-		t.Errorf("Published = %d, want %d", st.Published, producers*perStream)
+	reg := c.Metrics()
+	if got := reg.Counter("css_publish_total", "").Value(); got != producers*perStream {
+		t.Errorf("css_publish_total = %d, want %d", got, producers*perStream)
 	}
-	if st.DetailPermits+st.DetailDenials == 0 {
+	decisions := reg.Counter("css_detail_decisions_total", "", "outcome")
+	if decisions.Value("permit")+decisions.Value("deny") == 0 {
 		t.Error("no detail requests recorded")
 	}
 	if err := c.Audit().Verify(); err != nil {

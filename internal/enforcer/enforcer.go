@@ -60,18 +60,12 @@ type DetailSource interface {
 	GetResponse(src event.SourceID, fields []event.FieldName) (*event.Detail, error)
 }
 
-// TracedDetailSource is optionally implemented by detail sources that
-// can propagate the flow's trace/correlation ID to the producer side
-// (e.g. the HTTP gateway client forwards it as the X-Trace-Id header).
-// The enforcer prefers it over plain GetResponse when available.
-type TracedDetailSource interface {
-	GetResponseTraced(trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error)
-}
-
 // ContextDetailSource is optionally implemented by detail sources that
-// honor a request context end to end: the consumer's deadline (or its
-// hang-up) cancels the producer round-trip instead of leaving it to run
-// to completion for nobody. Preferred over TracedDetailSource and
+// cross a process boundary: the request context rides the fetch end to
+// end — the consumer's deadline (or its hang-up) cancels the producer
+// round-trip instead of leaving it to run to completion for nobody — and
+// the flow's trace/correlation ID travels with it (the HTTP gateway
+// client forwards it in the request headers). Preferred over
 // GetResponse when available.
 type ContextDetailSource interface {
 	GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error)
@@ -347,14 +341,13 @@ func (e *Enforcer) evaluate(r *event.DetailRequest) decision {
 // it before handing it on.
 // A follower joining an in-flight fetch shares the leader's context: its
 // own deadline cannot cut the shared round-trip short (the leader's
-// does), which errs on the side of completing work already paid for.
+// does), which errs on the side of completing work already paid for. A
+// leader that gives up takes only itself down: followers still waiting
+// fetch again under their own contexts.
 func (e *Enforcer) fetch(ctx context.Context, g DetailSource, trace string, src event.SourceID, policyID string, fields []event.FieldName) (*event.Detail, bool, error) {
-	d, shared, err := e.flights.Do(flightKey{source: src, policyID: policyID}, func() (*event.Detail, error) {
+	d, shared, err := e.flights.Do(ctx, flightKey{source: src, policyID: policyID}, func() (*event.Detail, error) {
 		if cg, ok := g.(ContextDetailSource); ok {
 			return cg.GetResponseContext(ctx, trace, src, fields)
-		}
-		if tg, ok := g.(TracedDetailSource); ok && trace != "" {
-			return tg.GetResponseTraced(trace, src, fields)
 		}
 		return g.GetResponse(src, fields)
 	})
@@ -459,48 +452,4 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 		Source:   m.Source,
 	}
 	return d, out, nil
-}
-
-// Prefetch warms the read path for a request without releasing anything
-// to the caller: it resolves the event, runs (and caches) the policy
-// decision, and on permit drives one gateway fetch whose result is
-// discarded at the controller. The fetch populates the producer-side
-// decoded-detail cache and coalesces with identical concurrent requests,
-// so a burst of consumers arriving behind a prefetch shares its
-// round-trip. Nothing is stored controller-side (E13: event details must
-// not be duplicated outside the producer's control).
-func (e *Enforcer) Prefetch(r *event.DetailRequest) error {
-	return e.PrefetchContext(context.Background(), r)
-}
-
-// PrefetchContext is Prefetch bounded by a context: the speculative
-// gateway fetch is skipped when the context is already done (a prefetch
-// is the first work to shed under pressure).
-func (e *Enforcer) PrefetchContext(ctx context.Context, r *event.DetailRequest) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	m, err := e.ids.Resolve(r.EventID)
-	if err != nil {
-		if errors.Is(err, idmap.ErrNotFound) {
-			return fmt.Errorf("%w: %s", ErrUnknownEvent, r.EventID)
-		}
-		return err
-	}
-	if m.Class != r.Class {
-		return ErrClassMismatch
-	}
-	dec := e.decide(r)
-	if !dec.permit {
-		return ErrDenied
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	g, err := e.gateway(m.Producer)
-	if err != nil {
-		return err
-	}
-	_, _, err = e.fetch(ctx, g, r.Trace, m.Source, dec.policyID, dec.fields)
-	return err
 }

@@ -1,6 +1,7 @@
 package enforcer
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -249,25 +250,88 @@ func TestGatewayFetchCoalescing(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsDecisionCache(t *testing.T) {
-	f := newFixture(t)
-	cc := observeInto(f.enf)
-	f.addPolicy(t, "patient-id", "hemoglobin")
-	if err := f.enf.Prefetch(f.request()); err != nil {
-		t.Fatalf("Prefetch: %v", err)
-	}
-	if _, out, err := f.enf.GetEventDetails(f.request()); err != nil || out.Decision != event.Permit {
-		t.Fatalf("post-prefetch request: err=%v out=%+v", err, out)
-	}
-	if h := cc.hit("pdp.decision"); h != 1 {
-		t.Errorf("decision hits after prefetch = %d, want 1 (prefetch warmed it)", h)
-	}
+// hangUpSource is a context-aware detail source whose first fetch hangs
+// until its caller gives up; every later fetch answers at once.
+type hangUpSource struct {
+	calls   atomic.Int32
+	entered chan struct{}
 }
 
-func TestPrefetchDeniesLikeTheRealPath(t *testing.T) {
-	f := newFixture(t)
-	if err := f.enf.Prefetch(f.request()); !errors.Is(err, ErrDenied) {
-		t.Errorf("prefetch without policy: err = %v, want ErrDenied", err)
+func (s *hangUpSource) GetResponse(event.SourceID, []event.FieldName) (*event.Detail, error) {
+	return nil, errors.New("context-free fetch on a context-aware source")
+}
+
+func (s *hangUpSource) GetResponseContext(ctx context.Context, _ string, src event.SourceID, _ []event.FieldName) (*event.Detail, error) {
+	if s.calls.Add(1) == 1 {
+		close(s.entered)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return event.NewDetail("c.x", src, "hospital").Set("allowed", "ok"), nil
+}
+
+// A coalesced follower must not inherit its leader's cancellation: when
+// the consumer that started the shared fetch hangs up, a follower whose
+// own context is live fetches again and still gets the detail.
+func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
+	ids := idmap.New(store.OpenMemory())
+	enf, err := New(policy.NewRepository(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := observeInto(enf)
+	src := &hangUpSource{entered: make(chan struct{})}
+	enf.AttachGateway("hospital", src)
+	gid, _ := ids.Assign("hospital", "src-1", "c.x")
+	if _, err := enf.AddPolicy(&policy.Policy{
+		Producer: "hospital", Actor: "a", Class: "c.x",
+		Purposes: []event.Purpose{"s"}, Fields: []event.FieldName{"allowed"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	request := func(ctx context.Context) (*event.Detail, Outcome, error) {
+		return enf.GetEventDetailsContext(ctx, &event.DetailRequest{Requester: "a", Class: "c.x", EventID: gid, Purpose: "s"})
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := request(leaderCtx)
+		leaderErr <- err
+	}()
+	<-src.entered // the leader is inside the producer round-trip
+
+	type result struct {
+		d   *event.Detail
+		out Outcome
+		err error
+	}
+	followerDone := make(chan result, 1)
+	go func() {
+		d, out, err := request(context.Background())
+		followerDone <- result{d, out, err}
+	}()
+	// The follower's decision lookup is its last observable step before it
+	// joins the flight; give it a moment to get from there to the wait.
+	for cc.hit("pdp.decision")+cc.miss("pdp.decision") < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	hangUp()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	got := <-followerDone
+	if got.err != nil || got.out.Decision != event.Permit {
+		t.Fatalf("follower: err=%v out=%+v, want the detail (it never hung up)", got.err, got.out)
+	}
+	if v, _ := got.d.Get("allowed"); v != "ok" {
+		t.Errorf("follower detail = %+v", got.d)
+	}
+	if n := src.calls.Load(); n != 2 {
+		t.Errorf("gateway fetched %d times, want 2 (the leader's, then the follower's own)", n)
 	}
 }
 

@@ -43,9 +43,5 @@ func (b *Batch) Reset() { b.ops = b.ops[:0] }
 // Apply is StageApply followed immediately by the commit barrier; use
 // StageApply directly to overlap the fsync with other work.
 func (s *Store) Apply(b *Batch) error {
-	c, err := s.StageApply(b)
-	if err != nil {
-		return err
-	}
-	return c.Wait()
+	return wait(s.StageApply(b))
 }

@@ -190,17 +190,7 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	s.log.size += int64(len(seg))
 	s.log.flushed.Store(s.log.size)
 	for _, r := range muts {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
+		s.applyLocked(r)
 	}
 	s.notifyWatchersLocked()
 	return s.log.size, nil
@@ -345,20 +335,7 @@ func (s *Store) TruncateWAL(offset int64) error {
 	// Rebuild memory from the surviving prefix, exactly like Open.
 	s.list = newSkipList(nextSeed())
 	s.liveBytes = 0
-	validLen, err := replayWAL(s.path, func(r walRecord) error {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
-		return nil
-	})
+	validLen, err := s.replay()
 	if err != nil {
 		s.closed = true
 		return fmt.Errorf("store: truncate wal: replay: %w", err)

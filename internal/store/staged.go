@@ -38,29 +38,7 @@ func (s *Store) StagePut(key string, value []byte) (Commit, error) {
 	if key == "" {
 		return Commit{}, errors.New("store: empty key")
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Commit{}, ErrClosed
-	}
-	if s.log != nil {
-		if err := s.log.append(walRecord{op: opPut, key: key, value: value}); err != nil {
-			s.mu.Unlock()
-			return Commit{}, err
-		}
-	}
-	if old, existed := s.list.put(key, value); existed {
-		s.liveBytes -= int64(len(key) + len(old))
-	}
-	s.liveBytes += int64(len(key) + len(value))
-	s.notifyWatchersLocked()
-	err := s.maybeCompactLocked()
-	lg, target := s.syncTargetLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return Commit{}, err
-	}
-	return Commit{lg: lg, target: target}, nil
+	return s.commit(&walRecord{op: opPut, key: key, value: value}, nil)
 }
 
 // StageApply is Apply with the commit barrier made explicit: it appends
@@ -81,38 +59,5 @@ func (s *Store) StageApply(b *Batch) (Commit, error) {
 			return Commit{}, errors.New("store: empty key in batch")
 		}
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Commit{}, ErrClosed
-	}
-	if s.log != nil {
-		if err := s.log.appendBatch(b.ops); err != nil {
-			s.mu.Unlock()
-			return Commit{}, err
-		}
-	}
-	for _, op := range b.ops {
-		switch op.op {
-		case opPut:
-			// put reports the displaced value from the same traversal
-			// that placed the node — no separate lookup for accounting.
-			if old, existed := s.list.put(op.key, op.value); existed {
-				s.liveBytes -= int64(len(op.key) + len(old))
-			}
-			s.liveBytes += int64(len(op.key) + len(op.value))
-		case opDel:
-			if old, ok := s.list.del(op.key); ok {
-				s.liveBytes -= int64(len(op.key) + len(old))
-			}
-		}
-	}
-	s.notifyWatchersLocked()
-	err := s.maybeCompactLocked()
-	lg, target := s.syncTargetLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return Commit{}, err
-	}
-	return Commit{lg: lg, target: target}, nil
+	return s.commit(nil, b.ops)
 }

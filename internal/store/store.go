@@ -58,20 +58,7 @@ func Open(path string, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{list: newSkipList(nextSeed()), path: path, opts: opts}
-	validLen, err := replayWAL(path, func(r walRecord) error {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
-		return nil
-	})
+	validLen, err := s.replay()
 	if err != nil {
 		return nil, err
 	}
@@ -95,34 +82,87 @@ func OpenMemory() *Store {
 	return &Store{list: newSkipList(nextSeed())}
 }
 
-// Put stores value under key, overwriting any previous value.
-func (s *Store) Put(key string, value []byte) error {
-	if key == "" {
-		return errors.New("store: empty key")
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.log != nil {
-		if err := s.log.append(walRecord{op: opPut, key: key, value: value}); err != nil {
-			s.mu.Unlock()
-			return err
+// replay rebuilds the in-memory state from the WAL file, returning the
+// length of its intact prefix.
+func (s *Store) replay() (int64, error) {
+	return replayWAL(s.path, func(r walRecord) error {
+		s.applyLocked(r)
+		return nil
+	})
+}
+
+// applyLocked applies one mutation to the skiplist, keeping liveBytes in
+// step. put and del report the displaced value from the traversal that
+// placed or removed the node — no separate lookup for the accounting.
+func (s *Store) applyLocked(r walRecord) {
+	switch r.op {
+	case opPut:
+		if old, existed := s.list.put(r.key, r.value); existed {
+			s.liveBytes -= int64(len(r.key) + len(old))
+		}
+		s.liveBytes += int64(len(r.key) + len(r.value))
+	case opDel:
+		if old, ok := s.list.del(r.key); ok {
+			s.liveBytes -= int64(len(r.key) + len(old))
 		}
 	}
-	if old, existed := s.list.put(key, append([]byte(nil), value...)); existed {
-		s.liveBytes -= int64(len(key) + len(old))
+}
+
+// commit is the one write path: under the store lock it appends the
+// mutation(s) to the WAL — single as one plain record, ops as one atomic
+// batch frame — applies them to memory, wakes the WAL watchers and runs
+// the compaction check. The fsync is left to the returned Commit so that
+// concurrent writers share it and callers can overlap it with other
+// work. Deleting an absent key writes nothing.
+func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Commit{}, ErrClosed
 	}
-	s.liveBytes += int64(len(key) + len(value))
+	if single != nil && single.op == opDel {
+		if _, ok := s.list.get(single.key); !ok {
+			return Commit{}, nil
+		}
+	}
+	if s.log != nil {
+		var err error
+		if single != nil {
+			err = s.log.append(*single)
+		} else {
+			err = s.log.appendBatch(ops)
+		}
+		if err != nil {
+			return Commit{}, err
+		}
+	}
+	if single != nil {
+		s.applyLocked(*single)
+	}
+	for _, r := range ops {
+		s.applyLocked(r)
+	}
 	s.notifyWatchersLocked()
-	err := s.maybeCompactLocked()
+	if err := s.maybeCompactLocked(); err != nil {
+		return Commit{}, err
+	}
 	lg, target := s.syncTargetLocked()
-	s.mu.Unlock()
+	return Commit{lg: lg, target: target}, nil
+}
+
+// wait is the stage-then-Wait tail of the synchronous writers.
+func wait(c Commit, err error) error {
 	if err != nil {
 		return err
 	}
-	return syncIfNeeded(lg, target)
+	return c.Wait()
+}
+
+// Put stores value under key, overwriting any previous value. The value
+// is copied, so the caller may reuse its slice (StagePut transfers
+// ownership instead).
+func (s *Store) Put(key string, value []byte) error {
+	return wait(s.StagePut(key, append([]byte(nil), value...)))
 }
 
 // syncTargetLocked captures the durability point a SyncEvery writer must
@@ -171,29 +211,7 @@ func (s *Store) Has(key string) (bool, error) {
 
 // Delete removes key. Deleting an absent key is not an error.
 func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	_, ok := s.list.get(key)
-	if !ok {
-		s.mu.Unlock()
-		return nil
-	}
-	if s.log != nil {
-		if err := s.log.append(walRecord{op: opDel, key: key}); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if v, deleted := s.list.del(key); deleted {
-		s.liveBytes -= int64(len(key) + len(v))
-	}
-	s.notifyWatchersLocked()
-	lg, target := s.syncTargetLocked()
-	s.mu.Unlock()
-	return syncIfNeeded(lg, target)
+	return wait(s.commit(&walRecord{op: opDel, key: key}, nil))
 }
 
 // Len returns the number of live keys.

@@ -113,19 +113,14 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Middleware wraps next with request instrumentation: per-route latency
-// and status counters, in-flight gauge, trace ID extraction/minting
-// (request context + response header), and the slow-request log.
-// Equivalent to TracingMiddleware with no tracer.
-func Middleware(m *HTTPMetrics, next http.Handler) http.Handler {
-	return TracingMiddleware(m, nil, next)
-}
-
-// TracingMiddleware is Middleware plus distributed tracing: it parses
-// the W3C traceparent header (falling back to X-Trace-Id, minting when
-// both are absent), attaches the tracer to the request context, opens a
-// server span parented under the caller's span, and records the
-// request latency with the trace as exemplar. tracer may be nil.
+// TracingMiddleware wraps next with request instrumentation and
+// distributed tracing: per-route latency and status counters, the
+// in-flight gauge and the slow-request log; it parses the W3C
+// traceparent header (falling back to X-Trace-Id, minting when both are
+// absent) into the request context and the response header, attaches
+// the tracer, opens a server span parented under the caller's span, and
+// records the request latency with the trace as exemplar. tracer may be
+// nil.
 func TracingMiddleware(m *HTTPMetrics, tracer *Tracer, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		trace, parent, ok := ParseTraceparent(r.Header.Get(TraceparentHeader))
@@ -237,24 +232,9 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// HealthzHandler serves a liveness/readiness probe: 200 "ok" while
-// check returns nil, 503 with the error otherwise. A nil check is
-// always healthy.
-func HealthzHandler(check func() error) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if check != nil {
-			if err := check(); err != nil {
-				http.Error(w, "unhealthy: "+err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
-		w.Write([]byte("ok\n"))
-	})
-}
-
-// HealthzDetailHandler is HealthzHandler with an optional detail
-// function: its key/value pairs are appended to the probe body as
+// HealthzDetailHandler serves a liveness/readiness probe: 200 "ok"
+// while check returns nil (a nil check is always healthy), 503 with the
+// error otherwise. The pairs of the optional detail function follow as
 // sorted "key: value" lines (circuit breaker states, outbox depth, …),
 // so degraded modes are visible from one curl. The detail lines are
 // printed for unhealthy responses too — that is when they matter most.

@@ -11,7 +11,7 @@ import (
 func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, "css")
-	h := Middleware(m, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := TracingMiddleware(m, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/boom" {
 			w.WriteHeader(http.StatusForbidden)
 			return
@@ -54,7 +54,7 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 
 func TestMiddlewareTraceHeader(t *testing.T) {
 	var seen string
-	h := Middleware(NewHTTPMetrics(NewRegistry(), "css"),
+	h := TracingMiddleware(NewHTTPMetrics(NewRegistry(), "css"), nil,
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			seen = TraceFrom(r.Context())
 		}))
@@ -103,12 +103,12 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestHealthzHandler(t *testing.T) {
 	rec := httptest.NewRecorder()
-	HealthzHandler(func() error { return nil }).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	HealthzDetailHandler(func() error { return nil }, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
 		t.Fatalf("healthy: code=%d body=%q", rec.Code, rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
-	HealthzHandler(func() error { return errors.New("closed") }).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	HealthzDetailHandler(func() error { return errors.New("closed") }, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "closed") {
 		t.Fatalf("unhealthy: code=%d body=%q", rec.Code, rec.Body.String())
 	}

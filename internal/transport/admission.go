@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"net"
 	"net/http"
 	"strings"
@@ -39,7 +38,7 @@ func routeClassFor(path string) routeClass {
 	case "/ws/inquire":
 		return routeClass{endpoint: "inquire", pri: overload.Low, deadline: 10 * time.Second}
 	default:
-		// Catalog, pending, stats, audit, policies, subscription probes:
+		// Catalog, pending, audit, policies, subscription probes:
 		// browse-style reads, first to shed.
 		return routeClass{endpoint: "query", pri: overload.Low, deadline: 5 * time.Second}
 	}
@@ -67,16 +66,6 @@ func actorKey(r *http.Request) string {
 	return host
 }
 
-// SetAdmission installs an overload gate in front of every /ws route.
-// Shed requests are answered fail-fast with a 429 overloaded fault and a
-// Retry-After hint (the client retriers honor it); admitted requests run
-// under the endpoint's default deadline, which flows through r.Context()
-// into the controller. A nil gate disables admission control.
-func (s *Server) SetAdmission(g *overload.Gate) *Server {
-	s.gate = g
-	return s
-}
-
 // gwRouteClassFor classifies local-cooperation-gateway paths. Producer
 // writes (publish relay, detail persist) are the gateway's reason to
 // exist and shed last; the controller's filtered retrievals degrade to
@@ -90,41 +79,4 @@ func gwRouteClassFor(path string) routeClass {
 	default:
 		return routeClass{endpoint: "gw-query", pri: overload.Low, deadline: 5 * time.Second}
 	}
-}
-
-// withGate is the admission middleware shared by the controller and
-// gateway servers. gate is read per request (it is installed after
-// construction); classify maps a path to its admission profile. It sits
-// inside the telemetry middleware, so 429s are visible in the per-route
-// HTTP metrics like any other response.
-func withGate(gate func() *overload.Gate, classify func(string) routeClass, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g := gate()
-		if g == nil || exemptFromAdmission(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		rc := classify(r.URL.Path)
-		release, d := g.Admit(rc.endpoint, rc.pri, actorKey(r))
-		if !d.Admitted {
-			w.Header().Set("Retry-After", overload.RetryAfterSeconds(d.RetryAfter))
-			writeXML(w, http.StatusTooManyRequests, &Fault{
-				Code:    CodeOverloaded,
-				Message: "transport: overloaded (" + d.Reason + "), retry later",
-			})
-			return
-		}
-		defer release()
-		if rc.deadline > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), rc.deadline)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withAdmission wraps next in the controller's admission check.
-func (s *Server) withAdmission(next http.Handler) http.Handler {
-	return withGate(func() *overload.Gate { return s.gate }, routeClassFor, next)
 }

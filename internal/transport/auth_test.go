@@ -3,9 +3,11 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,7 +248,7 @@ func TestGatewayAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewGatewayServer(gw).RequireAuth(authority, "data-controller"))
+	srv := httptest.NewServer(testGatewayServer(gw).RequireAuth(authority, "data-controller"))
 	defer srv.Close()
 
 	mint := func(actor event.Actor) string {
@@ -315,5 +317,113 @@ func TestAuditEndpointRequiresGuarantorRole(t *testing.T) {
 	guarantor, _, _ := r.authority.Issue("privacy-authority", []string{GuarantorRole}, time.Hour)
 	if got := get(guarantor); got != http.StatusOK {
 		t.Errorf("guarantor audit = %d", got)
+	}
+}
+
+// nopPublisher stands in for the controller behind a publish relay.
+type nopPublisher struct{}
+
+func (nopPublisher) Publish(context.Context, *event.Notification) (event.GlobalID, error) {
+	return "evt-1", nil
+}
+
+// Every POST route of both servers verifies the bearer before it reads
+// or decodes anything: with authentication on, a caller without a valid
+// token gets 401 whatever it sent — it cannot make the server parse
+// megabytes of XML first — and without authentication the same malformed
+// body is the plain 400 it always was.
+func TestAuthenticateBeforeDecode(t *testing.T) {
+	authority, err := identity.NewRandomAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(auth bool) map[string]http.Handler {
+		ctrl, err := core.New(core.Config{DefaultConsent: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ctrl.Close() })
+		gw, err := gateway.New("hospital", store.OpenMemory(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp, err := NewQueuedPublisher(nopPublisher{}, store.OpenMemory(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(qp.Close)
+		cs, gs := NewServer(ctrl), testGatewayServer(gw)
+		gs.EnablePublishRelay(qp)
+		if auth {
+			cs.RequireAuth(authority)
+			gs.RequireAuth(authority, "data-controller")
+		}
+		return map[string]http.Handler{"/ws": cs, "/gw": gs}
+	}
+	routes := []string{
+		"/ws/publish", "/ws/subscribe", "/ws/details", "/ws/inquire",
+		"/ws/policy", "/ws/consent", "/ws/promote",
+		"/gw/get-response", "/gw/persist", "/gw/publish",
+	}
+	post := func(h http.Handler, path, bearer string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader("<unterminated"))
+		if bearer != "" {
+			req.Header.Set("Authorization", bearer)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	code := func(rec *httptest.ResponseRecorder) string {
+		var f Fault
+		xml.Unmarshal(rec.Body.Bytes(), &f)
+		return f.Code
+	}
+
+	open, guarded := build(false), build(true)
+	for _, path := range routes {
+		t.Run(path, func(t *testing.T) {
+			if rec := post(open[path[:3]], path, ""); rec.Code != http.StatusBadRequest || code(rec) != CodeBadRequest {
+				t.Errorf("auth off, malformed body = %d %s, want 400 bad-request", rec.Code, rec.Body)
+			}
+			for _, bearer := range []string{"", "Bearer garbage", "Basic dXNlcg=="} {
+				if rec := post(guarded[path[:3]], path, bearer); rec.Code != http.StatusUnauthorized || code(rec) != CodeUnauthorized {
+					t.Errorf("auth on, Authorization %q, malformed body = %d %s, want 401 unauthorized", bearer, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
+// The gateway checks token expiry against the scaffold's clock, like
+// the controller does against its own.
+func TestGatewayTokenExpiryUsesServiceClock(t *testing.T) {
+	authority, err := identity.NewRandomAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := gateway.New("hospital", store.OpenMemory(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := testGatewayServer(gw).RequireAuth(authority, "data-controller")
+	tok, _, err := authority.Issue("hospital", nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persist := func() int {
+		body, _ := event.EncodeDetail(event.NewDetail("c.x", "src-1", "hospital").Set("k", "v"))
+		req := httptest.NewRequest(http.MethodPost, "/gw/persist", bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer "+tok)
+		rec := httptest.NewRecorder()
+		gs.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if got := persist(); got != http.StatusNoContent {
+		t.Fatalf("fresh token = %d, want 204", got)
+	}
+	gs.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	if got := persist(); got != http.StatusUnauthorized {
+		t.Fatalf("token past its expiry on the service clock = %d, want 401", got)
 	}
 }

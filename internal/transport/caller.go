@@ -1,0 +1,227 @@
+package transport
+
+import (
+	"bytes"
+	"context"
+	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"time"
+
+	"repro/internal/enforcer"
+	"repro/internal/event"
+	"repro/internal/resilience"
+	"repro/internal/telemetry"
+)
+
+// DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
+// when the caller supplies no http.Client of its own.
+const DefaultHTTPTimeout = 10 * time.Second
+
+// Option configures a Client or RemoteGateway.
+type Option func(*caller)
+
+// NewTunedTransport returns an http.Transport configured for the
+// platform's steady-state traffic shape: many small requests to a
+// handful of hosts over persistent connections. The default transport's
+// 2 idle connections per host force a TCP handshake under any
+// concurrency; the platform clients (and the controller's callback
+// deliverer) keep a deep warm pool instead so a saturation publish run
+// never churns connections.
+func NewTunedTransport() *http.Transport {
+	var tr *http.Transport
+	if base, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr = base.Clone()
+	} else {
+		tr = &http.Transport{}
+	}
+	tr.MaxIdleConns = 256
+	tr.MaxIdleConnsPerHost = 64
+	tr.IdleConnTimeout = 90 * time.Second
+	return tr
+}
+
+// WithCodec sets the wire codec the client encodes its hot-path
+// messages with (publish bodies, detail requests, subscribe requests)
+// and asks the server to answer in. Nil or unset means event.XML — the
+// default wire format; responses are sniffed by frame magic, so a
+// server that ignores the negotiation still interoperates.
+func WithCodec(c event.Codec) Option {
+	return func(o *caller) { o.codec = c }
+}
+
+// WithTimeout sets the per-attempt HTTP timeout used when no custom
+// http.Client is supplied (callers providing their own client own its
+// timeout). The retrier multiplies attempts; each one is bounded by
+// this, and the caller's context bounds the whole call.
+func WithTimeout(d time.Duration) Option {
+	return func(o *caller) { o.timeout = d }
+}
+
+// WithRetrier makes the client retry transient failures (connection
+// errors, 5xx, truncated responses) under the retrier's policy. Without
+// it every failure surfaces immediately, as before.
+func WithRetrier(r *resilience.Retrier) Option {
+	return func(o *caller) { o.retrier = r }
+}
+
+// WithBreakerGroup guards every route with a circuit breaker from the
+// group (one breaker per endpoint path). While a breaker is open, calls
+// fail fast with an error satisfying errors.Is(err, resilience.ErrOpen).
+func WithBreakerGroup(g *resilience.Group) Option {
+	return func(o *caller) { o.breakers = g }
+}
+
+// caller is the one outgoing call path of the web-service binding: the
+// peer's base URL, the HTTP client, the optional bearer token, the
+// negotiated codec and the fault-tolerance policy. Client, RemoteGateway
+// and the controller's callback deliverer all send through do.
+type caller struct {
+	base     string
+	http     *http.Client
+	token    string // optional bearer token (see WithToken)
+	codec    event.Codec
+	timeout  time.Duration
+	retrier  *resilience.Retrier
+	breakers *resilience.Group
+}
+
+// newCaller applies opts over the defaults. A nil httpClient means one
+// whose timeout is WithTimeout (10 seconds unless overridden) and whose
+// transport keeps a deep keep-alive pool (NewTunedTransport).
+func newCaller(base string, httpClient *http.Client, opts []Option) caller {
+	c := caller{base: base, http: httpClient, timeout: DefaultHTTPTimeout}
+	for _, opt := range opts {
+		opt(&c)
+	}
+	if c.codec == nil {
+		c.codec = event.XML
+	}
+	if c.http == nil {
+		c.http = &http.Client{Timeout: c.timeout, Transport: NewTunedTransport()}
+	}
+	return c
+}
+
+// breakerFailure classifies an attempt outcome for the circuit breaker:
+// transport-level failures (connection errors, 5xx, truncated bodies)
+// count against the endpoint; application-level faults are successes —
+// the endpoint answered. A source-unavailable fault is transient but
+// names a failure *behind* the answering endpoint, so it does not trip
+// the breaker of the hop that reported it.
+func breakerFailure(err error) bool {
+	return err != nil && resilience.Retryable(err) &&
+		!errors.Is(err, enforcer.ErrSourceUnavailable) &&
+		!errors.Is(err, resilience.ErrOpen)
+}
+
+// do runs one logical operation: breaker permit, HTTP attempt, response
+// decode, outcome classification — repeated under the retry policy when
+// configured. breaker names both the circuit and the retried operation.
+// decode (nil to skip) runs INSIDE the loop: a garbled or truncated 2xx
+// body is a transient transfer failure and must trigger a fresh attempt,
+// not a permanent error.
+func (c *caller) do(ctx context.Context, breaker, method, path, contentType, accept, trace string, body []byte, decode func([]byte) error) error {
+	return c.retrier.Do(ctx, breaker, func(ctx context.Context) error {
+		release := func(bool) {}
+		if c.breakers != nil {
+			var err error
+			if release, err = c.breakers.Breaker(breaker).Acquire(); err != nil {
+				return err
+			}
+		}
+		err := c.attempt(ctx, method, path, contentType, accept, trace, body, decode)
+		release(breakerFailure(err))
+		return err
+	})
+}
+
+// attempt performs one HTTP round trip. The request carries contentType
+// and the accept preference when it has a body, the bearer token when
+// one is configured, and the flow's trace — the explicit one, else the
+// context's — as the legacy X-Trace-Id plus the W3C traceparent naming
+// the caller's current span, so the server side parents its spans under
+// it and the cross-process tree stays connected.
+//
+// Outcomes are classified for the retrier: connection failures (unless
+// the caller's own deadline cut them short), 5xx and 429 answers (with
+// the server's Retry-After hint), read failures mid-body and undecodable
+// 2xx bodies are transient; 4xx faults stay permanent and come back as
+// the platform's sentinel errors.
+func (c *caller) attempt(ctx context.Context, method, path, contentType, accept, trace string, body []byte, decode func([]byte) error) error {
+	var reader io.Reader
+	if body != nil {
+		// A fresh reader per attempt: retries must resend the full body.
+		reader = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
+	if err != nil {
+		return fmt.Errorf("transport: %s %s: %w", method, path, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+	}
+	if c.token != "" {
+		req.Header.Set("Authorization", "Bearer "+c.token)
+	}
+	if trace == "" {
+		trace = telemetry.TraceFrom(ctx)
+	}
+	if trace != "" {
+		req.Header.Set(telemetry.TraceHeader, trace)
+		req.Header.Set(telemetry.TraceparentHeader,
+			telemetry.FormatTraceparent(trace, telemetry.SpanIDFrom(ctx)))
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		err = fmt.Errorf("transport: %s %s: %w", method, path, err)
+		if ctx.Err() != nil {
+			// The caller's deadline elapsed: not retryable, the budget
+			// is gone.
+			return err
+		}
+		return resilience.MarkRetryable(err)
+	}
+	defer drainClose(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if err != nil {
+		// A truncated response says nothing about the next attempt.
+		return resilience.MarkRetryable(fmt.Errorf("transport: read response: %w", err))
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return faultError(resp, data)
+	}
+	if decode == nil {
+		return nil
+	}
+	if err := decode(data); err != nil {
+		return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", err))
+	}
+	return nil
+}
+
+// faultError reconstructs the platform error from a non-2xx answer's
+// fault payload (XML or binary envelope).
+func faultError(resp *http.Response, data []byte) error {
+	var f Fault
+	var err error
+	if event.IsBinaryFrame(data) {
+		err = decodeFaultFrame(data, &f)
+	} else {
+		err = xml.Unmarshal(data, &f)
+	}
+	if err == nil && f.Code != "" {
+		err = errorFor(&f)
+	} else {
+		err = fmt.Errorf("transport: http %d: %s", resp.StatusCode, data)
+	}
+	if transientStatus(resp.StatusCode) {
+		return resilience.MarkRetryableAfter(err, retryAfterHeader(resp))
+	}
+	return err
+}

@@ -81,7 +81,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwServer := httptest.NewServer(NewGatewayServer(gw))
+	gwServer := httptest.NewServer(testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 
 	// Controller → gateway: a lighter fault rate (the detail path already

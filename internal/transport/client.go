@@ -1,124 +1,22 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/consent"
-	"repro/internal/enforcer"
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/policy"
-	"repro/internal/resilience"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
-
-// DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
-// when the caller supplies no http.Client of its own.
-const DefaultHTTPTimeout = 10 * time.Second
-
-// Option configures a Client or RemoteGateway.
-type Option func(*clientOptions)
-
-type clientOptions struct {
-	timeout  time.Duration
-	retrier  *resilience.Retrier
-	breakers *resilience.Group
-	codec    event.Codec
-}
-
-// NewTunedTransport returns an http.Transport configured for the
-// platform's steady-state traffic shape: many small requests to a
-// handful of hosts over persistent connections. The default transport's
-// 2 idle connections per host force a TCP handshake under any
-// concurrency; the platform clients (and the controller's callback
-// deliverer) keep a deep warm pool instead so a saturation publish run
-// never churns connections.
-func NewTunedTransport() *http.Transport {
-	var tr *http.Transport
-	if base, ok := http.DefaultTransport.(*http.Transport); ok {
-		tr = base.Clone()
-	} else {
-		tr = &http.Transport{}
-	}
-	tr.MaxIdleConns = 256
-	tr.MaxIdleConnsPerHost = 64
-	tr.IdleConnTimeout = 90 * time.Second
-	return tr
-}
-
-// WithCodec sets the wire codec the client encodes its hot-path
-// messages with (publish bodies, detail requests, subscribe requests)
-// and asks the server to answer in. Nil or unset means event.XML — the
-// default wire format; responses are sniffed by frame magic, so a
-// server that ignores the negotiation still interoperates.
-func WithCodec(c event.Codec) Option {
-	return func(o *clientOptions) { o.codec = c }
-}
-
-// WithTimeout sets the per-attempt HTTP timeout used when no custom
-// http.Client is supplied (callers providing their own client own its
-// timeout). The retrier multiplies attempts; each one is bounded by
-// this, and the caller's context bounds the whole call.
-func WithTimeout(d time.Duration) Option {
-	return func(o *clientOptions) { o.timeout = d }
-}
-
-// WithRetrier makes the client retry transient failures (connection
-// errors, 5xx, truncated responses) under the retrier's policy. Without
-// it every failure surfaces immediately, as before.
-func WithRetrier(r *resilience.Retrier) Option {
-	return func(o *clientOptions) { o.retrier = r }
-}
-
-// WithBreakerGroup guards every route with a circuit breaker from the
-// group (one breaker per endpoint path). While a breaker is open, calls
-// fail fast with an error satisfying errors.Is(err, resilience.ErrOpen).
-func WithBreakerGroup(g *resilience.Group) Option {
-	return func(o *clientOptions) { o.breakers = g }
-}
-
-func applyOptions(opts []Option) clientOptions {
-	o := clientOptions{timeout: DefaultHTTPTimeout}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.codec == nil {
-		o.codec = event.XML
-	}
-	return o
-}
-
-// breakerFailure classifies an attempt outcome for the circuit breaker:
-// transport-level failures (connection errors, 5xx, truncated bodies)
-// count against the endpoint; application-level faults are successes —
-// the endpoint answered. A source-unavailable fault is transient but
-// names a failure *behind* the answering endpoint, so it does not trip
-// the breaker of the hop that reported it.
-func breakerFailure(err error) bool {
-	return err != nil && resilience.Retryable(err) &&
-		!errors.Is(err, enforcer.ErrSourceUnavailable) &&
-		!errors.Is(err, resilience.ErrOpen)
-}
-
-// acquire obtains a breaker permit for endpoint when breakers are
-// configured; the returned release is nil-safe to call.
-func acquire(g *resilience.Group, endpoint string) (func(bool), error) {
-	if g == nil {
-		return func(bool) {}, nil
-	}
-	return g.Breaker(endpoint).Acquire()
-}
 
 // Client is the consumer/producer-side SDK for a remote data controller.
 // Its methods mirror the controller API over the web-service binding, and
@@ -128,12 +26,7 @@ func acquire(g *resilience.Group, endpoint string) (func(bool), error) {
 // By default the client is as fragile as the network: supply WithRetrier
 // and WithBreakerGroup to make it fault-tolerant.
 type Client struct {
-	base     string
-	http     *http.Client
-	token    string // optional bearer token (see WithToken)
-	codec    event.Codec
-	retrier  *resilience.Retrier
-	breakers *resilience.Group
+	caller
 }
 
 // NewClient creates a client for the controller at base (e.g.
@@ -141,123 +34,39 @@ type Client struct {
 // timeout is WithTimeout (10 seconds unless overridden) and whose
 // transport keeps a deep keep-alive pool (NewTunedTransport).
 func NewClient(base string, httpClient *http.Client, opts ...Option) *Client {
-	o := applyOptions(opts)
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: o.timeout, Transport: NewTunedTransport()}
-	}
-	return &Client{base: base, http: httpClient, codec: o.codec, retrier: o.retrier, breakers: o.breakers}
+	return &Client{newCaller(base, httpClient, opts)}
 }
 
-// endpointOf strips the query so breaker names stay per-route.
-func endpointOf(path string) string {
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		return path[:i]
-	}
-	return path
+// WithToken returns a copy of the client that sends the bearer token on
+// every request.
+func (c *Client) WithToken(token string) *Client {
+	cp := *c
+	cp.token = token
+	return &cp
 }
 
-// roundTrip performs one HTTP attempt and returns the raw 2xx body.
-// Connection-level failures are marked transient for the retrier.
-// contentType labels the request body and doubles as the Accept
-// preference, so one header pair negotiates both directions.
-func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body []byte) ([]byte, error) {
-	var reader io.Reader
-	if body != nil {
-		// A fresh reader per attempt: retries must resend the full body.
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %s %s: %w", method, path, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
-		req.Header.Set("Accept", contentType)
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	setTraceHeaders(req, ctx)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// The caller's deadline elapsed: not retryable, the budget
-			// is gone.
-			return nil, fmt.Errorf("transport: %s %s: %w", method, path, err)
-		}
-		return nil, resilience.MarkRetryable(fmt.Errorf("transport: %s %s: %w", method, path, err))
-	}
-	return readResult(resp)
-}
-
-// setTraceHeaders stamps the outgoing request with the context's trace:
-// the legacy X-Trace-Id plus the W3C traceparent carrying the current
-// span ID, so the server side parents its spans under the caller's.
-func setTraceHeaders(req *http.Request, ctx context.Context) {
-	trace := telemetry.TraceFrom(ctx)
-	if trace == "" {
-		return
-	}
-	req.Header.Set(telemetry.TraceHeader, trace)
-	req.Header.Set(telemetry.TraceparentHeader,
-		telemetry.FormatTraceparent(trace, telemetry.SpanIDFrom(ctx)))
-}
-
-// call runs one logical operation: breaker permit, HTTP attempt, response
-// decode, outcome classification — repeated under the retry policy when
-// configured. decode (nil to skip) runs INSIDE the loop: a garbled or
-// truncated 2xx body is a transient transfer failure and must trigger a
-// fresh attempt, not a permanent error.
-func (c *Client) call(ctx context.Context, method, path string, body []byte, decode func([]byte) error) error {
-	return c.callCT(ctx, method, path, event.ContentTypeXML, body, decode)
-}
-
-// callCT is call with an explicit request content type (the negotiated
-// codec's on the hot routes, XML everywhere else).
-func (c *Client) callCT(ctx context.Context, method, path, contentType string, body []byte, decode func([]byte) error) error {
-	endpoint := endpointOf(path)
-	return c.retrier.Do(ctx, endpoint, func(ctx context.Context) error {
-		release, err := acquire(c.breakers, endpoint)
-		if err != nil {
-			return err
-		}
-		err = func() error {
-			data, err := c.roundTrip(ctx, method, path, contentType, body)
-			if err != nil {
-				return err
-			}
-			if decode == nil {
-				return nil
-			}
-			return decode(data)
-		}()
-		release(breakerFailure(err))
-		return err
-	})
-}
-
-// decodeXMLInto adapts xml.Unmarshal for call: decode failures of a 2xx
-// body are marked transient (truncated or garbled transfer).
-func decodeXMLInto(out any) func([]byte) error {
-	if out == nil {
-		return nil
-	}
-	return func(data []byte) error {
-		if err := xml.Unmarshal(data, out); err != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", err))
-		}
-		return nil
-	}
+// call sends one request to a controller route, one circuit breaker per
+// route (the query is stripped from its name). contentType labels the
+// request body and doubles as the Accept preference, so one header pair
+// negotiates both directions: the negotiated codec's on the hot routes,
+// XML everywhere else.
+func (c *Client) call(ctx context.Context, method, path, contentType string, body []byte, decode func([]byte) error) error {
+	endpoint, _, _ := strings.Cut(path, "?")
+	return c.do(ctx, endpoint, method, path, contentType, contentType, "", body, decode)
 }
 
 // post sends an XML body and decodes the XML response into out.
 func (c *Client) post(ctx context.Context, path string, body []byte, out any) error {
-	return c.call(ctx, http.MethodPost, path, body, decodeXMLInto(out))
+	return c.call(ctx, http.MethodPost, path, event.ContentTypeXML, body, func(data []byte) error {
+		return xml.Unmarshal(data, out)
+	})
 }
 
 // get fetches path and decodes the XML response into out.
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.call(ctx, http.MethodGet, path, nil, decodeXMLInto(out))
+	return c.call(ctx, http.MethodGet, path, "", nil, func(data []byte) error {
+		return xml.Unmarshal(data, out)
+	})
 }
 
 // Publish sends a notification and returns the assigned global event id.
@@ -272,58 +81,11 @@ func (c *Client) Publish(ctx context.Context, n *event.Notification) (event.Glob
 		return "", err
 	}
 	var gid event.GlobalID
-	err = c.callCT(ctx, http.MethodPost, "/ws/publish", c.codec.ContentType(), body, func(data []byte) error {
-		g, derr := decodeAnyPublishResponse(data)
-		if derr != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", derr))
-		}
-		gid = g
-		return nil
+	err = c.call(ctx, http.MethodPost, "/ws/publish", c.codec.ContentType(), body, func(data []byte) (derr error) {
+		gid, derr = decodeAnyPublishResponse(data)
+		return derr
 	})
-	if err != nil {
-		return "", err
-	}
-	return gid, nil
-}
-
-// PublishBatch publishes the notifications concurrently over the
-// client's keep-alive connection pool — the request-pipelining form of
-// Publish for producers with a backlog (the saturation benchmark, the
-// outbox drain). Results are positional: ids[i] answers ns[i], and a
-// failed publish leaves its id empty with the first error returned
-// after every in-flight request settles. conns bounds the concurrent
-// requests (0 means 8, matched to the tuned transport's per-host pool).
-func (c *Client) PublishBatch(ctx context.Context, ns []*event.Notification, conns int) ([]event.GlobalID, error) {
-	if conns <= 0 {
-		conns = 8
-	}
-	if conns > len(ns) {
-		conns = len(ns)
-	}
-	ids := make([]event.GlobalID, len(ns))
-	errs := make([]error, len(ns))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ids[i], errs[i] = c.Publish(ctx, ns[i])
-			}
-		}()
-	}
-	for i := range ns {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ids, err
-		}
-	}
-	return ids, nil
+	return gid, err
 }
 
 // Subscribe registers a callback URL for the notifications of a class and
@@ -345,18 +107,11 @@ func (c *Client) Subscribe(ctx context.Context, actor event.Actor, class event.C
 		}
 	}
 	var id string
-	err = c.callCT(ctx, http.MethodPost, "/ws/subscribe", c.codec.ContentType(), body, func(data []byte) error {
-		sid, derr := decodeAnySubscribeResponse(data)
-		if derr != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", derr))
-		}
-		id = sid
-		return nil
+	err = c.call(ctx, http.MethodPost, "/ws/subscribe", c.codec.ContentType(), body, func(data []byte) (derr error) {
+		id, derr = decodeAnySubscribeResponse(data)
+		return derr
 	})
-	if err != nil {
-		return "", err
-	}
-	return id, nil
+	return id, err
 }
 
 // SubscriptionActive probes whether a subscription id is still live on
@@ -394,22 +149,11 @@ func (c *Client) RequestDetails(ctx context.Context, r *event.DetailRequest) (*e
 		return nil, err
 	}
 	var d *event.Detail
-	err = c.callCT(ctx, http.MethodPost, "/ws/details", c.codec.ContentType(), body, func(data []byte) error {
-		var derr error
-		if event.IsBinaryFrame(data) {
-			d, derr = event.Binary.DecodeDetail(data)
-		} else {
-			d, derr = event.XML.DecodeDetail(data)
-		}
-		if derr != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", derr))
-		}
-		return nil
+	err = c.call(ctx, http.MethodPost, "/ws/details", c.codec.ContentType(), body, func(data []byte) (derr error) {
+		d, derr = decodeAnyDetail(data)
+		return derr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d, err
 }
 
 // InquireIndex queries the remote events index.
@@ -454,13 +198,9 @@ func (c *Client) DefinePolicy(ctx context.Context, p *policy.Policy) (*policy.Po
 		return nil, err
 	}
 	var stored *policy.Policy
-	err = c.call(ctx, http.MethodPost, "/ws/policy", body, func(data []byte) error {
-		p, err := policy.Decode(data)
-		if err != nil {
-			return resilience.MarkRetryable(err)
-		}
-		stored = p
-		return nil
+	err = c.call(ctx, http.MethodPost, "/ws/policy", event.ContentTypeXML, body, func(data []byte) (derr error) {
+		stored, derr = policy.Decode(data)
+		return derr
 	})
 	return stored, err
 }
@@ -469,12 +209,12 @@ func (c *Client) DefinePolicy(ctx context.Context, p *policy.Policy) (*policy.Po
 // class, as a candidate consumer browses them before subscribing.
 func (c *Client) Catalog(ctx context.Context) ([]*schema.Schema, error) {
 	var out []*schema.Schema
-	err := c.call(ctx, http.MethodGet, "/ws/catalog", nil, func(data []byte) error {
+	err := c.call(ctx, http.MethodGet, "/ws/catalog", "", nil, func(data []byte) error {
 		var wrapper struct {
 			Schemas []catalogSchemaXML `xml:"eventSchema"`
 		}
 		if err := xml.Unmarshal(data, &wrapper); err != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode catalog: %w", err))
+			return err
 		}
 		out = make([]*schema.Schema, 0, len(wrapper.Schemas))
 		for _, raw := range wrapper.Schemas {
@@ -482,7 +222,7 @@ func (c *Client) Catalog(ctx context.Context) ([]*schema.Schema, error) {
 				raw.Class, raw.Version, raw.Raw)
 			s, err := schema.Decode([]byte(element))
 			if err != nil {
-				return resilience.MarkRetryable(err)
+				return err
 			}
 			out = append(out, s)
 		}
@@ -548,19 +288,19 @@ func (c *Client) PendingRequests(ctx context.Context, producer event.ProducerID)
 // Policies fetches a producer's stored policies (compact XML list).
 func (c *Client) Policies(ctx context.Context, producer event.ProducerID) ([]*policy.Policy, error) {
 	var out []*policy.Policy
-	err := c.call(ctx, http.MethodGet, "/ws/policies?producer="+string(producer), nil, func(data []byte) error {
+	err := c.call(ctx, http.MethodGet, "/ws/policies?producer="+string(producer), "", nil, func(data []byte) error {
 		var wrapper struct {
 			Policies []policyRawXML `xml:"privacyPolicy"`
 		}
 		if err := xml.Unmarshal(data, &wrapper); err != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode policies: %w", err))
+			return err
 		}
 		out = make([]*policy.Policy, 0, len(wrapper.Policies))
 		for _, raw := range wrapper.Policies {
 			element := fmt.Sprintf(`<privacyPolicy id=%q>%s</privacyPolicy>`, raw.ID, raw.Raw)
 			p, err := policy.Decode([]byte(element))
 			if err != nil {
-				return resilience.MarkRetryable(err)
+				return err
 			}
 			out = append(out, p)
 		}
@@ -578,43 +318,16 @@ type policyRawXML struct {
 	Raw []byte `xml:",innerxml"`
 }
 
-// Stats mirrors core.Stats over the wire.
-type Stats struct {
-	Published           uint64 `xml:"published"`
-	Delivered           uint64 `xml:"delivered"`
-	ConsentDrops        uint64 `xml:"consentDrops"`
-	SubscriptionDenials uint64 `xml:"subscriptionDenials"`
-	DetailPermits       uint64 `xml:"detailPermits"`
-	DetailDenials       uint64 `xml:"detailDenials"`
-	Inquiries           uint64 `xml:"inquiries"`
-}
-
-// Stats fetches the controller's operational counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	if err := c.get(ctx, "/ws/stats", &out); err != nil {
-		return Stats{}, err
-	}
-	return out, nil
-}
-
 // ShardMap fetches the controller's current shard map. A non-clustered
 // controller answers the not-found fault
 // (errors.Is(err, gateway.ErrNotFound)).
 func (c *Client) ShardMap(ctx context.Context) (*cluster.Map, error) {
 	var m *cluster.Map
-	err := c.call(ctx, http.MethodGet, "/ws/shardmap", nil, func(data []byte) error {
-		mm, derr := cluster.DecodeMapFrame(data)
-		if derr != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode shard map: %w", derr))
-		}
-		m = mm
-		return nil
+	err := c.call(ctx, http.MethodGet, "/ws/shardmap", "", nil, func(data []byte) (derr error) {
+		m, derr = cluster.DecodeMapFrame(data)
+		return derr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, err
 }
 
 // ReplStatus fetches the node's replication snapshot: role, fencing

@@ -16,7 +16,7 @@ package transport
 
 import (
 	"encoding/xml"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -57,7 +57,7 @@ func responseCodec(r *http.Request, reqCodec event.Codec) event.Codec {
 func readRaw(r *http.Request) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
-		return nil, errors.New("transport: read body: " + err.Error())
+		return nil, fmt.Errorf("transport: read body: %w", err)
 	}
 	return data, nil
 }
@@ -180,24 +180,6 @@ func decodeSubscribeResponseFrame(data []byte) (string, error) {
 
 // --- negotiated writers ----------------------------------------------------
 
-// writeFaultAs is writeFault in the negotiated codec; the Retry-After
-// hint survives negotiation unchanged.
-func writeFaultAs(w http.ResponseWriter, codec event.Codec, err error) {
-	f, status := faultOf(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeFaultStatusAs(w, codec, status, f)
-}
-
-func writeFaultStatusAs(w http.ResponseWriter, codec event.Codec, status int, f *Fault) {
-	if codec == event.Binary {
-		writeBody(w, status, event.ContentTypeBinary, encodeFaultFrame(f))
-		return
-	}
-	writeXML(w, status, f)
-}
-
 func writePublishResponseAs(w http.ResponseWriter, codec event.Codec, status int, gid event.GlobalID) {
 	if codec == event.Binary {
 		writeBody(w, status, event.ContentTypeBinary, encodePublishResponseFrame(gid))
@@ -236,4 +218,13 @@ func decodeAnySubscribeResponse(data []byte) (string, error) {
 		return "", err
 	}
 	return out.ID, nil
+}
+
+// decodeAnyDetail sniffs a detail payload: the peer was asked for the
+// negotiated codec via Accept, but either format decodes.
+func decodeAnyDetail(data []byte) (*event.Detail, error) {
+	if event.IsBinaryFrame(data) {
+		return event.Binary.DecodeDetail(data)
+	}
+	return event.XML.DecodeDetail(data)
 }

@@ -184,42 +184,3 @@ func TestMixedCodecSubscribers(t *testing.T) {
 		t.Fatal("source id leaked to a subscriber")
 	}
 }
-
-// PublishBatch pipelines publishes over the keep-alive pool and keeps
-// results positional.
-func TestPublishBatch(t *testing.T) {
-	r := newRig(t)
-	bin := NewClient(r.ctrlServer.URL, nil, WithCodec(event.Binary))
-	ns := make([]*event.Notification, 20)
-	for i := range ns {
-		ns[i] = &event.Notification{
-			SourceID: event.SourceID("src-batch-" + string(rune('a'+i))), Class: schema.ClassBloodTest,
-			PersonID: "PRS-1", Summary: "s",
-			OccurredAt: time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC), Producer: "hospital",
-		}
-	}
-	ids, err := bin.PublishBatch(context.Background(), ns, 4)
-	if err != nil {
-		t.Fatalf("PublishBatch: %v", err)
-	}
-	seen := make(map[event.GlobalID]bool)
-	for i, id := range ids {
-		if id == "" {
-			t.Fatalf("ids[%d] empty", i)
-		}
-		if seen[id] {
-			t.Fatalf("duplicate id %s", id)
-		}
-		seen[id] = true
-	}
-	// Idempotency survives the batch path: republishing returns the same ids.
-	again, err := bin.PublishBatch(context.Background(), ns, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if ids[i] != again[i] {
-			t.Fatalf("retry minted new id at %d: %s != %s", i, ids[i], again[i])
-		}
-	}
-}

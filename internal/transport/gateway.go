@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/xml"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/identity"
-	"repro/internal/overload"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
@@ -26,68 +23,64 @@ import (
 // the data controller can reach it for Algorithm 2:
 //
 //	POST /gw/get-response — getResponseRequest → privacy-aware detail XML
-//	GET  /metrics         — telemetry registry, Prometheus text format
-//	GET  /healthz         — liveness probe
+//	POST /gw/persist      — full detail message from the source system
+//	POST /gw/publish      — publish relay (after EnablePublishRelay)
 //
-// Requests pass the telemetry middleware (per-route latency/status
-// metrics, X-Trace-Id propagation), so a controller-side detail request
-// and the gateway-side filtering it triggered share one trace ID.
-//
-// Only the filtering endpoint is remote; detail persistence stays a local
-// concern of the producer's source system.
+// next to the scaffold's operational endpoints (/metrics, /healthz,
+// /debug/spans, /slo). Requests pass the telemetry middleware, so a
+// controller-side detail request and the gateway-side filtering it
+// triggered share one trace ID.
 type GatewayServer struct {
-	gw      *gateway.Gateway
-	mux     *http.ServeMux
-	handler http.Handler
-	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
-	// auth, when set, restricts the endpoints: get-response to bearers
-	// covering controllerActor (the data controller), persist to bearers
-	// covering the owning producer.
-	auth            *identity.Authority
+	service
+	gw     *gateway.Gateway
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	// controllerActor is the actor get-response callers must cover when
+	// authentication is on (the data controller); persist and publish
+	// callers must cover the owning producer.
 	controllerActor event.Actor
 	// publisher, when set via EnablePublishRelay, backs POST /gw/publish:
 	// the producer-side durable outbox toward the data controller.
 	publisher *QueuedPublisher
-	// gate, when set via SetAdmission, sheds /gw requests beyond
-	// capacity and refuses new work while draining.
-	gate *overload.Gate
-	// healthMu guards healthDetails (registered at setup, read per probe).
-	healthMu sync.Mutex
-	// healthDetails contribute key/value lines to /healthz.
-	healthDetails []func() map[string]string
 }
 
-// AddHealthDetail registers a /healthz detail contributor (outbox depth,
-// breaker states).
-func (s *GatewayServer) AddHealthDetail(fn func() map[string]string) *GatewayServer {
-	s.healthMu.Lock()
-	s.healthDetails = append(s.healthDetails, fn)
-	s.healthMu.Unlock()
+// NewGatewayServer wraps a gateway, recording telemetry into reg (the
+// daemon passes telemetry.Default(), tests a private registry). The
+// gateway's decoded-detail cache reports into the registry as
+// css_cache_events_total{cache,result} (last wiring wins if the gateway
+// is also attached to an in-process controller).
+func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServer {
+	cacheEvents := reg.Counter("css_cache_events_total",
+		"Read-path cache lookups, by cache and result.", "cache", "result")
+	gw.SetCacheObserver(func(cache string, hit bool) {
+		if hit {
+			cacheEvents.Inc(cache, "hit")
+		} else {
+			cacheEvents.Inc(cache, "miss")
+		}
+	})
+	s := &GatewayServer{service: service{classify: gwRouteClassFor, now: time.Now},
+		gw: gw, reg: reg, tracer: telemetry.NewTracer(0)}
+	s.mount(reg, s.tracer, "css_gateway", "gateway", nil)
+	s.handle("POST /gw/get-response", s.handleGetResponse)
+	s.handle("POST /gw/persist", s.handlePersist)
+	s.handle("POST /gw/publish", s.handlePublishRelay)
 	return s
 }
 
-// healthDetail merges the registered contributors.
-func (s *GatewayServer) healthDetail() map[string]string {
-	s.healthMu.Lock()
-	fns := make([]func() map[string]string, len(s.healthDetails))
-	copy(fns, s.healthDetails)
-	s.healthMu.Unlock()
-	out := make(map[string]string)
-	for _, fn := range fns {
-		for k, v := range fn() {
-			out[k] = v
-		}
-	}
-	return out
-}
+// Tracer exposes the gateway server's tracer so daemons can attach a
+// span exporter.
+func (s *GatewayServer) Tracer() *telemetry.Tracer { return s.tracer }
+
+// Metrics exposes the server's telemetry registry.
+func (s *GatewayServer) Metrics() *telemetry.Registry { return s.reg }
 
 // EnablePublishRelay mounts POST /gw/publish backed by qp: the source
 // system hands its notification to the *local* gateway, which forwards
 // it to the data controller — or parks it durably when the controller
 // is down (202 Accepted, empty event id). Call during setup, before
 // serving. The outbox depth joins /healthz automatically.
-func (s *GatewayServer) EnablePublishRelay(qp *QueuedPublisher) *GatewayServer {
+func (s *GatewayServer) EnablePublishRelay(qp *QueuedPublisher) {
 	s.publisher = qp
 	s.AddHealthDetail(func() map[string]string {
 		return map[string]string{
@@ -95,7 +88,6 @@ func (s *GatewayServer) EnablePublishRelay(qp *QueuedPublisher) *GatewayServer {
 			"outbox_dead":  strconv.Itoa(qp.Dead()),
 		}
 	})
-	return s
 }
 
 // RequireAuth restricts the gateway's endpoints: only tokens covering
@@ -110,101 +102,21 @@ func (s *GatewayServer) RequireAuth(a *identity.Authority, controllerActor event
 	return s
 }
 
-// authorize verifies the bearer token covers the required actor.
-func (s *GatewayServer) authorize(r *http.Request, required event.Actor) error {
-	if s.auth == nil {
-		return nil
-	}
-	header := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if !strings.HasPrefix(header, prefix) {
-		return fmt.Errorf("%w: missing bearer token", ErrUnauthorized)
-	}
-	claims, err := s.auth.Verify(strings.TrimPrefix(header, prefix), time.Now())
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnauthorized, err)
-	}
-	if !claims.Covers(required) {
-		return fmt.Errorf("%w: token for %s cannot act as %s", ErrUnauthorized, claims.Actor, required)
-	}
-	return nil
-}
-
-// NewGatewayServer wraps a gateway, recording telemetry into a private
-// registry (Metrics exposes it; the daemon shares telemetry.Default()
-// by constructing with NewGatewayServerWithRegistry).
-func NewGatewayServer(gw *gateway.Gateway) *GatewayServer {
-	return NewGatewayServerWithRegistry(gw, telemetry.NewRegistry())
-}
-
-// NewGatewayServerWithRegistry wraps a gateway recording into reg. The
-// gateway's decoded-detail cache reports into the registry as
-// css_cache_events_total{cache,result} (last wiring wins if the gateway
-// is also attached to an in-process controller).
-func NewGatewayServerWithRegistry(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServer {
-	cacheEvents := reg.Counter("css_cache_events_total",
-		"Read-path cache lookups, by cache and result.", "cache", "result")
-	gw.SetCacheObserver(func(cache string, hit bool) {
-		if hit {
-			cacheEvents.Inc(cache, "hit")
-		} else {
-			cacheEvents.Inc(cache, "miss")
-		}
-	})
-	s := &GatewayServer{gw: gw, mux: http.NewServeMux(), reg: reg,
-		tracer: telemetry.NewTracer(0)}
-	s.mux.HandleFunc("POST /gw/get-response", s.handleGetResponse)
-	s.mux.HandleFunc("POST /gw/persist", s.handlePersist)
-	s.mux.HandleFunc("POST /gw/publish", s.handlePublishRelay)
-	s.mux.Handle("GET /metrics", telemetry.MetricsHandler(reg))
-	s.mux.Handle("GET /healthz", telemetry.HealthzDetailHandler(nil, s.healthDetail))
-	s.mux.Handle("GET /debug/spans", telemetry.SpansHandler(s.tracer.Spans(), "gateway"))
-	s.handler = telemetry.TracingMiddleware(telemetry.NewHTTPMetrics(reg, "css_gateway"), s.tracer,
-		withGate(func() *overload.Gate { return s.gate }, gwRouteClassFor, s.mux))
-	return s
-}
-
-// Tracer exposes the gateway server's tracer so daemons can attach a
-// span exporter.
-func (s *GatewayServer) Tracer() *telemetry.Tracer { return s.tracer }
-
-// SetSLO mounts the latency-objective report at GET /slo and adds a
-// one-line burn-rate summary to /healthz. Call before serving.
-func (s *GatewayServer) SetSLO(slo *telemetry.SLO) *GatewayServer {
-	s.mux.Handle("GET /slo", telemetry.SLOHandler(slo))
-	s.AddHealthDetail(func() map[string]string {
-		return map[string]string{"slo": slo.HealthDetail()}
-	})
-	return s
-}
-
-// SetAdmission installs an overload gate in front of the /gw routes
-// (shed requests answer 429 + Retry-After; /metrics and /healthz stay
-// exempt). Call during setup, before serving. A nil gate disables
-// admission control.
-func (s *GatewayServer) SetAdmission(g *overload.Gate) *GatewayServer {
-	s.gate = g
-	return s
-}
-
-// Metrics exposes the server's telemetry registry.
-func (s *GatewayServer) Metrics() *telemetry.Registry { return s.reg }
-
 // handlePersist lets the producer's source system hand a full detail
 // message to the gateway over HTTP. In a deployment this endpoint faces
 // the source system only, never the platform.
-func (s *GatewayServer) handlePersist(w http.ResponseWriter, r *http.Request) {
-	if err := s.authorize(r, event.Actor(s.gw.Producer())); err != nil {
+func (s *GatewayServer) handlePersist(w http.ResponseWriter, r *http.Request, who bearer) {
+	if err := who.covers(event.Actor(s.gw.Producer())); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
 	var d event.Detail
 	if err := readBody(r, &d); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	if err := s.gw.Persist(&d); err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -215,18 +127,18 @@ func (s *GatewayServer) handlePersist(w http.ResponseWriter, r *http.Request) {
 // with the assigned event id when the controller answered directly, 202
 // with an empty id when the notification was parked for later delivery.
 // Only the owning producer's bearer may publish through its gateway.
-func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Request) {
+func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Request, who bearer) {
 	if s.publisher == nil {
 		writeXML(w, http.StatusNotFound, &Fault{Code: CodeNotFound, Message: "publish relay not enabled"})
 		return
 	}
-	if err := s.authorize(r, event.Actor(s.gw.Producer())); err != nil {
+	if err := who.covers(event.Actor(s.gw.Producer())); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
 	var n event.Notification
 	if err := readBody(r, &n); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	if n.Trace == "" {
@@ -238,7 +150,7 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 	}
 	gid, queued, err := s.publisher.Publish(r.Context(), &n)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	status := http.StatusOK
@@ -248,24 +160,19 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 	writeXML(w, status, &publishResponse{EventID: gid})
 }
 
-// ServeHTTP implements http.Handler.
-func (s *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
-}
-
-func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request) {
-	if err := s.authorize(r, s.controllerActor); err != nil {
+func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request, who bearer) {
+	if err := who.covers(s.controllerActor); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
 	var req getResponseRequest
 	if err := readBody(r, &req); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	d, err := s.gw.GetResponse(req.Source, req.Fields)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	// Detail payloads honor the controller's Accept preference: the
@@ -274,7 +181,7 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 	resp := responseCodec(r, event.XML)
 	out, err := resp.EncodeDetail(d)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	writeBody(w, http.StatusOK, respContentType(resp), out)
@@ -296,14 +203,16 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 // errors.Is(err, enforcer.ErrSourceUnavailable), so the controller
 // audits the outcome as "unavailable" — never as a policy denial.
 type RemoteGateway struct {
-	base     string
-	http     *http.Client
-	token    string
-	codec    event.Codec
-	timeout  time.Duration
-	retrier  *resilience.Retrier
-	breakers *resilience.Group
-	flights  *cache.Group[string, *event.Detail]
+	caller
+	flights *cache.Group[string, *event.Detail]
+}
+
+// NewRemoteGateway creates a client for the gateway at base. Pass
+// WithRetrier / WithBreakerGroup to make the controller→gateway hop
+// fault-tolerant, WithTimeout to bound each attempt.
+func NewRemoteGateway(base string, httpClient *http.Client, opts ...Option) *RemoteGateway {
+	return &RemoteGateway{caller: newCaller(base, httpClient, opts),
+		flights: &cache.Group[string, *event.Detail]{}}
 }
 
 // WithToken returns a copy of the remote gateway client that presents
@@ -318,79 +227,12 @@ func (g *RemoteGateway) WithToken(token string) *RemoteGateway {
 	return &cp
 }
 
-// postXML sends an XML body with the optional bearer token and trace ID.
-// Connection-level failures are marked transient for the retrier.
-func (g *RemoteGateway) postXML(ctx context.Context, path, trace string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("transport: gateway request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	// The Accept preference asks the gateway for detail payloads in the
-	// negotiated codec; responses are sniffed, so either format decodes.
-	req.Header.Set("Accept", g.codec.ContentType())
-	if g.token != "" {
-		req.Header.Set("Authorization", "Bearer "+g.token)
-	}
-	if trace == "" {
-		trace = telemetry.TraceFrom(ctx)
-	}
-	if trace != "" {
-		req.Header.Set(telemetry.TraceHeader, trace)
-		// Carry the caller's span (the enforcer's gateway.fetch, or the
-		// retrier's attempt span) so the gateway-side server span parents
-		// under it and the cross-process tree stays connected.
-		req.Header.Set(telemetry.TraceparentHeader,
-			telemetry.FormatTraceparent(trace, telemetry.SpanIDFrom(ctx)))
-	}
-	resp, err := g.http.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("transport: gateway post: %w", err)
-		}
-		return nil, resilience.MarkRetryable(fmt.Errorf("transport: gateway post: %w", err))
-	}
-	return resp, nil
-}
-
-// NewRemoteGateway creates a client for the gateway at base. Pass
-// WithRetrier / WithBreakerGroup to make the controller→gateway hop
-// fault-tolerant, WithTimeout to bound each attempt.
-func NewRemoteGateway(base string, httpClient *http.Client, opts ...Option) *RemoteGateway {
-	o := applyOptions(opts)
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: o.timeout, Transport: NewTunedTransport()}
-	}
-	return &RemoteGateway{
-		base:     base,
-		http:     httpClient,
-		codec:    o.codec,
-		timeout:  o.timeout,
-		retrier:  o.retrier,
-		breakers: o.breakers,
-		flights:  &cache.Group[string, *event.Detail]{},
-	}
-}
-
-// callGateway runs one gateway operation under the breaker and retry
-// policy. The breaker is named after the gateway base URL: one circuit
-// per producer gateway, surfaced on /healthz.
-func (g *RemoteGateway) callGateway(ctx context.Context, path, trace string, body []byte, out any) error {
-	return g.retrier.Do(ctx, g.base, func(ctx context.Context) error {
-		release, err := acquire(g.breakers, g.base)
-		if err != nil {
-			return err
-		}
-		err = func() error {
-			resp, err := g.postXML(ctx, path, trace, body)
-			if err != nil {
-				return err
-			}
-			return decodeResponse(resp, out)
-		}()
-		release(breakerFailure(err))
-		return err
-	})
+// post sends one XML request to the gateway under the breaker named
+// after its base URL — one circuit per producer gateway, surfaced on
+// /healthz. The Accept preference asks for detail payloads in the
+// negotiated codec; responses are sniffed, so either format decodes.
+func (g *RemoteGateway) post(ctx context.Context, path, trace string, body []byte, decode func([]byte) error) error {
+	return g.do(ctx, g.base, http.MethodPost, path, event.ContentTypeXML, g.codec.ContentType(), trace, body, decode)
 }
 
 // Persist ships a full detail message to the gateway's persist endpoint
@@ -400,35 +242,27 @@ func (g *RemoteGateway) Persist(ctx context.Context, d *event.Detail) error {
 	if err != nil {
 		return err
 	}
-	return g.callGateway(ctx, "/gw/persist", "", body, nil)
+	return g.post(ctx, "/gw/persist", "", body, nil)
 }
 
-// GetResponse implements enforcer.DetailSource over HTTP.
+// GetResponse implements enforcer.DetailSource over HTTP. The interface
+// carries no context, so the fetch runs under the configured per-attempt
+// timeout times the retry allowance.
 func (g *RemoteGateway) GetResponse(src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
-	return g.GetResponseTraced("", src, fields)
-}
-
-// GetResponseTraced implements enforcer.TracedDetailSource: the flow's
-// trace ID crosses the process boundary as the X-Trace-Id header, so the
-// gateway-side metrics and logs of the fetch correlate with the
-// controller-side detail request. Identical concurrent calls share one
-// round-trip (and the leader's trace); followers get their own clone.
-//
-// The DetailSource interface carries no context, so each fetch runs
-// under its own deadline (the configured per-attempt timeout times the
-// retry allowance). A gateway that stays unreachable yields an error
-// satisfying errors.Is(err, enforcer.ErrSourceUnavailable).
-func (g *RemoteGateway) GetResponseTraced(trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
-	return g.GetResponseContext(context.Background(), trace, src, fields)
+	return g.GetResponseContext(context.Background(), "", src, fields)
 }
 
 // GetResponseContext implements enforcer.ContextDetailSource: the
 // consumer's deadline rides the fetch end to end — it cancels the HTTP
-// round-trip (and any retry sleeps) the moment the caller gives up.
-// Identical concurrent calls still share one round-trip under the
-// leader's context; followers get their own clone.
+// round-trip (and any retry sleeps) the moment the caller gives up — and
+// the flow's trace crosses the process boundary in the request headers,
+// so the gateway-side spans and metrics of the fetch correlate with the
+// controller-side detail request. Identical concurrent calls share one
+// round-trip under the leader's context (and trace); followers get
+// their own clone, and a follower outliving a cancelled leader fetches
+// again for itself.
 func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
-	d, shared, err := g.flights.Do(fetchKey(src, fields), func() (*event.Detail, error) {
+	d, shared, err := g.flights.Do(ctx, fetchKey(src, fields), func() (*event.Detail, error) {
 		return g.getResponse(ctx, trace, src, fields)
 	})
 	if err != nil {
@@ -441,26 +275,28 @@ func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, sr
 }
 
 // getResponse performs the actual HTTP round-trip of Algorithm 2.
-func (g *RemoteGateway) getResponse(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
+func (g *RemoteGateway) getResponse(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (d *event.Detail, err error) {
 	body, err := encodeXML(&getResponseRequest{Source: src, Fields: fields})
 	if err != nil {
 		return nil, err
 	}
-	var d event.Detail
-	if err := g.callGateway(ctx, "/gw/get-response", trace, body, &d); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			// The caller's deadline (or hang-up) cut the fetch short: that
-			// is the caller's condition, not the producer's unavailability.
-			return nil, cerr
-		}
-		if resilience.Retryable(err) {
-			// The producer side never answered (or answered 5xx): report
-			// unavailability, keeping the cause in the chain.
-			return nil, fmt.Errorf("%w: %w", enforcer.ErrSourceUnavailable, err)
-		}
-		return nil, err
+	err = g.post(ctx, "/gw/get-response", trace, body, func(data []byte) (derr error) {
+		d, derr = decodeAnyDetail(data)
+		return derr
+	})
+	switch {
+	case err == nil:
+		return d, nil
+	case ctx.Err() != nil:
+		// The caller's deadline (or hang-up) cut the fetch short: that
+		// is the caller's condition, not the producer's unavailability.
+		return nil, ctx.Err()
+	case resilience.Retryable(err):
+		// The producer side never answered (or answered 5xx): report
+		// unavailability, keeping the cause in the chain.
+		return nil, fmt.Errorf("%w: %w", enforcer.ErrSourceUnavailable, err)
 	}
-	return &d, nil
+	return nil, err
 }
 
 // fetchKey canonicalizes a fetch for coalescing: source id plus the
@@ -483,9 +319,4 @@ func encodeXML(v any) ([]byte, error) {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
 	return data, nil
-}
-
-// decodeFault tries to parse a fault body.
-func decodeFault(data []byte, f *Fault) error {
-	return xml.Unmarshal(data, f)
 }

@@ -35,7 +35,7 @@ func newCoalescingRig(t *testing.T) *coalescingRig {
 	if err := gw.Persist(d); err != nil {
 		t.Fatal(err)
 	}
-	gs := NewGatewayServer(gw)
+	gs := testGatewayServer(gw)
 	r := &coalescingRig{
 		entered: make(chan struct{}, 64),
 		release: make(chan struct{}),

@@ -93,8 +93,8 @@ func TestClientRetriesThroughTransientFailures(t *testing.T) {
 		}
 		front.failing.Store(false)
 	}()
-	if _, err := client.Stats(context.Background()); err != nil {
-		t.Fatalf("Stats through transient 503s: %v", err)
+	if _, err := client.ReplStatus(context.Background()); err != nil {
+		t.Fatalf("ReplStatus through transient 503s: %v", err)
 	}
 	<-done
 }
@@ -106,9 +106,9 @@ func TestClientWithoutRetrierSurfacesTransients(t *testing.T) {
 	_, front, url := newResilienceWorld(t)
 	client := NewClient(url, nil)
 	front.failing.Store(true)
-	_, err := client.Stats(context.Background())
+	_, err := client.ReplStatus(context.Background())
 	if err == nil {
-		t.Fatal("Stats succeeded against a 503 frontend")
+		t.Fatal("ReplStatus succeeded against a 503 frontend")
 	}
 	if !resilience.Retryable(err) {
 		t.Fatalf("transient failure not marked retryable: %v", err)
@@ -124,12 +124,12 @@ func TestClientBreakerFailsFastWhileOpen(t *testing.T) {
 	})))
 	front.failing.Store(true)
 	for i := 0; i < 3; i++ {
-		if _, err := client.Stats(context.Background()); err == nil {
-			t.Fatal("Stats succeeded against a 503 frontend")
+		if _, err := client.ReplStatus(context.Background()); err == nil {
+			t.Fatal("ReplStatus succeeded against a 503 frontend")
 		}
 	}
 	before := front.requests.Load()
-	_, err := client.Stats(context.Background())
+	_, err := client.ReplStatus(context.Background())
 	if !errors.Is(err, resilience.ErrOpen) {
 		t.Fatalf("call after trip = %v, want ErrOpen", err)
 	}

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -36,7 +37,6 @@ import (
 //	GET  /ws/catalog     — event class schemas (XML sequence)
 //	GET  /ws/pending     — ?producer=ID → pending access requests
 //	GET  /ws/policies    — ?producer=ID → the producer's policy corpus
-//	GET  /ws/stats       — operational counters
 //	GET  /ws/audit       — ?actor=&kind=&outcome=&event=&class=&trace=&limit= →
 //	                       audit records (guarantor role when auth is on)
 //	GET  /ws/shardmap    — the cluster's shard map as a binary frame
@@ -44,112 +44,77 @@ import (
 //	GET  /ws/replstatus  — replication role, fencing epoch, follower lag
 //	POST /ws/promote     — flip a read replica into the primary role at a
 //	                       named epoch (the failover runbook's lease claim)
-//	GET  /metrics        — telemetry registry, Prometheus text format
-//	GET  /healthz        — liveness probe (200 ok / 503 when closed)
+//
+// next to the scaffold's operational endpoints: GET /metrics (telemetry
+// registry, Prometheus text format), /healthz (200 ok / 503 when
+// closed), /debug/spans and /slo, served without authentication — they
+// carry operational counters only, never personal data.
 //
 // Every request passes the telemetry middleware: per-route latency and
 // status metrics, and an X-Trace-Id correlation header (minted when the
 // caller sent none) that flows into the controller's audit records.
-// /metrics and /healthz are served without authentication — they carry
-// operational counters only, never personal data.
 //
 // Notifications are delivered to subscribers by POSTing the notification
-// XML to the callback URL supplied at subscription time; a non-2xx
-// response triggers the bus's redelivery.
+// to the callback URL supplied at subscription time, in the codec the
+// subscription negotiated; a non-2xx response triggers the bus's
+// redelivery.
 type Server struct {
-	ctrl    *core.Controller
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in the telemetry middleware
-	// httpClient performs the callback deliveries.
-	httpClient *http.Client
-	// auth, when set via RequireAuth, authenticates every call.
-	auth *identity.Authority
-	// gate, when set via SetAdmission, admission-controls every /ws call.
-	gate *overload.Gate
+	service
+	ctrl *core.Controller
+	// callbacks performs the callback deliveries: the shared call path
+	// with no base URL (each subscription names its own), no token, no
+	// retrier — redelivery is the bus's job.
+	callbacks caller
 	// deliveriesFailed counts callback deliveries that did not reach the
 	// subscriber (css_deliveries_failed_total{reason}).
 	deliveriesFailed *telemetry.Counter
-	// healthMu guards healthDetails (registered at setup, read per probe).
-	healthMu sync.Mutex
-	// healthDetails contribute key/value lines to /healthz (breaker
-	// states of attached remote gateways, outbox depths, …).
-	healthDetails []func() map[string]string
 	// node, when set via SetNode, is the replication node /ws/replstatus
 	// reports and /ws/promote drives.
 	node *replication.Node
 }
 
-// AddHealthDetail registers a detail contributor for /healthz: its
-// key/value pairs are appended to every probe response. Daemons use it
-// to surface circuit-breaker states and outbox depth next to liveness.
-func (s *Server) AddHealthDetail(fn func() map[string]string) *Server {
-	s.healthMu.Lock()
-	s.healthDetails = append(s.healthDetails, fn)
-	s.healthMu.Unlock()
-	return s
-}
-
-// healthDetail merges the registered contributors.
-func (s *Server) healthDetail() map[string]string {
-	s.healthMu.Lock()
-	fns := make([]func() map[string]string, len(s.healthDetails))
-	copy(fns, s.healthDetails)
-	s.healthMu.Unlock()
-	out := make(map[string]string)
-	for _, fn := range fns {
-		for k, v := range fn() {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // NewServer wraps a controller.
 func NewServer(ctrl *core.Controller) *Server {
 	s := &Server{
-		ctrl: ctrl,
-		mux:  http.NewServeMux(),
+		service: service{classify: routeClassFor, now: ctrl.Now},
+		ctrl:    ctrl,
 		// Callback deliveries reuse one warm keep-alive pool: the same
 		// few subscriber hosts receive every notification, so connection
 		// churn here would dominate fan-out latency.
-		httpClient: &http.Client{Timeout: 10 * time.Second, Transport: NewTunedTransport()},
+		callbacks: newCaller("", nil, nil),
 		deliveriesFailed: ctrl.Metrics().Counter("css_deliveries_failed_total",
 			"Callback deliveries that failed to reach the subscriber, by reason.",
 			"reason"),
 	}
-	s.mux.HandleFunc("POST /ws/publish", s.handlePublish)
-	s.mux.HandleFunc("POST /ws/subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("POST /ws/details", s.handleDetails)
-	s.mux.HandleFunc("POST /ws/inquire", s.handleInquire)
-	s.mux.HandleFunc("POST /ws/policy", s.handlePolicy)
-	s.mux.HandleFunc("POST /ws/consent", s.handleConsent)
-	s.mux.HandleFunc("GET /ws/catalog", s.handleCatalog)
-	s.mux.HandleFunc("GET /ws/pending", s.handlePending)
-	s.mux.HandleFunc("GET /ws/stats", s.handleStats)
-	s.mux.HandleFunc("GET /ws/audit", s.handleAudit)
-	s.mux.HandleFunc("GET /ws/policies", s.handlePolicies)
-	s.mux.HandleFunc("GET /ws/subscription", s.handleSubscriptionProbe)
-	s.mux.HandleFunc("GET /ws/shardmap", s.handleShardMap)
-	s.mux.HandleFunc("GET /ws/replstatus", s.handleReplStatus)
-	s.mux.HandleFunc("POST /ws/promote", s.handlePromote)
-	s.mux.Handle("GET /metrics", telemetry.MetricsHandler(ctrl.Metrics()))
-	s.mux.Handle("GET /healthz", telemetry.HealthzDetailHandler(ctrl.Healthy, s.healthDetail))
-	s.mux.Handle("GET /debug/spans", telemetry.SpansHandler(ctrl.Tracer().Spans(), "controller"))
-	// Admission sits inside the telemetry middleware so shed requests
-	// (429) show up in the per-route HTTP metrics; it is a no-op until
-	// SetAdmission installs a gate.
-	s.handler = telemetry.TracingMiddleware(telemetry.NewHTTPMetrics(ctrl.Metrics(), "css"),
-		ctrl.Tracer(), s.withAdmission(s.mux))
+	s.mount(ctrl.Metrics(), ctrl.Tracer(), "css", "controller", ctrl.Healthy)
+	s.handle("POST /ws/publish", s.handlePublish)
+	s.handle("POST /ws/subscribe", s.handleSubscribe)
+	s.handle("POST /ws/details", s.handleDetails)
+	s.handle("POST /ws/inquire", s.handleInquire)
+	s.handle("POST /ws/policy", s.handlePolicy)
+	s.handle("POST /ws/consent", s.handleConsent)
+	s.handle("GET /ws/catalog", s.handleCatalog)
+	s.handle("GET /ws/pending", s.handlePending)
+	s.handle("GET /ws/audit", s.handleAudit)
+	s.handle("GET /ws/policies", s.handlePolicies)
+	s.handle("GET /ws/subscription", s.handleSubscriptionProbe)
+	s.handle("GET /ws/shardmap", s.handleShardMap)
+	s.handle("GET /ws/replstatus", s.handleReplStatus)
+	s.handle("POST /ws/promote", s.handlePromote)
 	return s
 }
 
-// SetSLO mounts the latency-objective report at GET /slo and adds a
-// one-line burn-rate summary to /healthz. Call before serving.
-func (s *Server) SetSLO(slo *telemetry.SLO) *Server {
-	s.mux.Handle("GET /slo", telemetry.SLOHandler(slo))
-	s.AddHealthDetail(func() map[string]string {
-		return map[string]string{"slo": slo.HealthDetail()}
-	})
+// RequireAuth attaches an identity authority: from now on the server
+// authenticates every /ws call. It returns the server for chaining.
+func (s *Server) RequireAuth(a *identity.Authority) *Server {
+	s.auth = a
+	return s
+}
+
+// SetAdmission installs the overload gate (see service.SetAdmission) and
+// returns the server for chaining.
+func (s *Server) SetAdmission(g *overload.Gate) *Server {
+	s.service.SetAdmission(g)
 	return s
 }
 
@@ -158,25 +123,20 @@ func (s *Server) SetSLO(slo *telemetry.SLO) *Server {
 // inquiry, §1/§4).
 const GuarantorRole = "privacy-guarantor"
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
-}
-
-func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request, who bearer) {
 	body, err := readRaw(r)
 	if err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	codec := requestCodec(r, body)
 	resp := responseCodec(r, codec)
 	n, err := codec.DecodeNotification(body)
 	if err != nil {
-		writeFaultStatusAs(w, resp, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, resp, err.Error())
 		return
 	}
-	if err := s.authorizeActor(r, event.Actor(n.Producer)); err != nil {
+	if err := who.covers(event.Actor(n.Producer)); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -187,16 +147,16 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	gid, err := s.ctrl.PublishContext(r.Context(), n)
 	if err != nil {
-		writeFaultAs(w, resp, err)
+		writeFault(w, resp, err)
 		return
 	}
 	writePublishResponseAs(w, resp, http.StatusOK, gid)
 }
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bearer) {
 	body, err := readRaw(r)
 	if err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	codec := requestCodec(r, body)
@@ -205,26 +165,26 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if codec == event.Binary {
 		dec, derr := decodeSubscribeRequestFrame(body)
 		if derr != nil {
-			writeFaultStatusAs(w, resp, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: derr.Error()})
+			badRequest(w, resp, derr.Error())
 			return
 		}
 		req = *dec
 	} else if err := xml.Unmarshal(body, &req); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	if req.Callback == "" {
-		writeFaultStatusAs(w, resp, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "missing callback URL"})
+		badRequest(w, resp, "missing callback URL")
 		return
 	}
 	// The callback codec is negotiated once here; every delivery to this
 	// subscriber reuses it without per-message negotiation.
 	cbCodec, err := event.CodecByName(req.Codec)
 	if err != nil {
-		writeFaultStatusAs(w, resp, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, resp, err.Error())
 		return
 	}
-	if err := s.authorizeActor(r, req.Actor); err != nil {
+	if err := who.covers(req.Actor); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -234,7 +194,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.deliverCallback(ctx, callback, subscriber, cbCodec, n)
 	})
 	if err != nil {
-		writeFaultAs(w, resp, err)
+		writeFault(w, resp, err)
 		return
 	}
 	writeSubscribeResponseAs(w, resp, sub.ID())
@@ -250,38 +210,30 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // failed delivery is never silent: it is logged with the trace ID and
 // counted in css_deliveries_failed_total so operators see subscriber
 // outages.
-func (s *Server) deliverCallback(ctx context.Context, url, subscriber string, codec event.Codec, n *event.Notification) {
-	fail := func(reason string, err error) {
-		s.deliveriesFailed.Inc(reason)
-		telemetry.Logger().Error("callback delivery failed",
-			"trace", n.Trace, "event", string(n.ID), "class", string(n.Class),
-			"subscriber", subscriber, "callback", url, "reason", reason, "err", err)
-	}
+func (s *Server) deliverCallback(ctx context.Context, callback, subscriber string, codec event.Codec, n *event.Notification) {
+	reason := "encode"
 	body, err := codec.EncodeNotification(n)
-	if err != nil {
-		fail("encode", err)
-		return
+	if err == nil {
+		err = s.callbacks.do(ctx, callback, http.MethodPost, callback, codec.ContentType(), "", n.Trace, body, nil)
+		if err == nil {
+			return
+		}
+		// What failed: building the request (an unparsable callback URL),
+		// reaching the subscriber, or the subscriber's answer.
+		var ue *url.Error
+		switch {
+		case !errors.As(err, &ue):
+			reason = "status"
+		case ue.Op == "parse":
+			reason = "request"
+		default:
+			reason = "connect"
+		}
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		fail("request", err)
-		return
-	}
-	req.Header.Set("Content-Type", codec.ContentType())
-	req.Header.Set(telemetry.TraceHeader, n.Trace)
-	if trace := telemetry.TraceFrom(ctx); trace != "" {
-		req.Header.Set(telemetry.TraceparentHeader,
-			telemetry.FormatTraceparent(trace, telemetry.SpanIDFrom(ctx)))
-	}
-	resp, err := s.httpClient.Do(req)
-	if err != nil {
-		fail("connect", err)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		fail("status", fmt.Errorf("subscriber returned %s", resp.Status))
-	}
+	s.deliveriesFailed.Inc(reason)
+	telemetry.Logger().Error("callback delivery failed",
+		"trace", n.Trace, "event", string(n.ID), "class", string(n.Class),
+		"subscriber", subscriber, "callback", callback, "reason", reason, "err", err)
 }
 
 // handleSubscriptionProbe answers a consumer's liveness check for its
@@ -289,18 +241,14 @@ func (s *Server) deliverCallback(ctx context.Context, url, subscriber string, co
 // restart this returns the unknown-subscription fault and the consumer
 // re-subscribes. Any authenticated member may probe — the response
 // carries no data beyond the id's existence.
-func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
+func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request, who bearer) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "missing id parameter"})
+		badRequest(w, event.XML, "missing id parameter")
 		return
 	}
 	if !s.ctrl.HasSubscription(id) {
-		writeFault(w, fmt.Errorf("%w: %s", ErrUnknownSubscription, id))
+		writeFault(w, event.XML, fmt.Errorf("%w: %s", ErrUnknownSubscription, id))
 		return
 	}
 	writeXML(w, http.StatusOK, &subscribeResponse{ID: id})
@@ -311,11 +259,7 @@ func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request)
 // redirect names a newer map version. The map carries shard ids and
 // addresses only, never personal data; any authenticated member may
 // fetch it.
-func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
+func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request, who bearer) {
 	m := s.ctrl.ShardMap()
 	if m == nil {
 		writeXML(w, http.StatusNotFound, &Fault{Code: CodeNotFound, Message: "controller is not sharded"})
@@ -336,11 +280,7 @@ func (s *Server) SetNode(n *replication.Node) *Server {
 // controller with no replication node is a primary at epoch 0. The
 // payload carries operational state only, never personal data, but it
 // still sits behind authentication like every other /ws route.
-func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
+func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, who bearer) {
 	resp := &ReplStatus{Role: replication.RolePrimary}
 	if s.node != nil {
 		st := s.node.Status()
@@ -360,45 +300,41 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 
 // handlePromote flips a read replica into the primary role at the
 // epoch named in the request (the failover runbook's lease claim).
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
+func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request, who bearer) {
 	var req promoteRequest
 	if err := readBody(r, &req); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	if req.Epoch == 0 {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "promote needs a nonzero epoch"})
+		badRequest(w, event.XML, "promote needs a nonzero epoch")
 		return
 	}
 	if s.node == nil {
-		writeFault(w, replication.ErrNotReplica)
+		writeFault(w, event.XML, replication.ErrNotReplica)
 		return
 	}
 	if err := s.node.Promote(req.Epoch); err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	writeXML(w, http.StatusOK, &ReplStatus{Role: replication.RolePrimary, Epoch: s.node.Status().Epoch})
 }
 
-func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request, who bearer) {
 	body, err := readRaw(r)
 	if err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	codec := requestCodec(r, body)
 	resp := responseCodec(r, codec)
 	req, err := codec.DecodeDetailRequest(body)
 	if err != nil {
-		writeFaultStatusAs(w, resp, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, resp, err.Error())
 		return
 	}
-	if err := s.authorizeActor(r, req.Requester); err != nil {
+	if err := who.covers(req.Requester); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -407,12 +343,12 @@ func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := s.ctrl.RequestDetailsContext(r.Context(), req)
 	if err != nil {
-		writeFaultAs(w, resp, err)
+		writeFault(w, resp, err)
 		return
 	}
 	out, err := resp.EncodeDetail(d)
 	if err != nil {
-		writeFaultAs(w, resp, err)
+		writeFault(w, resp, err)
 		return
 	}
 	writeBody(w, http.StatusOK, respContentType(resp), out)
@@ -427,13 +363,13 @@ func respContentType(c event.Codec) string {
 	return "application/xml; charset=utf-8"
 }
 
-func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who bearer) {
 	var req inquiryRequest
 	if err := readBody(r, &req); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
-	if err := s.authorizeActor(r, req.Actor); err != nil {
+	if err := who.covers(req.Actor); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -445,23 +381,23 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request) {
 	}
 	var err error
 	if q.From, err = parseOptTime(req.From); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	if q.To, err = parseOptTime(req.To); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	res, err := s.ctrl.InquireIndexContext(r.Context(), req.Actor, q)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	out := inquiryResponse{}
 	for _, n := range res {
 		data, err := event.EncodeNotification(n)
 		if err != nil {
-			writeFault(w, err)
+			writeFault(w, event.XML, err)
 			return
 		}
 		out.Notifications = append(out.Notifications, string(data))
@@ -469,48 +405,42 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request) {
 	writeXML(w, http.StatusOK, &out)
 }
 
-func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
-		return
-	}
-	p, err := policy.Decode(buf.Bytes())
+func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, who bearer) {
+	body, err := readRaw(r)
 	if err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
-	if err := s.authorizeActor(r, event.Actor(p.Producer)); err != nil {
+	p, err := policy.Decode(body)
+	if err != nil {
+		badRequest(w, event.XML, err.Error())
+		return
+	}
+	if err := who.covers(event.Actor(p.Producer)); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
 	stored, err := s.ctrl.DefinePolicy(p)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	data, err := policy.Encode(stored)
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	writeBody(w, http.StatusOK, respContentType(event.XML), data)
 }
 
-func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request, who bearer) {
 	var d consentDirectiveXML
 	if err := readBody(r, &d); err != nil {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: err.Error()})
+		badRequest(w, event.XML, err.Error())
 		return
 	}
 	// Consent is collected at the data sources (or by the citizen portal);
 	// any authenticated member may record a directive.
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
 	stored, err := s.ctrl.RecordConsent(consent.Directive{
 		PersonID: d.PersonID,
 		Allow:    d.Allow,
@@ -521,7 +451,7 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	writeXML(w, http.StatusOK, &consentDirectiveXML{
@@ -531,39 +461,33 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
+func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request, who bearer) {
 	decls := s.ctrl.Catalog().Classes()
 	var buf bytes.Buffer
 	buf.WriteString("<catalog>\n")
 	for _, d := range decls {
 		data, err := schema.Encode(d.Schema)
 		if err != nil {
-			writeFault(w, err)
+			writeFault(w, event.XML, err)
 			return
 		}
 		buf.Write(data)
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("</catalog>\n")
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	writeBody(w, http.StatusOK, respContentType(event.XML), buf.Bytes())
 }
 
 // handlePending lets a data producer poll its pending access requests
 // (?producer=ID). With authentication enabled, the token must cover the
 // producer.
-func (s *Server) handlePending(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePending(w http.ResponseWriter, r *http.Request, who bearer) {
 	producer := event.ProducerID(r.URL.Query().Get("producer"))
 	if producer == "" {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "missing producer parameter"})
+		badRequest(w, event.XML, "missing producer parameter")
 		return
 	}
-	if err := s.authorizeActor(r, event.Actor(producer)); err != nil {
+	if err := who.covers(event.Actor(producer)); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -600,24 +524,17 @@ type pendingRequestXML struct {
 // access log. With authentication enabled the bearer token must carry
 // the GuarantorRole; without it the endpoint trusts the perimeter like
 // the rest of the unauthenticated deployment.
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if s.auth != nil {
-		claims, err := s.authenticate(r)
-		if err != nil {
-			writeAuthFault(w, err)
-			return
-		}
-		if !claims.HasRole(GuarantorRole) {
-			writeAuthFault(w, fmt.Errorf("%w: audit inquiry requires the %s role", ErrUnauthorized, GuarantorRole))
-			return
-		}
+func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request, who bearer) {
+	if !who.hasRole(GuarantorRole) {
+		writeAuthFault(w, fmt.Errorf("%w: audit inquiry requires the %s role", ErrUnauthorized, GuarantorRole))
+		return
 	}
 	q := r.URL.Query()
 	limit := 100
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "bad limit"})
+			badRequest(w, event.XML, "bad limit")
 			return
 		}
 		limit = n
@@ -632,7 +549,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		Limit:   limit,
 	})
 	if err != nil {
-		writeFault(w, err)
+		writeFault(w, event.XML, err)
 		return
 	}
 	out := auditResponse{}
@@ -670,13 +587,13 @@ type auditRecordXML struct {
 // handlePolicies lists a producer's stored policies (?producer=ID), in
 // the compact XML form. With authentication enabled the token must cover
 // the producer — a producer may export only its own corpus.
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request, who bearer) {
 	producer := event.ProducerID(r.URL.Query().Get("producer"))
 	if producer == "" {
-		writeXML(w, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: "missing producer parameter"})
+		badRequest(w, event.XML, "missing producer parameter")
 		return
 	}
-	if err := s.authorizeActor(r, event.Actor(producer)); err != nil {
+	if err := who.covers(event.Actor(producer)); err != nil {
 		writeAuthFault(w, err)
 		return
 	}
@@ -685,46 +602,14 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	for _, p := range s.ctrl.Policies(producer) {
 		data, err := policy.Encode(p)
 		if err != nil {
-			writeFault(w, err)
+			writeFault(w, event.XML, err)
 			return
 		}
 		buf.Write(data)
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("</policies>\n")
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
-}
-
-// handleStats reports the controller's operational counters (any
-// authenticated member may read them; they carry no personal data).
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authenticate(r); err != nil {
-		writeAuthFault(w, err)
-		return
-	}
-	st := s.ctrl.Stats()
-	writeXML(w, http.StatusOK, &statsXML{
-		Published:           st.Published,
-		Delivered:           st.Delivered,
-		ConsentDrops:        st.ConsentDrops,
-		SubscriptionDenials: st.SubscriptionDenials,
-		DetailPermits:       st.DetailPermits,
-		DetailDenials:       st.DetailDenials,
-		Inquiries:           st.Inquiries,
-	})
-}
-
-type statsXML struct {
-	XMLName             xml.Name `xml:"stats"`
-	Published           uint64   `xml:"published"`
-	Delivered           uint64   `xml:"delivered"`
-	ConsentDrops        uint64   `xml:"consentDrops"`
-	SubscriptionDenials uint64   `xml:"subscriptionDenials"`
-	DetailPermits       uint64   `xml:"detailPermits"`
-	DetailDenials       uint64   `xml:"detailDenials"`
-	Inquiries           uint64   `xml:"inquiries"`
+	writeBody(w, http.StatusOK, respContentType(event.XML), buf.Bytes())
 }
 
 type consentDirectiveXML struct {

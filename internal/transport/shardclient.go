@@ -480,31 +480,6 @@ func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*p
 	return stored, nil
 }
 
-// Stats sums the operational counters across the shards, under the
-// scatter budget. Partial failures surface as *cluster.PartialError
-// alongside the counters that did arrive.
-func (sc *ShardedClient) Stats(ctx context.Context) (Stats, error) {
-	perShard, err := cluster.Gather(ctx, sc.Map().Shards(), sc.opts.budget,
-		func(ctx context.Context, info cluster.ShardInfo) (Stats, error) {
-			cl, cerr := sc.clientFor(info.ID)
-			if cerr != nil {
-				return Stats{}, cerr
-			}
-			return cl.Stats(ctx)
-		})
-	var sum Stats
-	for _, st := range perShard {
-		sum.Published += st.Published
-		sum.Delivered += st.Delivered
-		sum.ConsentDrops += st.ConsentDrops
-		sum.SubscriptionDenials += st.SubscriptionDenials
-		sum.DetailPermits += st.DetailPermits
-		sum.DetailDenials += st.DetailDenials
-		sum.Inquiries += st.Inquiries
-	}
-	return sum, err
-}
-
 // --- learned-route cache ---------------------------------------------------
 
 // routeCache is a bounded string → shard map with wholesale flush on

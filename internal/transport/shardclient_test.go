@@ -74,7 +74,7 @@ func newShardRigCold(t *testing.T, active, cold int, opts ...ShardedOption) *sha
 		t.Fatal(err)
 	}
 	r.gw = gw
-	gwServer := httptest.NewServer(NewGatewayServer(gw))
+	gwServer := httptest.NewServer(testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 
 	for i := 0; i < n; i++ {

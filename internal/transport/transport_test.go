@@ -21,6 +21,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/xacml"
 )
 
@@ -37,7 +38,7 @@ type rig struct {
 // testGatewayServer is the one place the tests construct a gateway
 // server, so a constructor change touches no test table.
 func testGatewayServer(gw *gateway.Gateway) *GatewayServer {
-	return NewGatewayServer(gw)
+	return NewGatewayServer(gw, telemetry.NewRegistry())
 }
 
 func newRig(t *testing.T) *rig {
@@ -65,7 +66,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwServer := httptest.NewServer(NewGatewayServer(gw))
+	gwServer := httptest.NewServer(testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 	if err := ctrl.AttachGateway("hospital", NewRemoteGateway(gwServer.URL, nil)); err != nil {
 		t.Fatal(err)
@@ -459,23 +460,6 @@ func TestPendingRequestsOverTheWire(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing producer = %d", resp.StatusCode)
-	}
-}
-
-func TestStatsEndpoint(t *testing.T) {
-	r := newRig(t)
-	r.doctorPolicy(t)
-	gid := r.produce(t, "src-1", "PRS-1")
-	r.client.RequestDetails(context.Background(), &event.DetailRequest{
-		Requester: "family-doctor", Class: schema.ClassBloodTest,
-		EventID: gid, Purpose: event.PurposeHealthcareTreatment,
-	})
-	st, err := r.client.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if st.Published != 1 || st.DetailPermits != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

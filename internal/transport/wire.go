@@ -27,7 +27,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/replication"
-	"repro/internal/resilience"
 )
 
 // Fault codes carried by error responses.
@@ -229,12 +228,27 @@ func faultOf(err error) (*Fault, int) {
 	return f, status
 }
 
-// writeFault sends an error response. Unavailability faults (503) carry
-// a Retry-After hint so well-behaved clients pace their retries.
-func writeFault(w http.ResponseWriter, err error) {
+// writeFault sends an error response in the negotiated codec (event.XML
+// on the routes that do not negotiate). Unavailability faults (503)
+// carry a Retry-After hint so well-behaved clients pace their retries.
+func writeFault(w http.ResponseWriter, codec event.Codec, err error) {
 	f, status := faultOf(err)
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
+	}
+	writeFaultStatus(w, codec, status, f)
+}
+
+// badRequest answers 400 with a bad-request fault in the negotiated
+// codec.
+func badRequest(w http.ResponseWriter, codec event.Codec, msg string) {
+	writeFaultStatus(w, codec, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: msg})
+}
+
+func writeFaultStatus(w http.ResponseWriter, codec event.Codec, status int, f *Fault) {
+	if codec == event.Binary {
+		writeBody(w, status, event.ContentTypeBinary, encodeFaultFrame(f))
+		return
 	}
 	writeXML(w, status, f)
 }
@@ -249,9 +263,9 @@ func writeXML(w http.ResponseWriter, status int, v any) {
 
 // readBody decodes an XML request body into v, bounding its size.
 func readBody(r *http.Request, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	data, err := readRaw(r)
 	if err != nil {
-		return fmt.Errorf("transport: read body: %w", err)
+		return err
 	}
 	if err := xml.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("transport: decode body: %w", err)
@@ -287,68 +301,6 @@ func retryAfterHeader(resp *http.Response) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-// readResult consumes an HTTP response and returns the raw body on 2xx.
-// On other statuses it reconstructs the platform error from the fault
-// payload, and classifies it for the retrier: 5xx and 429 are marked
-// transient (with the server's Retry-After hint), as are read failures
-// mid-body — a truncated response says nothing about the next attempt.
-// 4xx faults stay permanent.
-func readResult(resp *http.Response) ([]byte, error) {
-	defer drainClose(resp.Body)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, resilience.MarkRetryable(fmt.Errorf("transport: read response: %w", err))
-	}
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return data, nil
-	}
-	var rerr error
-	var f Fault
-	var decErr error
-	if event.IsBinaryFrame(data) {
-		decErr = decodeFaultFrame(data, &f)
-	} else {
-		decErr = xml.Unmarshal(data, &f)
-	}
-	if decErr == nil && f.Code != "" {
-		rerr = errorFor(&f)
-	} else {
-		rerr = fmt.Errorf("transport: http %d: %s", resp.StatusCode, data)
-	}
-	if transientStatus(resp.StatusCode) {
-		return nil, resilience.MarkRetryableAfter(rerr, retryAfterHeader(resp))
-	}
-	return nil, rerr
-}
-
-// decodeResponse reads an HTTP response: on 2xx it decodes into v (when v
-// is non-nil); otherwise it parses the fault and reconstructs the error.
-// Decode failures of a 2xx body are marked transient — the dominant
-// cause is a truncated or garbled transfer, not a protocol mismatch.
-func decodeResponse(resp *http.Response, v any) error {
-	data, err := readResult(resp)
-	if err != nil {
-		return err
-	}
-	if v == nil {
-		return nil
-	}
-	// Detail payloads may arrive in the negotiated binary framing (the
-	// remote gateway asks for it via Accept); everything else stays XML.
-	if d, ok := v.(*event.Detail); ok && event.IsBinaryFrame(data) {
-		dec, derr := event.Binary.DecodeDetail(data)
-		if derr != nil {
-			return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", derr))
-		}
-		*d = *dec
-		return nil
-	}
-	if err := xml.Unmarshal(data, v); err != nil {
-		return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", err))
-	}
-	return nil
 }
 
 // Wire messages shared by client and server.
