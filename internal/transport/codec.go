@@ -16,7 +16,7 @@ package transport
 
 import (
 	"encoding/xml"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -57,7 +57,7 @@ func responseCodec(r *http.Request, reqCodec event.Codec) event.Codec {
 func readRaw(r *http.Request) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
-		return nil, fmt.Errorf("transport: read body: %w", err)
+		return nil, errors.New("transport: read body: " + err.Error())
 	}
 	return data, nil
 }

@@ -241,7 +241,7 @@ func (s *Server) deliverCallback(ctx context.Context, callback, subscriber strin
 // restart this returns the unknown-subscription fault and the consumer
 // re-subscribes. Any authenticated member may probe — the response
 // carries no data beyond the id's existence.
-func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request, _ bearer) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		badRequest(w, event.XML, "missing id parameter")
@@ -259,7 +259,7 @@ func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request,
 // redirect names a newer map version. The map carries shard ids and
 // addresses only, never personal data; any authenticated member may
 // fetch it.
-func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request, _ bearer) {
 	m := s.ctrl.ShardMap()
 	if m == nil {
 		writeXML(w, http.StatusNotFound, &Fault{Code: CodeNotFound, Message: "controller is not sharded"})
@@ -280,7 +280,7 @@ func (s *Server) SetNode(n *replication.Node) *Server {
 // controller with no replication node is a primary at epoch 0. The
 // payload carries operational state only, never personal data, but it
 // still sits behind authentication like every other /ws route.
-func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, _ bearer) {
 	resp := &ReplStatus{Role: replication.RolePrimary}
 	if s.node != nil {
 		st := s.node.Status()
@@ -300,7 +300,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, who be
 
 // handlePromote flips a read replica into the primary role at the
 // epoch named in the request (the failover runbook's lease claim).
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request, _ bearer) {
 	var req promoteRequest
 	if err := readBody(r, &req); err != nil {
 		badRequest(w, event.XML, err.Error())
@@ -433,7 +433,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, who bearer
 	writeBody(w, http.StatusOK, respContentType(event.XML), data)
 }
 
-func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request, _ bearer) {
 	var d consentDirectiveXML
 	if err := readBody(r, &d); err != nil {
 		badRequest(w, event.XML, err.Error())
@@ -461,7 +461,7 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request, who beare
 	})
 }
 
-func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request, who bearer) {
+func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request, _ bearer) {
 	decls := s.ctrl.Catalog().Classes()
 	var buf bytes.Buffer
 	buf.WriteString("<catalog>\n")
