@@ -1,7 +1,7 @@
 // Package overload is the server-side overload-protection layer of the
 // CSS platform: a weighted admission controller with per-endpoint
 // concurrency limits, per-actor token-bucket rate limits, and a
-// priority-aware load shedder that drops detail prefetches and index
+// priority-aware load shedder that drops index inquiries and browse
 // queries before it ever touches a notification publish.
 //
 // The paper's data controller is a shared rooting node (§4, Fig. 2):
@@ -15,7 +15,7 @@
 //
 // Shed order under pressure (lowest priority first):
 //
-//	Low      index inquiries, audit/stat queries, prefetch warming
+//	Low      index inquiries, audit/catalog/policy queries
 //	Normal   detail requests, subscriptions, policy/consent writes
 //	Critical notification publishes (the platform's source of truth)
 //
@@ -40,7 +40,7 @@ import (
 type Priority int
 
 const (
-	// Low is shed first: prefetches and queries are reconstructible.
+	// Low is shed first: queries are reconstructible.
 	Low Priority = iota
 	// Normal is the default request class (detail requests, writes).
 	Normal

@@ -23,8 +23,7 @@ type routeClass struct {
 // routeClassFor classifies a request path for admission. Priorities
 // implement the paper's availability ordering under pressure: accepting
 // notification publications (the system of record for events) outranks
-// serving detail reads, which outrank speculative prefetches and
-// browse-style queries.
+// serving detail reads, which outrank browse-style queries.
 func routeClassFor(path string) routeClass {
 	switch path {
 	case "/ws/publish":

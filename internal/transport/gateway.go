@@ -33,7 +33,6 @@ import (
 type GatewayServer struct {
 	service
 	gw     *gateway.Gateway
-	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 	// controllerActor is the actor get-response callers must cover when
 	// authentication is on (the data controller); persist and publish
@@ -60,7 +59,7 @@ func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServ
 		}
 	})
 	s := &GatewayServer{service: service{classify: gwRouteClassFor, now: time.Now},
-		gw: gw, reg: reg, tracer: telemetry.NewTracer(0)}
+		gw: gw, tracer: telemetry.NewTracer(0)}
 	s.mount(reg, s.tracer, "css_gateway", "gateway", nil)
 	s.handle("POST /gw/get-response", s.handleGetResponse)
 	s.handle("POST /gw/persist", s.handlePersist)
@@ -71,9 +70,6 @@ func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServ
 // Tracer exposes the gateway server's tracer so daemons can attach a
 // span exporter.
 func (s *GatewayServer) Tracer() *telemetry.Tracer { return s.tracer }
-
-// Metrics exposes the server's telemetry registry.
-func (s *GatewayServer) Metrics() *telemetry.Registry { return s.reg }
 
 // EnablePublishRelay mounts POST /gw/publish backed by qp: the source
 // system hands its notification to the *local* gateway, which forwards
