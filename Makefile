@@ -1,26 +1,25 @@
 # Development entry points for the CSS reproduction.
 
 GO ?= go
-BENCH_LABEL ?= local
 
-.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-harness bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz loc clean
+.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz loc clean
 
 all: check
 
 # The default gate: compile, vet+gofmt+trace-ID+hot-path lints, unit
-# tests, the race detector over the whole tree, a short fault-injected
-# smoke, an overload-storm smoke, the distributed-tracing smoke (one
-# flow across three processes must yield one parent-linked span tree;
-# also runs the mixed-codec fan-out check), a 1-iteration smoke of the
-# publish-path benchmarks (catches benchmarks broken by refactors
-# without the cost of a measured run), the allocation-regression
-# gate over the E1 publish benchmarks, the 3-shard cluster smoke
-# (cross-shard publish/inquire plus one live split), the
-# replication failover smoke (1 primary + 2 replica processes, kill
-# the primary, the promoted replica serves), and the end-to-end
-# benchmark harness (its own module: vet, unit tests, quick run). The
-# code-size report (`loc`) prints last.
-check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-gate bench-harness loc
+# tests (among them the publish-path allocation budget,
+# TestPublishAllocBudget), the race detector over the whole tree, a
+# short fault-injected smoke, an overload-storm smoke, the
+# distributed-tracing smoke (one flow across three processes must yield
+# one parent-linked span tree; also runs the mixed-codec fan-out check),
+# the 3-shard cluster smoke (cross-shard publish/inquire plus one live
+# split), the replication failover smoke (1 primary + 2 replica
+# processes, kill the primary, the promoted replica serves), a
+# 1-iteration smoke of every root benchmark (catches rigs broken by
+# refactors), and the end-to-end benchmark harness (its own module: vet,
+# unit tests, quick run) — the one place a commit's cost is measured.
+# The code-size report (`loc`) prints last.
+check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -38,46 +37,9 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Measured micro-benchmark runs, 5 samples each, appended as labeled
-# runs to the JSON logs: `make bench BENCH_LABEL=after-my-change`.
-# Publish path (E1* fan-out/routing, E5 index, E6 audit, E14 WAL) goes
-# to BENCH_publish.json; the details read path (E2 end-to-end, ED_*
-# repeated/rotating/churn request shapes) goes to BENCH_details.json.
-bench: bench-publish bench-details
-
-bench-publish:
-	$(GO) test -run '^$$' -bench 'E1|E5|E6' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	@cat bench.out
-	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_publish.json < bench.out
-	@rm -f bench.out
-
-bench-details:
-	$(GO) test -run '^$$' -bench 'E2_|ED_' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	@cat bench.out
-	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_details.json < bench.out
-	@rm -f bench.out
-
-# One iteration of both suites, as a compile-and-run smoke.
+# One iteration of every root benchmark, as a compile-and-run smoke.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'E1|E2_|E5|E6|ED_' -benchtime 1x -benchmem . > /dev/null
-
-# Allocation-regression gate: allocs/op of the E1 publish benchmarks
-# must stay within 5% of the committed BENCH_baseline.json. Allocation
-# counts are deterministic for a fixed code path (unlike ns/op), so a
-# short fixed-iteration run gates reliably on any machine.
-bench-gate:
-	$(GO) test -run '^$$' -bench 'E1_PublishRoute' -benchtime 2000x -benchmem . > benchgate.out \
-		|| (cat benchgate.out; rm -f benchgate.out; exit 1)
-	$(GO) run ./cmd/css-benchgate -baseline BENCH_baseline.json < benchgate.out
-	@rm -f benchgate.out
-
-# Rewrite the allocation baseline from a fresh run (after an intentional
-# change; the diff is reviewed like any other).
-bench-baseline:
-	$(GO) test -run '^$$' -bench 'E1_PublishRoute' -benchtime 2000x -benchmem . > benchgate.out \
-		|| (cat benchgate.out; rm -f benchgate.out; exit 1)
-	$(GO) run ./cmd/css-benchgate -baseline BENCH_baseline.json -update < benchgate.out
-	@rm -f benchgate.out
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # The end-to-end benchmark harness is a nested module (benchmark/,
 # replace repro => ../) that imports internal/... and spawns the
@@ -88,32 +50,6 @@ bench-baseline:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -quick
-
-# Sharded saturation run plus the same-run rate gates: the 1-shard row
-# must stay within 5% of the unsharded binary saturation row (the
-# sharding tax), on machines with ≥4 CPUs the 4-shard row must clear 3x
-# the 1-shard row (the scale-out claim), and — also ≥4 CPUs, since the
-# follower's apply+fsync work needs a core to overlap onto — async WAL
-# shipping must stay within 5% of the standalone publish path (the
-# replication tax), and the heartbeat-active async row must stay within
-# 5% of plain async (failure detection must be free on the publish
-# path; quorum mode is measured but not gated: its fsync round-trip is
-# the price of durable failover, not a regression). Not part of
-# `check`: a measured multi-minute run.
-bench-sharded:
-	$(GO) test -run '^$$' -bench 'E1_Saturation|E1_ShardedSaturation|E1_ReplicatedPublish' -benchmem . > bench.out \
-		|| (cat bench.out; rm -f bench.out; exit 1)
-	@cat bench.out
-	$(GO) run ./cmd/css-benchgate -baseline BENCH_baseline.json -rates < bench.out
-	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_publish.json < bench.out
-	@rm -f bench.out
-
-# Full experiment tables (EXPERIMENTS.md reference run). ~2 minutes.
-bench-tables:
-	$(GO) run ./cmd/css-bench
-
-bench-quick:
-	$(GO) run ./cmd/css-bench -quick
 
 # Fault-injected integration suite under the race detector: 20%
 # connection failures on the consumer/producer hop, 10% on the
@@ -182,7 +118,7 @@ lint-traceid:
 
 # The publish hot path must stay free of reflection-driven formatting
 # and the XML encoder: no fmt.Sprintf and no encoding/xml import in the
-# files the E1 benchmarks flow through. Test files are exempt.
+# files a publish flows through. Test files are exempt.
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
 	internal/index/index.go internal/idmap/idmap.go \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
@@ -192,10 +128,6 @@ lint-hotpath:
 		echo "hot-path files must not use fmt.Sprintf or encoding/xml:"; \
 		echo "$$bad"; exit 1; \
 	fi
-
-# testing.B micro-benchmarks, one per experiment.
-microbench:
-	$(GO) test -bench=. -benchmem .
 
 examples:
 	@for e in quickstart homecare statistics audittrail distributed phr monitoring accountability; do \

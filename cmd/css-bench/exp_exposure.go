@@ -2,13 +2,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/metrics"
 	"repro/internal/schema"
 	"repro/internal/workload"
 )
@@ -53,13 +52,13 @@ func sensitiveFieldsByClass() map[event.ClassID]map[event.FieldName]bool {
 // protocol and the one-phase baselines (full-document point-to-point and
 // centralized warehouse), sweeping the fraction of events whose details
 // the consumer actually requests.
-func runE4(quick bool) {
+func runE4(w io.Writer, quick bool) {
 	events := pick(quick, 500, 5000)
 	rates := []float64{0.01, 0.05, 0.20, 1.00}
 	const fanout = 3 // interested parties per event in the baselines
 	sensitiveOf := sensitiveFieldsByClass()
 
-	tbl := metrics.NewTable("approach", "detail-rate", "payload bytes moved", "sensitive bytes exposed", "vs CSS sensitive")
+	tbl := newTable(w, "approach", "detail-rate", "payload bytes moved", "sensitive bytes exposed", "vs CSS sensitive")
 	for _, rate := range rates {
 		// --- CSS two-phase ---------------------------------------------
 		ctrl, platform := scenarioPlatform()
@@ -143,19 +142,19 @@ func runE4(quick bool) {
 			}
 			return fmt.Sprintf("%.1fx", float64(x)/float64(cssSensitive))
 		}
-		tbl.Row("CSS two-phase", rate, cssMoved, cssSensitive, "1.0x")
-		tbl.Row("point-to-point", rate, p2pStats.BytesSent, p2pStats.SensitiveBytes, ratio(p2pStats.SensitiveBytes))
-		tbl.Row("warehouse copy", rate, whStats.BytesCopied, whSensitive, ratio(whSensitive))
+		tbl.row("CSS two-phase", rate, cssMoved, cssSensitive, "1.0x")
+		tbl.row("point-to-point", rate, p2pStats.BytesSent, p2pStats.SensitiveBytes, ratio(p2pStats.SensitiveBytes))
+		tbl.row("warehouse copy", rate, whStats.BytesCopied, whSensitive, ratio(whSensitive))
 	}
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: baselines expose the full sensitive payload of every event regardless")
-	fmt.Println("of need; CSS exposure scales with the detail-request rate and the policies'")
-	fmt.Println("field selections (the doctor's policies obfuscate e.g. the AIDS test).")
+	tbl.flush()
+	fmt.Fprintln(w, "shape: baselines expose the full sensitive payload of every event regardless")
+	fmt.Fprintln(w, "of need; CSS exposure scales with the detail-request rate and the policies'")
+	fmt.Fprintln(w, "field selections (the doctor's policies obfuscate e.g. the AIDS test).")
 }
 
 // runE7 quantifies the minimal-usage claim: how well three policy
 // regimes deliver exactly the fields each consumer task needs.
-func runE7(quick bool) {
+func runE7(w io.Writer, quick bool) {
 	events := pick(quick, 300, 2000)
 
 	// Task: the statistics department needs {age, sex, autonomy-score} of
@@ -187,7 +186,7 @@ func runE7(quick bool) {
 		details[i] = d
 	}
 
-	tbl := metrics.NewTable("regime", "needed coverage %", "excess fields/event", "excess bytes/event", "task feasible")
+	tbl := newTable(w, "regime", "needed coverage %", "excess fields/event", "excess bytes/event", "task feasible")
 	for _, r := range regimes {
 		var covered, excessFields, excessBytes int
 		for _, d := range details {
@@ -205,27 +204,27 @@ func runE7(quick bool) {
 			}
 		}
 		coverage := 100 * float64(covered) / float64(len(details)*len(needed))
-		tbl.Row(r.name, coverage,
+		tbl.row(r.name, coverage,
 			float64(excessFields)/float64(len(details)),
 			float64(excessBytes)/float64(len(details)),
 			coverage == 100)
 	}
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: event-level policies are the only regime with full task coverage and")
-	fmt.Println("zero excess — all-or-nothing over-shares, sensitivity bans under-share")
-	fmt.Println("(autonomy-score is sensitive, so the blanket ban breaks the statistics task).")
+	tbl.flush()
+	fmt.Fprintln(w, "shape: event-level policies are the only regime with full task coverage and")
+	fmt.Fprintln(w, "zero excess — all-or-nothing over-shares, sensitivity bans under-share")
+	fmt.Fprintln(w, "(autonomy-score is sensitive, so the blanket ban breaks the statistics task).")
 }
 
 // runE9 reproduces the onboarding-cost claim: integration artifacts for
 // N institutions, point-to-point versus through the data controller hub.
-func runE9(quick bool) {
+func runE9(w io.Writer, quick bool) {
 	sizes := []int{2, 4, 8, 16, 32, 64}
-	tbl := metrics.NewTable("institutions (P=C)", "p2p artifacts", "hub artifacts", "ratio")
+	tbl := newTable(w, "institutions (P=C)", "p2p artifacts", "hub artifacts", "ratio")
 	for _, n := range sizes {
 		p2p, hub := baseline.ArtifactCount(n, n)
-		tbl.Row(2*n, p2p, hub, float64(p2p)/float64(hub))
+		tbl.row(2*n, p2p, hub, float64(p2p)/float64(hub))
 	}
-	tbl.Write(os.Stdout)
+	tbl.flush()
 
 	// Measured counterpart: artifacts touched when one more producer
 	// joins the live platform — constant, independent of platform size.
@@ -242,8 +241,8 @@ func runE9(quick bool) {
 		log.Fatal(err)
 	}
 	after := len(ctrl.Catalog().Producers()) + len(ctrl.Catalog().Consumers()) + len(ctrl.Catalog().Classes())
-	fmt.Printf("measured: onboarding one producer touched %d catalog artifacts (independent of the %d existing members)\n",
+	fmt.Fprintf(w, "measured: onboarding one producer touched %d catalog artifacts (independent of the %d existing members)\n",
 		after-before, before)
-	fmt.Println("shape: hub artifacts grow O(N), point-to-point O(N²) — the progressive-join")
-	fmt.Println("property that motivated the CSS architecture (§1).")
+	fmt.Fprintln(w, "shape: hub artifacts grow O(N), point-to-point O(N²) — the progressive-join")
+	fmt.Fprintln(w, "property that motivated the CSS architecture (§1).")
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -21,7 +21,7 @@ import (
 // runE10 demonstrates temporal decoupling: details stay retrievable from
 // the local cooperation gateway months after publication, across producer
 // restarts, with outcomes governed by the policies' validity windows.
-func runE10(quick bool) {
+func runE10(w io.Writer, quick bool) {
 	events := pick(quick, 50, 500)
 	dir, err := os.MkdirTemp("", "css-e10-*")
 	if err != nil {
@@ -102,7 +102,7 @@ func runE10(quick bool) {
 	// Simulate by restarting the whole producer side (close + reopen).
 	gwStore.Close()
 
-	tbl := metrics.NewTable("request lag", "requester", "success", "denied (contract)", "retrieval mean")
+	tbl := newTable(w, "request lag", "requester", "success", "denied (contract)")
 	for _, lag := range []struct {
 		name string
 		d    time.Duration
@@ -133,30 +133,27 @@ func runE10(quick bool) {
 			{"family-doctor", event.PurposeHealthcareTreatment},
 			{"caring-coop", event.PurposeSocialAssistance},
 		} {
-			lat := metrics.NewHistogram()
 			ok, denied := 0, 0
 			for _, gid := range gids {
-				start := time.Now()
 				_, err := ctrl.RequestDetails(&event.DetailRequest{
 					Requester: who.actor, Class: schema.ClassBloodTest,
 					EventID: gid, Purpose: who.purpose,
 				})
-				lat.Record(time.Since(start))
 				if err != nil {
 					denied++
 				} else {
 					ok++
 				}
 			}
-			tbl.Row(lag.name, who.actor, ok, denied, lat.Mean())
+			tbl.row(lag.name, who.actor, ok, denied)
 		}
 		st.Close()
 	}
-	tbl.Write(os.Stdout)
+	tbl.flush()
 	ctrl.Close()
-	fmt.Println("shape: the doctor retrieves 100% at any lag (gateway persistence survives")
-	fmt.Println("producer restarts); the cooperative loses access once its contract expires —")
-	fmt.Println("requests months after publication resolve per the policy at request time.")
+	fmt.Fprintln(w, "shape: the doctor retrieves 100% at any lag (gateway persistence survives")
+	fmt.Fprintln(w, "producer restarts); the cooperative loses access once its contract expires —")
+	fmt.Fprintln(w, "requests months after publication resolve per the policy at request time.")
 }
 
 func benchKeyringMaster() []byte {
@@ -167,12 +164,13 @@ func benchKeyringMaster() []byte {
 	return key
 }
 
-// runE11 measures subscription authorization throughput: the §5.2
-// deny-by-default decision over a mixed granted/ungranted population.
-func runE11(quick bool) {
+// runE11 checks subscription authorization: the §5.2 deny-by-default
+// decision over a granted and an ungranted population, as the policy
+// repository grows.
+func runE11(w io.Writer, quick bool) {
 	attempts := pick(quick, 500, 2000)
 
-	tbl := metrics.NewTable("policies", "granted subs/s", "denied subs/s", "grant ratio")
+	tbl := newTable(w, "policies", "granted (has policy)", "denied (no policy)")
 	for _, nPolicies := range pick(quick, []int{10, 1000}, []int{10, 100, 1000, 10000}) {
 		ctrl, err := core.New(core.Config{DefaultConsent: true})
 		if err != nil {
@@ -199,7 +197,6 @@ func runE11(quick bool) {
 			}
 		}
 
-		grantStart := time.Now()
 		granted := 0
 		for i := 0; i < attempts; i++ {
 			actor := event.Actor(fmt.Sprintf("org/dept-%06d", i%nPolicies))
@@ -209,9 +206,6 @@ func runE11(quick bool) {
 				sub.Cancel()
 			}
 		}
-		grantElapsed := time.Since(grantStart)
-
-		denyStart := time.Now()
 		denied := 0
 		for i := 0; i < attempts; i++ {
 			actor := event.Actor(fmt.Sprintf("org/ungranted-%06d", i))
@@ -219,28 +213,26 @@ func runE11(quick bool) {
 				denied++
 			}
 		}
-		denyElapsed := time.Since(denyStart)
 		ctrl.Close()
 
-		tbl.Row(nPolicies,
-			metrics.Rate(granted, grantElapsed),
-			metrics.Rate(denied, denyElapsed),
-			fmt.Sprintf("%d/%d", granted, attempts))
+		tbl.row(nPolicies,
+			fmt.Sprintf("%d/%d", granted, attempts),
+			fmt.Sprintf("%d/%d", denied, attempts))
 	}
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: both decisions scan the class's policy list; denial costs the full")
-	fmt.Println("scan, so deny-by-default is the slower path — and still thousands/sec.")
+	tbl.flush()
+	fmt.Fprintln(w, "shape: at every repository size each actor holding a policy is granted and")
+	fmt.Fprintln(w, "each actor holding none is refused — a subscription needs a matching policy.")
 }
 
-// runE12 measures the elicitation pipeline: compile throughput, XML
+// runE12 checks the elicitation pipeline: compilation, a lossless XML
 // round-trip, and the equivalence rate between native Definition-3
 // matching and compiled-XACML evaluation over randomized policies.
-func runE12(quick bool) {
+func runE12(w io.Writer, quick bool) {
 	nPolicies := pick(quick, 2000, 20000)
 	checks := pick(quick, 2000, 20000)
 
-	// Compile + XML round-trip throughput over the standard policy set
-	// shapes, randomized.
+	// Compile + XML round-trip over the standard policy set shapes,
+	// randomized.
 	rnd := rand.New(rand.NewSource(12))
 	domain := schema.Domain()
 	consumers := workload.Consumers()
@@ -262,7 +254,6 @@ func runE12(quick bool) {
 		}
 	}
 
-	compileStart := time.Now()
 	policies := make([]*policy.Policy, nPolicies)
 	compiled := make([]*xacml.Policy, nPolicies)
 	for i := range policies {
@@ -273,9 +264,7 @@ func runE12(quick bool) {
 		}
 		compiled[i] = x
 	}
-	compileElapsed := time.Since(compileStart)
 
-	xmlStart := time.Now()
 	roundTripOK := 0
 	for _, x := range compiled {
 		data, err := xacml.Encode(x)
@@ -286,15 +275,12 @@ func runE12(quick bool) {
 			roundTripOK++
 		}
 	}
-	xmlElapsed := time.Since(xmlStart)
 
 	// Equivalence: native Matches vs compiled evaluation on random
 	// requests.
 	agree := 0
 	for i := 0; i < checks; i++ {
 		p := policies[rnd.Intn(len(policies))]
-		pdp, _ := xacml.NewPDP(xacml.FirstApplicable)
-		_ = pdp
 		req := &event.DetailRequest{
 			Requester: consumers[rnd.Intn(len(consumers))].Actor,
 			Class:     domain[rnd.Intn(len(domain))].Class(),
@@ -311,13 +297,11 @@ func runE12(quick bool) {
 		}
 	}
 
-	tbl := metrics.NewTable("metric", "value")
-	tbl.Row("policies compiled", nPolicies)
-	tbl.Row("compile k-pol/s", metrics.Rate(nPolicies, compileElapsed)/1000)
-	tbl.Row("XACML XML round-trip k-pol/s", metrics.Rate(nPolicies, xmlElapsed)/1000)
-	tbl.Row("round-trip success", fmt.Sprintf("%d/%d", roundTripOK, nPolicies))
-	tbl.Row("native vs XACML agreement", fmt.Sprintf("%d/%d (%.2f%%)", agree, checks, 100*float64(agree)/float64(checks)))
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: compilation and serialization are bulk operations (thousands/sec);")
-	fmt.Println("agreement must be 100% — the elicited rule IS the enforced rule.")
+	tbl := newTable(w, "metric", "value")
+	tbl.row("policies compiled", nPolicies)
+	tbl.row("XACML XML round-trip success", fmt.Sprintf("%d/%d", roundTripOK, nPolicies))
+	tbl.row("native vs XACML agreement", fmt.Sprintf("%d/%d (%.2f%%)", agree, checks, 100*float64(agree)/float64(checks)))
+	tbl.flush()
+	fmt.Fprintln(w, "shape: every compiled policy survives the XML round trip, and agreement must")
+	fmt.Fprintln(w, "be 100% — the elicited rule IS the enforced rule.")
 }

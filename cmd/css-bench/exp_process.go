@@ -2,11 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/process"
 	"repro/internal/reporting"
 	"repro/internal/schema"
@@ -14,10 +13,10 @@ import (
 )
 
 // runE15 characterizes the process-monitoring layer (the platform's
-// purpose, §1): observe throughput, and detection accuracy against the
-// ground truth of a correlated care-episode stream (post-discharge
-// pathway with configurable drop/late rates plus unrelated noise).
-func runE15(quick bool) {
+// purpose, §1): detection accuracy against the ground truth of a
+// correlated care-episode stream (post-discharge pathway with
+// configurable drop/late rates plus unrelated noise).
+func runE15(w io.Writer, quick bool) {
 	episodes := pick(quick, 2000, 20000)
 
 	pathway := &process.Pathway{
@@ -41,11 +40,9 @@ func runE15(quick bool) {
 	})
 	stream, truth := gen.Stream(episodes)
 
-	start := time.Now()
 	for _, n := range stream {
 		m.Observe(n)
 	}
-	elapsed := time.Since(start)
 	report := m.Snapshot(stream[len(stream)-1].OccurredAt.Add(60 * 24 * time.Hour))
 
 	// Ground-truth mapping (see workload.EpisodeOutcome): at end of
@@ -54,17 +51,16 @@ func runE15(quick bool) {
 	wantStalled := episodes - wantCompleted
 	detected := len(report.Stalled) + len(report.Active)
 
-	tbl := metrics.NewTable("metric", "value")
-	tbl.Row("episodes (events)", fmt.Sprintf("%d (%d)", episodes, len(stream)))
-	tbl.Row("observe k-ev/s", metrics.Rate(len(stream), elapsed)/1000)
-	tbl.Row("completed: monitor / truth", fmt.Sprintf("%d / %d", len(report.Completed), wantCompleted))
-	tbl.Row("care gaps: monitor / truth", fmt.Sprintf("%d / %d", detected, wantStalled))
-	tbl.Row("detection accuracy", fmt.Sprintf("%.2f%%", 100*float64(detected)/float64(maxOf(wantStalled, 1))))
-	tbl.Row("noise events ignored", report.Unrelated)
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: monitoring keeps up with the full notification stream and recovers the")
-	fmt.Println("generator's ground truth exactly — every dropped or late care hand-off is")
-	fmt.Println("detected from the who/what/when/where of notifications alone.")
+	tbl := newTable(w, "metric", "value")
+	tbl.row("episodes (events)", fmt.Sprintf("%d (%d)", episodes, len(stream)))
+	tbl.row("completed: monitor / truth", fmt.Sprintf("%d / %d", len(report.Completed), wantCompleted))
+	tbl.row("care gaps: monitor / truth", fmt.Sprintf("%d / %d", detected, wantStalled))
+	tbl.row("detection accuracy", fmt.Sprintf("%.2f%%", 100*float64(detected)/float64(maxOf(wantStalled, 1))))
+	tbl.row("noise events ignored", report.Unrelated)
+	tbl.flush()
+	fmt.Fprintln(w, "shape: monitoring recovers the generator's ground truth exactly — every")
+	fmt.Fprintln(w, "dropped or late care hand-off is detected from the who/what/when/where of")
+	fmt.Fprintln(w, "notifications alone.")
 }
 
 func maxOf(a, b int) int {
@@ -74,34 +70,29 @@ func maxOf(a, b int) int {
 	return b
 }
 
-// runE16 characterizes the accountability aggregation (§2): throughput of
-// the reporting pipeline and the size of the aggregate the governing body
-// receives instead of raw data.
-func runE16(quick bool) {
+// runE16 characterizes the accountability aggregation (§2): the size of
+// the aggregate the governing body receives instead of raw data.
+func runE16(w io.Writer, quick bool) {
 	events := pick(quick, 20000, 200000)
 	agg := reporting.NewAggregator(reporting.Monthly)
 	gen := workload.NewGenerator(workload.Config{Seed: 16, People: 3000})
 
-	start := time.Now()
 	for i := 0; i < events; i++ {
 		n, _ := gen.Next()
 		agg.Observe(n)
 	}
-	elapsed := time.Since(start)
 	rows := agg.Report()
 
 	distinctBuckets := map[string]bool{}
 	for _, r := range rows {
 		distinctBuckets[r.Bucket] = true
 	}
-	tbl := metrics.NewTable("metric", "value")
-	tbl.Row("events aggregated", events)
-	tbl.Row("observe k-ev/s", metrics.Rate(events, elapsed)/1000)
-	tbl.Row("report rows (producer×class×month)", len(rows))
-	tbl.Row("months covered", len(distinctBuckets))
-	tbl.Row("reduction factor (events per row)", float64(events)/float64(len(rows)))
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: the governing body's accountability view is a few hundred aggregate")
-	fmt.Println("rows instead of the raw event stream — produced from notifications alone at")
-	fmt.Println("millions of events per second.")
+	tbl := newTable(w, "metric", "value")
+	tbl.row("events aggregated", events)
+	tbl.row("report rows (producer×class×month)", len(rows))
+	tbl.row("months covered", len(distinctBuckets))
+	tbl.row("reduction factor (events per row)", float64(events)/float64(len(rows)))
+	tbl.flush()
+	fmt.Fprintln(w, "shape: the governing body's accountability view is a few hundred aggregate")
+	fmt.Fprintln(w, "rows instead of the raw event stream — produced from notifications alone.")
 }

@@ -1,81 +1,127 @@
-// css-bench regenerates every experiment in EXPERIMENTS.md: the paper
-// (an industrial experience report) publishes no quantitative tables, so
-// each of its figures and prose claims is mapped to a characterization
-// experiment (see DESIGN.md §5). The harness prints one table per
-// experiment; EXPERIMENTS.md records a reference run.
+// css-bench regenerates the non-timing experiments in EXPERIMENTS.md:
+// the paper (an industrial experience report) publishes no quantitative
+// tables, so each of its prose claims about exposure, policy regimes,
+// onboarding, lifecycle and monitoring is mapped to a characterization
+// experiment (see DESIGN.md §5). Every table holds counts, bytes and
+// ratios only, so two runs print the same bytes; what a commit costs in
+// time is answered by `bash benchmark/run.sh` alone.
 //
 // Usage:
 //
-//	css-bench [-exp e1|e2|...|e12|all] [-quick]
+//	css-bench [-exp e4,e7,...|all] [-quick]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"sort"
 	"strings"
+	"text/tabwriter"
 )
 
 // experiment is one runnable table generator.
 type experiment struct {
 	id    string
 	title string
-	run   func(q bool) // q: quick mode (smaller parameters)
+	run   func(w io.Writer, q bool) // q: quick mode (smaller parameters)
 }
 
 var experiments = []experiment{
-	{"e1", "Fig. 2 — pub/sub routing: publish throughput and delivery latency vs subscribers", runE1},
-	{"e2", "Fig. 4 / Algorithms 1-2 — detail request resolution with stage breakdown", runE2},
-	{"e3", "Fig. 8 — XACML PDP throughput vs policy repository size", runE3},
 	{"e4", "§1 claim — minimal usage: two-phase vs full-publication baselines", runE4},
-	{"e5", "§4 — encrypted events index vs plaintext baseline", runE5},
-	{"e6", "§4 — audit trail overhead and verification", runE6},
 	{"e7", "§1 claim — event-level policies vs all-or-nothing and over-constraining", runE7},
-	{"e8", "§4 — events index inquiry scaling", runE8},
 	{"e9", "§1 claim — onboarding cost: hub vs point-to-point", runE9},
 	{"e10", "§4 — temporal decoupling: detail retrieval months later, source offline", runE10},
-	{"e11", "§5.2 — subscription authorization (deny-by-default) throughput", runE11},
+	{"e11", "§5.2 — subscription authorization (deny-by-default)", runE11},
 	{"e12", "§5.1/§6 — elicitation → XACML compilation round trip", runE12},
 	{"e13", "ablation D3 — details at producer vs controller-side cache", runE13},
-	{"e14", "ablation — WAL durability modes and recovery", runE14},
 	{"e15", "§1 — process monitoring over the notification stream", runE15},
 	{"e16", "§2 — accountability aggregates for the governing body", runE16},
-	{"e18", "DESIGN §12 — sharded controller: publish scale-out across cluster widths", runE18},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e12) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+knownIDs()+") or 'all'")
 	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
 	flag.Parse()
 
-	want := strings.Split(*exp, ",")
-	sort.Strings(want)
-	matched := 0
-	for _, e := range experiments {
-		if *exp != "all" && !contains(want, e.id) {
-			continue
-		}
-		matched++
-		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(e.id), e.title)
-		e.run(*quick)
-		fmt.Println()
-	}
-	if matched == 0 {
-		log.Printf("no experiment matches %q; known: e1..e18, all", *exp)
+	selected, unknown := selectExperiments(*exp)
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "css-bench: unknown experiment %s; known: %s, all\n",
+			strings.Join(unknown, ", "), knownIDs())
 		os.Exit(2)
+	}
+	for _, e := range selected {
+		runExperiment(os.Stdout, e, *quick)
 	}
 }
 
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
+// selectExperiments resolves a comma-separated -exp value in the order
+// given, and returns every id the experiments table does not know.
+func selectExperiments(spec string) (selected []experiment, unknown []string) {
+	if spec == "all" {
+		return experiments, nil
+	}
+	byID := map[string]experiment{}
+	for _, e := range experiments {
+		byID[e.id] = e
+	}
+	for _, id := range strings.Split(spec, ",") {
+		if e, ok := byID[id]; ok {
+			selected = append(selected, e)
+		} else {
+			unknown = append(unknown, id)
 		}
 	}
-	return false
+	return selected, unknown
 }
+
+func knownIDs() string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return strings.Join(ids, ",")
+}
+
+func runExperiment(w io.Writer, e experiment, quick bool) {
+	fmt.Fprintf(w, "=== %s: %s ===\n", strings.ToUpper(e.id), e.title)
+	e.run(w, quick)
+	fmt.Fprintln(w)
+}
+
+// table renders one aligned experiment table; cells are separated by at
+// least two spaces.
+type table struct{ tw *tabwriter.Writer }
+
+func newTable(w io.Writer, header ...string) *table {
+	t := &table{tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)}
+	rule := make([]string, len(header))
+	for i, h := range header {
+		rule[i] = strings.Repeat("-", len(h))
+	}
+	t.line(header)
+	t.line(rule)
+	return t
+}
+
+// row appends a row; floats print with two decimals, the rest with %v.
+func (t *table) row(values ...any) {
+	cells := make([]string, len(values))
+	for i, v := range values {
+		if f, ok := v.(float64); ok {
+			cells[i] = fmt.Sprintf("%.2f", f)
+		} else {
+			cells[i] = fmt.Sprint(v)
+		}
+	}
+	t.line(cells)
+}
+
+func (t *table) line(cells []string) {
+	fmt.Fprintln(t.tw, strings.Join(cells, "\t"))
+}
+
+func (t *table) flush() { t.tw.Flush() }
 
 // pick returns quick or full parameters.
 func pick[T any](quick bool, q, full T) T {

@@ -3,7 +3,7 @@
 // social and health systems, after Armellin et al. (SDM @ VLDB 2010).
 //
 // Import the public API from repro/css; the substrates live under
-// internal/. The root package exists to host the repository-level
-// benchmark suite (bench_test.go), one benchmark per experiment of
-// EXPERIMENTS.md.
+// internal/. The root package exists to host bench_test.go, the
+// testing.B rigs of the non-timing experiments in EXPERIMENTS.md; what
+// a commit costs is measured by the nested module under benchmark/.
 package repro

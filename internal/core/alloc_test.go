@@ -1,0 +1,88 @@
+//go:build !race
+
+// The race detector inflates allocation counts, and `make race` runs
+// the whole tree, so the budget is asserted only in uninstrumented runs.
+
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/event"
+	"repro/internal/policy"
+	"repro/internal/schema"
+)
+
+// TestPublishAllocBudget is the allocation-regression gate of the
+// publish path: one publish through the full pipeline (validate, assign
+// id, encrypt+index, audit, route) to 16 callback subscribers, all 16
+// deliveries awaited. Allocation counts belong to the code path, not to
+// the machine (unlike wall-clock), so the budget holds anywhere; it is
+// the measured 52 (XML) and 39 (binary) allocs/op plus 5 %.
+func TestPublishAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		codec  event.Codec
+		budget float64
+	}{
+		{event.XML, 54},
+		{event.Binary, 40},
+	} {
+		t.Run(tc.codec.Name(), func(t *testing.T) {
+			c, err := New(Config{DefaultConsent: true, Codec: tc.codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.RegisterProducer("hospital", "H"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DeclareClass("hospital", schema.BloodTest()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RegisterConsumer("org", "O"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.DefinePolicy(&policy.Policy{
+				Producer: "hospital", Actor: "org", Class: schema.ClassBloodTest,
+				Purposes: []event.Purpose{"care"}, Fields: []event.FieldName{"patient-id"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			const subs = 16
+			var wg sync.WaitGroup
+			for i := 0; i < subs; i++ {
+				if _, err := c.Subscribe(event.Actor(fmt.Sprintf("org/d%02d", i)), schema.ClassBloodTest,
+					func(*event.Notification) { wg.Done() }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seq := 0
+			publish := func() {
+				seq++
+				wg.Add(subs)
+				if _, err := c.Publish(&event.Notification{
+					SourceID: event.SourceID(fmt.Sprintf("s-%09d", seq)), Class: schema.ClassBloodTest,
+					PersonID: "PRS-1", OccurredAt: time.Now(), Producer: "hospital",
+				}); err != nil {
+					t.Fatal(err)
+				}
+				wg.Wait()
+			}
+			// A GC emptying the codec pools or another test's leftover
+			// goroutine only ever adds allocations, so the lowest of five
+			// rounds is the path's own count.
+			got := math.Inf(1)
+			for round := 0; round < 5; round++ {
+				got = min(got, testing.AllocsPerRun(200, publish))
+			}
+			t.Logf("%s: %.0f allocs/op (budget %.0f)", tc.codec.Name(), got, tc.budget)
+			if got > tc.budget {
+				t.Errorf("publish allocates %.0f/op with the %s codec, budget %.0f", got, tc.codec.Name(), tc.budget)
+			}
+		})
+	}
+}
