@@ -1,0 +1,158 @@
+package transport
+
+import (
+	"encoding/xml"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/event"
+)
+
+// The golden table pins the XML form of the five envelopes the detail
+// and publish paths put on the wire per request, byte for byte: each
+// row's production encoding must equal the committed literal and what
+// encoding/xml makes of the same struct, and the literal must decode
+// to what encoding/xml decodes it to.
+
+// goldenEncode is the production encoding of an envelope.
+func goldenEncode(t *testing.T, msg any) []byte {
+	t.Helper()
+	switch m := msg.(type) {
+	case *publishResponse:
+		rec := httptest.NewRecorder()
+		writePublishResponseAs(rec, event.XML, http.StatusOK, m.EventID)
+		return rec.Body.Bytes()
+	case *Fault:
+		rec := httptest.NewRecorder()
+		writeFaultStatus(rec, event.XML, http.StatusBadRequest, m)
+		return rec.Body.Bytes()
+	}
+	data, err := encodeXML(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// goldenDecode is the production decoding of an envelope into a fresh
+// value of msg's type.
+func goldenDecode(t *testing.T, data []byte, msg any) any {
+	t.Helper()
+	out := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+	if err := xml.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+const goldenNasty = "q\" a' & < > t\t n\n r\r é漢 \xff \x01."
+
+const goldenNastyXML = `q&#34; a&#39; &amp; &lt; &gt; t&#x9; n&#xA; r&#xD; é漢 ` + "\uFFFD \uFFFD."
+
+func TestGoldenEnvelopeXML(t *testing.T) {
+	// Nested notification documents travel escaped inside <notification>.
+	plain := &event.Notification{ID: "evt-1", Trace: "t1", Class: "c.x", PersonID: "P", Summary: "s",
+		OccurredAt: time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC), Producer: "p",
+		PublishedAt: time.Date(2026, 8, 5, 10, 0, 0, 1000000, time.UTC)}
+	nasty := &event.Notification{ID: "evt-2", Class: "c.x", PersonID: "P", Summary: goldenNasty, Producer: "p"}
+	const plainXML = `<notification>&lt;wire id=&#34;evt-1&#34; trace=&#34;t1&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;s&lt;/summary&gt;&lt;occurredAt&gt;2026-08-05T10:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;2026-08-05T10:00:00.001Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
+	const nastyXML = `<notification>&lt;wire id=&#34;evt-2&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;q&amp;#34; a&amp;#39; &amp;amp; &amp;lt; &amp;gt; t&amp;#x9; n&amp;#xA; r&amp;#xD; é漢 ` + "\uFFFD \uFFFD." + `&lt;/summary&gt;&lt;occurredAt&gt;0001-01-01T00:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;0001-01-01T00:00:00Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
+	ten := &inquiryResponse{}
+	for _, n := range []*event.Notification{nasty, plain, plain, plain, plain, plain, plain, plain, plain, plain} {
+		data, err := event.EncodeNotification(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ten.Notifications = append(ten.Notifications, string(data))
+	}
+
+	for _, tc := range []struct {
+		name string
+		msg  any
+		want string
+	}{
+		{"get-response, no fields: <fields> stays, empty",
+			&getResponseRequest{Source: "src-1"},
+			`<getResponseRequest><sourceId>src-1</sourceId><fields></fields></getResponseRequest>`},
+		{"get-response, one field",
+			&getResponseRequest{Source: "src-1", Fields: []event.FieldName{"hemoglobin"}},
+			`<getResponseRequest><sourceId>src-1</sourceId><fields><field>hemoglobin</field></fields></getResponseRequest>`},
+		{"get-response, fields in request order",
+			&getResponseRequest{Source: "hospital-src-00000012", Fields: []event.FieldName{"patient-id", "hemoglobin", "exam-date"}},
+			`<getResponseRequest><sourceId>hospital-src-00000012</sourceId><fields><field>patient-id</field><field>hemoglobin</field><field>exam-date</field></fields></getResponseRequest>`},
+		{"get-response, every escaped character",
+			&getResponseRequest{Source: goldenNasty, Fields: []event.FieldName{goldenNasty, ""}},
+			`<getResponseRequest><sourceId>` + goldenNastyXML + `</sourceId><fields><field>` + goldenNastyXML + `</field><field></field></fields></getResponseRequest>`},
+
+		{"inquiry, actor only",
+			&inquiryRequest{Actor: "family-doctor"},
+			`<inquiryRequest><actor>family-doctor</actor></inquiryRequest>`},
+		{"inquiry, every selector",
+			&inquiryRequest{Actor: "org/dept/doc", PersonID: "PRS-0042", Class: "hospital.blood-test", Producer: "hospital-s-maria",
+				From: "2010-05-01T00:00:00Z", To: "2010-06-01T00:00:00.5Z", Limit: 25},
+			`<inquiryRequest><actor>org/dept/doc</actor><personId>PRS-0042</personId><class>hospital.blood-test</class><producer>hospital-s-maria</producer><from>2010-05-01T00:00:00Z</from><to>2010-06-01T00:00:00.5Z</to><limit>25</limit></inquiryRequest>`},
+		{"inquiry, person and negative limit",
+			&inquiryRequest{Actor: "a", PersonID: "P", Limit: -3},
+			`<inquiryRequest><actor>a</actor><personId>P</personId><limit>-3</limit></inquiryRequest>`},
+		{"inquiry, every escaped character",
+			&inquiryRequest{Actor: goldenNasty, PersonID: goldenNasty, To: goldenNasty},
+			`<inquiryRequest><actor>` + goldenNastyXML + `</actor><personId>` + goldenNastyXML + `</personId><to>` + goldenNastyXML + `</to></inquiryRequest>`},
+
+		{"inquiry response, no results",
+			&inquiryResponse{},
+			`<inquiryResponse></inquiryResponse>`},
+		{"inquiry response, ten results",
+			ten,
+			`<inquiryResponse>` + nastyXML + strings.Repeat(plainXML, 9) + `</inquiryResponse>`},
+
+		{"publish response",
+			&publishResponse{EventID: "evt-0000000042"},
+			`<publishResponse><eventId>evt-0000000042</eventId></publishResponse>`},
+		{"publish response, parked in the outbox: empty id",
+			&publishResponse{},
+			`<publishResponse><eventId></eventId></publishResponse>`},
+		{"publish response, every escaped character",
+			&publishResponse{EventID: goldenNasty},
+			`<publishResponse><eventId>` + goldenNastyXML + `</eventId></publishResponse>`},
+
+		{"fault",
+			&Fault{Code: CodeAccessDenied, Message: "enforcer: access denied: no policy permits family-doctor"},
+			`<fault code="access-denied">enforcer: access denied: no policy permits family-doctor</fault>`},
+		{"fault with the shard redirect pair",
+			&Fault{Code: CodeWrongShard, Shard: "2", MapVersion: 18446744073709551615, Message: "cluster: wrong shard"},
+			`<fault code="wrong-shard" shard="2" mapVersion="18446744073709551615">cluster: wrong shard</fault>`},
+		{"fault, shard 0 at map version 0: the version is omitted",
+			&Fault{Code: CodeNotPrimary, Shard: "0", Message: "m"},
+			`<fault code="not-primary" shard="0">m</fault>`},
+		{"fault, empty message",
+			&Fault{Code: CodeInternal},
+			`<fault code="internal"></fault>`},
+		{"fault, every escaped character",
+			&Fault{Code: goldenNasty, Shard: goldenNasty, MapVersion: 7, Message: goldenNasty},
+			`<fault code="` + goldenNastyXML + `" shard="` + goldenNastyXML + `" mapVersion="7">` + goldenNastyXML + `</fault>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := goldenEncode(t, tc.msg); string(got) != tc.want {
+				t.Errorf("encoded\n %s\nwant\n %s", got, tc.want)
+			}
+			ref, err := xml.Marshal(tc.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(ref) != tc.want {
+				t.Errorf("encoding/xml reference\n %s\nwant\n %s", ref, tc.want)
+			}
+			want := reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface()
+			if err := xml.Unmarshal([]byte(tc.want), want); err != nil {
+				t.Fatal(err)
+			}
+			if got := goldenDecode(t, []byte(tc.want), tc.msg); !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded %+v, encoding/xml decodes %+v", got, want)
+			}
+		})
+	}
+}

@@ -138,6 +138,7 @@ func TestWireCompatClientRequests(t *testing.T) {
 		EventID: "evt-1", Purpose: event.PurposeHealthcareTreatment,
 	}
 	const subscribeXML = `<subscribeRequest><actor>family-doctor</actor><class>hospital.blood-test</class><callback>http://cb.example/n</callback></subscribeRequest>`
+	const detailsXML = `<DetailRequest><requester>family-doctor</requester><class>hospital.blood-test</class><eventId>evt-1</eventId><purpose>healthcare-treatment</purpose><at>0001-01-01T00:00:00Z</at></DetailRequest>`
 	const inquiryXML = `<inquiryRequest><actor>family-doctor</actor><personId>PRS-1</personId><class>hospital.blood-test</class><from>2010-05-01T00:00:00Z</from><limit>5</limit></inquiryRequest>`
 
 	for _, codec := range []event.Codec{event.XML, event.Binary} {
@@ -153,6 +154,10 @@ func TestWireCompatClientRequests(t *testing.T) {
 				subscribeBody = encodeSubscribeRequestFrame(&subscribeRequest{
 					Actor: "family-doctor", Class: schema.ClassBloodTest,
 					Callback: "http://cb.example/n", Codec: "binary"})
+			}
+			detailsBody := []byte(detailsXML)
+			if codec == event.Binary {
+				detailsBody = must(codec.EncodeDetailRequest(detailReq))
 			}
 			cases := []struct {
 				name string
@@ -173,7 +178,7 @@ func TestWireCompatClientRequests(t *testing.T) {
 					_, err := client.RequestDetails(ctx, detailReq)
 					return err
 				}, sentRequest{path: "/ws/details", contentType: codec.ContentType(), accept: codec.ContentType(),
-					body: must(codec.EncodeDetailRequest(detailReq))}},
+					body: detailsBody}},
 				// Inquiries stay XML whatever codec the client negotiated.
 				{"inquire", func() error {
 					_, err := client.InquireIndex(ctx, "family-doctor", index.Inquiry{
@@ -206,6 +211,17 @@ func TestWireCompatClientRequests(t *testing.T) {
 			contentType: "application/xml", accept: "application/xml",
 			trace: wcTrace, traceparent: wcTraceparent,
 			body: must(event.XML.EncodeNotification(n))})
+	})
+	t.Run("details quotes a trace and a logical time", func(t *testing.T) {
+		req := *detailReq
+		req.Trace, req.At = wcTrace, time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC)
+		if _, err := NewClient(peer.URL, nil).RequestDetails(context.Background(), &req); err != nil {
+			t.Fatal(err)
+		}
+		checkSent(t, rr.take(), sentRequest{method: http.MethodPost, path: "/ws/details",
+			contentType: "application/xml", accept: "application/xml",
+			trace: wcTrace, traceparent: wcTraceparent,
+			body: []byte(`<DetailRequest trace="feedbeefcafe0001"><requester>family-doctor</requester><class>hospital.blood-test</class><eventId>evt-1</eventId><purpose>healthcare-treatment</purpose><at>2010-05-30T09:00:00Z</at></DetailRequest>`)})
 	})
 	t.Run("no trace no trace headers", func(t *testing.T) {
 		if _, err := NewClient(peer.URL, nil).Publish(context.Background(), wcNotification()); err != nil {
