@@ -116,16 +116,21 @@ lint-traceid:
 		echo "$$bad"; exit 1; \
 	fi
 
-# The publish hot path must stay free of reflection-driven formatting
-# and the XML encoder: no fmt.Sprintf and no encoding/xml import in the
-# files a publish flows through. Test files are exempt.
+# The publish and detail hot paths must stay free of reflection-driven
+# formatting and the XML encoder: no fmt.Sprintf and no encoding/xml
+# import in the files a publish or a detail request flows through, and
+# no reflect in the XML helper they share. Inside internal/event,
+# encoding/xml (the decoders' fallback) is xml.go's alone. Test files
+# are exempt.
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
 	internal/index/index.go internal/idmap/idmap.go \
-	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
+	$(filter-out %_test.go,$(wildcard internal/bus/*.go internal/xmlx/*.go))
 lint-hotpath:
-	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'); \
+	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \
+		grep -n '"reflect"' $(filter-out %_test.go,$(wildcard internal/xmlx/*.go)) /dev/null; \
+		grep -n '"encoding/xml"' $(filter-out %_test.go internal/event/xml.go,$(wildcard internal/event/*.go)) /dev/null); \
 	if [ -n "$$bad" ]; then \
-		echo "hot-path files must not use fmt.Sprintf or encoding/xml:"; \
+		echo "hot-path files must not use fmt.Sprintf, encoding/xml or (xmlx) reflect:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -141,6 +146,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzBinaryNotification -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzBinaryDetail -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzBinaryDetailRequest -fuzztime=15s ./internal/event/
+	$(GO) test -fuzz=FuzzXMLDetailDifferential -fuzztime=15s ./internal/event/
+	$(GO) test -fuzz=FuzzXMLNotificationDifferential -fuzztime=15s ./internal/event/
+	$(GO) test -fuzz=FuzzXMLDetailRequestDifferential -fuzztime=15s ./internal/event/
+	$(GO) test -run '^$$' -fuzz=FuzzXMLEnvelopeDifferential -fuzztime=15s ./internal/transport/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/

@@ -22,13 +22,13 @@ import (
 // id, encrypt+index, audit, route) to 16 callback subscribers, all 16
 // deliveries awaited. Allocation counts belong to the code path, not to
 // the machine (unlike wall-clock), so the budget holds anywhere; it is
-// the measured 52 (XML) and 39 (binary) allocs/op plus 5 %.
+// the measured 38 (XML) and 39 (binary) allocs/op plus 5 %.
 func TestPublishAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		codec  event.Codec
 		budget float64
 	}{
-		{event.XML, 54},
+		{event.XML, 39},
 		{event.Binary, 40},
 	} {
 		t.Run(tc.codec.Name(), func(t *testing.T) {

@@ -20,6 +20,9 @@ type DetailRequest struct {
 	Purpose Purpose `xml:"purpose"`
 	// At is the logical time of the request; the zero value means "now".
 	// Policies with validity windows are evaluated against this instant.
+	// On the wire <at> is always present: omitempty is inert on a struct,
+	// so a zero At travels as 0001-01-01T00:00:00Z, and peers depend on
+	// the element being there.
 	At time.Time `xml:"at,omitempty"`
 	// Trace is the correlation identifier of the request flow. Consumers
 	// that quote the trace of the originating notification correlate the

@@ -13,7 +13,8 @@ import (
 // byte for byte. Each row's encoder output must equal the committed
 // literal and the output of encoding/xml on a reference struct that
 // lives only in this file, and the literal must decode to what
-// encoding/xml decodes it to. Two accidents are wire format by now and
+// encoding/xml decodes it to — through the single-pass reader, not the
+// fallback. Two accidents are wire format by now and
 // are pinned with the rest: the notification root element is <wire>,
 // and a detail request always carries <at>, zero or not.
 
@@ -109,6 +110,9 @@ func TestGoldenNotificationXML(t *testing.T) {
 			if want := Notification(w); !reflect.DeepEqual(*dec, want) {
 				t.Errorf("decoded %+v, encoding/xml decodes %+v", *dec, want)
 			}
+			if !xmlAgrees(t, []byte(tc.want), readNotification) {
+				t.Error("the reader declined the encoder's own output")
+			}
 		})
 	}
 }
@@ -156,6 +160,9 @@ func TestGoldenDetailXML(t *testing.T) {
 			if !reflect.DeepEqual(*dec, want) {
 				t.Errorf("decoded %+v, encoding/xml decodes %+v", *dec, want)
 			}
+			if !xmlAgrees(t, []byte(tc.want), readDetail) {
+				t.Error("the reader declined the encoder's own output")
+			}
 		})
 	}
 }
@@ -194,6 +201,9 @@ func TestGoldenDetailRequestXML(t *testing.T) {
 			}
 			if !reflect.DeepEqual(*dec, want) {
 				t.Errorf("decoded %+v, encoding/xml decodes %+v", *dec, want)
+			}
+			if !xmlAgrees(t, []byte(tc.want), readDetailRequest) {
+				t.Error("the reader declined the encoder's own output")
 			}
 		})
 	}

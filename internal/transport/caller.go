@@ -14,6 +14,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
@@ -208,15 +209,15 @@ func (c *caller) attempt(ctx context.Context, method, path, contentType, accept,
 // faultError reconstructs the platform error from a non-2xx answer's
 // fault payload (XML or binary envelope).
 func faultError(resp *http.Response, data []byte) error {
-	var f Fault
+	f := new(Fault)
 	var err error
 	if event.IsBinaryFrame(data) {
-		err = decodeFaultFrame(data, &f)
+		err = decodeFaultFrame(data, f)
 	} else {
-		err = xml.Unmarshal(data, &f)
+		f, err = xmlx.Decode(data, readFault, xml.Unmarshal)
 	}
 	if err == nil && f.Code != "" {
-		err = errorFor(&f)
+		err = errorFor(f)
 	} else {
 		err = fmt.Errorf("transport: http %d: %s", resp.StatusCode, data)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // Client is the consumer/producer-side SDK for a remote data controller.
@@ -171,12 +172,12 @@ func (c *Client) InquireIndex(ctx context.Context, actor event.Actor, q index.In
 	if !q.To.IsZero() {
 		req.To = q.To.UTC().Format(time.RFC3339Nano)
 	}
-	body, err := encodeXML(&req)
+	var out *inquiryResponse
+	err := c.call(ctx, http.MethodPost, "/ws/inquire", event.ContentTypeXML, req.appendXML(make([]byte, 0, 256)), func(data []byte) (derr error) {
+		out, derr = xmlx.Decode(data, readInquiryResponse, xml.Unmarshal)
+		return derr
+	})
 	if err != nil {
-		return nil, err
-	}
-	var out inquiryResponse
-	if err := c.post(ctx, "/ws/inquire", body, &out); err != nil {
 		return nil, err
 	}
 	notifications := make([]*event.Notification, 0, len(out.Notifications))

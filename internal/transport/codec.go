@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/event"
+	"repro/internal/xmlx"
 )
 
 // requestCodec picks the codec that decodes a request body: an explicit
@@ -185,7 +186,8 @@ func writePublishResponseAs(w http.ResponseWriter, codec event.Codec, status int
 		writeBody(w, status, event.ContentTypeBinary, encodePublishResponseFrame(gid))
 		return
 	}
-	writeXML(w, status, &publishResponse{EventID: gid})
+	m := publishResponse{EventID: gid}
+	writeBody(w, status, respContentType(event.XML), m.appendXML(make([]byte, 0, 64+len(gid))))
 }
 
 func writeSubscribeResponseAs(w http.ResponseWriter, codec event.Codec, id string) {
@@ -202,8 +204,8 @@ func decodeAnyPublishResponse(data []byte) (event.GlobalID, error) {
 	if event.IsBinaryFrame(data) {
 		return decodePublishResponseFrame(data)
 	}
-	var out publishResponse
-	if err := xml.Unmarshal(data, &out); err != nil {
+	out, err := xmlx.Decode(data, readPublishResponse, xml.Unmarshal)
+	if err != nil {
 		return "", err
 	}
 	return out.EventID, nil

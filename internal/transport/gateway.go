@@ -106,12 +106,12 @@ func (s *GatewayServer) handlePersist(w http.ResponseWriter, r *http.Request, wh
 		writeAuthFault(w, err)
 		return
 	}
-	var d event.Detail
-	if err := readBody(r, &d); err != nil {
+	d, err := readBodyAs(r, event.DecodeDetail)
+	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return
 	}
-	if err := s.gw.Persist(&d); err != nil {
+	if err := s.gw.Persist(d); err != nil {
 		writeFault(w, event.XML, err)
 		return
 	}
@@ -132,8 +132,8 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 		writeAuthFault(w, err)
 		return
 	}
-	var n event.Notification
-	if err := readBody(r, &n); err != nil {
+	n, err := readBodyAs(r, event.DecodeNotification)
+	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return
 	}
@@ -144,7 +144,7 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 		// the flow to stay stitched end to end.
 		n.Trace = telemetry.TraceFrom(r.Context())
 	}
-	gid, queued, err := s.publisher.Publish(r.Context(), &n)
+	gid, queued, err := s.publisher.Publish(r.Context(), n)
 	if err != nil {
 		writeFault(w, event.XML, err)
 		return
@@ -153,7 +153,7 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 	if queued {
 		status = http.StatusAccepted
 	}
-	writeXML(w, status, &publishResponse{EventID: gid})
+	writePublishResponseAs(w, event.XML, status, gid)
 }
 
 func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request, who bearer) {
@@ -161,8 +161,8 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 		writeAuthFault(w, err)
 		return
 	}
-	var req getResponseRequest
-	if err := readBody(r, &req); err != nil {
+	req, err := readBodyAs(r, decodeXML(readGetResponseRequest))
+	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return
 	}
@@ -272,11 +272,8 @@ func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, sr
 
 // getResponse performs the actual HTTP round-trip of Algorithm 2.
 func (g *RemoteGateway) getResponse(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (d *event.Detail, err error) {
-	body, err := encodeXML(&getResponseRequest{Source: src, Fields: fields})
-	if err != nil {
-		return nil, err
-	}
-	err = g.post(ctx, "/gw/get-response", trace, body, func(data []byte) (derr error) {
+	req := getResponseRequest{Source: src, Fields: fields}
+	err = g.post(ctx, "/gw/get-response", trace, req.appendXML(make([]byte, 0, 256)), func(data []byte) (derr error) {
 		d, derr = decodeAnyDetail(data)
 		return derr
 	})

@@ -364,8 +364,8 @@ func respContentType(c event.Codec) string {
 }
 
 func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who bearer) {
-	var req inquiryRequest
-	if err := readBody(r, &req); err != nil {
+	req, err := readBodyAs(r, decodeXML(readInquiryRequest))
+	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return
 	}
@@ -379,7 +379,6 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who beare
 		Producer: req.Producer,
 		Limit:    req.Limit,
 	}
-	var err error
 	if q.From, err = parseOptTime(req.From); err != nil {
 		badRequest(w, event.XML, err.Error())
 		return
@@ -393,7 +392,8 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who beare
 		writeFault(w, event.XML, err)
 		return
 	}
-	out := inquiryResponse{}
+	out := inquiryResponse{Notifications: make([]string, 0, len(res))}
+	size := 64
 	for _, n := range res {
 		data, err := event.EncodeNotification(n)
 		if err != nil {
@@ -401,8 +401,9 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who beare
 			return
 		}
 		out.Notifications = append(out.Notifications, string(data))
+		size += 2*len(data) + 32 // the nested document travels escaped
 	}
-	writeXML(w, http.StatusOK, &out)
+	writeBody(w, http.StatusOK, respContentType(event.XML), out.appendXML(make([]byte, 0, size)))
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, who bearer) {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/replication"
+	"repro/internal/xmlx"
 )
 
 // Fault codes carried by error responses.
@@ -97,6 +98,37 @@ type Fault struct {
 // Error implements the error interface.
 func (f *Fault) Error() string {
 	return fmt.Sprintf("transport: fault %s: %s", f.Code, f.Message)
+}
+
+func (f *Fault) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendAttr(append(dst, "<fault"...), "code", f.Code)
+	if f.Shard != "" {
+		dst = xmlx.AppendAttr(dst, "shard", f.Shard)
+	}
+	if f.MapVersion != 0 {
+		dst = strconv.AppendUint(append(dst, ` mapVersion="`...), f.MapVersion, 10)
+		dst = append(dst, '"')
+	}
+	dst = xmlx.AppendText(append(dst, '>'), f.Message)
+	return append(dst, "</fault>"...)
+}
+
+func readFault(r *xmlx.Reader, f *Fault) {
+	f.XMLName.Local = "fault"
+	r.Expect("<fault")
+	f.Code = r.Attr("code")
+	if r.Peek(` shard="`) {
+		f.Shard = r.Attr("shard")
+	}
+	if r.Peek(` mapVersion="`) {
+		var err error
+		if f.MapVersion, err = strconv.ParseUint(r.Attr("mapVersion"), 10, 64); err != nil {
+			r.Decline()
+		}
+	}
+	r.Expect(">")
+	f.Message = string(r.Text('<'))
+	r.Expect("</fault>")
 }
 
 // faultFor maps platform errors to (code, http status).
@@ -250,10 +282,12 @@ func writeFaultStatus(w http.ResponseWriter, codec event.Codec, status int, f *F
 		writeBody(w, status, event.ContentTypeBinary, encodeFaultFrame(f))
 		return
 	}
-	writeXML(w, status, f)
+	writeBody(w, status, respContentType(event.XML), f.appendXML(make([]byte, 0, 64+len(f.Message))))
 }
 
-// writeXML serializes v as the response body.
+// writeXML serializes a cold message through encoding/xml as the
+// response body. The per-request envelopes (fault, publish response,
+// inquiry response) have append-style encoders and go through writeBody.
 func writeXML(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.WriteHeader(status)
@@ -261,7 +295,8 @@ func writeXML(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) // nothing sensible to do with a write error here
 }
 
-// readBody decodes an XML request body into v, bounding its size.
+// readBody decodes a cold XML request body into v through encoding/xml,
+// bounding its size.
 func readBody(r *http.Request, v any) error {
 	data, err := readRaw(r)
 	if err != nil {
@@ -271,6 +306,28 @@ func readBody(r *http.Request, v any) error {
 		return fmt.Errorf("transport: decode body: %w", err)
 	}
 	return nil
+}
+
+// readBodyAs reads the size-bounded request body of a hot route and
+// decodes it with decode: an event decoder, or decodeXML of an envelope
+// reader.
+func readBodyAs[T any](r *http.Request, decode func([]byte) (*T, error)) (*T, error) {
+	data, err := readRaw(r)
+	if err != nil {
+		return nil, err
+	}
+	v, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("transport: decode body: %w", err)
+	}
+	return v, nil
+}
+
+// decodeXML makes the decoder of a hot envelope out of its reader: one
+// xmlx pass over the canonical form this package emits, encoding/xml —
+// the definition of what is accepted — for every other document.
+func decodeXML[T any](read func(*xmlx.Reader, *T)) func([]byte) (*T, error) {
+	return func(data []byte) (*T, error) { return xmlx.Decode(data, read, xml.Unmarshal) }
 }
 
 const maxBodyBytes = 4 << 20
@@ -305,9 +362,24 @@ func retryAfterHeader(resp *http.Response) time.Duration {
 
 // Wire messages shared by client and server.
 
+// The XMLName fields below serve encoding/xml on the fallback path; the
+// readers set them too, so both paths yield the same value.
+
 type publishResponse struct {
 	XMLName xml.Name       `xml:"publishResponse"`
 	EventID event.GlobalID `xml:"eventId"`
+}
+
+func (m *publishResponse) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendElem(append(dst, "<publishResponse>"...), "eventId", string(m.EventID))
+	return append(dst, "</publishResponse>"...)
+}
+
+func readPublishResponse(r *xmlx.Reader, m *publishResponse) {
+	m.XMLName.Local = "publishResponse"
+	r.Expect("<publishResponse>")
+	m.EventID = event.GlobalID(r.Elem("eventId"))
+	r.Expect("</publishResponse>")
 }
 
 type subscribeRequest struct {
@@ -338,15 +410,95 @@ type inquiryRequest struct {
 	Limit    int              `xml:"limit,omitempty"`
 }
 
+func (m *inquiryRequest) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendElem(append(dst, "<inquiryRequest>"...), "actor", string(m.Actor))
+	for _, opt := range [...][2]string{{"personId", m.PersonID}, {"class", string(m.Class)},
+		{"producer", string(m.Producer)}, {"from", m.From}, {"to", m.To}} {
+		if opt[1] != "" {
+			dst = xmlx.AppendElem(dst, opt[0], opt[1])
+		}
+	}
+	if m.Limit != 0 {
+		dst = strconv.AppendInt(append(dst, "<limit>"...), int64(m.Limit), 10)
+		dst = append(dst, "</limit>"...)
+	}
+	return append(dst, "</inquiryRequest>"...)
+}
+
+func readInquiryRequest(r *xmlx.Reader, m *inquiryRequest) {
+	m.XMLName.Local = "inquiryRequest"
+	r.Expect("<inquiryRequest>")
+	m.Actor = event.Actor(r.Elem("actor"))
+	if r.Peek("<personId>") {
+		m.PersonID = r.Elem("personId")
+	}
+	if r.Peek("<class>") {
+		m.Class = event.ClassID(r.Elem("class"))
+	}
+	if r.Peek("<producer>") {
+		m.Producer = event.ProducerID(r.Elem("producer"))
+	}
+	if r.Peek("<from>") {
+		m.From = r.Elem("from")
+	}
+	if r.Peek("<to>") {
+		m.To = r.Elem("to")
+	}
+	if r.Peek("<limit>") {
+		var err error
+		if m.Limit, err = strconv.Atoi(r.Elem("limit")); err != nil {
+			r.Decline()
+		}
+	}
+	r.Expect("</inquiryRequest>")
+}
+
 type inquiryResponse struct {
 	XMLName       xml.Name `xml:"inquiryResponse"`
 	Notifications []string `xml:"notification"` // nested XML documents
+}
+
+func (m *inquiryResponse) appendXML(dst []byte) []byte {
+	dst = append(dst, "<inquiryResponse>"...)
+	for _, n := range m.Notifications {
+		dst = xmlx.AppendElem(dst, "notification", n)
+	}
+	return append(dst, "</inquiryResponse>"...)
+}
+
+func readInquiryResponse(r *xmlx.Reader, m *inquiryResponse) {
+	m.XMLName.Local = "inquiryResponse"
+	r.Expect("<inquiryResponse>")
+	for r.Peek("<notification>") {
+		m.Notifications = append(m.Notifications, r.Elem("notification"))
+	}
+	r.Expect("</inquiryResponse>")
 }
 
 type getResponseRequest struct {
 	XMLName xml.Name          `xml:"getResponseRequest"`
 	Source  event.SourceID    `xml:"sourceId"`
 	Fields  []event.FieldName `xml:"fields>field"`
+}
+
+func (m *getResponseRequest) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendElem(append(dst, "<getResponseRequest>"...), "sourceId", string(m.Source))
+	dst = append(dst, "<fields>"...) // present even with no field, as encoding/xml wrote it
+	for _, f := range m.Fields {
+		dst = xmlx.AppendElem(dst, "field", string(f))
+	}
+	return append(dst, "</fields></getResponseRequest>"...)
+}
+
+func readGetResponseRequest(r *xmlx.Reader, m *getResponseRequest) {
+	m.XMLName.Local = "getResponseRequest"
+	r.Expect("<getResponseRequest>")
+	m.Source = event.SourceID(r.Elem("sourceId"))
+	r.Expect("<fields>")
+	for r.Peek("<field>") {
+		m.Fields = append(m.Fields, event.FieldName(r.Elem("field")))
+	}
+	r.Expect("</fields></getResponseRequest>")
 }
 
 // ReplStatus is the replication snapshot served at GET /ws/replstatus:

@@ -1,0 +1,119 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/event"
+	"repro/internal/xmlx"
+)
+
+// envelopeAgrees is the differential property on one document and one
+// envelope reader: if the reader accepts doc, encoding/xml accepts it
+// with a deeply-equal value. It reports whether the reader accepted.
+func envelopeAgrees[T any](t *testing.T, doc []byte, read func(*xmlx.Reader, *T)) bool {
+	t.Helper()
+	fast, err := xmlx.Decode(doc, read, func([]byte, any) error { return errors.New("declined") })
+	if err != nil {
+		return false
+	}
+	ref := new(T)
+	if err := xml.Unmarshal(doc, ref); err != nil {
+		t.Fatalf("reader accepted %q, encoding/xml rejects it: %v", doc, err)
+	}
+	if !reflect.DeepEqual(fast, ref) {
+		t.Fatalf("reader decoded %q to %+v, encoding/xml to %+v", doc, fast, ref)
+	}
+	return true
+}
+
+// The documents encoding/xml accepts and the readers must leave to it.
+var envelopeDeclineSeeds = []string{
+	"<getResponseRequest>\n  <sourceId>lab-900</sourceId>\n  <fields>\n    <field>hemoglobin</field>\n  </fields>\n</getResponseRequest>\n",
+	`<?xml version="1.0"?><getResponseRequest><sourceId>s</sourceId><fields><field>a</field></fields></getResponseRequest>`,
+	`<getResponseRequest><sourceId><![CDATA[s]]></sourceId><fields><field>a</field></fields></getResponseRequest>`,
+	`<getResponseRequest><!-- c --><sourceId>s</sourceId><fields><field>a</field></fields></getResponseRequest>`,
+	`<g:getResponseRequest xmlns:g="urn:css"><g:sourceId>s</g:sourceId></g:getResponseRequest>`,
+	`<getResponseRequest><sourceId>s</sourceId></getResponseRequest>`,
+	`<getResponseRequest><fields><field>a</field></fields><sourceId>s</sourceId></getResponseRequest>`,
+	`<getResponseRequest><sourceId>&#0;</sourceId><fields></fields></getResponseRequest>`,
+	`<inquiryRequest><actor>a</actor><limit> 5 </limit></inquiryRequest>`,
+	`<inquiryRequest><actor>a</actor><limit></limit></inquiryRequest>`,
+	`<inquiryRequest><personId>P</personId><actor>a</actor></inquiryRequest>`,
+	`<inquiryResponse><notification><![CDATA[<wire id="e"></wire>]]></notification></inquiryResponse>`,
+	`<publishResponse><eventId>e</eventId><extra/></publishResponse>`,
+	`<fault code="c" mapVersion=" 7">m</fault>`,
+	`<fault shard="1" code="c">m</fault>`,
+	`<fault code="c">a<b/>c</fault>`,
+}
+
+// Every decline document is left to encoding/xml by all five readers.
+func TestEnvelopeReaderDeclines(t *testing.T) {
+	for _, doc := range envelopeDeclineSeeds {
+		d := []byte(doc)
+		if envelopeAgrees(t, d, readGetResponseRequest) || envelopeAgrees(t, d, readInquiryRequest) ||
+			envelopeAgrees(t, d, readInquiryResponse) || envelopeAgrees(t, d, readPublishResponse) ||
+			envelopeAgrees(t, d, readFault) {
+			t.Errorf("a reader accepted %q", doc)
+		}
+	}
+}
+
+// FuzzXMLEnvelopeDifferential runs the five envelope readers against
+// encoding/xml: whatever a reader accepts, encoding/xml accepts with a
+// deeply-equal value; and whatever the encoders make of values built
+// from the input, the readers accept.
+func FuzzXMLEnvelopeDifferential(f *testing.F) {
+	for _, doc := range envelopeDeclineSeeds {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`<getResponseRequest><sourceId>s</sourceId><fields><field>a</field><field>b</field></fields></getResponseRequest>`))
+	f.Add([]byte(`<inquiryRequest><actor>a</actor><personId>P</personId><class>c.x</class><producer>p</producer><from>f</from><to>t</to><limit>-7</limit></inquiryRequest>`))
+	f.Add([]byte(`<inquiryResponse><notification>&lt;wire id=&#34;e&#34;&gt;&lt;/wire&gt;</notification><notification></notification></inquiryResponse>`))
+	f.Add([]byte(`<publishResponse><eventId>evt-1</eventId></publishResponse>`))
+	f.Add([]byte(`<fault code="wrong-shard" shard="2" mapVersion="9">m &amp; m</fault>`))
+	f.Add([]byte("a\"b'|c&d<e>|\t\n\r|\xff\x01|é漢|x"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		envelopeAgrees(t, in, readGetResponseRequest)
+		envelopeAgrees(t, in, readInquiryRequest)
+		envelopeAgrees(t, in, readInquiryResponse)
+		envelopeAgrees(t, in, readPublishResponse)
+		envelopeAgrees(t, in, readFault)
+
+		p := make([]string, 6)
+		for i, part := range bytes.SplitN(in, []byte("|"), len(p)) {
+			p[i] = string(part)
+		}
+		num := 0
+		for _, c := range in {
+			num = num*31 + int(c) - 64
+		}
+		get := &getResponseRequest{Source: event.SourceID(p[0])}
+		for _, name := range p[1:] {
+			if name != "" {
+				get.Fields = append(get.Fields, event.FieldName(name))
+			}
+		}
+		inq := &inquiryRequest{Actor: event.Actor(p[0]), PersonID: p[1], Class: event.ClassID(p[2]),
+			Producer: event.ProducerID(p[3]), From: p[4], To: p[5], Limit: num}
+		resp := &inquiryResponse{}
+		for _, doc := range p[:len(in)%len(p)] {
+			resp.Notifications = append(resp.Notifications, doc)
+		}
+		fault := &Fault{Code: p[0], Shard: p[1], MapVersion: uint64(num), Message: p[2]}
+		for _, ok := range []bool{
+			envelopeAgrees(t, get.appendXML(nil), readGetResponseRequest),
+			envelopeAgrees(t, inq.appendXML(nil), readInquiryRequest),
+			envelopeAgrees(t, resp.appendXML(nil), readInquiryResponse),
+			envelopeAgrees(t, (&publishResponse{EventID: event.GlobalID(p[0])}).appendXML(nil), readPublishResponse),
+			envelopeAgrees(t, fault.appendXML(nil), readFault),
+		} {
+			if !ok {
+				t.Fatalf("a reader declined its encoder's own output for %q", in)
+			}
+		}
+	})
+}
