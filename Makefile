@@ -7,8 +7,9 @@ GO ?= go
 all: check
 
 # The default gate: compile, vet+gofmt+trace-ID+hot-path lints, unit
-# tests (among them the publish-path allocation budget,
-# TestPublishAllocBudget), the race detector over the whole tree, a
+# tests (among them the allocation budgets of the publish path and the
+# XML detail codec, TestPublishAllocBudget and
+# TestDetailCodecAllocBudget), the race detector over the whole tree, a
 # short fault-injected smoke, an overload-storm smoke, the
 # distributed-tracing smoke (one flow across three processes must yield
 # one parent-linked span tree; also runs the mixed-codec fan-out check),
@@ -122,12 +123,13 @@ lint-traceid:
 # no reflect in the XML helper they share. Inside internal/event,
 # encoding/xml (the decoders' fallback) is xml.go's alone. Test files
 # are exempt.
+XMLX_FILES = $(filter-out %_test.go,$(wildcard internal/xmlx/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
-	internal/index/index.go internal/idmap/idmap.go \
-	$(filter-out %_test.go,$(wildcard internal/bus/*.go internal/xmlx/*.go))
+	internal/index/index.go internal/idmap/idmap.go $(XMLX_FILES) \
+	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \
-		grep -n '"reflect"' $(filter-out %_test.go,$(wildcard internal/xmlx/*.go)) /dev/null; \
+		grep -n '"reflect"' $(XMLX_FILES) /dev/null; \
 		grep -n '"encoding/xml"' $(filter-out %_test.go internal/event/xml.go,$(wildcard internal/event/*.go)) /dev/null); \
 	if [ -n "$$bad" ]; then \
 		echo "hot-path files must not use fmt.Sprintf, encoding/xml or (xmlx) reflect:"; \

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/xmlx"
 )
 
 // DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
@@ -214,7 +212,7 @@ func faultError(resp *http.Response, data []byte) error {
 	if event.IsBinaryFrame(data) {
 		err = decodeFaultFrame(data, f)
 	} else {
-		f, err = xmlx.Decode(data, readFault, xml.Unmarshal)
+		f, err = decodeXML(readFault)(data)
 	}
 	if err == nil && f.Code != "" {
 		err = errorFor(f)

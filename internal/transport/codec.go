@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/event"
-	"repro/internal/xmlx"
 )
 
 // requestCodec picks the codec that decodes a request body: an explicit
@@ -204,7 +203,7 @@ func decodeAnyPublishResponse(data []byte) (event.GlobalID, error) {
 	if event.IsBinaryFrame(data) {
 		return decodePublishResponseFrame(data)
 	}
-	out, err := xmlx.Decode(data, readPublishResponse, xml.Unmarshal)
+	out, err := decodeXML(readPublishResponse)(data)
 	if err != nil {
 		return "", err
 	}

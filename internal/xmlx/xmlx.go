@@ -214,13 +214,16 @@ func (r *Reader) Text(end byte) []byte {
 	return nil
 }
 
+// entities are the five references XML predefines.
+var entities = [...]struct {
+	name string
+	r    rune
+}{{"&lt;", '<'}, {"&gt;", '>'}, {"&amp;", '&'}, {"&apos;", '\''}, {"&quot;", '"'}}
+
 // reference parses the entity or character reference at the start of
 // b (b[0] is '&') and returns the rune and the bytes consumed, or 0, 0.
 func reference(b []byte) (rune, int) {
-	for _, e := range [...]struct {
-		name string
-		r    rune
-	}{{"&lt;", '<'}, {"&gt;", '>'}, {"&amp;", '&'}, {"&apos;", '\''}, {"&quot;", '"'}} {
+	for _, e := range entities {
 		if hasPrefix(b, e.name) {
 			return e.r, len(e.name)
 		}
