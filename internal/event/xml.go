@@ -1,7 +1,6 @@
 package event
 
 import (
-	"bytes"
 	"encoding/xml"
 	"slices"
 	"time"
@@ -85,9 +84,7 @@ func readDetail(r *xmlx.Reader, d *Detail) {
 	d.Class = ClassID(r.Attr("class"))
 	d.Producer = ProducerID(r.Attr("producer"))
 	r.Expect(">")
-	// The size hint is capped: a hostile body must not buy a large map
-	// for a document the reader is about to decline.
-	d.Fields = make(map[FieldName]string, min(64, bytes.Count(r.Rest(), []byte("<field "))))
+	d.Fields = make(map[FieldName]string, 12)
 	for r.Peek("<field") {
 		r.Expect("<field")
 		name := FieldName(r.Attr("name"))

@@ -216,9 +216,12 @@ func (g *Gate) budgetFor(pri Priority) int64 {
 }
 
 // Admit runs the admission checks for one request: draining state, the
-// per-actor token bucket, the endpoint concurrency limit, and the
-// priority-graded global budget. On admission the returned release must
-// be called exactly once when the request completes; on shed it is nil.
+// endpoint concurrency limit, the priority-graded global budget, and
+// last the per-actor token bucket — a request shed for concurrency or
+// pressure did no work and must not spend one of its actor's tokens, or
+// a burst against a full server drains the bucket on sheds alone. On
+// admission the returned release must be called exactly once when the
+// request completes; on shed it is nil.
 //
 // actor keys the rate limit (token subject, or remote host when the
 // deployment runs unauthenticated); an empty actor skips rate limiting.
@@ -229,9 +232,6 @@ func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(
 	}
 	if g.draining.Load() {
 		return shed(ReasonDraining)
-	}
-	if g.actors != nil && actor != "" && !g.actors.take(actor) {
-		return shed(ReasonRate)
 	}
 
 	// Endpoint limit first (cheap: one atomic), then the global budget.
@@ -253,6 +253,13 @@ func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(
 		}
 	} else {
 		g.inflight.Add(1)
+	}
+	if g.actors != nil && actor != "" && !g.actors.take(actor) {
+		g.inflight.Add(-1)
+		if epCount != nil {
+			epCount.Add(-1)
+		}
+		return shed(ReasonRate)
 	}
 
 	g.admitted.Inc(pri.String())

@@ -93,6 +93,29 @@ func TestActorRateLimit(t *testing.T) {
 	admit(t, g, "ep", Normal, "", true)()
 }
 
+// A request shed for pressure did no work, so it must not have spent one
+// of its actor's rate tokens: a client hammering a full server would
+// otherwise empty its bucket on sheds and be refused when a slot frees.
+func TestShedSpendsNoRateToken(t *testing.T) {
+	now := time.Unix(1000, 0)
+	g := NewGate(Config{MaxInFlight: 1, ActorRPS: 10, ActorBurst: 2,
+		Now: func() time.Time { return now }})
+	release := admit(t, g, "ep", Critical, "a", true) // 1 of 2 tokens
+	for i := 0; i < 5; i++ {
+		if _, d := g.Admit("ep", Critical, "a"); d.Admitted || d.Reason != ReasonPressure {
+			t.Fatalf("admitted past the budget: %+v", d)
+		}
+	}
+	release()
+	admit(t, g, "ep", Critical, "a", true)() // the second token is still there
+	if _, d := g.Admit("ep", Critical, "a"); d.Admitted || d.Reason != ReasonRate {
+		t.Fatalf("admitted past the burst: %+v", d)
+	}
+	if got := g.InFlight(); got != 0 {
+		t.Fatalf("InFlight() = %d after a rate shed", got)
+	}
+}
+
 func TestDrainingShedsEverything(t *testing.T) {
 	g := NewGate(Config{MaxInFlight: 10, ActorRPS: -1})
 	release := admit(t, g, "ep", Critical, "", true)

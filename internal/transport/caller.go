@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
@@ -212,7 +214,7 @@ func faultError(resp *http.Response, data []byte) error {
 	if event.IsBinaryFrame(data) {
 		err = decodeFaultFrame(data, f)
 	} else {
-		f, err = decodeXML(readFault)(data)
+		f, err = xmlx.Decode(data, readFault, xml.Unmarshal)
 	}
 	if err == nil && f.Code != "" {
 		err = errorFor(f)

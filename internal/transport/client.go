@@ -16,6 +16,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // Client is the consumer/producer-side SDK for a remote data controller.
@@ -173,7 +174,7 @@ func (c *Client) InquireIndex(ctx context.Context, actor event.Actor, q index.In
 	}
 	var out *inquiryResponse
 	err := c.call(ctx, http.MethodPost, "/ws/inquire", event.ContentTypeXML, req.appendXML(make([]byte, 0, 256)), func(data []byte) (derr error) {
-		out, derr = decodeXML(readInquiryResponse)(data)
+		out, derr = xmlx.Decode(data, readInquiryResponse, xml.Unmarshal)
 		return derr
 	})
 	if err != nil {

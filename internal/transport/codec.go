@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/event"
+	"repro/internal/xmlx"
 )
 
 // requestCodec picks the codec that decodes a request body: an explicit
@@ -203,7 +204,7 @@ func decodeAnyPublishResponse(data []byte) (event.GlobalID, error) {
 	if event.IsBinaryFrame(data) {
 		return decodePublishResponseFrame(data)
 	}
-	out, err := decodeXML(readPublishResponse)(data)
+	out, err := xmlx.Decode(data, readPublishResponse, xml.Unmarshal)
 	if err != nil {
 		return "", err
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/identity"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // GatewayServer exposes a local cooperation gateway as a web service so
@@ -161,7 +162,9 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 		writeAuthFault(w, err)
 		return
 	}
-	req, err := readBodyAs(r, decodeXML(readGetResponseRequest))
+	req, err := readBodyAs(r, func(data []byte) (*getResponseRequest, error) {
+		return xmlx.Decode(data, readGetResponseRequest, xml.Unmarshal)
+	})
 	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return

@@ -22,6 +22,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/xmlx"
 )
 
 // Server exposes a data controller as web services:
@@ -364,7 +365,9 @@ func respContentType(c event.Codec) string {
 }
 
 func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who bearer) {
-	req, err := readBodyAs(r, decodeXML(readInquiryRequest))
+	req, err := readBodyAs(r, func(data []byte) (*inquiryRequest, error) {
+		return xmlx.Decode(data, readInquiryRequest, xml.Unmarshal)
+	})
 	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return

@@ -309,8 +309,10 @@ func readBody(r *http.Request, v any) error {
 }
 
 // readBodyAs reads the size-bounded request body of a hot route and
-// decodes it with decode: an event decoder, or decodeXML of an envelope
-// reader.
+// decodes it with decode: an event decoder, or xmlx.Decode of an
+// envelope reader (one xmlx pass over the canonical form this package
+// emits, encoding/xml — the definition of what is accepted — for every
+// other document).
 func readBodyAs[T any](r *http.Request, decode func([]byte) (*T, error)) (*T, error) {
 	data, err := readRaw(r)
 	if err != nil {
@@ -321,13 +323,6 @@ func readBodyAs[T any](r *http.Request, decode func([]byte) (*T, error)) (*T, er
 		return nil, fmt.Errorf("transport: decode body: %w", err)
 	}
 	return v, nil
-}
-
-// decodeXML makes the decoder of a hot envelope out of its reader: one
-// xmlx pass over the canonical form this package emits, encoding/xml —
-// the definition of what is accepted — for every other document.
-func decodeXML[T any](read func(*xmlx.Reader, *T)) func([]byte) (*T, error) {
-	return func(data []byte) (*T, error) { return xmlx.Decode(data, read, xml.Unmarshal) }
 }
 
 const maxBodyBytes = 4 << 20
