@@ -1,0 +1,65 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+)
+
+// The golden frame tables pin the binary form of the cluster layer's
+// two frames (types 8-9) byte for byte: each row's production encoding
+// must equal the committed hex literal, and the literal must decode to
+// the row's value.
+
+func TestGoldenShardMapFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version uint64
+		vnodes  int
+		shards  []ShardInfo
+		want    string
+	}{
+		{"one shard, no replication", 1, 8, []ShardInfo{{ID: 0, Addr: "http://a"}},
+			"c55f01080108010008687474703a2f2f610000"},
+		{"replicated: per-shard epoch and replica lists, a multi-byte version and id", 900, 64, []ShardInfo{
+			{ID: 0, Addr: "http://127.0.0.1:19080", Epoch: 3, Replicas: []string{"http://127.0.0.1:19180", "http://127.0.0.1:19181"}},
+			{ID: 1, Addr: "http://127.0.0.1:19081", Epoch: 1, Replicas: []string{"http://127.0.0.1:19182"}},
+			{ID: 300, Addr: ""}},
+			"c55f0108840740030016687474703a2f2f3132372e302e302e313a3139303830030216687474703a2f2f3132372e302e302e313a313931383016687474703a2f2f3132372e302e302e313a31393138310116687474703a2f2f3132372e302e302e313a3139303831010116687474703a2f2f3132372e302e302e313a3139313832ac02000000"},
+	} {
+		m, err := NewMap(tc.version, tc.vnodes, tc.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.EncodeFrame(); hex.EncodeToString(got) != tc.want {
+			t.Errorf("%s: frame bytes changed\n got %x\nwant %s", tc.name, got, tc.want)
+		}
+		data, err := hex.DecodeString(tc.want)
+		if err != nil {
+			t.Errorf("%s: bad literal: %v", tc.name, err)
+			continue
+		}
+		back, err := DecodeMapFrame(data)
+		if err != nil {
+			t.Errorf("%s: decode: %v", tc.name, err)
+		} else if !m.Equal(back) {
+			t.Errorf("%s: decoded %+v, want %+v", tc.name, back, m)
+		}
+	}
+}
+
+func TestGoldenHandoffFrame(t *testing.T) {
+	batch := []byte{0x05, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0xfe, 0xff}
+	const want = "c55f010905696e6465780d05000000deadbeef010203feff"
+	if got := EncodeHandoffFrame("index", batch); hex.EncodeToString(got) != want {
+		t.Errorf("frame bytes changed\n got %x\nwant %s", got, want)
+	}
+	data, err := hex.DecodeString(want)
+	if err != nil {
+		t.Fatalf("bad literal: %v", err)
+	}
+	store, back, err := DecodeHandoffFrame(data)
+	if err != nil || store != "index" || !bytes.Equal(back, batch) {
+		t.Errorf("decoded (%q, %x, %v), want (index, %x)", store, back, err, batch)
+	}
+}
