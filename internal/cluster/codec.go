@@ -1,167 +1,80 @@
-// Binary frame codec for the shard map and the reshard handoff
-// stream, built on the event package's frame primitives (same magic,
-// version byte and hardened-decode discipline as the PR 7 wire codec).
+// Binary frame codec for the shard map and the reshard handoff stream,
+// written over internal/frame. The cluster layer owns frame types 8-9;
+// their field layouts are tabulated in DESIGN.md §8.
 //
-// Shard-map frame (type 8):
-//
-//	header | uvarint version | uvarint vnodes | uvarint count |
-//	count × (uvarint shardID, string addr, uvarint epoch,
-//	         uvarint replicaCount, replicaCount × string)
-//
-// The per-shard epoch and replica list (both zero/empty outside
-// replicated deployments) ride in the same versioned frame, so the
-// failover protocol's primary claim is published through the exact
-// channel clients already refresh from.
-//
-// Handoff frame (type 9) wraps one WAL-encoded store.Batch together
-// with the name of the store it applies to — the index and idmap
-// stores are separate, so every shipped batch must say which store
-// replays it:
-//
-//	header | string storeName | string batchFrame
-//
-// where batchFrame is the store package's length+CRC framed batch
-// (store.Batch.EncodeFrame). Decoders validate every claimed length
-// against the bytes present before allocating, and reject trailing
-// garbage, so torn frames fail cleanly (fuzzed in codec_fuzz_test.go).
+// The shard map's per-shard epoch and replica list (both zero/empty
+// outside replicated deployments) ride in the same versioned frame, so
+// the failover protocol's primary claim is published through the exact
+// channel clients already refresh from. A handoff frame wraps one
+// WAL-encoded store.Batch together with the name of the store it
+// applies to — the index and idmap stores are separate, so every
+// shipped batch must say which store replays it.
 package cluster
 
 import (
 	"encoding/binary"
 	"errors"
 
-	"repro/internal/event"
-)
-
-// Frame types claimed by the cluster layer. The event layer owns 1-7.
-const (
-	// FrameShardMap carries a versioned shard map.
-	FrameShardMap = event.FrameType(8)
-	// FrameHandoff carries one store-tagged WAL batch of a reshard
-	// handoff stream.
-	FrameHandoff = event.FrameType(9)
-)
-
-var (
-	errCodecVarint = errors.New("cluster: shard map frame has malformed varint")
-	errCodecBomb   = errors.New("cluster: shard map frame claims more shards than payload can hold")
-	errCodecTrail  = errors.New("cluster: frame has trailing garbage")
-	errCodecShard  = errors.New("cluster: shard map frame has invalid shard id")
+	"repro/internal/frame"
 )
 
 // EncodeFrame renders the map as a binary shard-map frame, sized up
 // front and filled in one allocation.
 func (m *Map) EncodeFrame() []byte {
-	size := event.FrameHeaderLen +
-		uvarintLen(m.version) +
-		uvarintLen(uint64(m.vnodes)) +
-		uvarintLen(uint64(len(m.shards)))
+	size := frame.HeaderLen +
+		frame.UvarintLen(m.version) +
+		frame.UvarintLen(uint64(m.vnodes)) +
+		frame.UvarintLen(uint64(len(m.shards)))
 	for _, s := range m.shards {
-		size += uvarintLen(uint64(s.ID)) + uvarintLen(uint64(len(s.Addr))) + len(s.Addr) +
-			uvarintLen(s.Epoch) + uvarintLen(uint64(len(s.Replicas)))
+		size += frame.UvarintLen(uint64(s.ID)) + frame.StringLen(s.Addr) +
+			frame.UvarintLen(s.Epoch) + frame.UvarintLen(uint64(len(s.Replicas)))
 		for _, r := range s.Replicas {
-			size += uvarintLen(uint64(len(r))) + len(r)
+			size += frame.StringLen(r)
 		}
 	}
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameShardMap)
+	dst = frame.AppendHeader(dst, frame.ShardMap)
 	dst = binary.AppendUvarint(dst, m.version)
 	dst = binary.AppendUvarint(dst, uint64(m.vnodes))
 	dst = binary.AppendUvarint(dst, uint64(len(m.shards)))
 	for _, s := range m.shards {
 		dst = binary.AppendUvarint(dst, uint64(s.ID))
-		dst = event.AppendFrameString(dst, s.Addr)
+		dst = frame.AppendString(dst, s.Addr)
 		dst = binary.AppendUvarint(dst, s.Epoch)
 		dst = binary.AppendUvarint(dst, uint64(len(s.Replicas)))
 		for _, r := range s.Replicas {
-			dst = event.AppendFrameString(dst, r)
+			dst = frame.AppendString(dst, r)
 		}
 	}
 	return dst
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
 }
 
 // DecodeMapFrame parses a shard-map frame and rebuilds the ring. All
 // NewMap validation (non-empty, unique non-negative IDs) applies, so a
 // frame that decodes cleanly always yields a routable map.
 func DecodeMapFrame(data []byte) (*Map, error) {
-	p, err := event.FrameBody(data, FrameShardMap)
-	if err != nil {
+	r := frame.Read(data, frame.ShardMap)
+	version, vnodes := r.Uvarint(), r.Uvarint()
+	// A shard entry is at least four bytes: a one-byte id, a zero-length
+	// addr, a zero epoch and a zero replica count.
+	shards := make([]ShardInfo, r.Count(4))
+	for i := range shards {
+		s := &shards[i]
+		id := r.Uvarint()
+		if id > 1<<30 {
+			return nil, errors.New("cluster: shard map frame has invalid shard id")
+		}
+		s.ID, s.Addr, s.Epoch = ShardID(id), r.String(), r.Uvarint()
+		// A replica entry is at least its one-byte length.
+		for n := r.Count(1); n > 0; n-- {
+			s.Replicas = append(s.Replicas, r.String())
+		}
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	version, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
-	}
-	p = p[n:]
-	vnodes, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
 	}
 	if vnodes == 0 || vnodes > 1<<16 {
 		return nil, errors.New("cluster: shard map frame has invalid vnode count")
-	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
-	}
-	p = p[n:]
-	// Each shard entry needs at least four bytes (one-byte id varint, a
-	// zero-length addr, a zero epoch and a zero replica count), so a
-	// count beyond len(p)/4 cannot be satisfied: reject before sizing
-	// the slice from wire input.
-	if count > uint64(len(p))/4 {
-		return nil, errCodecBomb
-	}
-	shards := make([]ShardInfo, 0, count)
-	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
-		}
-		if id > 1<<30 {
-			return nil, errCodecShard
-		}
-		p = p[n:]
-		var addr string
-		if addr, p, err = event.FrameString(p); err != nil {
-			return nil, err
-		}
-		epoch, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
-		}
-		p = p[n:]
-		rcount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
-		}
-		p = p[n:]
-		// A replica entry needs at least its one-byte length varint.
-		if rcount > uint64(len(p)) {
-			return nil, errCodecBomb
-		}
-		var replicas []string
-		for j := uint64(0); j < rcount; j++ {
-			var r string
-			if r, p, err = event.FrameString(p); err != nil {
-				return nil, err
-			}
-			replicas = append(replicas, r)
-		}
-		shards = append(shards, ShardInfo{ID: ShardID(id), Addr: addr, Epoch: epoch, Replicas: replicas})
-	}
-	if len(p) != 0 {
-		return nil, errCodecTrail
 	}
 	return NewMap(version, int(vnodes), shards)
 }
@@ -169,38 +82,23 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 // EncodeHandoffFrame wraps one WAL-framed store batch with the name of
 // the store that must replay it.
 func EncodeHandoffFrame(storeName string, batchFrame []byte) []byte {
-	size := event.FrameHeaderLen +
-		uvarintLen(uint64(len(storeName))) + len(storeName) +
-		uvarintLen(uint64(len(batchFrame))) + len(batchFrame)
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameHandoff)
-	dst = event.AppendFrameString(dst, storeName)
+	size := frame.HeaderLen + frame.StringLen(storeName) +
+		frame.UvarintLen(uint64(len(batchFrame))) + len(batchFrame)
+	dst := frame.AppendHeader(make([]byte, 0, size), frame.Handoff)
+	dst = frame.AppendString(dst, storeName)
 	dst = binary.AppendUvarint(dst, uint64(len(batchFrame)))
 	return append(dst, batchFrame...)
 }
 
 // DecodeHandoffFrame splits a handoff frame into the target store name
 // and the raw WAL batch frame (still carrying its own length+CRC,
-// validated by store.DecodeBatchFrame on replay).
+// validated by store.DecodeBatchFrame on replay). The batch is a slice
+// of data, not a copy.
 func DecodeHandoffFrame(data []byte) (storeName string, batchFrame []byte, err error) {
-	p, err := event.FrameBody(data, FrameHandoff)
-	if err != nil {
+	r := frame.Read(data, frame.Handoff)
+	storeName, batchFrame = r.String(), r.Bytes()
+	if err := r.Done(); err != nil {
 		return "", nil, err
-	}
-	if storeName, p, err = event.FrameString(p); err != nil {
-		return "", nil, err
-	}
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", nil, errCodecVarint
-	}
-	p = p[n:]
-	if l > uint64(len(p)) {
-		return "", nil, errors.New("cluster: handoff frame batch length exceeds payload")
-	}
-	batchFrame = p[:l]
-	if len(p[l:]) != 0 {
-		return "", nil, errCodecTrail
 	}
 	return storeName, batchFrame, nil
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // FuzzShardMapFrame hammers the shard-map decoder with arbitrary
@@ -18,7 +20,7 @@ func FuzzShardMapFrame(f *testing.F) {
 	})
 	f.Add(small.EncodeFrame())
 	f.Add(big.EncodeFrame())
-	f.Add([]byte{0xC5, 0x5F, 0x01, byte(FrameShardMap)})
+	f.Add([]byte{0xC5, 0x5F, 0x01, byte(frame.ShardMap)})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

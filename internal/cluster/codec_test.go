@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 func TestMapFrameRoundTrip(t *testing.T) {
@@ -45,15 +47,15 @@ func TestMapFrameTornRejected(t *testing.T) {
 func TestMapFrameHostileInputs(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":                     {},
-		"bad magic":                 {0x00, 0x00, 0x01, byte(FrameShardMap)},
+		"bad magic":                 {0x00, 0x00, 0x01, byte(frame.ShardMap)},
 		"wrong type (notification)": {0xC5, 0x5F, 0x01, 0x01},
 		// version=1, vnodes=1, count claims 2^62 shards.
-		"length bomb": append([]byte{0xC5, 0x5F, 0x01, byte(FrameShardMap), 0x01, 0x01},
+		"length bomb": append([]byte{0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x01},
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f),
 		// vnodes=0 would make an unroutable ring.
-		"zero vnodes": {0xC5, 0x5F, 0x01, byte(FrameShardMap), 0x01, 0x00, 0x01, 0x00, 0x00},
+		"zero vnodes": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x00, 0x01, 0x00, 0x00},
 		// count=0 shards decodes structurally but fails NewMap.
-		"no shards": {0xC5, 0x5F, 0x01, byte(FrameShardMap), 0x01, 0x01, 0x00},
+		"no shards": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x01, 0x00},
 	}
 	for name, data := range cases {
 		if _, err := DecodeMapFrame(data); err == nil {

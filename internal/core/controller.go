@@ -41,14 +41,13 @@ import (
 
 // Errors reported by the controller.
 var (
-	ErrNotProducer       = errors.New("core: not a registered producer")
-	ErrNotConsumer       = errors.New("core: not a registered consumer")
-	ErrSubscriptionDeny  = errors.New("core: subscription rejected (no authorizing policy)")
-	ErrConsentDeny       = errors.New("core: denied by the data subject's consent")
-	ErrNotClassOwner     = errors.New("core: only the producing source may define policies for a class")
-	ErrUnknownClass      = errors.New("core: class not declared in the event catalog")
-	ErrClosed            = errors.New("core: controller closed")
-	ErrPlaintextConflict = errors.New("core: plaintext index requested together with a master key")
+	ErrNotProducer      = errors.New("core: not a registered producer")
+	ErrNotConsumer      = errors.New("core: not a registered consumer")
+	ErrSubscriptionDeny = errors.New("core: subscription rejected (no authorizing policy)")
+	ErrConsentDeny      = errors.New("core: denied by the data subject's consent")
+	ErrNotClassOwner    = errors.New("core: only the producing source may define policies for a class")
+	ErrUnknownClass     = errors.New("core: class not declared in the event catalog")
+	ErrClosed           = errors.New("core: controller closed")
 	// ErrCancelled reports a flow abandoned by its caller (context
 	// cancelled or deadline exceeded) — deliberately distinct from every
 	// denial error: an abandoned request is not a policy decision, and
@@ -73,9 +72,6 @@ type Config struct {
 	// Now injects a clock, used for publication stamps and validity
 	// checks. Nil means time.Now.
 	Now func() time.Time
-	// PlaintextIndex disables identifier encryption in the events index.
-	// It exists only as the baseline of experiment E5.
-	PlaintextIndex bool
 	// SyncWrites forces fsync-per-write on persistent stores.
 	SyncWrites bool
 	// Metrics is the telemetry registry the controller records into.
@@ -270,9 +266,6 @@ type Controller struct {
 
 // New creates a controller.
 func New(cfg Config) (*Controller, error) {
-	if cfg.PlaintextIndex && cfg.MasterKey != nil {
-		return nil, ErrPlaintextConflict
-	}
 	c := &Controller{cfg: cfg, subs: make(map[string]*Subscription)}
 	c.now = cfg.Now
 	if c.now == nil {
@@ -310,16 +303,14 @@ func New(cfg Config) (*Controller, error) {
 		ch.(*telemetry.HistogramChild).ObserveDurationTrace(s.Duration, s.Trace)
 	})
 
-	if !cfg.PlaintextIndex {
-		var err error
-		if cfg.MasterKey != nil {
-			c.keys, err = crypto.NewKeyring(cfg.MasterKey)
-		} else {
-			c.keys, _, err = crypto.NewRandomKeyring()
-		}
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	if cfg.MasterKey != nil {
+		c.keys, err = crypto.NewKeyring(cfg.MasterKey)
+	} else {
+		c.keys, _, err = crypto.NewRandomKeyring()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	open := func(name string) (*store.Store, error) {

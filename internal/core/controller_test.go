@@ -130,9 +130,6 @@ func (w *world) request(gid event.GlobalID) *event.DetailRequest {
 }
 
 func TestNewConfigValidation(t *testing.T) {
-	if _, err := New(Config{PlaintextIndex: true, MasterKey: make([]byte, 32)}); !errors.Is(err, ErrPlaintextConflict) {
-		t.Errorf("plaintext+key = %v", err)
-	}
 	if _, err := New(Config{MasterKey: []byte("short")}); err == nil {
 		t.Error("bad key accepted")
 	}

@@ -9,32 +9,22 @@
 // formats implement the same Codec interface so core and transport are
 // format-agnostic.
 //
-// Frame layout (all integers are unsigned varints unless noted):
-//
-//	0xC5 0x5F          magic
-//	0x01               frame version
-//	type               one FrameType byte
-//	...                type-specific fields, in fixed order
-//
-// Strings are uvarint(len) + raw bytes. Times are a presence byte
-// (0 = zero time) followed, when present, by the zigzag-varint UnixNano.
-// Maps are uvarint(count) + count (name, value) string pairs, written in
-// sorted name order so identical payloads yield identical bytes (matching
-// the deterministic XML form).
-//
-// The decoder is hardened against hostile input: every claimed length is
-// validated against the bytes actually remaining before any allocation is
-// sized from it, so truncated frames and length-bombs fail cleanly without
-// over-allocating (fuzzed in codec_fuzz_test.go).
+// The frame header, the field primitives and the hardened reader live in
+// internal/frame; this file owns frame types 1-3 (notification, detail,
+// detail request). Their field layouts are tabulated in DESIGN.md §8.
+// Detail fields are written in sorted name order so identical payloads
+// yield identical bytes (matching the deterministic XML form).
 package event
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
+
+	"repro/internal/frame"
 )
 
 // Content types exchanged in Accept / Content-Type headers.
@@ -74,151 +64,6 @@ func CodecByName(name string) (Codec, error) {
 	return nil, errors.New("event: unknown codec " + strconv.Quote(name) + " (want xml or binary)")
 }
 
-// FrameType tags the payload kind of a binary frame. Types 1-3 are the
-// event-layer messages; the transport layer claims higher values for its
-// control envelopes (faults, publish/subscribe responses).
-type FrameType byte
-
-const (
-	FrameNotification    FrameType = 1
-	FrameDetail          FrameType = 2
-	FrameDetailRequest   FrameType = 3
-	FrameFault           FrameType = 4
-	FramePublishResponse FrameType = 5
-	FrameSubscribeReq    FrameType = 6
-	FrameSubscribeResp   FrameType = 7
-)
-
-const (
-	frameMagic0  = 0xC5
-	frameMagic1  = 0x5F
-	frameVersion = 0x01
-	// FrameHeaderLen is the fixed prefix length of every binary frame.
-	FrameHeaderLen = 4
-)
-
-var (
-	errFrameShort   = errors.New("event: binary frame truncated")
-	errFrameMagic   = errors.New("event: not a css binary frame (bad magic)")
-	errFrameVersion = errors.New("event: unsupported binary frame version")
-	errFrameLength  = errors.New("event: binary frame length exceeds payload")
-	errFrameVarint  = errors.New("event: binary frame has malformed varint")
-	errFrameBomb    = errors.New("event: binary frame claims more entries than payload can hold")
-	errFrameTrail   = errors.New("event: binary frame has trailing garbage")
-)
-
-type frameTypeError struct{ want, got FrameType }
-
-func (e *frameTypeError) Error() string {
-	return "event: binary frame type mismatch: want " +
-		strconv.Itoa(int(e.want)) + ", got " + strconv.Itoa(int(e.got))
-}
-
-// IsBinaryFrame reports whether data starts with the binary frame magic.
-// Transport uses it to sniff fault bodies when a middleware answered in a
-// format other than the one the client negotiated.
-func IsBinaryFrame(data []byte) bool {
-	return len(data) >= 2 && data[0] == frameMagic0 && data[1] == frameMagic1
-}
-
-// AppendFrameHeader appends the 4-byte frame prefix for the given type.
-func AppendFrameHeader(dst []byte, t FrameType) []byte {
-	return append(dst, frameMagic0, frameMagic1, frameVersion, byte(t))
-}
-
-// FrameBody validates the frame prefix and returns the payload following
-// it. It fails if the frame is not of the wanted type.
-func FrameBody(data []byte, want FrameType) ([]byte, error) {
-	if len(data) < FrameHeaderLen {
-		return nil, errFrameShort
-	}
-	if data[0] != frameMagic0 || data[1] != frameMagic1 {
-		return nil, errFrameMagic
-	}
-	if data[2] != frameVersion {
-		return nil, errFrameVersion
-	}
-	if FrameType(data[3]) != want {
-		return nil, &frameTypeError{want: want, got: FrameType(data[3])}
-	}
-	return data[FrameHeaderLen:], nil
-}
-
-// uvarintLen returns the encoded size of x as an unsigned varint.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// frameStringLen returns the encoded size of a string field.
-func frameStringLen(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
-}
-
-// AppendFrameString appends a length-prefixed string field.
-func AppendFrameString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// FrameString decodes a length-prefixed string field, returning the value
-// and the remaining payload. The claimed length is checked against the
-// bytes actually present before the string is materialized.
-func FrameString(p []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", nil, errFrameVarint
-	}
-	rest := p[n:]
-	if l > uint64(len(rest)) {
-		return "", nil, errFrameLength
-	}
-	return string(rest[:l]), rest[l:], nil
-}
-
-// frameTimeLen returns the encoded size of a time field.
-func frameTimeLen(t time.Time) int {
-	if t.IsZero() {
-		return 1
-	}
-	v := t.UnixNano()
-	return 1 + uvarintLen(uint64((v<<1)^(v>>63))) // zigzag, as AppendVarint does
-}
-
-// AppendFrameTime appends a time field: presence byte then UnixNano.
-// The zero time is preserved exactly (a bare 0 byte); non-zero times
-// round-trip with nanosecond precision in the UTC location.
-func AppendFrameTime(dst []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	return binary.AppendVarint(dst, t.UnixNano())
-}
-
-// FrameTime decodes a time field written by AppendFrameTime.
-func FrameTime(p []byte) (time.Time, []byte, error) {
-	if len(p) < 1 {
-		return time.Time{}, nil, errFrameShort
-	}
-	present, rest := p[0], p[1:]
-	switch present {
-	case 0:
-		return time.Time{}, rest, nil
-	case 1:
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return time.Time{}, nil, errFrameVarint
-		}
-		return time.Unix(0, v).UTC(), rest[n:], nil
-	}
-	return time.Time{}, nil, errors.New("event: binary frame has invalid time presence byte")
-}
-
 // XML is the default codec: the paper-faithful XML wire format.
 var XML Codec = xmlCodec{}
 
@@ -232,72 +77,55 @@ func (binaryCodec) ContentType() string { return ContentTypeBinary }
 
 // EncodeNotification writes a notification frame in exactly one
 // allocation: the frame size is computed up front and the buffer is
-// filled by appends that never grow it.
+// filled by appends that never grow it. Like the XML encoder, it refuses
+// a time its format cannot carry.
 func (binaryCodec) EncodeNotification(n *Notification) ([]byte, error) {
-	size := FrameHeaderLen +
-		frameStringLen(string(n.ID)) +
-		frameStringLen(n.Trace) +
-		frameStringLen(string(n.SourceID)) +
-		frameStringLen(string(n.Class)) +
-		frameStringLen(n.PersonID) +
-		frameStringLen(n.Summary) +
-		frameStringLen(string(n.Producer)) +
-		frameTimeLen(n.OccurredAt) +
-		frameTimeLen(n.PublishedAt)
+	if err := cmp.Or(checkWireTime(n.OccurredAt), checkWireTime(n.PublishedAt)); err != nil {
+		return nil, err
+	}
+	size := frame.HeaderLen +
+		frame.StringLen(string(n.ID)) +
+		frame.StringLen(n.Trace) +
+		frame.StringLen(string(n.SourceID)) +
+		frame.StringLen(string(n.Class)) +
+		frame.StringLen(n.PersonID) +
+		frame.StringLen(n.Summary) +
+		frame.StringLen(string(n.Producer)) +
+		frame.TimeLen(n.OccurredAt) +
+		frame.TimeLen(n.PublishedAt)
 	dst := make([]byte, 0, size)
-	dst = AppendFrameHeader(dst, FrameNotification)
-	dst = AppendFrameString(dst, string(n.ID))
-	dst = AppendFrameString(dst, n.Trace)
-	dst = AppendFrameString(dst, string(n.SourceID))
-	dst = AppendFrameString(dst, string(n.Class))
-	dst = AppendFrameString(dst, n.PersonID)
-	dst = AppendFrameString(dst, n.Summary)
-	dst = AppendFrameString(dst, string(n.Producer))
-	dst = AppendFrameTime(dst, n.OccurredAt)
-	dst = AppendFrameTime(dst, n.PublishedAt)
+	dst = frame.AppendHeader(dst, frame.Notification)
+	dst = frame.AppendString(dst, string(n.ID))
+	dst = frame.AppendString(dst, n.Trace)
+	dst = frame.AppendString(dst, string(n.SourceID))
+	dst = frame.AppendString(dst, string(n.Class))
+	dst = frame.AppendString(dst, n.PersonID)
+	dst = frame.AppendString(dst, n.Summary)
+	dst = frame.AppendString(dst, string(n.Producer))
+	dst = frame.AppendTime(dst, n.OccurredAt)
+	dst = frame.AppendTime(dst, n.PublishedAt)
 	return dst, nil
 }
 
+// The decoders below list each frame's fields in wire order inside a
+// struct literal: Go evaluates the reads left to right, and the reader
+// keeps its first failure until Done.
+
 func (binaryCodec) DecodeNotification(data []byte) (*Notification, error) {
-	p, err := FrameBody(data, FrameNotification)
-	if err != nil {
-		return nil, err
+	r := frame.Read(data, frame.Notification)
+	n := &Notification{
+		ID:          GlobalID(r.String()),
+		Trace:       r.String(),
+		SourceID:    SourceID(r.String()),
+		Class:       ClassID(r.String()),
+		PersonID:    r.String(),
+		Summary:     r.String(),
+		Producer:    ProducerID(r.String()),
+		OccurredAt:  r.Time(),
+		PublishedAt: r.Time(),
 	}
-	n := &Notification{}
-	var s string
-	if s, p, err = FrameString(p); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	n.ID = GlobalID(s)
-	if n.Trace, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	n.SourceID = SourceID(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	n.Class = ClassID(s)
-	if n.PersonID, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	if n.Summary, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	n.Producer = ProducerID(s)
-	if n.OccurredAt, p, err = FrameTime(p); err != nil {
-		return nil, err
-	}
-	if n.PublishedAt, p, err = FrameTime(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, errFrameTrail
 	}
 	return n, nil
 }
@@ -317,23 +145,23 @@ func (binaryCodec) EncodeDetail(d *Detail) ([]byte, error) {
 	}
 	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 
-	size := FrameHeaderLen +
-		frameStringLen(string(d.SourceID)) +
-		frameStringLen(string(d.Class)) +
-		frameStringLen(string(d.Producer)) +
-		uvarintLen(uint64(len(names)))
+	size := frame.HeaderLen +
+		frame.StringLen(string(d.SourceID)) +
+		frame.StringLen(string(d.Class)) +
+		frame.StringLen(string(d.Producer)) +
+		frame.UvarintLen(uint64(len(names)))
 	for _, f := range names {
-		size += frameStringLen(string(f)) + frameStringLen(d.Fields[f])
+		size += frame.StringLen(string(f)) + frame.StringLen(d.Fields[f])
 	}
 	dst := make([]byte, 0, size)
-	dst = AppendFrameHeader(dst, FrameDetail)
-	dst = AppendFrameString(dst, string(d.SourceID))
-	dst = AppendFrameString(dst, string(d.Class))
-	dst = AppendFrameString(dst, string(d.Producer))
+	dst = frame.AppendHeader(dst, frame.Detail)
+	dst = frame.AppendString(dst, string(d.SourceID))
+	dst = frame.AppendString(dst, string(d.Class))
+	dst = frame.AppendString(dst, string(d.Producer))
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, f := range names {
-		dst = AppendFrameString(dst, string(f))
-		dst = AppendFrameString(dst, d.Fields[f])
+		dst = frame.AppendString(dst, string(f))
+		dst = frame.AppendString(dst, d.Fields[f])
 	}
 	*np = names[:0]
 	fieldNamesPool.Put(np)
@@ -341,102 +169,59 @@ func (binaryCodec) EncodeDetail(d *Detail) ([]byte, error) {
 }
 
 func (binaryCodec) DecodeDetail(data []byte) (*Detail, error) {
-	p, err := FrameBody(data, FrameDetail)
-	if err != nil {
-		return nil, err
+	r := frame.Read(data, frame.Detail)
+	d := &Detail{
+		SourceID: SourceID(r.String()),
+		Class:    ClassID(r.String()),
+		Producer: ProducerID(r.String()),
 	}
-	d := &Detail{}
-	var s string
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	d.SourceID = SourceID(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	d.Class = ClassID(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	d.Producer = ProducerID(s)
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errFrameVarint
-	}
-	p = p[n:]
-	// Each field pair needs at least two bytes (two zero-length strings),
-	// so a count beyond len(p)/2 cannot be satisfied: reject it before
-	// sizing the map from attacker-controlled input.
-	if count > uint64(len(p))/2 {
-		return nil, errFrameBomb
-	}
+	// A field pair is at least two bytes: two zero-length strings.
+	count := r.Count(2)
 	d.Fields = make(map[FieldName]string, count)
-	for i := uint64(0); i < count; i++ {
-		var name, value string
-		if name, p, err = FrameString(p); err != nil {
-			return nil, err
-		}
-		if value, p, err = FrameString(p); err != nil {
-			return nil, err
-		}
-		d.Fields[FieldName(name)] = value
+	for i := 0; i < count; i++ {
+		name := FieldName(r.String())
+		d.Fields[name] = r.String()
 	}
-	if len(p) != 0 {
-		return nil, errFrameTrail
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
 func (binaryCodec) EncodeDetailRequest(r *DetailRequest) ([]byte, error) {
-	size := FrameHeaderLen +
-		frameStringLen(string(r.Requester)) +
-		frameStringLen(string(r.Class)) +
-		frameStringLen(string(r.EventID)) +
-		frameStringLen(string(r.Purpose)) +
-		frameStringLen(r.Trace) +
-		frameTimeLen(r.At)
+	if err := checkWireTime(r.At); err != nil {
+		return nil, err
+	}
+	size := frame.HeaderLen +
+		frame.StringLen(string(r.Requester)) +
+		frame.StringLen(string(r.Class)) +
+		frame.StringLen(string(r.EventID)) +
+		frame.StringLen(string(r.Purpose)) +
+		frame.StringLen(r.Trace) +
+		frame.TimeLen(r.At)
 	dst := make([]byte, 0, size)
-	dst = AppendFrameHeader(dst, FrameDetailRequest)
-	dst = AppendFrameString(dst, string(r.Requester))
-	dst = AppendFrameString(dst, string(r.Class))
-	dst = AppendFrameString(dst, string(r.EventID))
-	dst = AppendFrameString(dst, string(r.Purpose))
-	dst = AppendFrameString(dst, r.Trace)
-	dst = AppendFrameTime(dst, r.At)
+	dst = frame.AppendHeader(dst, frame.DetailRequest)
+	dst = frame.AppendString(dst, string(r.Requester))
+	dst = frame.AppendString(dst, string(r.Class))
+	dst = frame.AppendString(dst, string(r.EventID))
+	dst = frame.AppendString(dst, string(r.Purpose))
+	dst = frame.AppendString(dst, r.Trace)
+	dst = frame.AppendTime(dst, r.At)
 	return dst, nil
 }
 
 func (binaryCodec) DecodeDetailRequest(data []byte) (*DetailRequest, error) {
-	p, err := FrameBody(data, FrameDetailRequest)
-	if err != nil {
+	r := frame.Read(data, frame.DetailRequest)
+	req := &DetailRequest{
+		Requester: Actor(r.String()),
+		Class:     ClassID(r.String()),
+		EventID:   GlobalID(r.String()),
+		Purpose:   Purpose(r.String()),
+		Trace:     r.String(),
+		At:        r.Time(),
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	r := &DetailRequest{}
-	var s string
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	r.Requester = Actor(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	r.Class = ClassID(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	r.EventID = GlobalID(s)
-	if s, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	r.Purpose = Purpose(s)
-	if r.Trace, p, err = FrameString(p); err != nil {
-		return nil, err
-	}
-	if r.At, p, err = FrameTime(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, errFrameTrail
-	}
-	return r, nil
+	return req, nil
 }

@@ -3,6 +3,8 @@ package event
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // The binary decoders face untrusted network input, so beyond "never
@@ -55,10 +57,10 @@ func FuzzBinaryDetail(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)-3]) // truncated inside last field
 	// Claimed field count far beyond what the remaining bytes can hold.
-	bomb := AppendFrameHeader(nil, FrameDetail)
-	bomb = AppendFrameString(bomb, "s")
-	bomb = AppendFrameString(bomb, "c.x")
-	bomb = AppendFrameString(bomb, "p")
+	bomb := frame.AppendHeader(nil, frame.Detail)
+	bomb = frame.AppendString(bomb, "s")
+	bomb = frame.AppendString(bomb, "c.x")
+	bomb = frame.AppendString(bomb, "p")
 	bomb = append(bomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)
 	f.Add(bomb)
 	f.Add([]byte{0xC5, 0x5F, 0x01, 0x02})

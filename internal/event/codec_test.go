@@ -2,9 +2,13 @@ package event
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/frame"
 )
 
 func sampleNotification() *Notification {
@@ -32,7 +36,7 @@ func TestBinaryNotificationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if !IsBinaryFrame(data) {
+		if !frame.IsFrame(data) {
 			t.Fatal("encoded frame does not carry the binary magic")
 		}
 		got, err := Binary.DecodeNotification(data)
@@ -188,22 +192,66 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	})
 	t.Run("length bomb string", func(t *testing.T) {
 		// A frame whose first string claims 2^40 bytes.
-		bomb := AppendFrameHeader(nil, FrameNotification)
+		bomb := frame.AppendHeader(nil, frame.Notification)
 		bomb = append(bomb, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 2^40
 		if _, err := Binary.DecodeNotification(bomb); err == nil {
 			t.Fatal("length-bomb string accepted")
 		}
 	})
 	t.Run("length bomb map", func(t *testing.T) {
-		bomb := AppendFrameHeader(nil, FrameDetail)
-		bomb = AppendFrameString(bomb, "s")
-		bomb = AppendFrameString(bomb, "a.b")
-		bomb = AppendFrameString(bomb, "p")
+		bomb := frame.AppendHeader(nil, frame.Detail)
+		bomb = frame.AppendString(bomb, "s")
+		bomb = frame.AppendString(bomb, "a.b")
+		bomb = frame.AppendString(bomb, "p")
 		bomb = append(bomb, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 2^33 fields
 		if _, err := Binary.DecodeDetail(bomb); err == nil {
 			t.Fatal("length-bomb field count accepted")
 		}
 	})
+}
+
+// The binary frame writes a time as its UnixNano, which exists for the
+// years 1678-2262 only: outside them the encoder and both validators
+// refuse, instead of carrying the time wrapped around (2300-01-01 used
+// to arrive as 1715-06-13); at the edges it round-trips exactly.
+func TestBinaryRefusesUnrepresentableTimes(t *testing.T) {
+	first, last := time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()
+	for _, tc := range []struct {
+		at time.Time
+		ok bool
+	}{
+		{time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), false},
+		{time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), false},
+		{last.Add(time.Nanosecond), false},
+		{first.Add(-time.Nanosecond), false},
+		{last, true},
+		{first, true},
+	} {
+		n := sampleNotification()
+		n.OccurredAt = tc.at
+		req := &DetailRequest{Requester: "a", Class: "c.x", EventID: "evt-1", Purpose: "care", At: tc.at}
+		if err := n.Validate(); (err == nil) != tc.ok || !tc.ok && !errors.Is(err, ErrTimeRange) {
+			t.Errorf("Notification.Validate with occurredAt %v: %v", tc.at, err)
+		}
+		if err := req.Validate(); (err == nil) != tc.ok || !tc.ok && !errors.Is(err, ErrTimeRange) {
+			t.Errorf("DetailRequest.Validate with at %v: %v", tc.at, err)
+		}
+		data, err := Binary.EncodeNotification(n)
+		if !tc.ok {
+			if !errors.Is(err, ErrTimeRange) {
+				back, _ := Binary.DecodeNotification(data)
+				t.Errorf("occurredAt %v encoded (%v) and came back as %+v", tc.at, err, back)
+			}
+			if _, err := Binary.EncodeDetailRequest(req); !errors.Is(err, ErrTimeRange) {
+				t.Errorf("detail request at %v encoded: %v", tc.at, err)
+			}
+			continue
+		}
+		back, err := Binary.DecodeNotification(data)
+		if err != nil || !back.OccurredAt.Equal(tc.at) {
+			t.Errorf("occurredAt %v came back as %+v, %v", tc.at, back, err)
+		}
+	}
 }
 
 func TestCodecByName(t *testing.T) {

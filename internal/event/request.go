@@ -43,6 +43,9 @@ func (r *DetailRequest) Validate() error {
 	if r.EventID == "" {
 		return errValue("event: detail request missing event id")
 	}
+	if err := checkWireTime(r.At); err != nil {
+		return err
+	}
 	return r.Purpose.Validate()
 }
 

@@ -45,9 +45,8 @@ const (
 )
 
 // Index is the notification store. Safe for concurrent use; durable when
-// backed by a persistent store. With a nil keyring the index stores
-// person identifiers in the clear — that mode exists solely as the
-// baseline of experiment E5 and must not be used in a deployment.
+// backed by a persistent store. Person identifiers are sealed at rest
+// and looked up through their keyed pseudonym.
 //
 // Two read caches sit in front of the store. The notification cache
 // memoizes decrypt+decode results so repeated Get/Inquire hits stop
@@ -70,9 +69,9 @@ type Index struct {
 	obs   atomic.Pointer[CacheObserver]
 }
 
-// record is the persisted form of a notification. PersonID holds either
-// the sealed ciphertext (encrypted mode) or the plaintext (baseline
-// mode); Pseudo marks which.
+// record is the persisted form of a notification. PersonID holds the
+// sealed ciphertext; Encrypted is false only on records written by the
+// retired plaintext baseline of experiment E5, which still read back.
 type record struct {
 	ID          event.GlobalID   `json:"id"`
 	Class       event.ClassID    `json:"class"`
@@ -84,8 +83,7 @@ type record struct {
 	PublishedAt time.Time        `json:"publishedAt"`
 }
 
-// New creates an index on st. Keys may be nil only for the E5 plaintext
-// baseline.
+// New creates an index on st; keys seals the person identifiers.
 func New(st *store.Store, keys *crypto.Keyring) *Index {
 	return &Index{
 		st:    st,
@@ -111,7 +109,7 @@ func (ix *Index) noteCache(cache string, hit bool) {
 }
 
 // pseudonym returns the keyed pseudonym of a person identifier through
-// the read cache. Must only be called with a non-nil keyring.
+// the read cache.
 func (ix *Index) pseudonym(person string) string {
 	if p, ok := ix.pseud.Get(person); ok {
 		ix.noteCache("index.pseudonym", true)
@@ -151,16 +149,11 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	if err := n.Class.Validate(); err != nil {
 		return store.Commit{}, err
 	}
-	personKey := n.PersonID
-	var sealed []byte
-	if ix.keys != nil {
-		var err error
-		sealed, err = ix.keys.Seal([]byte(n.PersonID))
-		if err != nil {
-			return store.Commit{}, err
-		}
-		personKey = ix.pseudonym(n.PersonID)
+	sealed, err := ix.keys.Seal([]byte(n.PersonID))
+	if err != nil {
+		return store.Commit{}, err
 	}
+	personKey := ix.pseudonym(n.PersonID)
 	data := appendRecordJSON(n, sealed)
 	// The primary record and its three secondary keys commit as one
 	// store batch: one lock acquisition, one WAL frame, and — because a
@@ -193,32 +186,20 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 // appendRecordJSON renders the persisted record by hand, with the same
 // field set, tags and value encoding the json.Marshal of record
 // produced, so existing stores decode identically. One exact-guess
-// allocation instead of reflection. A non-nil sealed ciphertext is
+// allocation instead of reflection. The sealed person identifier is
 // base64-encoded straight into the record (the URL-safe alphabet never
 // needs JSON escaping), producing the byte-identical personId value
 // SealString used to build through an intermediate string.
 func appendRecordJSON(n *event.Notification, sealed []byte) []byte {
-	personLen := len(n.PersonID)
-	if sealed != nil {
-		personLen = base64.URLEncoding.EncodedLen(len(sealed))
-	}
-	dst := make([]byte, 0, len(n.ID)+len(n.Class)+personLen+len(n.Summary)+
+	dst := make([]byte, 0, len(n.ID)+len(n.Class)+base64.URLEncoding.EncodedLen(len(sealed))+len(n.Summary)+
 		len(n.Producer)+2*len(time.RFC3339Nano)+112)
 	dst = append(dst, `{"id":`...)
 	dst = jsonx.AppendString(dst, string(n.ID))
 	dst = append(dst, `,"class":`...)
 	dst = jsonx.AppendString(dst, string(n.Class))
-	dst = append(dst, `,"personId":`...)
-	if sealed != nil {
-		dst = append(dst, '"')
-		dst = base64.URLEncoding.AppendEncode(dst, sealed)
-		dst = append(dst, '"')
-		dst = append(dst, `,"encrypted":true`...)
-	} else {
-		dst = jsonx.AppendString(dst, n.PersonID)
-		dst = append(dst, `,"encrypted":false`...)
-	}
-	dst = append(dst, `,"summary":`...)
+	dst = append(dst, `,"personId":"`...)
+	dst = base64.URLEncoding.AppendEncode(dst, sealed)
+	dst = append(dst, `","encrypted":true,"summary":`...)
 	dst = jsonx.AppendString(dst, n.Summary)
 	dst = append(dst, `,"occurredAt":"`...)
 	dst = n.OccurredAt.AppendFormat(dst, time.RFC3339Nano)
@@ -269,9 +250,6 @@ func (ix *Index) decode(v []byte) (*event.Notification, error) {
 	}
 	person := r.PersonID
 	if r.Encrypted {
-		if ix.keys == nil {
-			return nil, errors.New("index: encrypted record but no keyring")
-		}
 		pt, err := ix.keys.OpenString(r.PersonID)
 		if err != nil {
 			return nil, fmt.Errorf("index: decrypt person id: %w", err)
@@ -310,11 +288,7 @@ type Inquiry struct {
 func (ix *Index) Inquire(q Inquiry) ([]*event.Notification, error) {
 	switch {
 	case q.PersonID != "":
-		personKey := q.PersonID
-		if ix.keys != nil {
-			personKey = ix.pseudonym(q.PersonID)
-		}
-		return ix.scanIdx("p/"+personKey+"/", q)
+		return ix.scanIdx("p/"+ix.pseudonym(q.PersonID)+"/", q)
 	case q.Class != "":
 		return ix.scanIdx("c/"+string(q.Class)+"/", q)
 	default:

@@ -93,19 +93,15 @@ func TestPersonIDEncryptedAtRest(t *testing.T) {
 	}
 }
 
-func TestPlaintextBaselineMode(t *testing.T) {
+// A record the retired plaintext baseline wrote (encrypted:false, the
+// person identifier in the clear) still reads back.
+func TestReadsOldPlaintextRecord(t *testing.T) {
 	st := store.OpenMemory()
-	ix := New(st, nil)
-	if err := ix.Put(notif("evt-1", "PRS-1", "c.x", t0)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.Get("evt-1")
-	if err != nil || got.PersonID != "PRS-1" {
+	st.Put(eventKey("evt-1"), []byte(`{"id":"evt-1","class":"c.x","personId":"PRS-1","encrypted":false,"summary":"s",`+
+		`"occurredAt":"2010-05-30T09:00:00Z","producer":"hospital","publishedAt":"2010-05-30T09:01:00Z"}`))
+	got, err := New(st, keyring(t)).Get("evt-1")
+	if err != nil || got.PersonID != "PRS-1" || got.Class != "c.x" {
 		t.Fatalf("Get = %+v, %v", got, err)
-	}
-	res, err := ix.Inquire(Inquiry{PersonID: "PRS-1"})
-	if err != nil || len(res) != 1 {
-		t.Errorf("Inquire = %d, %v", len(res), err)
 	}
 }
 

@@ -23,45 +23,39 @@ func TestAppendRecordJSONCompat(t *testing.T) {
 		Producer:    "hospital",
 		PublishedAt: time.Date(2026, 8, 7, 9, 0, 1, 0, time.UTC),
 	}
-	for _, encrypted := range []bool{false, true} {
-		personVal := n.PersonID
-		var sealed []byte
-		if encrypted {
-			personVal = "c2VhbGVkLWJhc2U2NA==" // what a sealed id looks like
-			sealed, _ = base64.URLEncoding.DecodeString(personVal)
-		}
-		raw := appendRecordJSON(n, sealed)
-		if !json.Valid(raw) {
-			t.Fatalf("invalid JSON: %s", raw)
-		}
-		var r record
-		if err := json.Unmarshal(raw, &r); err != nil {
-			t.Fatalf("unmarshal: %v\n%s", err, raw)
-		}
-		want := record{
-			ID: n.ID, Class: n.Class, PersonID: personVal, Encrypted: encrypted,
-			Summary: n.Summary, OccurredAt: n.OccurredAt, Producer: n.Producer,
-			PublishedAt: n.PublishedAt,
-		}
-		if r.ID != want.ID || r.Class != want.Class || r.PersonID != want.PersonID ||
-			r.Encrypted != want.Encrypted || r.Summary != want.Summary ||
-			r.Producer != want.Producer ||
-			!r.OccurredAt.Equal(want.OccurredAt) || !r.PublishedAt.Equal(want.PublishedAt) {
-			t.Fatalf("decoded record mismatch:\nwant %+v\n got %+v", want, r)
-		}
-		// And the reference encoder's output must decode the same way the
-		// hand-rolled bytes do (shared wire compatibility).
-		ref, err := json.Marshal(&want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var r2 record
-		if err := json.Unmarshal(ref, &r2); err != nil {
-			t.Fatal(err)
-		}
-		if r2.Summary != r.Summary || r2.PersonID != r.PersonID {
-			t.Fatalf("reference and hand-rolled decode diverge: %+v vs %+v", r2, r)
-		}
+	const personVal = "c2VhbGVkLWJhc2U2NA==" // what a sealed id looks like
+	sealed, _ := base64.URLEncoding.DecodeString(personVal)
+	raw := appendRecordJSON(n, sealed)
+	if !json.Valid(raw) {
+		t.Fatalf("invalid JSON: %s", raw)
+	}
+	var r record
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, raw)
+	}
+	want := record{
+		ID: n.ID, Class: n.Class, PersonID: personVal, Encrypted: true,
+		Summary: n.Summary, OccurredAt: n.OccurredAt, Producer: n.Producer,
+		PublishedAt: n.PublishedAt,
+	}
+	if r.ID != want.ID || r.Class != want.Class || r.PersonID != want.PersonID ||
+		r.Encrypted != want.Encrypted || r.Summary != want.Summary ||
+		r.Producer != want.Producer ||
+		!r.OccurredAt.Equal(want.OccurredAt) || !r.PublishedAt.Equal(want.PublishedAt) {
+		t.Fatalf("decoded record mismatch:\nwant %+v\n got %+v", want, r)
+	}
+	// And the reference encoder's output must decode the same way the
+	// hand-rolled bytes do (shared wire compatibility).
+	ref, err := json.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r2 record
+	if err := json.Unmarshal(ref, &r2); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Summary != r.Summary || r2.PersonID != r.PersonID {
+		t.Fatalf("reference and hand-rolled decode diverge: %+v vs %+v", r2, r)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"sort"
+
+	"repro/internal/frame"
 )
 
 // Campaign dials a follower's replication listener and submits an
@@ -42,7 +44,7 @@ func Campaign(ctx context.Context, dial func(addr string) (net.Conn, error), add
 	if err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: hello: %w", addr, err)
 	}
-	voterEpoch, _, err = decodeCursors(msg, FrameHello)
+	voterEpoch, _, err = decodeCursors(msg, frame.Hello)
 	if err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: hello: %w", addr, err)
 	}
@@ -52,7 +54,7 @@ func Campaign(ctx context.Context, dial func(addr string) (net.Conn, error), add
 		offsets = append(offsets, storeOffset{name: name, offset: off})
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i].name < offsets[j].name })
-	if err := writeMsg(conn, encodeCursors(FrameCampaign, epoch, offsets)); err != nil {
+	if err := writeMsg(conn, encodeCursors(frame.Campaign, epoch, offsets)); err != nil {
 		return false, 0, fmt.Errorf("replication: campaign %s: %w", addr, err)
 	}
 	msg, err = readMsg(br)

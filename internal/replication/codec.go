@@ -39,90 +39,39 @@
 // its pseudonym mapping, or an audit record without its index entry.
 //
 // Wire format: each message is a 4-byte little-endian length followed
-// by one binary frame using the event package's header conventions
-// (same magic/version as the PR 7 codec; the cluster layer owns frame
-// types 8-9, replication claims 10-13):
-//
-//	hello (10):  uvarint epoch | uvarint count | count × (string store, uvarint offset, [4]crc32 of the WAL prefix)
-//	data  (11):  string store | uvarint epoch | uvarint offset | uvarint len | raw WAL records
-//	ack   (12):  string store | uvarint offset fsynced through
-//	deny  (13):  uvarint epoch the follower holds (fencing rejection)
-//
-// PR 10 adds self-healing failover frames (14-20). The hello's per-store
-// CRC lets the primary spot a diverged rejoiner (a deposed primary whose
-// log carries an unreplicated old-epoch suffix) in one round trip; the
-// digest frames then walk the log record by record to the first
-// divergence, and truncate cuts the rejoiner back to the common prefix:
-//
-//	heartbeat (14): uvarint epoch — primary liveness, feeds the failure detector
-//	campaign  (15): uvarint epoch | uvarint count | count × (string store, uvarint offset) — candidate's claim + cursors
-//	grant     (16): uvarint granted (0|1) | uvarint epoch the voter now holds
-//	digestreq (17): string store | uvarint from | uvarint max
-//	digests   (18): string store | uvarint done (0|1) | uvarint count | count × (uvarint end, [4]crc32 of the record)
-//	truncate  (19): string store | uvarint offset — cut the log back to offset (acked)
-//	syncstart (20): (empty) — negotiation over; follower certifies its prefix and the data stream begins
+// by one binary frame (internal/frame). Replication owns frame types
+// 10-20; their field layouts are tabulated in DESIGN.md §8. Hello, data,
+// ack and deny (10-13) ship WALs and fence stale primaries. The rest
+// are the self-healing failover frames: heartbeat and campaign/grant
+// drive the election, and the hello's per-store CRC lets the primary
+// spot a diverged rejoiner (a deposed primary whose log carries an
+// unreplicated old-epoch suffix) in one round trip; the digest frames
+// then walk the log record by record to the first divergence, truncate
+// cuts the rejoiner back to the common prefix, and syncstart opens the
+// data stream.
 package replication
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
-	"repro/internal/event"
-)
-
-// Frame types claimed by the replication layer (event owns 1-7,
-// cluster owns 8-9).
-const (
-	// FrameHello announces a follower's epoch and per-store cursors.
-	FrameHello = event.FrameType(10)
-	// FrameData carries one raw WAL segment for one store.
-	FrameData = event.FrameType(11)
-	// FrameAck acknowledges a follower fsync through an offset.
-	FrameAck = event.FrameType(12)
-	// FrameDeny rejects a stale-epoch primary (fencing).
-	FrameDeny = event.FrameType(13)
-	// FrameHeartbeat is a primary liveness beacon carrying its epoch.
-	FrameHeartbeat = event.FrameType(14)
-	// FrameCampaign is a candidate's election claim: the epoch it wants
-	// plus its per-store cursors (the voter's up-to-date check).
-	FrameCampaign = event.FrameType(15)
-	// FrameGrant answers a campaign: granted or not, and the epoch the
-	// voter holds after deciding.
-	FrameGrant = event.FrameType(16)
-	// FrameDigestReq asks a rejoining follower for per-record WAL
-	// digests starting at an offset.
-	FrameDigestReq = event.FrameType(17)
-	// FrameDigests carries a batch of per-record WAL digests.
-	FrameDigests = event.FrameType(18)
-	// FrameTruncate orders a rejoining follower to cut a store's WAL
-	// back to the common prefix.
-	FrameTruncate = event.FrameType(19)
-	// FrameSyncStart ends rejoin negotiation: the follower certifies its
-	// (possibly truncated) prefix and the data stream begins.
-	FrameSyncStart = event.FrameType(20)
+	"repro/internal/frame"
 )
 
 // maxMessage bounds a wire message; segments are shipped in chunks far
 // below it, so anything larger is corruption, not load.
 const maxMessage = 64 << 20
 
-var (
-	errCodecVarint = errors.New("replication: frame has malformed varint")
-	errCodecTrail  = errors.New("replication: frame has trailing garbage")
-	errCodecBomb   = errors.New("replication: frame claims more than the payload holds")
-)
-
 // writeMsg frames and writes one message: 4-byte LE length + frame.
-func writeMsg(w io.Writer, frame []byte) error {
+func writeMsg(w io.Writer, msg []byte) error {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(frame)
+	_, err := w.Write(msg)
 	return err
 }
 
@@ -145,11 +94,11 @@ func readMsg(br *bufio.Reader) ([]byte, error) {
 
 // frameKind peeks the frame type of a raw message without validating
 // the body (0 when the message is too short to carry a header).
-func frameKind(msg []byte) event.FrameType {
-	if len(msg) < event.FrameHeaderLen {
+func frameKind(msg []byte) frame.Type {
+	if len(msg) < frame.HeaderLen {
 		return 0
 	}
-	return event.FrameType(msg[3])
+	return frame.Type(msg[3])
 }
 
 // storeOffset is one (store, byte offset) cursor in a hello or campaign
@@ -162,31 +111,22 @@ type storeOffset struct {
 	crc    uint32
 }
 
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // encodeCursors builds the shared body of hello and campaign frames: an
 // epoch and a list of per-store cursors, each with a prefix CRC in a
 // hello only.
-func encodeCursors(kind event.FrameType, epoch uint64, offsets []storeOffset) []byte {
-	withCRC := kind == FrameHello
-	size := event.FrameHeaderLen + uvarintLen(epoch) + uvarintLen(uint64(len(offsets)))
+func encodeCursors(kind frame.Type, epoch uint64, offsets []storeOffset) []byte {
+	withCRC := kind == frame.Hello
+	size := frame.HeaderLen + frame.UvarintLen(epoch) + frame.UvarintLen(uint64(len(offsets)))
 	for _, o := range offsets {
 		// Room for the CRC either way: a campaign just leaves it unused.
-		size += uvarintLen(uint64(len(o.name))) + len(o.name) + uvarintLen(uint64(o.offset)) + 4
+		size += frame.StringLen(o.name) + frame.UvarintLen(uint64(o.offset)) + 4
 	}
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, kind)
+	dst = frame.AppendHeader(dst, kind)
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(len(offsets)))
 	for _, o := range offsets {
-		dst = event.AppendFrameString(dst, o.name)
+		dst = frame.AppendString(dst, o.name)
 		dst = binary.AppendUvarint(dst, uint64(o.offset))
 		if withCRC {
 			dst = binary.LittleEndian.AppendUint32(dst, o.crc)
@@ -195,206 +135,119 @@ func encodeCursors(kind event.FrameType, epoch uint64, offsets []storeOffset) []
 	return dst
 }
 
-func decodeCursors(data []byte, kind event.FrameType) (epoch uint64, offsets []storeOffset, err error) {
-	withCRC := kind == FrameHello
-	p, err := event.FrameBody(data, kind)
-	if err != nil {
+func decodeCursors(data []byte, kind frame.Type) (epoch uint64, offsets []storeOffset, err error) {
+	r := frame.Read(data, kind)
+	epoch = r.Uvarint()
+	// An entry is at least a one-byte name length and a one-byte offset.
+	count := r.Count(2)
+	offsets = make([]storeOffset, count)
+	for i := range offsets {
+		o := &offsets[i]
+		o.name, o.offset = r.String(), int64(r.Uvarint())
+		if kind == frame.Hello {
+			o.crc = r.Uint32()
+		}
+	}
+	if err := r.Done(); err != nil {
 		return 0, nil, err
-	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	// Each entry needs at least a one-byte name length and a one-byte
-	// offset varint.
-	if count > uint64(len(p))/2 {
-		return 0, nil, errCodecBomb
-	}
-	offsets = make([]storeOffset, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var o storeOffset
-		if o.name, p, err = event.FrameString(p); err != nil {
-			return 0, nil, err
-		}
-		off, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, nil, errCodecVarint
-		}
-		o.offset, p = int64(off), p[n:]
-		if withCRC {
-			if len(p) < 4 {
-				return 0, nil, errCodecBomb
-			}
-			o.crc, p = binary.LittleEndian.Uint32(p), p[4:]
-		}
-		offsets = append(offsets, o)
-	}
-	if len(p) != 0 {
-		return 0, nil, errCodecTrail
 	}
 	return epoch, offsets, nil
 }
 
 func encodeData(store string, epoch uint64, offset int64, seg []byte) []byte {
-	size := event.FrameHeaderLen +
-		uvarintLen(uint64(len(store))) + len(store) +
-		uvarintLen(epoch) + uvarintLen(uint64(offset)) +
-		uvarintLen(uint64(len(seg))) + len(seg)
+	size := frame.HeaderLen + frame.StringLen(store) +
+		frame.UvarintLen(epoch) + frame.UvarintLen(uint64(offset)) +
+		frame.UvarintLen(uint64(len(seg))) + len(seg)
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameData)
-	dst = event.AppendFrameString(dst, store)
+	dst = frame.AppendHeader(dst, frame.Data)
+	dst = frame.AppendString(dst, store)
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(offset))
 	dst = binary.AppendUvarint(dst, uint64(len(seg)))
 	return append(dst, seg...)
 }
 
+// decodeData returns the segment as a slice of data, not a copy.
 func decodeData(data []byte) (store string, epoch uint64, offset int64, seg []byte, err error) {
-	p, err := event.FrameBody(data, FrameData)
-	if err != nil {
+	r := frame.Read(data, frame.Data)
+	store, epoch, offset, seg = r.String(), r.Uvarint(), int64(r.Uvarint()), r.Bytes()
+	if err := r.Done(); err != nil {
 		return "", 0, 0, nil, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, 0, nil, err
-	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	if l != uint64(len(p)) {
-		return "", 0, 0, nil, errCodecBomb
-	}
-	return store, epoch, int64(off), p, nil
+	return store, epoch, offset, seg, nil
 }
 
 // encodeStoreOffset builds the shared body of ack and truncate frames.
-func encodeStoreOffset(kind event.FrameType, store string, offset int64) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) + uvarintLen(uint64(offset))
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, kind)
-	dst = event.AppendFrameString(dst, store)
+func encodeStoreOffset(kind frame.Type, store string, offset int64) []byte {
+	size := frame.HeaderLen + frame.StringLen(store) + frame.UvarintLen(uint64(offset))
+	dst := frame.AppendHeader(make([]byte, 0, size), kind)
+	dst = frame.AppendString(dst, store)
 	return binary.AppendUvarint(dst, uint64(offset))
 }
 
-func decodeStoreOffset(data []byte, kind event.FrameType) (store string, offset int64, err error) {
-	p, err := event.FrameBody(data, kind)
-	if err != nil {
+func decodeStoreOffset(data []byte, kind frame.Type) (store string, offset int64, err error) {
+	r := frame.Read(data, kind)
+	store, offset = r.String(), int64(r.Uvarint())
+	if err := r.Done(); err != nil {
 		return "", 0, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, err
-	}
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return "", 0, errCodecTrail
-	}
-	return store, int64(off), nil
+	return store, offset, nil
 }
 
 // encodeEpoch builds the shared body of deny and heartbeat frames.
-func encodeEpoch(kind event.FrameType, epoch uint64) []byte {
-	dst := make([]byte, 0, event.FrameHeaderLen+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, kind)
+func encodeEpoch(kind frame.Type, epoch uint64) []byte {
+	dst := frame.AppendHeader(make([]byte, 0, frame.HeaderLen+frame.UvarintLen(epoch)), kind)
 	return binary.AppendUvarint(dst, epoch)
 }
 
-func decodeEpoch(data []byte, kind event.FrameType) (epoch uint64, err error) {
-	p, err := event.FrameBody(data, kind)
-	if err != nil {
+func decodeEpoch(data []byte, kind frame.Type) (epoch uint64, err error) {
+	r := frame.Read(data, kind)
+	epoch = r.Uvarint()
+	if err := r.Done(); err != nil {
 		return 0, err
-	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return 0, errCodecTrail
 	}
 	return epoch, nil
 }
 
-func encodeGrant(granted bool, epoch uint64) []byte {
-	g := uint64(0)
-	if granted {
-		g = 1
+// bit is a boolean on the wire: uvarint 1 for true, 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
 	}
-	dst := make([]byte, 0, event.FrameHeaderLen+1+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, FrameGrant)
-	dst = binary.AppendUvarint(dst, g)
+	return 0
+}
+
+func encodeGrant(granted bool, epoch uint64) []byte {
+	dst := frame.AppendHeader(make([]byte, 0, frame.HeaderLen+1+frame.UvarintLen(epoch)), frame.Grant)
+	dst = binary.AppendUvarint(dst, bit(granted))
 	return binary.AppendUvarint(dst, epoch)
 }
 
 func decodeGrant(data []byte) (granted bool, epoch uint64, err error) {
-	p, err := event.FrameBody(data, FrameGrant)
-	if err != nil {
+	r := frame.Read(data, frame.Grant)
+	granted, epoch = r.Uvarint() == 1, r.Uvarint()
+	if err := r.Done(); err != nil {
 		return false, 0, err
 	}
-	g, n := binary.Uvarint(p)
-	if n <= 0 {
-		return false, 0, errCodecVarint
-	}
-	p = p[n:]
-	epoch, n = binary.Uvarint(p)
-	if n <= 0 {
-		return false, 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return false, 0, errCodecTrail
-	}
-	return g == 1, epoch, nil
+	return granted, epoch, nil
 }
 
 func encodeDigestReq(store string, from int64, max int) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) +
-		uvarintLen(uint64(from)) + uvarintLen(uint64(max))
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameDigestReq)
-	dst = event.AppendFrameString(dst, store)
+	size := frame.HeaderLen + frame.StringLen(store) +
+		frame.UvarintLen(uint64(from)) + frame.UvarintLen(uint64(max))
+	dst := frame.AppendHeader(make([]byte, 0, size), frame.DigestReq)
+	dst = frame.AppendString(dst, store)
 	dst = binary.AppendUvarint(dst, uint64(from))
 	return binary.AppendUvarint(dst, uint64(max))
 }
 
 func decodeDigestReq(data []byte) (store string, from int64, max int, err error) {
-	p, err := event.FrameBody(data, FrameDigestReq)
-	if err != nil {
+	r := frame.Read(data, frame.DigestReq)
+	store, from, max = r.String(), int64(r.Uvarint()), int(r.Uvarint())
+	if err := r.Done(); err != nil {
 		return "", 0, 0, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, 0, err
-	}
-	f, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, errCodecVarint
-	}
-	p = p[n:]
-	m, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return "", 0, 0, errCodecTrail
-	}
-	return store, int64(f), int(m), nil
+	return store, from, max, nil
 }
 
 // recordDigest mirrors store.WALRecordDigest on the wire: the byte
@@ -405,80 +258,40 @@ type recordDigest struct {
 }
 
 func encodeDigests(store string, done bool, ds []recordDigest) []byte {
-	d := uint64(0)
-	if done {
-		d = 1
+	size := frame.HeaderLen + frame.StringLen(store) + 1 + frame.UvarintLen(uint64(len(ds)))
+	for _, d := range ds {
+		size += frame.UvarintLen(uint64(d.end)) + 4
 	}
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) +
-		1 + uvarintLen(uint64(len(ds)))
-	for _, r := range ds {
-		size += uvarintLen(uint64(r.end)) + 4
-	}
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameDigests)
-	dst = event.AppendFrameString(dst, store)
-	dst = binary.AppendUvarint(dst, d)
+	dst := frame.AppendHeader(make([]byte, 0, size), frame.Digests)
+	dst = frame.AppendString(dst, store)
+	dst = binary.AppendUvarint(dst, bit(done))
 	dst = binary.AppendUvarint(dst, uint64(len(ds)))
-	for _, r := range ds {
-		dst = binary.AppendUvarint(dst, uint64(r.end))
-		dst = binary.LittleEndian.AppendUint32(dst, r.crc)
+	for _, d := range ds {
+		dst = binary.AppendUvarint(dst, uint64(d.end))
+		dst = binary.LittleEndian.AppendUint32(dst, d.crc)
 	}
 	return dst
 }
 
 func decodeDigests(data []byte) (store string, done bool, ds []recordDigest, err error) {
-	p, err := event.FrameBody(data, FrameDigests)
-	if err != nil {
+	r := frame.Read(data, frame.Digests)
+	store, done = r.String(), r.Uvarint() == 1
+	// An entry is at least a one-byte end varint and a 4-byte CRC.
+	ds = make([]recordDigest, r.Count(5))
+	for i := range ds {
+		ds[i] = recordDigest{end: int64(r.Uvarint()), crc: r.Uint32()}
+	}
+	if err := r.Done(); err != nil {
 		return "", false, nil, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", false, nil, err
-	}
-	d, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", false, nil, errCodecVarint
-	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", false, nil, errCodecVarint
-	}
-	p = p[n:]
-	// Each entry needs at least a one-byte end varint and a 4-byte CRC.
-	if count > uint64(len(p))/5 {
-		return "", false, nil, errCodecBomb
-	}
-	ds = make([]recordDigest, 0, count)
-	for i := uint64(0); i < count; i++ {
-		end, n := binary.Uvarint(p)
-		if n <= 0 {
-			return "", false, nil, errCodecVarint
-		}
-		p = p[n:]
-		if len(p) < 4 {
-			return "", false, nil, errCodecBomb
-		}
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		ds = append(ds, recordDigest{end: int64(end), crc: crc})
-	}
-	if len(p) != 0 {
-		return "", false, nil, errCodecTrail
-	}
-	return store, d == 1, ds, nil
+	return store, done, ds, nil
 }
 
 func encodeSyncStart() []byte {
-	return event.AppendFrameHeader(make([]byte, 0, event.FrameHeaderLen), FrameSyncStart)
+	return frame.AppendHeader(make([]byte, 0, frame.HeaderLen), frame.SyncStart)
 }
 
 func decodeSyncStart(data []byte) error {
-	p, err := event.FrameBody(data, FrameSyncStart)
-	if err != nil {
-		return err
-	}
-	if len(p) != 0 {
-		return errCodecTrail
-	}
-	return nil
+	r := frame.Read(data, frame.SyncStart)
+	return r.Done()
 }

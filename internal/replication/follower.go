@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -156,7 +157,7 @@ func (f *Follower) checkEpoch(conn net.Conn, epoch uint64) error {
 		if f.fenced != nil {
 			f.fenced.Inc()
 		}
-		writeMsg(conn, encodeEpoch(FrameDeny, cur))
+		writeMsg(conn, encodeEpoch(frame.Deny, cur))
 		return fmt.Errorf("denied stale epoch %d (holding %d)", epoch, cur)
 	}
 	if epoch > cur {
@@ -186,7 +187,7 @@ func (f *Follower) handleConn(conn net.Conn) error {
 		}
 		offsets[i] = storeOffset{name: ns.Name, offset: off, crc: crc}
 	}
-	if err := writeMsg(conn, encodeCursors(FrameHello, f.epoch.Load(), offsets)); err != nil {
+	if err := writeMsg(conn, encodeCursors(frame.Hello, f.epoch.Load(), offsets)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 
@@ -211,7 +212,7 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			return err
 		}
 		switch frameKind(msg) {
-		case FrameSyncStart:
+		case frame.SyncStart:
 			if err := decodeSyncStart(msg); err != nil {
 				return err
 			}
@@ -225,8 +226,8 @@ func (f *Follower) handleConn(conn net.Conn) error {
 				}
 			}
 
-		case FrameHeartbeat:
-			epoch, err := decodeEpoch(msg, FrameHeartbeat)
+		case frame.Heartbeat:
+			epoch, err := decodeEpoch(msg, frame.Heartbeat)
 			if err != nil {
 				return err
 			}
@@ -235,8 +236,8 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			}
 			f.noteContact()
 
-		case FrameCampaign:
-			epoch, theirs, err := decodeCursors(msg, FrameCampaign)
+		case frame.Campaign:
+			epoch, theirs, err := decodeCursors(msg, frame.Campaign)
 			if err != nil {
 				return err
 			}
@@ -245,7 +246,7 @@ func (f *Follower) handleConn(conn net.Conn) error {
 				return err
 			}
 
-		case FrameDigestReq:
+		case frame.DigestReq:
 			name, from, max, err := decodeDigestReq(msg)
 			if err != nil {
 				return err
@@ -272,8 +273,8 @@ func (f *Follower) handleConn(conn net.Conn) error {
 				return err
 			}
 
-		case FrameTruncate:
-			name, offset, err := decodeStoreOffset(msg, FrameTruncate)
+		case frame.Truncate:
+			name, offset, err := decodeStoreOffset(msg, frame.Truncate)
 			if err != nil {
 				return err
 			}
@@ -291,11 +292,11 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			if f.cfg.OnApply != nil {
 				f.cfg.OnApply(name)
 			}
-			if err := writeMsg(conn, encodeStoreOffset(FrameAck, name, offset)); err != nil {
+			if err := writeMsg(conn, encodeStoreOffset(frame.Ack, name, offset)); err != nil {
 				return err
 			}
 
-		case FrameData:
+		case frame.Data:
 			name, epoch, offset, seg, err := decodeData(msg)
 			if err != nil {
 				return fmt.Errorf("data: %w", err)
@@ -331,7 +332,7 @@ func syncAck(conn net.Conn, ns NamedStore) error {
 	if err := ns.Store.SyncWAL(); err != nil {
 		return err
 	}
-	return writeMsg(conn, encodeStoreOffset(FrameAck, ns.Name, ns.Store.WALOffset()))
+	return writeMsg(conn, encodeStoreOffset(frame.Ack, ns.Name, ns.Store.WALOffset()))
 }
 
 // decideVote applies the election rules to one campaign: the candidate

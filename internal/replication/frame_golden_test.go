@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // The golden frame table pins the binary form of the replication
@@ -15,28 +17,28 @@ import (
 // what came out.
 func describeFrame(data []byte) (string, error) {
 	switch kind := frameKind(data); kind {
-	case FrameHello, FrameCampaign:
+	case frame.Hello, frame.Campaign:
 		epoch, offsets, err := decodeCursors(data, kind)
 		return fmt.Sprintf("epoch=%d cursors=%v", epoch, offsets), err
-	case FrameData:
+	case frame.Data:
 		store, epoch, offset, seg, err := decodeData(data)
 		return fmt.Sprintf("store=%s epoch=%d offset=%d seg=%x", store, epoch, offset, seg), err
-	case FrameAck, FrameTruncate:
+	case frame.Ack, frame.Truncate:
 		store, offset, err := decodeStoreOffset(data, kind)
 		return fmt.Sprintf("store=%s offset=%d", store, offset), err
-	case FrameDeny, FrameHeartbeat:
+	case frame.Deny, frame.Heartbeat:
 		epoch, err := decodeEpoch(data, kind)
 		return fmt.Sprintf("epoch=%d", epoch), err
-	case FrameGrant:
+	case frame.Grant:
 		granted, epoch, err := decodeGrant(data)
 		return fmt.Sprintf("granted=%v epoch=%d", granted, epoch), err
-	case FrameDigestReq:
+	case frame.DigestReq:
 		store, from, max, err := decodeDigestReq(data)
 		return fmt.Sprintf("store=%s from=%d max=%d", store, from, max), err
-	case FrameDigests:
+	case frame.Digests:
 		store, done, ds, err := decodeDigests(data)
 		return fmt.Sprintf("store=%s done=%v digests=%v", store, done, ds), err
-	case FrameSyncStart:
+	case frame.SyncStart:
 		return "", decodeSyncStart(data)
 	default:
 		return "", fmt.Errorf("not a replication frame: type %d", kind)
@@ -52,15 +54,15 @@ func TestGoldenReplicationFrames(t *testing.T) {
 		decoded string
 	}{
 		{"hello (10): cursors carry the prefix CRC, little-endian",
-			encodeCursors(FrameHello, 7, cursors),
+			encodeCursors(frame.Hello, 7, cursors),
 			"c55f010a07030569646d61707befbeadde05696e646578f0a204010000000561756469740000000000",
 			"epoch=7 cursors=[{idmap 123 3735928559} {index 70000 1} {audit 0 0}]"},
 		{"hello (10), no stores",
-			encodeCursors(FrameHello, 1, nil),
+			encodeCursors(frame.Hello, 1, nil),
 			"c55f010a0100",
 			"epoch=1 cursors=[]"},
 		{"campaign (15): the same cursors without the CRC",
-			encodeCursors(FrameCampaign, 300, cursors),
+			encodeCursors(frame.Campaign, 300, cursors),
 			"c55f010fac02030569646d61707b05696e646578f0a20405617564697400",
 			"epoch=300 cursors=[{idmap 123 0} {index 70000 0} {audit 0 0}]"},
 		{"data (11)",
@@ -72,19 +74,19 @@ func TestGoldenReplicationFrames(t *testing.T) {
 			"c55f010b056175646974010000",
 			"store=audit epoch=1 offset=0 seg="},
 		{"ack (12)",
-			encodeStoreOffset(FrameAck, "audit", 789),
+			encodeStoreOffset(frame.Ack, "audit", 789),
 			"c55f010c0561756469749506",
 			"store=audit offset=789"},
 		{"truncate (19): the ack layout under its own type",
-			encodeStoreOffset(FrameTruncate, "idmap", 4096),
+			encodeStoreOffset(frame.Truncate, "idmap", 4096),
 			"c55f01130569646d61708020",
 			"store=idmap offset=4096"},
 		{"deny (13)",
-			encodeEpoch(FrameDeny, 4),
+			encodeEpoch(frame.Deny, 4),
 			"c55f010d04",
 			"epoch=4"},
 		{"heartbeat (14): the deny layout under its own type",
-			encodeEpoch(FrameHeartbeat, 1<<40),
+			encodeEpoch(frame.Heartbeat, 1<<40),
 			"c55f010e808080808020",
 			"epoch=1099511627776"},
 		{"grant (16), granted",

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -199,7 +200,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-	theirEpoch, offsets, err := decodeCursors(msg, FrameHello)
+	theirEpoch, offsets, err := decodeCursors(msg, frame.Hello)
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -266,7 +267,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 		default:
 		}
 		if hb > 0 && !time.Now().Before(nextBeat) {
-			if err := writeMsg(conn, encodeEpoch(FrameHeartbeat, p.cfg.Epoch)); err != nil {
+			if err := writeMsg(conn, encodeEpoch(frame.Heartbeat, p.cfg.Epoch)); err != nil {
 				return fmt.Errorf("heartbeat: %w", err)
 			}
 			nextBeat = time.Now().Add(jittered())
@@ -366,7 +367,7 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 		if common < theirs.offset {
 			p.logf("repl: follower %s diverged on %s at %d (its log ends at %d): ordering truncate",
 				link.addr, ns.Name, common, theirs.offset)
-			if err := writeMsg(conn, encodeStoreOffset(FrameTruncate, ns.Name, common)); err != nil {
+			if err := writeMsg(conn, encodeStoreOffset(frame.Truncate, ns.Name, common)); err != nil {
 				return nil, fmt.Errorf("truncate %s: %w", ns.Name, err)
 			}
 			name, acked, err := p.readAck(br)
@@ -432,10 +433,10 @@ func (p *Primary) readAck(br *bufio.Reader) (string, int64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if ep, derr := decodeEpoch(msg, FrameDeny); derr == nil {
+	if ep, derr := decodeEpoch(msg, frame.Deny); derr == nil {
 		return "", 0, fmt.Errorf("%w (follower holds epoch %d)", ErrFenced, ep)
 	}
-	name, offset, err := decodeStoreOffset(msg, FrameAck)
+	name, offset, err := decodeStoreOffset(msg, frame.Ack)
 	if err != nil {
 		return "", 0, err
 	}
@@ -450,11 +451,11 @@ func (p *Primary) readAcks(link *followerLink, br *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
-		if ep, derr := decodeEpoch(msg, FrameDeny); derr == nil {
+		if ep, derr := decodeEpoch(msg, frame.Deny); derr == nil {
 			p.markFenced(link)
 			return fmt.Errorf("%w (follower %s holds epoch %d)", ErrFenced, link.addr, ep)
 		}
-		name, offset, err := decodeStoreOffset(msg, FrameAck)
+		name, offset, err := decodeStoreOffset(msg, frame.Ack)
 		if err != nil {
 			return fmt.Errorf("ack: %w", err)
 		}

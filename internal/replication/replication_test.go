@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/store"
 )
 
@@ -264,40 +265,6 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrips(t *testing.T) {
-	he := encodeCursors(FrameHello, 7, []storeOffset{{name: "idmap", offset: 123}, {name: "audit", offset: 0}})
-	ep, offs, err := decodeCursors(he, FrameHello)
-	if err != nil || ep != 7 || len(offs) != 2 || offs[0].offset != 123 || offs[1].name != "audit" {
-		t.Fatalf("hello round-trip: %v %d %+v", err, ep, offs)
-	}
-	seg := bytes.Repeat([]byte{0xAB}, 37)
-	da := encodeData("index", 9, 456, seg)
-	name, ep2, off, got, err := decodeData(da)
-	if err != nil || name != "index" || ep2 != 9 || off != 456 || !bytes.Equal(got, seg) {
-		t.Fatalf("data round-trip: %v %s %d %d", err, name, ep2, off)
-	}
-	ak := encodeStoreOffset(FrameAck, "audit", 789)
-	aname, aoff, err := decodeStoreOffset(ak, FrameAck)
-	if err != nil || aname != "audit" || aoff != 789 {
-		t.Fatalf("ack round-trip: %v %s %d", err, aname, aoff)
-	}
-	de := encodeEpoch(FrameDeny, 4)
-	dep, err := decodeEpoch(de, FrameDeny)
-	if err != nil || dep != 4 {
-		t.Fatalf("deny round-trip: %v %d", err, dep)
-	}
-	// Cross-type decode must fail loudly.
-	if _, _, err := decodeStoreOffset(he, FrameAck); err == nil {
-		t.Fatal("hello decoded as ack")
-	}
-	// Truncations fail cleanly.
-	for cut := 0; cut < len(da); cut++ {
-		if _, _, _, _, err := decodeData(da[:cut]); err == nil {
-			t.Fatalf("truncated data frame (%d bytes) decoded", cut)
-		}
-	}
-}
-
 // TestAckNotWithheldBehindHeartbeat is the withheld-ack regression on a
 // raw connection: one data frame and one heartbeat written back to back
 // land in the follower's read buffer together, and the data frame's ack
@@ -338,7 +305,7 @@ func TestAckNotWithheldBehindHeartbeat(t *testing.T) {
 	}
 	var both bytes.Buffer
 	writeMsg(&both, encodeData("idmap", 1, 0, seg))
-	writeMsg(&both, encodeEpoch(FrameHeartbeat, 1))
+	writeMsg(&both, encodeEpoch(frame.Heartbeat, 1))
 	if _, err := conn.Write(both.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +313,7 @@ func TestAckNotWithheldBehindHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no ack for a data frame followed by a heartbeat: %v", err)
 	}
-	if name, off, err := decodeStoreOffset(msg, FrameAck); err != nil || name != "idmap" || off != int64(len(seg)) {
+	if name, off, err := decodeStoreOffset(msg, frame.Ack); err != nil || name != "idmap" || off != int64(len(seg)) {
 		t.Fatalf("ack = (%s, %d, %v), want (idmap, %d)", name, off, err, len(seg))
 	}
 }
@@ -369,7 +336,7 @@ func (c *heldConn) Write(b []byte) (int, error) {
 		}
 		msg := c.pending[:n]
 		c.pending = c.pending[n:]
-		if frameKind(msg[4:]) == FrameData {
+		if frameKind(msg[4:]) == frame.Data {
 			c.held = append(c.held, msg...)
 			continue
 		}

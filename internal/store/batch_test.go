@@ -243,7 +243,7 @@ func TestView(t *testing.T) {
 // TestGroupCommitConcurrentWriters drives concurrent writers through a
 // SyncEvery store and checks that everything lands durably — the group
 // commit path must not acknowledge a write before its bytes are fsynced,
-// and shared fsyncs must not deadlock with compaction or Close.
+// and shared fsyncs must not deadlock with Close.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.wal")
 	s, err := Open(path, Options{SyncEvery: true})
@@ -290,42 +290,5 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	defer r.Close()
 	if n, _ := r.Len(); n != writers*perWriter {
 		t.Errorf("recovered Len = %d, want %d", n, writers*perWriter)
-	}
-}
-
-// TestGroupCommitWithCompaction overwrites one hot key from many
-// goroutines with auto-compaction enabled in SyncEvery mode: the sync
-// handoff must survive the log being swapped underneath waiting writers.
-func TestGroupCommitWithCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.wal")
-	s, err := Open(path, Options{SyncEvery: true, CompactThreshold: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if err := s.Put("hot", []byte(fmt.Sprintf("w%d-%04d", w, i))); err != nil {
-					t.Errorf("Put: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if _, ok, _ := s.Get("hot"); !ok {
-		t.Error("hot key missing")
-	}
-	s.Close()
-	r, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("reopen after compacting group commit: %v", err)
-	}
-	defer r.Close()
-	if _, ok, _ := r.Get("hot"); !ok {
-		t.Error("hot key missing after recovery")
 	}
 }

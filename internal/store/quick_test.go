@@ -8,9 +8,9 @@ import (
 	"testing/quick"
 )
 
-// TestQuickRecoveryEquivalence: for a random sequence of puts, deletes
-// and compactions, a store reopened from its WAL holds exactly the state
-// of a reference map.
+// TestQuickRecoveryEquivalence: for a random sequence of puts and
+// deletes, a store reopened from its WAL holds exactly the state of a
+// reference map.
 func TestQuickRecoveryEquivalence(t *testing.T) {
 	f := func(seed int64, opCount uint8) bool {
 		dir := t.TempDir()
@@ -30,12 +30,6 @@ func TestQuickRecoveryEquivalence(t *testing.T) {
 					return false
 				}
 				delete(ref, key)
-			case 1:
-				if rnd.Intn(10) == 0 { // occasional compaction
-					if err := s.Compact(); err != nil {
-						return false
-					}
-				}
 			default:
 				val := fmt.Sprintf("v%06d", rnd.Intn(1_000_000))
 				if err := s.Put(key, []byte(val)); err != nil {

@@ -13,12 +13,12 @@ import (
 // byte offset). The follower appends the same bytes to its own log and
 // applies the mutations to memory, so its WAL stays a byte-identical
 // prefix of the primary's — catch-up after a reconnect is just "resume
-// from my offset". Compaction rewrites the log file and would silently
-// invalidate every shipped offset, so it bumps a generation counter and
-// readers holding the old generation get ErrWALRotated instead of
-// garbage (replicated stores are expected to run with compaction off).
+// from my offset". The one operation that rewrites history, TruncateWAL,
+// would silently invalidate every shipped offset, so it bumps a
+// generation counter and readers holding the old generation get
+// ErrWALRotated instead of garbage.
 
-// ErrWALRotated reports that the WAL file was rewritten (compacted)
+// ErrWALRotated reports that the WAL file was rewritten (truncated)
 // since the reader captured its generation, invalidating byte offsets.
 var ErrWALRotated = errors.New("store: wal rotated under replication reader")
 
@@ -37,7 +37,7 @@ func (s *Store) WALOffset() int64 {
 	return s.log.flushed.Load()
 }
 
-// WALGen returns the WAL file generation, bumped on every compaction.
+// WALGen returns the WAL file generation, bumped on every TruncateWAL.
 // Pair it with WALOffset when establishing a replication cursor.
 func (s *Store) WALGen() uint64 {
 	s.mu.RLock()
@@ -84,7 +84,7 @@ func (s *Store) notifyWatchersLocked() {
 // to whole records and at most maxBytes long (a single record larger
 // than maxBytes is returned whole). A nil slice with nil error means
 // the reader is caught up. gen must be the generation the cursor was
-// established under; a compaction since then yields ErrWALRotated, as
+// established under; a truncation since then yields ErrWALRotated, as
 // does an offset beyond the log end.
 func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 	s.mu.RLock()
@@ -334,7 +334,6 @@ func (s *Store) TruncateWAL(offset int64) error {
 	}
 	// Rebuild memory from the surviving prefix, exactly like Open.
 	s.list = newSkipList(nextSeed())
-	s.liveBytes = 0
 	validLen, err := s.replay()
 	if err != nil {
 		s.closed = true

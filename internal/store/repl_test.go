@@ -224,26 +224,13 @@ func TestApplyWALSegmentRejectsCorruptAndGaps(t *testing.T) {
 	}
 }
 
-func TestReadWALRotationAndWatch(t *testing.T) {
+func TestWALWatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	s, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	gen := s.WALGen()
-	for i := 0; i < 10; i++ {
-		s.Put("key", bytes.Repeat([]byte{byte(i)}, 100))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadWAL(gen, 0, 1<<20); !errors.Is(err, ErrWALRotated) {
-		t.Fatalf("ReadWAL after compact = %v, want ErrWALRotated", err)
-	}
-	if s.WALGen() == gen {
-		t.Fatal("WALGen unchanged across compaction")
-	}
 
 	ch := make(chan struct{}, 1)
 	s.WatchWAL(ch)

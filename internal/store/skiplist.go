@@ -73,8 +73,7 @@ func (l *skipList) findPredecessors(key string, update []*skipNode) *skipNode {
 }
 
 // put inserts or overwrites key. It returns the previous value (nil,
-// false when the key was new), so writers maintain size accounting from
-// the same traversal that placed the node.
+// false when the key was new).
 func (l *skipList) put(key string, value []byte) ([]byte, bool) {
 	update := l.scratch[:]
 	x := l.findPredecessors(key, update)

@@ -16,10 +16,6 @@ type Options struct {
 	// SyncEvery forces an fsync after every write. Slower but durable
 	// against power loss, not just process crash. Default false.
 	SyncEvery bool
-	// CompactThreshold triggers automatic compaction when the WAL grows
-	// beyond this many bytes AND is more than twice the live data size.
-	// Zero disables automatic compaction.
-	CompactThreshold int64
 }
 
 // Store is a durable, ordered key-value store. All methods are safe for
@@ -36,10 +32,7 @@ type Store struct {
 	path   string
 	opts   Options
 	closed bool
-	// liveBytes approximates the size of live data for the compaction
-	// heuristic.
-	liveBytes int64
-	// gen counts WAL file rewrites (compactions); replication cursors
+	// gen counts WAL file rewrites (TruncateWAL); replication cursors
 	// carry it so a rewrite invalidates their byte offsets loudly.
 	gen uint64
 	// watchers receive non-blocking edge-triggered tokens after every
@@ -91,27 +84,20 @@ func (s *Store) replay() (int64, error) {
 	})
 }
 
-// applyLocked applies one mutation to the skiplist, keeping liveBytes in
-// step. put and del report the displaced value from the traversal that
-// placed or removed the node — no separate lookup for the accounting.
+// applyLocked applies one mutation to the skiplist.
 func (s *Store) applyLocked(r walRecord) {
 	switch r.op {
 	case opPut:
-		if old, existed := s.list.put(r.key, r.value); existed {
-			s.liveBytes -= int64(len(r.key) + len(old))
-		}
-		s.liveBytes += int64(len(r.key) + len(r.value))
+		s.list.put(r.key, r.value)
 	case opDel:
-		if old, ok := s.list.del(r.key); ok {
-			s.liveBytes -= int64(len(r.key) + len(old))
-		}
+		s.list.del(r.key)
 	}
 }
 
 // commit is the one write path: under the store lock it appends the
 // mutation(s) to the WAL — single as one plain record, ops as one atomic
-// batch frame — applies them to memory, wakes the WAL watchers and runs
-// the compaction check. The fsync is left to the returned Commit so that
+// batch frame — applies them to memory and wakes the WAL watchers. The
+// fsync is left to the returned Commit so that
 // concurrent writers share it and callers can overlap it with other
 // work. Deleting an absent key writes nothing.
 func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
@@ -143,9 +129,6 @@ func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
 		s.applyLocked(r)
 	}
 	s.notifyWatchersLocked()
-	if err := s.maybeCompactLocked(); err != nil {
-		return Commit{}, err
-	}
 	lg, target := s.syncTargetLocked()
 	return Commit{lg: lg, target: target}, nil
 }
@@ -167,9 +150,7 @@ func (s *Store) Put(key string, value []byte) error {
 
 // syncTargetLocked captures the durability point a SyncEvery writer must
 // wait for. The fsync itself happens after the store lock is released so
-// that concurrent writers can share one fsync (group commit); when a
-// compaction just swapped the log, the data is already durable in the
-// compacted file and no extra fsync is owed.
+// that concurrent writers can share one fsync (group commit).
 func (s *Store) syncTargetLocked() (*wal, int64) {
 	if s.log == nil || !s.opts.SyncEvery {
 		return nil, 0
@@ -296,68 +277,6 @@ func (t Tx) AscendRange(from, to string, fn func(key string, value []byte) bool)
 // returns false, passing the internal value slices.
 func (t Tx) AscendPrefix(prefix string, fn func(key string, value []byte) bool) {
 	t.list.ascendPrefix(prefix, fn)
-}
-
-// Compact rewrites the WAL to contain exactly the live data, reclaiming
-// space from overwritten and deleted records.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) maybeCompactLocked() error {
-	t := s.opts.CompactThreshold
-	if t <= 0 || s.log == nil || s.log.size < t || s.log.size < 2*s.liveBytes {
-		return nil
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	if s.log == nil {
-		return nil // in-memory store: nothing to compact
-	}
-	tmp := s.path + ".compact"
-	nw, err := openWAL(tmp, false)
-	if err != nil {
-		return err
-	}
-	var appendErr error
-	s.list.ascend("", func(k string, v []byte) bool {
-		appendErr = nw.append(walRecord{op: opPut, key: k, value: v})
-		return appendErr == nil
-	})
-	if appendErr != nil {
-		nw.close()
-		os.Remove(tmp)
-		return appendErr
-	}
-	if err := nw.f.Sync(); err != nil {
-		nw.close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := nw.close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := s.log.close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
-	log, err := openWAL(s.path, s.opts.SyncEvery)
-	if err != nil {
-		return err
-	}
-	s.log = log
-	s.gen++
-	return nil
 }
 
 // Close flushes and closes the store. Further operations fail with

@@ -227,68 +227,6 @@ func TestMidLogCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.wal")
-	s, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 20; round++ {
-		for i := 0; i < 50; i++ {
-			s.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("round-%d", round)))
-		}
-	}
-	before, _ := os.Stat(path)
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink log: %d -> %d", before.Size(), after.Size())
-	}
-	// Data must be intact, and the store writable, after compaction.
-	if v, ok, _ := s.Get("k00"); !ok || string(v) != "round-19" {
-		t.Errorf("post-compact Get = %q, %v", v, ok)
-	}
-	if err := s.Put("new", []byte("x")); err != nil {
-		t.Fatalf("Put after compact: %v", err)
-	}
-	s.Close()
-	r, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("reopen after compact: %v", err)
-	}
-	defer r.Close()
-	if n, _ := r.Len(); n != 51 {
-		t.Errorf("Len after compact+reopen = %d, want 51", n)
-	}
-}
-
-func TestAutoCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.wal")
-	s, err := Open(path, Options{CompactThreshold: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Overwrite one key many times: live data stays tiny, WAL grows.
-	for i := 0; i < 2000; i++ {
-		if err := s.Put("hot", []byte(fmt.Sprintf("value-%04d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() > 8192 {
-		t.Errorf("auto compaction never ran: wal is %d bytes", st.Size())
-	}
-	if v, ok, _ := s.Get("hot"); !ok || string(v) != "value-1999" {
-		t.Errorf("Get after auto compaction = %q, %v", v, ok)
-	}
-}
-
 func TestClosedStore(t *testing.T) {
 	s := OpenMemory()
 	s.Close()
@@ -306,9 +244,6 @@ func TestClosedStore(t *testing.T) {
 	}
 	if err := s.AscendPrefix("", nil); err != ErrClosed {
 		t.Errorf("AscendPrefix on closed = %v", err)
-	}
-	if err := s.Compact(); err != ErrClosed {
-		t.Errorf("Compact on closed = %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)

@@ -277,7 +277,7 @@ func (l *wal) close() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	// Pending syncTo callers must not fsync a closed file; whoever closes
-	// the log (Close, compaction) has already made the data durable or is
+	// the log (Close, TruncateWAL) has already made the data durable or is
 	// discarding the file wholesale.
 	l.synced.Store(math.MaxInt64)
 	if err := l.w.Flush(); err != nil {

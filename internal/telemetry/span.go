@@ -8,21 +8,6 @@ import (
 	"time"
 )
 
-// WithSpanID returns a context carrying id as the current span (the
-// parent of any span started beneath it). Trace and tracer, if any,
-// are preserved.
-func WithSpanID(ctx context.Context, id string) context.Context {
-	tc := traceCtxFrom(ctx)
-	if tc != nil && tc.span == id {
-		return ctx
-	}
-	nt := &traceCtx{span: id}
-	if tc != nil {
-		nt.trace, nt.tracer = tc.trace, tc.tracer
-	}
-	return context.WithValue(ctx, ctxKey{}, nt)
-}
-
 // SpanIDFrom extracts the current span ID ("" if absent).
 func SpanIDFrom(ctx context.Context) string {
 	if tc := traceCtxFrom(ctx); tc != nil {
@@ -31,22 +16,9 @@ func SpanIDFrom(ctx context.Context) string {
 	return ""
 }
 
-// WithTracer returns a context carrying the tracer, so deep call sites
-// (enforcer, resilience) can open spans without plumbing the tracer
-// through every signature. Trace and span ID, if any, are preserved.
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	tc := traceCtxFrom(ctx)
-	if tc != nil && tc.tracer == t {
-		return ctx
-	}
-	nt := &traceCtx{tracer: t}
-	if tc != nil {
-		nt.trace, nt.span = tc.trace, tc.span
-	}
-	return context.WithValue(ctx, ctxKey{}, nt)
-}
-
-// TracerFrom extracts the tracer from a context (nil if absent).
+// TracerFrom extracts the tracer a span start put into the context, so
+// deep call sites (enforcer, resilience) can open spans without plumbing
+// the tracer through every signature (nil if absent).
 func TracerFrom(ctx context.Context) *Tracer {
 	if tc := traceCtxFrom(ctx); tc != nil {
 		return tc.tracer
@@ -64,7 +36,7 @@ func TracerFrom(ctx context.Context) *Tracer {
 // span, so latency metrics keep full fidelity — but they skip ID
 // minting and are not retained in the ring or exported, which removes
 // most of the tracing overhead from the publish fan-out. Error spans
-// and spans at or above the slow-tail threshold are recorded even when
+// and spans at or above DefaultSlowTail are recorded even when
 // their trace is unsampled, so post-mortems keep the interesting
 // outliers (their parent links may dangle: an unsampled parent that
 // finished fast was already dropped). The draw hashes the trace ID,
@@ -74,18 +46,15 @@ type Tracer struct {
 	exporter   atomic.Pointer[Exporter]
 	onEnd      atomic.Pointer[func(*Span)]
 	sampleBits atomic.Uint64 // head-sampling rate, float64 bits
-	slowTailNs atomic.Int64  // tail-keep threshold, nanoseconds
 }
 
 // NewTracer creates a tracer whose ring keeps the latest capacity
 // spans (DefaultSpanCapacity when capacity <= 0). The sample rate
 // starts at 1 (record everything) — embedded and test tracers see
-// every span unless they opt into sampling — with the slow tail at
-// DefaultSlowTail.
+// every span unless they opt into sampling.
 func NewTracer(capacity int) *Tracer {
 	t := &Tracer{log: NewSpanLog(capacity)}
 	t.sampleBits.Store(math.Float64bits(1))
-	t.slowTailNs.Store(int64(DefaultSlowTail))
 	return t
 }
 
@@ -109,14 +78,6 @@ func (t *Tracer) SampleRate() float64 {
 		return 0
 	}
 	return math.Float64frombits(t.sampleBits.Load())
-}
-
-// SetSlowTail sets the duration at or above which a span is recorded
-// even when its trace lost the sampling draw (0 disables tail-keep).
-func (t *Tracer) SetSlowTail(d time.Duration) {
-	if t != nil {
-		t.slowTailNs.Store(int64(d))
-	}
 }
 
 // traceSampled is the per-trace recording decision; the same FNV draw
@@ -361,8 +322,7 @@ func (s *ActiveSpan) End() time.Duration {
 	t := s.tracer
 	// Unsampled spans are still tail-kept when they failed or ran slow:
 	// the outliers a post-mortem needs survive any sampling rate.
-	keep := s.sampled || s.span.Error != "" ||
-		(d >= time.Duration(t.slowTailNs.Load()) && t.slowTailNs.Load() > 0)
+	keep := s.sampled || s.span.Error != "" || d >= DefaultSlowTail
 	if keep {
 		if s.span.ID == "" {
 			s.span.ID = NewSpanID()

@@ -112,10 +112,9 @@ func WithTrace(ctx context.Context, trace string) context.Context {
 }
 
 // WithTraceSpan returns a context carrying both the trace and the
-// current span ID in one step — half the allocations of
-// WithTrace+WithSpanID on the bus-delivery path, where the trace
-// context is rebuilt from the message for every delivery. The tracer,
-// if any, is preserved.
+// current span ID in one step — one allocation on the bus-delivery
+// path, where the trace context is rebuilt from the message for every
+// delivery. The tracer, if any, is preserved.
 func WithTraceSpan(ctx context.Context, trace, span string) context.Context {
 	nt := &traceCtx{trace: trace, span: span}
 	if tc := traceCtxFrom(ctx); tc != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/xmlx"
 )
 
 // DefaultHTTPTimeout bounds each HTTP attempt of the transport clients
@@ -209,13 +207,7 @@ func (c *caller) attempt(ctx context.Context, method, path, contentType, accept,
 // faultError reconstructs the platform error from a non-2xx answer's
 // fault payload (XML or binary envelope).
 func faultError(resp *http.Response, data []byte) error {
-	f := new(Fault)
-	var err error
-	if event.IsBinaryFrame(data) {
-		err = decodeFaultFrame(data, f)
-	} else {
-		f, err = xmlx.Decode(data, readFault, xml.Unmarshal)
-	}
+	f, err := decodeEnvelope(data, readFault)
 	if err == nil && f.Code != "" {
 		err = errorFor(f)
 	} else {

@@ -81,12 +81,15 @@ func (c *Client) Publish(ctx context.Context, n *event.Notification) (event.Glob
 	if err != nil {
 		return "", err
 	}
-	var gid event.GlobalID
+	var out *publishResponse
 	err = c.call(ctx, http.MethodPost, "/ws/publish", c.codec.ContentType(), body, func(data []byte) (derr error) {
-		gid, derr = decodeAnyPublishResponse(data)
+		out, derr = decodeEnvelope(data, readPublishResponse)
 		return derr
 	})
-	return gid, err
+	if err != nil {
+		return "", err
+	}
+	return out.EventID, nil
 }
 
 // Subscribe registers a callback URL for the notifications of a class and
@@ -96,23 +99,18 @@ func (c *Client) Publish(ctx context.Context, n *event.Notification) (event.Glob
 // consumer speaks.
 func (c *Client) Subscribe(ctx context.Context, actor event.Actor, class event.ClassID, callbackURL string) (string, error) {
 	req := subscribeRequest{Actor: actor, Class: class, Callback: callbackURL}
-	var body []byte
-	var err error
 	if c.codec == event.Binary {
 		req.Codec = c.codec.Name()
-		body = encodeSubscribeRequestFrame(&req)
-	} else {
-		body, err = encodeXML(&req)
-		if err != nil {
-			return "", err
-		}
 	}
-	var id string
-	err = c.call(ctx, http.MethodPost, "/ws/subscribe", c.codec.ContentType(), body, func(data []byte) (derr error) {
-		id, derr = decodeAnySubscribeResponse(data)
+	var out *subscribeResponse
+	err := c.call(ctx, http.MethodPost, "/ws/subscribe", c.codec.ContentType(), encodeEnvelope(c.codec, &req), func(data []byte) (derr error) {
+		out, derr = decodeEnvelope(data, readSubscribeResponse)
 		return derr
 	})
-	return id, err
+	if err != nil {
+		return "", err
+	}
+	return out.ID, nil
 }
 
 // SubscriptionActive probes whether a subscription id is still live on

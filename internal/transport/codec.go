@@ -9,9 +9,9 @@ package transport
 // /ws/details, /ws/subscribe) plus binary fault envelopes, cutting the
 // per-message encode/decode cost to a single allocation each way.
 //
-// The control messages of the transport layer (faults, publish and
-// subscribe responses, the subscribe request) reuse the event-layer
-// frame primitives with their own frame types (4-7), so one magic
+// The four control envelopes of the transport layer (fault, publish and
+// subscribe responses, the subscribe request) are frames of their own
+// types (internal/frame, 4-7; layouts in DESIGN.md §8), so one magic
 // sniff distinguishes every message kind on the wire.
 
 import (
@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/event"
+	"repro/internal/frame"
 	"repro/internal/xmlx"
 )
 
@@ -33,7 +34,7 @@ func requestCodec(r *http.Request, body []byte) event.Codec {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), event.ContentTypeBinary) {
 		return event.Binary
 	}
-	if event.IsBinaryFrame(body) {
+	if frame.IsFrame(body) {
 		return event.Binary
 	}
 	return event.XML
@@ -70,162 +71,129 @@ func writeBody(w http.ResponseWriter, status int, contentType string, body []byt
 	w.Write(body)
 }
 
-// --- binary control frames -------------------------------------------------
+// --- the control envelopes, in either wire format --------------------------
+
+// envelope is one of the four control messages a negotiated route
+// answers with or accepts: each has an XML form (appendXML and a
+// reader, in wire.go) and a frame (appendFrame/readFrame, below).
+type envelope interface {
+	appendXML(dst []byte) []byte
+	appendFrame(dst []byte) []byte
+}
+
+// encodeEnvelope renders m in the codec's wire format.
+func encodeEnvelope(codec event.Codec, m envelope) []byte {
+	if codec == event.Binary {
+		return m.appendFrame(nil)
+	}
+	return m.appendXML(make([]byte, 0, 128))
+}
+
+// writeEnvelope sends m as the response body in the negotiated codec
+// (event.XML on the routes that do not negotiate).
+func writeEnvelope(w http.ResponseWriter, codec event.Codec, status int, m envelope) {
+	writeBody(w, status, respContentType(codec), encodeEnvelope(codec, m))
+}
+
+// decodeEnvelope decodes an envelope from either wire format, sniffing
+// the frame magic: the peer was asked for the negotiated codec, but a
+// format-rewriting middleware (or a peer that ignores Accept) still
+// lands on its feet. XML goes through readXML's single pass, with
+// encoding/xml behind it for documents outside the canonical form.
+func decodeEnvelope[T any, P interface {
+	*T
+	readFrame(data []byte) error
+}](data []byte, readXML func(*xmlx.Reader, *T)) (*T, error) {
+	if !frame.IsFrame(data) {
+		return xmlx.Decode(data, readXML, xml.Unmarshal)
+	}
+	v := new(T)
+	if err := P(v).readFrame(data); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// The readFrame methods end on Err, not Done: an envelope may grow
+// trailing fields that an older reader skips, as the fault did.
 
 // fault frame: code, message, then (since the sharded transport) the
 // optional shard redirect pair — owner id and map version as decimal
-// strings, empty when absent. Decoders that predate the pair ignored
-// trailing bytes, and this decoder treats a frame ending after the
-// message as a pre-shard fault, so both directions stay compatible.
-func encodeFaultFrame(f *Fault) []byte {
-	out := event.AppendFrameHeader(nil, event.FrameFault)
-	out = event.AppendFrameString(out, f.Code)
-	out = event.AppendFrameString(out, f.Message)
+// strings, the owner empty when absent. A frame ending after the
+// message is a pre-shard fault.
+func (f *Fault) appendFrame(dst []byte) []byte {
+	dst = frame.AppendHeader(dst, frame.Fault)
+	dst = frame.AppendString(dst, f.Code)
+	dst = frame.AppendString(dst, f.Message)
 	if f.Shard != "" || f.MapVersion != 0 {
-		out = event.AppendFrameString(out, f.Shard)
-		out = event.AppendFrameString(out, strconv.FormatUint(f.MapVersion, 10))
+		dst = frame.AppendString(dst, f.Shard)
+		dst = frame.AppendString(dst, strconv.FormatUint(f.MapVersion, 10))
 	}
-	return out
+	return dst
 }
 
-func decodeFaultFrame(data []byte, f *Fault) error {
-	p, err := event.FrameBody(data, event.FrameFault)
-	if err != nil {
+func (f *Fault) readFrame(data []byte) error {
+	r := frame.Read(data, frame.Fault)
+	f.Code, f.Message = r.String(), r.String()
+	if !r.More() {
+		return r.Err()
+	}
+	f.Shard = r.String()
+	version := r.String()
+	if err := r.Err(); err != nil {
 		return err
 	}
-	if f.Code, p, err = event.FrameString(p); err != nil {
-		return err
-	}
-	if f.Message, p, err = event.FrameString(p); err != nil {
-		return err
-	}
-	if len(p) == 0 {
-		return nil // pre-shard fault: no redirect pair
-	}
-	if f.Shard, p, err = event.FrameString(p); err != nil {
-		return err
-	}
-	var ver string
-	if ver, _, err = event.FrameString(p); err != nil {
-		return err
-	}
-	f.MapVersion, _ = strconv.ParseUint(ver, 10, 64)
-	return nil
+	// A version that is not a number fails the decode, as it does in
+	// readFault: read as 0, a redirect would never refresh the map.
+	var err error
+	f.MapVersion, err = strconv.ParseUint(version, 10, 64)
+	return err
 }
 
 // publishResponse frame: event id.
-func encodePublishResponseFrame(gid event.GlobalID) []byte {
-	out := event.AppendFrameHeader(nil, event.FramePublishResponse)
-	return event.AppendFrameString(out, string(gid))
+func (m *publishResponse) appendFrame(dst []byte) []byte {
+	return frame.AppendString(frame.AppendHeader(dst, frame.PublishResponse), string(m.EventID))
 }
 
-func decodePublishResponseFrame(data []byte) (event.GlobalID, error) {
-	p, err := event.FrameBody(data, event.FramePublishResponse)
-	if err != nil {
-		return "", err
-	}
-	id, _, err := event.FrameString(p)
-	return event.GlobalID(id), err
+func (m *publishResponse) readFrame(data []byte) error {
+	r := frame.Read(data, frame.PublishResponse)
+	m.EventID = event.GlobalID(r.String())
+	return r.Err()
 }
 
 // subscribeRequest frame: actor, class, callback URL, callback codec
 // name ("" means XML — the same default as the XML form's omitted
 // <codec> element).
-func encodeSubscribeRequestFrame(req *subscribeRequest) []byte {
-	out := event.AppendFrameHeader(nil, event.FrameSubscribeReq)
-	out = event.AppendFrameString(out, string(req.Actor))
-	out = event.AppendFrameString(out, string(req.Class))
-	out = event.AppendFrameString(out, req.Callback)
-	out = event.AppendFrameString(out, req.Codec)
-	return out
+func (m *subscribeRequest) appendFrame(dst []byte) []byte {
+	dst = frame.AppendHeader(dst, frame.SubscribeRequest)
+	dst = frame.AppendString(dst, string(m.Actor))
+	dst = frame.AppendString(dst, string(m.Class))
+	dst = frame.AppendString(dst, m.Callback)
+	return frame.AppendString(dst, m.Codec)
 }
 
-func decodeSubscribeRequestFrame(data []byte) (*subscribeRequest, error) {
-	p, err := event.FrameBody(data, event.FrameSubscribeReq)
-	if err != nil {
-		return nil, err
-	}
-	var req subscribeRequest
-	var s string
-	if s, p, err = event.FrameString(p); err != nil {
-		return nil, err
-	}
-	req.Actor = event.Actor(s)
-	if s, p, err = event.FrameString(p); err != nil {
-		return nil, err
-	}
-	req.Class = event.ClassID(s)
-	if req.Callback, p, err = event.FrameString(p); err != nil {
-		return nil, err
-	}
-	if req.Codec, _, err = event.FrameString(p); err != nil {
-		return nil, err
-	}
-	return &req, nil
+func (m *subscribeRequest) readFrame(data []byte) error {
+	r := frame.Read(data, frame.SubscribeRequest)
+	m.Actor, m.Class = event.Actor(r.String()), event.ClassID(r.String())
+	m.Callback, m.Codec = r.String(), r.String()
+	return r.Err()
 }
 
 // subscribeResponse frame: subscription id.
-func encodeSubscribeResponseFrame(id string) []byte {
-	out := event.AppendFrameHeader(nil, event.FrameSubscribeResp)
-	return event.AppendFrameString(out, id)
+func (m *subscribeResponse) appendFrame(dst []byte) []byte {
+	return frame.AppendString(frame.AppendHeader(dst, frame.SubscribeResponse), m.ID)
 }
 
-func decodeSubscribeResponseFrame(data []byte) (string, error) {
-	p, err := event.FrameBody(data, event.FrameSubscribeResp)
-	if err != nil {
-		return "", err
-	}
-	id, _, err := event.FrameString(p)
-	return id, err
-}
-
-// --- negotiated writers ----------------------------------------------------
-
-func writePublishResponseAs(w http.ResponseWriter, codec event.Codec, status int, gid event.GlobalID) {
-	if codec == event.Binary {
-		writeBody(w, status, event.ContentTypeBinary, encodePublishResponseFrame(gid))
-		return
-	}
-	m := publishResponse{EventID: gid}
-	writeBody(w, status, respContentType(event.XML), m.appendXML(make([]byte, 0, 64+len(gid))))
-}
-
-func writeSubscribeResponseAs(w http.ResponseWriter, codec event.Codec, id string) {
-	if codec == event.Binary {
-		writeBody(w, http.StatusOK, event.ContentTypeBinary, encodeSubscribeResponseFrame(id))
-		return
-	}
-	writeXML(w, http.StatusOK, &subscribeResponse{ID: id})
-}
-
-// decodeAnyPublishResponse sniffs the ack format, so a client behind a
-// format-rewriting middleware still lands on its feet.
-func decodeAnyPublishResponse(data []byte) (event.GlobalID, error) {
-	if event.IsBinaryFrame(data) {
-		return decodePublishResponseFrame(data)
-	}
-	out, err := xmlx.Decode(data, readPublishResponse, xml.Unmarshal)
-	if err != nil {
-		return "", err
-	}
-	return out.EventID, nil
-}
-
-func decodeAnySubscribeResponse(data []byte) (string, error) {
-	if event.IsBinaryFrame(data) {
-		return decodeSubscribeResponseFrame(data)
-	}
-	var out subscribeResponse
-	if err := xml.Unmarshal(data, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
+func (m *subscribeResponse) readFrame(data []byte) error {
+	r := frame.Read(data, frame.SubscribeResponse)
+	m.ID = r.String()
+	return r.Err()
 }
 
 // decodeAnyDetail sniffs a detail payload: the peer was asked for the
 // negotiated codec via Accept, but either format decodes.
 func decodeAnyDetail(data []byte) (*event.Detail, error) {
-	if event.IsBinaryFrame(data) {
+	if frame.IsFrame(data) {
 		return event.Binary.DecodeDetail(data)
 	}
 	return event.XML.DecodeDetail(data)

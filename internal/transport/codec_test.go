@@ -1,48 +1,159 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/enforcer"
 	"repro/internal/event"
+	"repro/internal/frame"
+	"repro/internal/index"
 	"repro/internal/schema"
 )
 
-func TestControlFrameRoundTrips(t *testing.T) {
-	f := &Fault{Code: CodeAccessDenied, Message: "no policy for you"}
-	var back Fault
-	if err := decodeFaultFrame(encodeFaultFrame(f), &back); err != nil {
-		t.Fatal(err)
+// fieldsFrame builds a frame of the given type whose payload is the
+// given string fields, as a peer of any version might send it.
+func fieldsFrame(t frame.Type, fields ...string) []byte {
+	out := frame.AppendHeader(nil, t)
+	for _, f := range fields {
+		out = frame.AppendString(out, f)
 	}
-	if back.Code != f.Code || back.Message != f.Message {
-		t.Fatalf("fault round trip: %+v != %+v", back, f)
-	}
+	return out
+}
 
-	gid, err := decodePublishResponseFrame(encodePublishResponseFrame("evt-42"))
-	if err != nil || gid != "evt-42" {
-		t.Fatalf("publishResponse round trip: %q, %v", gid, err)
+// The fault frame's optional redirect pair: absent in the pre-shard
+// short form, and when present its map version must be a number — read
+// as 0, a wrong-shard redirect would never make the client refresh its
+// map. The XML reader declines the same input.
+func TestFaultFrameRedirectPair(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fields []string
+		want   *Fault // nil: the decode must fail
+	}{
+		{"pre-shard short form: the frame ends after the message",
+			[]string{"access-denied", "no"}, &Fault{Code: "access-denied", Message: "no"}},
+		{"redirect pair",
+			[]string{"wrong-shard", "m", "3", "42"}, &Fault{Code: "wrong-shard", Message: "m", Shard: "3", MapVersion: 42}},
+		{"empty owner, version only",
+			[]string{"not-primary", "m", "", "7"}, &Fault{Code: "not-primary", Message: "m", MapVersion: 7}},
+		{"fields after the pair are skipped",
+			[]string{"wrong-shard", "m", "3", "42", "from a newer peer"}, &Fault{Code: "wrong-shard", Message: "m", Shard: "3", MapVersion: 42}},
+		{"version is not a number", []string{"wrong-shard", "m", "3", "4x2"}, nil},
+		{"version is empty", []string{"wrong-shard", "m", "3", ""}, nil},
+		{"version is negative", []string{"wrong-shard", "m", "3", "-1"}, nil},
+		{"version overflows uint64", []string{"wrong-shard", "m", "3", "18446744073709551616"}, nil},
+		{"owner without a version", []string{"wrong-shard", "m", "3"}, nil},
+	} {
+		got, err := decodeEnvelope(fieldsFrame(frame.Fault, tc.fields...), readFault)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("%s: decoded %+v, want an error", tc.name, got)
+		case tc.want != nil && (err != nil || !reflect.DeepEqual(got, tc.want)):
+			t.Errorf("%s: decoded %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
 	}
+	if f, err := decodeEnvelope([]byte(`<fault code="wrong-shard" shard="3" mapVersion="4x2">m</fault>`), readFault); err == nil {
+		t.Errorf("XML fault with a malformed mapVersion decoded: %+v", f)
+	}
+}
 
-	req := &subscribeRequest{Actor: "family-doctor", Class: "hospital.blood-test",
-		Callback: "http://consumer:9/cb", Codec: "binary"}
-	dec, err := decodeSubscribeRequestFrame(encodeSubscribeRequestFrame(req))
+// controlFrames is one valid frame per envelope, the fault in both its
+// forms.
+var controlFrames = [][]byte{
+	fieldsFrame(frame.Fault, "access-denied", "no policy for you"),
+	fieldsFrame(frame.Fault, "wrong-shard", "m", "3", "42"),
+	fieldsFrame(frame.PublishResponse, "evt-42"),
+	fieldsFrame(frame.SubscribeRequest, "family-doctor", "hospital.blood-test", "http://consumer:9/cb", "binary"),
+	fieldsFrame(frame.SubscribeResponse, "sub-000007"),
+}
+
+// reframe decodes data as each of the four envelopes in turn and
+// returns the re-encoding of the one that accepted it.
+func reframe(data []byte) ([]byte, error) {
+	var m envelope
+	var err error
+	switch {
+	case len(data) < frame.HeaderLen:
+		return nil, frame.ErrShort
+	case data[3] == byte(frame.Fault):
+		m, err = decodeEnvelope(data, readFault)
+	case data[3] == byte(frame.PublishResponse):
+		m, err = decodeEnvelope(data, readPublishResponse)
+	case data[3] == byte(frame.SubscribeRequest):
+		m, err = decodeEnvelope(data, readSubscribeRequest)
+	default:
+		m, err = decodeEnvelope(data, readSubscribeResponse)
+	}
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if dec.Actor != req.Actor || dec.Class != req.Class ||
-		dec.Callback != req.Callback || dec.Codec != req.Codec {
-		t.Fatalf("subscribeRequest round trip: %+v != %+v", dec, req)
-	}
+	return m.appendFrame(nil), nil
+}
 
-	id, err := decodeSubscribeResponseFrame(encodeSubscribeResponseFrame("sub-000007"))
-	if err != nil || id != "sub-000007" {
-		t.Fatalf("subscribeResponse round trip: %q, %v", id, err)
+// Every truncation of an envelope frame fails to decode — except the
+// redirect fault cut right after its message, which is the short form.
+func TestControlFrameHostileInputs(t *testing.T) {
+	shortForm := len(fieldsFrame(frame.Fault, "wrong-shard", "m"))
+	for i, good := range controlFrames {
+		if re, err := reframe(good); err != nil || !bytes.Equal(re, good) {
+			t.Fatalf("frame %d: re-encoded to %x, %v; want %x", i, re, err, good)
+		}
+		for cut := 0; cut < len(good); cut++ {
+			if _, err := reframe(good[:cut]); err == nil && !(i == 1 && cut == shortForm) {
+				t.Errorf("frame %d cut to %d of %d bytes decoded", i, cut, len(good))
+			}
+		}
+		bad := bytes.Clone(good)
+		bad[3] = byte(frame.Notification)
+		if _, err := decodeEnvelope(bad, readFault); err == nil {
+			t.Errorf("frame %d: a notification-typed frame decoded as a fault", i)
+		}
 	}
+	// A string claiming 2^40 bytes.
+	bomb := append(frame.AppendHeader(nil, frame.SubscribeResponse), 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)
+	if _, err := reframe(bomb); !errors.Is(err, frame.ErrLength) {
+		t.Errorf("length bomb: %v, want %v", err, frame.ErrLength)
+	}
+}
+
+// FuzzControlFrame: the envelope decoders never panic, and what one
+// accepts re-encodes to a frame that decodes to the same bytes again.
+// (Not to the input's bytes: an envelope may carry trailing fields, and
+// binary.Uvarint accepts a length padded with continuation bytes.)
+func FuzzControlFrame(f *testing.F) {
+	for _, good := range controlFrames {
+		f.Add(good)
+		f.Add(good[:len(good)-1])
+	}
+	f.Add(fieldsFrame(frame.Fault, "wrong-shard", "m", "3", "4x2"))
+	f.Add([]byte("<fault code=\"c\">m</fault>"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if !frame.IsFrame(in) {
+			return // XML: FuzzXMLEnvelopeDifferential's ground
+		}
+		re, err := reframe(in)
+		if err != nil {
+			return
+		}
+		if len(re) > len(in) {
+			t.Fatalf("%x re-encoded longer, to %x", in, re)
+		}
+		again, err := reframe(re)
+		if err != nil || !bytes.Equal(again, re) {
+			t.Fatalf("%x re-encoded to %x, which re-encodes to %x, %v", in, re, again, err)
+		}
+	})
 }
 
 // A binary-codec client must run the full publish → subscribe → details
@@ -123,6 +234,65 @@ func TestBinaryCodecEndToEnd(t *testing.T) {
 	})
 	if !errors.Is(err, enforcer.ErrUnknownEvent) {
 		t.Errorf("binary fault identity = %v, want enforcer.ErrUnknownEvent", err)
+	}
+}
+
+// A time only XML can spell (the binary frame carries 1678-2262) is
+// refused at the door with a bad-request fault in whichever codec the
+// caller negotiated: it used to be accepted over XML and reach binary
+// subscribers, and the index's time key, wrapped around to 1715.
+func TestUnrepresentableTimeIsBadRequest(t *testing.T) {
+	r := newRig(t)
+	r.doctorPolicy(t)
+	bin := NewClient(r.ctrlServer.URL, nil, WithCodec(event.Binary))
+	var delivered atomic.Int32
+	receiver := httptest.NewServer(NewNotificationReceiver(func(*event.Notification) { delivered.Add(1) }))
+	defer receiver.Close()
+	if _, err := bin.Subscribe(context.Background(), "family-doctor", schema.ClassBloodTest, receiver.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	y2300 := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	n := &event.Notification{SourceID: "src-2300", Class: schema.ClassBloodTest, PersonID: "PRS-9",
+		Summary: "blood test", OccurredAt: y2300, Producer: "hospital"}
+	body, err := event.XML.EncodeNotification(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{event.ContentTypeXML, event.ContentTypeBinary} {
+		req, _ := http.NewRequest(http.MethodPost, r.ctrlServer.URL+"/ws/publish", bytes.NewReader(body))
+		req.Header.Set("Content-Type", event.ContentTypeXML)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		f, err := decodeEnvelope(data, readFault)
+		if resp.StatusCode != http.StatusBadRequest || err != nil || f.Code != CodeBadRequest ||
+			frame.IsFrame(data) != (accept == event.ContentTypeBinary) {
+			t.Errorf("Accept %s: status %d, fault %+v (%v), body %q", accept, resp.StatusCode, f, err, data)
+		}
+	}
+	// A binary publisher is stopped by its own encoder.
+	if _, err := bin.Publish(context.Background(), n); !errors.Is(err, event.ErrTimeRange) {
+		t.Errorf("binary Publish: %v, want %v", err, event.ErrTimeRange)
+	}
+	var f *Fault
+	_, err = r.client.RequestDetails(context.Background(), &event.DetailRequest{Requester: "family-doctor",
+		Class: schema.ClassBloodTest, EventID: "evt-1", Purpose: event.PurposeHealthcareTreatment, At: y2300})
+	if !errors.As(err, &f) || f.Code != CodeBadRequest {
+		t.Errorf("XML RequestDetails: %v, want a %s fault", err, CodeBadRequest)
+	}
+
+	r.ctrl.Flush(5 * time.Second)
+	if got := delivered.Load(); got != 0 {
+		t.Errorf("%d notifications reached the binary subscriber", got)
+	}
+	found, err := r.client.InquireIndex(context.Background(), "family-doctor", index.Inquiry{PersonID: "PRS-9"})
+	if err != nil || len(found) != 0 {
+		t.Errorf("index holds %d notifications (%v), want none", len(found), err)
 	}
 }
 

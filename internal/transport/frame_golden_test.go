@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"reflect"
 	"testing"
+
+	"repro/internal/event"
 )
 
 // The golden frame table pins the binary form of the four control
@@ -12,35 +14,20 @@ import (
 // committed hex literal, and the literal must decode to the row's value.
 
 // goldenFrame is the production binary encoding of an envelope.
-func goldenFrame(msg any) []byte {
-	switch m := msg.(type) {
-	case *Fault:
-		return encodeFaultFrame(m)
-	case *publishResponse:
-		return encodePublishResponseFrame(m.EventID)
-	case *subscribeRequest:
-		return encodeSubscribeRequestFrame(m)
-	case *subscribeResponse:
-		return encodeSubscribeResponseFrame(m.ID)
-	}
-	panic("not an envelope")
-}
+func goldenFrame(msg any) []byte { return encodeEnvelope(event.Binary, msg.(envelope)) }
 
-// goldenUnframe is the production binary decoding of an envelope of
-// msg's kind.
+// goldenUnframe is the production decoding of an envelope of msg's
+// kind.
 func goldenUnframe(data []byte, msg any) (any, error) {
 	switch msg.(type) {
 	case *Fault:
-		f := new(Fault)
-		return f, decodeFaultFrame(data, f)
+		return decodeEnvelope(data, readFault)
 	case *publishResponse:
-		gid, err := decodePublishResponseFrame(data)
-		return &publishResponse{EventID: gid}, err
+		return decodeEnvelope(data, readPublishResponse)
 	case *subscribeRequest:
-		return decodeSubscribeRequestFrame(data)
+		return decodeEnvelope(data, readSubscribeRequest)
 	case *subscribeResponse:
-		id, err := decodeSubscribeResponseFrame(data)
-		return &subscribeResponse{ID: id}, err
+		return decodeEnvelope(data, readSubscribeResponse)
 	}
 	panic("not an envelope")
 }

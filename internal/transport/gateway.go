@@ -154,7 +154,7 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 	if queued {
 		status = http.StatusAccepted
 	}
-	writePublishResponseAs(w, event.XML, status, gid)
+	writeEnvelope(w, event.XML, status, &publishResponse{EventID: gid})
 }
 
 func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request, who bearer) {

@@ -151,7 +151,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request, who beare
 		writeFault(w, resp, err)
 		return
 	}
-	writePublishResponseAs(w, resp, http.StatusOK, gid)
+	writeEnvelope(w, resp, http.StatusOK, &publishResponse{EventID: gid})
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bearer) {
@@ -160,18 +160,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		badRequest(w, event.XML, err.Error())
 		return
 	}
-	codec := requestCodec(r, body)
-	resp := responseCodec(r, codec)
-	var req subscribeRequest
-	if codec == event.Binary {
-		dec, derr := decodeSubscribeRequestFrame(body)
-		if derr != nil {
-			badRequest(w, resp, derr.Error())
-			return
-		}
-		req = *dec
-	} else if err := xml.Unmarshal(body, &req); err != nil {
-		badRequest(w, event.XML, err.Error())
+	resp := responseCodec(r, requestCodec(r, body))
+	req, err := decodeEnvelope(body, readSubscribeRequest)
+	if err != nil {
+		badRequest(w, resp, err.Error())
 		return
 	}
 	if req.Callback == "" {
@@ -198,7 +190,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		writeFault(w, resp, err)
 		return
 	}
-	writeSubscribeResponseAs(w, resp, sub.ID())
+	writeEnvelope(w, resp, http.StatusOK, &subscribeResponse{ID: sub.ID()})
 }
 
 // deliverCallback POSTs the notification to the subscriber's endpoint,
@@ -252,7 +244,7 @@ func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request,
 		writeFault(w, event.XML, fmt.Errorf("%w: %s", ErrUnknownSubscription, id))
 		return
 	}
-	writeXML(w, http.StatusOK, &subscribeResponse{ID: id})
+	writeEnvelope(w, event.XML, http.StatusOK, &subscribeResponse{ID: id})
 }
 
 // handleShardMap serves the controller's current shard map as a binary

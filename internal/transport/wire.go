@@ -175,6 +175,9 @@ func faultFor(err error) (string, int) {
 		// Promote on a node already primary: the transition already
 		// happened, a conflict rather than a server failure.
 		return CodeBadRequest, http.StatusConflict
+	case errors.Is(err, event.ErrTimeRange):
+		// The message decoded, but carries a time only XML can spell.
+		return CodeBadRequest, http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-endpoint deadline expired mid-flow: a gateway timeout,
 		// retryable (504 is transient for the client's retrier).
@@ -268,26 +271,18 @@ func writeFault(w http.ResponseWriter, codec event.Codec, err error) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeFaultStatus(w, codec, status, f)
+	writeEnvelope(w, codec, status, f)
 }
 
 // badRequest answers 400 with a bad-request fault in the negotiated
 // codec.
 func badRequest(w http.ResponseWriter, codec event.Codec, msg string) {
-	writeFaultStatus(w, codec, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: msg})
-}
-
-func writeFaultStatus(w http.ResponseWriter, codec event.Codec, status int, f *Fault) {
-	if codec == event.Binary {
-		writeBody(w, status, event.ContentTypeBinary, encodeFaultFrame(f))
-		return
-	}
-	writeBody(w, status, respContentType(event.XML), f.appendXML(make([]byte, 0, 64+len(f.Message))))
+	writeEnvelope(w, codec, http.StatusBadRequest, &Fault{Code: CodeBadRequest, Message: msg})
 }
 
 // writeXML serializes a cold message through encoding/xml as the
-// response body. The per-request envelopes (fault, publish response,
-// inquiry response) have append-style encoders and go through writeBody.
+// response body. The per-request messages have append-style encoders and
+// go through writeEnvelope or writeBody.
 func writeXML(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.WriteHeader(status)
@@ -389,9 +384,43 @@ type subscribeRequest struct {
 	Codec string `xml:"codec,omitempty"`
 }
 
+func (m *subscribeRequest) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendElem(append(dst, "<subscribeRequest>"...), "actor", string(m.Actor))
+	dst = xmlx.AppendElem(dst, "class", string(m.Class))
+	dst = xmlx.AppendElem(dst, "callback", m.Callback)
+	if m.Codec != "" {
+		dst = xmlx.AppendElem(dst, "codec", m.Codec)
+	}
+	return append(dst, "</subscribeRequest>"...)
+}
+
+func readSubscribeRequest(r *xmlx.Reader, m *subscribeRequest) {
+	m.XMLName.Local = "subscribeRequest"
+	r.Expect("<subscribeRequest>")
+	m.Actor = event.Actor(r.Elem("actor"))
+	m.Class = event.ClassID(r.Elem("class"))
+	m.Callback = r.Elem("callback")
+	if r.Peek("<codec>") {
+		m.Codec = r.Elem("codec")
+	}
+	r.Expect("</subscribeRequest>")
+}
+
 type subscribeResponse struct {
 	XMLName xml.Name `xml:"subscribeResponse"`
 	ID      string   `xml:"id"`
+}
+
+func (m *subscribeResponse) appendXML(dst []byte) []byte {
+	dst = xmlx.AppendElem(append(dst, "<subscribeResponse>"...), "id", m.ID)
+	return append(dst, "</subscribeResponse>"...)
+}
+
+func readSubscribeResponse(r *xmlx.Reader, m *subscribeResponse) {
+	m.XMLName.Local = "subscribeResponse"
+	r.Expect("<subscribeResponse>")
+	m.ID = r.Elem("id")
+	r.Expect("</subscribeResponse>")
 }
 
 type inquiryRequest struct {

@@ -48,21 +48,25 @@ var envelopeDeclineSeeds = []string{
 	`<fault code="c" mapVersion=" 7">m</fault>`,
 	`<fault shard="1" code="c">m</fault>`,
 	`<fault code="c">a<b/>c</fault>`,
+	`<subscribeRequest><class>c.x</class><actor>a</actor><callback>u</callback></subscribeRequest>`,
+	`<subscribeRequest><actor>a</actor><class>c.x</class><callback>u</callback><codec>xml</codec><codec>binary</codec></subscribeRequest>`,
+	`<subscribeResponse> <id>s</id></subscribeResponse>`,
 }
 
-// Every decline document is left to encoding/xml by all five readers.
+// Every decline document is left to encoding/xml by all seven readers.
 func TestEnvelopeReaderDeclines(t *testing.T) {
 	for _, doc := range envelopeDeclineSeeds {
 		d := []byte(doc)
 		if envelopeAgrees(t, d, readGetResponseRequest) || envelopeAgrees(t, d, readInquiryRequest) ||
 			envelopeAgrees(t, d, readInquiryResponse) || envelopeAgrees(t, d, readPublishResponse) ||
-			envelopeAgrees(t, d, readFault) {
+			envelopeAgrees(t, d, readFault) || envelopeAgrees(t, d, readSubscribeRequest) ||
+			envelopeAgrees(t, d, readSubscribeResponse) {
 			t.Errorf("a reader accepted %q", doc)
 		}
 	}
 }
 
-// FuzzXMLEnvelopeDifferential runs the five envelope readers against
+// FuzzXMLEnvelopeDifferential runs the seven envelope readers against
 // encoding/xml: whatever a reader accepts, encoding/xml accepts with a
 // deeply-equal value; and whatever the encoders make of values built
 // from the input, the readers accept.
@@ -75,6 +79,8 @@ func FuzzXMLEnvelopeDifferential(f *testing.F) {
 	f.Add([]byte(`<inquiryResponse><notification>&lt;wire id=&#34;e&#34;&gt;&lt;/wire&gt;</notification><notification></notification></inquiryResponse>`))
 	f.Add([]byte(`<publishResponse><eventId>evt-1</eventId></publishResponse>`))
 	f.Add([]byte(`<fault code="wrong-shard" shard="2" mapVersion="9">m &amp; m</fault>`))
+	f.Add([]byte(`<subscribeRequest><actor>a</actor><class>c.x</class><callback>http://cb/n?a=1&amp;b=2</callback><codec>binary</codec></subscribeRequest>`))
+	f.Add([]byte(`<subscribeResponse><id>sub-1</id></subscribeResponse>`))
 	f.Add([]byte("a\"b'|c&d<e>|\t\n\r|\xff\x01|é漢|x"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		envelopeAgrees(t, in, readGetResponseRequest)
@@ -82,6 +88,8 @@ func FuzzXMLEnvelopeDifferential(f *testing.F) {
 		envelopeAgrees(t, in, readInquiryResponse)
 		envelopeAgrees(t, in, readPublishResponse)
 		envelopeAgrees(t, in, readFault)
+		envelopeAgrees(t, in, readSubscribeRequest)
+		envelopeAgrees(t, in, readSubscribeResponse)
 
 		p := make([]string, 6)
 		for i, part := range bytes.SplitN(in, []byte("|"), len(p)) {
@@ -110,6 +118,8 @@ func FuzzXMLEnvelopeDifferential(f *testing.F) {
 			envelopeAgrees(t, resp.appendXML(nil), readInquiryResponse),
 			envelopeAgrees(t, (&publishResponse{EventID: event.GlobalID(p[0])}).appendXML(nil), readPublishResponse),
 			envelopeAgrees(t, fault.appendXML(nil), readFault),
+			envelopeAgrees(t, (&subscribeRequest{Actor: event.Actor(p[0]), Class: event.ClassID(p[1]), Callback: p[2], Codec: p[3]}).appendXML(nil), readSubscribeRequest),
+			envelopeAgrees(t, (&subscribeResponse{ID: p[0]}).appendXML(nil), readSubscribeResponse),
 		} {
 			if !ok {
 				t.Fatalf("a reader declined its encoder's own output for %q", in)

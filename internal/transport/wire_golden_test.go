@@ -14,24 +14,21 @@ import (
 	"repro/internal/xmlx"
 )
 
-// The golden table pins the XML form of the five envelopes the detail
-// and publish paths put on the wire per request, byte for byte: each
+// The golden table pins the XML form of the seven envelopes with
+// append-style encoders (the five the detail and publish paths put on
+// the wire per request, and the subscribe pair), byte for byte: each
 // row's production encoding must equal the committed literal and what
 // encoding/xml makes of the same struct, and the literal must decode
 // to what encoding/xml decodes it to.
 
 // goldenEncode is the production encoding of an envelope: the response
-// writers where one exists, the append-style encoder otherwise.
+// writer where it is one of the four negotiated ones, the append-style
+// encoder otherwise.
 func goldenEncode(t *testing.T, msg any) []byte {
 	t.Helper()
-	switch m := msg.(type) {
-	case *publishResponse:
+	if m, ok := msg.(envelope); ok {
 		rec := httptest.NewRecorder()
-		writePublishResponseAs(rec, event.XML, http.StatusOK, m.EventID)
-		return rec.Body.Bytes()
-	case *Fault:
-		rec := httptest.NewRecorder()
-		writeFaultStatus(rec, event.XML, http.StatusBadRequest, m)
+		writeEnvelope(rec, event.XML, http.StatusOK, m)
 		return rec.Body.Bytes()
 	}
 	return msg.(interface{ appendXML([]byte) []byte }).appendXML(nil)
@@ -57,6 +54,10 @@ func goldenDecode(t *testing.T, data []byte, msg any) any {
 		out, err = xmlx.Decode(data, readPublishResponse, declined)
 	case *Fault:
 		out, err = xmlx.Decode(data, readFault, declined)
+	case *subscribeRequest:
+		out, err = xmlx.Decode(data, readSubscribeRequest, declined)
+	case *subscribeResponse:
+		out, err = xmlx.Decode(data, readSubscribeResponse, declined)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +150,22 @@ func TestGoldenEnvelopeXML(t *testing.T) {
 		{"fault, every escaped character",
 			&Fault{Code: goldenNasty, Shard: goldenNasty, MapVersion: 7, Message: goldenNasty},
 			`<fault code="` + goldenNastyXML + `" shard="` + goldenNastyXML + `" mapVersion="7">` + goldenNastyXML + `</fault>`},
+
+		{"subscribe request, default callback codec: <codec> is omitted",
+			&subscribeRequest{Actor: "family-doctor", Class: "hospital.blood-test", Callback: "http://cb.example/n"},
+			`<subscribeRequest><actor>family-doctor</actor><class>hospital.blood-test</class><callback>http://cb.example/n</callback></subscribeRequest>`},
+		{"subscribe request, binary callbacks",
+			&subscribeRequest{Actor: "org/dept/doc", Class: "c.x", Callback: "http://consumer:9/cb?a=1&b=2", Codec: "binary"},
+			`<subscribeRequest><actor>org/dept/doc</actor><class>c.x</class><callback>http://consumer:9/cb?a=1&amp;b=2</callback><codec>binary</codec></subscribeRequest>`},
+		{"subscribe request, every escaped character",
+			&subscribeRequest{Actor: goldenNasty, Class: goldenNasty, Callback: goldenNasty, Codec: goldenNasty},
+			`<subscribeRequest><actor>` + goldenNastyXML + `</actor><class>` + goldenNastyXML + `</class><callback>` + goldenNastyXML + `</callback><codec>` + goldenNastyXML + `</codec></subscribeRequest>`},
+		{"subscribe response",
+			&subscribeResponse{ID: "sub-000007"},
+			`<subscribeResponse><id>sub-000007</id></subscribeResponse>`},
+		{"subscribe response, every escaped character",
+			&subscribeResponse{ID: goldenNasty},
+			`<subscribeResponse><id>` + goldenNastyXML + `</id></subscribeResponse>`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := goldenEncode(t, tc.msg); string(got) != tc.want {

@@ -151,9 +151,9 @@ func TestWireCompatClientRequests(t *testing.T) {
 			}
 			subscribeBody := []byte(subscribeXML)
 			if codec == event.Binary {
-				subscribeBody = encodeSubscribeRequestFrame(&subscribeRequest{
+				subscribeBody = (&subscribeRequest{
 					Actor: "family-doctor", Class: schema.ClassBloodTest,
-					Callback: "http://cb.example/n", Codec: "binary"})
+					Callback: "http://cb.example/n", Codec: "binary"}).appendFrame(nil)
 			}
 			detailsBody := []byte(detailsXML)
 			if codec == event.Binary {
@@ -388,7 +388,7 @@ func TestWireCompatServerRefusals(t *testing.T) {
 		var f Fault
 		var err error
 		if contentType == event.ContentTypeBinary {
-			err = decodeFaultFrame(rec.Body.Bytes(), &f)
+			err = f.readFrame(rec.Body.Bytes())
 		} else {
 			err = xml.Unmarshal(rec.Body.Bytes(), &f)
 		}

@@ -110,9 +110,6 @@ func Decode[T any](data []byte, read func(*Reader, *T), fallback func([]byte, an
 // Done reports whether the whole input was consumed without declining.
 func (r *Reader) Done() bool { return !r.fail && r.pos == len(r.buf) }
 
-// Rest returns the input not yet consumed.
-func (r *Reader) Rest() []byte { return r.buf[r.pos:] }
-
 // Decline abandons the pass: the document is outside the subset.
 func (r *Reader) Decline() { r.fail = true }
 
