@@ -122,9 +122,11 @@ func AppendTime(dst []byte, t time.Time) []byte {
 // Reader is one forward pass over a frame's payload. The first failure
 // sticks and empties the reader, so every later read fails too and
 // returns a zero value: decoders read like field lists and ask Done
-// once at the end.
+// once at the end. It advances an index and never re-slices the buffer,
+// which keeps pointer writes (and their GC barriers) off the read path.
 type Reader struct {
-	p   []byte
+	buf []byte
+	pos int
 	err error
 }
 
@@ -142,36 +144,36 @@ func Read(data []byte, want Type) Reader {
 		return Reader{err: errors.New("frame: type mismatch: want " +
 			strconv.Itoa(int(want)) + ", got " + strconv.Itoa(int(data[3])))}
 	}
-	return Reader{p: data[HeaderLen:]}
+	return Reader{buf: data, pos: HeaderLen}
 }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	r.p = nil
+	r.pos = len(r.buf)
 }
 
 // take consumes n bytes, failing with err when fewer remain. The result
 // aliases the input.
 func (r *Reader) take(n uint64, err error) []byte {
-	if n > uint64(len(r.p)) {
+	if n > uint64(len(r.buf)-r.pos) {
 		r.fail(err)
 		return nil
 	}
-	b := r.p[:n]
-	r.p = r.p[n:]
+	b := r.buf[r.pos : r.pos+int(n)]
+	r.pos += int(n)
 	return b
 }
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
-	v, n := binary.Uvarint(r.p)
+	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		r.fail(ErrVarint)
 		return 0
 	}
-	r.p = r.p[n:]
+	r.pos += n
 	return v
 }
 
@@ -211,7 +213,7 @@ func (r *Reader) Time() time.Time {
 // input's length.
 func (r *Reader) Count(minBytes int) int {
 	n := r.Uvarint()
-	if n > uint64(len(r.p)/minBytes) {
+	if n > uint64((len(r.buf)-r.pos)/minBytes) {
 		r.fail(ErrBomb)
 		return 0
 	}
@@ -220,7 +222,7 @@ func (r *Reader) Count(minBytes int) int {
 
 // More reports whether unread payload remains: the test for a trailing
 // group of fields that older writers did not send.
-func (r *Reader) More() bool { return len(r.p) > 0 }
+func (r *Reader) More() bool { return r.pos < len(r.buf) }
 
 // Err returns the first failure, tolerating unread payload: for the
 // messages that may grow fields an older reader must skip.
@@ -229,7 +231,7 @@ func (r *Reader) Err() error { return r.err }
 // Done returns the first failure, or ErrTrail when payload is left
 // unread.
 func (r *Reader) Done() error {
-	if r.err == nil && len(r.p) > 0 {
+	if r.err == nil && r.More() {
 		return ErrTrail
 	}
 	return r.err
