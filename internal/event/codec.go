@@ -17,7 +17,6 @@
 package event
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"sort"
@@ -80,7 +79,10 @@ func (binaryCodec) ContentType() string { return ContentTypeBinary }
 // filled by appends that never grow it. Like the XML encoder, it refuses
 // a time its format cannot carry.
 func (binaryCodec) EncodeNotification(n *Notification) ([]byte, error) {
-	if err := cmp.Or(checkWireTime(n.OccurredAt), checkWireTime(n.PublishedAt)); err != nil {
+	if err := checkWireTime(n.OccurredAt); err != nil {
+		return nil, err
+	}
+	if err := checkWireTime(n.PublishedAt); err != nil {
 		return nil, err
 	}
 	size := frame.HeaderLen +
