@@ -120,22 +120,25 @@ lint-traceid:
 # The publish and detail hot paths must stay free of reflection-driven
 # formatting and the XML encoder: no fmt.Sprintf and no encoding/xml
 # import in the files a publish or a detail request flows through, no
-# reflect in the XML helper they share, and no reflect and no fmt at all
-# in the binary frame layer under every hop. Inside internal/event,
-# encoding/xml (the decoders' fallback) is xml.go's alone. Test files
-# are exempt.
+# reflect in the XML helper they share, no reflect and no fmt at all in
+# the binary frame layer under every hop, and no reflect and no unsafe in
+# the store every write lands in (its arena is plain byte slices). Inside
+# internal/event, encoding/xml (the decoders' fallback) is xml.go's
+# alone. Test files are exempt.
 XMLX_FILES = $(filter-out %_test.go,$(wildcard internal/xmlx/*.go))
 FRAME_FILES = $(filter-out %_test.go,$(wildcard internal/frame/*.go))
+STORE_FILES = $(filter-out %_test.go,$(wildcard internal/store/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
-	internal/index/index.go internal/idmap/idmap.go $(XMLX_FILES) $(FRAME_FILES) \
+	internal/index/index.go internal/idmap/idmap.go $(XMLX_FILES) $(FRAME_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \
 		grep -n '"reflect"' $(XMLX_FILES) /dev/null; \
 		grep -n '"reflect"\|"fmt"' $(FRAME_FILES) /dev/null; \
+		grep -n '"reflect"\|"unsafe"' $(STORE_FILES) /dev/null; \
 		grep -n '"encoding/xml"' $(filter-out %_test.go internal/event/xml.go,$(wildcard internal/event/*.go)) /dev/null); \
 	if [ -n "$$bad" ]; then \
-		echo "hot-path files must not use fmt.Sprintf, encoding/xml, (xmlx, frame) reflect or (frame) fmt:"; \
+		echo "hot-path files must not use fmt.Sprintf, encoding/xml, (xmlx, frame, store) reflect, (frame) fmt or (store) unsafe:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -158,6 +161,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzControlFrame -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzReplicationFrame -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzMemtableModel -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/
 

@@ -86,28 +86,29 @@ type Log struct {
 // genesisHash anchors the chain.
 const genesisHash = "css-audit-genesis"
 
-// Open creates a log on st, recovering the chain head from persisted
-// records. The log uses keys with prefix "a/" in the store.
+// Open creates a log on st, recovering the chain head from the newest
+// persisted record. The log uses keys with prefix "a/" in the store;
+// they are zero-padded sequence numbers, so the newest record is the
+// last key and Open decodes that one record, whatever the chain's
+// length. An undecodable head fails Open. Damage anywhere else in the
+// chain is not looked for here: that is Verify's job (css-audit
+// -verify), which walks and re-hashes every record.
 func Open(st *store.Store) (*Log, error) {
 	l := &Log{st: st, last: genesisHash}
-	var innerErr error
-	err := st.AscendPrefix("a/", func(k string, v []byte) bool {
+	err := st.View(func(tx store.Tx) error {
+		k, v, ok := tx.Last("a/")
+		if !ok {
+			return nil
+		}
 		var r Record
 		if err := json.Unmarshal(v, &r); err != nil {
-			innerErr = fmt.Errorf("audit: corrupt record %s: %w", k, err)
-			return false
+			return fmt.Errorf("audit: corrupt record %s: %w", k, err)
 		}
-		if r.Seq > l.seq {
-			l.seq = r.Seq
-			l.last = r.Hash
-		}
-		return true
+		l.seq, l.last = r.Seq, r.Hash
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if innerErr != nil {
-		return nil, innerErr
 	}
 	return l, nil
 }

@@ -242,3 +242,75 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Errorf("Verify after concurrent appends = %v", err)
 	}
 }
+
+// chainOf returns a store holding an n-record chain.
+func chainOf(t *testing.T, n int) *store.Store {
+	t.Helper()
+	st := store.OpenMemory()
+	l, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(sample(KindPublish, "prod", "ok")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// TestOpenReadsOnlyTheHead: Open finds the chain head from the last key
+// alone, so its work does not grow with the chain — and the head it
+// finds is the one a scan of every record arrives at.
+func TestOpenReadsOnlyTheHead(t *testing.T) {
+	short, long := chainOf(t, 10), chainOf(t, 10_000)
+	open := func(st *store.Store) func() {
+		return func() {
+			if _, err := Open(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a, b := testing.AllocsPerRun(10, open(short)), testing.AllocsPerRun(10, open(long)); a != b {
+		t.Errorf("Open allocates %v times on 10 records and %v on 10 000", a, b)
+	}
+	l, err := Open(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head Record
+	long.AscendPrefix("a/", func(k string, v []byte) bool {
+		var r Record
+		if err := json.Unmarshal(v, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Seq > head.Seq {
+			head = r
+		}
+		return true
+	})
+	if l.seq != head.Seq || l.last != head.Hash || head.Seq != 10_000 {
+		t.Errorf("Open recovered head (%d, %s), a full scan (%d, %s)", l.seq, l.last, head.Seq, head.Hash)
+	}
+	if err := l.Verify(); err != nil {
+		t.Errorf("Verify = %v", err)
+	}
+}
+
+// TestOpenCorruptRecords: an undecodable head fails Open; an undecodable
+// record further back is Verify's to report.
+func TestOpenCorruptRecords(t *testing.T) {
+	st := chainOf(t, 10)
+	st.Put(key(4), []byte("{not json"))
+	l, err := Open(st)
+	if err != nil {
+		t.Fatalf("Open with a damaged middle record = %v", err)
+	}
+	if err := l.Verify(); !errors.Is(err, ErrTampered) {
+		t.Errorf("Verify with a damaged middle record = %v", err)
+	}
+	st.Put(key(10), []byte("{not json"))
+	if _, err := Open(st); err == nil {
+		t.Error("Open accepted an undecodable head record")
+	}
+}

@@ -159,9 +159,9 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	// store batch: one lock acquisition, one WAL frame, and — because a
 	// batch frame replays all-or-nothing — no crash window in which a
 	// notification exists without its index entries (or vice versa).
-	// All values are freshly built per call, so they transfer to the
-	// store without defensive copies; the three secondary entries share
-	// one id slice.
+	// The store copies each value into its memtable when the batch is
+	// applied, so the three secondary entries pass one id slice and the
+	// buffers are the caller's again afterwards.
 	ts := timeKey(n.OccurredAt)
 	idVal := []byte(n.ID)
 	b := batchPool.Get().(*store.Batch)
@@ -305,12 +305,25 @@ func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error
 	if !q.From.IsZero() {
 		from = prefix + timeKey(q.From)
 	}
+	// The key's time component follows the prefix at a fixed width, so a
+	// key past To ends the scan before its record is fetched, decrypted
+	// and decoded. Only instants from 1970 on sort as digits (see
+	// timeKey): an earlier or unrepresentable To keeps the stop below,
+	// and an earlier key compares below any such To.
+	var toKey string
+	if nano := q.To.UnixNano(); !q.To.IsZero() && nano >= 0 && time.Unix(0, nano).Equal(q.To) {
+		toKey = timeKey(q.To)
+	}
 	var out []*event.Notification
 	var innerErr error
 	err := ix.st.View(func(tx store.Tx) error {
 		tx.AscendRange(from, "", func(k string, v []byte) bool {
 			if len(k) < len(prefix) || k[:len(prefix)] != prefix {
 				return false // left the prefix: stop
+			}
+			ts := k[len(prefix):]
+			if toKey != "" && len(ts) >= len(toKey) && ts[:len(toKey)] > toKey {
+				return false
 			}
 			id := event.GlobalID(v)
 			var n *event.Notification
@@ -333,8 +346,10 @@ func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error
 				ix.notif.Put(id, n.Clone())
 			}
 			if !matches(n, q) {
-				// Keys are time-ordered: once past To we can stop.
-				if !q.To.IsZero() && n.OccurredAt.After(q.To) {
+				// Keys from 1970 on are time-ordered: once past To we
+				// can stop. Earlier keys sort latest first, and ahead
+				// of all others, so they never end the scan.
+				if !q.To.IsZero() && n.OccurredAt.After(q.To) && (ts == "" || ts[0] != '-') {
 					return false
 				}
 				return true

@@ -1,7 +1,12 @@
 package index
 
 import (
+	"fmt"
+	"sort"
 	"testing"
+	"time"
+
+	"repro/internal/event"
 )
 
 func TestGetCachesDecodedNotification(t *testing.T) {
@@ -129,5 +134,77 @@ func TestInquireWarmPathUsesNotificationCache(t *testing.T) {
 	}
 	if len(ns) != 3 || hits != 3 {
 		t.Errorf("warm inquiry: %d notifications, %d cache hits, want 3/3", len(ns), hits)
+	}
+}
+
+// TestInquireStopsAtTo: a bounded inquiry ends at the first key past To
+// without looking that record up — the notification lookups an observer
+// counts are exactly the results — and returns what a linear filter
+// over all 5 000 events returns, in key order, also when To is an
+// event's own instant, lies before 1970 (where keys do not sort by
+// time) or cannot be expressed in nanoseconds.
+func TestInquireStopsAtTo(t *testing.T) {
+	ix := newIndex(t)
+	var all []*event.Notification
+	for i := 0; i < 5000; i++ {
+		at := t0.Add(time.Duration(i) * time.Minute)
+		if i%10 == 0 {
+			at = time.Date(1969, 6, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute)
+		}
+		n := notif(fmt.Sprintf("evt-%05d", i), fmt.Sprintf("PRS-%d", i%7), event.ClassID(fmt.Sprintf("c%d.x", i%3)), at)
+		if err := ix.Put(n); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, n)
+	}
+	lookups := 0
+	ix.SetCacheObserver(func(cache string, hit bool) {
+		if cache == "index.notification" {
+			lookups++
+		}
+	})
+	for _, tc := range []struct {
+		name    string
+		q       Inquiry
+		counted bool // every lookup is a result
+	}{
+		{"person window", Inquiry{PersonID: "PRS-3", From: t0.Add(6 * time.Hour), To: t0.Add(18*time.Hour + time.Second)}, true},
+		{"class window", Inquiry{Class: "c1.x", From: t0.Add(time.Hour), To: t0.Add(30 * time.Hour)}, true},
+		{"To is an event's instant", Inquiry{PersonID: "PRS-4", From: t0, To: all[704].OccurredAt}, true},
+		{"To before every event since 1970", Inquiry{Class: "c2.x", From: t0.Add(-time.Hour), To: t0.Add(-time.Minute)}, true},
+		{"To before 1970", Inquiry{PersonID: "PRS-5", To: time.Date(1969, 6, 2, 0, 0, 0, 0, time.UTC)}, false},
+		{"To beyond UnixNano", Inquiry{PersonID: "PRS-6", From: t0, To: time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)}, true},
+	} {
+		lookups = 0
+		got, err := ix.Inquire(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var want []*event.Notification
+		for _, n := range all {
+			if matches(n, tc.q) {
+				want = append(want, n)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			return timeKey(want[i].OccurredAt) < timeKey(want[j].OccurredAt)
+		})
+		if len(got) != len(want) {
+			t.Errorf("%s: %d results, a linear filter finds %d", tc.name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Errorf("%s: result %d is %s, want %s", tc.name, i, got[i].ID, want[i].ID)
+				break
+			}
+		}
+		if tc.counted && lookups != len(got) {
+			t.Errorf("%s: %d notification lookups for %d results", tc.name, lookups, len(got))
+		}
+	}
+	got, _ := ix.Inquire(Inquiry{PersonID: "PRS-4", From: t0, To: all[704].OccurredAt})
+	if len(got) == 0 || got[len(got)-1].ID != all[704].ID {
+		t.Errorf("the event at exactly To is not the last result")
 	}
 }

@@ -14,11 +14,11 @@ func (b *Batch) Put(key string, value []byte) {
 	b.ops = append(b.ops, walRecord{op: opPut, key: key, value: append([]byte(nil), value...)})
 }
 
-// PutOwned queues storing value under key without copying it: ownership
-// of the slice transfers to the store, which keeps it in memory and in
-// the WAL frame. The caller must not read or write the slice afterwards.
-// Hot paths that build the value per call (so it is never reused) use
-// this to skip the defensive copy Put makes.
+// PutOwned queues storing value under key without copying it at queue
+// time: the batch holds the caller's slice until it is applied, when the
+// value is copied into the WAL frame and the memtable. The caller may
+// reuse the slice once Apply or StageApply has returned. Hot paths that
+// build the value per call use this to skip the copy Put makes.
 func (b *Batch) PutOwned(key string, value []byte) {
 	b.ops = append(b.ops, walRecord{op: opPut, key: key, value: value})
 }

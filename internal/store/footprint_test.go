@@ -1,0 +1,99 @@
+package store_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/audit"
+	"repro/internal/crypto"
+	"repro/internal/event"
+	"repro/internal/idmap"
+	"repro/internal/index"
+	"repro/internal/store"
+)
+
+// TestMemtableFootprint holds the memtable to its two promises on the
+// entries a controller really stores — the seven a publish writes: the
+// id mapping both ways, the sealed record with its person, class and
+// producer index keys, and the audit record. The arena may spend at most
+// 48 bytes per entry beyond the key and value bytes, and loading 50 000
+// entries may add at most 1 000 heap objects (three per entry before the
+// arena). Both are counts, not timings, and repeat from run to run.
+func TestMemtableFootprint(t *testing.T) {
+	const publishes = 7143 // × 7 entries ≥ 50 000
+	src := store.OpenMemory()
+	keys, err := crypto.NewKeyring(bytes.Repeat([]byte{3}, crypto.KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, ids := index.New(src, keys), idmap.New(src)
+	aud, err := audit.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producer, class = "hospital-s-maria", "hospital.blood-test"
+	at := time.Date(2010, 3, 1, 8, 0, 0, 0, time.UTC)
+	for i := 0; i < publishes; i++ {
+		gid, err := ids.Assign(producer, event.SourceID(fmt.Sprintf("lab-%06d", i)), class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		occurred := at.Add(time.Duration(i) * time.Minute)
+		if err := ix.Put(&event.Notification{
+			ID: gid, Class: class, PersonID: fmt.Sprintf("PRS-%04d", i%2000),
+			Summary: "blood test results available", Producer: producer,
+			OccurredAt: occurred, PublishedAt: occurred.Add(time.Second),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := aud.Append(audit.Record{
+			At: occurred, Kind: audit.KindPublish, Actor: producer, EventID: gid,
+			Class: class, Outcome: "ok", Trace: "feedbeefcafe0001",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type entry struct {
+		key   string
+		value []byte
+	}
+	var entries []entry
+	payload := 0
+	src.AscendPrefix("", func(k string, v []byte) bool {
+		entries = append(entries, entry{k, v})
+		payload += len(k) + len(v)
+		return true
+	})
+	if len(entries) != 7*publishes {
+		t.Fatalf("%d publishes left %d entries, want 7 each", publishes, len(entries))
+	}
+
+	dst := store.OpenMemory()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, e := range entries {
+		if err := dst.Put(e.key, e.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	arena := dst.ArenaBytes()
+	overhead := float64(arena-payload) / float64(len(entries))
+	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
+	t.Logf("%d entries: %d key+value bytes, %d arena bytes (%.1f B/entry over), %+d heap objects",
+		len(entries), payload, arena, overhead, objects)
+	if overhead > 48 {
+		t.Errorf("arena spends %.1f B per entry beyond keys and values, want at most 48", overhead)
+	}
+	if objects > 1000 {
+		t.Errorf("loading %d entries added %d heap objects, want at most 1 000", len(entries), objects)
+	}
+	runtime.KeepAlive(entries)
+	runtime.KeepAlive(dst)
+}

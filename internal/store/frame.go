@@ -23,7 +23,8 @@ func (b *Batch) EncodeFrame() []byte {
 // DecodeBatchFrame parses a frame produced by EncodeFrame back into a
 // Batch, validating length and checksum first; torn or tampered frames
 // return ErrCorrupt and no partial batch. Trailing bytes after the
-// framed payload are rejected.
+// framed payload are rejected. The batch's values alias frame, which the
+// caller must leave alone until the batch is applied.
 func DecodeBatchFrame(frame []byte) (*Batch, error) {
 	if len(frame) < 8 {
 		return nil, ErrCorrupt

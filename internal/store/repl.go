@@ -181,14 +181,9 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	if from != s.log.size {
 		return 0, fmt.Errorf("store: wal apply at offset %d, log is at %d", from, s.log.size)
 	}
-	if _, err := s.log.w.Write(seg); err != nil {
-		return 0, fmt.Errorf("store: wal apply: %w", err)
+	if err := s.log.write(seg); err != nil {
+		return 0, err
 	}
-	if err := s.log.w.Flush(); err != nil {
-		return 0, fmt.Errorf("store: wal apply flush: %w", err)
-	}
-	s.log.size += int64(len(seg))
-	s.log.flushed.Store(s.log.size)
 	for _, r := range muts {
 		s.applyLocked(r)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -98,9 +99,64 @@ func TestSkipListAscendPrefix(t *testing.T) {
 	}
 }
 
+// checkAgainstModel compares every read the list offers with a plain
+// map: size, get of present and absent keys, ascend from each of froms,
+// and last under each of prefixes.
+func checkAgainstModel(t *testing.T, l *skipList, m map[string]string, froms, prefixes []string) {
+	t.Helper()
+	if l.size != len(m) {
+		t.Fatalf("size = %d, model holds %d", l.size, len(m))
+	}
+	keys := make([]string, 0, len(m))
+	for k, want := range m {
+		keys = append(keys, k)
+		if v, ok := l.get(k); !ok || string(v) != want {
+			t.Fatalf("get(%q) = %d bytes, %v; model holds %d bytes", k, len(v), ok, len(want))
+		}
+	}
+	sort.Strings(keys)
+	for _, from := range froms {
+		if _, ok := l.get(from); ok != hasKey(m, from) {
+			t.Fatalf("get(%q) present = %v, model disagrees", from, ok)
+		}
+		want := keys[sort.SearchStrings(keys, from):]
+		i := 0
+		l.ascend(from, func(k string, v []byte) bool {
+			if i >= len(want) || k != want[i] || string(v) != m[k] {
+				t.Fatalf("ascend(%q) step %d visited %q", from, i, k)
+			}
+			i++
+			return true
+		})
+		if i != len(want) {
+			t.Fatalf("ascend(%q) visited %d keys, want %d", from, i, len(want))
+		}
+	}
+	for _, prefix := range prefixes {
+		wantKey, wantOK := "", false
+		for _, k := range keys {
+			if strings.HasPrefix(k, prefix) {
+				wantKey, wantOK = k, true
+			}
+		}
+		k, v, ok := l.last(prefix)
+		if ok != wantOK || k != wantKey || string(v) != m[wantKey] {
+			t.Fatalf("last(%q) = %q, %v; want %q, %v", prefix, k, ok, wantKey, wantOK)
+		}
+	}
+}
+
+func hasKey(m map[string]string, k string) bool {
+	_, ok := m[k]
+	return ok
+}
+
 // Property: the skip list behaves exactly like a map plus sorting, under
-// a random sequence of puts and deletes.
+// a random sequence of inserts, overwrites and deletes whose values are
+// empty, small or larger than a chunk — and keeps doing so across the
+// arena rebuilds that churn forces.
 func TestQuickSkipListMatchesMap(t *testing.T) {
+	rebuilds := 0
 	f := func(seed int64, opsCount uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		l := newSkipList(seed)
@@ -108,35 +164,73 @@ func TestQuickSkipListMatchesMap(t *testing.T) {
 		ops := int(opsCount%500) + 50
 		for i := 0; i < ops; i++ {
 			k := fmt.Sprintf("k%02d", r.Intn(40))
-			switch r.Intn(3) {
-			case 0, 1:
+			before := l.total
+			switch c := r.Intn(200); {
+			case c < 100:
 				v := fmt.Sprintf("v%d", i)
 				l.put(k, []byte(v))
 				m[k] = v
-			case 2:
-				l.del(k)
+			case c < 125:
+				l.put(k, nil)
+				m[k] = ""
+			case c == 125:
+				v := strings.Repeat(string(rune('a'+i%26)), chunkSize+r.Intn(100))
+				l.put(k, []byte(v))
+				m[k] = v
+			default:
+				_, existed := l.del(k)
+				if existed != hasKey(m, k) {
+					return false
+				}
 				delete(m, k)
 			}
-		}
-		if l.size != len(m) {
-			return false
-		}
-		var keys []string
-		l.ascend("", func(k string, v []byte) bool {
-			keys = append(keys, k)
-			if m[k] != string(v) {
-				keys = nil
-				return false
+			if l.total < before {
+				rebuilds++
 			}
-			return true
-		})
-		if len(keys) != len(m) {
-			return false
 		}
-		return sort.StringsAreSorted(keys)
+		checkAgainstModel(t, l, m, []string{"", "k", "k17", "k175", "l"}, []string{"", "k", "k1", "k39", "j", "l"})
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+	if rebuilds < 3 {
+		t.Errorf("%d arena rebuilds, want the churn to force at least 3", rebuilds)
+	}
+}
+
+// arenaBytes is what the list holds on to: every chunk at its full size.
+func arenaBytes(l *skipList) int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// TestChurnDoesNotGrow: the outbox's pattern — put a key, delete it —
+// leaves dead bytes behind on every round; the rebuild rule must hold
+// the arena to a constant however long that goes on.
+func TestChurnDoesNotGrow(t *testing.T) {
+	l := newSkipList(11)
+	value := []byte("a parked notification, a few dozen bytes long")
+	var keys [100]string
+	for i := range keys {
+		keys[i] = fmt.Sprintf("q/%020d", i)
+	}
+	peak := 0
+	for i := 0; i < 1_000_000; i++ {
+		l.put(keys[i%100], value)
+		if i >= 50 {
+			l.del(keys[(i-50)%100])
+		}
+		peak = max(peak, arenaBytes(l))
+	}
+	if l.size != 50 {
+		t.Errorf("size = %d, want the 50 keys not yet deleted", l.size)
+	}
+	if peak > 3*chunkSize {
+		t.Errorf("arena peaked at %d bytes over 1 000 000 put+delete rounds, want at most 3 chunks (%d)", peak, 3*chunkSize)
 	}
 }
 

@@ -29,11 +29,10 @@ func (c Commit) Pending() bool {
 	return c.lg != nil && c.lg.synced.Load() < c.target
 }
 
-// StagePut is Put with the commit barrier made explicit and without the
-// defensive value copy: ownership of value transfers to the store (the
-// caller must not touch the slice afterwards). The returned Commit's
-// Wait is the durability barrier. Hot single-key writers (the audit
-// chain) use this to overlap the fsync with downstream work.
+// StagePut is Put with the commit barrier made explicit. The value is
+// copied into the memtable; the caller may reuse its slice. The returned
+// Commit's Wait is the durability barrier. Hot single-key writers (the
+// audit chain) use this to overlap the fsync with downstream work.
 func (s *Store) StagePut(key string, value []byte) (Commit, error) {
 	if key == "" {
 		return Commit{}, errors.New("store: empty key")

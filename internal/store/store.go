@@ -84,7 +84,8 @@ func (s *Store) replay() (int64, error) {
 	})
 }
 
-// applyLocked applies one mutation to the skiplist.
+// applyLocked applies one mutation to the memtable, which copies the
+// key and value it keeps.
 func (s *Store) applyLocked(r walRecord) {
 	switch r.op {
 	case opPut:
@@ -142,10 +143,9 @@ func wait(c Commit, err error) error {
 }
 
 // Put stores value under key, overwriting any previous value. The value
-// is copied, so the caller may reuse its slice (StagePut transfers
-// ownership instead).
+// is copied into the memtable, so the caller may reuse its slice.
 func (s *Store) Put(key string, value []byte) error {
-	return wait(s.StagePut(key, append([]byte(nil), value...)))
+	return wait(s.StagePut(key, value))
 }
 
 // syncTargetLocked captures the durability point a SyncEvery writer must
@@ -260,6 +260,12 @@ func (s *Store) View(fn func(tx Tx) error) error {
 // Get returns the value stored under key without copying it.
 func (t Tx) Get(key string) ([]byte, bool) {
 	return t.list.get(key)
+}
+
+// Last returns the greatest key starting with prefix and its value,
+// without copying it, in one descent of the list.
+func (t Tx) Last(prefix string) (key string, value []byte, ok bool) {
+	return t.list.last(prefix)
 }
 
 // AscendRange visits keys in [from, to) in order until fn returns false,

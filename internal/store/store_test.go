@@ -308,3 +308,55 @@ func TestOpenCreatesDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTxLast(t *testing.T) {
+	s := OpenMemory()
+	for _, k := range []string{"a/1", "a/2", "a/3", "b/1"} {
+		s.Put(k, []byte("v"+k))
+	}
+	s.View(func(tx Tx) error {
+		if k, v, ok := tx.Last("a/"); !ok || k != "a/3" || string(v) != "va/3" {
+			t.Errorf(`Last("a/") = %q, %q, %v`, k, v, ok)
+		}
+		if k, _, ok := tx.Last("a0"); ok {
+			t.Errorf(`Last("a0") found %q`, k)
+		}
+		return nil
+	})
+}
+
+// TestViewSlicesSurviveRebuild: a value slice read from a View points
+// into the arena; when churn rebuilds the list into fresh chunks, and
+// when the key is overwritten afterwards, the slice keeps reading what
+// it read.
+func TestViewSlicesSurviveRebuild(t *testing.T) {
+	s := OpenMemory()
+	const want = "the value a reader is still holding"
+	s.Put("held", []byte(want))
+	var held []byte
+	s.View(func(tx Tx) error {
+		held, _ = tx.Get("held")
+		return nil
+	})
+	before := s.list.total
+	junk := make([]byte, chunkSize/8)
+	for i := 0; s.list.total >= before; i++ {
+		if i > 100 {
+			t.Fatal("100 overwrites of a 128 KiB value did not rebuild the arena")
+		}
+		before = s.list.total
+		s.Put("churn", junk)
+	}
+	var moved []byte
+	s.View(func(tx Tx) error {
+		moved, _ = tx.Get("held")
+		return nil
+	})
+	if string(moved) != want || &moved[0] == &held[0] {
+		t.Errorf("after the rebuild the list reads %q at the same address: %v", moved, &moved[0] == &held[0])
+	}
+	s.Put("held", []byte("overwritten"))
+	if string(held) != want {
+		t.Errorf("held slice now reads %q", held)
+	}
+}

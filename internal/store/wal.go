@@ -122,7 +122,8 @@ func sizedBuf(buf []byte, need int) []byte {
 }
 
 // decodeOp decodes one mutation from the start of p, returning it and the
-// bytes consumed.
+// bytes consumed. The value aliases p: the memtable copies what it is
+// given, so replay hands it the checksummed payload itself.
 func decodeOp(p []byte) (walRecord, int, error) {
 	if len(p) < 5 {
 		return walRecord{}, 0, ErrCorrupt
@@ -146,14 +147,15 @@ func decodeOp(p []byte) (walRecord, int, error) {
 		if vlen < 0 || len(rest) < 4+vlen {
 			return walRecord{}, 0, ErrCorrupt
 		}
-		r.value = append([]byte(nil), rest[4:4+vlen]...)
+		r.value = rest[4 : 4+vlen : 4+vlen]
 		n += 4 + vlen
 	}
 	return r, n, nil
 }
 
 // replayPayload decodes a checksummed payload — a single mutation or a
-// batch frame — invoking fn for each mutation in order.
+// batch frame — invoking fn for each mutation in order. The values fn
+// receives alias p.
 func replayPayload(p []byte, fn func(walRecord) error) error {
 	if len(p) == 0 {
 		return ErrCorrupt
@@ -198,7 +200,6 @@ func replayPayload(p []byte, fn func(walRecord) error) error {
 // flushed before it started, so N writers share far fewer than N fsyncs.
 type wal struct {
 	f      *os.File
-	w      *bufio.Writer
 	sync   bool // fsync-before-acknowledge mode
 	size   int64
 	encBuf []byte
@@ -218,7 +219,7 @@ func openWAL(path string, syncEvery bool) (*wal, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: stat wal: %w", err)
 	}
-	l := &wal{f: f, w: bufio.NewWriter(f), sync: syncEvery, size: st.Size()}
+	l := &wal{f: f, sync: syncEvery, size: st.Size()}
 	l.flushed.Store(l.size)
 	l.synced.Store(l.size)
 	return l, nil
@@ -229,23 +230,21 @@ func openWAL(path string, syncEvery bool) (*wal, error) {
 // released.
 func (l *wal) append(r walRecord) error {
 	l.encBuf = encodeRecord(l.encBuf, r)
-	return l.write()
+	return l.write(l.encBuf)
 }
 
 // appendBatch writes one atomic batch frame covering ops.
 func (l *wal) appendBatch(ops []walRecord) error {
 	l.encBuf = encodeBatch(l.encBuf, ops)
-	return l.write()
+	return l.write(l.encBuf)
 }
 
-func (l *wal) write() error {
-	if _, err := l.w.Write(l.encBuf); err != nil {
+// write hands whole records to the OS at the end of the log.
+func (l *wal) write(p []byte) error {
+	if _, err := l.f.Write(p); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("store: wal flush: %w", err)
-	}
-	l.size += int64(len(l.encBuf))
+	l.size += int64(len(p))
 	l.flushed.Store(l.size)
 	return nil
 }
@@ -280,15 +279,11 @@ func (l *wal) close() error {
 	// the log (Close, TruncateWAL) has already made the data durable or is
 	// discarding the file wholesale.
 	l.synced.Store(math.MaxInt64)
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
-	}
 	return l.f.Close()
 }
 
-// replay reads all intact records from path, invoking fn for each. It
-// returns the byte offset of the first torn tail record (== file size
+// replay reads all intact records from path, invoking fn for each; a
+// record's value is valid only during the call. It returns the byte offset of the first torn tail record (== file size
 // when the log is clean) so the caller can truncate it away.
 //
 // Only the shapes a crashed append can actually produce are forgiven as
@@ -316,6 +311,7 @@ func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error
 	br := bufio.NewReader(f)
 	var offset int64
 	header := make([]byte, 8)
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(br, header); err != nil {
 			if err == io.EOF {
@@ -336,7 +332,7 @@ func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error
 			// Record extends past EOF: the append was cut short.
 			return offset, nil
 		}
-		payload := make([]byte, n)
+		payload = sizedBuf(payload, int(n))
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return offset, nil // torn payload
 		}
