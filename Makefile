@@ -121,24 +121,27 @@ lint-traceid:
 # formatting and the XML encoder: no fmt.Sprintf and no encoding/xml
 # import in the files a publish or a detail request flows through, no
 # reflect in the XML helper they share, no reflect and no fmt at all in
-# the binary frame layer under every hop, and no reflect and no unsafe in
-# the store every write lands in (its arena is plain byte slices). Inside
+# the binary frame layer under every hop and in the JSON helper audit
+# and index records are written and read with, and no reflect and no
+# unsafe in the store every write lands in (its arena is plain byte
+# slices). Inside
 # internal/event, encoding/xml (the decoders' fallback) is xml.go's
 # alone. Test files are exempt.
 XMLX_FILES = $(filter-out %_test.go,$(wildcard internal/xmlx/*.go))
 FRAME_FILES = $(filter-out %_test.go,$(wildcard internal/frame/*.go))
+JSONX_FILES = $(filter-out %_test.go,$(wildcard internal/jsonx/*.go))
 STORE_FILES = $(filter-out %_test.go,$(wildcard internal/store/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
-	internal/index/index.go internal/idmap/idmap.go $(XMLX_FILES) $(FRAME_FILES) $(STORE_FILES) \
+	internal/index/index.go internal/idmap/idmap.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \
 		grep -n '"reflect"' $(XMLX_FILES) /dev/null; \
-		grep -n '"reflect"\|"fmt"' $(FRAME_FILES) /dev/null; \
+		grep -n '"reflect"\|"fmt"' $(FRAME_FILES) $(JSONX_FILES) /dev/null; \
 		grep -n '"reflect"\|"unsafe"' $(STORE_FILES) /dev/null; \
 		grep -n '"encoding/xml"' $(filter-out %_test.go internal/event/xml.go,$(wildcard internal/event/*.go)) /dev/null); \
 	if [ -n "$$bad" ]; then \
-		echo "hot-path files must not use fmt.Sprintf, encoding/xml, (xmlx, frame, store) reflect, (frame) fmt or (store) unsafe:"; \
+		echo "hot-path files must not use fmt.Sprintf, encoding/xml, (xmlx, frame, jsonx, store) reflect, (frame, jsonx) fmt or (store) unsafe:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -158,6 +161,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzXMLNotificationDifferential -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzXMLDetailRequestDifferential -fuzztime=15s ./internal/event/
 	$(GO) test -run '^$$' -fuzz=FuzzXMLEnvelopeDifferential -fuzztime=15s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz=FuzzIndexRecordDifferential -fuzztime=15s ./internal/index/
 	$(GO) test -run '^$$' -fuzz=FuzzControlFrame -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzReplicationFrame -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/

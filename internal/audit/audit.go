@@ -87,15 +87,33 @@ type Log struct {
 const genesisHash = "css-audit-genesis"
 
 // Open creates a log on st, recovering the chain head from the newest
-// persisted record. The log uses keys with prefix "a/" in the store;
-// they are zero-padded sequence numbers, so the newest record is the
-// last key and Open decodes that one record, whatever the chain's
-// length. An undecodable head fails Open. Damage anywhere else in the
-// chain is not looked for here: that is Verify's job (css-audit
-// -verify), which walks and re-hashes every record.
+// persisted record (see Recover). An undecodable head fails Open.
+// Damage anywhere else in the chain is not looked for here: that is
+// Verify's job (css-audit -verify), which walks and re-hashes every
+// record.
 func Open(st *store.Store) (*Log, error) {
-	l := &Log{st: st, last: genesisHash}
-	err := st.View(func(tx store.Tx) error {
+	l := &Log{st: st}
+	if err := l.Recover(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Recover re-reads the in-memory chain head from the store. The log
+// uses keys with prefix "a/" — zero-padded sequence numbers — so the
+// newest record is the last key, and Recover decodes that one record
+// whatever the chain's length. It follows the store both ways: records
+// that reached it behind the log's back (a read replica's audit store is
+// fed by the replication stream, not by Append) and records a WAL
+// truncation took away (a deposed primary rejoining), down to the
+// genesis of an emptied chain. A replica calls it after every applied
+// segment; promotion calls it once more before the node starts
+// appending. An undecodable head leaves the head as it was.
+func (l *Log) Recover() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, last := uint64(0), genesisHash
+	err := l.st.View(func(tx store.Tx) error {
 		k, v, ok := tx.Last("a/")
 		if !ok {
 			return nil
@@ -104,41 +122,14 @@ func Open(st *store.Store) (*Log, error) {
 		if err := json.Unmarshal(v, &r); err != nil {
 			return fmt.Errorf("audit: corrupt record %s: %w", k, err)
 		}
-		l.seq, l.last = r.Seq, r.Hash
+		seq, last = r.Seq, r.Hash
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// Recover advances the in-memory chain head over records that reached
-// the store behind the log's back — a read replica's audit store is fed
-// by the replication stream, not by Append. It scans only forward from
-// the current head ("a0" is the first key past the "a/" prefix), so
-// calling it after every applied segment stays cheap; promotion calls it
-// once more before the node starts appending.
-func (l *Log) Recover() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var innerErr error
-	err := l.st.AscendRange(key(l.seq+1), "a0", func(k string, v []byte) bool {
-		var r Record
-		if err := json.Unmarshal(v, &r); err != nil {
-			innerErr = fmt.Errorf("audit: corrupt record %s: %w", k, err)
-			return false
-		}
-		if r.Seq > l.seq {
-			l.seq = r.Seq
-			l.last = r.Hash
-		}
-		return true
 	})
 	if err != nil {
 		return err
 	}
-	return innerErr
+	l.seq, l.last = seq, last
+	return nil
 }
 
 // bufPool recycles the scratch buffer used to build hash inputs and the

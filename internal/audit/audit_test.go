@@ -163,6 +163,63 @@ func TestRecovery(t *testing.T) {
 	}
 }
 
+// A WAL truncation (a deposed primary rejoining) takes records away
+// under a live log: Recover must follow the head back, so the next
+// append links to a record that exists — and to genesis when nothing is
+// left.
+func TestRecoverAfterWALTruncate(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "audit.wal"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	start := st.WALOffset()
+	l, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets := make([]int64, 5)
+	for i := range offsets {
+		if _, err := l.Append(sample(KindSubscribe, "consumer", "permit")); err != nil {
+			t.Fatal(err)
+		}
+		offsets[i] = st.WALOffset()
+	}
+
+	if err := st.TruncateWAL(offsets[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 3 {
+		t.Fatalf("Len after truncating to record 3 and Recover = %d, want 3", l.Len())
+	}
+	r, err := l.Append(sample(KindSubscribe, "consumer", "deny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Seq != 4 {
+		t.Errorf("next append Seq = %d, want 4", r.Seq)
+	}
+	if err := l.Verify(); err != nil {
+		t.Errorf("Verify after truncate, Recover, Append = %v", err)
+	}
+
+	if err := st.TruncateWAL(start); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := l.Append(sample(KindSubscribe, "consumer", "permit")); err != nil || r.Seq != 1 || r.PrevHash != genesisHash {
+		t.Errorf("append on an emptied chain = %+v, %v; want seq 1 after genesis", r, err)
+	}
+	if err := l.Verify(); err != nil {
+		t.Errorf("Verify after truncating to nothing = %v", err)
+	}
+}
+
 func TestSearch(t *testing.T) {
 	l := openLog(t)
 	base := time.Date(2010, 6, 1, 10, 0, 0, 0, time.UTC)

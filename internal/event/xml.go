@@ -127,11 +127,17 @@ func readTime(r *xmlx.Reader, name string, t *time.Time) {
 }
 
 // EncodeNotification serializes a notification to its XML wire form.
-// The root element is <wire>: the name of the local type this function
-// once marshalled through, and wire format since.
-func EncodeNotification(n *Notification) ([]byte, error) {
-	size := 256 + len(n.ID) + len(n.Trace) + len(n.SourceID) + len(n.Class) + len(n.PersonID) + len(n.Summary) + len(n.Producer)
-	dst := append(make([]byte, 0, size), "<wire"...)
+func EncodeNotification(n *Notification) ([]byte, error) { return AppendNotification(nil, n) }
+
+// AppendNotification appends the XML wire form of n to dst, growing it
+// once. The root element is <wire>: the name of the local type this
+// function once marshalled through, and wire format since. The document
+// never contains "]]>" — every '>' in text is escaped, and every tag
+// closes after a name character or a quote — so it can travel inside a
+// CDATA section as it is.
+func AppendNotification(dst []byte, n *Notification) ([]byte, error) {
+	dst = slices.Grow(dst, 256+len(n.ID)+len(n.Trace)+len(n.SourceID)+len(n.Class)+len(n.PersonID)+len(n.Summary)+len(n.Producer))
+	dst = append(dst, "<wire"...)
 	dst = xmlx.AppendAttr(dst, "id", string(n.ID))
 	if n.Trace != "" {
 		dst = xmlx.AppendAttr(dst, "trace", n.Trace)

@@ -211,6 +211,46 @@ func appendRecordJSON(n *event.Notification, sealed []byte) []byte {
 	return dst
 }
 
+// readRecordJSON reads a record in exactly the layout appendRecordJSON
+// writes, in one pass and without reflection, and reports whether it
+// did. Anything else — reordered or unknown fields, whitespace, the
+// "encrypted":false records of the retired E5 baseline, an escape
+// AppendString never writes, invalid UTF-8 — is left to encoding/json.
+func readRecordJSON(data []byte, rec *record) bool {
+	r := jsonx.NewReader(data)
+	r.Expect(`{"id":`)
+	rec.ID = event.GlobalID(r.String())
+	r.Expect(`,"class":`)
+	rec.Class = event.ClassID(r.String())
+	r.Expect(`,"personId":`)
+	rec.PersonID = r.String()
+	r.Expect(`,"encrypted":true,"summary":`)
+	rec.Encrypted = true
+	rec.Summary = r.String()
+	r.Expect(`,"occurredAt":`)
+	rec.OccurredAt = r.Time()
+	r.Expect(`,"producer":`)
+	rec.Producer = event.ProducerID(r.String())
+	r.Expect(`,"publishedAt":`)
+	rec.PublishedAt = r.Time()
+	r.Expect(`}`)
+	return r.Done()
+}
+
+// decodeRecord reads a stored record: by hand when it is in
+// appendRecordJSON's layout, through encoding/json otherwise. The
+// fallback decodes into a value of its own, so a half-read record never
+// leaks fields into it (and the hand-read one stays off the heap).
+func decodeRecord(data []byte) (record, error) {
+	var rec record
+	if readRecordJSON(data, &rec) {
+		return rec, nil
+	}
+	var ref record
+	err := json.Unmarshal(data, &ref)
+	return ref, err
+}
+
 // Get returns the notification with the given global ID, with the person
 // identifier decrypted. The caller owns the returned notification (it is
 // never aliased by the cache).
@@ -244,8 +284,8 @@ func (ix *Index) Get(id event.GlobalID) (*event.Notification, error) {
 }
 
 func (ix *Index) decode(v []byte) (*event.Notification, error) {
-	var r record
-	if err := json.Unmarshal(v, &r); err != nil {
+	r, err := decodeRecord(v)
+	if err != nil {
 		return nil, fmt.Errorf("index: corrupt record: %w", err)
 	}
 	person := r.PersonID

@@ -187,7 +187,7 @@ func (c *caller) attempt(ctx context.Context, method, path, contentType, accept,
 		return resilience.MarkRetryable(err)
 	}
 	defer drainClose(resp.Body)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	data, err := readResponse(resp)
 	if err != nil {
 		// A truncated response says nothing about the next attempt.
 		return resilience.MarkRetryable(fmt.Errorf("transport: read response: %w", err))
@@ -202,6 +202,18 @@ func (c *caller) attempt(ctx context.Context, method, path, contentType, accept,
 		return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", err))
 	}
 	return nil
+}
+
+// readResponse reads a response body, at most maxBodyBytes of it: into
+// one exactly-sized buffer when the server announced the length (every
+// writeBody answer does), else through io.ReadAll's growing buffer.
+func readResponse(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 }
 
 // faultError reconstructs the platform error from a non-2xx answer's

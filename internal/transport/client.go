@@ -16,7 +16,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
-	"repro/internal/xmlx"
 )
 
 // Client is the consumer/producer-side SDK for a remote data controller.
@@ -170,23 +169,12 @@ func (c *Client) InquireIndex(ctx context.Context, actor event.Actor, q index.In
 	if !q.To.IsZero() {
 		req.To = q.To.UTC().Format(time.RFC3339Nano)
 	}
-	var out *inquiryResponse
+	var out []*event.Notification
 	err := c.call(ctx, http.MethodPost, "/ws/inquire", event.ContentTypeXML, req.appendXML(make([]byte, 0, 256)), func(data []byte) (derr error) {
-		out, derr = xmlx.Decode(data, readInquiryResponse, xml.Unmarshal)
+		out, derr = decodeInquiryResponse(data)
 		return derr
 	})
-	if err != nil {
-		return nil, err
-	}
-	notifications := make([]*event.Notification, 0, len(out.Notifications))
-	for _, raw := range out.Notifications {
-		n, err := event.DecodeNotification([]byte(raw))
-		if err != nil {
-			return nil, err
-		}
-		notifications = append(notifications, n)
-	}
-	return notifications, nil
+	return out, err
 }
 
 // DefinePolicy submits an elicited privacy policy and returns the stored

@@ -64,9 +64,13 @@ func readRaw(r *http.Request) ([]byte, error) {
 	return data, nil
 }
 
-// writeBody sends a pre-encoded response body.
+// writeBody sends a pre-encoded response body with its length, so that
+// net/http never chunks it (it does for any body past its 2 KiB buffer
+// when no Content-Length is set) and the caller can read it into one
+// exactly-sized buffer.
 func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }

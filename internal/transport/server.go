@@ -387,18 +387,12 @@ func (s *Server) handleInquire(w http.ResponseWriter, r *http.Request, who beare
 		writeFault(w, event.XML, err)
 		return
 	}
-	out := inquiryResponse{Notifications: make([]string, 0, len(res))}
-	size := 64
-	for _, n := range res {
-		data, err := event.EncodeNotification(n)
-		if err != nil {
-			writeFault(w, event.XML, err)
-			return
-		}
-		out.Notifications = append(out.Notifications, string(data))
-		size += 2*len(data) + 32 // the nested document travels escaped
+	out, err := appendInquiryResponse(nil, res)
+	if err != nil {
+		writeFault(w, event.XML, err)
+		return
 	}
-	writeBody(w, http.StatusOK, respContentType(event.XML), out.appendXML(make([]byte, 0, size)))
+	writeBody(w, http.StatusOK, respContentType(event.XML), out)
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, who bearer) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -477,26 +478,87 @@ func readInquiryRequest(r *xmlx.Reader, m *inquiryRequest) {
 	r.Expect("</inquiryRequest>")
 }
 
+// inquiryResponse is the encoding/xml view of an inquiry's answer: one
+// nested notification document per <notification> element.
 type inquiryResponse struct {
 	XMLName       xml.Name `xml:"inquiryResponse"`
-	Notifications []string `xml:"notification"` // nested XML documents
+	Notifications []string `xml:"notification"`
 }
 
-func (m *inquiryResponse) appendXML(dst []byte) []byte {
-	dst = append(dst, "<inquiryResponse>"...)
-	for _, n := range m.Notifications {
-		dst = xmlx.AppendElem(dst, "notification", n)
+// appendInquiryResponse appends the answer to an inquiry with each
+// notification's document written straight into dst as one CDATA
+// section: no intermediate string, no second escaping. A document
+// AppendNotification writes never contains "]]>", so one section always
+// holds it. This is the one envelope whose bytes differ from what
+// encoding/xml writes for inquiryResponse (the escaped form servers sent
+// before); encoding/xml, and so every reader, decodes both forms to the
+// same strings.
+func appendInquiryResponse(dst []byte, notes []*event.Notification) ([]byte, error) {
+	// ~400 bytes holds a typical notification in its CDATA wrapper; a
+	// longer one grows dst as it is appended.
+	dst = append(slices.Grow(dst, 64+400*len(notes)), "<inquiryResponse>"...)
+	for _, n := range notes {
+		var err error
+		if dst, err = event.AppendNotification(append(dst, "<notification><![CDATA["...), n); err != nil {
+			return nil, err
+		}
+		dst = append(dst, "]]></notification>"...)
 	}
-	return append(dst, "</inquiryResponse>"...)
+	return append(dst, "</inquiryResponse>"...), nil
 }
 
-func readInquiryResponse(r *xmlx.Reader, m *inquiryResponse) {
-	m.XMLName.Local = "inquiryResponse"
+// readInquiryDocs walks an inquiry response and hands each nested
+// document to doc: a CDATA section's bytes aliased to the input, or the
+// unescaped text of the escaped form.
+func readInquiryDocs(r *xmlx.Reader, doc func([]byte)) {
 	r.Expect("<inquiryResponse>")
 	for r.Peek("<notification>") {
-		m.Notifications = append(m.Notifications, r.Elem("notification"))
+		r.Expect("<notification>")
+		var body []byte
+		if r.Peek("<![CDATA[") {
+			body = r.CDATA()
+		} else {
+			body = r.Text('<')
+		}
+		r.Expect("</notification>")
+		doc(body)
 	}
 	r.Expect("</inquiryResponse>")
+}
+
+// decodeInquiryResponse decodes the notifications of an inquiry
+// response in one pass, each from the bytes the reader found it in.
+// Anything the reader declines — a document outside the canonical form
+// included — goes through encoding/xml and is decoded as before.
+func decodeInquiryResponse(data []byte) ([]*event.Notification, error) {
+	notes, err := xmlx.Decode(data, func(r *xmlx.Reader, out *[]*event.Notification) {
+		readInquiryDocs(r, func(doc []byte) {
+			n, err := event.DecodeNotification(doc)
+			if err != nil {
+				r.Decline()
+				return
+			}
+			*out = append(*out, n)
+		})
+	}, func(data []byte, v any) error {
+		var m inquiryResponse
+		if err := xml.Unmarshal(data, &m); err != nil {
+			return err
+		}
+		out := v.(*[]*event.Notification)
+		for _, doc := range m.Notifications {
+			n, err := event.DecodeNotification([]byte(doc))
+			if err != nil {
+				return err
+			}
+			*out = append(*out, n)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return *notes, nil
 }
 
 type getResponseRequest struct {

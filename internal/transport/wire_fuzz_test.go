@@ -6,10 +6,20 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/xmlx"
 )
+
+// readInquiryResponse puts readInquiryDocs — the pass
+// decodeInquiryResponse runs — into the struct encoding/xml fills, so
+// the envelope tests can hold it to encoding/xml like every other
+// reader.
+func readInquiryResponse(r *xmlx.Reader, m *inquiryResponse) {
+	m.XMLName.Local = "inquiryResponse"
+	readInquiryDocs(r, func(doc []byte) { m.Notifications = append(m.Notifications, string(doc)) })
+}
 
 // envelopeAgrees is the differential property on one document and one
 // envelope reader: if the reader accepts doc, encoding/xml accepts it
@@ -43,7 +53,7 @@ var envelopeDeclineSeeds = []string{
 	`<inquiryRequest><actor>a</actor><limit> 5 </limit></inquiryRequest>`,
 	`<inquiryRequest><actor>a</actor><limit></limit></inquiryRequest>`,
 	`<inquiryRequest><personId>P</personId><actor>a</actor></inquiryRequest>`,
-	`<inquiryResponse><notification><![CDATA[<wire id="e"></wire>]]></notification></inquiryResponse>`,
+	"<inquiryResponse><notification><![CDATA[<wire id=\"e\">\r</wire>]]></notification></inquiryResponse>",
 	`<publishResponse><eventId>e</eventId><extra/></publishResponse>`,
 	`<fault code="c" mapVersion=" 7">m</fault>`,
 	`<fault shard="1" code="c">m</fault>`,
@@ -51,6 +61,27 @@ var envelopeDeclineSeeds = []string{
 	`<subscribeRequest><class>c.x</class><actor>a</actor><callback>u</callback></subscribeRequest>`,
 	`<subscribeRequest><actor>a</actor><class>c.x</class><callback>u</callback><codec>xml</codec><codec>binary</codec></subscribeRequest>`,
 	`<subscribeResponse> <id>s</id></subscribeResponse>`,
+	// CDATA the inquiry reader leaves to encoding/xml: invalid UTF-8, a
+	// rune outside Char, an unterminated section, two adjacent sections,
+	// text beside a section, a section where no reader expects one.
+	"<inquiryResponse><notification><![CDATA[<wire id=\"\xff\"></wire>]]></notification></inquiryResponse>",
+	"<inquiryResponse><notification><![CDATA[<wire id=\"\x01\"></wire>]]></notification></inquiryResponse>",
+	`<inquiryResponse><notification><![CDATA[<wire id="e"></wire></notification></inquiryResponse>`,
+	`<inquiryResponse><notification><![CDATA[<wire id="e">]]><![CDATA[</wire>]]></notification></inquiryResponse>`,
+	`<inquiryResponse><notification> <![CDATA[<wire id="e"></wire>]]></notification></inquiryResponse>`,
+	`<publishResponse><eventId><![CDATA[e]]></eventId></publishResponse>`,
+}
+
+// fuzzNotification builds a notification from the fuzz input's parts,
+// with a time anywhere in 1425-2514 and, by the input, a zone offset.
+func fuzzNotification(p []string, num int) *event.Notification {
+	at := time.Unix(int64(num%(1<<34)), int64(num%1e9)).UTC()
+	if num%3 == 1 {
+		at = at.In(time.FixedZone("", (num%28-14)*3600))
+	}
+	return &event.Notification{ID: event.GlobalID(p[0]), Trace: p[1], SourceID: event.SourceID(p[2]),
+		Class: event.ClassID(p[3]), PersonID: p[4], Summary: p[5], OccurredAt: at, Producer: event.ProducerID(p[0]),
+		PublishedAt: at.Add(time.Duration(num % 1e12))}
 }
 
 // Every decline document is left to encoding/xml by all seven readers.
@@ -69,7 +100,9 @@ func TestEnvelopeReaderDeclines(t *testing.T) {
 // FuzzXMLEnvelopeDifferential runs the seven envelope readers against
 // encoding/xml: whatever a reader accepts, encoding/xml accepts with a
 // deeply-equal value; and whatever the encoders make of values built
-// from the input, the readers accept.
+// from the input, the readers accept. For the inquiry response it also
+// holds the CDATA write path to its premise — no AppendNotification
+// output contains "]]>" — and the client's decode to DecodeNotification.
 func FuzzXMLEnvelopeDifferential(f *testing.F) {
 	for _, doc := range envelopeDeclineSeeds {
 		f.Add([]byte(doc))
@@ -77,6 +110,9 @@ func FuzzXMLEnvelopeDifferential(f *testing.F) {
 	f.Add([]byte(`<getResponseRequest><sourceId>s</sourceId><fields><field>a</field><field>b</field></fields></getResponseRequest>`))
 	f.Add([]byte(`<inquiryRequest><actor>a</actor><personId>P</personId><class>c.x</class><producer>p</producer><from>f</from><to>t</to><limit>-7</limit></inquiryRequest>`))
 	f.Add([]byte(`<inquiryResponse><notification>&lt;wire id=&#34;e&#34;&gt;&lt;/wire&gt;</notification><notification></notification></inquiryResponse>`))
+	f.Add([]byte(`<inquiryResponse><notification><![CDATA[<wire id="e"></wire>]]></notification></inquiryResponse>`))
+	f.Add([]byte(`<inquiryResponse><notification><![CDATA[]]]]></notification><notification><![CDATA[]]></notification></inquiryResponse>`))
+	f.Add([]byte(goldenTenXML))
 	f.Add([]byte(`<publishResponse><eventId>evt-1</eventId></publishResponse>`))
 	f.Add([]byte(`<fault code="wrong-shard" shard="2" mapVersion="9">m &amp; m</fault>`))
 	f.Add([]byte(`<subscribeRequest><actor>a</actor><class>c.x</class><callback>http://cb/n?a=1&amp;b=2</callback><codec>binary</codec></subscribeRequest>`))
@@ -107,15 +143,42 @@ func FuzzXMLEnvelopeDifferential(f *testing.F) {
 		}
 		inq := &inquiryRequest{Actor: event.Actor(p[0]), PersonID: p[1], Class: event.ClassID(p[2]),
 			Producer: event.ProducerID(p[3]), From: p[4], To: p[5], Limit: num}
-		resp := &inquiryResponse{}
-		for _, doc := range p[:len(in)%len(p)] {
-			resp.Notifications = append(resp.Notifications, doc)
+		n := fuzzNotification(p, num)
+		doc, err := event.AppendNotification(nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(doc, []byte("]]>")) {
+			t.Fatalf("AppendNotification wrote %q, which cannot travel in one CDATA section", doc)
+		}
+		notes := make([]*event.Notification, len(in)%4)
+		for i := range notes {
+			notes[i] = n
+		}
+		resp, err := appendInquiryResponse(nil, notes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The client decodes each notification as DecodeNotification
+		// decodes its document alone.
+		want, err := event.DecodeNotification(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeInquiryResponse(resp)
+		if err != nil || len(got) != len(notes) {
+			t.Fatalf("decodeInquiryResponse(%q) = %d notifications, %v; want %d", resp, len(got), err, len(notes))
+		}
+		for _, g := range got {
+			if !reflect.DeepEqual(g, want) {
+				t.Fatalf("decodeInquiryResponse decoded %+v, DecodeNotification %+v", g, want)
+			}
 		}
 		fault := &Fault{Code: p[0], Shard: p[1], MapVersion: uint64(num), Message: p[2]}
 		for _, ok := range []bool{
 			envelopeAgrees(t, get.appendXML(nil), readGetResponseRequest),
 			envelopeAgrees(t, inq.appendXML(nil), readInquiryRequest),
-			envelopeAgrees(t, resp.appendXML(nil), readInquiryResponse),
+			envelopeAgrees(t, resp, readInquiryResponse),
 			envelopeAgrees(t, (&publishResponse{EventID: event.GlobalID(p[0])}).appendXML(nil), readPublishResponse),
 			envelopeAgrees(t, fault.appendXML(nil), readFault),
 			envelopeAgrees(t, (&subscribeRequest{Actor: event.Actor(p[0]), Class: event.ClassID(p[1]), Callback: p[2], Codec: p[3]}).appendXML(nil), readSubscribeRequest),

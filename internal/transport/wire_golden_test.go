@@ -19,7 +19,9 @@ import (
 // the wire per request, and the subscribe pair), byte for byte: each
 // row's production encoding must equal the committed literal and what
 // encoding/xml makes of the same struct, and the literal must decode
-// to what encoding/xml decodes it to.
+// to what encoding/xml decodes it to. The inquiry response is the one
+// exception on the middle point: its notifications travel as CDATA,
+// where encoding/xml writes them escaped.
 
 // goldenEncode is the production encoding of an envelope: the response
 // writer where it is one of the four negotiated ones, the append-style
@@ -67,23 +69,91 @@ func goldenDecode(t *testing.T, data []byte, msg any) any {
 
 const goldenNasty = "q\" a' & < > t\t n\n r\r é漢 \xff \x01."
 
-const goldenNastyXML = `q&#34; a&#39; &amp; &lt; &gt; t&#x9; n&#xA; r&#xD; é漢 ` + "\uFFFD \uFFFD."
+const goldenNastyXML = `q&#34; a&#39; &amp; &lt; &gt; t&#x9; n&#xA; r&#xD; é漢 ` + goldenNastyTail
 
-func TestGoldenEnvelopeXML(t *testing.T) {
-	// Nested notification documents travel escaped inside <notification>.
-	plain := &event.Notification{ID: "evt-1", Trace: "t1", Class: "c.x", PersonID: "P", Summary: "s",
+// goldenNastyTail is what becomes of goldenNasty's invalid UTF-8 and
+// U+0001: a replacement character each.
+const goldenNastyTail = "\uFFFD \uFFFD."
+
+// The inquiry response carries each nested notification document as one
+// CDATA section. Servers before that sent the same documents escaped
+// (the parent* literals, what encoding/xml writes for inquiryResponse);
+// the XML infoset is the same, so encoding/xml — a parent client's
+// fallback — decodes both forms to the same strings.
+var (
+	goldenPlain = &event.Notification{ID: "evt-1", Trace: "t1", Class: "c.x", PersonID: "P", Summary: "s",
 		OccurredAt: time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC), Producer: "p",
 		PublishedAt: time.Date(2026, 8, 5, 10, 0, 0, 1000000, time.UTC)}
-	nasty := &event.Notification{ID: "evt-2", Class: "c.x", PersonID: "P", Summary: goldenNasty, Producer: "p"}
-	const plainXML = `<notification>&lt;wire id=&#34;evt-1&#34; trace=&#34;t1&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;s&lt;/summary&gt;&lt;occurredAt&gt;2026-08-05T10:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;2026-08-05T10:00:00.001Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
-	const nastyXML = `<notification>&lt;wire id=&#34;evt-2&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;q&amp;#34; a&amp;#39; &amp;amp; &amp;lt; &amp;gt; t&amp;#x9; n&amp;#xA; r&amp;#xD; é漢 ` + "\uFFFD \uFFFD." + `&lt;/summary&gt;&lt;occurredAt&gt;0001-01-01T00:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;0001-01-01T00:00:00Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
-	ten := &inquiryResponse{}
-	for _, n := range []*event.Notification{nasty, plain, plain, plain, plain, plain, plain, plain, plain, plain} {
-		data, err := event.EncodeNotification(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten.Notifications = append(ten.Notifications, string(data))
+	goldenNastyNote = &event.Notification{ID: "evt-2", Class: "c.x", PersonID: "P", Summary: goldenNasty, Producer: "p"}
+	// goldenTen is the ten-result window: the nasty notification, then
+	// nine plain ones.
+	goldenTen = []*event.Notification{goldenNastyNote, goldenPlain, goldenPlain, goldenPlain, goldenPlain,
+		goldenPlain, goldenPlain, goldenPlain, goldenPlain, goldenPlain}
+)
+
+const (
+	goldenPlainXML   = `<notification><![CDATA[<wire id="evt-1" trace="t1"><class>c.x</class><personId>P</personId><summary>s</summary><occurredAt>2026-08-05T10:00:00Z</occurredAt><producer>p</producer><publishedAt>2026-08-05T10:00:00.001Z</publishedAt></wire>]]></notification>`
+	goldenNastyCDATA = `<notification><![CDATA[<wire id="evt-2"><class>c.x</class><personId>P</personId><summary>` + goldenNastyXML + `</summary><occurredAt>0001-01-01T00:00:00Z</occurredAt><producer>p</producer><publishedAt>0001-01-01T00:00:00Z</publishedAt></wire>]]></notification>`
+
+	parentPlainXML = `<notification>&lt;wire id=&#34;evt-1&#34; trace=&#34;t1&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;s&lt;/summary&gt;&lt;occurredAt&gt;2026-08-05T10:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;2026-08-05T10:00:00.001Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
+	// The second escaping leaves U+FFFD as it is, so goldenNastyXML's
+	// tail carries over.
+	parentNastyXML = `<notification>&lt;wire id=&#34;evt-2&#34;&gt;&lt;class&gt;c.x&lt;/class&gt;&lt;personId&gt;P&lt;/personId&gt;&lt;summary&gt;q&amp;#34; a&amp;#39; &amp;amp; &amp;lt; &amp;gt; t&amp;#x9; n&amp;#xA; r&amp;#xD; é漢 ` + goldenNastyTail + `&lt;/summary&gt;&lt;occurredAt&gt;0001-01-01T00:00:00Z&lt;/occurredAt&gt;&lt;producer&gt;p&lt;/producer&gt;&lt;publishedAt&gt;0001-01-01T00:00:00Z&lt;/publishedAt&gt;&lt;/wire&gt;</notification>`
+)
+
+var (
+	goldenTenXML = `<inquiryResponse>` + goldenNastyCDATA + strings.Repeat(goldenPlainXML, 9) + `</inquiryResponse>`
+	parentTenXML = `<inquiryResponse>` + parentNastyXML + strings.Repeat(parentPlainXML, 9) + `</inquiryResponse>`
+)
+
+func TestGoldenEnvelopeXML(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		notes        []*event.Notification
+		want, parent string
+	}{
+		{"inquiry response, no results", nil,
+			`<inquiryResponse></inquiryResponse>`, `<inquiryResponse></inquiryResponse>`},
+		{"inquiry response, ten results", goldenTen, goldenTenXML, parentTenXML},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := appendInquiryResponse(nil, tc.notes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Errorf("encoded\n %s\nwant\n %s", got, tc.want)
+			}
+			var docs []string
+			for _, n := range tc.notes {
+				data, err := event.EncodeNotification(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs = append(docs, string(data))
+			}
+			// encoding/xml writes the parent's escaped bytes for the same
+			// documents, and reads both forms as those documents.
+			ref, err := xml.Marshal(&inquiryResponse{Notifications: docs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(ref) != tc.parent {
+				t.Errorf("encoding/xml reference\n %s\nwant\n %s", ref, tc.parent)
+			}
+			for _, form := range []string{tc.want, tc.parent} {
+				var m inquiryResponse
+				if err := xml.Unmarshal([]byte(form), &m); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(m.Notifications, docs) {
+					t.Errorf("encoding/xml decodes %.60q… to %q, want %q", form, m.Notifications, docs)
+				}
+				if got := goldenDecode(t, []byte(form), &m); !reflect.DeepEqual(got, &m) {
+					t.Errorf("decoded %+v, encoding/xml decodes %+v", got, &m)
+				}
+			}
+		})
 	}
 
 	for _, tc := range []struct {
@@ -117,13 +187,6 @@ func TestGoldenEnvelopeXML(t *testing.T) {
 		{"inquiry, every escaped character",
 			&inquiryRequest{Actor: goldenNasty, PersonID: goldenNasty, To: goldenNasty},
 			`<inquiryRequest><actor>` + goldenNastyXML + `</actor><personId>` + goldenNastyXML + `</personId><to>` + goldenNastyXML + `</to></inquiryRequest>`},
-
-		{"inquiry response, no results",
-			&inquiryResponse{},
-			`<inquiryResponse></inquiryResponse>`},
-		{"inquiry response, ten results",
-			ten,
-			`<inquiryResponse>` + nastyXML + strings.Repeat(plainXML, 9) + `</inquiryResponse>`},
 
 		{"publish response",
 			&publishResponse{EventID: "evt-0000000042"},

@@ -25,4 +25,14 @@ func TestTextAllocations(t *testing.T) {
 			t.Errorf("%s: %v allocs, want %v", tc.doc, got, tc.want)
 		}
 	}
+	// A CDATA section always aliases the input.
+	cdata := []byte(`<![CDATA[<wire id="e"><summary>a &amp; b</summary></wire>]]>`)
+	if got := testing.AllocsPerRun(100, func() {
+		r := Reader{buf: cdata}
+		if r.CDATA(); !r.Done() {
+			t.Fatal("declined")
+		}
+	}); got != 0 {
+		t.Errorf("CDATA: %v allocs, want 0", got)
+	}
 }

@@ -6,10 +6,10 @@
 // The writers produce exactly the bytes encoding/xml produces for the
 // same text. The reader understands only the canonical documents those
 // writers emit — no whitespace between elements, no declaration,
-// comment, CDATA, processing instruction or namespace prefix, every
-// attribute and element in its fixed order — and declines everything
-// else, so that callers can fall back to encoding/xml, which stays the
-// definition of what the platform accepts.
+// comment, processing instruction or namespace prefix, every attribute
+// and element in its fixed order, CDATA only where a caller asks for it
+// — and declines everything else, so that callers can fall back to
+// encoding/xml, which stays the definition of what the platform accepts.
 package xmlx
 
 import (
@@ -209,6 +209,38 @@ func (r *Reader) Text(end byte) []byte {
 	}
 	r.fail = true
 	return nil
+}
+
+// CDATA consumes one CDATA section and returns its content, aliased to
+// the input. It declines where encoding/xml would read the section
+// differently or not at all: a carriage return (rewritten to a newline),
+// another control character, invalid UTF-8, a rune outside the XML Char
+// range, a section that never ends.
+func (r *Reader) CDATA() []byte {
+	r.Expect("<![CDATA[")
+	if r.fail {
+		return nil
+	}
+	end := bytes.Index(r.buf[r.pos:], []byte("]]>"))
+	if end < 0 {
+		r.fail = true
+		return nil
+	}
+	text := r.buf[r.pos : r.pos+end]
+	for i := 0; i < len(text); {
+		if c := text[i]; c >= 0x20 && c < utf8.RuneSelf || c == '\t' || c == '\n' {
+			i++
+			continue
+		}
+		ch, width := utf8.DecodeRune(text[i:])
+		if ch == '\r' || ch == utf8.RuneError && width == 1 || !inCharRange(ch) {
+			r.fail = true
+			return nil
+		}
+		i += width
+	}
+	r.pos += end + len("]]>")
+	return text
 }
 
 // entities are the five references XML predefines.

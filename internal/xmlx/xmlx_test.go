@@ -106,6 +106,60 @@ func TestReader(t *testing.T) {
 	}
 }
 
+// cdataDoc is one element whose character data encoding/xml collects.
+type cdataDoc struct {
+	XMLName xml.Name `xml:"v"`
+	Text    string   `xml:",chardata"`
+}
+
+func readCDATADoc(r *Reader, d *cdataDoc) {
+	d.XMLName.Local = "v"
+	r.Expect("<v>")
+	d.Text = string(r.CDATA())
+	r.Expect("</v>")
+}
+
+// CDATA returns what encoding/xml reads from a section, and declines
+// wherever encoding/xml would read something else or nothing.
+func TestCDATA(t *testing.T) {
+	for _, tc := range []struct {
+		doc    string
+		accept bool
+	}{
+		{`<v><![CDATA[<wire id="e">a &amp; b</wire>]]></v>`, true},
+		{`<v><![CDATA[]]></v>`, true},
+		{`<v><![CDATA[]]]]></v>`, true}, // the first "]]>" ends it: "]]"
+		{`<v><![CDATA[a]b]]c]]></v>`, true},
+		{"<v><![CDATA[tab\tnewline\né漢\U0001F600]]></v>", true},
+
+		{"<v><![CDATA[a\rb]]></v>", false},   // encoding/xml rewrites it to \n
+		{"<v><![CDATA[a\r\nb]]></v>", false}, // likewise
+		{"<v><![CDATA[\xff]]></v>", false},   // invalid UTF-8
+		{"<v><![CDATA[\x01]]></v>", false},   // outside Char
+		{"<v><![CDATA[\uFFFE]]></v>", false}, // outside Char
+		{`<v><![CDATA[a</v>`, false},         // unterminated
+		{`<v><![CDATA[a]]><![CDATA[b]]></v>`, false},
+		{`<v>a<![CDATA[b]]></v>`, false},
+		{`<v><![CDATA[a]]>b</v>`, false},
+		{`<v><![cdata[a]]></v>`, false},
+	} {
+		got, err := Decode([]byte(tc.doc), readCDATADoc, func([]byte, any) error { return errFallback })
+		if !tc.accept {
+			if err != errFallback {
+				t.Errorf("%q: accepted as %q, want a decline", tc.doc, got.Text)
+			}
+			continue
+		}
+		var ref cdataDoc
+		if err := xml.Unmarshal([]byte(tc.doc), &ref); err != nil {
+			t.Fatalf("%q: encoding/xml: %v", tc.doc, err)
+		}
+		if err != nil || *got != ref {
+			t.Errorf("%q: got %+v, %v; encoding/xml reads %+v", tc.doc, got, err, ref)
+		}
+	}
+}
+
 // A declined pass leaves nothing behind: the fallback decodes into a
 // fresh value, and its error is the caller's error.
 func TestDecodeFallback(t *testing.T) {
