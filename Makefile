@@ -124,7 +124,8 @@ lint-traceid:
 # the binary frame layer under every hop and in the JSON helper audit
 # and index records are written and read with, and no reflect and no
 # unsafe in the store every write lands in (its arena is plain byte
-# slices). Inside
+# slices, and it reads values back from the WAL with ReadAt, not mmap:
+# mapped file pages would count in the daemons' resident memory). Inside
 # internal/event, encoding/xml (the decoders' fallback) is xml.go's
 # alone. Test files are exempt.
 XMLX_FILES = $(filter-out %_test.go,$(wildcard internal/xmlx/*.go))
@@ -166,6 +167,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReplicationFrame -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableModel -fuzztime=15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzDiskStoreModel -fuzztime=15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzAuditHeadDifferential -fuzztime=15s ./internal/audit/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/
 

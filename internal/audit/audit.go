@@ -118,11 +118,11 @@ func (l *Log) Recover() error {
 		if !ok {
 			return nil
 		}
-		var r Record
-		if err := json.Unmarshal(v, &r); err != nil {
+		var err error
+		seq, last, err = readHead(v)
+		if err != nil {
 			return fmt.Errorf("audit: corrupt record %s: %w", k, err)
 		}
-		seq, last = r.Seq, r.Hash
 		return nil
 	})
 	if err != nil {
@@ -130,6 +130,64 @@ func (l *Log) Recover() error {
 	}
 	l.seq, l.last = seq, last
 	return nil
+}
+
+// Fixed ends of every record AppendStaged writes, and of the
+// json.Marshal output of earlier builds: Seq is the first field and Hash
+// the last, and a hash is 64 lowercase hex digits.
+const (
+	headPrefix = `{"seq":`
+	hashField  = `,"hash":"`
+	headSuffix = len(hashField) + 2*sha256.Size + len(`"}`)
+)
+
+// readHead returns the seq and hash of a stored record. It reads them
+// from the record's fixed ends when it has them — one number and one
+// string, where a full decode would cost a reflection walk over every
+// field — and leaves anything else to encoding/json. What lies between
+// the ends is not looked at here; Verify re-hashes it.
+func readHead(v []byte) (uint64, string, error) {
+	if seq, hash, ok := readHeadEnds(v); ok {
+		return seq, hash, nil
+	}
+	var r Record
+	if err := json.Unmarshal(v, &r); err != nil {
+		return 0, "", err
+	}
+	return r.Seq, r.Hash, nil
+}
+
+// readHeadEnds is readHead's fast path: it reports false unless v starts
+// with {"seq":<decimal without leading zeros>, and ends with
+// ,"hash":"<64 lowercase hex>"}.
+func readHeadEnds(v []byte) (uint64, string, bool) {
+	if len(v) < len(headPrefix)+2+headSuffix || string(v[:len(headPrefix)]) != headPrefix {
+		return 0, "", false
+	}
+	digits := v[len(headPrefix):]
+	end := 0
+	for end < len(digits) && digits[end] >= '0' && digits[end] <= '9' {
+		end++
+	}
+	// The comma after the number may be the one that opens hashField.
+	if end == 0 || (digits[0] == '0' && end > 1) || digits[end] != ',' || len(headPrefix)+end > len(v)-headSuffix {
+		return 0, "", false
+	}
+	seq, err := strconv.ParseUint(string(digits[:end]), 10, 64)
+	if err != nil {
+		return 0, "", false
+	}
+	tail := v[len(v)-headSuffix:]
+	if string(tail[:len(hashField)]) != hashField || string(tail[len(tail)-2:]) != `"}` {
+		return 0, "", false
+	}
+	hash := tail[len(hashField) : len(tail)-2]
+	for _, c := range hash {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return 0, "", false
+		}
+	}
+	return seq, string(hash), true
 }
 
 // bufPool recycles the scratch buffer used to build hash inputs and the
@@ -332,12 +390,11 @@ func (l *Log) Len() uint64 {
 // ErrTampered (wrapped with the offending sequence number) if a record
 // was modified, reordered or removed.
 //
-// The walk streams: records are decoded one at a time from the store's
-// internal value slices under a single read transaction (no per-record
-// value copy, no accumulated slice) and the recomputed hash is compared
-// in place, so verifying a large chain costs O(1) extra memory. Each
-// link still needs its predecessor's hash only, which the walk carries
-// in two reusable buffers.
+// The walk streams: records are decoded one at a time under a single
+// read transaction (no accumulated slice) and the recomputed hash is
+// compared in place, so verifying a large chain costs O(1) extra memory.
+// Each link still needs its predecessor's hash only, which the walk
+// carries in two reusable buffers.
 func (l *Log) Verify() error {
 	l.mu.Lock()
 	seq := l.seq
@@ -397,8 +454,8 @@ type Query struct {
 }
 
 // Search returns the records matching q, in chain order. Like Verify it
-// streams under one read transaction: non-matching records cost a decode
-// but no value copy.
+// streams under one read transaction: a non-matching record costs its
+// read and decode and is not kept.
 func (l *Log) Search(q Query) ([]Record, error) {
 	var out []Record
 	var derr error

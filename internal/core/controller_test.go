@@ -41,9 +41,17 @@ func counter(c *Controller, name string, labelValues ...string) uint64 {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
+	return newWorldIn(t, "")
+}
+
+// newWorldIn is newWorld with the controller's stores on disk under
+// dataDir ("" keeps them in memory).
+func newWorldIn(t *testing.T, dataDir string) *world {
+	t.Helper()
 	w := &world{now: time.Date(2010, 6, 1, 9, 0, 0, 0, time.UTC)}
 	c, err := New(Config{
 		MasterKey:      bytes.Repeat([]byte{5}, crypto.KeySize),
+		DataDir:        dataDir,
 		DefaultConsent: true,
 		Now:            func() time.Time { return w.now },
 		SpanSampleRate: 1, // tests assert on recorded spans

@@ -482,14 +482,18 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 	}
 
 	// The notification record gives us the data subject for the consent
-	// check (and proves the event exists).
+	// check (and proves the event exists). A record that exists but cannot
+	// be read — undecodable, undecryptable, or its bytes unreadable from
+	// the store — is denied too, and audited as what it is.
 	n, err := c.idx.Get(r.EventID)
 	if err != nil {
-		c.auditDetail(r, "deny", "", "unknown event id")
-		finish("deny", nil)
 		if errors.Is(err, index.ErrNotFound) {
+			c.auditDetail(r, "deny", "", "unknown event id")
+			finish("deny", nil)
 			return nil, fmt.Errorf("%w: %s", enforcer.ErrUnknownEvent, r.EventID)
 		}
+		c.auditDetail(r, "deny", "", "event record unreadable")
+		finish("deny", nil)
 		return nil, err
 	}
 	_, conSpan := telemetry.StartSpan(ctx, "consent.check")

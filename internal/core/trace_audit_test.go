@@ -9,6 +9,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/enforcer"
 	"repro/internal/event"
+	"repro/internal/index"
 )
 
 // unavailableSource simulates a producer gateway that never answers.
@@ -123,6 +124,50 @@ func TestUnavailableAuditRecordCarriesTrace(t *testing.T) {
 	for _, s := range spans {
 		if s.Stage == "gateway.fetch" && s.Error == "" {
 			t.Fatal("gateway.fetch span against a dead source not marked failed")
+		}
+	}
+}
+
+// TestUnreadableEventAuditedAsSuch: a detail request whose event record
+// exists but cannot be read is denied (fail closed), but its audit
+// record says so — "unknown event id" is for ids the index does not
+// hold, and the caller is not told the event is unknown.
+func TestUnreadableEventAuditedAsSuch(t *testing.T) {
+	w := newWorldIn(t, t.TempDir())
+	w.doctorPolicy(t)
+	gid := w.producePublish(t, "bt-unreadable", "PERSON-UR")
+	for _, ns := range w.c.replStores {
+		if ns.Name == "index" {
+			if err := ns.Store.Put("e/"+string(gid), []byte(`{"id":"damaged`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	missing := event.GlobalID("evt-never-published")
+	for _, tc := range []struct {
+		gid     event.GlobalID
+		note    string
+		unknown bool
+	}{
+		{gid, "event record unreadable", false},
+		{missing, "unknown event id", true},
+	} {
+		_, err := w.c.RequestDetails(w.request(tc.gid))
+		if err == nil {
+			t.Fatalf("request for %s succeeded", tc.gid)
+		}
+		if got := errors.Is(err, enforcer.ErrUnknownEvent); got != tc.unknown {
+			t.Errorf("request for %s: err = %v, unknown event = %v, want %v", tc.gid, err, got, tc.unknown)
+		}
+		if !tc.unknown && errors.Is(err, index.ErrNotFound) {
+			t.Errorf("request for %s: an unreadable record reported as not found: %v", tc.gid, err)
+		}
+		recs, err := w.c.Audit().Search(audit.Query{Kind: audit.KindDetailRequest, EventID: tc.gid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Outcome != "deny" || recs[0].Note != tc.note {
+			t.Fatalf("audit records for %s = %+v, want one deny noted %q", tc.gid, recs, tc.note)
 		}
 	}
 }

@@ -162,8 +162,7 @@ func (g *Gateway) load(src event.SourceID) (*event.Detail, error) {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNotFound, src)
 		}
-		// DecodeDetail copies out of the no-copy transaction slice; the
-		// fill happens inside the read transaction so it is ordered
+		// The fill happens inside the read transaction so it is ordered
 		// before any later Persist of this source id.
 		var derr error
 		d, derr = event.DecodeDetail(v)
@@ -205,12 +204,15 @@ func (g *Gateway) GetResponse(src event.SourceID, fields []event.FieldName) (*ev
 	return filtered, nil
 }
 
-// Len returns the number of persisted detail messages.
+// Len returns the number of persisted detail messages, counting keys.
 func (g *Gateway) Len() (int, error) {
 	n := 0
-	err := g.st.AscendPrefix("dt/", func(string, []byte) bool {
-		n++
-		return true
+	err := g.st.View(func(tx store.Tx) error {
+		tx.AscendKeys("dt/", "", func(string) bool {
+			n++
+			return true
+		})
+		return nil
 	})
 	return n, err
 }

@@ -104,12 +104,15 @@ func (m *Map) Resolve(gid event.GlobalID) (Mapping, error) {
 	return Mapping{Global: gid, Producer: producer, Source: source, Class: class}, nil
 }
 
-// Len returns the number of assigned global identifiers.
+// Len returns the number of assigned global identifiers, counting keys.
 func (m *Map) Len() (int, error) {
 	n := 0
-	err := m.st.AscendPrefix("g/", func(string, []byte) bool {
-		n++
-		return true
+	err := m.st.View(func(tx store.Tx) error {
+		tx.AscendKeys("g/", "", func(string) bool {
+			n++
+			return true
+		})
+		return nil
 	})
 	return n, err
 }

@@ -36,16 +36,16 @@ type movedEvent struct {
 }
 
 // collectMoved scans the person index and returns every event whose
-// pseudonym satisfies moved. Values are copied out of the read
-// transaction. Events indexed under several persons never exist here
-// (one notification names one person), so the scan is exhaustive and
-// duplicate-free.
+// pseudonym satisfies moved. The scan reads keys, and the primary record
+// of a moved event only. Events indexed under several persons never
+// exist here (one notification names one person), so the scan is
+// exhaustive and duplicate-free.
 func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, error) {
 	var out []movedEvent
 	var innerErr error
 	err := ix.st.View(func(tx store.Tx) error {
-		tx.AscendPrefix("p/", func(k string, v []byte) bool {
-			pseud, ts, ok := splitPersonKey(k)
+		tx.AscendKeys("p/", "", func(k string) bool {
+			pseud, ts, id, ok := splitPersonKey(k)
 			if !ok {
 				innerErr = fmt.Errorf("index: malformed person index key %q", k)
 				return false
@@ -53,7 +53,6 @@ func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, 
 			if !moved(pseud) {
 				return true
 			}
-			id := event.GlobalID(v)
 			raw, ok := tx.Get(eventKey(id))
 			if !ok {
 				innerErr = fmt.Errorf("%w: dangling index entry %s", ErrNotFound, id)
@@ -70,7 +69,7 @@ func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, 
 				ts:        ts,
 				class:     r.Class,
 				producer:  r.Producer,
-				value:     append([]byte(nil), raw...),
+				value:     raw,
 			})
 			return true
 		})
@@ -149,15 +148,15 @@ func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID
 	return gids, nil
 }
 
-// splitPersonKey splits "p/<pseudonym>/<ts>/<id>" into its pseudonym
-// and timestamp components. The timestamp is the fixed-width timeKey
+// splitPersonKey splits "p/<pseudonym>/<ts>/<id>" into its pseudonym,
+// timestamp and id components. The timestamp is the fixed-width timeKey
 // form and the id follows it, so the last two separators are
 // unambiguous even though a pseudonym could in principle contain '/'
 // (base64url pseudonyms and plaintext baseline ids do not).
-func splitPersonKey(k string) (pseudonym, ts string, ok bool) {
+func splitPersonKey(k string) (pseudonym, ts string, id event.GlobalID, ok bool) {
 	const tsLen = 20
 	if len(k) < 2+tsLen+2 || k[:2] != "p/" {
-		return "", "", false
+		return "", "", "", false
 	}
 	rest := k[2:]
 	// Find the id separator scanning from the end, then the ts before it.
@@ -169,11 +168,11 @@ func splitPersonKey(k string) (pseudonym, ts string, ok bool) {
 		}
 	}
 	if idSep < tsLen+1 {
-		return "", "", false
+		return "", "", "", false
 	}
 	tsStart := idSep - tsLen
 	if rest[tsStart-1] != '/' {
-		return "", "", false
+		return "", "", "", false
 	}
-	return rest[:tsStart-1], rest[tsStart:idSep], true
+	return rest[:tsStart-1], rest[tsStart:idSep], event.GlobalID(rest[idSep+1:]), true
 }

@@ -159,7 +159,7 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	// store batch: one lock acquisition, one WAL frame, and — because a
 	// batch frame replays all-or-nothing — no crash window in which a
 	// notification exists without its index entries (or vice versa).
-	// The store copies each value into its memtable when the batch is
+	// The store copies each value into its WAL frame when the batch is
 	// applied, so the three secondary entries pass one id slice and the
 	// buffers are the caller's again afterwards.
 	ts := timeKey(n.OccurredAt)
@@ -266,10 +266,9 @@ func (ix *Index) Get(id event.GlobalID) (*event.Notification, error) {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
-		// decode copies everything it keeps, so the no-copy slice does
-		// not escape the transaction. The fill happens inside the read
-		// transaction so it is ordered before any later Put of this id
-		// (whose post-commit delete then removes this entry).
+		// The fill happens inside the read transaction so it is ordered
+		// before any later Put of this id (whose post-commit delete then
+		// removes this entry).
 		var derr error
 		n, derr = ix.decode(v)
 		if derr == nil {
@@ -338,8 +337,10 @@ func (ix *Index) Inquire(q Inquiry) ([]*event.Notification, error) {
 
 // scanIdx walks a secondary index prefix, bounding the scan by the time
 // window encoded in the keys, and resolves the primary records inside
-// the same read transaction — one lock acquisition for the whole scan
-// and no per-entry value copy (decode copies whatever it keeps).
+// the same read transaction — one lock acquisition for the whole scan.
+// The walk reads keys only: the event id is the key's last component
+// (see idxKeyID), so the secondary values, which repeat it, are never
+// fetched from the store's log.
 func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error) {
 	from := prefix
 	if !q.From.IsZero() {
@@ -357,15 +358,16 @@ func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error
 	var out []*event.Notification
 	var innerErr error
 	err := ix.st.View(func(tx store.Tx) error {
-		tx.AscendRange(from, "", func(k string, v []byte) bool {
-			if len(k) < len(prefix) || k[:len(prefix)] != prefix {
-				return false // left the prefix: stop
-			}
+		tx.AscendKeys(prefix, from, func(k string) bool {
 			ts := k[len(prefix):]
 			if toKey != "" && len(ts) >= len(toKey) && ts[:len(toKey)] > toKey {
 				return false
 			}
-			id := event.GlobalID(v)
+			id, ok := idxKeyID(ts)
+			if !ok {
+				innerErr = fmt.Errorf("index: malformed index key under %q", prefix)
+				return false
+			}
 			var n *event.Notification
 			if hit, ok := ix.notif.Get(id); ok {
 				ix.noteCache("index.notification", true)
@@ -448,11 +450,11 @@ func matches(n *event.Notification, q Inquiry) bool {
 	return true
 }
 
-// Len returns the number of stored notifications.
+// Len returns the number of stored notifications, counting keys.
 func (ix *Index) Len() (int, error) {
 	n := 0
 	err := ix.st.View(func(tx store.Tx) error {
-		tx.AscendPrefix("e/", func(string, []byte) bool {
+		tx.AscendKeys("e/", "", func(string) bool {
 			n++
 			return true
 		})
@@ -475,8 +477,20 @@ func producerIdxKey(p event.ProducerID, id event.GlobalID) string {
 	return "s/" + string(p) + "/" + string(id)
 }
 
+// idxKeyID returns the event id of a person or class index key from the
+// part after its "p/<pseudonym>/" or "c/<class>/" prefix: a timeKey,
+// which is always 20 characters, a '/', then the id.
+func idxKeyID(rest string) (event.GlobalID, bool) {
+	const tsLen = 20
+	if len(rest) <= tsLen+1 || rest[tsLen] != '/' {
+		return "", false
+	}
+	return event.GlobalID(rest[tsLen+1:]), true
+}
+
 // timeKey renders an instant as a fixed-width sortable key component
-// ("%020d" of the UnixNano).
+// ("%020d" of the UnixNano): 20 characters for every instant, a
+// pre-1970 one included, which idxKeyID relies on.
 func timeKey(t time.Time) string {
 	v := t.UnixNano()
 	if v < 0 {

@@ -48,22 +48,22 @@ type Outbox struct {
 // Next/Ack.
 func OpenOutbox(st *store.Store, m *Metrics) (*Outbox, error) {
 	o := &Outbox{st: st, metrics: m}
-	err := o.st.AscendPrefix(outboxQueuePrefix, func(key string, _ []byte) bool {
-		if seq, err := parseOutboxSeq(key); err == nil && seq > o.seq {
-			o.seq = seq
-		}
-		o.depth++
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("resilience: open outbox: %w", err)
-	}
-	err = o.st.AscendPrefix(outboxDeadPrefix, func(key string, _ []byte) bool {
-		if seq, err := parseOutboxSeq(key); err == nil && seq > o.seq {
-			o.seq = seq
-		}
-		o.dead++
-		return true
+	err := o.st.View(func(tx store.Tx) error {
+		tx.AscendKeys(outboxQueuePrefix, "", func(key string) bool {
+			if seq, err := parseOutboxSeq(key); err == nil && seq > o.seq {
+				o.seq = seq
+			}
+			o.depth++
+			return true
+		})
+		tx.AscendKeys(outboxDeadPrefix, "", func(key string) bool {
+			if seq, err := parseOutboxSeq(key); err == nil && seq > o.seq {
+				o.seq = seq
+			}
+			o.dead++
+			return true
+		})
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("resilience: open outbox: %w", err)
@@ -133,7 +133,7 @@ func (o *Outbox) Next() (n *event.Notification, seq uint64, ok bool, err error) 
 		var key string
 		var val []byte
 		err = o.st.AscendPrefix(outboxQueuePrefix, func(k string, v []byte) bool {
-			key, val = k, append([]byte(nil), v...)
+			key, val = k, v
 			return false
 		})
 		if err != nil || key == "" {

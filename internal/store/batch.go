@@ -16,9 +16,10 @@ func (b *Batch) Put(key string, value []byte) {
 
 // PutOwned queues storing value under key without copying it at queue
 // time: the batch holds the caller's slice until it is applied, when the
-// value is copied into the WAL frame and the memtable. The caller may
-// reuse the slice once Apply or StageApply has returned. Hot paths that
-// build the value per call use this to skip the copy Put makes.
+// value is copied into the WAL frame (or a memory store's memtable). The
+// caller may reuse the slice once Apply or StageApply has returned. Hot
+// paths that build the value per call use this to skip the copy Put
+// makes.
 func (b *Batch) PutOwned(key string, value []byte) {
 	b.ops = append(b.ops, walRecord{op: opPut, key: key, value: value})
 }

@@ -39,7 +39,7 @@ func DecodeBatchFrame(frame []byte) (*Batch, error) {
 		return nil, ErrCorrupt
 	}
 	b := &Batch{}
-	if err := replayPayload(payload, func(r walRecord) error {
+	if err := replayPayload(payload, 0, func(r walRecord, _ int64) error {
 		b.ops = append(b.ops, r)
 		return nil
 	}); err != nil {

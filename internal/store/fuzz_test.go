@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -48,7 +50,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		count := 0
-		validLen, err := replayWAL(path, func(r walRecord) error {
+		validLen, err := replayWAL(path, func(r walRecord, _ int64) error {
 			count++
 			if r.op != opPut && r.op != opDel {
 				t.Fatalf("replay surfaced invalid op %d", r.op)
@@ -81,7 +83,7 @@ func FuzzMemtableModel(f *testing.F) {
 	f.Add([]byte{0, 0x41, 7, 0, 0x41, 0, 2, 0x41, 0, 2, 0x41, 0})
 	f.Add([]byte{3, 0x80, 200, 3, 0x80, 201, 3, 0x85, 255, 2, 0x80, 0, 0, 0x05, 9, 3, 0x85, 130})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l := newSkipList(1)
+		l, tx := memList(1)
 		m := map[string]string{}
 		froms, prefixes := []string{""}, []string{""}
 		for ; len(data) >= 3; data = data[3:] {
@@ -91,7 +93,7 @@ func FuzzMemtableModel(f *testing.F) {
 			prefixes = append(prefixes, k, k[:1])
 			switch op % 4 {
 			case 2:
-				if _, existed := l.del(k); existed != hasKey(m, k) {
+				if existed := l.del(k); existed != hasKey(m, k) {
 					t.Fatalf("del(%q) existed = %v, model disagrees", k, existed)
 				}
 				delete(m, k)
@@ -101,11 +103,173 @@ func FuzzMemtableModel(f *testing.F) {
 			default:
 				m[k] = strings.Repeat("v", int(vb))
 			}
-			l.put(k, []byte(m[k]))
-			if v, ok := l.get(k); !ok || string(v) != m[k] {
+			l.put(k, []byte(m[k]), 0)
+			if v, ok := tx.Get(k); !ok || string(v) != m[k] {
 				t.Fatalf("get(%q) after put = %d bytes, %v; want %d bytes", k, len(v), ok, len(m[k]))
 			}
 		}
-		checkAgainstModel(t, l, m, froms, prefixes)
+		checkAgainstModel(t, tx, m, froms, prefixes)
+	})
+}
+
+// checkStore compares every read a disk store offers with a plain map:
+// Len, Get of each key, a View walk with values, a key-only walk, and
+// Last.
+func checkStore(t *testing.T, what string, s *Store, m map[string]string) {
+	t.Helper()
+	if n, err := s.Len(); err != nil || n != len(m) {
+		t.Fatalf("%s: Len = %d, %v; model holds %d", what, n, err, len(m))
+	}
+	keys := make([]string, 0, len(m))
+	for k, want := range m {
+		keys = append(keys, k)
+		if v, ok, err := s.Get(k); err != nil || !ok || string(v) != want {
+			t.Fatalf("%s: Get(%q) = %d bytes, %v, %v; model holds %d bytes", what, k, len(v), ok, err, len(want))
+		}
+	}
+	sort.Strings(keys)
+	i, j := 0, 0
+	err := s.View(func(tx Tx) error {
+		tx.AscendPrefix("", func(k string, v []byte) bool {
+			if i >= len(keys) || k != keys[i] || string(v) != m[k] {
+				t.Fatalf("%s: walk step %d visited %q", what, i, k)
+			}
+			i++
+			return true
+		})
+		tx.AscendKeys("", "", func(k string) bool {
+			if j >= len(keys) || k != keys[j] {
+				t.Fatalf("%s: key walk step %d visited %q", what, j, k)
+			}
+			j++
+			return true
+		})
+		k, v, ok := tx.Last("")
+		if ok != (len(keys) > 0) || ok && (k != keys[len(keys)-1] || string(v) != m[k]) {
+			t.Fatalf("%s: Last = %q, %v", what, k, ok)
+		}
+		return nil
+	})
+	if err != nil || i != len(keys) || j != len(keys) {
+		t.Fatalf("%s: View = %v after %d and %d of %d keys", what, err, i, j, len(keys))
+	}
+}
+
+// FuzzDiskStoreModel: an arbitrary stream of puts, overwrites, deletes
+// and batches on a disk store, whose memtable keeps only where each
+// value lies in the WAL, must answer every read like a plain map: live,
+// after Close and Open, after TruncateWAL back to a record boundary
+// (against the model as it stood there), and on a second store fed the
+// same bytes through ReadWAL and ApplyWALSegment. Three bytes make one
+// op: what to do, the key (as in FuzzMemtableModel) and the value's
+// size; op 4 opens or applies a batch. The first byte picks the
+// truncation point and the follower's segment size.
+func FuzzDiskStoreModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0x41, 7, 0, 0x41, 9, 2, 0x41, 0, 1, 0x42, 200})
+	f.Add([]byte{5, 4, 0, 0, 0, 0x80, 20, 3, 0x85, 255, 2, 0x80, 0, 4, 0, 0, 1, 0x80, 3, 2, 0x05, 0})
+	f.Add([]byte("\x00000")) // ReadWAL capped below one record header
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 3*64+1 {
+			return
+		}
+		pick := int(data[0])
+		dir := t.TempDir()
+		path := filepath.Join(dir, "model.wal")
+		s, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { s.Close() }()
+		m := map[string]string{}
+		type boundary struct {
+			at int64
+			m  map[string]string
+		}
+		bounds := []boundary{{0, map[string]string{}}}
+		mark := func() {
+			snap := make(map[string]string, len(m))
+			for k, v := range m {
+				snap[k] = v
+			}
+			bounds = append(bounds, boundary{s.WALOffset(), snap})
+		}
+		var b *Batch
+		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
+			op, kb, vb := ops[0], ops[1], ops[2]
+			k := string([]byte{'a' + kb&3, 'a' + kb>>2&3, 'a' + kb>>4&3}[:1+kb>>6%3])
+			v := fmt.Sprintf("%d:%s", i, strings.Repeat(string(rune('A'+vb%26)), int(vb)*int(op%4)))
+			switch op % 5 {
+			case 4:
+				if b == nil {
+					b = &Batch{}
+					continue
+				}
+				if err := s.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+				b = nil
+				mark()
+				continue
+			case 2:
+				if b != nil {
+					b.Delete(k)
+				} else if err := s.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(m, k)
+			default:
+				if b != nil {
+					b.Put(k, []byte(v))
+				} else if err := s.Put(k, []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				m[k] = v
+			}
+			if b == nil {
+				mark()
+			}
+		}
+		if b != nil {
+			if err := s.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			mark()
+		}
+		checkStore(t, "live", s, m)
+
+		follower, err := Open(filepath.Join(dir, "follower.wal"), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer follower.Close()
+		for cursor := int64(0); ; {
+			seg, err := s.ReadWAL(s.WALGen(), cursor, 1+pick*8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg == nil {
+				break
+			}
+			if cursor, err = follower.ApplyWALSegment(cursor, seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkStore(t, "follower", follower, m)
+
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(path, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		checkStore(t, "reopened", s, m)
+
+		cut := bounds[pick%len(bounds)]
+		if err := s.TruncateWAL(cut.at); err != nil {
+			t.Fatal(err)
+		}
+		checkStore(t, "truncated", s, cut.m)
 	})
 }

@@ -102,10 +102,8 @@ func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 	if from == limit {
 		return nil, nil
 	}
-	n := limit - from
-	if int64(maxBytes) < n {
-		n = int64(maxBytes)
-	}
+	// Read a record header at least, even under a smaller cap.
+	n := min(limit-from, max(int64(maxBytes), 8))
 	buf := make([]byte, n)
 	if _, err := s.log.f.ReadAt(buf, from); err != nil {
 		return nil, fmt.Errorf("store: wal read at %d: %w", from, err)
@@ -124,6 +122,9 @@ func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 		return buf[:end], nil
 	}
 	// First record alone exceeds maxBytes: return it whole.
+	if len(buf) < 8 {
+		return nil, fmt.Errorf("%w at offset %d: record overruns flushed boundary", ErrCorrupt, from)
+	}
 	rl := int64(binary.LittleEndian.Uint32(buf[0:4]))
 	if rl <= 0 || from+8+rl > limit {
 		return nil, fmt.Errorf("%w at offset %d: record overruns flushed boundary", ErrCorrupt, from)
@@ -147,7 +148,13 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	if len(seg) == 0 {
 		return s.WALOffset(), nil
 	}
-	var muts []walRecord
+	// at is each mutation's offset in seg until the lock confirms where
+	// seg lands in the log.
+	type mut struct {
+		r  walRecord
+		at int64
+	}
+	var muts []mut
 	off := 0
 	for off < len(seg) {
 		if off+8 > len(seg) {
@@ -162,8 +169,8 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != want {
 			return 0, fmt.Errorf("%w: replicated record checksum at segment offset %d", ErrCorrupt, off)
 		}
-		if err := replayPayload(payload, func(r walRecord) error {
-			muts = append(muts, r)
+		if err := replayPayload(payload, int64(off+8), func(r walRecord, at int64) error {
+			muts = append(muts, mut{r, at})
 			return nil
 		}); err != nil {
 			return 0, err
@@ -184,8 +191,8 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	if err := s.log.write(seg); err != nil {
 		return 0, err
 	}
-	for _, r := range muts {
-		s.applyLocked(r)
+	for _, m := range muts {
+		s.applyLocked(m.r, from+m.at)
 	}
 	s.notifyWatchersLocked()
 	return s.log.size, nil
@@ -328,7 +335,7 @@ func (s *Store) TruncateWAL(offset int64) error {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
 	// Rebuild memory from the surviving prefix, exactly like Open.
-	s.list = newSkipList(nextSeed())
+	s.list = newSkipList(nextSeed(), false)
 	validLen, err := s.replay()
 	if err != nil {
 		s.closed = true

@@ -30,9 +30,11 @@ const (
 	//	[1] height h
 	//	[8h] next links, level 0 first
 	//	[k] key
-	//	[v] first value
 	//
-	// An overwrite appends the new value to the arena and swings the
+	// The value is not in the node. In a disk store's list the value ref
+	// is the byte offset of the value inside the store's WAL file, where
+	// the record that wrote it already holds it. In a memory store's list
+	// it is the arena ref of a copy of the value. An overwrite swings the
 	// value ref and length; the node itself never moves.
 	nodeHeader = 17
 	linkSize   = 8
@@ -43,31 +45,34 @@ const (
 // links to it, so 0 is also the nil link.
 type ref uint64
 
-// skipList is an ordered string→[]byte map whose nodes, keys and values
-// live in a few large []byte chunks: the garbage collector sees one
-// pointer-free object per chunk, whatever the number of entries. The
-// list copies what it is given and hands out slices of the arena, which
+// skipList is an ordered index of string keys whose nodes and keys live
+// in a few large []byte chunks: the garbage collector sees one
+// pointer-free object per chunk, whatever the number of entries. Each
+// node records where its value is (see nodeHeader). A memory list (mem)
+// copies values into the arena too and hands out slices of it, which
 // callers must not write to. It is not safe for concurrent use; Store
 // serializes access.
 //
-// Space taken by deleted nodes and overwritten values is dead until the
-// list is rebuilt (see maybeRebuild); chunks a rebuild leaves behind
-// are freed once no slice handed out earlier refers to them.
+// Space taken by deleted nodes, and in a memory list by overwritten
+// values, is dead until the list is rebuilt (see maybeRebuild); chunks a
+// rebuild leaves behind are freed once no slice handed out earlier
+// refers to them.
 type skipList struct {
 	chunks [][]byte
 	used   int // bytes taken from the last chunk
-	live   int // bytes of linked nodes and their current values
+	live   int // bytes of linked nodes and, in a memory list, their current values
 	total  int // bytes taken from all chunks, chunk tails included
 	level  int
 	size   int
+	mem    bool // values live in the arena, not in a WAL
 	rnd    *rand.Rand
 	// scratch is the predecessor buffer for put/del. Mutators are
 	// serialized by the Store's write lock, so one buffer suffices.
 	scratch [maxLevel]ref
 }
 
-func newSkipList(seed int64) *skipList {
-	l := &skipList{rnd: rand.New(rand.NewSource(seed))}
+func newSkipList(seed int64, mem bool) *skipList {
+	l := &skipList{rnd: rand.New(rand.NewSource(seed)), mem: mem}
 	l.reset()
 	return l
 }
@@ -116,28 +121,44 @@ func nodeKey(n []byte) []byte {
 	return n[off : off+int(binary.LittleEndian.Uint32(n))]
 }
 
+// nodeSize is what a node takes from the arena, its value aside.
+func nodeSize(n []byte) int { return nodeHeader + height(n)*linkSize + len(nodeKey(n)) }
+
 func valueLen(n []byte) int { return int(binary.LittleEndian.Uint32(n[4:])) }
 
-// value returns n's current value, capped so that appending to it cannot
-// reach the bytes behind it.
-func (l *skipList) value(n []byte) []byte {
-	return l.at(ref(binary.LittleEndian.Uint64(n[8:])))[:valueLen(n):valueLen(n)]
-}
+func valueRef(n []byte) ref { return ref(binary.LittleEndian.Uint64(n[8:])) }
 
 func setValue(n []byte, r ref, vlen int) {
 	binary.LittleEndian.PutUint32(n[4:], uint32(vlen))
 	binary.LittleEndian.PutUint64(n[8:], uint64(r))
 }
 
+// value returns the value of n in a memory list, capped so that
+// appending to it cannot reach the bytes behind it.
+func (l *skipList) value(n []byte) []byte {
+	return l.at(valueRef(n))[:valueLen(n):valueLen(n)]
+}
+
+// place returns the value ref for value: its WAL offset at in a disk
+// list, a fresh arena copy in a memory list.
+func (l *skipList) place(value []byte, at int64) ref {
+	if !l.mem {
+		return ref(at)
+	}
+	r, v := l.alloc(len(value))
+	copy(v, value)
+	l.live += len(value)
+	return r
+}
+
 // insert writes a node of height h after the predecessors in prev.
-func insert[K string | []byte](l *skipList, prev []ref, h int, key K, value []byte) {
+func insert[K string | []byte](l *skipList, prev []ref, h int, key K, vr ref, vlen int) {
 	links := nodeHeader + h*linkSize
-	r, n := l.alloc(links + len(key) + len(value))
+	r, n := l.alloc(links + len(key))
 	binary.LittleEndian.PutUint32(n, uint32(len(key)))
 	n[16] = byte(h)
 	copy(n[links:], key)
-	copy(n[links+len(key):], value)
-	setValue(n, r+ref(links+len(key)), len(value))
+	setValue(n, vr, vlen)
 	for i := 0; i < h; i++ {
 		p := l.at(prev[i])
 		setNext(n, i, next(p, i))
@@ -187,44 +208,37 @@ func (l *skipList) find(key string, update []ref) []byte {
 	return nil
 }
 
-// put inserts or overwrites key, copying both key and value into the
-// arena. It returns the previous value (nil, false when the key was new).
-func (l *skipList) put(key string, value []byte) ([]byte, bool) {
+// put inserts or overwrites key, copying the key into the arena. Where
+// the value goes is place's choice: a disk list keeps only at, the WAL
+// offset of the value's bytes, and len(value). It reports whether the
+// key was present.
+func (l *skipList) put(key string, value []byte, at int64) bool {
 	update := l.scratch[:]
-	if n := l.find(key, update); n != nil {
-		old := l.value(n)
-		r, v := l.alloc(len(value))
-		copy(v, value)
-		setValue(n, r, len(value))
-		l.live += len(value) - len(old)
+	n := l.find(key, update)
+	vr := l.place(value, at)
+	if n != nil {
+		if l.mem {
+			l.live -= valueLen(n)
+		}
+		setValue(n, vr, len(value))
 		l.maybeRebuild()
-		return old, true
+		return true
 	}
 	h := l.randomLevel()
 	for ; l.level < h; l.level++ {
 		update[l.level] = 0
 	}
-	insert(l, update, h, key, value)
-	return nil, false
+	insert(l, update, h, key, vr, len(value))
+	return false
 }
 
-// get returns the value stored under key.
-func (l *skipList) get(key string) ([]byte, bool) {
-	if n := l.find(key, nil); n != nil {
-		return l.value(n), true
-	}
-	return nil, false
-}
-
-// del removes key and returns the removed value (nil, false when the
-// key was absent).
-func (l *skipList) del(key string) ([]byte, bool) {
+// del removes key and reports whether it was present.
+func (l *skipList) del(key string) bool {
 	update := l.scratch[:]
 	n := l.find(key, update)
 	if n == nil {
-		return nil, false
+		return false
 	}
-	old := l.value(n)
 	for i := 0; i < height(n); i++ {
 		setNext(l.at(update[i]), i, next(n, i))
 	}
@@ -232,17 +246,20 @@ func (l *skipList) del(key string) ([]byte, bool) {
 		l.level--
 	}
 	l.size--
-	l.live -= nodeHeader + height(n)*linkSize + len(nodeKey(n)) + len(old)
+	l.live -= nodeSize(n)
+	if l.mem {
+		l.live -= valueLen(n)
+	}
 	l.maybeRebuild()
-	return old, true
+	return true
 }
 
 // maybeRebuild copies the list in key order into a fresh arena once the
 // dead bytes exceed both the live bytes and one chunk, so churn (the
-// outbox's put+delete, a reshard's mass delete) costs at most twice the
-// live data plus a chunk. The copy is linear and is paid for by the
-// writes that made the dead bytes. Slices handed out before keep their
-// old chunks alive and stay valid.
+// outbox's put+delete, a reshard's mass delete, a memory store's
+// overwrites) costs at most twice the live data plus a chunk. The copy
+// is linear and is paid for by the writes that made the dead bytes.
+// Slices handed out before keep their old chunks alive and stay valid.
 func (l *skipList) maybeRebuild() {
 	if dead := l.total - l.live; dead <= l.live || dead <= chunkSize {
 		return
@@ -254,7 +271,11 @@ func (l *skipList) maybeRebuild() {
 		n := old.at(x)
 		h := height(n)
 		l.level = max(l.level, h)
-		insert(l, tail[:], h, nodeKey(n), old.value(n))
+		vr := valueRef(n)
+		if l.mem {
+			vr = l.place(old.value(n), 0)
+		}
+		insert(l, tail[:], h, nodeKey(n), vr, valueLen(n))
 		for i := 0; i < h; i++ {
 			tail[i] = next(l.at(tail[i]), i)
 		}
@@ -262,39 +283,25 @@ func (l *skipList) maybeRebuild() {
 	}
 }
 
-// walk visits nodes with key ≥ from in order until fn returns false,
-// passing the arena's key and value bytes.
-func (l *skipList) walk(from string, fn func(key, value []byte) bool) {
+// walk visits the nodes with key ≥ from in order until fn returns false.
+func (l *skipList) walk(from string, fn func(n []byte) bool) {
 	for x := next(l.seek(from, nil), 0); x != 0; {
 		n := l.at(x)
-		if !fn(nodeKey(n), l.value(n)) {
+		if !fn(n) {
 			return
 		}
 		x = next(n, 0)
 	}
 }
 
-// ascend visits keys ≥ from in order until fn returns false. Each
-// visited key is converted to a string: one small allocation.
-func (l *skipList) ascend(from string, fn func(key string, value []byte) bool) {
-	l.walk(from, func(k, v []byte) bool { return fn(string(k), v) })
-}
-
-// ascendPrefix visits all keys with the given prefix in order.
-func (l *skipList) ascendPrefix(prefix string, fn func(key string, value []byte) bool) {
-	l.walk(prefix, func(k, v []byte) bool {
-		return hasPrefix(k, prefix) && fn(string(k), v)
-	})
-}
-
 func hasPrefix(k []byte, prefix string) bool {
 	return len(k) >= len(prefix) && string(k[:len(prefix)]) == prefix
 }
 
-// last returns the greatest key with the given prefix and its value: one
-// walk right along the levels, past every key whose first len(prefix)
-// bytes do not exceed prefix.
-func (l *skipList) last(prefix string) (string, []byte, bool) {
+// last returns the node of the greatest key with the given prefix, or
+// nil: one walk right along the levels, past every key whose first
+// len(prefix) bytes do not exceed prefix.
+func (l *skipList) last(prefix string) []byte {
 	x := ref(0)
 	n := l.at(x)
 	for i := l.level - 1; i >= 0; i-- {
@@ -306,10 +313,10 @@ func (l *skipList) last(prefix string) (string, []byte, bool) {
 			x, n = nx, nn
 		}
 	}
-	if k := nodeKey(n); x != 0 && hasPrefix(k, prefix) {
-		return string(k), l.value(n), true
+	if x != 0 && hasPrefix(nodeKey(n), prefix) {
+		return n
 	}
-	return "", nil, false
+	return nil
 }
 
 // seedCounter derives distinct deterministic seeds for skip lists so that

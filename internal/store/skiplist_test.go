@@ -9,27 +9,37 @@ import (
 	"testing/quick"
 )
 
+// memList returns a memory list and a Tx reading it the way a View of
+// its store does.
+func memList(seed int64) (*skipList, Tx) {
+	l := newSkipList(seed, true)
+	return l, Tx{list: l, err: new(error)}
+}
+
 func TestSkipListBasic(t *testing.T) {
-	l := newSkipList(1)
-	if _, ok := l.get("a"); ok {
+	l, tx := memList(1)
+	if _, ok := tx.Get("a"); ok {
 		t.Error("get on empty list reported present")
 	}
-	if old, existed := l.put("a", []byte("1")); existed {
-		t.Errorf("put of new key reported overwrite of %q", old)
+	if existed := l.put("a", []byte("1"), 0); existed {
+		t.Error("put of new key reported an overwrite")
 	}
-	if old, existed := l.put("a", []byte("2")); !existed || string(old) != "1" {
-		t.Errorf("overwrite reported (%q, %v), want (1, true)", old, existed)
+	if v, ok := tx.Get("a"); !ok || string(v) != "1" {
+		t.Errorf("get = %q, %v", v, ok)
 	}
-	if v, ok := l.get("a"); !ok || string(v) != "2" {
+	if existed := l.put("a", []byte("2"), 0); !existed {
+		t.Error("overwrite reported a new key")
+	}
+	if v, ok := tx.Get("a"); !ok || string(v) != "2" {
 		t.Errorf("get = %q, %v", v, ok)
 	}
 	if l.size != 1 {
 		t.Errorf("size = %d", l.size)
 	}
-	if v, ok := l.del("a"); !ok || string(v) != "2" {
-		t.Errorf("del of present key = (%q, %v), want (2, true)", v, ok)
+	if !l.del("a") {
+		t.Error("del of present key reported absent")
 	}
-	if _, ok := l.del("a"); ok {
+	if l.del("a") {
 		t.Error("double del reported present")
 	}
 	if l.size != 0 {
@@ -38,13 +48,13 @@ func TestSkipListBasic(t *testing.T) {
 }
 
 func TestSkipListOrdering(t *testing.T) {
-	l := newSkipList(2)
+	l, tx := memList(2)
 	keys := []string{"delta", "alpha", "echo", "charlie", "bravo"}
 	for _, k := range keys {
-		l.put(k, []byte(k))
+		l.put(k, []byte(k), 0)
 	}
 	var got []string
-	l.ascend("", func(k string, v []byte) bool {
+	tx.AscendRange("", "", func(k string, v []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -61,12 +71,12 @@ func TestSkipListOrdering(t *testing.T) {
 }
 
 func TestSkipListAscendFrom(t *testing.T) {
-	l := newSkipList(3)
+	l, tx := memList(3)
 	for i := 0; i < 20; i++ {
-		l.put(fmt.Sprintf("k%02d", i), nil)
+		l.put(fmt.Sprintf("k%02d", i), nil, 0)
 	}
 	var got []string
-	l.ascend("k15", func(k string, v []byte) bool {
+	tx.AscendRange("k15", "", func(k string, v []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -75,7 +85,7 @@ func TestSkipListAscendFrom(t *testing.T) {
 	}
 	// From a key that doesn't exist: starts at the next larger key.
 	got = nil
-	l.ascend("k155", func(k string, v []byte) bool {
+	tx.AscendRange("k155", "", func(k string, v []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -85,12 +95,12 @@ func TestSkipListAscendFrom(t *testing.T) {
 }
 
 func TestSkipListAscendPrefix(t *testing.T) {
-	l := newSkipList(4)
+	l, tx := memList(4)
 	for _, k := range []string{"a", "ab", "abc", "abd", "ac", "b"} {
-		l.put(k, nil)
+		l.put(k, nil, 0)
 	}
 	var got []string
-	l.ascendPrefix("ab", func(k string, v []byte) bool {
+	tx.AscendPrefix("ab", func(k string, v []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -99,29 +109,40 @@ func TestSkipListAscendPrefix(t *testing.T) {
 	}
 }
 
-// checkAgainstModel compares every read the list offers with a plain
-// map: size, get of present and absent keys, ascend from each of froms,
-// and last under each of prefixes.
-func checkAgainstModel(t *testing.T, l *skipList, m map[string]string, froms, prefixes []string) {
+// checkAgainstModel compares every read a Tx offers with a plain map:
+// size, get of present and absent keys, ascend from each of froms (with
+// and without values), and last under each of prefixes.
+func checkAgainstModel(t *testing.T, tx Tx, m map[string]string, froms, prefixes []string) {
 	t.Helper()
-	if l.size != len(m) {
-		t.Fatalf("size = %d, model holds %d", l.size, len(m))
+	if tx.list.size != len(m) {
+		t.Fatalf("size = %d, model holds %d", tx.list.size, len(m))
 	}
 	keys := make([]string, 0, len(m))
 	for k, want := range m {
 		keys = append(keys, k)
-		if v, ok := l.get(k); !ok || string(v) != want {
+		if v, ok := tx.Get(k); !ok || string(v) != want {
 			t.Fatalf("get(%q) = %d bytes, %v; model holds %d bytes", k, len(v), ok, len(want))
 		}
 	}
 	sort.Strings(keys)
 	for _, from := range froms {
-		if _, ok := l.get(from); ok != hasKey(m, from) {
+		if _, ok := tx.Get(from); ok != hasKey(m, from) {
 			t.Fatalf("get(%q) present = %v, model disagrees", from, ok)
 		}
 		want := keys[sort.SearchStrings(keys, from):]
 		i := 0
-		l.ascend(from, func(k string, v []byte) bool {
+		tx.AscendKeys("", from, func(k string) bool {
+			if i >= len(want) || k != want[i] {
+				t.Fatalf("AscendKeys from %q step %d visited %q", from, i, k)
+			}
+			i++
+			return true
+		})
+		if i != len(want) {
+			t.Fatalf("AscendKeys from %q visited %d keys, want %d", from, i, len(want))
+		}
+		i = 0
+		tx.AscendRange(from, "", func(k string, v []byte) bool {
 			if i >= len(want) || k != want[i] || string(v) != m[k] {
 				t.Fatalf("ascend(%q) step %d visited %q", from, i, k)
 			}
@@ -139,7 +160,7 @@ func checkAgainstModel(t *testing.T, l *skipList, m map[string]string, froms, pr
 				wantKey, wantOK = k, true
 			}
 		}
-		k, v, ok := l.last(prefix)
+		k, v, ok := tx.Last(prefix)
 		if ok != wantOK || k != wantKey || string(v) != m[wantKey] {
 			t.Fatalf("last(%q) = %q, %v; want %q, %v", prefix, k, ok, wantKey, wantOK)
 		}
@@ -159,7 +180,7 @@ func TestQuickSkipListMatchesMap(t *testing.T) {
 	rebuilds := 0
 	f := func(seed int64, opsCount uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		l := newSkipList(seed)
+		l, tx := memList(seed)
 		m := map[string]string{}
 		ops := int(opsCount%500) + 50
 		for i := 0; i < ops; i++ {
@@ -168,18 +189,17 @@ func TestQuickSkipListMatchesMap(t *testing.T) {
 			switch c := r.Intn(200); {
 			case c < 100:
 				v := fmt.Sprintf("v%d", i)
-				l.put(k, []byte(v))
+				l.put(k, []byte(v), 0)
 				m[k] = v
 			case c < 125:
-				l.put(k, nil)
+				l.put(k, nil, 0)
 				m[k] = ""
 			case c == 125:
 				v := strings.Repeat(string(rune('a'+i%26)), chunkSize+r.Intn(100))
-				l.put(k, []byte(v))
+				l.put(k, []byte(v), 0)
 				m[k] = v
 			default:
-				_, existed := l.del(k)
-				if existed != hasKey(m, k) {
+				if l.del(k) != hasKey(m, k) {
 					return false
 				}
 				delete(m, k)
@@ -188,7 +208,7 @@ func TestQuickSkipListMatchesMap(t *testing.T) {
 				rebuilds++
 			}
 		}
-		checkAgainstModel(t, l, m, []string{"", "k", "k17", "k175", "l"}, []string{"", "k", "k1", "k39", "j", "l"})
+		checkAgainstModel(t, tx, m, []string{"", "k", "k17", "k175", "l"}, []string{"", "k", "k1", "k39", "j", "l"})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -212,7 +232,7 @@ func arenaBytes(l *skipList) int {
 // leaves dead bytes behind on every round; the rebuild rule must hold
 // the arena to a constant however long that goes on.
 func TestChurnDoesNotGrow(t *testing.T) {
-	l := newSkipList(11)
+	l := newSkipList(11, true)
 	value := []byte("a parked notification, a few dozen bytes long")
 	var keys [100]string
 	for i := range keys {
@@ -220,7 +240,7 @@ func TestChurnDoesNotGrow(t *testing.T) {
 	}
 	peak := 0
 	for i := 0; i < 1_000_000; i++ {
-		l.put(keys[i%100], value)
+		l.put(keys[i%100], value, 0)
 		if i >= 50 {
 			l.del(keys[(i-50)%100])
 		}
@@ -235,23 +255,23 @@ func TestChurnDoesNotGrow(t *testing.T) {
 }
 
 func TestSkipListLargeSequential(t *testing.T) {
-	l := newSkipList(7)
+	l, tx := memList(7)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		l.put(fmt.Sprintf("key-%08d", i), []byte{byte(i)})
+		l.put(fmt.Sprintf("key-%08d", i), []byte{byte(i)}, 0)
 	}
 	if l.size != n {
 		t.Fatalf("size = %d, want %d", l.size, n)
 	}
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		k := fmt.Sprintf("key-%08d", i)
-		if v, ok := l.get(k); !ok || v[0] != byte(i) {
+		if v, ok := tx.Get(k); !ok || v[0] != byte(i) {
 			t.Errorf("get(%s) = %v, %v", k, v, ok)
 		}
 	}
 	// Delete every other key and verify level shrink doesn't corrupt.
 	for i := 0; i < n; i += 2 {
-		if _, ok := l.del(fmt.Sprintf("key-%08d", i)); !ok {
+		if !l.del(fmt.Sprintf("key-%08d", i)) {
 			t.Fatalf("del(%d) failed", i)
 		}
 	}
@@ -259,7 +279,7 @@ func TestSkipListLargeSequential(t *testing.T) {
 		t.Fatalf("size after deletes = %d", l.size)
 	}
 	count := 0
-	l.ascend("", func(k string, v []byte) bool {
+	tx.AscendRange("", "", func(k string, v []byte) bool {
 		count++
 		return true
 	})

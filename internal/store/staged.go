@@ -30,7 +30,8 @@ func (c Commit) Pending() bool {
 }
 
 // StagePut is Put with the commit barrier made explicit. The value is
-// copied into the memtable; the caller may reuse its slice. The returned
+// copied into the WAL (or a memory store's memtable); the caller may
+// reuse its slice. The returned
 // Commit's Wait is the durability barrier. Hot single-key writers (the
 // audit chain) use this to overlap the fsync with downstream work.
 func (s *Store) StagePut(key string, value []byte) (Commit, error) {

@@ -24,7 +24,9 @@ type Options struct {
 //
 // Durability model: every mutation is appended to a write-ahead log
 // before the in-memory index is updated; Open replays the log, tolerating
-// (and truncating) a torn tail record from a crash mid-append.
+// (and truncating) a torn tail record from a crash mid-append. The
+// in-memory index holds keys and where each value lies in the log, not
+// the values: a read fetches its value from the file.
 type Store struct {
 	mu     sync.RWMutex
 	list   *skipList
@@ -50,7 +52,7 @@ func Open(path string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: mkdir: %w", err)
 		}
 	}
-	s := &Store{list: newSkipList(nextSeed()), path: path, opts: opts}
+	s := &Store{list: newSkipList(nextSeed(), false), path: path, opts: opts}
 	validLen, err := s.replay()
 	if err != nil {
 		return nil, err
@@ -70,26 +72,28 @@ func Open(path string, opts Options) (*Store, error) {
 }
 
 // OpenMemory returns a purely in-memory store (no durability), useful for
-// tests and benchmarks that don't exercise recovery.
+// tests and benchmarks that don't exercise recovery. Having no log, it
+// keeps its values in the memtable's arena.
 func OpenMemory() *Store {
-	return &Store{list: newSkipList(nextSeed())}
+	return &Store{list: newSkipList(nextSeed(), true)}
 }
 
 // replay rebuilds the in-memory state from the WAL file, returning the
 // length of its intact prefix.
 func (s *Store) replay() (int64, error) {
-	return replayWAL(s.path, func(r walRecord) error {
-		s.applyLocked(r)
+	return replayWAL(s.path, func(r walRecord, at int64) error {
+		s.applyLocked(r, at)
 		return nil
 	})
 }
 
-// applyLocked applies one mutation to the memtable, which copies the
-// key and value it keeps.
-func (s *Store) applyLocked(r walRecord) {
+// applyLocked applies one mutation, whose encoding starts at byte at of
+// the WAL, to the memtable. The memtable copies the key; of the value it
+// keeps the WAL offset, or a copy in a memory store.
+func (s *Store) applyLocked(r walRecord, at int64) {
 	switch r.op {
 	case opPut:
-		s.list.put(r.key, r.value)
+		s.list.put(r.key, r.value, at+valueOffset(r))
 	case opDel:
 		s.list.del(r.key)
 	}
@@ -107,16 +111,19 @@ func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
 	if s.closed {
 		return Commit{}, ErrClosed
 	}
-	if single != nil && single.op == opDel {
-		if _, ok := s.list.get(single.key); !ok {
-			return Commit{}, nil
-		}
+	if single != nil && single.op == opDel && s.list.find(single.key, nil) == nil {
+		return Commit{}, nil
 	}
+	// at follows each mutation's encoding through the frame about to be
+	// written: past the record header, and past a batch's op and count.
+	var at int64
 	if s.log != nil {
+		at = s.log.size + 8
 		var err error
 		if single != nil {
 			err = s.log.append(*single)
 		} else {
+			at += 5
 			err = s.log.appendBatch(ops)
 		}
 		if err != nil {
@@ -124,10 +131,11 @@ func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
 		}
 	}
 	if single != nil {
-		s.applyLocked(*single)
+		s.applyLocked(*single, at)
 	}
 	for _, r := range ops {
-		s.applyLocked(r)
+		s.applyLocked(r, at)
+		at += int64(opSize(r))
 	}
 	s.notifyWatchersLocked()
 	lg, target := s.syncTargetLocked()
@@ -143,7 +151,8 @@ func wait(c Commit, err error) error {
 }
 
 // Put stores value under key, overwriting any previous value. The value
-// is copied into the memtable, so the caller may reuse its slice.
+// is copied into the WAL (or a memory store's memtable), so the caller
+// may reuse its slice.
 func (s *Store) Put(key string, value []byte) error {
 	return wait(s.StagePut(key, value))
 }
@@ -165,29 +174,30 @@ func syncIfNeeded(lg *wal, target int64) error {
 	return lg.syncTo(target)
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns the value stored under key; the slice is the caller's. A
+// value that cannot be read from the WAL is an error, not an absence.
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	v, ok := s.list.get(key)
-	if !ok {
-		return nil, false, nil
+	var err error
+	v, ok := s.tx(&err).Get(key)
+	if err != nil {
+		return nil, false, err
 	}
-	return append([]byte(nil), v...), true, nil
+	return s.own(v), ok, nil
 }
 
-// Has reports whether key is present.
+// Has reports whether key is present. It reads no value.
 func (s *Store) Has(key string) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return false, ErrClosed
 	}
-	_, ok := s.list.get(key)
-	return ok, nil
+	return s.list.find(key, nil) != nil, nil
 }
 
 // Delete removes key. Deleting an absent key is not an error.
@@ -206,83 +216,148 @@ func (s *Store) Len() (int, error) {
 }
 
 // AscendPrefix visits, in key order, every (key, value) whose key starts
-// with prefix, until fn returns false. The value slice passed to fn is a
-// copy and may be retained.
+// with prefix, until fn returns false. The value slice passed to fn is the
+// caller's and may be retained.
 func (s *Store) AscendPrefix(prefix string, fn func(key string, value []byte) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.list.ascendPrefix(prefix, func(k string, v []byte) bool {
-		return fn(k, append([]byte(nil), v...))
+	return s.View(func(tx Tx) error {
+		tx.AscendPrefix(prefix, func(k string, v []byte) bool {
+			return fn(k, s.own(v))
+		})
+		return nil
 	})
-	return nil
 }
 
 // AscendRange visits keys in [from, to) in order until fn returns false.
 // An empty `to` means "to the end".
 func (s *Store) AscendRange(from, to string, fn func(key string, value []byte) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.list.ascend(from, func(k string, v []byte) bool {
-		if to != "" && k >= to {
-			return false
-		}
-		return fn(k, append([]byte(nil), v...))
+	return s.View(func(tx Tx) error {
+		tx.AscendRange(from, to, func(k string, v []byte) bool {
+			return fn(k, s.own(v))
+		})
+		return nil
 	})
-	return nil
+}
+
+// own returns a value the caller may keep and write to: a memory store's
+// Tx hands out the arena, a disk store's a fresh slice already.
+func (s *Store) own(v []byte) []byte {
+	if s.list.mem {
+		return append([]byte(nil), v...)
+	}
+	return v
 }
 
 // Tx is a read transaction handed to View: every read shares the same
-// lock acquisition and returns the store's internal value slices without
-// copying. Callers must treat the slices as read-only and must not use
-// the Tx outside the View callback. Intended for internal iteration-heavy
-// paths (index scans, audit verification); external callers wanting
-// retainable values use Get/AscendPrefix/AscendRange.
+// lock acquisition. A disk store reads each value from its WAL into a
+// fresh slice, which is the caller's; a memory store hands out the
+// memtable's arena without copying. Either slice may be retained, and
+// neither may be written to. The Tx must not be used outside the View
+// callback. A value that cannot be read ends the transaction's reads:
+// that read and every later one report nothing, and View returns the
+// error, never an absence.
 type Tx struct {
 	list *skipList
+	log  *os.File // the WAL a disk store's value refs point into
+	err  *error
 }
 
-// View runs fn under a single read lock with no-copy access to the data.
+// tx returns a Tx over the store, recording a read error in *err. The
+// read lock must be held.
+func (s *Store) tx(err *error) Tx {
+	t := Tx{list: s.list, err: err}
+	if s.log != nil {
+		t.log = s.log.f
+	}
+	return t
+}
+
+// View runs fn under a single read lock. It returns the first value read
+// error of the transaction if there was one, else what fn returned.
 func (s *Store) View(fn func(tx Tx) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	return fn(Tx{list: s.list})
+	var rerr error
+	err := fn(s.tx(&rerr))
+	if rerr != nil {
+		return rerr
+	}
+	return err
 }
 
-// Get returns the value stored under key without copying it.
+// value returns node n's value and whether it could be read.
+func (t Tx) value(n []byte) ([]byte, bool) {
+	if *t.err != nil {
+		return nil, false
+	}
+	if t.list.mem {
+		return t.list.value(n), true
+	}
+	v := make([]byte, valueLen(n))
+	if _, err := t.log.ReadAt(v, int64(valueRef(n))); err != nil {
+		*t.err = fmt.Errorf("store: read value at wal offset %d: %w", valueRef(n), err)
+		return nil, false
+	}
+	return v, true
+}
+
+// Get returns the value stored under key.
 func (t Tx) Get(key string) ([]byte, bool) {
-	return t.list.get(key)
+	if n := t.list.find(key, nil); n != nil {
+		return t.value(n)
+	}
+	return nil, false
 }
 
-// Last returns the greatest key starting with prefix and its value,
-// without copying it, in one descent of the list.
+// Last returns the greatest key starting with prefix and its value, in
+// one descent of the list.
 func (t Tx) Last(prefix string) (key string, value []byte, ok bool) {
-	return t.list.last(prefix)
+	n := t.list.last(prefix)
+	if n == nil {
+		return "", nil, false
+	}
+	if value, ok = t.value(n); !ok {
+		return "", nil, false
+	}
+	return string(nodeKey(n)), value, true
 }
 
-// AscendRange visits keys in [from, to) in order until fn returns false,
-// passing the internal value slices. An empty `to` means "to the end".
+// AscendRange visits keys in [from, to) in order until fn returns false.
+// An empty `to` means "to the end".
 func (t Tx) AscendRange(from, to string, fn func(key string, value []byte) bool) {
-	t.list.ascend(from, func(k string, v []byte) bool {
-		if to != "" && k >= to {
+	t.list.walk(from, func(n []byte) bool {
+		k := nodeKey(n)
+		if to != "" && string(k) >= to {
 			return false
 		}
-		return fn(k, v)
+		v, ok := t.value(n)
+		return ok && fn(string(k), v)
 	})
 }
 
 // AscendPrefix visits every key starting with prefix in order until fn
-// returns false, passing the internal value slices.
+// returns false.
 func (t Tx) AscendPrefix(prefix string, fn func(key string, value []byte) bool) {
-	t.list.ascendPrefix(prefix, fn)
+	t.list.walk(prefix, func(n []byte) bool {
+		k := nodeKey(n)
+		if !hasPrefix(k, prefix) {
+			return false
+		}
+		v, ok := t.value(n)
+		return ok && fn(string(k), v)
+	})
+}
+
+// AscendKeys visits in order every key that starts with prefix and is
+// not below from, until fn returns false. It reads no value: a walk that
+// needs only keys costs a disk store no I/O.
+func (t Tx) AscendKeys(prefix, from string, fn func(key string) bool) {
+	t.list.walk(max(prefix, from), func(n []byte) bool {
+		k := nodeKey(n)
+		return hasPrefix(k, prefix) && fn(string(k))
+	})
 }
 
 // Close flushes and closes the store. Further operations fail with

@@ -360,3 +360,46 @@ func TestViewSlicesSurviveRebuild(t *testing.T) {
 		t.Errorf("held slice now reads %q", held)
 	}
 }
+
+// TestValueReadErrorIsAnError: a disk store reads values from its WAL,
+// so a log shortened behind its back loses them. Get, View and the
+// iterators must say so with an error — never report the key absent —
+// while keys, and values still in the file, stay readable.
+func TestValueReadErrorIsAnError(t *testing.T) {
+	s, path := openTemp(t, Options{})
+	if err := s.Put("a", []byte("still in the file")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", []byte("cut off")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, s.WALOffset()-3); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := s.Get("b"); err == nil || ok {
+		t.Errorf("Get of a lost value = %q, %v, %v; want an error", v, ok, err)
+	}
+	var later bool
+	err := s.View(func(tx Tx) error {
+		if _, ok := tx.Get("b"); ok {
+			t.Error("Tx.Get of a lost value reported it")
+		}
+		_, later = tx.Get("a")
+		return nil
+	})
+	if err == nil {
+		t.Error("View that read a lost value returned nil")
+	}
+	if later {
+		t.Error("a read after the failed one succeeded: the error is not sticky")
+	}
+	if err := s.AscendPrefix("", func(string, []byte) bool { return true }); err == nil {
+		t.Error("AscendPrefix over a lost value returned nil")
+	}
+	if v, ok, err := s.Get("a"); err != nil || !ok || string(v) != "still in the file" {
+		t.Errorf("Get(a) = %q, %v, %v", v, ok, err)
+	}
+	if ok, err := s.Has("b"); err != nil || !ok {
+		t.Errorf("Has(b) = %v, %v: the key is still in memory", ok, err)
+	}
+}

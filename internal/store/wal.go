@@ -71,6 +71,10 @@ func opSize(r walRecord) int {
 	return n
 }
 
+// valueOffset is where a put's value starts inside its encoded mutation:
+// the memtable of a disk store addresses it there, in the WAL file.
+func valueOffset(r walRecord) int64 { return int64(1 + 4 + len(r.key) + 4) }
+
 // putOp encodes one mutation at the start of p and returns the bytes
 // consumed. p must have room (see opSize).
 func putOp(p []byte, r walRecord) int {
@@ -80,7 +84,7 @@ func putOp(p []byte, r walRecord) int {
 	if r.op == opPut {
 		off := 5 + len(r.key)
 		binary.LittleEndian.PutUint32(p[off:off+4], uint32(len(r.value)))
-		copy(p[off+4:], r.value)
+		copy(p[valueOffset(r):], r.value)
 	}
 	return opSize(r)
 }
@@ -122,8 +126,9 @@ func sizedBuf(buf []byte, need int) []byte {
 }
 
 // decodeOp decodes one mutation from the start of p, returning it and the
-// bytes consumed. The value aliases p: the memtable copies what it is
-// given, so replay hands it the checksummed payload itself.
+// bytes consumed. The value aliases p: replay hands the memtable the
+// checksummed payload itself, and it keeps no value bytes of a disk
+// store.
 func decodeOp(p []byte) (walRecord, int, error) {
 	if len(p) < 5 {
 		return walRecord{}, 0, ErrCorrupt
@@ -154,9 +159,10 @@ func decodeOp(p []byte) (walRecord, int, error) {
 }
 
 // replayPayload decodes a checksummed payload — a single mutation or a
-// batch frame — invoking fn for each mutation in order. The values fn
+// batch frame — invoking fn for each mutation in order, with the offset
+// of its encoding: base is the offset of p itself. The values fn
 // receives alias p.
-func replayPayload(p []byte, fn func(walRecord) error) error {
+func replayPayload(p []byte, base int64, fn func(r walRecord, at int64) error) error {
 	if len(p) == 0 {
 		return ErrCorrupt
 	}
@@ -168,22 +174,24 @@ func replayPayload(p []byte, fn func(walRecord) error) error {
 		if n != len(p) {
 			return ErrCorrupt
 		}
-		return fn(r)
+		return fn(r, base)
 	}
 	if len(p) < 5 {
 		return ErrCorrupt
 	}
 	count := int(binary.LittleEndian.Uint32(p[1:5]))
 	rest := p[5:]
+	at := base + 5
 	for i := 0; i < count; i++ {
 		r, n, err := decodeOp(rest)
 		if err != nil {
 			return err
 		}
-		if err := fn(r); err != nil {
+		if err := fn(r, at); err != nil {
 			return err
 		}
 		rest = rest[n:]
+		at += int64(n)
 	}
 	if len(rest) != 0 {
 		return ErrCorrupt
@@ -239,9 +247,15 @@ func (l *wal) appendBatch(ops []walRecord) error {
 	return l.write(l.encBuf)
 }
 
-// write hands whole records to the OS at the end of the log.
+// write hands whole records to the OS at the end of the log. A failed
+// write is cut back off the file: every offset the store hands out —
+// replication cursors, the memtable's value refs — assumes the file
+// ends at size.
 func (l *wal) write(p []byte) error {
 	if _, err := l.f.Write(p); err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			return fmt.Errorf("store: wal append: %w (cutting back the partial record: %v)", err, terr)
+		}
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	l.size += int64(len(p))
@@ -282,9 +296,11 @@ func (l *wal) close() error {
 	return l.f.Close()
 }
 
-// replay reads all intact records from path, invoking fn for each; a
-// record's value is valid only during the call. It returns the byte offset of the first torn tail record (== file size
-// when the log is clean) so the caller can truncate it away.
+// replay reads all intact records from path, invoking fn for each
+// mutation with the file offset of its encoding; a mutation's value is
+// valid only during the call. It returns the byte offset of the first
+// torn tail record (== file size when the log is clean) so the caller
+// can truncate it away.
 //
 // Only the shapes a crashed append can actually produce are forgiven as
 // torn tails: a record whose claimed extent overruns the end of the file,
@@ -294,7 +310,7 @@ func (l *wal) close() error {
 // bytes were durably written and then damaged, and truncating them would
 // silently rewrite history out from under the audit chain and any replica
 // shipping this log.
-func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error) {
+func replayWAL(path string, fn func(r walRecord, at int64) error) (validLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -339,7 +355,7 @@ func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error
 		if crc32.ChecksumIEEE(payload) != want {
 			return offset, fmt.Errorf("%w at offset %d", ErrCorrupt, offset)
 		}
-		if err := replayPayload(payload, fn); err != nil {
+		if err := replayPayload(payload, offset+8, fn); err != nil {
 			return offset, err
 		}
 		offset += 8 + n
