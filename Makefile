@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz loc clean
+.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision examples fuzz loc clean
 
 all: check
 
-# The default gate: compile, vet+gofmt+trace-ID+hot-path lints, unit
+# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision lints, unit
 # tests (among them the allocation budgets of the publish path and the
 # XML detail codec, TestPublishAllocBudget and
 # TestDetailCodecAllocBudget), the race detector over the whole tree, a
@@ -20,7 +20,7 @@ all: check
 # refactors), and the end-to-end benchmark harness (its own module: vet,
 # unit tests, quick run) — the one place a commit's cost is measured.
 # The code-size report (`loc`) prints last.
-check: build vet lint-traceid lint-hotpath test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
+check: build vet lint-traceid lint-hotpath lint-decision test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,19 @@ lint-hotpath:
 		grep -n '"encoding/xml"' $(filter-out %_test.go internal/event/xml.go,$(wildcard internal/event/*.go)) /dev/null); \
 	if [ -n "$$bad" ]; then \
 		echo "hot-path files must not use fmt.Sprintf, encoding/xml, (xmlx, frame, jsonx, store) reflect, (frame, jsonx) fmt or (store) unsafe:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One decision path: the enforcer and the controller decide by
+# Definition 3 over internal/policy. XACML is the compilation target, the
+# Fig. 8 export and the test oracle (TestDefinition3EqualsCompiledXACML
+# proves the two agree), so neither package may import it and put a
+# second evaluator back on the request path. Test files are exempt.
+DECISION_FILES = $(filter-out %_test.go,$(wildcard internal/enforcer/*.go internal/core/*.go))
+lint-decision:
+	@bad=$$(grep -n '"repro/internal/xacml"' $(DECISION_FILES) /dev/null); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/enforcer and internal/core must not import internal/xacml:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -51,143 +51,35 @@ func fillQueue(t *testing.T, b *Broker, sub *Subscription, g *gate, max int) {
 	}
 }
 
-func TestShedOldestEvictsHead(t *testing.T) {
-	b := New(Options{MaxPending: 2, Policy: ShedOldest})
+// A full queue diverts the arriving message to the DLQ, keeps what it
+// holds in order, and reports the overflow under the "shed-newest" label
+// of css_bus_overflow_total.
+func TestShedNewestDivertsArrival(t *testing.T) {
+	b := New(Options{MaxPending: 2})
+	var labels []string
+	b.opts.Observer.Overflow = func(policy string) { labels = append(labels, policy) }
 	defer b.Close()
 	g := newGate()
 	sub, _ := b.Subscribe("t", "slow", g.handle)
 	fillQueue(t, b, sub, g, 2) // in flight + [q00 q01]
 	b.Publish("t", []byte("newest"))
-	// q00 (the oldest queued) was displaced to the DLQ.
 	dls := sub.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Body) != "q00" {
-		t.Fatalf("DLQ after shed-oldest = %v", bodiesOf(dls))
+	if len(dls) != 1 || string(dls[0].Body) != "newest" {
+		t.Fatalf("DLQ after shed-newest = %v", bodiesOf(dls))
 	}
 	close(g.release)
 	if !b.Flush(flushTimeout) {
 		t.Fatal("Flush timed out")
 	}
-	got := g.c.bodies()
-	if len(got) != 3 || got[len(got)-1] != "newest" {
-		t.Errorf("delivered = %v, want the fresh message last", got)
+	if got := g.c.bodies(); len(got) != 3 || got[2] != "q01" {
+		t.Errorf("delivered = %v, want the queued messages in order", got)
 	}
 	if st := b.Stats(); st.Overflowed != 1 {
 		t.Errorf("Overflowed = %d", st.Overflowed)
 	}
-}
-
-func TestRejectPolicyReturnsErrQueueFull(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Reject})
-	defer b.Close()
-	g := newGate()
-	var fast collector
-	fastSub, _ := b.Subscribe("t", "fast", fast.handle)
-	// The healthy subscription shares the broker's MaxPending bound, so
-	// let it drain before each publish: only the wedged peer may reject.
-	waitEmpty := func() {
-		t.Helper()
-		deadline := time.Now().Add(flushTimeout)
-		for fastSub.Pending() > 0 && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		if p := fastSub.Pending(); p > 0 {
-			t.Fatalf("healthy subscription never drained (%d pending)", p)
-		}
+	if len(labels) != 1 || labels[0] != "shed-newest" {
+		t.Errorf("overflow labels = %v, want [shed-newest]", labels)
 	}
-	sub, _ := b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	waitEmpty()
-	b.Publish("t", []byte("q00"))
-	deadline := time.Now().Add(flushTimeout)
-	for sub.Pending() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	waitEmpty()
-	seq, err := b.Publish("t", []byte("extra"))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Publish on full Reject queue = %v, want ErrQueueFull", err)
-	}
-	if seq == 0 {
-		t.Fatal("rejected publish lost its sequence number")
-	}
-	// The rejecting subscription holds nothing extra and nothing was
-	// dead-lettered; the healthy subscription still received the message.
-	if len(sub.DeadLetters()) != 0 {
-		t.Errorf("Reject dead-lettered: %v", bodiesOf(sub.DeadLetters()))
-	}
-	close(g.release)
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	found := false
-	for _, body := range fast.bodies() {
-		if body == "extra" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("healthy subscription missed the message a full peer rejected")
-	}
-	if st := b.Stats(); st.Rejected != 1 {
-		t.Errorf("Rejected = %d", st.Rejected)
-	}
-}
-
-func TestBlockPolicyWaitsForSpace(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: flushTimeout})
-	defer b.Close()
-	g := newGate()
-	b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	b.Publish("t", []byte("queued"))
-	done := make(chan struct{})
-	go func() {
-		// Queue is full: this publish parks until the consumer drains.
-		b.Publish("t", []byte("parked"))
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Block publish returned while the queue was full")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(g.release)
-	select {
-	case <-done:
-	case <-time.After(flushTimeout):
-		t.Fatal("Block publish never unparked after space opened")
-	}
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	got := g.c.bodies()
-	if len(got) != 3 {
-		t.Errorf("delivered = %v, want all three (none shed)", got)
-	}
-	if st := b.Stats(); st.Overflowed != 0 {
-		t.Errorf("Overflowed = %d under Block with space", st.Overflowed)
-	}
-}
-
-func TestBlockPolicyTimeoutShedsNewest(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: 10 * time.Millisecond})
-	defer b.Close()
-	g := newGate()
-	sub, _ := b.Subscribe("t", "wedged", g.handle)
-	fillQueue(t, b, sub, g, 1)
-	start := time.Now()
-	b.Publish("t", []byte("doomed")) // parks, times out, sheds
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("Block publish returned after %v, before the timeout", elapsed)
-	}
-	dls := sub.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Body) != "doomed" {
-		t.Fatalf("DLQ after Block timeout = %v", bodiesOf(dls))
-	}
-	close(g.release)
-	b.Flush(flushTimeout)
 }
 
 func TestMaxDeadCapEvictsOldest(t *testing.T) {
@@ -337,46 +229,10 @@ func TestFlushContextDuringClose(t *testing.T) {
 	}
 }
 
-// TestBlockedPublisherSurvivesClose: a publisher parked by the Block
-// policy while the broker closes routes its message to the drain
-// snapshot rather than hanging or losing it.
-func TestBlockedPublisherSurvivesClose(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: flushTimeout})
-	g := newGate()
-	b.Subscribe("t", "wedged", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	b.Publish("t", []byte("queued"))
-	parked := make(chan struct{})
-	go func() {
-		b.Publish("t", []byte("parked"))
-		close(parked)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(g.release)
-	}()
-	b.Close()
-	select {
-	case <-parked:
-	case <-time.After(flushTimeout):
-		t.Fatal("blocked publisher never returned after Close")
-	}
-	// Everything accepted is accounted for: delivered, snapshotted, or in
-	// a DLQ — nothing simply vanished.
-	snap := b.DrainSnapshot()
-	total := g.c.count() + len(snap)
-	if total != 3 {
-		t.Errorf("delivered %d + snapshot %v: %d accounted, want 3",
-			g.c.count(), bodiesOf(snap), total)
-	}
-}
-
 // TestConcurrentPublishersBoundedQueue: under -race, hammering a bounded
 // queue from many goroutines keeps the depth accounting exact.
 func TestConcurrentPublishersBoundedQueue(t *testing.T) {
-	b := New(Options{MaxPending: 4, Policy: ShedOldest})
+	b := New(Options{MaxPending: 4})
 	defer b.Close()
 	var c collector
 	b.Subscribe("t", "s", c.handle)

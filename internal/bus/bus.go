@@ -7,11 +7,11 @@
 // Each subscription owns a FIFO queue drained by a dedicated delivery
 // goroutine, so a slow consumer delays only itself (the decoupling
 // property that motivates EDA over point-to-point SOA in §3 of the
-// paper). Queues are bounded by MaxPending with a configurable overflow
-// policy — shed-newest / shed-oldest to the DLQ, reject, or
-// block-with-deadline — and the dead-letter queue itself is capped
-// (MaxDead) with an eviction counter, so neither a wedged consumer nor a
-// poison one can grow broker memory without bound.
+// paper). Queues are bounded by MaxPending — a full queue sheds the
+// arriving message to the DLQ, so a publisher never blocks on a
+// consumer — and the dead-letter queue itself is capped (MaxDead) with an
+// eviction counter, so neither a wedged consumer nor a poison one can
+// grow broker memory without bound.
 package bus
 
 import (
@@ -62,40 +62,9 @@ type Handler func(m *Message) error
 // ErrClosed is returned when operating on a closed broker.
 var ErrClosed = errors.New("bus: broker closed")
 
-// OverflowPolicy selects what a full subscription queue does with load.
-type OverflowPolicy int
-
-const (
-	// ShedNewest diverts the arriving message to the DLQ (default). The
-	// publisher never blocks; the overflow is observable and redrivable.
-	ShedNewest OverflowPolicy = iota
-	// ShedOldest evicts the head of the queue to the DLQ and enqueues
-	// the arriving message: consumers prefer fresh notifications, the
-	// displaced ones stay recoverable via Redrive or the events index.
-	ShedOldest
-	// Reject refuses the arriving message outright: nothing is queued or
-	// dead-lettered for this subscription and Publish reports
-	// ErrQueueFull (other subscriptions of the topic still received it).
-	Reject
-	// Block parks the publisher until the queue has space or
-	// BlockTimeout elapses, then falls back to ShedNewest. Backpressure
-	// for in-process publishers that prefer waiting over shedding.
-	Block
-)
-
-// String names the policy for overflow observers.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case ShedOldest:
-		return "shed-oldest"
-	case Reject:
-		return "reject"
-	case Block:
-		return "block"
-	default:
-		return "shed-newest"
-	}
-}
+// overflowPolicy names what a full queue does with the arriving message
+// (the policy label of css_bus_overflow_total).
+const overflowPolicy = "shed-newest"
 
 // Observer receives broker load signals. All callbacks must be fast and
 // non-blocking (they run on publish and delivery paths); any field may
@@ -106,8 +75,8 @@ type Observer struct {
 	QueueDepth func(delta int)
 	// QueueHWM reports a new broker-wide queue-depth high-water mark.
 	QueueHWM func(depth int)
-	// Overflow reports one message diverted, evicted or rejected by a
-	// full queue, labeled with the policy that applied.
+	// Overflow reports one message a full queue diverted to the DLQ,
+	// labeled with the overflow policy ("shed-newest").
 	Overflow func(policy string)
 	// DLQEvicted reports one dead letter dropped by the MaxDead cap.
 	DLQEvicted func()
@@ -121,14 +90,10 @@ type Options struct {
 	// RetryBackoff is the pause between redelivery attempts. Zero means
 	// DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// MaxPending bounds each subscription's queue; Policy selects the
-	// overflow behavior when it fills. Zero means unbounded.
+	// MaxPending bounds each subscription's queue: when it is full the
+	// arriving message goes to the DLQ, recoverable by Redrive. Zero
+	// means unbounded.
 	MaxPending int
-	// Policy is the overflow policy of full queues (default ShedNewest).
-	Policy OverflowPolicy
-	// BlockTimeout bounds how long a Block-policy publish waits for
-	// space. Zero means DefaultBlockTimeout.
-	BlockTimeout time.Duration
 	// MaxDead caps each subscription's dead-letter queue: when full, the
 	// oldest dead letter is evicted (counted, not silently) to admit the
 	// new one. Zero means DefaultMaxDead; negative means unbounded.
@@ -142,13 +107,8 @@ type Options struct {
 const (
 	DefaultMaxAttempts  = 3
 	DefaultRetryBackoff = time.Millisecond
-	DefaultBlockTimeout = 50 * time.Millisecond
 	DefaultMaxDead      = 4096
 )
-
-// ErrQueueFull is returned by Publish under the Reject policy when at
-// least one subscription refused the message.
-var ErrQueueFull = errors.New("bus: subscription queue full")
 
 // Broker routes published messages to the subscriptions of their topic.
 type Broker struct {
@@ -164,7 +124,6 @@ type Broker struct {
 	redeliver atomic.Uint64
 	dead      atomic.Uint64
 	overflow  atomic.Uint64
-	rejected  atomic.Uint64
 	dlqEvict  atomic.Uint64
 	depth     atomic.Int64 // queued messages across all subscriptions
 	depthHWM  atomic.Int64 // high-water mark of depth
@@ -181,9 +140,6 @@ func New(opts Options) *Broker {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
-	if opts.BlockTimeout <= 0 {
-		opts.BlockTimeout = DefaultBlockTimeout
-	}
 	if opts.MaxDead == 0 {
 		opts.MaxDead = DefaultMaxDead
 	}
@@ -196,8 +152,7 @@ type Stats struct {
 	Delivered   uint64 // successful handler completions
 	Redelivered uint64 // retry attempts after handler errors
 	DeadLetters uint64 // messages exhausted and dead-lettered
-	Overflowed  uint64 // messages diverted/evicted to DLQs by full queues
-	Rejected    uint64 // messages refused by the Reject overflow policy
+	Overflowed  uint64 // messages diverted to DLQs by full queues
 	DLQEvicted  uint64 // dead letters dropped by the MaxDead cap
 	QueueDepth  int64  // currently queued messages, all subscriptions
 	QueueHWM    int64  // high-water mark of QueueDepth
@@ -211,7 +166,6 @@ func (b *Broker) Stats() Stats {
 		Redelivered: b.redeliver.Load(),
 		DeadLetters: b.dead.Load(),
 		Overflowed:  b.overflow.Load(),
-		Rejected:    b.rejected.Load(),
 		DLQEvicted:  b.dlqEvict.Load(),
 		QueueDepth:  b.depth.Load(),
 		QueueHWM:    b.depthHWM.Load(),
@@ -250,15 +204,11 @@ func (b *Broker) noteDequeue(n int) {
 	}
 }
 
-// noteOverflow counts one message a full queue could not take normally.
-func (b *Broker) noteOverflow(rejected bool) {
-	if rejected {
-		b.rejected.Add(1)
-	} else {
-		b.overflow.Add(1)
-	}
+// noteOverflow counts one message a full queue diverted to the DLQ.
+func (b *Broker) noteOverflow() {
+	b.overflow.Add(1)
 	if fn := b.opts.Observer.Overflow; fn != nil {
-		fn(b.opts.Policy.String())
+		fn(overflowPolicy)
 	}
 }
 
@@ -295,7 +245,6 @@ func (b *Broker) Subscribe(topic, name string, h Handler) (*Subscription, error)
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	s.space = sync.NewCond(&s.qmu)
 	subs[name] = s
 	go s.run()
 	return s, nil
@@ -318,10 +267,8 @@ func (b *Broker) Unsubscribe(topic, name string) error {
 	return nil
 }
 
-// Publish delivers body to every subscription of topic. Only the Block
-// overflow policy can make it wait on consumers (bounded by
-// BlockTimeout); every other policy keeps publishers non-blocking. The
-// assigned sequence number is returned.
+// Publish delivers body to every subscription of topic without waiting
+// on any consumer. The assigned sequence number is returned.
 func (b *Broker) Publish(topic string, body []byte) (uint64, error) {
 	return b.PublishPayloadSpan(topic, body, nil, "")
 }
@@ -333,11 +280,6 @@ func (b *Broker) Publish(topic string, body []byte) (uint64, error) {
 // bytes; in exchange, everyone downstream must treat it as read-only.
 // The body remains the authoritative wire representation (transports
 // that re-encode or relay use it, not the payload).
-//
-// Under the Reject overflow policy a full subscription refuses the
-// message: the publish still reaches the topic's other subscriptions,
-// the message is accepted (a sequence number is returned), and the error
-// satisfies errors.Is(err, ErrQueueFull) so the publisher can slow down.
 func (b *Broker) PublishPayloadSpan(topic string, body []byte, payload any, spanParent string) (uint64, error) {
 	if topic == "" {
 		return 0, errors.New("bus: empty topic")
@@ -352,32 +294,23 @@ func (b *Broker) PublishPayloadSpan(topic string, body []byte, payload any, span
 	// delivery goroutine: first attempts then hand this shared message to
 	// handlers as-is (no copy, no post-publish writes, no race).
 	m := &Message{Topic: topic, Seq: seq, Body: body, Payload: payload, PublishedAt: time.Now(), Attempt: 1, SpanParent: spanParent}
-	// Snapshot the fan-out set, then enqueue outside the broker lock: a
-	// Block-policy enqueue may park until the consumer makes space, and
-	// that wait must not hold up Subscribe/Close on the broker mutex.
-	// The snapshot buffer is pooled — fan-out runs once per publish and
-	// the slice never escapes this call.
+	// Snapshot the fan-out set, then enqueue outside the broker lock:
+	// enqueue calls the caller's Observer, which must not run under the
+	// broker mutex. The snapshot buffer is pooled — fan-out runs once per
+	// publish and the slice never escapes this call.
 	sp := fanoutPool.Get().(*[]*Subscription)
 	subs := (*sp)[:0]
 	for _, s := range b.topics[topic] {
 		subs = append(subs, s)
 	}
 	b.mu.RUnlock()
-	var rejected int
 	for _, s := range subs {
-		if !s.enqueue(m) {
-			rejected++
-		}
+		s.enqueue(m)
 	}
-	total := len(subs)
 	clear(subs)
 	*sp = subs[:0]
 	fanoutPool.Put(sp)
 	b.published.Add(1)
-	if rejected > 0 {
-		return seq, fmt.Errorf("%w: %d of %d subscriptions refused seq %d on %s",
-			ErrQueueFull, rejected, total, seq, topic)
-	}
 	return seq, nil
 }
 

@@ -19,8 +19,7 @@ type Subscription struct {
 	queue    []*Message // FIFO ring: live entries are queue[head:]
 	head     int        // index of the next message to dequeue
 	inFlight bool
-	stopped  bool       // set while shutting down: no further enqueues
-	space    *sync.Cond // signaled on dequeue for Block-policy publishers
+	stopped  bool // set while shutting down: no further enqueues
 
 	dlmu sync.Mutex
 	dead []*Message
@@ -91,11 +90,10 @@ func (s *Subscription) Redrive() int {
 	return len(dead)
 }
 
-// enqueue places m on the queue, applying the overflow policy when the
-// queue is at MaxPending. It reports false only when the message was
-// rejected outright (Reject policy); diverted and evicted messages count
-// as accepted — they are observable in the DLQ.
-func (s *Subscription) enqueue(m *Message) bool {
+// enqueue places m on the queue. A queue already at MaxPending diverts
+// m to the DLQ instead of growing without bound; the message stays
+// recoverable via Redrive once the consumer catches up.
+func (s *Subscription) enqueue(m *Message) {
 	max := s.broker.opts.MaxPending
 	s.qmu.Lock()
 	if s.stopped {
@@ -105,50 +103,13 @@ func (s *Subscription) enqueue(m *Message) bool {
 		s.broker.drainMu.Lock()
 		s.broker.drained = append(s.broker.drained, m)
 		s.broker.drainMu.Unlock()
-		return true
+		return
 	}
 	if max > 0 && s.qlenLocked() >= max {
-		switch s.broker.opts.Policy {
-		case ShedOldest:
-			// Evict the head to the DLQ, then enqueue m below.
-			oldest := s.queue[s.head]
-			s.queue[s.head] = nil
-			s.head++
-			s.qmu.Unlock()
-			s.broker.noteDequeue(1)
-			s.deadLetter(oldest)
-			s.broker.noteOverflow(false)
-			s.qmu.Lock()
-		case Reject:
-			s.qmu.Unlock()
-			s.broker.noteOverflow(true)
-			return false
-		case Block:
-			if !s.waitForSpaceLocked(max) {
-				stopped := s.stopped
-				s.qmu.Unlock()
-				if stopped {
-					// The subscription went away while we were parked:
-					// hand the message to the Close drain snapshot.
-					s.broker.drainMu.Lock()
-					s.broker.drained = append(s.broker.drained, m)
-					s.broker.drainMu.Unlock()
-					return true
-				}
-				// Still full at the deadline: fall back to shed-newest.
-				s.deadLetter(m)
-				s.broker.noteOverflow(false)
-				return true
-			}
-		default: // ShedNewest
-			s.qmu.Unlock()
-			// Queue full: divert to the DLQ instead of growing without
-			// bound. The message stays recoverable via Redrive once the
-			// consumer catches up.
-			s.deadLetter(m)
-			s.broker.noteOverflow(false)
-			return true
-		}
+		s.qmu.Unlock()
+		s.deadLetter(m)
+		s.broker.noteOverflow()
+		return
 	}
 	s.queue = append(s.queue, m)
 	s.qmu.Unlock()
@@ -157,28 +118,6 @@ func (s *Subscription) enqueue(m *Message) bool {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return true
-}
-
-// waitForSpaceLocked blocks (qmu held, via the cond) until the queue is
-// below max, the subscription stops, or BlockTimeout elapses. It returns
-// with qmu held and reports whether space opened up.
-func (s *Subscription) waitForSpaceLocked(max int) bool {
-	deadline := time.Now().Add(s.broker.opts.BlockTimeout)
-	// sync.Cond has no timed wait; a timer broadcast bounds the park.
-	timer := time.AfterFunc(s.broker.opts.BlockTimeout, func() {
-		s.qmu.Lock()
-		s.qmu.Unlock() //nolint:staticcheck // pairs the broadcast with the waiter's critical section
-		s.space.Broadcast()
-	})
-	defer timer.Stop()
-	for s.qlenLocked() >= max && !s.stopped {
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		s.space.Wait()
-	}
-	return !s.stopped
 }
 
 func (s *Subscription) idle() bool {
@@ -211,7 +150,6 @@ func (s *Subscription) dequeue() *Message {
 		s.head = 0
 	}
 	s.inFlight = true
-	s.space.Broadcast()
 	s.qmu.Unlock()
 	s.broker.noteDequeue(1)
 	return m
@@ -232,7 +170,6 @@ func (s *Subscription) drainRemaining() []*Message {
 	rest := s.queue[s.head:]
 	s.queue = nil
 	s.head = 0
-	s.space.Broadcast()
 	s.qmu.Unlock()
 	s.broker.noteDequeue(len(rest))
 	return rest

@@ -163,12 +163,9 @@ func TestCoalescedFollowerNotAuditedCancelled(t *testing.T) {
 		d, err := request(context.Background(), "aaaaaaaaaaaaaaa2")
 		followerDone <- result{d, err}
 	}()
-	// The follower's decision lookup is its last observable step before it
+	// The follower's pdp.decide span is its last observable step before it
 	// joins the flight; give it a moment to get from there to the wait.
-	lookups := func() uint64 {
-		return w.c.met.cacheEvents.Value("pdp.decision", "hit") + w.c.met.cacheEvents.Value("pdp.decision", "miss")
-	}
-	for lookups() < 2 {
+	for w.c.met.stageSeconds.Count("pdp.decide") < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)

@@ -193,7 +193,7 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		inquiries: reg.Counter("css_index_inquiries_total",
 			"Events-index inquiries answered."),
 		cacheEvents: reg.Counter("css_cache_events_total",
-			"Read-path cache lookups, by cache (pdp.decision, index.notification, "+
+			"Read-path cache lookups, by cache (index.notification, "+
 				"index.pseudonym, gateway.detail, gateway.flight) and result; for "+
 				"gateway.flight a hit means the fetch coalesced onto an in-flight twin.",
 			"cache", "result"),
@@ -573,9 +573,8 @@ func (c *Controller) Policies(producer event.ProducerID) []*policy.Policy {
 // --- consent ---------------------------------------------------------------
 
 // RecordConsent stores a citizen consent directive. Consent is checked
-// live on every flow (it is never part of a cached decision), but the
-// enforcer's decision epoch is bumped anyway as defense in depth: no
-// cache entry outlives any authorization-relevant change.
+// live on every flow; no decision is memoized anywhere that could
+// outlive the change.
 func (c *Controller) RecordConsent(d consent.Directive) (consent.Directive, error) {
 	if c.isClosed() {
 		return consent.Directive{}, ErrClosed
@@ -583,11 +582,7 @@ func (c *Controller) RecordConsent(d consent.Directive) (consent.Directive, erro
 	if c.IsReplica() {
 		return consent.Directive{}, c.notPrimary()
 	}
-	stored, err := c.con.Record(d)
-	if err == nil {
-		c.enf.InvalidateDecisions()
-	}
-	return stored, err
+	return c.con.Record(d)
 }
 
 // ConsentDirectives lists the directives of a data subject.

@@ -35,31 +35,6 @@ func TestConsentOptOutDeniesNextRequest(t *testing.T) {
 	}
 }
 
-func TestConsentChangeInvalidatesDecisionCache(t *testing.T) {
-	w := newWorld(t)
-	gid := w.producePublish(t, "src-1", "PRS-1")
-	w.doctorPolicy(t)
-
-	w.c.RequestDetails(w.request(gid))
-	w.c.RequestDetails(w.request(gid))
-	hits := w.c.met.cacheEvents.Value("pdp.decision", "hit")
-	if hits != 1 {
-		t.Fatalf("pre-consent-change decision hits = %d, want 1", hits)
-	}
-	// Any consent directive bumps the decision epoch (defense in depth:
-	// consent is re-checked per request at the controller anyway).
-	if _, err := w.c.RecordConsent(consent.Directive{PersonID: "PRS-1", Allow: true}); err != nil {
-		t.Fatal(err)
-	}
-	w.c.RequestDetails(w.request(gid))
-	if h := w.c.met.cacheEvents.Value("pdp.decision", "hit"); h != hits {
-		t.Errorf("decision hits after consent change = %d, want still %d (epoch bumped)", h, hits)
-	}
-	if m := w.c.met.cacheEvents.Value("pdp.decision", "miss"); m != 2 {
-		t.Errorf("decision misses = %d, want 2", m)
-	}
-}
-
 func TestCacheEventsCounterCoversReadPath(t *testing.T) {
 	w := newWorld(t)
 	gid := w.producePublish(t, "src-1", "PRS-1")
@@ -70,7 +45,7 @@ func TestCacheEventsCounterCoversReadPath(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	for _, cache := range []string{"pdp.decision", "index.notification", "gateway.detail"} {
+	for _, cache := range []string{"index.notification", "gateway.detail"} {
 		hits := w.c.met.cacheEvents.Value(cache, "hit")
 		misses := w.c.met.cacheEvents.Value(cache, "miss")
 		if misses == 0 {

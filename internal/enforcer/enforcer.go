@@ -1,9 +1,10 @@
 // Package enforcer implements the Policy Enforcer module of the data
 // controller (paper §5.2, Fig. 4): the Policy Enforcement Point receives
 // a request for details, the Policy Information Point maps the global
-// event ID to the producer-local one, the Policy Decision Point retrieves
-// and evaluates the matching XACML policy, and — on permit — the PEP asks
-// the producer's gateway for the authorized part of the event details.
+// event ID to the producer-local one, the Policy Decision Point evaluates
+// Definition 3 directly over the policy repository, and — on permit — the
+// PEP asks the producer's gateway for the authorized part of the event
+// details.
 //
 // This is Algorithm 1 (getEventDetails):
 //
@@ -12,6 +13,11 @@
 //  3. if evaluate(⟨A, e_j, S, F⟩, R) ≡ permit then
 //  4. return getResponse(src_eID, F)                 (producer, Alg. 2)
 //  5. return deny
+//
+// A matched policy only grants, so step 3 cannot overturn step 2: the
+// match is the decision. The XACML form of the policies (internal/xacml)
+// is the paper's Fig. 8 export, proven to decide alike over an exhaustive
+// small scope by the equivalence test there; it is not evaluated here.
 package enforcer
 
 import (
@@ -26,7 +32,6 @@ import (
 	"repro/internal/idmap"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/xacml"
 )
 
 // Errors reported during detail-request resolution.
@@ -78,32 +83,6 @@ type ContextDetailSource interface {
 // an identical in-flight request.
 type CacheObserver = func(cache string, hit bool)
 
-// decisionCacheSize bounds the PDP decision cache. Entries are tiny
-// (a key triple, a field-name slice and two strings), so the bound is
-// about distinct (actor, class, purpose) combinations, not memory.
-const decisionCacheSize = 4096
-
-// decisionKey identifies a memoizable match+evaluate outcome. The
-// authorized fieldset is not part of the key because it is an output:
-// (actor, class, purpose) determine the matching policy and hence its
-// fieldset (Definition 3 + the most-specific tie-break).
-type decisionKey struct {
-	actor   event.Actor
-	class   event.ClassID
-	purpose event.Purpose
-}
-
-// decision is a memoized outcome of Algorithm 1 steps 2–3. Cached
-// instances are shared across requests; Fields must be treated as
-// immutable by every consumer.
-type decision struct {
-	epoch    uint64
-	permit   bool
-	policyID string
-	reason   string
-	fields   []event.FieldName
-}
-
 // flightKey identifies one gateway fetch for coalescing. The policy id
 // pins the exact authorized fieldset (a policy's fields are fixed while
 // installed), so two requests coalesce only when they would release
@@ -131,38 +110,26 @@ type Outcome struct {
 // Enforcer wires the PEP, PDP, PIP and the producer gateways together.
 // Safe for concurrent use.
 //
-// The hot path (GetEventDetails) is accelerated by two mechanisms that
-// must never weaken deny-by-default:
-//
-//   - an epoch-versioned decision cache over steps 2–3. Readers load the
-//     epoch before computing and store the outcome under that epoch;
-//     AddPolicy/RemovePolicy bump the epoch only after the repository and
-//     the PDP are both updated, so an entry is served only if no policy
-//     mutation completed since before its computation began. A stale
-//     permit is therefore impossible: any request starting after
-//     RemovePolicy returns sees the new epoch and re-evaluates. While any
-//     installed policy carries a validity window the cache is bypassed
-//     entirely (decisions become time-dependent, tracked by timeBounded).
-//   - singleflight coalescing of identical gateway fetches, keyed on
-//     (source, policy): concurrent consumers authorized by the same
-//     policy for the same event share one producer round-trip. The
-//     result is shared only for the duration of the flight — the
-//     controller never stores event details (see the E13 ablation:
-//     controller-side detail caching would duplicate sensitive data
-//     outside the producer's control).
+// Each policy is stored once, in the repository, and every request is
+// decided against the live repository under its read lock: a request
+// that starts after RemovePolicy returns cannot be permitted by the
+// revoked policy, and nothing is memoized that could outlive a policy
+// or consent change. The one mechanism on the hot path is singleflight
+// coalescing of identical gateway fetches, keyed on (source, policy):
+// concurrent consumers authorized by the same policy for the same event
+// share one producer round-trip. The result is shared only for the
+// duration of the flight — the controller never stores event details
+// (see the E13 ablation: controller-side detail caching would duplicate
+// sensitive data outside the producer's control).
 type Enforcer struct {
 	repo *policy.Repository
-	pdp  *xacml.PDP
 	ids  *idmap.Map
 
 	mu       sync.RWMutex
 	gateways map[event.ProducerID]DetailSource
 
-	epoch       atomic.Uint64
-	timeBounded atomic.Int64
-	decisions   *cache.LRU[decisionKey, decision]
-	flights     cache.Group[flightKey, *event.Detail]
-	cacheObs    atomic.Pointer[CacheObserver]
+	flights  cache.Group[flightKey, *event.Detail]
+	cacheObs atomic.Pointer[CacheObserver]
 }
 
 // New creates an enforcer around a policy repository (the PAP's store)
@@ -171,17 +138,7 @@ func New(repo *policy.Repository, ids *idmap.Map) (*Enforcer, error) {
 	if repo == nil || ids == nil {
 		return nil, errors.New("enforcer: nil repository or id map")
 	}
-	pdp, err := xacml.NewPDP(xacml.FirstApplicable)
-	if err != nil {
-		return nil, err
-	}
-	return &Enforcer{
-		repo:      repo,
-		pdp:       pdp,
-		ids:       ids,
-		gateways:  make(map[event.ProducerID]DetailSource),
-		decisions: cache.NewLRU[decisionKey, decision](decisionCacheSize),
-	}, nil
+	return &Enforcer{repo: repo, ids: ids, gateways: make(map[event.ProducerID]DetailSource)}, nil
 }
 
 // SetCacheObserver installs the cache hit/miss observer (nil disables).
@@ -222,117 +179,22 @@ func (e *Enforcer) gateway(p event.ProducerID) (DetailSource, error) {
 	return g, nil
 }
 
-// AddPolicy stores an elicited policy in the repository and installs its
-// XACML compilation in the PDP, keeping the two representations in step.
-// The stored policy (with its assigned ID) is returned. The decision
-// epoch is bumped after the mutation completes (and after a rollback,
-// whose intermediate state was briefly visible), invalidating every
-// cached decision computed before it.
+// AddPolicy stores an elicited policy in the repository; the very next
+// request is decided against it. The stored policy (with its assigned
+// ID) is returned.
 func (e *Enforcer) AddPolicy(p *policy.Policy) (*policy.Policy, error) {
-	stored, err := e.repo.Add(p)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := xacml.Compile(stored)
-	if err != nil {
-		// Roll back the repository so the two stores stay consistent.
-		e.repo.Remove(stored.ID)
-		e.epoch.Add(1)
-		return nil, err
-	}
-	if err := e.pdp.Add(compiled); err != nil {
-		e.repo.Remove(stored.ID)
-		e.epoch.Add(1)
-		return nil, err
-	}
-	if !stored.NotBefore.IsZero() || !stored.NotAfter.IsZero() {
-		e.timeBounded.Add(1)
-	}
-	e.epoch.Add(1)
-	return stored, nil
+	return e.repo.Add(p)
 }
 
-// RemovePolicy revokes a policy from both representations. When it
-// returns, the epoch has been bumped: the very next request re-evaluates
-// against the post-revocation policy set — no cached permit window.
+// RemovePolicy revokes a policy; the very next request is decided
+// without it.
 func (e *Enforcer) RemovePolicy(id policy.ID) error {
-	p, err := e.repo.Get(id)
-	if err != nil {
-		return err
-	}
-	if err := e.repo.Remove(id); err != nil {
-		return err
-	}
-	err = e.pdp.Remove(string(id))
-	if !p.NotBefore.IsZero() || !p.NotAfter.IsZero() {
-		e.timeBounded.Add(-1)
-	}
-	e.epoch.Add(1)
-	return err
-}
-
-// InvalidateDecisions bumps the decision epoch, discarding every cached
-// decision. The controller calls it on consent changes: consent is
-// checked live on each flow (never cached here), so this is defense in
-// depth, keeping the cache's lifetime bounded by any authorization-
-// relevant mutation.
-func (e *Enforcer) InvalidateDecisions() {
-	e.epoch.Add(1)
+	return e.repo.Remove(id)
 }
 
 // Repository exposes the policy repository (read paths: listing,
 // subscription authorization).
 func (e *Enforcer) Repository() *policy.Repository { return e.repo }
-
-// decide runs Algorithm 1 steps 2–3 (policy matching + XACML
-// evaluation) through the epoch-versioned decision cache. Decisions are
-// memoizable only while no installed policy carries a validity window:
-// without windows the outcome is fully determined by (actor, class,
-// purpose), whatever the request instant.
-func (e *Enforcer) decide(r *event.DetailRequest) decision {
-	cacheable := e.timeBounded.Load() == 0
-	var key decisionKey
-	var epoch uint64
-	if cacheable {
-		key = decisionKey{actor: r.Requester, class: r.Class, purpose: r.Purpose}
-		// Load the epoch BEFORE computing: if a policy mutation completes
-		// underneath us, it bumps past this value and the stored entry is
-		// stillborn — never served.
-		epoch = e.epoch.Load()
-		if dec, ok := e.decisions.Get(key); ok && dec.epoch == epoch {
-			e.noteCache("pdp.decision", true)
-			return dec
-		}
-		e.noteCache("pdp.decision", false)
-	}
-	dec := e.evaluate(r)
-	if cacheable {
-		dec.epoch = epoch
-		e.decisions.Put(key, dec)
-	}
-	return dec
-}
-
-// evaluate is the uncached body of decide.
-func (e *Enforcer) evaluate(r *event.DetailRequest) decision {
-	// Step 2 — policy matching phase: retrieve THE matching policy
-	// (Definition 3, with the most-specific-actor/newest tie-break).
-	id, err := e.repo.MatchID(r)
-	if err != nil {
-		return decision{reason: "no matching policy"}
-	}
-	// Step 3 — evaluate the matched policy in its XACML form.
-	resp := e.pdp.EvaluateOne(string(id), xacml.CompileRequest(r))
-	if resp.Decision != xacml.Permit {
-		return decision{policyID: resp.PolicyID,
-			reason: "matched policy did not permit (" + resp.Decision.String() + ")"}
-	}
-	fields := xacml.AuthorizedFields(&resp)
-	if len(fields) == 0 {
-		return decision{policyID: resp.PolicyID, reason: "permit without authorized fields"}
-	}
-	return decision{permit: true, policyID: resp.PolicyID, fields: fields}
-}
 
 // fetch asks the producer's gateway for the authorized fields of src,
 // coalescing concurrent identical fetches: followers of an in-flight
@@ -390,18 +252,19 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 		return nil, out, ErrClassMismatch
 	}
 
-	// Steps 2–3, behind the decision cache. The span is a no-op (no
-	// clock read) unless the context carries a tracer.
+	// Steps 2–3: the policy Definition 3 selects is the decision. The span
+	// is a no-op (no clock read) unless the context carries a tracer.
 	_, pdpSpan := telemetry.StartSpan(ctx, "pdp.decide")
-	dec := e.decide(r)
-	if !dec.permit {
-		pdpSpan.SetAttr("reason", dec.reason)
+	id, fields, err := e.repo.MatchFields(r)
+	if err != nil {
+		pdpSpan.SetAttr("reason", "no matching policy")
 		pdpSpan.End()
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			PolicyID: dec.policyID, Reason: dec.reason}
+			Reason: "no matching policy"}
 		return nil, out, ErrDenied
 	}
-	pdpSpan.SetAttr("policy", dec.policyID)
+	policyID := string(id)
+	pdpSpan.SetAttr("policy", policyID)
 	pdpSpan.End()
 
 	// The caller may be gone (hung up, or past its deadline) by the time
@@ -409,7 +272,7 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	// round-trip on an answer nobody is waiting for.
 	if err := ctx.Err(); err != nil {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			PolicyID: dec.policyID, Reason: "request cancelled before gateway fetch"}
+			PolicyID: policyID, Reason: "request cancelled before gateway fetch"}
 		return nil, out, err
 	}
 
@@ -417,19 +280,19 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	g, err := e.gateway(m.Producer)
 	if err != nil {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			PolicyID: dec.policyID, Reason: err.Error()}
+			PolicyID: policyID, Reason: err.Error()}
 		return nil, out, err
 	}
 	// The fetch span's context rides into the gateway client, so the
 	// producer-side HTTP server span parents under "gateway.fetch".
 	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "gateway.fetch")
 	fetchSpan.SetAttr("producer", string(m.Producer))
-	d, shared, err := e.fetch(fetchCtx, g, r.Trace, m.Source, dec.policyID, dec.fields)
+	d, shared, err := e.fetch(fetchCtx, g, r.Trace, m.Source, policyID, fields)
 	fetchSpan.SetError(err)
 	fetchSpan.End()
 	if err != nil {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			PolicyID: dec.policyID, Reason: "gateway: " + err.Error()}
+			PolicyID: policyID, Reason: "gateway: " + err.Error()}
 		return nil, out, err
 	}
 	if shared {
@@ -439,15 +302,15 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	}
 	// Defense in depth: re-check Definition 4 at the controller before
 	// forwarding to the consumer.
-	if !d.ExposesOnly(dec.fields) {
+	if !d.ExposesOnly(fields) {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			PolicyID: dec.policyID, Reason: "gateway response exposed unauthorized fields"}
+			PolicyID: policyID, Reason: "gateway response exposed unauthorized fields"}
 		return nil, out, ErrUnsafeResponse
 	}
 	out := Outcome{
 		Decision: event.Permit,
-		PolicyID: dec.policyID,
-		Fields:   dec.fields,
+		PolicyID: policyID,
+		Fields:   fields,
 		Producer: m.Producer,
 		Source:   m.Source,
 	}

@@ -232,23 +232,6 @@ func TestDefenseInDepthAgainstUnsafeGateway(t *testing.T) {
 	}
 }
 
-func TestAddPolicyRollbackOnCompileConflict(t *testing.T) {
-	f := newFixture(t)
-	p := f.addPolicy(t, "patient-id")
-	// Adding a policy with the same explicit ID hits the repository
-	// duplicate check.
-	dup := &policy.Policy{
-		ID: p.ID, Producer: "hospital", Actor: "x", Class: "c.x",
-		Purposes: []event.Purpose{"s"}, Fields: []event.FieldName{"f"},
-	}
-	if _, err := f.enf.AddPolicy(dup); err == nil {
-		t.Error("duplicate policy id accepted")
-	}
-	if f.enf.Repository().Len() != 1 {
-		t.Errorf("repository len = %d after failed add", f.enf.Repository().Len())
-	}
-}
-
 func TestRemovePolicy(t *testing.T) {
 	f := newFixture(t)
 	p := f.addPolicy(t, "patient-id")

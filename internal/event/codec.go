@@ -79,10 +79,10 @@ func (binaryCodec) ContentType() string { return ContentTypeBinary }
 // filled by appends that never grow it. Like the XML encoder, it refuses
 // a time its format cannot carry.
 func (binaryCodec) EncodeNotification(n *Notification) ([]byte, error) {
-	if err := checkWireTime(n.OccurredAt); err != nil {
+	if err := CheckWireTime(n.OccurredAt); err != nil {
 		return nil, err
 	}
-	if err := checkWireTime(n.PublishedAt); err != nil {
+	if err := CheckWireTime(n.PublishedAt); err != nil {
 		return nil, err
 	}
 	size := frame.HeaderLen +
@@ -191,7 +191,7 @@ func (binaryCodec) DecodeDetail(data []byte) (*Detail, error) {
 }
 
 func (binaryCodec) EncodeDetailRequest(r *DetailRequest) ([]byte, error) {
-	if err := checkWireTime(r.At); err != nil {
+	if err := CheckWireTime(r.At); err != nil {
 		return nil, err
 	}
 	size := frame.HeaderLen +

@@ -43,7 +43,7 @@ func (r *DetailRequest) Validate() error {
 	if r.EventID == "" {
 		return errValue("event: detail request missing event id")
 	}
-	if err := checkWireTime(r.At); err != nil {
+	if err := CheckWireTime(r.At); err != nil {
 		return err
 	}
 	return r.Purpose.Validate()

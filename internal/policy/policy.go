@@ -100,6 +100,13 @@ func (p *Policy) Validate() error {
 	if !p.NotBefore.IsZero() && !p.NotAfter.IsZero() && p.NotAfter.Before(p.NotBefore) {
 		return errors.New("policy: validity window ends before it starts")
 	}
+	// The XACML and persisted forms write the bounds as RFC 3339 text,
+	// which stops at year 9999; the event wire's narrower range covers it.
+	for _, bound := range []time.Time{p.NotBefore, p.NotAfter} {
+		if err := event.CheckWireTime(bound); err != nil {
+			return fmt.Errorf("policy: validity window: %w", err)
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -57,6 +59,31 @@ func TestPolicyValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// A bound the RFC 3339 text of the XACML and persisted forms cannot
+// write (year 10000), or the event wire cannot carry, is refused; the
+// wire's last instant itself is fine.
+func TestValidateRefusesWindowOutsideWireRange(t *testing.T) {
+	for name, mutate := range map[string]func(*Policy){
+		"until 10000": func(p *Policy) { p.NotAfter = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
+		"until 2263":  func(p *Policy) { p.NotAfter = time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC) },
+		"from 1600":   func(p *Policy) { p.NotBefore = time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC) },
+	} {
+		p := validPolicy()
+		mutate(p)
+		if err := p.Validate(); !errors.Is(err, event.ErrTimeRange) {
+			t.Errorf("%s: Validate = %v, want %v", name, err, event.ErrTimeRange)
+		}
+		if _, err := NewRepository().Add(p); err == nil {
+			t.Errorf("%s: repository accepted the policy", name)
+		}
+	}
+	p := validPolicy()
+	p.NotAfter = time.Unix(0, math.MaxInt64).UTC()
+	if err := p.Validate(); err != nil {
+		t.Errorf("window ending at the wire's last instant: %v", err)
 	}
 }
 

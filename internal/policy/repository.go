@@ -101,6 +101,28 @@ func (r *Repository) Len() int {
 	return len(r.byID)
 }
 
+// eachMatch calls fn for every stored policy that matches req by
+// Definition 3 — the one scan under Match, MatchFields, MatchID and
+// MatchAll. r.mu must be held.
+func (r *Repository) eachMatch(req *event.DetailRequest, fn func(*Policy)) {
+	for _, p := range r.byClass[req.Class] {
+		if p.Matches(req) {
+			fn(p)
+		}
+	}
+}
+
+// best returns the policy Match selects, or nil. r.mu must be held.
+func (r *Repository) best(req *event.DetailRequest) *Policy {
+	var best *Policy
+	r.eachMatch(req, func(p *Policy) {
+		if best == nil || moreSpecific(p, best) {
+			best = p
+		}
+	})
+	return best
+}
+
 // Match implements the policy matching phase of §5: it finds the policy
 // that matches the request per Definition 3. When several policies match
 // (e.g. one granted to the organization and one to the department), the
@@ -110,54 +132,40 @@ func (r *Repository) Len() int {
 func (r *Repository) Match(req *event.DetailRequest) (*Policy, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var best *Policy
-	for _, p := range r.byClass[req.Class] {
-		if !p.Matches(req) {
-			continue
-		}
-		if best == nil || moreSpecific(p, best) {
-			best = p
-		}
-	}
+	best := r.best(req)
 	if best == nil {
 		return nil, ErrNotFound
 	}
 	return best.Clone(), nil
 }
 
-// MatchID returns the identifier of the policy Match would select,
-// without copying it. The enforcer's hot path needs only the identifier
-// (it hands the decision to the PDP by id), so this variant skips the
-// deep clone Match pays on every call.
-func (r *Repository) MatchID(req *event.DetailRequest) (ID, error) {
+// MatchFields returns the identifier and field set F of the policy Match
+// would select, without copying it: the decision of Algorithm 1, since a
+// matched policy grants exactly F. The slice is the stored one, which
+// nothing mutates; callers must treat it as read-only.
+func (r *Repository) MatchFields(req *event.DetailRequest) (ID, []event.FieldName, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var best *Policy
-	for _, p := range r.byClass[req.Class] {
-		if !p.Matches(req) {
-			continue
-		}
-		if best == nil || moreSpecific(p, best) {
-			best = p
-		}
-	}
+	best := r.best(req)
 	if best == nil {
-		return "", ErrNotFound
+		return "", nil, ErrNotFound
 	}
-	return best.ID, nil
+	return best.ID, best.Fields, nil
 }
 
-// MatchAll returns every policy matching the request, most specific
-// first. Diagnostics and the E7 experiment use it.
+// MatchID returns the identifier of the policy Match would select.
+func (r *Repository) MatchID(req *event.DetailRequest) (ID, error) {
+	id, _, err := r.MatchFields(req)
+	return id, err
+}
+
+// MatchAll returns a copy of every policy matching the request, most
+// specific first: Match's candidates in the order it resolves them.
 func (r *Repository) MatchAll(req *event.DetailRequest) []*Policy {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*Policy
-	for _, p := range r.byClass[req.Class] {
-		if p.Matches(req) {
-			out = append(out, p.Clone())
-		}
-	}
+	r.eachMatch(req, func(p *Policy) { out = append(out, p.Clone()) })
 	sort.Slice(out, func(i, j int) bool { return moreSpecific(out[i], out[j]) })
 	return out
 }

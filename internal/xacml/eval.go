@@ -2,16 +2,20 @@ package xacml
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
-// PDP is the Policy Decision Point: it holds compiled policies and
-// evaluates authorization requests against them (paper §5.2 step 2-3:
-// "The PDP retrieves the matching policy ... evaluates the matching
-// policy and sends the result to the PEP"). It is safe for concurrent
-// use.
+// PDP is the Policy Decision Point of a standalone XACML deployment: it
+// holds compiled policies and evaluates authorization requests against
+// them (paper §5.2 step 2-3: "The PDP retrieves the matching policy ...
+// evaluates the matching policy and sends the result to the PEP"). The
+// CSS request path decides by Definition 3 over internal/policy instead;
+// this PDP evaluates exported policies standalone and is the oracle of
+// the equivalence test that keeps the two forms deciding alike. It is
+// safe for concurrent use.
 type PDP struct {
 	// Alg combines the decisions of multiple applicable policies.
 	alg CombiningAlg
@@ -19,12 +23,6 @@ type PDP struct {
 	mu       sync.RWMutex
 	policies []*Policy
 	byID     map[string]*Policy
-	// byResource indexes policies by the exact resource-id values their
-	// targets test with string-equal, so evaluation touches only the
-	// policies of the requested event class. Policies whose resource
-	// target is not a simple string-equal go to the catch-all bucket.
-	byResource map[string][]*Policy
-	catchAll   []*Policy
 }
 
 // NewPDP creates a PDP with the given policy combining algorithm.
@@ -32,11 +30,7 @@ func NewPDP(alg CombiningAlg) (*PDP, error) {
 	if !validAlgs[alg] {
 		return nil, fmt.Errorf("xacml: unknown combining algorithm %q", alg)
 	}
-	return &PDP{
-		alg:        alg,
-		byID:       make(map[string]*Policy),
-		byResource: make(map[string][]*Policy),
-	}, nil
+	return &PDP{alg: alg, byID: make(map[string]*Policy)}, nil
 }
 
 // Add validates and installs a policy.
@@ -51,13 +45,6 @@ func (d *PDP) Add(p *Policy) error {
 	}
 	d.byID[p.ID] = p
 	d.policies = append(d.policies, p)
-	if keys := resourceKeys(&p.Target); keys != nil {
-		for _, k := range keys {
-			d.byResource[k] = append(d.byResource[k], p)
-		}
-	} else {
-		d.catchAll = append(d.catchAll, p)
-	}
 	return nil
 }
 
@@ -65,34 +52,12 @@ func (d *PDP) Add(p *Policy) error {
 func (d *PDP) Remove(id string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.byID[id]
-	if !ok {
+	if _, ok := d.byID[id]; !ok {
 		return fmt.Errorf("xacml: no policy %q", id)
 	}
 	delete(d.byID, id)
-	d.policies = removePolicy(d.policies, p)
-	if keys := resourceKeys(&p.Target); keys != nil {
-		for _, k := range keys {
-			d.byResource[k] = removePolicy(d.byResource[k], p)
-		}
-	} else {
-		d.catchAll = removePolicy(d.catchAll, p)
-	}
+	d.policies = slices.DeleteFunc(d.policies, func(p *Policy) bool { return p.ID == id })
 	return nil
-}
-
-// removePolicy deletes p from list copy-on-write: Evaluate hands bucket
-// slices out of the read lock, so removal must never shift elements in
-// the backing array a concurrent evaluation may still be walking.
-func removePolicy(list []*Policy, p *Policy) []*Policy {
-	for i, q := range list {
-		if q == p {
-			out := make([]*Policy, 0, len(list)-1)
-			out = append(out, list[:i]...)
-			return append(out, list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // Len returns the number of installed policies.
@@ -102,62 +67,26 @@ func (d *PDP) Len() int {
 	return len(d.policies)
 }
 
-// resourceKeys extracts the exact resource-id equality values a target
-// tests, one per disjunct, or nil when the target cannot be indexed
-// (empty resource target, or non-equality matches).
-func resourceKeys(t *Target) []string {
-	if len(t.Resources) == 0 {
-		return nil
-	}
-	var keys []string
-	for _, group := range t.Resources {
-		var key string
-		for _, m := range group {
-			if m.AttrID == AttrResourceID && m.Func == FuncStringEqual {
-				key = m.Value
-				break
-			}
-		}
-		if key == "" {
-			return nil // one disjunct is not indexable: fall back
-		}
-		keys = append(keys, key)
-	}
-	return keys
-}
-
 // Evaluate runs the request against the installed policies and combines
 // their decisions under the PDP's combining algorithm. With no applicable
 // policy the decision is NotApplicable — which the PEP treats as Deny
 // (deny-by-default).
 func (d *PDP) Evaluate(req *Request) Response {
 	d.mu.RLock()
-	candidates := d.catchAll
-	if rid, ok := get(req.Resource, AttrResourceID); ok {
-		if indexed := d.byResource[rid]; len(indexed) > 0 {
-			if len(d.catchAll) == 0 {
-				// Common case: every policy is resource-indexed, so the
-				// bucket alone is the candidate set — no merged slice.
-				candidates = indexed
-			} else {
-				merged := make([]*Policy, 0, len(indexed)+len(d.catchAll))
-				merged = append(merged, indexed...)
-				merged = append(merged, d.catchAll...)
-				candidates = merged
-			}
-		}
-	} else {
-		candidates = d.policies
-	}
-	d.mu.RUnlock()
+	defer d.mu.RUnlock()
+	return combine(d.alg, d.policies, req)
+}
 
+// combine evaluates policies in order and combines their decisions under
+// alg; a PDP and a policy set share it.
+func combine(alg CombiningAlg, policies []*Policy, req *Request) Response {
 	resp := Response{Decision: NotApplicable}
-	for _, p := range candidates {
+	for _, p := range policies {
 		r := evaluatePolicy(p, req)
 		if r.Decision == NotApplicable {
 			continue
 		}
-		switch d.alg {
+		switch alg {
 		case FirstApplicable:
 			return r
 		case DenyOverrides:

@@ -285,8 +285,7 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 func TestResourceIndexFallback(t *testing.T) {
-	// A policy with an empty resource target lands in the catch-all
-	// bucket and must still apply to any resource.
+	// A policy with an empty resource target applies to any resource.
 	p := &Policy{
 		ID:  "catch-all",
 		Alg: FirstApplicable,

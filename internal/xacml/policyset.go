@@ -54,32 +54,7 @@ func (ps *PolicySet) Evaluate(req *Request) Response {
 	if !applicable {
 		return Response{Decision: NotApplicable}
 	}
-	resp := Response{Decision: NotApplicable}
-	for _, p := range ps.Policies {
-		r := evaluatePolicy(p, req)
-		if r.Decision == NotApplicable {
-			continue
-		}
-		switch ps.Alg {
-		case FirstApplicable:
-			return r
-		case DenyOverrides:
-			if r.Decision == Deny || r.Decision == Indeterminate {
-				return r
-			}
-			if resp.Decision == NotApplicable {
-				resp = r
-			}
-		case PermitOverrides:
-			if r.Decision == Permit {
-				return r
-			}
-			if resp.Decision == NotApplicable {
-				resp = r
-			}
-		}
-	}
-	return resp
+	return combine(ps.Alg, ps.Policies, req)
 }
 
 // CompileProducerSet compiles a producer's policies into one PolicySet,

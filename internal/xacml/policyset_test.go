@@ -1,11 +1,8 @@
 package xacml
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
-	"time"
 
 	"repro/internal/event"
 	"repro/internal/policy"
@@ -136,45 +133,5 @@ func TestDecodeSetRejectsInvalid(t *testing.T) {
 	}
 	if _, err := DecodeSet([]byte(`<PolicySet PolicySetId="x" PolicyCombiningAlgId="urn:oasis:names:tc:xacml:1.0:rule-combining-algorithm:first-applicable"><Target></Target></PolicySet>`)); err == nil {
 		t.Error("empty set accepted")
-	}
-}
-
-// Property: the exported producer set evaluated standalone agrees with
-// the platform's repository Match on random requests.
-func TestQuickProducerSetMatchesRepository(t *testing.T) {
-	repo := policy.NewRepository()
-	var stored []*policy.Policy
-	for _, p := range producerPolicies() {
-		s, err := repo.Add(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored = append(stored, s)
-	}
-	ps, err := CompileProducerSet("hospital", stored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actors := []event.Actor{"org", "org/dept", "org/other", "gov", "nobody"}
-	classes := []event.ClassID{"hospital.blood-test", "hospital.discharge", "other.class"}
-	purposes := []event.Purpose{"care", "stats", "admin"}
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		req := &event.DetailRequest{
-			Requester: actors[rnd.Intn(len(actors))],
-			Class:     classes[rnd.Intn(len(classes))],
-			EventID:   "e",
-			Purpose:   purposes[rnd.Intn(len(purposes))],
-			At:        time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC),
-		}
-		matched, matchErr := repo.Match(req)
-		resp := ps.Evaluate(CompileRequest(req))
-		if matchErr != nil {
-			return resp.Decision != Permit
-		}
-		return resp.Decision == Permit && resp.PolicyID == string(matched.ID)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -10,7 +10,10 @@
 // The package provides the policy/rule/target object model, a PDP that
 // evaluates requests under the standard combining algorithms, an XML
 // form shaped like the paper's Fig. 8 listing, and a compiler from the
-// event-based policies of internal/policy.
+// event-based policies of internal/policy. The compiled form is the
+// export and the test oracle; the enforcer decides by Definition 3 over
+// internal/policy, and TestDefinition3EqualsCompiledXACML proves the two
+// agree over an exhaustive small scope.
 package xacml
 
 import (
