@@ -23,7 +23,8 @@
 //	                <=0: unbounded)
 //	-codec     wire codec pre-encoded on the publish path: "xml"
 //	           (default, paper fidelity) or "binary" (compact framing;
-//	           see DESIGN.md §8). Inbound requests and callback
+//	           see DESIGN.md §8), and the codec details are asked for
+//	           in from -gateway daemons. Inbound requests and callback
 //	           deliveries still negotiate per peer either way.
 //	-drain-timeout  graceful-shutdown budget on SIGTERM/SIGINT
 //	                (default 10s): stop admitting, finish in-flight
@@ -158,8 +159,8 @@ func main() {
 		SpanSampleRate: run.SpanSample,
 	}
 	// -codec picks the format the controller uses where IT is the
-	// client: callback deliveries it originates default to this codec.
-	// Inbound requests always negotiate per message, so XML peers keep
+	// client: callback deliveries it originates default to this codec,
+	// and it asks its -gateway daemons for details in it. Inbound requests always negotiate per message, so XML peers keep
 	// working regardless of the flag.
 	codec, err := event.CodecByName(*codecName)
 	if err != nil {
@@ -303,7 +304,7 @@ func main() {
 		})
 		retrier := resilience.NewRetrier(resilience.RetryPolicy{Metrics: resMetrics})
 		for producer, url := range gateways {
-			rg := transport.NewRemoteGateway(url, nil,
+			rg := transport.NewRemoteGateway(url, nil, transport.WithCodec(codec),
 				transport.WithRetrier(retrier), transport.WithBreakerGroup(breakers))
 			if *gatewayToken != "" {
 				rg = rg.WithToken(*gatewayToken)

@@ -1,3 +1,7 @@
+// Package cache holds Group, a singleflight group that coalesces
+// concurrent identical calls: the gateway fetch of the policy enforcer
+// and the remote gateway client use it. Despite the package name it
+// stores nothing: a result lives only while its call is in flight.
 package cache
 
 import (

@@ -193,9 +193,8 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		inquiries: reg.Counter("css_index_inquiries_total",
 			"Events-index inquiries answered."),
 		cacheEvents: reg.Counter("css_cache_events_total",
-			"Read-path cache lookups, by cache (index.notification, "+
-				"index.pseudonym, gateway.detail, gateway.flight) and result; for "+
-				"gateway.flight a hit means the fetch coalesced onto an in-flight twin.",
+			"Gateway fetches (cache gateway.flight) by result: a hit means the "+
+				"fetch coalesced onto an in-flight twin.",
 			"cache", "result"),
 		busDepth: reg.Gauge("css_bus_queue_depth",
 			"Messages currently queued across all bus subscriptions."),
@@ -362,7 +361,6 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c.enf.SetCacheObserver(c.recordCacheEvent)
-	c.idx.SetCacheObserver(c.recordCacheEvent)
 	// Export the broker's load signals as css_bus_* metrics, composing
 	// with (not replacing) any observer the caller installed.
 	cfg.Bus.Observer = composeBusObserver(cfg.Bus.Observer, bus.Observer{
@@ -489,18 +487,13 @@ func (c *Controller) DeclareClass(producer event.ProducerID, s *schema.Schema) e
 }
 
 // AttachGateway connects a producer's local cooperation gateway (direct
-// or via the web service transport) for detail retrieval. An in-process
-// gateway exposing a cache observer hook reports its decoded-detail
-// cache into this controller's registry.
+// or via the web service transport) for detail retrieval.
 func (c *Controller) AttachGateway(p event.ProducerID, g enforcer.DetailSource) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
 	if !c.reg.HasProducer(p) {
 		return fmt.Errorf("%w: %s", ErrNotProducer, p)
-	}
-	if cg, ok := g.(interface{ SetCacheObserver(func(string, bool)) }); ok {
-		cg.SetCacheObserver(c.recordCacheEvent)
 	}
 	return c.enf.AttachGateway(p, g)
 }
@@ -604,9 +597,8 @@ func (c *Controller) Spans() *telemetry.SpanLog { return c.tracer.Spans() }
 // to request contexts and daemons attach the durable span exporter.
 func (c *Controller) Tracer() *telemetry.Tracer { return c.tracer }
 
-// recordCacheEvent counts one read-path cache lookup; it is the cache
-// observer wired into the enforcer, the events index, and any
-// in-process gateway.
+// recordCacheEvent counts one gateway fetch of the enforcer: a hit is a
+// fetch that joined an in-flight twin.
 func (c *Controller) recordCacheEvent(cache string, hit bool) {
 	if hit {
 		c.met.cacheEvents.Inc(cache, "hit")

@@ -324,6 +324,15 @@ func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h Handler
 		return nil, fmt.Errorf("%w: %s on %s", ErrSubscriptionDeny, actor, class)
 	}
 
+	// The admission is audited before it takes effect: a subscription
+	// the audit chain cannot record is not made.
+	if _, err := c.aud.Append(audit.Record{
+		Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "permit",
+		Trace: trace,
+	}); err != nil {
+		return nil, fmt.Errorf("core: audit subscription: %w", err)
+	}
+
 	c.mu.Lock()
 	c.subSeq++
 	id := subID(c.subSeq)
@@ -349,10 +358,6 @@ func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h Handler
 	c.mu.Lock()
 	c.subs[id] = sub
 	c.mu.Unlock()
-	c.aud.Append(audit.Record{
-		Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "permit",
-		Trace: trace,
-	})
 	return sub, nil
 }
 
@@ -534,13 +539,21 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 		}
 		return nil, err
 	}
-	c.auditDetail(r, "permit", out.PolicyID, "")
+	if err := c.auditDetail(r, "permit", out.PolicyID, ""); err != nil {
+		// Fail closed: a disclosure the audit chain cannot record is not
+		// made.
+		finish("error", err)
+		return nil, err
+	}
 	finish("permit", nil)
 	return d, nil
 }
 
-func (c *Controller) auditDetail(r *event.DetailRequest, outcome, policyID, note string) {
-	c.aud.Append(audit.Record{
+// auditDetail appends the audit record of a detail request. Only the
+// permit path acts on its error: every other outcome discloses nothing
+// and already returns an error of its own.
+func (c *Controller) auditDetail(r *event.DetailRequest, outcome, policyID, note string) error {
+	_, err := c.aud.Append(audit.Record{
 		Kind:     audit.KindDetailRequest,
 		Actor:    string(r.Requester),
 		EventID:  r.EventID,
@@ -551,6 +564,10 @@ func (c *Controller) auditDetail(r *event.DetailRequest, outcome, policyID, note
 		Note:     note,
 		Trace:    r.Trace,
 	})
+	if err != nil {
+		return fmt.Errorf("core: audit detail request: %w", err)
+	}
+	return nil
 }
 
 // --- index inquiry -------------------------------------------------------------
@@ -614,10 +631,12 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 			break
 		}
 	}
-	c.auditRead(audit.Record{
+	if err := c.auditRead(audit.Record{
 		Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " notifications", Trace: trace,
-	})
+	}); err != nil {
+		return nil, err
+	}
 	c.met.inquiries.Inc()
 	return out, nil
 }
@@ -643,10 +662,12 @@ func (c *Controller) InquireOwn(personID string, q index.Inquiry) ([]*event.Noti
 	for _, n := range raw {
 		out = append(out, n.Redact())
 	}
-	c.auditRead(audit.Record{
+	if err := c.auditRead(audit.Record{
 		Kind: audit.KindIndexInquiry, Actor: "citizen:" + personID, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " own notifications", Trace: telemetry.NewTraceID(),
-	})
+	}); err != nil {
+		return nil, err
+	}
 	c.met.inquiries.Inc()
 	return out, nil
 }

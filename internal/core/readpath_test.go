@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/consent"
+	"repro/internal/enforcer"
+	"repro/internal/event"
+	"repro/internal/index"
+	"repro/internal/schema"
+	"repro/internal/store"
 )
 
 func TestConsentOptOutDeniesNextRequest(t *testing.T) {
@@ -14,14 +19,14 @@ func TestConsentOptOutDeniesNextRequest(t *testing.T) {
 	gid := w.producePublish(t, "src-1", "PRS-1")
 	w.doctorPolicy(t)
 
-	// Warm every read-path cache with a permitted request.
+	// A permitted request first.
 	if _, err := w.c.RequestDetails(w.request(gid)); err != nil {
-		t.Fatalf("warm-up: %v", err)
+		t.Fatalf("first request: %v", err)
 	}
 	if _, err := w.c.RecordConsent(consent.Directive{PersonID: "PRS-1", Allow: false}); err != nil {
 		t.Fatal(err)
 	}
-	// The VERY NEXT request must be denied — no cache may keep a permit
+	// The VERY NEXT request must be denied: nothing may keep a permit
 	// alive across the data subject's opt-out.
 	if _, err := w.c.RequestDetails(w.request(gid)); !errors.Is(err, ErrConsentDeny) {
 		t.Fatalf("post-opt-out err = %v, want ErrConsentDeny", err)
@@ -35,30 +40,42 @@ func TestConsentOptOutDeniesNextRequest(t *testing.T) {
 	}
 }
 
-func TestCacheEventsCounterCoversReadPath(t *testing.T) {
-	w := newWorld(t)
+// TestDisclosureFailsClosedWithoutAudit: once the audit store refuses
+// appends, every flow that would disclose something — a permitted detail
+// request, an index inquiry, an admitted subscription — returns the
+// store's error and discloses nothing. The error is no deny sentinel, so
+// the transport answers it as a server error.
+func TestDisclosureFailsClosedWithoutAudit(t *testing.T) {
+	w := newWorldIn(t, t.TempDir())
 	gid := w.producePublish(t, "src-1", "PRS-1")
 	w.doctorPolicy(t)
-
-	for i := 0; i < 3; i++ {
-		if _, err := w.c.RequestDetails(w.request(gid)); err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	for _, ns := range w.c.replStores {
+		if ns.Name == "audit" {
+			if err := ns.Store.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for _, cache := range []string{"index.notification", "gateway.detail"} {
-		hits := w.c.met.cacheEvents.Value(cache, "hit")
-		misses := w.c.met.cacheEvents.Value(cache, "miss")
-		if misses == 0 {
-			t.Errorf("%s: no misses recorded (cache not wired?)", cache)
+	failedClosed := func(flow string, disclosed bool, err error) {
+		t.Helper()
+		if err == nil || disclosed {
+			t.Errorf("%s: disclosed = %v, err = %v; want nothing and an error", flow, disclosed, err)
 		}
-		if hits < 2 {
-			t.Errorf("%s: hits = %d, want >=2 for 3 identical requests", cache, hits)
+		if !errors.Is(err, store.ErrClosed) || errors.Is(err, enforcer.ErrDenied) ||
+			errors.Is(err, ErrConsentDeny) || errors.Is(err, ErrSubscriptionDeny) {
+			t.Errorf("%s: err = %v, want the audit store's error and no deny", flow, err)
 		}
 	}
+	d, err := w.c.RequestDetails(w.request(gid))
+	failedClosed("detail request", d != nil, err)
+	ns, err := w.c.InquireIndex("family-doctor", index.Inquiry{PersonID: "PRS-1"})
+	failedClosed("index inquiry", ns != nil, err)
+	sub, err := w.c.Subscribe("family-doctor", schema.ClassBloodTest, func(*event.Notification) {})
+	failedClosed("subscription", sub != nil, err)
 }
 
 // TestNoStalePermitUnderConsentChurn storms RequestDetails while the
-// data subject flips consent, proving no cache layer can keep a permit
+// data subject flips consent, proving no layer can keep a permit
 // alive into a window where the subject had provably opted out. Same seq
 // protocol as the enforcer-level policy-churn test: odd = consent may be
 // granted from now on, even = the opt-out directive is durably recorded

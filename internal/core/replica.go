@@ -10,6 +10,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
@@ -48,12 +49,16 @@ func (c *Controller) notPrimary() error {
 // a read replica: a replica's audit store is a byte-identical prefix of
 // the primary's chain, so a local append would fork it (and be
 // clobbered by the next applied segment). Replica-served reads remain
-// observable through css_index_inquiries_total.
-func (c *Controller) auditRead(r audit.Record) {
+// observable through css_index_inquiries_total. A permitted read whose
+// record fails to append returns the error and answers nothing.
+func (c *Controller) auditRead(r audit.Record) error {
 	if c.IsReplica() {
-		return
+		return nil
 	}
-	c.aud.Append(r)
+	if _, err := c.aud.Append(r); err != nil {
+		return fmt.Errorf("core: audit index inquiry: %w", err)
+	}
+	return nil
 }
 
 // ReplStores returns the controller's persistent stores in write-path

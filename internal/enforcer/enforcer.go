@@ -76,11 +76,9 @@ type ContextDetailSource interface {
 	GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error)
 }
 
-// CacheObserver receives the outcome of one read-path cache lookup. The
-// alias form (not a defined type) lets wiring code treat any component
-// exposing SetCacheObserver(func(string, bool)) uniformly. For the
-// "gateway.flight" pseudo-cache a hit means the fetch was coalesced onto
-// an identical in-flight request.
+// CacheObserver receives the outcome of one gateway fetch, reported as
+// the "gateway.flight" pseudo-cache: a hit means the fetch was coalesced
+// onto an identical in-flight request.
 type CacheObserver = func(cache string, hit bool)
 
 // flightKey identifies one gateway fetch for coalescing. The policy id

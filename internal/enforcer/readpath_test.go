@@ -15,7 +15,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func TestRemovePolicyInvalidatesCachedPermit(t *testing.T) {
+func TestRemovePolicyDeniesNextRequest(t *testing.T) {
 	f := newFixture(t)
 	p := f.addPolicy(t, "patient-id")
 	// A permit first.
@@ -31,7 +31,7 @@ func TestRemovePolicyInvalidatesCachedPermit(t *testing.T) {
 	}
 }
 
-func TestAddPolicyInvalidatesCachedDeny(t *testing.T) {
+func TestAddPolicyPermitsNextRequest(t *testing.T) {
 	f := newFixture(t)
 	// A deny first (no policy yet).
 	if _, _, err := f.enf.GetEventDetails(f.request()); !errors.Is(err, ErrDenied) {
@@ -213,15 +213,15 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 
 // TestNoStalePermitUnderPolicyChurn storms GetEventDetails while a
 // mutator adds and revokes the authorizing policy, and proves
-// deny-by-default survives the decision cache: a permit observed in a
-// window where the policy was provably absent is a stale-cache bug.
+// deny-by-default holds under churn: a permit observed in a window where
+// the policy was provably absent is a stale-permit bug.
 //
 // The seq protocol makes the detector sound under concurrency: seq is
 // bumped to odd BEFORE AddPolicy starts (a policy may exist from here
 // on) and to even only AFTER RemovePolicy returned (provably no policy,
 // and no add started). A request that begins and ends at the same even
 // seq ran entirely inside a no-policy window, so a permit there can only
-// come from a stale cache entry.
+// come from stale state.
 func TestNoStalePermitUnderPolicyChurn(t *testing.T) {
 	f := newFixture(t)
 	template := &policy.Policy{

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/event"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -38,32 +37,13 @@ type SchemaSource interface {
 	Schema(event.ClassID) (*schema.Schema, error)
 }
 
-// CacheObserver receives the outcome of one decoded-detail cache lookup
-// ("gateway.detail"). Alias form so wiring code can duck-type
-// SetCacheObserver across packages.
-type CacheObserver = func(cache string, hit bool)
-
-// detailCacheSize bounds the decoded-detail read cache.
-const detailCacheSize = 1024
-
 // Gateway is one producer's local cooperation gateway. Safe for
-// concurrent use; durable when backed by a persistent store.
-//
-// A bounded LRU of decoded details fronts the store, so repeated
-// GetResponse calls for a hot event skip the per-request decode and pay
-// only the field filtering. Caching full details HERE is legal where it
-// would not be at the data controller: the gateway runs at the data
-// producer, so the cached copy never leaves the owner's control (the E13
-// ablation documents why the controller must not hold one). Entries are
-// filled inside a store read transaction and deleted after every Persist
-// of the same source id, so a re-persisted detail is never served stale.
+// concurrent use; durable when backed by a persistent store. Every
+// GetResponse reads the persisted detail from the store and decodes it.
 type Gateway struct {
 	producer event.ProducerID
 	st       *store.Store
 	schemas  SchemaSource
-
-	details *cache.LRU[event.SourceID, *event.Detail]
-	obs     atomic.Pointer[CacheObserver]
 
 	stored    atomic.Uint64
 	served    atomic.Uint64
@@ -80,27 +60,7 @@ func New(producer event.ProducerID, st *store.Store, schemas SchemaSource) (*Gat
 	if st == nil {
 		return nil, errors.New("gateway: nil store")
 	}
-	return &Gateway{
-		producer: producer,
-		st:       st,
-		schemas:  schemas,
-		details:  cache.NewLRU[event.SourceID, *event.Detail](detailCacheSize),
-	}, nil
-}
-
-// SetCacheObserver installs the cache hit/miss observer (nil disables).
-func (g *Gateway) SetCacheObserver(o CacheObserver) {
-	if o == nil {
-		g.obs.Store(nil)
-		return
-	}
-	g.obs.Store(&o)
-}
-
-func (g *Gateway) noteCache(cache string, hit bool) {
-	if o := g.obs.Load(); o != nil {
-		(*o)(cache, hit)
-	}
+	return &Gateway{producer: producer, st: st, schemas: schemas}, nil
 }
 
 // Producer returns the owning producer.
@@ -132,9 +92,6 @@ func (g *Gateway) Persist(d *event.Detail) error {
 	if err := g.st.Put(detailKey(d.SourceID), data); err != nil {
 		return err
 	}
-	// Invalidate after the write commits; readers fill only under the
-	// store's read lock, so no stale decode can outlive this delete.
-	g.details.Delete(d.SourceID)
 	g.stored.Add(1)
 	return nil
 }
@@ -144,37 +101,23 @@ func (g *Gateway) Has(src event.SourceID) (bool, error) {
 	return g.st.Has(detailKey(src))
 }
 
-// load retrieves the full persisted detail through the decoded-detail
-// cache. Unexported: full details never cross the package boundary
-// unfiltered — GetResponse is the only exit path, mirroring the paper's
-// guarantee that "it is never the case that data not accessible by a
-// certain data consumer leaves the data producer". The returned detail
-// may be cache-shared: callers read it (Filter copies) but never mutate.
+// load retrieves and decodes the full persisted detail. Unexported: full
+// details never cross the package boundary unfiltered — GetResponse is
+// the only exit path, mirroring the paper's guarantee that "it is never
+// the case that data not accessible by a certain data consumer leaves
+// the data producer".
 func (g *Gateway) load(src event.SourceID) (*event.Detail, error) {
-	if d, ok := g.details.Get(src); ok {
-		g.noteCache("gateway.detail", true)
-		return d, nil
-	}
-	g.noteCache("gateway.detail", false)
 	var d *event.Detail
 	err := g.st.View(func(tx store.Tx) error {
 		v, ok := tx.Get(detailKey(src))
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNotFound, src)
 		}
-		// The fill happens inside the read transaction so it is ordered
-		// before any later Persist of this source id.
-		var derr error
-		d, derr = event.DecodeDetail(v)
-		if derr == nil {
-			g.details.Put(src, d)
-		}
-		return derr
+		var err error
+		d, err = event.DecodeDetail(v)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d, err
 }
 
 // GetResponse is Algorithm 2: retrieve the details of src and return the

@@ -6,52 +6,13 @@ import (
 	"repro/internal/event"
 )
 
-func countCache(g *Gateway, name string) (hits, misses *int) {
-	h, m := new(int), new(int)
-	g.SetCacheObserver(func(cache string, hit bool) {
-		if cache != name {
-			return
-		}
-		if hit {
-			*h++
-		} else {
-			*m++
-		}
-	})
-	return h, m
-}
-
-func TestGetResponseCachesDecodedDetail(t *testing.T) {
-	g := newGateway(t)
-	hits, misses := countCache(g, "gateway.detail")
-	if err := g.Persist(bloodDetail("src-1")); err != nil {
-		t.Fatal(err)
-	}
-	fields := []event.FieldName{"patient-id", "hemoglobin"}
-	for i := 0; i < 3; i++ {
-		d, err := g.GetResponse("src-1", fields)
-		if err != nil {
-			t.Fatalf("GetResponse %d: %v", i, err)
-		}
-		if v, _ := d.Get("hemoglobin"); v != "13.5" {
-			t.Fatalf("GetResponse %d: hemoglobin = %q", i, v)
-		}
-		if _, leaked := d.Get("aids-test"); leaked {
-			t.Fatalf("GetResponse %d leaked an unauthorized field", i)
-		}
-	}
-	if *misses != 1 || *hits != 2 {
-		t.Errorf("detail cache: %d misses / %d hits, want 1/2", *misses, *hits)
-	}
-}
-
-func TestPersistInvalidatesCachedDetail(t *testing.T) {
+func TestRePersistServesAmendedDetail(t *testing.T) {
 	g := newGateway(t)
 	if err := g.Persist(bloodDetail("src-1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.GetResponse("src-1", []event.FieldName{"hemoglobin"}); err != nil {
-		t.Fatal(err) // fills the cache
+		t.Fatal(err)
 	}
 	amended := bloodDetail("src-1").Set("hemoglobin", "9.9")
 	if err := g.Persist(amended); err != nil {
@@ -62,17 +23,17 @@ func TestPersistInvalidatesCachedDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v, _ := d.Get("hemoglobin"); v != "9.9" {
-		t.Errorf("GetResponse after re-Persist = %q, want the amended value (stale cache)", v)
+		t.Errorf("GetResponse after re-Persist = %q, want the amended value", v)
 	}
 }
 
-func TestCachedDetailIsNotMutatedByFiltering(t *testing.T) {
+func TestNarrowResponseDoesNotShrinkWideOne(t *testing.T) {
 	g := newGateway(t)
 	if err := g.Persist(bloodDetail("src-1")); err != nil {
 		t.Fatal(err)
 	}
 	// A narrow filtered response must not shrink what a later, wider
-	// request can see (Filter copies; the cached detail stays complete).
+	// request can see.
 	if _, err := g.GetResponse("src-1", []event.FieldName{"patient-id"}); err != nil {
 		t.Fatal(err)
 	}

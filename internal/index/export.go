@@ -14,14 +14,14 @@ import (
 )
 
 // Pseudonym returns the keyed pseudonym routing and partitioning use
-// for a person identifier, through the same read cache as the index
-// paths. In the plaintext-baseline mode (nil keyring) the identifier
-// is its own pseudonym.
+// for a person identifier, the same one the person index is keyed by.
+// In the plaintext-baseline mode (nil keyring) the identifier is its
+// own pseudonym.
 func (ix *Index) Pseudonym(person string) string {
 	if ix.keys == nil {
 		return person
 	}
-	return ix.pseudonym(person)
+	return ix.keys.Pseudonym(person)
 }
 
 // movedEvent is one event whose owner changes under the next shard
@@ -119,9 +119,8 @@ func (ix *Index) ApplyHandoff(b *store.Batch) error {
 }
 
 // SweepMoved deletes every event whose pseudonym satisfies moved —
-// the donor's post-flip cleanup after a handoff — and invalidates the
-// read cache for the removed ids. It returns the global ids removed so
-// the caller can sweep the matching id-map entries.
+// the donor's post-flip cleanup after a handoff. It returns the global
+// ids removed so the caller can sweep the matching id-map entries.
 func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID, error) {
 	events, err := ix.collectMoved(moved)
 	if err != nil {
@@ -141,9 +140,6 @@ func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID
 	}
 	if err := ix.st.Apply(&b); err != nil {
 		return nil, err
-	}
-	for _, ev := range events {
-		ix.notif.Delete(ev.id)
 	}
 	return gids, nil
 }

@@ -19,10 +19,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/crypto"
 	"repro/internal/event"
 	"repro/internal/jsonx"
@@ -32,41 +30,14 @@ import (
 // ErrNotFound reports an unknown event id.
 var ErrNotFound = errors.New("index: not found")
 
-// CacheObserver receives the outcome of one read cache lookup ("index.
-// notification" or "index.pseudonym"). Alias form so wiring code can
-// duck-type SetCacheObserver across packages.
-type CacheObserver = func(cache string, hit bool)
-
-// Read cache bounds. Notifications are small (a record struct with a few
-// strings); pseudonym entries are two short strings.
-const (
-	notifCacheSize     = 4096
-	pseudonymCacheSize = 4096
-)
-
 // Index is the notification store. Safe for concurrent use; durable when
 // backed by a persistent store. Person identifiers are sealed at rest
-// and looked up through their keyed pseudonym.
-//
-// Two read caches sit in front of the store. The notification cache
-// memoizes decrypt+decode results so repeated Get/Inquire hits stop
-// paying AES-GCM + JSON per record: entries are filled only inside a
-// store read transaction (the store's read lock orders the fill before
-// any later write) and deleted after every Put of the same id, so the
-// cache can never hold a value the store has moved past. The pseudonym
-// cache memoizes the keyed HMAC of person identifiers — a deterministic
-// function, so it needs no invalidation. Cached notifications never
-// escape: callers always receive clones. Caching notifications (not
-// event details!) controller-side is legal: the notification is exactly
-// what the controller already stores and routes; details stay at the
-// producer (E13).
+// and looked up through their keyed pseudonym. Every read goes to the
+// store and decrypts and decodes the record anew, so the controller
+// holds no plaintext person identifier beyond the request reading it.
 type Index struct {
 	st   *store.Store
 	keys *crypto.Keyring
-
-	notif *cache.LRU[event.GlobalID, *event.Notification]
-	pseud *cache.LRU[string, string]
-	obs   atomic.Pointer[CacheObserver]
 }
 
 // record is the persisted form of a notification. PersonID holds the
@@ -85,40 +56,7 @@ type record struct {
 
 // New creates an index on st; keys seals the person identifiers.
 func New(st *store.Store, keys *crypto.Keyring) *Index {
-	return &Index{
-		st:    st,
-		keys:  keys,
-		notif: cache.NewLRU[event.GlobalID, *event.Notification](notifCacheSize),
-		pseud: cache.NewLRU[string, string](pseudonymCacheSize),
-	}
-}
-
-// SetCacheObserver installs the cache hit/miss observer (nil disables).
-func (ix *Index) SetCacheObserver(o CacheObserver) {
-	if o == nil {
-		ix.obs.Store(nil)
-		return
-	}
-	ix.obs.Store(&o)
-}
-
-func (ix *Index) noteCache(cache string, hit bool) {
-	if o := ix.obs.Load(); o != nil {
-		(*o)(cache, hit)
-	}
-}
-
-// pseudonym returns the keyed pseudonym of a person identifier through
-// the read cache.
-func (ix *Index) pseudonym(person string) string {
-	if p, ok := ix.pseud.Get(person); ok {
-		ix.noteCache("index.pseudonym", true)
-		return p
-	}
-	ix.noteCache("index.pseudonym", false)
-	p := ix.keys.Pseudonym(person)
-	ix.pseud.Put(person, p)
-	return p
+	return &Index{st: st, keys: keys}
 }
 
 // Put stores a published notification. The notification must carry its
@@ -153,7 +91,7 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	if err != nil {
 		return store.Commit{}, err
 	}
-	personKey := ix.pseudonym(n.PersonID)
+	personKey := ix.keys.Pseudonym(n.PersonID)
 	data := appendRecordJSON(n, sealed)
 	// The primary record and its three secondary keys commit as one
 	// store batch: one lock acquisition, one WAL frame, and — because a
@@ -175,11 +113,6 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	if err != nil {
 		return store.Commit{}, err
 	}
-	// Invalidate after the write is visible. Readers fill the cache only
-	// while holding the store's read lock, so any fill of the old value
-	// finished before StageApply took the write lock — this delete
-	// removes it; fills that start after see the new value.
-	ix.notif.Delete(n.ID)
 	return c, nil
 }
 
@@ -252,34 +185,19 @@ func decodeRecord(data []byte) (record, error) {
 }
 
 // Get returns the notification with the given global ID, with the person
-// identifier decrypted. The caller owns the returned notification (it is
-// never aliased by the cache).
+// identifier decrypted. The caller owns the returned notification.
 func (ix *Index) Get(id event.GlobalID) (*event.Notification, error) {
-	if n, ok := ix.notif.Get(id); ok {
-		ix.noteCache("index.notification", true)
-		return n.Clone(), nil
-	}
-	ix.noteCache("index.notification", false)
 	var n *event.Notification
 	err := ix.st.View(func(tx store.Tx) error {
 		v, ok := tx.Get(eventKey(id))
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
-		// The fill happens inside the read transaction so it is ordered
-		// before any later Put of this id (whose post-commit delete then
-		// removes this entry).
-		var derr error
-		n, derr = ix.decode(v)
-		if derr == nil {
-			ix.notif.Put(id, n.Clone())
-		}
-		return derr
+		var err error
+		n, err = ix.decode(v)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+	return n, err
 }
 
 func (ix *Index) decode(v []byte) (*event.Notification, error) {
@@ -327,7 +245,7 @@ type Inquiry struct {
 func (ix *Index) Inquire(q Inquiry) ([]*event.Notification, error) {
 	switch {
 	case q.PersonID != "":
-		return ix.scanIdx("p/"+ix.pseudonym(q.PersonID)+"/", q)
+		return ix.scanIdx("p/"+ix.keys.Pseudonym(q.PersonID)+"/", q)
 	case q.Class != "":
 		return ix.scanIdx("c/"+string(q.Class)+"/", q)
 	default:
@@ -368,24 +286,15 @@ func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error
 				innerErr = fmt.Errorf("index: malformed index key under %q", prefix)
 				return false
 			}
-			var n *event.Notification
-			if hit, ok := ix.notif.Get(id); ok {
-				ix.noteCache("index.notification", true)
-				n = hit.Clone()
-			} else {
-				ix.noteCache("index.notification", false)
-				pv, ok := tx.Get(eventKey(id))
-				if !ok {
-					innerErr = fmt.Errorf("%w: dangling index entry %s", ErrNotFound, id)
-					return false
-				}
-				var err error
-				n, err = ix.decode(pv)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				ix.notif.Put(id, n.Clone())
+			pv, ok := tx.Get(eventKey(id))
+			if !ok {
+				innerErr = fmt.Errorf("%w: dangling index entry %s", ErrNotFound, id)
+				return false
+			}
+			n, err := ix.decode(pv)
+			if err != nil {
+				innerErr = err
+				return false
 			}
 			if !matches(n, q) {
 				// Keys from 1970 on are time-ordered: once past To we

@@ -9,32 +9,6 @@ import (
 	"repro/internal/event"
 )
 
-func TestGetCachesDecodedNotification(t *testing.T) {
-	ix := newIndex(t)
-	var hits, misses int
-	ix.SetCacheObserver(func(cache string, hit bool) {
-		if cache != "index.notification" {
-			return
-		}
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-	})
-	if err := ix.Put(notif("evt-1", "PRS-1", "c.x", t0)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := ix.Get("evt-1"); err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-	}
-	if misses != 1 || hits != 2 {
-		t.Errorf("notification cache: %d misses / %d hits, want 1/2", misses, hits)
-	}
-}
-
 func TestGetReturnsPrivateClones(t *testing.T) {
 	ix := newIndex(t)
 	if err := ix.Put(notif("evt-1", "PRS-1", "c.x", t0)); err != nil {
@@ -50,20 +24,20 @@ func TestGetReturnsPrivateClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.Summary != "something happened" {
-		t.Errorf("caller mutation leaked into the cache: %q", b.Summary)
+		t.Errorf("caller mutation leaked into a later Get: %q", b.Summary)
 	}
 	if a == b {
 		t.Error("two Get calls returned the same *Notification instance")
 	}
 }
 
-func TestPutInvalidatesCachedNotification(t *testing.T) {
+func TestRePutServesAmendedRecord(t *testing.T) {
 	ix := newIndex(t)
 	n := notif("evt-1", "PRS-1", "c.x", t0)
 	if err := ix.Put(n); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Get("evt-1"); err != nil { // fill the cache
+	if _, err := ix.Get("evt-1"); err != nil {
 		t.Fatal(err)
 	}
 	updated := notif("evt-1", "PRS-1", "c.x", t0)
@@ -76,73 +50,16 @@ func TestPutInvalidatesCachedNotification(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Summary != "amended report" {
-		t.Errorf("Get after re-Put = %q, want the amended record (stale cache)", got.Summary)
-	}
-}
-
-func TestPseudonymCacheAvoidsRecomputation(t *testing.T) {
-	ix := newIndex(t)
-	var hits, misses int
-	ix.SetCacheObserver(func(cache string, hit bool) {
-		if cache != "index.pseudonym" {
-			return
-		}
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-	})
-	for i := 0; i < 4; i++ {
-		if err := ix.Put(notif(string(rune('a'+i))+"-evt", "PRS-SAME", "c.x", t0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if misses != 1 || hits != 3 {
-		t.Errorf("pseudonym cache: %d misses / %d hits, want 1/3", misses, hits)
-	}
-	// Same person must keep mapping to one pseudonym: all four events are
-	// found under a single person inquiry.
-	ns, err := ix.Inquire(Inquiry{PersonID: "PRS-SAME"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 4 {
-		t.Errorf("person inquiry found %d notifications, want 4", len(ns))
-	}
-}
-
-func TestInquireWarmPathUsesNotificationCache(t *testing.T) {
-	ix := newIndex(t)
-	for i := 0; i < 3; i++ {
-		if err := ix.Put(notif(string(rune('a'+i))+"-evt", "PRS-1", "c.x", t0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ix.Inquire(Inquiry{PersonID: "PRS-1"}); err != nil { // cold: fills
-		t.Fatal(err)
-	}
-	var hits int
-	ix.SetCacheObserver(func(cache string, hit bool) {
-		if cache == "index.notification" && hit {
-			hits++
-		}
-	})
-	ns, err := ix.Inquire(Inquiry{PersonID: "PRS-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 3 || hits != 3 {
-		t.Errorf("warm inquiry: %d notifications, %d cache hits, want 3/3", len(ns), hits)
+		t.Errorf("Get after re-Put = %q, want the amended record", got.Summary)
 	}
 }
 
 // TestInquireStopsAtTo: a bounded inquiry ends at the first key past To
-// without looking that record up — the notification lookups an observer
-// counts are exactly the results — and returns what a linear filter
-// over all 5 000 events returns, in key order, also when To is an
-// event's own instant, lies before 1970 (where keys do not sort by
-// time) or cannot be expressed in nanoseconds.
+// without reading that record — the record is overwritten with bytes
+// that do not decode, so reading it would fail the inquiry — and returns
+// what a linear filter over all 5 000 events returns, in key order, also
+// when To is an event's own instant, lies before 1970 (where keys do not
+// sort by time) or cannot be expressed in nanoseconds.
 func TestInquireStopsAtTo(t *testing.T) {
 	ix := newIndex(t)
 	var all []*event.Notification
@@ -157,26 +74,60 @@ func TestInquireStopsAtTo(t *testing.T) {
 		}
 		all = append(all, n)
 	}
-	lookups := 0
-	ix.SetCacheObserver(func(cache string, hit bool) {
-		if cache == "index.notification" {
-			lookups++
+	// firstPast returns the event whose index key under q's prefix is the
+	// first one past To: the record a scan that does not stop would read
+	// next.
+	firstPast := func(q Inquiry) *event.Notification {
+		toKey := timeKey(q.To)
+		var first *event.Notification
+		firstKey := ""
+		for _, n := range all {
+			if (q.PersonID != "" && n.PersonID != q.PersonID) || (q.Class != "" && n.Class != q.Class) {
+				continue
+			}
+			ts := timeKey(n.OccurredAt)
+			if k := ts + "/" + string(n.ID); ts > toKey && (first == nil || k < firstKey) {
+				first, firstKey = n, k
+			}
 		}
-	})
+		return first
+	}
 	for _, tc := range []struct {
-		name    string
-		q       Inquiry
-		counted bool // every lookup is a result
+		name  string
+		q     Inquiry
+		stops bool // the scan stops at the first key past To
 	}{
 		{"person window", Inquiry{PersonID: "PRS-3", From: t0.Add(6 * time.Hour), To: t0.Add(18*time.Hour + time.Second)}, true},
 		{"class window", Inquiry{Class: "c1.x", From: t0.Add(time.Hour), To: t0.Add(30 * time.Hour)}, true},
 		{"To is an event's instant", Inquiry{PersonID: "PRS-4", From: t0, To: all[704].OccurredAt}, true},
 		{"To before every event since 1970", Inquiry{Class: "c2.x", From: t0.Add(-time.Hour), To: t0.Add(-time.Minute)}, true},
 		{"To before 1970", Inquiry{PersonID: "PRS-5", To: time.Date(1969, 6, 2, 0, 0, 0, 0, time.UTC)}, false},
-		{"To beyond UnixNano", Inquiry{PersonID: "PRS-6", From: t0, To: time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)}, true},
+		{"To beyond UnixNano", Inquiry{PersonID: "PRS-6", From: t0, To: time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)}, false},
 	} {
-		lookups = 0
+		var restore func()
+		if tc.stops {
+			past := firstPast(tc.q)
+			if past == nil {
+				t.Fatalf("%s: no event past To", tc.name)
+			}
+			k := eventKey(past.ID)
+			raw, _, err := ix.st.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.st.Put(k, []byte("not a record")); err != nil {
+				t.Fatal(err)
+			}
+			restore = func() {
+				if err := ix.st.Put(k, raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		got, err := ix.Inquire(tc.q)
+		if restore != nil {
+			restore()
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -198,9 +149,6 @@ func TestInquireStopsAtTo(t *testing.T) {
 				t.Errorf("%s: result %d is %s, want %s", tc.name, i, got[i].ID, want[i].ID)
 				break
 			}
-		}
-		if tc.counted && lookups != len(got) {
-			t.Errorf("%s: %d notification lookups for %d results", tc.name, lookups, len(got))
 		}
 	}
 	got, _ := ix.Inquire(Inquiry{PersonID: "PRS-4", From: t0, To: all[704].OccurredAt})

@@ -45,20 +45,8 @@ type GatewayServer struct {
 }
 
 // NewGatewayServer wraps a gateway, recording telemetry into reg (the
-// daemon passes telemetry.Default(), tests a private registry). The
-// gateway's decoded-detail cache reports into the registry as
-// css_cache_events_total{cache,result} (last wiring wins if the gateway
-// is also attached to an in-process controller).
+// daemon passes telemetry.Default(), tests a private registry).
 func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServer {
-	cacheEvents := reg.Counter("css_cache_events_total",
-		"Read-path cache lookups, by cache and result.", "cache", "result")
-	gw.SetCacheObserver(func(cache string, hit bool) {
-		if hit {
-			cacheEvents.Inc(cache, "hit")
-		} else {
-			cacheEvents.Inc(cache, "miss")
-		}
-	})
 	s := &GatewayServer{service: service{classify: gwRouteClassFor, now: time.Now},
 		gw: gw, tracer: telemetry.NewTracer(0)}
 	s.mount(reg, s.tracer, "css_gateway", "gateway", nil)

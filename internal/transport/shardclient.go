@@ -30,11 +30,11 @@ import (
 // map flip racing the retry.
 const maxRedirects = 3
 
-// defaultRouteCacheSize bounds each learned-routing cache (person →
-// shard, event → shard). When full the cache is flushed wholesale —
-// entries are one redirect away from being relearned, so eviction
-// bookkeeping would cost more than the misses it prevents.
-const defaultRouteCacheSize = 4096
+// routeCacheSize bounds each learned-routing cache (person → shard,
+// event → shard). When full the cache is flushed wholesale — entries
+// are one redirect away from being relearned, so eviction bookkeeping
+// would cost more than the misses it prevents.
+const routeCacheSize = 4096
 
 // ShardedOption configures a ShardedClient.
 type ShardedOption func(*shardedOptions)
@@ -42,7 +42,6 @@ type ShardedOption func(*shardedOptions)
 type shardedOptions struct {
 	pseudonym func(string) string
 	budget    time.Duration
-	cacheSize int
 }
 
 // WithPseudonym supplies the pseudonym function (HMAC under the
@@ -80,8 +79,8 @@ type ShardedClient struct {
 	clients map[string]*Client
 
 	rr      atomic.Uint32 // round-robin cursor over a shard's read replicas
-	persons *routeCache   // personID → owning shard, learned from acks/redirects
-	events  *routeCache   // event gid → shard that acked the publish
+	persons routeCache    // personID → owning shard, learned from acks/redirects
+	events  routeCache    // event gid → shard that acked the publish
 }
 
 // NewShardedClient builds a cluster client over the given map. factory
@@ -95,7 +94,7 @@ func NewShardedClient(m *cluster.Map, factory func(cluster.ShardInfo) *Client, o
 	if factory == nil {
 		return nil, errors.New("transport: sharded client needs a client factory")
 	}
-	o := shardedOptions{cacheSize: defaultRouteCacheSize}
+	var o shardedOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -104,8 +103,6 @@ func NewShardedClient(m *cluster.Map, factory func(cluster.ShardInfo) *Client, o
 		opts:    o,
 		m:       m,
 		clients: make(map[string]*Client, len(m.Shards())),
-		persons: newRouteCache(o.cacheSize),
-		events:  newRouteCache(o.cacheSize),
 	}, nil
 }
 
@@ -485,18 +482,10 @@ func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*p
 // routeCache is a bounded string → shard map with wholesale flush on
 // overflow and on map change. It deliberately holds person identifiers
 // only in hashed form — a client-side cache must not become a person
-// registry.
+// registry. The zero value is an empty cache.
 type routeCache struct {
-	mu  sync.Mutex
-	m   map[uint64]cluster.ShardID
-	max int
-}
-
-func newRouteCache(max int) *routeCache {
-	if max <= 0 {
-		max = defaultRouteCacheSize
-	}
-	return &routeCache{m: make(map[uint64]cluster.ShardID), max: max}
+	mu sync.Mutex
+	m  map[uint64]cluster.ShardID
 }
 
 func routeKey(k string) uint64 {
@@ -515,7 +504,7 @@ func (rc *routeCache) get(k string) (cluster.ShardID, bool) {
 func (rc *routeCache) put(k string, id cluster.ShardID) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if len(rc.m) >= rc.max {
+	if rc.m == nil || len(rc.m) >= routeCacheSize {
 		rc.m = make(map[uint64]cluster.ShardID)
 	}
 	rc.m[routeKey(k)] = id
@@ -523,6 +512,6 @@ func (rc *routeCache) put(k string, id cluster.ShardID) {
 
 func (rc *routeCache) reset() {
 	rc.mu.Lock()
-	rc.m = make(map[uint64]cluster.ShardID)
+	rc.m = nil
 	rc.mu.Unlock()
 }
