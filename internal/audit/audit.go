@@ -3,9 +3,11 @@
 // purposes" (paper §4), answering "who did the request and why/for which
 // purpose" (§1) for the privacy guarantor or the data subject herself.
 //
-// The log is append-only and hash-chained: every record carries the hash
-// of its predecessor, so truncation or in-place tampering is detectable
-// by Verify. Records are persisted through the embedded store.
+// The log is append-only and hash-chained: every record's hash covers
+// the hash of its predecessor, so truncation or in-place tampering is
+// detectable by Verify. Records are persisted through the embedded store;
+// the predecessor's hash is not stored again in each record, since every
+// reader walks the chain in order and has it in hand.
 package audit
 
 import (
@@ -67,8 +69,10 @@ type Record struct {
 	// the audit trail to the runtime telemetry: the same id appears on
 	// wire messages, spans and logs, and it is covered by the chain hash.
 	Trace string `json:"trace,omitempty"`
-	// PrevHash/Hash chain the record to its predecessor.
-	PrevHash string `json:"prevHash"`
+	// PrevHash/Hash chain the record to its predecessor. PrevHash is the
+	// predecessor's Hash; it is stored only in records of earlier builds,
+	// and Append, Verify and Search fill it from the chain.
+	PrevHash string `json:"prevHash,omitempty"`
 	Hash     string `json:"hash"`
 }
 
@@ -235,14 +239,12 @@ func (l *Log) AppendStaged(r Record) (Record, store.Commit, error) {
 	r.Seq = l.seq + 1
 	r.PrevHash = l.last
 	r.Hash = chainHash(r.Seq, r.PrevHash, sum)
-	out := make([]byte, 0, len(body)+len(r.PrevHash)+len(r.Hash)+48)
-	out = append(out, `{"seq":`...)
+	out := make([]byte, 0, len(body)+len(r.Hash)+40)
+	out = append(out, headPrefix...)
 	out = strconv.AppendUint(out, r.Seq, 10)
 	out = append(out, ',')
 	out = append(out, body...)
-	out = append(out, `,"prevHash":"`...)
-	out = append(out, r.PrevHash...)
-	out = append(out, `","hash":"`...)
+	out = append(out, hashField...)
 	out = append(out, r.Hash...)
 	out = append(out, `"}`...)
 	c, err := l.st.StagePut(key(r.Seq), out)
@@ -393,8 +395,9 @@ func (l *Log) Len() uint64 {
 // The walk streams: records are decoded one at a time under a single
 // read transaction (no accumulated slice) and the recomputed hash is
 // compared in place, so verifying a large chain costs O(1) extra memory.
-// Each link still needs its predecessor's hash only, which the walk
-// carries in two reusable buffers.
+// Each link needs its predecessor's hash only, which the walk carries
+// from the record before. A record of an earlier build also stores it,
+// and that copy must agree with the walk.
 func (l *Log) Verify() error {
 	l.mu.Lock()
 	seq := l.seq
@@ -414,10 +417,11 @@ func (l *Log) Verify() error {
 				verr = fmt.Errorf("%w: gap at seq %d (found %d)", ErrTampered, want, r.Seq)
 				return false
 			}
-			if r.PrevHash != prev {
+			if r.PrevHash != "" && r.PrevHash != prev {
 				verr = fmt.Errorf("%w: broken link at seq %d", ErrTampered, r.Seq)
 				return false
 			}
+			r.PrevHash = prev
 			if !recordHashMatches(&r) {
 				verr = fmt.Errorf("%w: content hash mismatch at seq %d", ErrTampered, r.Seq)
 				return false
@@ -455,10 +459,12 @@ type Query struct {
 
 // Search returns the records matching q, in chain order. Like Verify it
 // streams under one read transaction: a non-matching record costs its
-// read and decode and is not kept.
+// read and decode and is not kept. Each record's PrevHash is the Hash of
+// the record before it in the walk.
 func (l *Log) Search(q Query) ([]Record, error) {
 	var out []Record
 	var derr error
+	prev := genesisHash
 	err := l.st.View(func(tx store.Tx) error {
 		tx.AscendPrefix("a/", func(k string, v []byte) bool {
 			var r Record
@@ -466,6 +472,7 @@ func (l *Log) Search(q Query) ([]Record, error) {
 				derr = fmt.Errorf("audit: corrupt record %s: %w", k, err)
 				return false
 			}
+			r.PrevHash, prev = prev, r.Hash
 			if q.Kind != "" && r.Kind != q.Kind {
 				return true
 			}

@@ -95,8 +95,12 @@ func TestAppendedJSONRoundTrips(t *testing.T) {
 		got.PolicyID != in.PolicyID || got.Trace != in.Trace || got.EventID != in.EventID {
 		t.Fatalf("round trip mismatch:\n in: %+v\ngot: %+v", in, got)
 	}
-	if got.Seq != stored.Seq || got.PrevHash != stored.PrevHash || got.Hash != stored.Hash {
-		t.Fatalf("chain fields mismatch: %+v vs %+v", stored, got)
+	// The predecessor's hash is not stored; Search fills it from the chain.
+	if got.Seq != stored.Seq || got.PrevHash != "" || got.Hash != stored.Hash {
+		t.Fatalf("chain fields mismatch: appended %+v, stored %+v", stored, got)
+	}
+	if found, err := l.Search(Query{}); err != nil || len(found) != 1 || found[0].PrevHash != stored.PrevHash {
+		t.Fatalf("Search = %+v, %v; want PrevHash %s", found, err, stored.PrevHash)
 	}
 	if !got.At.Equal(stored.At) {
 		t.Fatalf("At mismatch: %v vs %v", stored.At, got.At)

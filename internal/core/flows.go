@@ -129,6 +129,7 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	}
 	audSpan := pubSpan.StartChild("audit.append")
 	_, audCommit, err := c.aud.AppendStaged(audit.Record{
+		At:      stamped.PublishedAt,
 		Kind:    audit.KindPublish,
 		Actor:   string(n.Producer),
 		EventID: gid,
@@ -313,21 +314,22 @@ func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h Handler
 		return nil, fmt.Errorf("%w: %s", ErrUnknownClass, class)
 	}
 	trace := telemetry.NewTraceID()
-	if !c.enf.Repository().AllowsSubscription(actor, class, c.now()) {
+	now := c.now()
+	if !c.enf.Repository().AllowsSubscription(actor, class, now) {
 		c.met.subDenials.Inc()
 		c.aud.Append(audit.Record{
-			Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "deny",
+			At: now, Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "deny",
 			Note: "no authorizing policy", Trace: trace,
 		})
 		// Notify the producer of the pending access request (§5).
-		c.pending.note(actor, class, "", c.now())
+		c.pending.note(actor, class, "", now)
 		return nil, fmt.Errorf("%w: %s on %s", ErrSubscriptionDeny, actor, class)
 	}
 
 	// The admission is audited before it takes effect: a subscription
 	// the audit chain cannot record is not made.
 	if _, err := c.aud.Append(audit.Record{
-		Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "permit",
+		At: now, Kind: audit.KindSubscribe, Actor: string(actor), Class: class, Outcome: "permit",
 		Trace: trace,
 	}); err != nil {
 		return nil, fmt.Errorf("core: audit subscription: %w", err)
@@ -554,6 +556,7 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 // and already returns an error of its own.
 func (c *Controller) auditDetail(r *event.DetailRequest, outcome, policyID, note string) error {
 	_, err := c.aud.Append(audit.Record{
+		At:       c.now(),
 		Kind:     audit.KindDetailRequest,
 		Actor:    string(r.Requester),
 		EventID:  r.EventID,
@@ -603,7 +606,7 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 	trace := telemetry.NewTraceID()
 	if q.Class != "" && !c.enf.Repository().AllowsSubscription(actor, q.Class, now) {
 		c.auditRead(audit.Record{
-			Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "deny",
+			At: now, Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "deny",
 			Note: "no authorizing policy", Trace: trace,
 		})
 		return nil, fmt.Errorf("%w: %s on %s", ErrSubscriptionDeny, actor, q.Class)
@@ -632,7 +635,7 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 		}
 	}
 	if err := c.auditRead(audit.Record{
-		Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "permit",
+		At: now, Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " notifications", Trace: trace,
 	}); err != nil {
 		return nil, err
@@ -663,7 +666,7 @@ func (c *Controller) InquireOwn(personID string, q index.Inquiry) ([]*event.Noti
 		out = append(out, n.Redact())
 	}
 	if err := c.auditRead(audit.Record{
-		Kind: audit.KindIndexInquiry, Actor: "citizen:" + personID, Outcome: "permit",
+		At: c.now(), Kind: audit.KindIndexInquiry, Actor: "citizen:" + personID, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " own notifications", Trace: telemetry.NewTraceID(),
 	}); err != nil {
 		return nil, err

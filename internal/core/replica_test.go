@@ -180,6 +180,9 @@ func TestReplicaServesReadsRefusesWrites(t *testing.T) {
 	}); !errors.As(err, &np) {
 		t.Fatalf("replica details = %v, want NotPrimaryError", err)
 	}
+	if rl := rig.replica.Audit().Len(); rl != primLen {
+		t.Fatalf("replica audit len %d after refused writes, want %d (refusals are not audited)", rl, primLen)
+	}
 
 	// Consent recorded on the primary reaches the replica's filtering.
 	if _, err := rig.primary.RecordConsent(consent.Directive{

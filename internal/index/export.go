@@ -15,17 +15,12 @@ import (
 
 // Pseudonym returns the keyed pseudonym routing and partitioning use
 // for a person identifier, the same one the person index is keyed by.
-// In the plaintext-baseline mode (nil keyring) the identifier is its
-// own pseudonym.
 func (ix *Index) Pseudonym(person string) string {
-	if ix.keys == nil {
-		return person
-	}
 	return ix.keys.Pseudonym(person)
 }
 
 // movedEvent is one event whose owner changes under the next shard
-// map, with everything needed to rebuild its four index keys.
+// map, with everything needed to rebuild its index keys.
 type movedEvent struct {
 	id        event.GlobalID
 	pseudonym string
@@ -82,8 +77,8 @@ func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, 
 }
 
 // ExportMoved streams every event whose pseudonym satisfies moved as
-// one store batch each — the primary record plus its three secondary
-// keys, exactly as PutStaged wrote them — and returns the count and
+// one store batch each — the primary record plus its person and class
+// keys, exactly as PutStaged writes them — and returns the count and
 // the moved global ids (so the caller can ship the matching id-map
 // entries alongside). The records travel with the person id still
 // sealed: the handoff never exposes plaintext identifiers, and donor
@@ -99,10 +94,8 @@ func (ix *Index) ExportMoved(moved func(pseudonym string) bool,
 	for _, ev := range events {
 		var b store.Batch
 		b.Put(eventKey(ev.id), ev.value)
-		idVal := []byte(ev.id)
-		b.Put(personIdxKey(ev.pseudonym, ev.ts, ev.id), idVal)
-		b.Put(classIdxKey(ev.class, ev.ts, ev.id), idVal)
-		b.Put(producerIdxKey(ev.producer, ev.id), idVal)
+		b.Put(personIdxKey(ev.pseudonym, ev.ts, ev.id), nil)
+		b.Put(classIdxKey(ev.class, ev.ts, ev.id), nil)
 		if err := ship(ev.id, ev.pseudonym, &b); err != nil {
 			return len(gids), gids, err
 		}
@@ -120,7 +113,8 @@ func (ix *Index) ApplyHandoff(b *store.Batch) error {
 
 // SweepMoved deletes every event whose pseudonym satisfies moved —
 // the donor's post-flip cleanup after a handoff. It returns the global
-// ids removed so the caller can sweep the matching id-map entries.
+// ids removed so the caller can sweep the matching id-map entries. The
+// producer key an earlier build wrote goes too, when the event has one.
 func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID, error) {
 	events, err := ix.collectMoved(moved)
 	if err != nil {
@@ -132,7 +126,10 @@ func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID
 		b.Delete(eventKey(ev.id))
 		b.Delete(personIdxKey(ev.pseudonym, ev.ts, ev.id))
 		b.Delete(classIdxKey(ev.class, ev.ts, ev.id))
-		b.Delete(producerIdxKey(ev.producer, ev.id))
+		sk := producerIdxKey(ev.producer, ev.id)
+		if has, _ := ix.st.Has(sk); has { // a closed store fails the Apply below
+			b.Delete(sk)
+		}
 		gids = append(gids, ev.id)
 	}
 	if b.Len() == 0 {

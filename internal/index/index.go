@@ -93,21 +93,18 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	}
 	personKey := ix.keys.Pseudonym(n.PersonID)
 	data := appendRecordJSON(n, sealed)
-	// The primary record and its three secondary keys commit as one
+	// The primary record and its person and class keys commit as one
 	// store batch: one lock acquisition, one WAL frame, and — because a
 	// batch frame replays all-or-nothing — no crash window in which a
 	// notification exists without its index entries (or vice versa).
-	// The store copies each value into its WAL frame when the batch is
-	// applied, so the three secondary entries pass one id slice and the
-	// buffers are the caller's again afterwards.
+	// The secondary keys carry everything a scan needs (the event id is
+	// their last component, see idxKeyID), so their values are empty.
 	ts := timeKey(n.OccurredAt)
-	idVal := []byte(n.ID)
 	b := batchPool.Get().(*store.Batch)
 	b.Reset()
 	b.PutOwned(eventKey(n.ID), data)
-	b.PutOwned(personIdxKey(personKey, ts, n.ID), idVal)
-	b.PutOwned(classIdxKey(n.Class, ts, n.ID), idVal)
-	b.PutOwned(producerIdxKey(n.Producer, n.ID), idVal)
+	b.PutOwned(personIdxKey(personKey, ts, n.ID), nil)
+	b.PutOwned(classIdxKey(n.Class, ts, n.ID), nil)
 	c, err := ix.st.StageApply(b)
 	batchPool.Put(b)
 	if err != nil {
@@ -257,8 +254,8 @@ func (ix *Index) Inquire(q Inquiry) ([]*event.Notification, error) {
 // window encoded in the keys, and resolves the primary records inside
 // the same read transaction — one lock acquisition for the whole scan.
 // The walk reads keys only: the event id is the key's last component
-// (see idxKeyID), so the secondary values, which repeat it, are never
-// fetched from the store's log.
+// (see idxKeyID). The secondary values are empty, or the id itself in
+// stores written by earlier builds; either way they are never fetched.
 func (ix *Index) scanIdx(prefix string, q Inquiry) ([]*event.Notification, error) {
 	from := prefix
 	if !q.From.IsZero() {
@@ -382,6 +379,8 @@ func classIdxKey(c event.ClassID, ts string, id event.GlobalID) string {
 	return "c/" + string(c) + "/" + ts + "/" + string(id)
 }
 
+// producerIdxKey is the key of the producer index earlier builds wrote
+// and nothing read. It is no longer written; SweepMoved removes it.
 func producerIdxKey(p event.ProducerID, id event.GlobalID) string {
 	return "s/" + string(p) + "/" + string(id)
 }

@@ -17,15 +17,15 @@ import (
 )
 
 // TestMemtableFootprint holds a disk store's memtable to its two promises
-// on the entries a controller really stores — the seven a publish
-// writes: the id mapping both ways, the sealed record with its person,
-// class and producer index keys, and the audit record. The values stay
+// on the entries a controller really stores — the six a publish writes:
+// the id mapping both ways, the sealed record with its person and class
+// index keys, and the audit record. The values stay
 // in the WAL, so the arena may spend at most 48 bytes per entry beyond
 // the key bytes, and loading 50 000 entries may add at most 1 000 heap
 // objects (three per entry before the arena). Both are counts, not
 // timings, and repeat from run to run.
 func TestMemtableFootprint(t *testing.T) {
-	const publishes = 7143 // × 7 entries ≥ 50 000
+	const publishes = 8334 // × 6 entries ≥ 50 000
 	src := store.OpenMemory()
 	keys, err := crypto.NewKeyring(bytes.Repeat([]byte{3}, crypto.KeySize))
 	if err != nil {
@@ -70,8 +70,8 @@ func TestMemtableFootprint(t *testing.T) {
 		valueBytes += len(v)
 		return true
 	})
-	if len(entries) != 7*publishes {
-		t.Fatalf("%d publishes left %d entries, want 7 each", publishes, len(entries))
+	if len(entries) != 6*publishes {
+		t.Fatalf("%d publishes left %d entries, want 6 each", publishes, len(entries))
 	}
 
 	dst, err := store.Open(filepath.Join(t.TempDir(), "footprint.wal"), store.Options{})
