@@ -123,9 +123,10 @@ lint-traceid:
 # reflect in the XML helper they share, no reflect and no fmt at all in
 # the binary frame layer under every hop and in the JSON helper audit
 # and index records are written and read with, and no reflect and no
-# unsafe in the store every write lands in (its arena is plain byte
-# slices, and it reads values back from the WAL with ReadAt, not mmap:
-# mapped file pages would count in the daemons' resident memory). Inside
+# unsafe in the store every write lands in (its arena is byte slices of
+# anonymous mappings, and it reads values back from the WAL with ReadAt,
+# never through a file mapping: mapped file pages would count in the
+# daemons' resident memory). Inside
 # internal/event, encoding/xml (the decoders' fallback) is xml.go's
 # alone. Test files are exempt.
 XMLX_FILES = $(filter-out %_test.go,$(wildcard internal/xmlx/*.go))
@@ -181,6 +182,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableModel -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzDiskStoreModel -fuzztime=15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzMemoryStoreModel -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzAuditHeadDifferential -fuzztime=15s ./internal/audit/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/

@@ -16,14 +16,16 @@ import (
 	"repro/internal/store"
 )
 
-// TestMemtableFootprint holds a disk store's memtable to its two promises
-// on the entries a controller really stores — the six a publish writes:
-// the id mapping both ways, the sealed record with its person and class
-// index keys, and the audit record. The values stay
-// in the WAL, so the arena may spend at most 48 bytes per entry beyond
-// the key bytes, and loading 50 000 entries may add at most 1 000 heap
-// objects (three per entry before the arena). Both are counts, not
-// timings, and repeat from run to run.
+// TestMemtableFootprint holds a disk store's memtable to its three
+// promises on the entries a controller really stores — the six a publish
+// writes: the id mapping both ways, the sealed record with its person
+// and class index keys, and the audit record. The values stay in the
+// WAL, so the arena may spend at most 48 bytes per entry beyond the key
+// bytes. The arena is mapped outside the Go heap, so loading 50 000
+// entries may add at most 1 000 heap objects (three per entry before the
+// arena) and at most 64 KiB of live heap (about 4.2 MB while the chunks
+// were heap slices). All are counts, not timings, and repeat from run to
+// run.
 func TestMemtableFootprint(t *testing.T) {
 	const publishes = 8334 // × 6 entries ≥ 50 000
 	src := store.OpenMemory()
@@ -93,13 +95,17 @@ func TestMemtableFootprint(t *testing.T) {
 	arena := dst.ArenaBytes()
 	overhead := float64(arena-keyBytes) / float64(len(entries))
 	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
-	t.Logf("%d entries: %d key bytes, %d value bytes (in the WAL), %d arena bytes (%.1f B/entry over keys), %+d heap objects",
-		len(entries), keyBytes, valueBytes, arena, overhead, objects)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d entries: %d key bytes, %d value bytes (in the WAL), %d arena bytes (%.1f B/entry over keys), %+d heap objects, %+d heap bytes",
+		len(entries), keyBytes, valueBytes, arena, overhead, objects, heap)
 	if overhead > 48 {
 		t.Errorf("arena spends %.1f B per entry beyond keys, want at most 48", overhead)
 	}
 	if objects > 1000 {
 		t.Errorf("loading %d entries added %d heap objects, want at most 1 000", len(entries), objects)
+	}
+	if heap > 64<<10 {
+		t.Errorf("loading %d entries grew the heap by %d bytes, want at most 64 KiB: the arena is on the Go heap", len(entries), heap)
 	}
 	runtime.KeepAlive(entries)
 	runtime.KeepAlive(dst)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -83,7 +84,7 @@ func FuzzMemtableModel(f *testing.F) {
 	f.Add([]byte{0, 0x41, 7, 0, 0x41, 0, 2, 0x41, 0, 2, 0x41, 0})
 	f.Add([]byte{3, 0x80, 200, 3, 0x80, 201, 3, 0x85, 255, 2, 0x80, 0, 0, 0x05, 9, 3, 0x85, 130})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, tx := memList(1)
+		l, tx := memList(t, 1)
 		m := map[string]string{}
 		froms, prefixes := []string{""}, []string{""}
 		for ; len(data) >= 3; data = data[3:] {
@@ -155,15 +156,80 @@ func checkStore(t *testing.T, what string, s *Store, m map[string]string) {
 	}
 }
 
+// boundary is the model as it stood when the WAL ended at offset at.
+type boundary struct {
+	at int64
+	m  map[string]string
+}
+
+// runModelOps applies an op stream to s and to a plain map. Three bytes
+// make one op: what to do, the key (as in FuzzMemtableModel) and the
+// value's size, times scale; op 4 opens or applies a batch. It returns
+// the model and a snapshot of it at every WAL offset a write ended on
+// (a memory store's are all 0).
+func runModelOps(t *testing.T, s *Store, ops []byte, scale int) (map[string]string, []boundary) {
+	t.Helper()
+	m := map[string]string{}
+	bounds := []boundary{{0, map[string]string{}}}
+	mark := func() {
+		snap := make(map[string]string, len(m))
+		for k, v := range m {
+			snap[k] = v
+		}
+		bounds = append(bounds, boundary{s.WALOffset(), snap})
+	}
+	var b *Batch
+	for i := 0; len(ops) >= 3; i, ops = i+1, ops[3:] {
+		op, kb, vb := ops[0], ops[1], ops[2]
+		k := string([]byte{'a' + kb&3, 'a' + kb>>2&3, 'a' + kb>>4&3}[:1+kb>>6%3])
+		v := fmt.Sprintf("%d:%s", i, strings.Repeat(string(rune('A'+vb%26)), int(vb)*int(op%4)*scale))
+		switch op % 5 {
+		case 4:
+			if b == nil {
+				b = &Batch{}
+				continue
+			}
+			if err := s.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			b = nil
+			mark()
+			continue
+		case 2:
+			if b != nil {
+				b.Delete(k)
+			} else if err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(m, k)
+		default:
+			if b != nil {
+				b.Put(k, []byte(v))
+			} else if err := s.Put(k, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			m[k] = v
+		}
+		if b == nil {
+			mark()
+		}
+	}
+	if b != nil {
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		mark()
+	}
+	return m, bounds
+}
+
 // FuzzDiskStoreModel: an arbitrary stream of puts, overwrites, deletes
-// and batches on a disk store, whose memtable keeps only where each
-// value lies in the WAL, must answer every read like a plain map: live,
-// after Close and Open, after TruncateWAL back to a record boundary
-// (against the model as it stood there), and on a second store fed the
-// same bytes through ReadWAL and ApplyWALSegment. Three bytes make one
-// op: what to do, the key (as in FuzzMemtableModel) and the value's
-// size; op 4 opens or applies a batch. The first byte picks the
-// truncation point and the follower's segment size.
+// and batches (runModelOps) on a disk store, whose memtable keeps only
+// where each value lies in the WAL, must answer every read like a plain
+// map: live, after Close and Open, after TruncateWAL back to a record
+// boundary (against the model as it stood there), and on a second store
+// fed the same bytes through ReadWAL and ApplyWALSegment. The first byte
+// picks the truncation point and the follower's segment size.
 func FuzzDiskStoreModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0x41, 7, 0, 0x41, 9, 2, 0x41, 0, 1, 0x42, 200})
@@ -182,61 +248,7 @@ func FuzzDiskStoreModel(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer func() { s.Close() }()
-		m := map[string]string{}
-		type boundary struct {
-			at int64
-			m  map[string]string
-		}
-		bounds := []boundary{{0, map[string]string{}}}
-		mark := func() {
-			snap := make(map[string]string, len(m))
-			for k, v := range m {
-				snap[k] = v
-			}
-			bounds = append(bounds, boundary{s.WALOffset(), snap})
-		}
-		var b *Batch
-		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
-			op, kb, vb := ops[0], ops[1], ops[2]
-			k := string([]byte{'a' + kb&3, 'a' + kb>>2&3, 'a' + kb>>4&3}[:1+kb>>6%3])
-			v := fmt.Sprintf("%d:%s", i, strings.Repeat(string(rune('A'+vb%26)), int(vb)*int(op%4)))
-			switch op % 5 {
-			case 4:
-				if b == nil {
-					b = &Batch{}
-					continue
-				}
-				if err := s.Apply(b); err != nil {
-					t.Fatal(err)
-				}
-				b = nil
-				mark()
-				continue
-			case 2:
-				if b != nil {
-					b.Delete(k)
-				} else if err := s.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-				delete(m, k)
-			default:
-				if b != nil {
-					b.Put(k, []byte(v))
-				} else if err := s.Put(k, []byte(v)); err != nil {
-					t.Fatal(err)
-				}
-				m[k] = v
-			}
-			if b == nil {
-				mark()
-			}
-		}
-		if b != nil {
-			if err := s.Apply(b); err != nil {
-				t.Fatal(err)
-			}
-			mark()
-		}
+		m, bounds := runModelOps(t, s, data[1:], 1)
 		checkStore(t, "live", s, m)
 
 		follower, err := Open(filepath.Join(dir, "follower.wal"), Options{})
@@ -271,5 +283,51 @@ func FuzzDiskStoreModel(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkStore(t, "truncated", s, cut.m)
+	})
+}
+
+// FuzzMemoryStoreModel runs FuzzDiskStoreModel's op streams on a memory
+// store, whose memtable holds the values as well, with values 128 times
+// longer (up to 96 KiB): enough that overwrites rebuild the arena,
+// copying the values into fresh chunks and unmapping the old ones,
+// within the 64 ops a stream may hold. Every read must answer like the
+// map, and writing over everything the reads returned must change
+// nothing in the store. The first byte is unused, as it picks nothing a
+// memory store has.
+func FuzzMemoryStoreModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0x41, 7, 0, 0x41, 9, 2, 0x41, 0, 1, 0x42, 200})
+	f.Add([]byte{5, 4, 0, 0, 0, 0x80, 20, 3, 0x85, 255, 2, 0x80, 0, 4, 0, 0, 1, 0x80, 3, 2, 0x05, 0})
+	// Twenty 96 KiB overwrites of one key: the dead bytes pass a chunk
+	// and the live ones, so the arena is rebuilt.
+	f.Add(append([]byte{0}, bytes.Repeat([]byte{3, 0, 255}, 20)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 3*64+1 {
+			return
+		}
+		s := OpenMemory()
+		defer s.Close()
+		m, _ := runModelOps(t, s, data[1:], 128)
+		checkStore(t, "live", s, m)
+		scribble := func(v []byte) {
+			for i := range v {
+				v[i] = '#'
+			}
+		}
+		for k := range m {
+			v, _, _ := s.Get(k)
+			scribble(v)
+		}
+		s.View(func(tx Tx) error {
+			tx.AscendPrefix("", func(_ string, v []byte) bool {
+				scribble(v)
+				return true
+			})
+			_, v, _ := tx.Last("")
+			scribble(v)
+			return nil
+		})
+		checkStore(t, "after writes into read values", s, m)
 	})
 }

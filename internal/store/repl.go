@@ -335,6 +335,7 @@ func (s *Store) TruncateWAL(offset int64) error {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
 	// Rebuild memory from the surviving prefix, exactly like Open.
+	s.list.free()
 	s.list = newSkipList(nextSeed(), false)
 	validLen, err := s.replay()
 	if err != nil {

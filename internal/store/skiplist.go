@@ -1,15 +1,16 @@
 // Package store implements the embedded storage engine of the CSS
 // platform: a durable, ordered key-value store built from an in-memory
-// skip list laid out in a pointer-free arena and a write-ahead log with
-// checksummed records. The events index, the local cooperation gateways
-// and the audit trail all persist through it. It favors simplicity and
-// auditability over raw speed, in keeping with the deployment the paper
-// describes.
+// skip list laid out in an arena outside the Go heap and a write-ahead
+// log with checksummed records. The events index, the local cooperation
+// gateways and the audit trail all persist through it. It favors
+// simplicity and auditability over raw speed, in keeping with the
+// deployment the paper describes.
 package store
 
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"sync"
 )
 
@@ -46,17 +47,17 @@ const (
 type ref uint64
 
 // skipList is an ordered index of string keys whose nodes and keys live
-// in a few large []byte chunks: the garbage collector sees one
-// pointer-free object per chunk, whatever the number of entries. Each
-// node records where its value is (see nodeHeader). A memory list (mem)
-// copies values into the arena too and hands out slices of it, which
-// callers must not write to. It is not safe for concurrent use; Store
-// serializes access.
+// in a few large chunks mapped outside the Go heap (arena.go): the
+// garbage collector sees none of them, whatever the number of entries.
+// Each node records where its value is (see nodeHeader). A memory list
+// (mem) copies values into the arena too. No slice of a chunk may leave
+// the Store lock: readers copy what they hand out. It is not safe for
+// concurrent use; Store serializes access.
 //
 // Space taken by deleted nodes, and in a memory list by overwritten
-// values, is dead until the list is rebuilt (see maybeRebuild); chunks a
-// rebuild leaves behind are freed once no slice handed out earlier
-// refers to them.
+// values, is dead until the list is rebuilt (see maybeRebuild), which
+// unmaps the chunks it leaves behind. free unmaps the rest; a list
+// dropped without it is freed by its finalizer.
 type skipList struct {
 	chunks [][]byte
 	used   int // bytes taken from the last chunk
@@ -74,13 +75,22 @@ type skipList struct {
 func newSkipList(seed int64, mem bool) *skipList {
 	l := &skipList{rnd: rand.New(rand.NewSource(seed)), mem: mem}
 	l.reset()
+	runtime.SetFinalizer(l, (*skipList).free)
 	return l
 }
 
+// free unmaps every chunk; the list must not be read again.
+func (l *skipList) free() {
+	for _, c := range l.chunks {
+		unmapChunk(c)
+	}
+	l.chunks = nil
+}
+
 // reset empties the list into a fresh arena: the head node alone in a
-// full chunk of its own size, so an empty list holds no 1 MiB block.
+// chunk of its own, so an empty list holds no 1 MiB block.
 func (l *skipList) reset() {
-	head := make([]byte, nodeHeader+maxLevel*linkSize)
+	head := mapChunk(nodeHeader + maxLevel*linkSize)
 	head[16] = maxLevel
 	l.chunks = [][]byte{head}
 	l.used, l.live, l.total = len(head), len(head), len(head)
@@ -93,7 +103,7 @@ func (l *skipList) alloc(n int) (ref, []byte) {
 	c := len(l.chunks) - 1
 	if free := len(l.chunks[c]) - l.used; n > free {
 		l.total += free
-		l.chunks = append(l.chunks, make([]byte, max(n, chunkSize)))
+		l.chunks = append(l.chunks, mapChunk(max(n, chunkSize)))
 		l.used = 0
 		c++
 	}
@@ -133,10 +143,9 @@ func setValue(n []byte, r ref, vlen int) {
 	binary.LittleEndian.PutUint64(n[8:], uint64(r))
 }
 
-// value returns the value of n in a memory list, capped so that
-// appending to it cannot reach the bytes behind it.
+// value returns the arena bytes of n's value in a memory list.
 func (l *skipList) value(n []byte) []byte {
-	return l.at(valueRef(n))[:valueLen(n):valueLen(n)]
+	return l.at(valueRef(n))[:valueLen(n)]
 }
 
 // place returns the value ref for value: its WAL offset at in a disk
@@ -258,8 +267,9 @@ func (l *skipList) del(key string) bool {
 // dead bytes exceed both the live bytes and one chunk, so churn (the
 // outbox's put+delete, a reshard's mass delete, a memory store's
 // overwrites) costs at most twice the live data plus a chunk. The copy
-// is linear and is paid for by the writes that made the dead bytes.
-// Slices handed out before keep their old chunks alive and stay valid.
+// is linear and is paid for by the writes that made the dead bytes. The
+// old chunks are unmapped as soon as it is done: nothing outside the
+// Store lock holds a slice of them.
 func (l *skipList) maybeRebuild() {
 	if dead := l.total - l.live; dead <= l.live || dead <= chunkSize {
 		return
@@ -281,6 +291,7 @@ func (l *skipList) maybeRebuild() {
 		}
 		x = next(n, 0)
 	}
+	old.free()
 }
 
 // walk visits the nodes with key ≥ from in order until fn returns false.

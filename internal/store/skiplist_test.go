@@ -10,14 +10,15 @@ import (
 )
 
 // memList returns a memory list and a Tx reading it the way a View of
-// its store does.
-func memList(seed int64) (*skipList, Tx) {
+// its store does. The list is unmapped when the test ends.
+func memList(t *testing.T, seed int64) (*skipList, Tx) {
 	l := newSkipList(seed, true)
+	t.Cleanup(l.free)
 	return l, Tx{list: l, err: new(error)}
 }
 
 func TestSkipListBasic(t *testing.T) {
-	l, tx := memList(1)
+	l, tx := memList(t, 1)
 	if _, ok := tx.Get("a"); ok {
 		t.Error("get on empty list reported present")
 	}
@@ -48,7 +49,7 @@ func TestSkipListBasic(t *testing.T) {
 }
 
 func TestSkipListOrdering(t *testing.T) {
-	l, tx := memList(2)
+	l, tx := memList(t, 2)
 	keys := []string{"delta", "alpha", "echo", "charlie", "bravo"}
 	for _, k := range keys {
 		l.put(k, []byte(k), 0)
@@ -71,7 +72,7 @@ func TestSkipListOrdering(t *testing.T) {
 }
 
 func TestSkipListAscendFrom(t *testing.T) {
-	l, tx := memList(3)
+	l, tx := memList(t, 3)
 	for i := 0; i < 20; i++ {
 		l.put(fmt.Sprintf("k%02d", i), nil, 0)
 	}
@@ -95,7 +96,7 @@ func TestSkipListAscendFrom(t *testing.T) {
 }
 
 func TestSkipListAscendPrefix(t *testing.T) {
-	l, tx := memList(4)
+	l, tx := memList(t, 4)
 	for _, k := range []string{"a", "ab", "abc", "abd", "ac", "b"} {
 		l.put(k, nil, 0)
 	}
@@ -180,7 +181,8 @@ func TestQuickSkipListMatchesMap(t *testing.T) {
 	rebuilds := 0
 	f := func(seed int64, opsCount uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		l, tx := memList(seed)
+		l, tx := memList(t, seed)
+		defer l.free()
 		m := map[string]string{}
 		ops := int(opsCount%500) + 50
 		for i := 0; i < ops; i++ {
@@ -255,7 +257,7 @@ func TestChurnDoesNotGrow(t *testing.T) {
 }
 
 func TestSkipListLargeSequential(t *testing.T) {
-	l, tx := memList(7)
+	l, tx := memList(t, 7)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		l.put(fmt.Sprintf("key-%08d", i), []byte{byte(i)}, 0)

@@ -184,10 +184,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	}
 	var err error
 	v, ok := s.tx(&err).Get(key)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.own(v), ok, nil
+	return v, ok, err
 }
 
 // Has reports whether key is present. It reads no value.
@@ -220,9 +217,7 @@ func (s *Store) Len() (int, error) {
 // caller's and may be retained.
 func (s *Store) AscendPrefix(prefix string, fn func(key string, value []byte) bool) error {
 	return s.View(func(tx Tx) error {
-		tx.AscendPrefix(prefix, func(k string, v []byte) bool {
-			return fn(k, s.own(v))
-		})
+		tx.AscendPrefix(prefix, fn)
 		return nil
 	})
 }
@@ -231,30 +226,19 @@ func (s *Store) AscendPrefix(prefix string, fn func(key string, value []byte) bo
 // An empty `to` means "to the end".
 func (s *Store) AscendRange(from, to string, fn func(key string, value []byte) bool) error {
 	return s.View(func(tx Tx) error {
-		tx.AscendRange(from, to, func(k string, v []byte) bool {
-			return fn(k, s.own(v))
-		})
+		tx.AscendRange(from, to, fn)
 		return nil
 	})
 }
 
-// own returns a value the caller may keep and write to: a memory store's
-// Tx hands out the arena, a disk store's a fresh slice already.
-func (s *Store) own(v []byte) []byte {
-	if s.list.mem {
-		return append([]byte(nil), v...)
-	}
-	return v
-}
-
 // Tx is a read transaction handed to View: every read shares the same
-// lock acquisition. A disk store reads each value from its WAL into a
-// fresh slice, which is the caller's; a memory store hands out the
-// memtable's arena without copying. Either slice may be retained, and
-// neither may be written to. The Tx must not be used outside the View
-// callback. A value that cannot be read ends the transaction's reads:
-// that read and every later one report nothing, and View returns the
-// error, never an absence.
+// lock acquisition. Every value it returns is a fresh slice the caller
+// owns: a disk store reads it from its WAL, a memory store copies it out
+// of the memtable's arena, which is unmapped when the list is rebuilt or
+// the store closed. The Tx must not be used outside the View callback.
+// A value that cannot be read ends the transaction's reads: that read
+// and every later one report nothing, and View returns the error, never
+// an absence.
 type Tx struct {
 	list *skipList
 	log  *os.File // the WAL a disk store's value refs point into
@@ -292,10 +276,11 @@ func (t Tx) value(n []byte) ([]byte, bool) {
 	if *t.err != nil {
 		return nil, false
 	}
-	if t.list.mem {
-		return t.list.value(n), true
-	}
 	v := make([]byte, valueLen(n))
+	if t.list.mem {
+		copy(v, t.list.value(n))
+		return v, true
+	}
 	if _, err := t.log.ReadAt(v, int64(valueRef(n))); err != nil {
 		*t.err = fmt.Errorf("store: read value at wal offset %d: %w", valueRef(n), err)
 		return nil, false
@@ -360,8 +345,8 @@ func (t Tx) AscendKeys(prefix, from string, fn func(key string) bool) {
 	})
 }
 
-// Close flushes and closes the store. Further operations fail with
-// ErrClosed. Close is idempotent.
+// Close flushes and closes the store and unmaps its memtable. Further
+// operations fail with ErrClosed. Close is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -369,6 +354,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.list.free()
 	if s.log != nil {
 		return s.log.close()
 	}
