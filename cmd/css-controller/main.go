@@ -21,11 +21,10 @@
 //	                (default 50; negative: unlimited)
 //	-queue-cap      per-subscription bus queue bound (default 1024;
 //	                <=0: unbounded)
-//	-codec     wire codec pre-encoded on the publish path: "xml"
-//	           (default, paper fidelity) or "binary" (compact framing;
-//	           see DESIGN.md §8), and the codec details are asked for
-//	           in from -gateway daemons. Inbound requests and callback
-//	           deliveries still negotiate per peer either way.
+//	-codec     codec details are asked for in from -gateway daemons:
+//	           "xml" (default, paper fidelity) or "binary" (compact
+//	           framing; see DESIGN.md §8). Inbound requests and callback
+//	           deliveries negotiate per peer either way.
 //	-drain-timeout  graceful-shutdown budget on SIGTERM/SIGINT
 //	                (default 10s): stop admitting, finish in-flight
 //	                requests, flush the bus, fsync and close the stores
@@ -133,7 +132,7 @@ func main() {
 	scenario := flag.Bool("scenario", false, "provision the demo scenario")
 	slow := flag.Duration("slow", telemetry.DefaultSlowThreshold, "slow-operation warning threshold")
 	queueCap := flag.Int("queue-cap", 1024, "per-subscription bus queue bound (<=0: unbounded)")
-	codecName := flag.String("codec", "", `internal wire codec: "xml" (default) or "binary"`)
+	codecName := flag.String("codec", "", `codec details are asked for in from -gateway daemons: "xml" (default) or "binary"`)
 	role := flag.String("role", "primary", `replication role: "primary" or "replica"`)
 	replListen := flag.String("repl-listen", "", "replica: TCP address the WAL-stream follower listens on")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower addresses to ship WALs to")
@@ -158,22 +157,21 @@ func main() {
 		Metrics:        telemetry.Default(),
 		SpanSampleRate: run.SpanSample,
 	}
-	// -codec picks the format the controller uses where IT is the
-	// client: callback deliveries it originates default to this codec,
-	// and it asks its -gateway daemons for details in it. Inbound requests always negotiate per message, so XML peers keep
-	// working regardless of the flag.
+	// -codec picks the format the controller asks its -gateway daemons
+	// for details in. Inbound requests negotiate per message and each
+	// subscription names its callback codec, so XML peers keep working
+	// regardless of the flag.
 	codec, err := event.CodecByName(*codecName)
 	if err != nil {
 		log.Fatalf("-codec: %v", err)
 	}
-	cfg.Codec = codec
 	if run.SpanSample <= 0 {
 		cfg.SpanSampleRate = -1 // explicit zero means "record nothing"
 	}
 	if *queueCap > 0 {
-		// Bounded subscription queues: a wedged consumer sheds its own
-		// oldest-unread traffic to the capped DLQ instead of growing the
-		// broker without bound.
+		// Bounded subscription queues: a wedged consumer's queue sheds
+		// each arriving notification once full instead of growing the
+		// broker without bound; the consumer catches up from the index.
 		cfg.Bus.MaxPending = *queueCap
 	}
 	if *keyFile != "" {

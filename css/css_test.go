@@ -333,7 +333,7 @@ func TestPublicAPIAccessorsAndOptions(t *testing.T) {
 	p, err := css.NewPlatform(
 		css.WithDefaultConsent(true),
 		css.WithClock(func() time.Time { return fixed }),
-		css.WithBusOptions(bus.Options{MaxAttempts: 2}),
+		css.WithBusOptions(bus.Options{MaxPending: 64}),
 	)
 	if err != nil {
 		t.Fatal(err)

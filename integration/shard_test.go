@@ -31,7 +31,7 @@ import (
 func bootShard(t *testing.T, key []byte, id cluster.ShardID, m *cluster.Map, ln net.Listener) *core.Controller {
 	t.Helper()
 	c, err := core.New(core.Config{
-		DefaultConsent: true, Codec: event.Binary, MasterKey: key,
+		DefaultConsent: true, MasterKey: key,
 		ShardID: id, ShardMap: m,
 	})
 	if err != nil {

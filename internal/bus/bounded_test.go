@@ -2,7 +2,6 @@ package bus
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,27 +32,33 @@ func (g *gate) handle(m *Message) error {
 // exactly max messages, so the next publish must overflow.
 func fillQueue(t *testing.T, b *Broker, sub *Subscription, g *gate, max int) {
 	t.Helper()
-	b.Publish("t", []byte("inflight"))
+	b.Publish("t", "inflight", "")
 	select {
 	case <-g.entered:
 	case <-time.After(flushTimeout):
 		t.Fatal("handler never entered")
 	}
 	for i := 0; i < max; i++ {
-		b.Publish("t", []byte(fmt.Sprintf("q%02d", i)))
+		b.Publish("t", fmt.Sprintf("q%02d", i), "")
 	}
+	waitPending(t, sub, max)
+}
+
+// waitPending waits until sub holds exactly n queued messages.
+func waitPending(t *testing.T, sub *Subscription, n int) {
+	t.Helper()
 	deadline := time.Now().Add(flushTimeout)
-	for sub.Pending() < max && time.Now().Before(deadline) {
+	for sub.Pending() != n && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if p := sub.Pending(); p != max {
-		t.Fatalf("queue depth = %d, want %d", p, max)
+	if p := sub.Pending(); p != n {
+		t.Fatalf("queue depth = %d, want %d", p, n)
 	}
 }
 
-// A full queue diverts the arriving message to the DLQ, keeps what it
-// holds in order, and reports the overflow under the "shed-newest" label
-// of css_bus_overflow_total.
+// A full queue sheds the arriving message, keeps what it holds in order,
+// and reports the overflow under the "shed-newest" label of
+// css_bus_overflow_total. The shed message is never delivered.
 func TestShedNewestDivertsArrival(t *testing.T) {
 	b := New(Options{MaxPending: 2})
 	var labels []string
@@ -62,53 +67,22 @@ func TestShedNewestDivertsArrival(t *testing.T) {
 	g := newGate()
 	sub, _ := b.Subscribe("t", "slow", g.handle)
 	fillQueue(t, b, sub, g, 2) // in flight + [q00 q01]
-	b.Publish("t", []byte("newest"))
-	dls := sub.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Body) != "newest" {
-		t.Fatalf("DLQ after shed-newest = %v", bodiesOf(dls))
+	b.Publish("t", "newest", "")
+	if p := sub.Pending(); p != 2 {
+		t.Fatalf("queue depth after shed-newest = %d, want 2", p)
 	}
 	close(g.release)
 	if !b.Flush(flushTimeout) {
 		t.Fatal("Flush timed out")
 	}
-	if got := g.c.bodies(); len(got) != 3 || got[2] != "q01" {
-		t.Errorf("delivered = %v, want the queued messages in order", got)
+	if got := g.c.payloads(); len(got) != 3 || got[1] != "q00" || got[2] != "q01" {
+		t.Errorf("delivered = %v, want the in-flight and queued messages in order", got)
 	}
-	if st := b.Stats(); st.Overflowed != 1 {
-		t.Errorf("Overflowed = %d", st.Overflowed)
+	if st := b.Stats(); st.Overflowed != 1 || st.Delivered != 3 {
+		t.Errorf("stats = %+v, want 1 overflowed and 3 delivered", st)
 	}
 	if len(labels) != 1 || labels[0] != "shed-newest" {
 		t.Errorf("overflow labels = %v, want [shed-newest]", labels)
-	}
-}
-
-func TestMaxDeadCapEvictsOldest(t *testing.T) {
-	b := New(Options{MaxAttempts: 1, MaxDead: 2})
-	var evicted atomic.Int64
-	b.opts.Observer.DLQEvicted = func() { evicted.Add(1) }
-	defer b.Close()
-	sub, _ := b.Subscribe("t", "angry", func(*Message) error {
-		return errors.New("always fails")
-	})
-	for i := 0; i < 5; i++ {
-		b.Publish("t", []byte(fmt.Sprintf("m%d", i)))
-	}
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	dls := sub.DeadLetters()
-	if len(dls) != 2 {
-		t.Fatalf("DLQ length = %d, want the MaxDead cap of 2", len(dls))
-	}
-	// The survivors are the newest dead letters.
-	if string(dls[0].Body) != "m3" || string(dls[1].Body) != "m4" {
-		t.Errorf("DLQ survivors = %v, want [m3 m4]", bodiesOf(dls))
-	}
-	if st := b.Stats(); st.DLQEvicted != 3 {
-		t.Errorf("DLQEvicted = %d, want 3", st.DLQEvicted)
-	}
-	if evicted.Load() != 3 {
-		t.Errorf("observer saw %d evictions, want 3", evicted.Load())
 	}
 }
 
@@ -124,7 +98,7 @@ func TestQueueDepthAndHighWaterMark(t *testing.T) {
 	b.Subscribe("t", "slow", g.handle)
 	const n = 8
 	for i := 0; i < n; i++ {
-		b.Publish("t", []byte("m"))
+		b.Publish("t", "m", "")
 	}
 	deadline := time.Now().Add(flushTimeout)
 	for b.Stats().QueueHWM < n-1 && time.Now().Before(deadline) {
@@ -149,18 +123,18 @@ func TestQueueDepthAndHighWaterMark(t *testing.T) {
 	}
 }
 
-// TestCloseCapturesQueuedMessages: Close lets the in-flight delivery
-// complete, and everything still queued lands in the drain snapshot
-// instead of vanishing.
-func TestCloseCapturesQueuedMessages(t *testing.T) {
-	b := New(Options{})
+// TestCloseDropsQueuedMessages: Close lets the in-flight delivery
+// complete, delivers nothing still queued, and leaves no queue depth.
+func TestCloseDropsQueuedMessages(t *testing.T) {
+	var depth atomic.Int64
+	b := New(Options{Observer: Observer{QueueDepth: func(d int) { depth.Add(int64(d)) }}})
 	g := newGate()
-	b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
+	sub, _ := b.Subscribe("t", "slow", g.handle)
+	b.Publish("t", "inflight", "")
 	<-g.entered
 	const queued = 5
 	for i := 0; i < queued; i++ {
-		b.Publish("t", []byte(fmt.Sprintf("q%d", i)))
+		b.Publish("t", fmt.Sprintf("q%d", i), "")
 	}
 	closed := make(chan struct{})
 	go func() {
@@ -172,26 +146,21 @@ func TestCloseCapturesQueuedMessages(t *testing.T) {
 		t.Fatal("Close returned while a delivery was in flight")
 	case <-time.After(20 * time.Millisecond):
 	}
+	waitPending(t, sub, 0)
 	close(g.release)
 	select {
 	case <-closed:
 	case <-time.After(flushTimeout):
 		t.Fatal("Close never returned after the handler finished")
 	}
-	if got := g.c.count(); got != 1 {
-		t.Errorf("in-flight deliveries completed = %d, want 1", got)
-	}
-	snap := b.DrainSnapshot()
-	if len(snap) != queued {
-		t.Fatalf("DrainSnapshot = %v, want %d messages", bodiesOf(snap), queued)
-	}
-	for i, m := range snap {
-		if want := fmt.Sprintf("q%d", i); string(m.Body) != want {
-			t.Errorf("snapshot[%d] = %q, want %q", i, m.Body, want)
-		}
+	if got := g.c.payloads(); len(got) != 1 || got[0] != "inflight" {
+		t.Errorf("delivered = %v, want only the in-flight message", got)
 	}
 	if got := b.Stats().QueueDepth; got != 0 {
 		t.Errorf("QueueDepth after Close = %d", got)
+	}
+	if depth.Load() != 0 {
+		t.Errorf("observer depth sum = %d after Close, want 0", depth.Load())
 	}
 }
 
@@ -201,10 +170,10 @@ func TestFlushContextDuringClose(t *testing.T) {
 	b := New(Options{})
 	g := newGate()
 	b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
+	b.Publish("t", "inflight", "")
 	<-g.entered
 	for i := 0; i < 3; i++ {
-		b.Publish("t", []byte("q"))
+		b.Publish("t", "q", "")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()
@@ -243,7 +212,7 @@ func TestConcurrentPublishersBoundedQueue(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				b.Publish("t", []byte("m"))
+				b.Publish("t", "m", "")
 			}
 		}()
 	}
@@ -260,10 +229,10 @@ func TestConcurrentPublishersBoundedQueue(t *testing.T) {
 	}
 }
 
-func bodiesOf(msgs []*Message) []string {
+func payloadsOf(msgs []*Message) []string {
 	out := make([]string, len(msgs))
 	for i, m := range msgs {
-		out[i] = string(m.Body)
+		out[i] = m.Payload.(string)
 	}
 	return out
 }

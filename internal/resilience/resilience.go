@@ -8,11 +8,11 @@
 // The paper's availability claim — detail messages "remain retrievable
 // months later, even when the source system is offline" (§4) — assumes
 // producers, the data controller and consumers fail and recover
-// independently. The in-process bus has carried redelivery and a DLQ
-// since the seed; this package gives the wire-level deployment the same
+// independently. This package gives the wire-level deployment those
 // properties. internal/transport wires these primitives through both
 // remote paths (consumer/producer → controller, controller → producer
-// gateway).
+// gateway). Callback deliveries to consumers are not retried: a consumer
+// that missed one catches up by inquiring the events index.
 //
 // Everything here is dependency-free beyond the repo's own store and
 // telemetry packages, and near-zero-cost on the happy path: one mutex

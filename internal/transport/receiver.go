@@ -9,7 +9,8 @@ import (
 // NotificationReceiver is the consumer-side callback endpoint: an
 // http.Handler that accepts the notification POSTs the controller sends
 // for a subscription and hands each decoded notification to the handler.
-// Returning a non-2xx (on decode failure) lets the bus redeliver.
+// A body that does not decode is answered non-2xx, which the controller
+// counts as a failed delivery.
 type NotificationReceiver struct {
 	handle func(n *event.Notification)
 }

@@ -57,14 +57,14 @@ import (
 //
 // Notifications are delivered to subscribers by POSTing the notification
 // to the callback URL supplied at subscription time, in the codec the
-// subscription negotiated; a non-2xx response triggers the bus's
-// redelivery.
+// subscription negotiated, once: a failed delivery is logged and counted,
+// not retried.
 type Server struct {
 	service
 	ctrl *core.Controller
 	// callbacks performs the callback deliveries: the shared call path
 	// with no base URL (each subscription names its own), no token, no
-	// retrier — redelivery is the bus's job.
+	// retrier.
 	callbacks caller
 	// deliveriesFailed counts callback deliveries that did not reach the
 	// subscriber (css_deliveries_failed_total{reason}).
