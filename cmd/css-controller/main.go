@@ -30,8 +30,8 @@
 //	                requests, flush the bus, fsync and close the stores
 //	-span-file      durable span export file (JSONL ring; empty: disabled)
 //	-span-sample    head-sampling rate for span recording and export
-//	                (default 0.1; errors and slow spans are always kept)
-//	-span-slow      tail-keep threshold for exported spans (default 100ms)
+//	                (default 0.1; failed spans and spans of at least
+//	                100ms are always kept, in the ring and the file alike)
 //	-shard-id       this controller's shard id within the cluster
 //	                (default -1: unsharded). An id absent from the map
 //	                boots cold and joins via a live reshard.

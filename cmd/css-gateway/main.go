@@ -27,8 +27,9 @@
 //	                stop admitting, drain the outbox toward the
 //	                controller, fsync and close the stores
 //	-span-file      durable span export file (JSONL ring; empty: disabled)
-//	-span-sample    head-sampling rate for span recording and export (default 0.1)
-//	-span-slow      tail-keep threshold for exported spans (default 100ms)
+//	-span-sample    head-sampling rate for span recording and export
+//	                (default 0.1; failed spans and spans of at least
+//	                100ms are always kept, in the ring and the file alike)
 //	-codec       wire codec toward the controller for the publish relay
 //	             and catalog fetch: "xml" (default) or "binary"
 //

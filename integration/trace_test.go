@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -285,6 +286,13 @@ func TestDistributedTraceAcrossThreeProcesses(t *testing.T) {
 		}
 	}
 
+	// The controller's ring and its span file are filled by one keep
+	// decision, so they hold the same spans of the trace.
+	ring, err := telemetry.DecodeSpans(strings.NewReader(httpGetBody(t, ctrlURL+"/debug/spans?trace="+trace)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Graceful shutdown flushes the durable span export; the flow is
 	// reconstructable offline, and css-audit joins audit records with
 	// span timings.
@@ -300,13 +308,27 @@ func TestDistributedTraceAcrossThreeProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
+	var fileIDs []string
 	for _, r := range exported {
-		if r.Trace == trace && r.Stage == "publish" {
+		if r.Trace != trace {
+			continue
+		}
+		fileIDs = append(fileIDs, r.ID)
+		if r.Stage == "publish" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("exported span file has no publish span for trace %s (%d records)", trace, len(exported))
+	}
+	var ringIDs []string
+	for _, r := range ring {
+		ringIDs = append(ringIDs, r.ID)
+	}
+	slices.Sort(ringIDs)
+	slices.Sort(fileIDs)
+	if !slices.Equal(ringIDs, fileIDs) {
+		t.Fatalf("trace %s: /debug/spans holds %d spans, the span file %d; want the same spans", trace, len(ringIDs), len(fileIDs))
 	}
 	auditOut := run(t, "css-audit", "-data", dataDir, "-trace", trace, "-spans", ctrlSpans)
 	if !strings.Contains(auditOut, "stage timings for trace "+trace) ||

@@ -12,8 +12,8 @@
 //   - the versioned shard map (ring layout + binary frame codec),
 //   - the typed routing errors (ErrWrongShard with the owner hint,
 //     ErrResharding for the freeze window),
-//   - the scatter-gather engine for cross-shard inquiries (per-shard
-//     deadline budgets, stable merge, typed partial results), and
+//   - the scatter-gather engine for cross-shard inquiries (stable
+//     merge, typed partial results), and
 //   - the live-reshard coordinator (freeze → drain → ship → flip)
 //     over a small Node interface the controller implements.
 //
@@ -38,19 +38,20 @@ type ShardID int
 // String renders the id for labels and log lines.
 func (id ShardID) String() string { return "shard-" + strconv.Itoa(int(id)) }
 
-// ShardInfo names one shard and where to reach it. With replication
-// enabled it also records the shard's read replicas and the fencing
-// epoch of the current primary: every promotion installs a successor
-// map whose entry carries Epoch+1, and replicated frames stamped with
-// an older epoch are rejected by followers, so a deposed primary that
-// keeps running cannot overwrite history (see internal/replication).
+// ShardInfo names one shard and where to reach it. Only in-process rigs
+// fill Replicas and call WithPromotedReplica, the one place Epoch
+// moves; no daemon sets either, so a booted fleet's map carries them
+// empty and zero. Epoch is not what fences a deposed primary: followers
+// fence on their replication node's durable epoch
+// (internal/replication, epoch.go), never on this field. Both fields
+// stay because they are part of the shard-map wire frame.
 type ShardInfo struct {
 	ID   ShardID
 	Addr string // base URL of the shard's primary web-service binding
 	// Replicas are base URLs of the shard's read replicas (may be empty).
 	Replicas []string
-	// Epoch is the fencing token of the primary at Addr. Zero in
-	// unreplicated deployments.
+	// Epoch counts the promotions WithPromotedReplica has applied to
+	// this entry (zero in every daemon-booted map).
 	Epoch uint64
 }
 
@@ -261,7 +262,7 @@ func (e *NotPrimaryError) Is(target error) bool { return target == ErrNotPrimary
 // WithPromotedReplica derives the successor map a failover installs:
 // shard id's primary becomes promoted (which must be one of its
 // replicas), the dead primary's address is dropped, the remaining
-// replicas are kept, and the shard's fencing epoch is bumped by one.
+// replicas are kept, and the entry's Epoch is bumped by one.
 // Exactly one version bump covers the whole transition.
 func (m *Map) WithPromotedReplica(id ShardID, promoted string) (*Map, error) {
 	cur, ok := m.Shard(id)

@@ -1,9 +1,8 @@
 // Scatter-gather: fan a person or notification query out to every
-// shard concurrently, bound each shard call by its own deadline budget
-// under the parent deadline, and merge the replies into one stably
-// ordered result. A shard that fails does not void the others — the
-// caller gets the merged partial result plus a typed PartialError
-// naming exactly which shards failed and why.
+// shard concurrently under the caller's deadline, and merge the replies
+// into one stably ordered result. A shard that fails does not void the
+// others — the caller gets the merged partial result plus a typed
+// PartialError naming exactly which shards failed and why.
 package cluster
 
 import (
@@ -12,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/event"
 )
@@ -66,16 +64,13 @@ func (e *PartialError) Unwrap() []error {
 	return errs
 }
 
-// Gather calls fn once per shard concurrently and collects the
-// results. Each call runs under a child context whose deadline is the
-// earlier of (parent deadline, now+budget): the per-shard budget caps
-// how long one slow shard can hold the fan-out open, and it can never
-// extend past the parent deadline. budget <= 0 means parent-only.
+// Gather calls fn once per shard concurrently, each under ctx, and
+// collects the results: the caller's deadline bounds every leg.
 //
 // Gather returns the results of every shard that succeeded. If any
 // shard failed it also returns a *PartialError; if all shards failed,
 // results is empty and only the error speaks.
-func Gather[T any](ctx context.Context, shards []ShardInfo, budget time.Duration,
+func Gather[T any](ctx context.Context, shards []ShardInfo,
 	fn func(ctx context.Context, shard ShardInfo) (T, error)) (map[ShardID]T, error) {
 
 	type reply struct {
@@ -89,15 +84,7 @@ func Gather[T any](ctx context.Context, shards []ShardInfo, budget time.Duration
 		wg.Add(1)
 		go func(i int, s ShardInfo) {
 			defer wg.Done()
-			sctx := ctx
-			var cancel context.CancelFunc
-			if budget > 0 {
-				// context.WithTimeout keeps the parent deadline when it
-				// is sooner, so the budget only ever tightens.
-				sctx, cancel = context.WithTimeout(ctx, budget)
-				defer cancel()
-			}
-			res, err := fn(sctx, s)
+			res, err := fn(ctx, s)
 			replies[i] = reply{id: s.ID, res: res, err: err}
 		}(i, s)
 	}

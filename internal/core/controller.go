@@ -63,7 +63,9 @@ type Config struct {
 	// DataDir persists the controller state (index, id map, audit trail,
 	// consent registry) under this directory. Empty means in-memory.
 	DataDir string
-	// Bus configures the event distribution fabric.
+	// Bus configures the event distribution fabric. Its Observer is
+	// not read: the controller installs its own, which exports the
+	// broker's queue signals as css_bus_* metrics.
 	Bus bus.Options
 	// DefaultConsent is the consent decision with no recorded directive.
 	// CSS deployments use opt-out (true): baseline consent is collected
@@ -72,15 +74,10 @@ type Config struct {
 	// Now injects a clock, used for publication stamps and validity
 	// checks. Nil means time.Now.
 	Now func() time.Time
-	// SyncWrites forces fsync-per-write on persistent stores.
-	SyncWrites bool
 	// Metrics is the telemetry registry the controller records into.
 	// Nil creates a private registry (so embedded controllers and tests
 	// never share counters); daemons pass telemetry.Default().
 	Metrics *telemetry.Registry
-	// SpanCapacity bounds the in-process span recorder (0 means
-	// telemetry.DefaultSpanCapacity).
-	SpanCapacity int
 	// SpanSampleRate is the head-sampling fraction of traces whose
 	// spans are recorded (ring + export). 0 means
 	// telemetry.DefaultSampleRate; set 1 to record every span
@@ -134,36 +131,6 @@ type instruments struct {
 	clusterReshardRejects *telemetry.Counter // css_cluster_reshard_rejects_total
 	clusterHandoff        *telemetry.Counter // css_cluster_handoff_events_total{direction}
 	clusterMapVersion     *telemetry.Gauge   // css_cluster_map_version
-}
-
-// composeBusObserver chains a caller-supplied bus observer with the
-// controller's metric wiring; either side's nil callbacks are skipped.
-func composeBusObserver(user, met bus.Observer) bus.Observer {
-	pick := func(a, b func(int)) func(int) {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func(v int) { a(v); b(v) }
-		}
-	}
-	pickS := func(a, b func(string)) func(string) {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func(v string) { a(v); b(v) }
-		}
-	}
-	return bus.Observer{
-		QueueDepth: pick(user.QueueDepth, met.QueueDepth),
-		QueueHWM:   pick(user.QueueHWM, met.QueueHWM),
-		Overflow:   pickS(user.Overflow, met.Overflow),
-	}
 }
 
 func newInstruments(reg *telemetry.Registry) instruments {
@@ -259,7 +226,7 @@ func New(cfg Config) (*Controller, error) {
 	if c.tel == nil {
 		c.tel = telemetry.NewRegistry()
 	}
-	c.tracer = telemetry.NewTracer(cfg.SpanCapacity)
+	c.tracer = telemetry.NewTracer()
 	switch {
 	case cfg.SpanSampleRate == 0:
 		c.tracer.SetSampleRate(telemetry.DefaultSampleRate)
@@ -297,7 +264,7 @@ func New(cfg Config) (*Controller, error) {
 		if cfg.DataDir == "" {
 			return store.OpenMemory(), nil
 		}
-		st, err := store.Open(filepath.Join(cfg.DataDir, name+".wal"), store.Options{SyncEvery: cfg.SyncWrites})
+		st, err := store.Open(filepath.Join(cfg.DataDir, name+".wal"), store.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -342,13 +309,12 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c.enf.SetCacheObserver(c.recordCacheEvent)
-	// Export the broker's load signals as css_bus_* metrics, composing
-	// with (not replacing) any observer the caller installed.
-	cfg.Bus.Observer = composeBusObserver(cfg.Bus.Observer, bus.Observer{
+	// Export the broker's load signals as css_bus_* metrics.
+	cfg.Bus.Observer = bus.Observer{
 		QueueDepth: func(delta int) { c.met.busDepth.Add(float64(delta)) },
 		QueueHWM:   func(depth int) { c.met.busHWM.Set(float64(depth)) },
 		Overflow:   func(policy string) { c.met.busOverflow.Inc(policy) },
-	})
+	}
 	c.brk = bus.New(cfg.Bus)
 	c.pending = newPendingBook()
 

@@ -30,10 +30,9 @@ type Runner struct {
 	actorRPS     float64
 	drainTimeout time.Duration
 	spanFile     string
-	spanSlow     time.Duration
-	// SpanSample is the one sampling knob: the same rate decides which
-	// traces a tracer records (ring + /debug/spans) and which the
-	// exporter writes; the FNV draw keeps both layers consistent.
+	// SpanSample is the one sampling knob: the tracer's head-sampling
+	// rate. The tracer's keep rule alone decides which spans reach its
+	// ring (/debug/spans) and the -span-file export.
 	SpanSample float64
 	// AuthKeyFile names the identity authority key; empty leaves
 	// bearer-token authentication off.
@@ -54,7 +53,6 @@ func Flags(proc, authKeyUsage string) *Runner {
 	flag.DurationVar(&r.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGTERM")
 	flag.StringVar(&r.spanFile, "span-file", "", "durable span export file (JSONL ring; empty: disabled)")
 	flag.Float64Var(&r.SpanSample, "span-sample", telemetry.DefaultSampleRate, "head-sampling rate for span recording and export (0..1)")
-	flag.DurationVar(&r.spanSlow, "span-slow", telemetry.DefaultSlowTail, "tail-keep exported spans at least this slow (negative: disabled)")
 	flag.StringVar(&r.AuthKeyFile, "auth-key-file", "", authKeyUsage)
 	return r
 }
@@ -65,25 +63,20 @@ func (r *Runner) Start() {
 }
 
 // ExportSpans attaches the durable span exporter to the daemon's tracer
-// when -span-file is set: head-sampled plus error/latency tail, flushed
-// and fsynced as the last drain step so a post-mortem always has the
-// spans of the flows that were in flight.
+// when -span-file is set. It writes every span the tracer keeps, and it
+// is flushed and closed as the last drain step so a post-mortem always
+// has the spans of the flows that were in flight.
 func (r *Runner) ExportSpans(tracer *telemetry.Tracer) {
 	if r.spanFile == "" {
 		return
 	}
-	exp, err := telemetry.NewExporter(telemetry.ExporterConfig{
-		Path:       r.spanFile,
-		SampleRate: r.SpanSample,
-		SlowTail:   r.spanSlow,
-	}, r.proc)
+	exp, err := telemetry.NewExporter(telemetry.ExporterConfig{Path: r.spanFile}, r.proc)
 	if err != nil {
 		log.Fatalf("span exporter: %v", err)
 	}
 	r.exporter = exp
 	tracer.SetExporter(exp)
-	telemetry.Logger().Info("span export enabled",
-		"file", r.spanFile, "sample", r.SpanSample, "slow_tail", r.spanSlow.String())
+	telemetry.Logger().Info("span export enabled", "file", r.spanFile, "sample", r.SpanSample)
 }
 
 // Gate returns the daemon's admission gate, sized by -max-inflight and

@@ -179,7 +179,7 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 	}
 	// The follower's pdp.decide span is its last observable step before it
 	// joins the flight; give it a moment to get from there to the wait.
-	tracer := telemetry.NewTracer(0)
+	tracer := telemetry.NewTracer()
 	decided := make(chan struct{})
 	tracer.SetOnEnd(func(s *telemetry.Span) {
 		if s.Stage == "pdp.decide" {

@@ -90,13 +90,9 @@ type Config struct {
 	Endpoint map[string]int
 	// ActorRPS is the steady per-actor admission rate (token-bucket
 	// refill, tokens per second). Zero means DefaultActorRPS; negative
-	// disables per-actor limiting.
+	// disables per-actor limiting. Each actor's bucket holds 2×ActorRPS
+	// tokens (at least 1).
 	ActorRPS float64
-	// ActorBurst is the bucket capacity. Zero means 2×ActorRPS (≥1).
-	ActorBurst float64
-	// RetryAfter is the hint returned with shed requests. Zero means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// Metrics receives css_overload_*. Nil creates a private registry.
 	Metrics *telemetry.Registry
 	// Now injects a clock for the token buckets (tests). Nil: time.Now.
@@ -107,8 +103,10 @@ type Config struct {
 const (
 	DefaultMaxInFlight = 256
 	DefaultActorRPS    = 50.0
-	DefaultRetryAfter  = 1 * time.Second
 )
+
+// ShedRetryAfter is the pacing hint every shed request carries.
+const ShedRetryAfter = 1 * time.Second
 
 // Decision is the outcome of one admission check.
 type Decision struct {
@@ -147,15 +145,6 @@ func NewGate(cfg Config) *Gate {
 	if cfg.ActorRPS == 0 {
 		cfg.ActorRPS = DefaultActorRPS
 	}
-	if cfg.ActorBurst <= 0 {
-		cfg.ActorBurst = 2 * cfg.ActorRPS
-		if cfg.ActorBurst < 1 {
-			cfg.ActorBurst = 1
-		}
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -179,7 +168,7 @@ func NewGate(cfg Config) *Gate {
 			"Duration of the last graceful drain, in seconds."),
 	}
 	if cfg.ActorRPS > 0 {
-		g.actors = newBucketTable(cfg.ActorRPS, cfg.ActorBurst, now)
+		g.actors = newBucketTable(cfg.ActorRPS, max(2*cfg.ActorRPS, 1), now)
 	}
 	return g
 }
@@ -228,7 +217,7 @@ func (g *Gate) budgetFor(pri Priority) int64 {
 func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(), d Decision) {
 	shed := func(reason string) (func(), Decision) {
 		g.shed.Inc(pri.String(), reason)
-		return nil, Decision{Reason: reason, RetryAfter: g.cfg.RetryAfter}
+		return nil, Decision{Reason: reason, RetryAfter: ShedRetryAfter}
 	}
 	if g.draining.Load() {
 		return shed(ReasonDraining)

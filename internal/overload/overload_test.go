@@ -74,7 +74,7 @@ func TestEndpointConcurrencyLimit(t *testing.T) {
 func TestActorRateLimit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	g := NewGate(Config{MaxInFlight: -1, ActorRPS: 10, ActorBurst: 3, Now: clock})
+	g := NewGate(Config{MaxInFlight: -1, ActorRPS: 1.5, Now: clock}) // burst 3
 	for i := 0; i < 3; i++ {
 		admit(t, g, "ep", Normal, "flooder", true)()
 	}
@@ -83,8 +83,8 @@ func TestActorRateLimit(t *testing.T) {
 	}
 	// A different actor has its own bucket.
 	admit(t, g, "ep", Normal, "other", true)()
-	// Refill: 10 tokens/s ⇒ 100ms buys one more admission.
-	now = now.Add(100 * time.Millisecond)
+	// Refill: 1.5 tokens/s ⇒ 700ms buys one more admission.
+	now = now.Add(700 * time.Millisecond)
 	admit(t, g, "ep", Normal, "flooder", true)()
 	if _, d := g.Admit("ep", Normal, "flooder"); d.Admitted {
 		t.Fatal("flooder got two tokens from a one-token refill")
@@ -98,7 +98,7 @@ func TestActorRateLimit(t *testing.T) {
 // otherwise empty its bucket on sheds and be refused when a slot frees.
 func TestShedSpendsNoRateToken(t *testing.T) {
 	now := time.Unix(1000, 0)
-	g := NewGate(Config{MaxInFlight: 1, ActorRPS: 10, ActorBurst: 2,
+	g := NewGate(Config{MaxInFlight: 1, ActorRPS: 1, // burst 2
 		Now: func() time.Time { return now }})
 	release := admit(t, g, "ep", Critical, "a", true) // 1 of 2 tokens
 	for i := 0; i < 5; i++ {

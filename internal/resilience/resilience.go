@@ -1,9 +1,9 @@
 // Package resilience provides the fault-tolerance building blocks of
 // the distributed CSS deployment: a policy-driven retrier (capped
-// exponential backoff with full jitter, a shared retry budget, and
-// Retry-After awareness), a per-endpoint three-state circuit breaker, a
-// durable store-backed outbox for producer-side publishes, and a
-// deterministic fault-injecting http.RoundTripper for chaos testing.
+// exponential backoff with full jitter and Retry-After awareness), a
+// per-endpoint three-state circuit breaker, a durable store-backed
+// outbox for producer-side publishes, and a deterministic
+// fault-injecting http.RoundTripper for chaos testing.
 //
 // The paper's availability claim — detail messages "remain retrievable
 // months later, even when the source system is offline" (§4) — assumes
@@ -27,16 +27,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Errors reported by the package.
-var (
-	// ErrOpen reports a call rejected because the endpoint's circuit
-	// breaker is open. The concrete error carries a RetryAfter hint (the
-	// remaining cooldown before a half-open probe is allowed).
-	ErrOpen = errors.New("resilience: circuit open")
-	// ErrBudgetExhausted reports a retry suppressed because the shared
-	// retry budget ran dry (retry storms must not amplify an outage).
-	ErrBudgetExhausted = errors.New("resilience: retry budget exhausted")
-)
+// ErrOpen reports a call rejected because the endpoint's circuit
+// breaker is open. The concrete error carries a RetryAfter hint (the
+// remaining cooldown before a half-open probe is allowed).
+var ErrOpen = errors.New("resilience: circuit open")
 
 // retryAfterHint is implemented by errors that know how long the caller
 // should wait before retrying (HTTP 429/503 Retry-After, a breaker's

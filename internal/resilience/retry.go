@@ -22,10 +22,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff. Zero means DefaultMaxDelay.
 	MaxDelay time.Duration
-	// Budget, when set, is consulted before every retry (never before the
-	// first attempt): a dry budget converts the transient error into
-	// ErrBudgetExhausted instead of amplifying an outage with a storm.
-	Budget *Budget
 	// Seed makes the jitter deterministic for reproducible tests. Zero
 	// seeds from the clock.
 	Seed int64
@@ -111,10 +107,6 @@ func (r *Retrier) Do(ctx context.Context, op string, fn func(ctx context.Context
 			span.End()
 			return fmt.Errorf("resilience: %s failed after %d attempts: %w", op, attempt, err)
 		}
-		if b := r.policy.Budget; b != nil && !b.Withdraw() {
-			span.End()
-			return fmt.Errorf("%w (%s): %w", ErrBudgetExhausted, op, err)
-		}
 		delay := r.backoff(attempt)
 		if after, ok := RetryAfterOf(err); ok && after > delay {
 			delay = after
@@ -145,48 +137,4 @@ func (r *Retrier) backoff(attempt int) time.Duration {
 	d := time.Duration(r.rng.Int63n(int64(ceil))) + 1
 	r.mu.Unlock()
 	return d
-}
-
-// Budget is a token bucket shared by the retriers of one process: each
-// retry withdraws one token, and tokens refill at a steady rate. When
-// the bucket is dry, retries are suppressed (first attempts never are),
-// bounding the load amplification a dependency outage can cause.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	rate   float64 // tokens per second
-	last   time.Time
-	now    func() time.Time
-}
-
-// NewBudget creates a budget holding at most max tokens, refilling at
-// rate tokens per second. It starts full.
-func NewBudget(max, rate float64) *Budget {
-	if max <= 0 {
-		max = 1
-	}
-	if rate <= 0 {
-		rate = 1
-	}
-	return &Budget{tokens: max, max: max, rate: rate, now: time.Now}
-}
-
-// Withdraw takes one token, reporting whether one was available.
-func (b *Budget) Withdraw() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.max {
-			b.tokens = b.max
-		}
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }

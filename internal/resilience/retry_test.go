@@ -82,36 +82,6 @@ func TestRetrierHonorsRetryAfterHint(t *testing.T) {
 	}
 }
 
-func TestRetrierBudgetSuppressesRetries(t *testing.T) {
-	p := fastPolicy()
-	p.Budget = NewBudget(1, 0.001) // one token, effectively no refill
-	r := NewRetrier(p)
-	transient := MarkRetryable(errors.New("down"))
-
-	attempts := 0
-	// First call: one retry withdraws the only token, then exhaustion.
-	err := r.Do(context.Background(), "op", func(context.Context) error {
-		attempts++
-		return transient
-	})
-	if !errors.Is(err, ErrBudgetExhausted) && attempts < 2 {
-		t.Fatalf("err = %v after %d attempts; want a retry then budget exhaustion", err, attempts)
-	}
-
-	// Second call: the budget is dry, no retry at all.
-	attempts = 0
-	err = r.Do(context.Background(), "op", func(context.Context) error {
-		attempts++
-		return transient
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (dry budget must suppress retries)", attempts)
-	}
-}
-
 func TestRetrierStopsOnContextCancel(t *testing.T) {
 	p := fastPolicy()
 	p.BaseDelay = time.Hour // the retry sleep must be interruptible

@@ -17,23 +17,10 @@ type ExporterConfig struct {
 	// MaxBytes rotates the file to Path+".1" when it grows past this
 	// size (DefaultExportMaxBytes when <= 0).
 	MaxBytes int64
-	// SampleRate is the head-sampling fraction in [0,1]. The decision
-	// hashes the trace ID, so every process exporting at the same rate
-	// keeps or drops the same traces (DefaultSampleRate when 0; a
-	// negative rate means never head-sample).
-	SampleRate float64
-	// SlowTail forces export of spans at or above this duration even
-	// when the trace lost the head-sampling draw (DefaultSlowTail when
-	// 0; negative disables the tail rule).
-	SlowTail time.Duration
 }
 
-// Exporter defaults.
-const (
-	DefaultExportMaxBytes = 16 << 20
-	DefaultSampleRate     = 0.1
-	DefaultSlowTail       = 100 * time.Millisecond
-)
+// DefaultExportMaxBytes is the export file's default rotation size.
+const DefaultExportMaxBytes = 16 << 20
 
 // SpanRecord is the JSONL wire form of an exported span, shared with
 // cmd/css-trace and the /debug/spans endpoint.
@@ -102,12 +89,12 @@ func DecodeSpans(r io.Reader) ([]SpanRecord, error) {
 	return out, sc.Err()
 }
 
-// Exporter appends sampled spans to a bounded JSONL ring-file: when the
-// file exceeds MaxBytes it is rotated to Path+".1" (replacing any
-// previous generation), so disk use is bounded at ~2×MaxBytes. Spans
-// survive the head-sampling draw per trace (consistent across
-// processes) or are tail-kept when they errored or ran slow. Safe for
-// concurrent use.
+// Exporter appends spans to a bounded JSONL ring-file: when the file
+// exceeds MaxBytes it is rotated to Path+".1" (replacing any previous
+// generation), so disk use is bounded at ~2×MaxBytes. It writes every
+// span it is handed; the Tracer's keep rule alone decides which spans
+// those are, so the file and the /debug/spans ring hold the same ones.
+// Safe for concurrent use.
 type Exporter struct {
 	cfg  ExporterConfig
 	proc string
@@ -128,12 +115,6 @@ func NewExporter(cfg ExporterConfig, proc string) (*Exporter, error) {
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultExportMaxBytes
-	}
-	if cfg.SampleRate == 0 {
-		cfg.SampleRate = DefaultSampleRate
-	}
-	if cfg.SlowTail == 0 {
-		cfg.SlowTail = DefaultSlowTail
 	}
 	e := &Exporter{cfg: cfg, proc: proc}
 	if err := e.open(); err != nil {
@@ -158,43 +139,10 @@ func (e *Exporter) open() error {
 	return nil
 }
 
-// headSampled reports whether trace wins the head-sampling draw. The
-// FNV-32a hash of the trace ID is compared against the rate, so the
-// decision is identical in every process (and between the tracer and
-// the exporter). The hash is inlined rather than using hash/fnv: the
-// hasher object and io.WriteString's []byte conversion both allocate,
-// and the draw runs once per span on the publish fan-out.
-func headSampled(trace string, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	h := uint32(2166136261) // FNV-32a offset basis
-	for i := 0; i < len(trace); i++ {
-		h ^= uint32(trace[i])
-		h *= 16777619 // FNV-32a prime
-	}
-	return float64(h)/float64(1<<32) < rate
-}
-
-// keep decides whether a span is exported: head-sampled by trace, or
-// tail-kept on error / slow duration.
-func (e *Exporter) keep(s Span) bool {
-	if s.Error != "" {
-		return true
-	}
-	if e.cfg.SlowTail > 0 && s.Duration >= e.cfg.SlowTail {
-		return true
-	}
-	return headSampled(s.Trace, e.cfg.SampleRate)
-}
-
-// Export writes the span if sampling keeps it. Write errors are
-// counted, not returned: tracing must never fail the traced flow.
+// Export writes the span. Write errors are counted, not returned:
+// tracing must never fail the traced flow.
 func (e *Exporter) Export(s Span) {
-	if e == nil || !e.keep(s) {
+	if e == nil {
 		return
 	}
 	b, err := json.Marshal(ToRecord(s, e.proc))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -30,28 +29,21 @@ type Objective struct {
 	Goal float64
 }
 
-// SLOConfig tunes the burn-rate engine.
+// SLOConfig configures the burn-rate engine.
 type SLOConfig struct {
-	// Windows are the burn-rate look-back windows, short to long
-	// (DefaultSLOWindows when empty).
-	Windows []time.Duration
-	// Step is the sampling cadence (DefaultSLOStep when 0).
-	Step time.Duration
-	// BurnAlert is the burn rate above which a window is alerting
-	// (DefaultBurnAlert when 0). An objective degrades only when every
-	// window burns above it — the classic multi-window guard against
-	// paging on a blip.
-	BurnAlert float64
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
 
-// SLO engine defaults.
-var DefaultSLOWindows = []time.Duration{5 * time.Minute, 30 * time.Minute}
+// The engine samples every sloStep and reports burn rates over two
+// look-back windows, short then long. A window alerts above sloBurnAlert;
+// an objective degrades only when both windows alert — the classic
+// multi-window guard against paging on a blip.
+var sloWindows = [...]time.Duration{5 * time.Minute, 30 * time.Minute}
 
 const (
-	DefaultSLOStep   = 10 * time.Second
-	DefaultBurnAlert = 6.0
+	sloStep      = 10 * time.Second
+	sloBurnAlert = 6.0
 )
 
 // sloSample is one point-in-time (total, good) reading of an objective.
@@ -73,16 +65,6 @@ type SLO struct {
 
 // NewSLO creates the engine. Call Sample (or Run) to feed it.
 func NewSLO(cfg SLOConfig, objs ...Objective) *SLO {
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = DefaultSLOWindows
-	}
-	sort.Slice(cfg.Windows, func(i, j int) bool { return cfg.Windows[i] < cfg.Windows[j] })
-	if cfg.Step <= 0 {
-		cfg.Step = DefaultSLOStep
-	}
-	if cfg.BurnAlert == 0 {
-		cfg.BurnAlert = DefaultBurnAlert
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -105,7 +87,7 @@ func (o Objective) read() (total, good uint64) {
 // than the longest window.
 func (s *SLO) Sample() {
 	now := s.cfg.Now()
-	horizon := now.Add(-s.cfg.Windows[len(s.cfg.Windows)-1] - s.cfg.Step)
+	horizon := now.Add(-sloWindows[len(sloWindows)-1] - sloStep)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, o := range s.objs {
@@ -119,9 +101,9 @@ func (s *SLO) Sample() {
 	}
 }
 
-// Run samples on the configured cadence until ctx is done.
+// Run samples every sloStep until ctx is done.
 func (s *SLO) Run(ctx context.Context) {
-	t := time.NewTicker(s.cfg.Step)
+	t := time.NewTicker(sloStep)
 	defer t.Stop()
 	for {
 		select {
@@ -139,7 +121,7 @@ type WindowReport struct {
 	Total  uint64        `json:"total"`
 	Bad    uint64        `json:"bad"`
 	// BurnRate is badFraction/(1-goal): 1.0 burns the error budget
-	// exactly at the rate it refills; DefaultBurnAlert (6×) exhausts a
+	// exactly at the rate it refills; sloBurnAlert (6×) exhausts a
 	// 30-day budget in 5 days.
 	BurnRate float64 `json:"burn_rate"`
 	Alerting bool    `json:"alerting"`
@@ -177,7 +159,7 @@ func (s *SLO) Report() []ObjectiveReport {
 			rep.GoodFraction = 1
 		}
 		alertingAll := true
-		for _, w := range s.cfg.Windows {
+		for _, w := range sloWindows {
 			base := ring[0]
 			cutoff := now.Add(-w)
 			for _, smp := range ring {
@@ -193,26 +175,16 @@ func (s *SLO) Report() []ObjectiveReport {
 				badFrac := float64(wr.Bad) / float64(total)
 				wr.BurnRate = badFrac / (1 - o.Goal)
 			}
-			wr.Alerting = wr.BurnRate > s.cfg.BurnAlert
+			wr.Alerting = wr.BurnRate > sloBurnAlert
 			if !wr.Alerting {
 				alertingAll = false
 			}
 			rep.Windows = append(rep.Windows, wr)
 		}
-		rep.Degraded = alertingAll && len(s.cfg.Windows) > 0
+		rep.Degraded = alertingAll
 		out = append(out, rep)
 	}
 	return out
-}
-
-// Degraded reports whether any objective has every window alerting.
-func (s *SLO) Degraded() bool {
-	for _, r := range s.Report() {
-		if r.Degraded {
-			return true
-		}
-	}
-	return false
 }
 
 // HealthDetail renders a one-line summary per objective for /healthz,

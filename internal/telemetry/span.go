@@ -34,13 +34,14 @@ func TracerFrom(ctx context.Context) *Tracer {
 // Recording is head-sampled per trace (SetSampleRate): spans of traces
 // that lose the draw are still timed — the OnEnd hook fires for every
 // span, so latency metrics keep full fidelity — but they skip ID
-// minting and are not retained in the ring or exported, which removes
-// most of the tracing overhead from the publish fan-out. Error spans
-// and spans at or above DefaultSlowTail are recorded even when
-// their trace is unsampled, so post-mortems keep the interesting
-// outliers (their parent links may dangle: an unsampled parent that
-// finished fast was already dropped). The draw hashes the trace ID,
-// so every process and the exporter agree on which traces are kept.
+// minting and are not kept, which removes most of the tracing overhead
+// from the publish fan-out. Error spans and spans at or above
+// DefaultSlowTail are kept even when their trace is unsampled, so
+// post-mortems keep the interesting outliers (their parent links may
+// dangle: an unsampled parent that finished fast was already dropped).
+// The draw hashes the trace ID, so every process keeps the same
+// traces. This keep rule is the only one: the ring and the exporter
+// both receive exactly the kept spans.
 type Tracer struct {
 	log        *SpanLog
 	exporter   atomic.Pointer[Exporter]
@@ -48,12 +49,21 @@ type Tracer struct {
 	sampleBits atomic.Uint64 // head-sampling rate, float64 bits
 }
 
-// NewTracer creates a tracer whose ring keeps the latest capacity
-// spans (DefaultSpanCapacity when capacity <= 0). The sample rate
-// starts at 1 (record everything) — embedded and test tracers see
-// every span unless they opt into sampling.
-func NewTracer(capacity int) *Tracer {
-	t := &Tracer{log: NewSpanLog(capacity)}
+// Sampling defaults.
+const (
+	// DefaultSampleRate is the daemons' head-sampling fraction.
+	DefaultSampleRate = 0.1
+	// DefaultSlowTail is the duration at which a span is kept whatever
+	// its trace's draw.
+	DefaultSlowTail = 100 * time.Millisecond
+)
+
+// NewTracer creates a tracer whose ring keeps the latest
+// DefaultSpanCapacity spans. The sample rate starts at 1 (record
+// everything) — embedded and test tracers see every span unless they
+// opt into sampling.
+func NewTracer() *Tracer {
+	t := &Tracer{log: NewSpanLog(DefaultSpanCapacity)}
 	t.sampleBits.Store(math.Float64bits(1))
 	return t
 }
@@ -80,10 +90,30 @@ func (t *Tracer) SampleRate() float64 {
 	return math.Float64frombits(t.sampleBits.Load())
 }
 
-// traceSampled is the per-trace recording decision; the same FNV draw
-// the exporter uses, so both layers keep the same traces.
+// traceSampled is the per-trace recording decision.
 func (t *Tracer) traceSampled(trace string) bool {
 	return headSampled(trace, math.Float64frombits(t.sampleBits.Load()))
+}
+
+// headSampled reports whether trace wins the head-sampling draw. The
+// FNV-32a hash of the trace ID is compared against the rate, so the
+// decision is identical in every process. The hash is inlined rather
+// than using hash/fnv: the hasher object and io.WriteString's []byte
+// conversion both allocate, and the draw runs once per span on the
+// publish fan-out.
+func headSampled(trace string, rate float64) bool {
+	if rate >= 1 {
+		return true
+	}
+	if rate <= 0 {
+		return false
+	}
+	h := uint32(2166136261) // FNV-32a offset basis
+	for i := 0; i < len(trace); i++ {
+		h ^= uint32(trace[i])
+		h *= 16777619 // FNV-32a prime
+	}
+	return float64(h)/float64(1<<32) < rate
 }
 
 // Spans exposes the tracer's in-process ring.

@@ -216,11 +216,6 @@ func NewSpanLog(capacity int) *SpanLog {
 	return l
 }
 
-// Record stores one finished span.
-func (l *SpanLog) Record(trace, stage string, start time.Time, d time.Duration) {
-	l.RecordSpan(Span{Trace: trace, Stage: stage, Start: start, Duration: d})
-}
-
 // RecordSpan stores one finished span with full identity and metadata.
 func (l *SpanLog) RecordSpan(s Span) {
 	if l == nil {
@@ -236,13 +231,6 @@ func (l *SpanLog) RecordSpan(s Span) {
 	sh.ring[sh.next%uint64(len(sh.ring))] = s
 	sh.next++
 	sh.mu.Unlock()
-}
-
-// Time runs fn and records its duration under (trace, stage).
-func (l *SpanLog) Time(trace, stage string, fn func()) {
-	start := time.Now()
-	fn()
-	l.Record(trace, stage, start, time.Since(start))
 }
 
 // Len returns how many spans are currently retained.

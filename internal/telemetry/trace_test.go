@@ -34,9 +34,9 @@ func TestTraceContext(t *testing.T) {
 func TestSpanLogRingAndByTrace(t *testing.T) {
 	l := NewSpanLog(4)
 	start := time.Date(2010, 6, 1, 9, 0, 0, 0, time.UTC)
-	l.Record("t1", "index.put", start, time.Millisecond)
-	l.Record("t1", "bus.publish", start, 2*time.Millisecond)
-	l.Record("t2", "pdp.decide", start, 3*time.Millisecond)
+	l.RecordSpan(Span{Trace: "t1", Stage: "index.put", Start: start, Duration: time.Millisecond})
+	l.RecordSpan(Span{Trace: "t1", Stage: "bus.publish", Start: start, Duration: 2 * time.Millisecond})
+	l.RecordSpan(Span{Trace: "t2", Stage: "pdp.decide", Start: start, Duration: 3 * time.Millisecond})
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", l.Len())
 	}
@@ -46,8 +46,8 @@ func TestSpanLogRingAndByTrace(t *testing.T) {
 	}
 
 	// Overflow: newest 4 win, oldest first in Snapshot.
-	l.Record("t3", "a", start, 0)
-	l.Record("t4", "b", start, 0)
+	l.RecordSpan(Span{Trace: "t3", Stage: "a", Start: start})
+	l.RecordSpan(Span{Trace: "t4", Stage: "b", Start: start})
 	snap := l.Snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("Snapshot len = %d, want 4", len(snap))
@@ -60,16 +60,7 @@ func TestSpanLogRingAndByTrace(t *testing.T) {
 	}
 }
 
-func TestSpanLogTime(t *testing.T) {
-	l := NewSpanLog(8)
-	l.Time("t", "stage", func() { time.Sleep(time.Millisecond) })
-	spans := l.ByTrace("t")
-	if len(spans) != 1 || spans[0].Duration < time.Millisecond {
-		t.Fatalf("timed span = %+v", spans)
-	}
-}
-
 func TestNilSpanLogRecordIsNoop(t *testing.T) {
 	var l *SpanLog
-	l.Record("t", "stage", time.Now(), 0) // must not panic
+	l.RecordSpan(Span{Trace: "t", Stage: "stage"}) // must not panic
 }

@@ -48,7 +48,7 @@ type GatewayServer struct {
 // daemon passes telemetry.Default(), tests a private registry).
 func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServer {
 	s := &GatewayServer{service: service{classify: gwRouteClassFor, now: time.Now},
-		gw: gw, tracer: telemetry.NewTracer(0)}
+		gw: gw, tracer: telemetry.NewTracer()}
 	s.mount(reg, s.tracer, "css_gateway", "gateway", nil)
 	s.handle("POST /gw/get-response", s.handleGetResponse)
 	s.handle("POST /gw/persist", s.handlePersist)

@@ -5,7 +5,7 @@ package transport
 // that owns the person's pseudonym; a wrong-shard fault from a stale
 // map is followed (bounded hops, with a map refresh when the fault
 // names a newer version); person inquiries scatter across the shards
-// and merge with stable ordering under a per-shard deadline budget.
+// and merge with stable ordering.
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/consent"
@@ -41,7 +40,6 @@ type ShardedOption func(*shardedOptions)
 
 type shardedOptions struct {
 	pseudonym func(string) string
-	budget    time.Duration
 }
 
 // WithPseudonym supplies the pseudonym function (HMAC under the
@@ -51,14 +49,6 @@ type shardedOptions struct {
 // harness and the smoke suites; remote producers route by redirect.
 func WithPseudonym(fn func(personID string) string) ShardedOption {
 	return func(o *shardedOptions) { o.pseudonym = fn }
-}
-
-// WithShardBudget bounds each per-shard leg of a scatter-gather
-// inquiry. The parent context still caps the whole call — the budget
-// only tightens, so one slow shard cannot eat the entire deadline.
-// Zero (the default) means legs inherit the parent deadline unchanged.
-func WithShardBudget(d time.Duration) ShardedOption {
-	return func(o *shardedOptions) { o.budget = d }
 }
 
 // ShardedClient fans a Client per cluster member out of a factory (so
@@ -381,7 +371,7 @@ func isUnknownEvent(err error) bool {
 // InquireIndex queries the events index across the cluster. When the
 // pseudonym function is present and the inquiry names a person, only
 // the owning shard is asked; otherwise the inquiry scatters to every
-// shard under the per-shard budget and the replies merge in stable
+// shard under ctx and the replies merge in stable
 // notification order (OccurredAt, then id), deduplicated, capped at
 // q.Limit. When some shards fail the merged partial result is returned
 // together with a *cluster.PartialError naming the failed shards.
@@ -394,7 +384,7 @@ func (sc *ShardedClient) InquireIndex(ctx context.Context, actor event.Actor, q 
 	if q.PersonID != "" && sc.opts.pseudonym != nil {
 		return sc.inquireShard(ctx, m.Owner(sc.opts.pseudonym(q.PersonID)), actor, q)
 	}
-	perShard, err := cluster.Gather(ctx, m.Shards(), sc.opts.budget,
+	perShard, err := cluster.Gather(ctx, m.Shards(),
 		func(ctx context.Context, info cluster.ShardInfo) ([]*event.Notification, error) {
 			return sc.inquireShard(ctx, info.ID, actor, q)
 		})

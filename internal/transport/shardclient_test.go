@@ -257,7 +257,7 @@ func TestShardedPublishWithPseudonym(t *testing.T) {
 // by class: the replies must scatter, merge in stable (OccurredAt, id)
 // order, and honor the limit.
 func TestShardedInquireScatter(t *testing.T) {
-	r := newShardRig(t, 3, WithShardBudget(2*time.Second))
+	r := newShardRig(t, 3)
 	ctx := context.Background()
 	const persons, each = 9, 3
 	for p := 0; p < persons; p++ {
@@ -299,7 +299,7 @@ func TestShardedInquireScatter(t *testing.T) {
 // return the surviving shards' merged events together with a
 // *cluster.PartialError naming the dead one.
 func TestShardedInquirePartialResult(t *testing.T) {
-	r := newShardRig(t, 3, WithShardBudget(2*time.Second))
+	r := newShardRig(t, 3)
 	ctx := context.Background()
 	const persons = 9
 	for p := 0; p < persons; p++ {

@@ -401,7 +401,7 @@ func TestWireCompatServerRefusals(t *testing.T) {
 		// One token per actor and a frozen clock: the second request of the
 		// same caller is over its rate.
 		now := time.Unix(1_000_000, 0)
-		gate := overload.NewGate(overload.Config{ActorRPS: 0.001, ActorBurst: 1,
+		gate := overload.NewGate(overload.Config{ActorRPS: 0.001,
 			Now: func() time.Time { return now }})
 		for name, srv := range wcServers(t, gate) {
 			t.Run(name, func(t *testing.T) {
