@@ -13,8 +13,8 @@ all: check
 # short fault-injected smoke, an overload-storm smoke, the
 # distributed-tracing smoke (one flow across three processes must yield
 # one parent-linked span tree; also runs the mixed-codec fan-out check),
-# the 3-shard cluster smoke (cross-shard publish/inquire plus one live
-# split), the replication failover smoke (1 primary + 2 replica
+# the 3-shard cluster smoke (cross-shard publish/inquire plus an opt-out
+# that binds on every shard), the replication failover smoke (1 primary + 2 replica
 # processes, kill the primary, the promoted replica serves), a
 # 1-iteration smoke of every root benchmark (catches rigs broken by
 # refactors), and the end-to-end benchmark harness (its own module: vet,
@@ -55,7 +55,7 @@ bench-harness:
 # Fault-injected integration suite under the race detector: 20%
 # connection failures on the consumer/producer hop, 10% on the
 # controller→gateway hop, a scripted 5-second controller blackout, a
-# 3-second asymmetric shard partition (kill-a-shard and mid-reshard),
+# 3-second asymmetric shard partition (kill-a-shard),
 # the overload storm stretched to 5 fixed seeds with 12 hot producers —
 # plus the self-healing failover storms: kill-primary auto-election
 # (exactly one winner, exactly-once on it, deposed shipper fenced,
@@ -80,8 +80,9 @@ overload-smoke:
 
 # Multi-shard cluster smoke: boots a 3-shard controller cluster in one
 # process, publishes across shards through the shard-routing client,
-# scatter-gathers an inquiry, and performs one live split onto a cold
-# fourth shard — the sharded bring-up path end to end.
+# scatter-gathers an inquiry, and records an opt-out through the client
+# that keeps the person's events from a class subscriber and from
+# person and class inquiries — the sharded bring-up path end to end.
 shard-smoke:
 	SHARD_SMOKE=1 $(GO) test -count 1 -run 'TestShardSmoke' ./integration/
 

@@ -33,8 +33,9 @@
 //	                (default 0.1; failed spans and spans of at least
 //	                100ms are always kept, in the ring and the file alike)
 //	-shard-id       this controller's shard id within the cluster
-//	                (default -1: unsharded). An id absent from the map
-//	                boots cold and joins via a live reshard.
+//	                (default -1: unsharded). The topology is fixed at
+//	                boot and must name the id; the controller exits if
+//	                it does not.
 //	-shard-map      cluster topology as "id=url,id=url,..." or "@file"
 //	                (one id=url per line, # comments); all shards must
 //	                share -key-file — pseudonym partitioning assumes one

@@ -11,11 +11,14 @@
 //
 //   - the versioned shard map (ring layout + binary frame codec),
 //   - the typed routing errors (ErrWrongShard with the owner hint,
-//     ErrResharding for the freeze window),
+//     ErrNotPrimary for a write that reached a replica), and
 //   - the scatter-gather engine for cross-shard inquiries (stable
-//     merge, typed partial results), and
-//   - the live-reshard coordinator (freeze → drain → ship → flip)
-//     over a small Node interface the controller implements.
+//     merge, typed partial results).
+//
+// A fleet keeps the map it booted with; only a failover's
+// promoted-replica successor (WithPromotedReplica) replaces it, and
+// that keeps every shard's key range. No path moves a person's events
+// between shards.
 //
 // Higher layers compose it: internal/core enforces ownership on the
 // publish path, internal/registry serves the map, internal/transport
@@ -32,7 +35,7 @@ import (
 
 // ShardID identifies one controller shard. IDs are small dense
 // integers assigned by the operator; they never change across map
-// versions (a reshard adds or removes IDs, it does not renumber).
+// versions.
 type ShardID int
 
 // String renders the id for labels and log lines.
@@ -79,12 +82,6 @@ const DefaultVNodes = 64
 // locally and across the wire (transport maps it to a fault code).
 var ErrWrongShard = errors.New("cluster: wrong shard for key")
 
-// ErrResharding reports a publish refused during the freeze window of
-// a live reshard: the key range is mid-handoff and writable nowhere
-// until the map version flips. It is transient by construction — the
-// transport marks it retryable and producers back off and retry.
-var ErrResharding = errors.New("cluster: key range frozen for resharding")
-
 // ErrStaleMap reports an attempt to install a shard map whose version
 // is not newer than the one already held.
 var ErrStaleMap = errors.New("cluster: stale shard map version")
@@ -108,8 +105,8 @@ func (e *WrongShardError) Is(target error) bool { return target == ErrWrongShard
 
 // Map is a versioned assignment of the pseudonym space to shards: a
 // consistent-hash ring of VNodes virtual points per shard. A Map is
-// immutable after construction (derive a successor with WithShards);
-// methods are safe for concurrent use.
+// immutable after construction (a failover derives its successor with
+// WithPromotedReplica); methods are safe for concurrent use.
 type Map struct {
 	version uint64
 	vnodes  int
@@ -180,7 +177,7 @@ func vnodeHash(id ShardID, vnode int) uint64 {
 }
 
 // Version returns the map version. Versions are strictly increasing
-// across reshards; a higher version always supersedes a lower one.
+// across failovers; a higher version always supersedes a lower one.
 func (m *Map) Version() uint64 { return m.version }
 
 // VNodes returns the per-shard virtual node count.
@@ -210,13 +207,6 @@ func (m *Map) Owner(pseudonym string) ShardID {
 		i = 0 // wrap around
 	}
 	return m.ring[i].shard
-}
-
-// WithShards derives the successor map (version+1) over a new shard
-// set — the split (adding shards) or merge (removing shards) a live
-// reshard flips to.
-func (m *Map) WithShards(shards []ShardInfo) (*Map, error) {
-	return NewMap(m.version+1, m.vnodes, shards)
 }
 
 // Equal reports whether two maps describe the identical assignment.

@@ -1,14 +1,11 @@
-// Binary frame codec for the shard map and the reshard handoff stream,
-// written over internal/frame. The cluster layer owns frame types 8-9;
-// their field layouts are tabulated in DESIGN.md §8.
+// Binary frame codec for the shard map, written over internal/frame.
+// The cluster layer owns frame type 8; its field layout is tabulated
+// in DESIGN.md §8.
 //
 // The shard map's per-shard epoch and replica list (both zero/empty
 // outside replicated deployments) ride in the same versioned frame, so
 // the failover protocol's primary claim is published through the exact
-// channel clients already refresh from. A handoff frame wraps one
-// WAL-encoded store.Batch together with the name of the store it
-// applies to — the index and idmap stores are separate, so every
-// shipped batch must say which store replays it.
+// channel clients already refresh from.
 package cluster
 
 import (
@@ -77,28 +74,4 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 		return nil, errors.New("cluster: shard map frame has invalid vnode count")
 	}
 	return NewMap(version, int(vnodes), shards)
-}
-
-// EncodeHandoffFrame wraps one WAL-framed store batch with the name of
-// the store that must replay it.
-func EncodeHandoffFrame(storeName string, batchFrame []byte) []byte {
-	size := frame.HeaderLen + frame.StringLen(storeName) +
-		frame.UvarintLen(uint64(len(batchFrame))) + len(batchFrame)
-	dst := frame.AppendHeader(make([]byte, 0, size), frame.Handoff)
-	dst = frame.AppendString(dst, storeName)
-	dst = binary.AppendUvarint(dst, uint64(len(batchFrame)))
-	return append(dst, batchFrame...)
-}
-
-// DecodeHandoffFrame splits a handoff frame into the target store name
-// and the raw WAL batch frame (still carrying its own length+CRC,
-// validated by store.DecodeBatchFrame on replay). The batch is a slice
-// of data, not a copy.
-func DecodeHandoffFrame(data []byte) (storeName string, batchFrame []byte, err error) {
-	r := frame.Read(data, frame.Handoff)
-	storeName, batchFrame = r.String(), r.Bytes()
-	if err := r.Done(); err != nil {
-		return "", nil, err
-	}
-	return storeName, batchFrame, nil
 }

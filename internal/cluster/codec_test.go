@@ -63,23 +63,3 @@ func TestMapFrameHostileInputs(t *testing.T) {
 		}
 	}
 }
-
-func TestHandoffFrameRoundTrip(t *testing.T) {
-	batch := []byte{0x01, 0x02, 0x03, 0xfe, 0xff}
-	frame := EncodeHandoffFrame("index", batch)
-	store, got, err := DecodeHandoffFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store != "index" || !bytes.Equal(got, batch) {
-		t.Fatalf("round-trip: store=%q batch=%x", store, got)
-	}
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := DecodeHandoffFrame(frame[:cut]); err == nil {
-			t.Fatalf("truncated handoff frame of %d/%d bytes accepted", cut, len(frame))
-		}
-	}
-	if _, _, err := DecodeHandoffFrame(append(bytes.Clone(frame), 0xAA)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}

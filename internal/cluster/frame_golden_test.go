@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/hex"
 	"testing"
 )
 
-// The golden frame tables pin the binary form of the cluster layer's
-// two frames (types 8-9) byte for byte: each row's production encoding
+// The golden frame table pins the binary form of the cluster layer's
+// frame (type 8) byte for byte: each row's production encoding
 // must equal the committed hex literal, and the literal must decode to
 // the row's value.
 
@@ -45,21 +44,5 @@ func TestGoldenShardMapFrame(t *testing.T) {
 		} else if !m.Equal(back) {
 			t.Errorf("%s: decoded %+v, want %+v", tc.name, back, m)
 		}
-	}
-}
-
-func TestGoldenHandoffFrame(t *testing.T) {
-	batch := []byte{0x05, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0xfe, 0xff}
-	const want = "c55f010905696e6465780d05000000deadbeef010203feff"
-	if got := EncodeHandoffFrame("index", batch); hex.EncodeToString(got) != want {
-		t.Errorf("frame bytes changed\n got %x\nwant %s", got, want)
-	}
-	data, err := hex.DecodeString(want)
-	if err != nil {
-		t.Fatalf("bad literal: %v", err)
-	}
-	store, back, err := DecodeHandoffFrame(data)
-	if err != nil || store != "index" || !bytes.Equal(back, batch) {
-		t.Errorf("decoded (%q, %x, %v), want (index, %x)", store, back, err, batch)
 	}
 }

@@ -111,9 +111,9 @@ func Gather[T any](ctx context.Context, shards []ShardInfo,
 // MergeNotifications merges per-shard notification lists into one list
 // with stable ordering — ascending (OccurredAt, ID), matching the
 // single-shard index scan order — independent of the order shards
-// replied in. Duplicate IDs (possible transiently while a reshard's
-// donor still holds shipped keys) collapse to one occurrence. limit
-// > 0 truncates the merged result.
+// replied in. Each event lives on exactly one shard, so a duplicate ID
+// is an exactly-once violation; it is kept, not hidden. limit > 0
+// truncates the merged result.
 func MergeNotifications(perShard map[ShardID][]*event.Notification, limit int) []*event.Notification {
 	// Merge in shard-id order so equal-key ties resolve identically on
 	// every call, whatever order the map iterates.
@@ -135,19 +135,8 @@ func MergeNotifications(perShard map[ShardID][]*event.Notification, limit int) [
 		}
 		return merged[i].ID < merged[j].ID
 	})
-
-	// Dedupe by global id after the sort: duplicates are adjacent.
-	out := merged[:0]
-	var last event.GlobalID
-	for _, n := range merged {
-		if n.ID != "" && n.ID == last {
-			continue
-		}
-		last = n.ID
-		out = append(out, n)
+	if limit > 0 && len(merged) > limit {
+		merged = merged[:limit]
 	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return merged
 }

@@ -65,23 +65,24 @@ func TestMergeStableUnderShuffledReplies(t *testing.T) {
 	}
 }
 
-// TestMergeDedupesAndLimits: a gid present on two shards (transient
-// reshard overlap) must appear once, and limit truncates after merge.
-func TestMergeDedupesAndLimits(t *testing.T) {
+// TestMergeLimits: limit truncates after the merge, and a gid present
+// on two shards (an exactly-once violation) shows twice rather than
+// vanishing.
+func TestMergeLimits(t *testing.T) {
 	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	perShard := map[ShardID][]*event.Notification{
 		0: {mkNote("evt-a", at), mkNote("evt-c", at.Add(2*time.Second))},
 		1: {mkNote("evt-a", at), mkNote("evt-b", at.Add(time.Second))},
 	}
 	merged := MergeNotifications(perShard, 0)
-	if len(merged) != 3 {
-		t.Fatalf("got %d results, want 3 (dedup failed): %v", len(merged), merged)
+	if len(merged) != 4 {
+		t.Fatalf("got %d results, want 4 (a duplicate was hidden): %v", len(merged), merged)
 	}
-	if merged[0].ID != "evt-a" || merged[1].ID != "evt-b" || merged[2].ID != "evt-c" {
-		t.Fatalf("wrong order: %s %s %s", merged[0].ID, merged[1].ID, merged[2].ID)
+	if merged[0].ID != "evt-a" || merged[1].ID != "evt-a" || merged[2].ID != "evt-b" || merged[3].ID != "evt-c" {
+		t.Fatalf("wrong order: %s %s %s %s", merged[0].ID, merged[1].ID, merged[2].ID, merged[3].ID)
 	}
-	if got := MergeNotifications(perShard, 2); len(got) != 2 || got[1].ID != "evt-b" {
-		t.Fatalf("limit=2 gave %d results", len(got))
+	if got := MergeNotifications(perShard, 3); len(got) != 3 || got[2].ID != "evt-b" {
+		t.Fatalf("limit=3 gave %d results", len(got))
 	}
 }
 

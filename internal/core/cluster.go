@@ -1,53 +1,37 @@
-// Cluster membership of the controller: shard identity, publish-path
-// ownership enforcement, and the reshard node protocol (freeze, drain,
-// handoff export/import, map flip, sweep) the cluster coordinator
-// drives. An unsharded controller (the default) carries none of this —
-// c.shard stays nil and the publish path pays one nil check.
+// Cluster membership of the controller: shard identity and publish-path
+// ownership enforcement. The shard map is fixed at boot; only a
+// failover's AdoptMap replaces it. An unsharded controller (the
+// default) carries none of this — c.shard stays nil and the publish
+// path pays one nil check.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/event"
-	"repro/internal/store"
 )
 
 // ErrNotClustered reports a cluster operation on an unsharded
 // controller.
 var ErrNotClustered = errors.New("core: controller is not clustered")
 
-// Handoff frame store tags: which of the controller's stores a shipped
-// batch replays into.
-const (
-	handoffStoreIndex = "index"
-	handoffStoreIdmap = "idmap"
-)
-
-// shardState is the controller's cluster identity plus the reshard
-// freeze machinery. The RWMutex is the publish drain barrier: every
-// clustered publish holds the read side for its full flow, and
-// BeginReshard takes the write side once to wait out publishes
-// admitted before the freeze was visible.
+// shardState is the controller's cluster identity.
 type shardState struct {
 	id    cluster.ShardID
 	label string // precomputed id.String() for span attrs
-
-	mu     sync.RWMutex
-	frozen atomic.Pointer[cluster.Map] // next map while a reshard is staging
 }
 
 // initCluster wires the controller into a shard cluster at
-// construction. Called from New when Config.ShardMap is set. A shard
-// id absent from the map boots cold: it owns no keys (every publish
-// answers the wrong-shard redirect) until a reshard flips in a map
-// that names it — the bring-up path for a split's new shard.
+// construction. Called from New when Config.ShardMap is set. The id
+// must name a shard of the map: a shard the map leaves out would own
+// no keys and redirect every publish, forever.
 func (c *Controller) initCluster(id cluster.ShardID, m *cluster.Map) error {
 	if id < 0 {
 		return fmt.Errorf("core: invalid shard id %d", id)
+	}
+	if _, ok := m.Shard(id); !ok {
+		return fmt.Errorf("core: shard id %d is not in the shard map", id)
 	}
 	if err := c.reg.SetShardMap(m); err != nil {
 		return err
@@ -78,136 +62,20 @@ func (c *Controller) ShardID() (cluster.ShardID, bool) {
 }
 
 // shardAdmit enforces pseudonym ownership at the top of a clustered
-// publish. It returns a release closure the publish holds until its
-// commit barriers pass — the read side of the drain barrier — or the
-// routing error to surface:
-//
-//   - a key this shard does not own under the current map answers
-//     *cluster.WrongShardError naming the owner (the client refreshes
-//     its map and retries there);
-//   - a key this shard owns but which moves under a staged next map
-//     answers cluster.ErrResharding (transient — the producer's
-//     retrier backs off past the freeze window).
-func (c *Controller) shardAdmit(personID string) (func(), error) {
-	s := c.shard
-	s.mu.RLock()
+// publish: a key this shard does not own under the current map answers
+// *cluster.WrongShardError naming the owner (the client refreshes its
+// map and retries there).
+func (c *Controller) shardAdmit(personID string) error {
 	m := c.reg.ShardMap()
-	pseud := c.idx.Pseudonym(personID)
-	if owner := m.Owner(pseud); owner != s.id {
-		s.mu.RUnlock()
+	if owner := m.Owner(c.idx.Pseudonym(personID)); owner != c.shard.id {
 		c.met.clusterWrongShard.Inc()
-		return nil, &cluster.WrongShardError{Owner: owner, Version: m.Version()}
+		return &cluster.WrongShardError{Owner: owner, Version: m.Version()}
 	}
-	if next := s.frozen.Load(); next != nil && next.Owner(pseud) != s.id {
-		s.mu.RUnlock()
-		c.met.clusterReshardRejects.Inc()
-		return nil, cluster.ErrResharding
-	}
-	return s.mu.RUnlock, nil
-}
-
-// --- cluster.Node ----------------------------------------------------------
-
-// Self implements cluster.Node.
-func (c *Controller) Self() cluster.ShardID { return c.shard.id }
-
-// CurrentMap implements cluster.Node.
-func (c *Controller) CurrentMap() *cluster.Map { return c.reg.ShardMap() }
-
-// BeginReshard implements cluster.Node: it stages next as the freeze
-// map — from here on, publishes for keys that move under next are
-// refused with ErrResharding — then drains every publish admitted
-// before the freeze by passing once through the write side of the
-// barrier. When it returns, the stores hold every acknowledged write
-// and no in-flight publish can touch a moving key.
-func (c *Controller) BeginReshard(next *cluster.Map) error {
-	if c.shard == nil {
-		return ErrNotClustered
-	}
-	s := c.shard
-	cur := c.reg.ShardMap()
-	if next == nil || next.Version() <= cur.Version() {
-		return cluster.ErrStaleMap
-	}
-	if !s.frozen.CompareAndSwap(nil, next) {
-		return errors.New("core: reshard already in progress")
-	}
-	s.mu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the drain barrier
-	s.mu.Unlock()
 	return nil
 }
 
-// AbortReshard implements cluster.Node: lift the freeze without
-// flipping the map.
-func (c *Controller) AbortReshard() error {
-	if c.shard == nil {
-		return ErrNotClustered
-	}
-	c.shard.frozen.Store(nil)
-	return nil
-}
-
-// ExportMoved implements cluster.Node: stream every event whose
-// pseudonym leaves this shard under next as store-tagged handoff
-// frames — the index key set and the id-map entries of each moved
-// event — addressed to the event's new owner.
-func (c *Controller) ExportMoved(next *cluster.Map, ship func(target cluster.ShardID, frame []byte) error) (int, error) {
-	if c.shard == nil {
-		return 0, ErrNotClustered
-	}
-	self := c.shard.id
-	moved, _, err := c.idx.ExportMoved(
-		func(pseudonym string) bool { return next.Owner(pseudonym) != self },
-		func(gid event.GlobalID, pseudonym string, b *store.Batch) error {
-			target := next.Owner(pseudonym)
-			if err := ship(target, cluster.EncodeHandoffFrame(handoffStoreIndex, b.EncodeFrame())); err != nil {
-				return err
-			}
-			mb, err := c.ids.ExportFor([]event.GlobalID{gid})
-			if err != nil {
-				return err
-			}
-			if err := ship(target, cluster.EncodeHandoffFrame(handoffStoreIdmap, mb.EncodeFrame())); err != nil {
-				return err
-			}
-			c.met.clusterHandoff.Inc("shipped")
-			return nil
-		})
-	return moved, err
-}
-
-// ImportFrame implements cluster.Node: decode one handoff frame and
-// replay its batch into the named store. Idempotent — frames are pure
-// puts of immutable values, so a retried ship is harmless.
-func (c *Controller) ImportFrame(frame []byte) error {
-	if c.shard == nil {
-		return ErrNotClustered
-	}
-	storeName, batchFrame, err := cluster.DecodeHandoffFrame(frame)
-	if err != nil {
-		return err
-	}
-	b, err := store.DecodeBatchFrame(batchFrame)
-	if err != nil {
-		return err
-	}
-	switch storeName {
-	case handoffStoreIndex:
-		err = c.idx.ApplyHandoff(b)
-	case handoffStoreIdmap:
-		err = c.ids.ApplyHandoff(b)
-	default:
-		return fmt.Errorf("core: handoff frame for unknown store %q", storeName)
-	}
-	if err == nil {
-		c.met.clusterHandoff.Inc("adopted")
-	}
-	return err
-}
-
-// AdoptMap implements cluster.Node: atomically flip to the next map
-// and lift the freeze. From this instant the shard routes (and
+// AdoptMap atomically switches the controller to next, the successor
+// map a failover installs. From this instant the shard routes (and
 // redirects) by the new assignment.
 func (c *Controller) AdoptMap(next *cluster.Map) error {
 	if c.shard == nil {
@@ -216,29 +84,8 @@ func (c *Controller) AdoptMap(next *cluster.Map) error {
 	if err := c.reg.SetShardMap(next); err != nil {
 		return err
 	}
-	c.shard.frozen.Store(nil)
 	c.met.clusterMapVersion.Set(float64(next.Version()))
 	return nil
-}
-
-// SweepMoved implements cluster.Node: delete every event this shard no
-// longer owns under its current map — the donor's cleanup after the
-// flip — from both the index and the id map.
-func (c *Controller) SweepMoved() (int, error) {
-	if c.shard == nil {
-		return 0, ErrNotClustered
-	}
-	self := c.shard.id
-	m := c.reg.ShardMap()
-	gids, err := c.idx.SweepMoved(func(pseudonym string) bool { return m.Owner(pseudonym) != self })
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.ids.SweepFor(gids); err != nil {
-		return len(gids), err
-	}
-	c.met.clusterHandoff.Add(uint64(len(gids)), "swept")
-	return len(gids), nil
 }
 
 // IndexLen returns the number of events in this shard's index — the

@@ -93,14 +93,14 @@ type Config struct {
 	Codec event.Codec
 	// ShardMap makes this controller one shard of a cluster: publishes
 	// for person pseudonyms owned by other shards are redirected
-	// (cluster.ErrWrongShard), and the controller participates in live
-	// resharding. Nil (the default) runs unsharded with zero cluster
-	// overhead. All shards of one cluster must share MasterKey — the
-	// pseudonym partitioning assumes one HMAC keyspace.
+	// (cluster.ErrWrongShard). The map is fixed at boot; only a
+	// failover's AdoptMap replaces it. Nil (the default) runs unsharded
+	// with zero cluster overhead. All shards of one cluster must share
+	// MasterKey — the pseudonym partitioning assumes one HMAC keyspace.
 	ShardMap *cluster.Map
 	// ShardID is this controller's identity within ShardMap. Only
-	// meaningful when ShardMap is set. An id absent from the map boots
-	// cold — owning no keys until a reshard flips in a map naming it.
+	// meaningful when ShardMap is set, and then it must name a shard of
+	// the map: New rejects an id the map leaves out.
 	ShardID cluster.ShardID
 }
 
@@ -127,10 +127,8 @@ type instruments struct {
 	detailSeconds   *telemetry.Histogram      // css_detail_request_seconds{outcome}
 	stageSeconds    *telemetry.Histogram      // css_stage_seconds{stage}
 
-	clusterWrongShard     *telemetry.Counter // css_cluster_wrong_shard_total
-	clusterReshardRejects *telemetry.Counter // css_cluster_reshard_rejects_total
-	clusterHandoff        *telemetry.Counter // css_cluster_handoff_events_total{direction}
-	clusterMapVersion     *telemetry.Gauge   // css_cluster_map_version
+	clusterWrongShard *telemetry.Counter // css_cluster_wrong_shard_total
+	clusterMapVersion *telemetry.Gauge   // css_cluster_map_version
 }
 
 func newInstruments(reg *telemetry.Registry) instruments {
@@ -168,10 +166,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 			"Per-stage latency of traced flows in seconds, by stage.", "stage"),
 		clusterWrongShard: reg.Counter("css_cluster_wrong_shard_total",
 			"Publishes refused with a wrong-shard redirect to the owning shard."),
-		clusterReshardRejects: reg.Counter("css_cluster_reshard_rejects_total",
-			"Publishes refused transiently because their key range was frozen for resharding."),
-		clusterHandoff: reg.Counter("css_cluster_handoff_events_total",
-			"Reshard handoff progress, by direction (shipped/adopted/swept).", "direction"),
 		clusterMapVersion: reg.Gauge("css_cluster_map_version",
 			"Version of the shard map this controller routes by (0 = unsharded)."),
 	}

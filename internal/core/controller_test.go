@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/consent"
 	"repro/internal/crypto"
 	"repro/internal/enforcer"
@@ -144,6 +146,28 @@ func TestNewConfigValidation(t *testing.T) {
 	c, err := New(Config{})
 	if err != nil {
 		t.Fatalf("default config: %v", err)
+	}
+	c.Close()
+}
+
+// TestNewRejectsShardIDOutsideMap: the shard map is fixed at boot, so
+// a shard id the map leaves out would own no keys forever; New refuses
+// it and names the id.
+func TestNewRejectsShardIDOutsideMap(t *testing.T) {
+	m, err := cluster.NewMap(1, 0, []cluster.ShardInfo{{ID: 0, Addr: "http://a"}, {ID: 1, Addr: "http://b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bytes.Repeat([]byte{5}, crypto.KeySize)
+	if c, err := New(Config{MasterKey: key, ShardMap: m, ShardID: 2}); err == nil {
+		c.Close()
+		t.Fatal("shard id 2 outside a {0, 1} map accepted")
+	} else if !strings.Contains(err.Error(), "shard id 2") {
+		t.Errorf("error %q does not name the shard id", err)
+	}
+	c, err := New(Config{MasterKey: key, ShardMap: m, ShardID: 1})
+	if err != nil {
+		t.Fatalf("shard id 1 of a {0, 1} map: %v", err)
 	}
 	c.Close()
 }

@@ -61,15 +61,12 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 		return "", fmt.Errorf("%w: %s is owned by %s", ErrNotClassOwner, n.Class, decl.Producer)
 	}
 	// Clustered deployments enforce pseudonym ownership before any state
-	// changes (critically: before the global id is assigned), and hold
-	// the shard's drain barrier for the rest of the flow so a reshard
-	// freeze can wait this publish out. Unsharded: one nil check.
+	// changes (critically: before the global id is assigned). Unsharded:
+	// one nil check.
 	if c.shard != nil {
-		release, err := c.shardAdmit(n.PersonID)
-		if err != nil {
+		if err := c.shardAdmit(n.PersonID); err != nil {
 			return "", err
 		}
-		defer release()
 	}
 
 	// Mint the flow's trace ID unless the producer supplied one; it rides
@@ -97,10 +94,12 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 		return "", err
 	}
 
-	// The id assignment stays fully synchronous (assign + fsync before
-	// anything else): if a global id were handed out before its mapping
-	// was durable, a crash plus producer retry could mint two ids for one
-	// source event.
+	// The id assignment stays fully synchronous: the mapping is written to
+	// the id-map WAL before anything else, so a producer retry after a
+	// process kill finds it and never mints a second id for one source
+	// event. The write is fsynced only when the store was opened with
+	// store.Options.SyncEvery, which no daemon sets: a machine crash can
+	// lose it along with the index and audit writes below.
 	gid, err := c.ids.Assign(n.Producer, n.SourceID, n.Class)
 	if err != nil {
 		return fail(err)
@@ -110,9 +109,9 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	stamped.Trace = trace
 	stamped.PublishedAt = c.now()
 	// Pipelined group commit: the index batch and the audit record are
-	// staged (written to their WALs, visible to reads) and their fsyncs
-	// kicked in the background, so encoding and bus fan-out overlap the
-	// disk barrier instead of queueing behind it. The publisher is acked
+	// staged (written to their WALs, visible to reads) and, on SyncEvery
+	// stores, their fsyncs kicked in the background, so encoding and bus
+	// fan-out overlap the disk barrier instead of queueing behind it. The publisher is acked
 	// only after both Waits below — exactly-once indexing holds because a
 	// crash before the barrier loses whole WAL frames and the unacked
 	// producer retries under the same global id (Assign is idempotent).

@@ -39,9 +39,9 @@ const (
 	PublishResponse   Type = 5
 	SubscribeRequest  Type = 6
 	SubscribeResponse Type = 7
-	// internal/cluster: the shard map and the reshard handoff stream.
+	// internal/cluster: the shard map.
 	ShardMap Type = 8
-	Handoff  Type = 9
+	// 9 is reserved: it carried the retired reshard handoff stream.
 	// internal/replication: WAL shipping, fencing, election and rejoin.
 	Hello     Type = 10
 	Data      Type = 11

@@ -59,6 +59,12 @@ func New(st *store.Store, keys *crypto.Keyring) *Index {
 	return &Index{st: st, keys: keys}
 }
 
+// Pseudonym returns the keyed pseudonym routing and partitioning use
+// for a person identifier, the same one the person index is keyed by.
+func (ix *Index) Pseudonym(person string) string {
+	return ix.keys.Pseudonym(person)
+}
+
 // Put stores a published notification. The notification must carry its
 // controller-assigned global ID. Put is idempotent on the global ID.
 // Put is PutStaged followed immediately by the commit barrier.
@@ -377,12 +383,6 @@ func personIdxKey(person, ts string, id event.GlobalID) string {
 
 func classIdxKey(c event.ClassID, ts string, id event.GlobalID) string {
 	return "c/" + string(c) + "/" + ts + "/" + string(id)
-}
-
-// producerIdxKey is the key of the producer index earlier builds wrote
-// and nothing read. It is no longer written; SweepMoved removes it.
-func producerIdxKey(p event.ProducerID, id event.GlobalID) string {
-	return "s/" + string(p) + "/" + string(id)
 }
 
 // idxKeyID returns the event id of a person or class index key from the

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,9 +31,7 @@ func putEarlierLayout(t *testing.T, ix *Index, n *event.Notification) {
 
 // TestEarlierLayoutStore: an index store written by an earlier build —
 // id-valued secondary keys and a producer key — answers Get and person
-// and class inquiries exactly as one written by PutStaged; a reshard
-// sweep leaves no key of a moved event, the producer key included; and
-// a handoff of its events lands in the current layout.
+// and class inquiries exactly as one written by PutStaged.
 func TestEarlierLayoutStore(t *testing.T) {
 	keys := keyring(t)
 	earlier, current := New(store.OpenMemory(), keys), New(store.OpenMemory(), keys)
@@ -65,54 +62,5 @@ func TestEarlierLayoutStore(t *testing.T) {
 		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
 			t.Errorf("Inquire(%+v): earlier layout %d results, %v; current %d, %v", q, len(a), errA, len(b), errB)
 		}
-	}
-
-	movedPseud := keys.Pseudonym("PRS-1")
-	moved := func(p string) bool { return p == movedPseud }
-	recipient := New(store.OpenMemory(), keys)
-	count, gids, err := earlier.ExportMoved(moved, func(_ event.GlobalID, _ string, b *store.Batch) error {
-		return recipient.ApplyHandoff(b)
-	})
-	if err != nil || count != 10 {
-		t.Fatalf("ExportMoved = %d, %v; want 10 events", count, err)
-	}
-	want := map[string]bool{}
-	for _, gid := range gids {
-		n, err := current.Get(gid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := timeKey(n.OccurredAt)
-		want[eventKey(gid)] = true
-		want[personIdxKey(movedPseud, ts, gid)] = true
-		want[classIdxKey(n.Class, ts, gid)] = true
-	}
-	recipient.st.AscendPrefix("", func(k string, v []byte) bool {
-		if !want[k] || (k[:2] != "e/" && len(v) != 0) {
-			t.Errorf("handoff wrote %q = %q", k, v)
-		}
-		delete(want, k)
-		return true
-	})
-	if len(want) != 0 {
-		t.Errorf("handoff did not write %v", want)
-	}
-
-	swept, err := earlier.SweepMoved(moved)
-	if err != nil || len(swept) != 10 {
-		t.Fatalf("SweepMoved = %d ids, %v; want 10", len(swept), err)
-	}
-	left := 0
-	earlier.st.AscendPrefix("", func(k string, v []byte) bool {
-		left++
-		for _, gid := range swept {
-			if strings.HasSuffix(k, "/"+string(gid)) {
-				t.Errorf("sweep left %q", k)
-			}
-		}
-		return true
-	})
-	if left != 4*20 {
-		t.Errorf("sweep left %d keys, want the 4 of each of 20 events", left)
 	}
 }

@@ -265,11 +265,10 @@ func (l *skipList) del(key string) bool {
 
 // maybeRebuild copies the list in key order into a fresh arena once the
 // dead bytes exceed both the live bytes and one chunk, so churn (the
-// outbox's put+delete, a reshard's mass delete, a memory store's
-// overwrites) costs at most twice the live data plus a chunk. The copy
-// is linear and is paid for by the writes that made the dead bytes. The
-// old chunks are unmapped as soon as it is done: nothing outside the
-// Store lock holds a slice of them.
+// outbox's put+delete, a memory store's overwrites) costs at most twice
+// the live data plus a chunk. The copy is linear and is paid for by the
+// writes that made the dead bytes. The old chunks are unmapped as soon
+// as it is done: nothing outside the Store lock holds a slice of them.
 func (l *skipList) maybeRebuild() {
 	if dead := l.total - l.live; dead <= l.live || dead <= chunkSize {
 		return

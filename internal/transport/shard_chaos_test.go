@@ -3,9 +3,8 @@ package transport
 // Multi-shard chaos: the cluster invariants — every acknowledged
 // publish indexed exactly once, on exactly the owning shard, with
 // every shard's audit hash-chain intact — must survive a shard
-// dropping off the network mid-storm and a network partition striking
-// in the middle of a live reshard. Runs short by default; `make chaos`
-// stretches the partition window via CHAOS_PARTITION.
+// dropping off the network mid-storm. Runs short by default; `make
+// chaos` stretches the partition window via CHAOS_PARTITION.
 
 import (
 	"context"
@@ -89,7 +88,7 @@ func stormPublish(t *testing.T, sc *ShardedClient, r *shardRig, persons []string
 		}()
 	}
 	for i := range persons {
-		if i == len(persons)/2 && mid != nil {
+		if i == len(persons)/2 {
 			mid()
 		}
 		idxCh <- i
@@ -105,13 +104,13 @@ func stormPublish(t *testing.T, sc *ShardedClient, r *shardRig, persons []string
 // assertClusterInvariants checks the acceptance conditions after a
 // storm: the cluster indexes exactly one event per person, each on the
 // shard the map owns it to, and every shard's audit chain verifies.
-func assertClusterInvariants(t *testing.T, r *shardRig, m *cluster.Map, persons []string) {
+func assertClusterInvariants(t *testing.T, r *shardRig, persons []string) {
 	t.Helper()
 	if got := r.indexTotal(t); got != len(persons) {
 		t.Errorf("cluster index holds %d events, want exactly %d", got, len(persons))
 	}
 	for _, person := range persons {
-		owner := m.Owner(r.ctrls[0].Pseudonym(person))
+		owner := r.m.Owner(r.ctrls[0].Pseudonym(person))
 		for _, c := range r.ctrls {
 			self, _ := c.ShardID()
 			notes, err := c.InquireIndex("family-doctor", index.Inquiry{PersonID: person})
@@ -155,105 +154,12 @@ func TestChaosShardKill(t *testing.T) {
 			victim := r.m.Owner(r.ctrls[0].Pseudonym(persons[len(persons)/2]))
 			t.Logf("chaos seed=%d partition=%s victim=%s", fi.Seed(), window, victim)
 			stormPublish(t, sc, r, persons, func() {
-				fi.PartitionHosts(window, strings.TrimPrefix(r.shards[victim].Addr, "http://"))
+				fi.PartitionHosts(window, strings.TrimPrefix(r.servers[victim].URL, "http://"))
 			})
-			assertClusterInvariants(t, r, r.m, persons)
+			assertClusterInvariants(t, r, persons)
 			if fi.Injected()["partition"] == 0 {
 				t.Error("the partition never bit — storm finished before the window opened")
 			}
 		})
-	}
-}
-
-// TestChaosShardReshard splits the cluster live — a cold fourth shard
-// joins via cluster.Reshard — while a publish storm runs and a
-// partition cuts one donor from the clients mid-reshard. No publish
-// may be dropped or double-indexed: pre-split events land once (moved
-// ones exactly once on their new owner), storm publishes ride the
-// freeze window via retries, and all four audit chains stay intact.
-func TestChaosShardReshard(t *testing.T) {
-	window := chaosPartition()
-	seed := int64(11)
-	r := newShardRigCold(t, 3, 1)
-	sc, fi := newShardChaosClient(t, r, seed)
-	t.Logf("chaos seed=%d partition=%s", fi.Seed(), window)
-
-	// Phase 1: seed the cluster before the split so the reshard has
-	// real data to move.
-	pre := make([]string, 20)
-	for i := range pre {
-		pre[i] = fmt.Sprintf("PRE-%03d", i)
-	}
-	stormPublish(t, sc, r, pre, nil)
-
-	next, err := r.m.WithShards(r.shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make(map[cluster.ShardID]cluster.Node, len(r.ctrls))
-	for _, c := range r.ctrls {
-		id, _ := c.ShardID()
-		nodes[id] = c
-	}
-
-	// Phase 2: storm while the reshard runs; mid-storm the partition
-	// cuts a donor from the clients (the reshard itself is unaffected —
-	// it is the data plane that must ride it out).
-	var reshardStats cluster.ReshardStats
-	var reshardErr error
-	done := make(chan struct{})
-	storm := make([]string, 30)
-	for i := range storm {
-		storm[i] = fmt.Sprintf("PRW-%03d", i)
-	}
-	victim := r.m.Owner(r.ctrls[0].Pseudonym(storm[len(storm)/2]))
-	stormPublish(t, sc, r, storm, func() {
-		fi.PartitionHosts(window, strings.TrimPrefix(r.shards[victim].Addr, "http://"))
-		go func() {
-			defer close(done)
-			reshardStats, reshardErr = cluster.Reshard(context.Background(), nodes, next)
-		}()
-	})
-	<-done
-	if reshardErr != nil {
-		t.Fatalf("reshard: %v", reshardErr)
-	}
-	if reshardStats.Moved == 0 {
-		t.Error("split moved nothing: the new shard owns no keys")
-	}
-	if reshardStats.Swept != reshardStats.Moved {
-		t.Errorf("swept %d != moved %d: donors leak moved events", reshardStats.Swept, reshardStats.Moved)
-	}
-	t.Logf("reshard moved=%d swept=%d", reshardStats.Moved, reshardStats.Swept)
-
-	all := append(append([]string{}, pre...), storm...)
-	assertClusterInvariants(t, r, next, all)
-
-	// The new shard must actually carry load after the split.
-	n3, err := r.ctrls[3].IndexLen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n3 == 0 {
-		t.Error("shard-3 is empty after the split")
-	}
-
-	// The client followed the flip: its map must be the adopted one.
-	if sc.Map().Version() != next.Version() {
-		t.Logf("note: client still routes by map v%d (refresh is lazy; redirects keep it correct)", sc.Map().Version())
-	}
-
-	// One event published after the dust settles routes straight to the
-	// new topology.
-	if _, err := sc.Publish(context.Background(), r.note("POST-SPLIT", 0)); err != nil {
-		t.Fatalf("post-split publish: %v", err)
-	}
-	owner := next.Owner(r.ctrls[0].Pseudonym("POST-SPLIT"))
-	notes, err := r.ctrls[owner].InquireIndex("family-doctor", index.Inquiry{PersonID: "POST-SPLIT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(notes) != 1 {
-		t.Fatalf("post-split event not on its owner %s (found %d)", owner, len(notes))
 	}
 }

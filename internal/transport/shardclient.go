@@ -326,19 +326,17 @@ func (sc *ShardedClient) writeRetry(ctx context.Context, id cluster.ShardID, cal
 }
 
 // RequestDetails resolves a detail request. The shard that acked the
-// event's publish is tried first (learned route); on a cache miss the
+// event's publish is asked alone (learned route), and its answer
+// stands: each event lives on exactly one shard. On a cache miss the
 // shards are asked in order, skipping unknown-event answers, so a
 // detail request never needs the pseudonym.
 func (sc *ShardedClient) RequestDetails(ctx context.Context, r *event.DetailRequest) (*event.Detail, error) {
 	if id, ok := sc.events.get(string(r.EventID)); ok {
-		if cl, err := sc.clientFor(id); err == nil {
-			d, err := cl.RequestDetails(ctx, r)
-			if !isUnknownEvent(err) {
-				return d, err
-			}
-			// The event moved in a reshard since the publish: fall
-			// through to the sweep and relearn its home.
+		cl, err := sc.clientFor(id)
+		if err != nil {
+			return nil, err
 		}
+		return cl.RequestDetails(ctx, r)
 	}
 	var lastErr error = errUnknownEventAll
 	for _, info := range sc.Map().Shards() {
@@ -372,8 +370,7 @@ func isUnknownEvent(err error) bool {
 // pseudonym function is present and the inquiry names a person, only
 // the owning shard is asked; otherwise the inquiry scatters to every
 // shard under ctx and the replies merge in stable
-// notification order (OccurredAt, then id), deduplicated, capped at
-// q.Limit. When some shards fail the merged partial result is returned
+// notification order (OccurredAt, then id), capped at q.Limit. When some shards fail the merged partial result is returned
 // together with a *cluster.PartialError naming the failed shards.
 // Index inquiries prefer each shard's read replicas (rotating between
 // them) so the primaries' write capacity is not spent on reads; a
@@ -431,9 +428,11 @@ func (sc *ShardedClient) Subscribe(ctx context.Context, actor event.Actor, class
 	return ids, nil
 }
 
-// RecordConsent broadcasts the directive to every shard: consent must
-// bind wherever the person's events land, including after a reshard
-// moves them.
+// RecordConsent broadcasts the directive to every shard, in map order,
+// so it binds whichever shard owns the person's events. An error on one
+// shard leaves the directive applied on the shards before it. Recording
+// the same directive again yields the same decision, so a caller
+// retries until the broadcast returns nil.
 func (sc *ShardedClient) RecordConsent(ctx context.Context, d consent.Directive) (consent.Directive, error) {
 	var stored consent.Directive
 	for _, info := range sc.Map().Shards() {

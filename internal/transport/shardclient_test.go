@@ -33,21 +33,11 @@ type shardRig struct {
 	servers []*httptest.Server
 	gw      *gateway.Gateway
 	m       *cluster.Map
-	shards  []cluster.ShardInfo // every shard incl. cold ones outside m
 	sc      *ShardedClient
 }
 
 func newShardRig(t *testing.T, n int, opts ...ShardedOption) *shardRig {
-	return newShardRigCold(t, n, 0, opts...)
-}
-
-// newShardRigCold brings up active+cold controllers: the shard map
-// covers the first active ids only, and the trailing cold shards boot
-// outside it — the donor-side precondition of a live split, which
-// flips in a successor map naming them.
-func newShardRigCold(t *testing.T, active, cold int, opts ...ShardedOption) *shardRig {
 	t.Helper()
-	n := active + cold
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 
 	// The map must exist before the controllers (each shard is born
@@ -63,12 +53,12 @@ func newShardRigCold(t *testing.T, active, cold int, opts ...ShardedOption) *sha
 		lns[i] = ln
 		shards[i] = cluster.ShardInfo{ID: cluster.ShardID(i), Addr: "http://" + ln.Addr().String()}
 	}
-	m, err := cluster.NewMap(1, 0, shards[:active])
+	m, err := cluster.NewMap(1, 0, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := &shardRig{m: m, shards: shards}
+	r := &shardRig{m: m}
 	gw, err := gateway.New("hospital", store.OpenMemory(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,6 @@ const (
 	// the client refreshes its shard map and retries there. Permanent
 	// for the generic retrier — only the shard-aware client follows it.
 	CodeWrongShard = "wrong-shard"
-	// CodeResharding (HTTP 503 + Retry-After): the key range is frozen
-	// mid-handoff; transient by construction.
-	CodeResharding = "resharding"
 	// CodeNotPrimary (HTTP 421): a write reached a read replica (or a
 	// deposed primary refusing writes after failover). The fault names
 	// the shard and the answering node's map version so the client
@@ -161,8 +158,6 @@ func faultFor(err error) (string, int) {
 		// 421 Misdirected Request: the canonical "this server is not
 		// able to produce a response for this request" status.
 		return CodeWrongShard, http.StatusMisdirectedRequest
-	case errors.Is(err, cluster.ErrResharding):
-		return CodeResharding, http.StatusServiceUnavailable
 	case errors.Is(err, cluster.ErrNotPrimary):
 		// Same 421 as wrong-shard: this server cannot produce the
 		// response, but another member of the cluster can.
@@ -225,8 +220,6 @@ func errorFor(f *Fault) error {
 		base = context.DeadlineExceeded
 	case CodeCancelled:
 		base = core.ErrCancelled
-	case CodeResharding:
-		base = cluster.ErrResharding
 	case CodeWrongShard:
 		// Rebuild the typed redirect so errors.As recovers the owner
 		// hint client-side exactly as a local caller would.
