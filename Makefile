@@ -16,7 +16,7 @@ all: check
 # the 3-shard cluster smoke (cross-shard publish/inquire plus an opt-out
 # that binds on every shard), the replication failover smoke (1 primary + 2 replica
 # processes, kill the primary, the promoted replica serves), a
-# 1-iteration smoke of every root benchmark (catches rigs broken by
+# 1-iteration smoke of every root and memtable benchmark (catches rigs broken by
 # refactors), and the end-to-end benchmark harness (its own module: vet,
 # unit tests, quick run) — the one place a commit's cost is measured.
 # The code-size report (`loc`) prints last.
@@ -38,9 +38,11 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One iteration of every root benchmark, as a compile-and-run smoke.
+# One iteration of every root benchmark and of the memtable's layer
+# benchmarks, as a compile-and-run smoke.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/store
 
 # The end-to-end benchmark harness is a nested module (benchmark/,
 # replace repro => ../) that imports internal/... and spawns the

@@ -8,13 +8,13 @@ import (
 // The memtable's chunks are anonymous private mappings, not Go heap: the
 // collector neither scans them nor counts them toward its heap goal, so a
 // heap that is mostly arena does not grow to twice the arena between
-// collections. The price is that they are freed by hand (skipList.free),
-// and that no slice of one may outlive the list that mapped it: every
+// collections. The price is that they are freed by hand (memtable.free),
+// and that no slice of one may outlive the table that mapped it: every
 // read a Store or Tx hands out is a copy. This is the one file that maps
 // and unmaps memory.
 
 // mappedBytes is the number of arena bytes mapped right now, across all
-// lists. Tests read it to see that chunks are returned.
+// tables. Tests read it to see that chunks are returned.
 var mappedBytes atomic.Int64
 
 // mapChunk returns n zeroed bytes outside the Go heap. Like make, it

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// settledMapped runs the finalizers of every list already dropped and
+// settledMapped runs the finalizers of every table already dropped and
 // returns the arena bytes still mapped. The finalizer goroutine runs one
 // collection's queue to its end before it takes the next, so once a
 // sentinel queued by a second collection has run, every finalizer the
@@ -65,7 +65,7 @@ func TestCloseUnmapsArena(t *testing.T) {
 			before := settledMapped(t)
 			s := kind.open(t)
 			fill(t, s, 50_000)
-			if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.list)); got != want || got <= chunkSize {
+			if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.table)); got != want || got <= chunkSize {
 				t.Fatalf("the store mapped %d bytes, its arena holds %d; want equal and over one chunk", got, want)
 			}
 			if err := s.Close(); err != nil {
@@ -83,8 +83,8 @@ func TestCloseUnmapsArena(t *testing.T) {
 			if err := s.View(func(Tx) error { t.Error("View ran its function after Close"); return nil }); err != ErrClosed {
 				t.Errorf("View after Close = %v", err)
 			}
-			if err := s.AscendRange("", "", func(string, []byte) bool { return true }); err != ErrClosed {
-				t.Errorf("AscendRange after Close = %v", err)
+			if err := s.AscendPrefix("", func(string, []byte) bool { return true }); err != ErrClosed {
+				t.Errorf("AscendPrefix after Close = %v", err)
 			}
 			if err := s.Put("key/00000001", []byte("v")); err != ErrClosed {
 				t.Errorf("Put after Close = %v", err)
@@ -96,7 +96,7 @@ func TestCloseUnmapsArena(t *testing.T) {
 	}
 }
 
-// TestRebuildUnmapsOldArena: once churn rebuilds a list, the chunks it
+// TestRebuildUnmapsOldArena: once churn rebuilds a table, the chunks it
 // left are unmapped at once — what is mapped is the new arena, not old
 // plus new.
 func TestRebuildUnmapsOldArena(t *testing.T) {
@@ -111,7 +111,7 @@ func TestRebuildUnmapsOldArena(t *testing.T) {
 				if i > 10_000 {
 					t.Fatal("10 000 put+delete rounds did not rebuild the arena")
 				}
-				total := s.list.total
+				total := s.table.total
 				k := fmt.Sprintf("%s/%06d", long, i)
 				if err := s.Put(k, []byte("v")); err != nil {
 					t.Fatal(err)
@@ -119,11 +119,11 @@ func TestRebuildUnmapsOldArena(t *testing.T) {
 				if err := s.Delete(k); err != nil {
 					t.Fatal(err)
 				}
-				if s.list.total < total {
+				if s.table.total < total {
 					break
 				}
 			}
-			if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.list)); got != want {
+			if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.table)); got != want {
 				t.Errorf("after a rebuild the store maps %d bytes, its new arena %d", got, want)
 			}
 		})
@@ -131,7 +131,7 @@ func TestRebuildUnmapsOldArena(t *testing.T) {
 }
 
 // TestTruncateWALUnmapsReplacedList: TruncateWAL replays the surviving
-// prefix into a new list and unmaps the one it replaces.
+// prefix into a new table and unmaps the one it replaces.
 func TestTruncateWALUnmapsReplacedList(t *testing.T) {
 	before := settledMapped(t)
 	s, _ := openTemp(t, Options{})
@@ -146,8 +146,8 @@ func TestTruncateWALUnmapsReplacedList(t *testing.T) {
 	if n, _ := s.Len(); n != 1 {
 		t.Fatalf("Len after the cut = %d, want 1", n)
 	}
-	if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.list)); got != want {
-		t.Errorf("after TruncateWAL the store maps %d bytes, its new list %d", got, want)
+	if got, want := mappedBytes.Load()-before, int64(arenaBytes(s.table)); got != want {
+		t.Errorf("after TruncateWAL the store maps %d bytes, its new table %d", got, want)
 	}
 }
 
@@ -217,8 +217,6 @@ func TestReadsAreCopies(t *testing.T) {
 			check("Store.Get")
 			s.AscendPrefix("", func(_ string, v []byte) bool { return scribble(v) })
 			check("Store.AscendPrefix")
-			s.AscendRange("", "", func(_ string, v []byte) bool { return scribble(v) })
-			check("Store.AscendRange")
 			s.View(func(tx Tx) error {
 				v, _ := tx.Get("k")
 				scribble(v)

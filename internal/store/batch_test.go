@@ -222,12 +222,12 @@ func TestView(t *testing.T) {
 			t.Errorf("Tx.AscendPrefix = %v", keys)
 		}
 		keys = nil
-		tx.AscendRange("a/2", "b/1", func(k string, v []byte) bool {
+		tx.AscendKeys("a/", "a/2", func(k string) bool {
 			keys = append(keys, k)
 			return true
 		})
 		if len(keys) != 1 || keys[0] != "a/2" {
-			t.Errorf("Tx.AscendRange = %v", keys)
+			t.Errorf("Tx.AscendKeys = %v", keys)
 		}
 		return nil
 	})

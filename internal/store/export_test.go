@@ -5,5 +5,5 @@ package store
 func (s *Store) ArenaBytes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.list.total
+	return s.table.total
 }

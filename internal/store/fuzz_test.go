@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -75,18 +74,19 @@ func FuzzWALReplay(f *testing.F) {
 
 // FuzzMemtableModel: an arbitrary stream of inserts, overwrites and
 // deletes — values empty, small, or large enough that a few of them
-// force an arena rebuild — must leave the list and a plain map
-// answering every read alike. Three bytes make one op: what to do, the
-// key (1–3 letters of a 4-letter alphabet, so keys collide and share
-// prefixes) and the value's size.
+// force an arena rebuild — over the blocks prefill leaves must keep the
+// table and a plain map answering every read alike, and so must one more
+// rebuild at the end. Three bytes make one op: what to do, the key (1–3
+// letters of a 4-letter alphabet, so keys collide, share prefixes and
+// sort among prefill's) and the value's size.
 func FuzzMemtableModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0x41, 7, 0, 0x41, 0, 2, 0x41, 0, 2, 0x41, 0})
 	f.Add([]byte{3, 0x80, 200, 3, 0x80, 201, 3, 0x85, 255, 2, 0x80, 0, 0, 0x05, 9, 3, 0x85, 130})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, tx := memList(t, 1)
-		m := map[string]string{}
-		froms, prefixes := []string{""}, []string{""}
+		l, tx := memTable(t)
+		m := prefill(t, l, func(k, v string) { l.put(k, []byte(v), 0) }, func(k string) { l.del(k) })
+		var froms, prefixes []string
 		for ; len(data) >= 3; data = data[3:] {
 			op, kb, vb := data[0], data[1], data[2]
 			k := string([]byte{'a' + kb&3, 'a' + kb>>2&3, 'a' + kb>>4&3}[:1+kb>>6%3])
@@ -109,51 +109,52 @@ func FuzzMemtableModel(f *testing.F) {
 				t.Fatalf("get(%q) after put = %d bytes, %v; want %d bytes", k, len(v), ok, len(m[k]))
 			}
 		}
-		checkAgainstModel(t, tx, m, froms, prefixes)
+		checkAgainstModel(t, "live", tx, m, froms, prefixes)
+		l.rebuild()
+		checkAgainstModel(t, "rebuilt", tx, m, froms, prefixes)
 	})
 }
 
-// checkStore compares every read a disk store offers with a plain map:
-// Len, Get of each key, a View walk with values, a key-only walk, and
-// Last.
+// checkStore compares every read a store offers with a plain map: Len
+// and Get of each key, then every read of a View (checkAgainstModel).
 func checkStore(t *testing.T, what string, s *Store, m map[string]string) {
 	t.Helper()
 	if n, err := s.Len(); err != nil || n != len(m) {
 		t.Fatalf("%s: Len = %d, %v; model holds %d", what, n, err, len(m))
 	}
-	keys := make([]string, 0, len(m))
 	for k, want := range m {
-		keys = append(keys, k)
 		if v, ok, err := s.Get(k); err != nil || !ok || string(v) != want {
 			t.Fatalf("%s: Get(%q) = %d bytes, %v, %v; model holds %d bytes", what, k, len(v), ok, err, len(want))
 		}
 	}
-	sort.Strings(keys)
-	i, j := 0, 0
 	err := s.View(func(tx Tx) error {
-		tx.AscendPrefix("", func(k string, v []byte) bool {
-			if i >= len(keys) || k != keys[i] || string(v) != m[k] {
-				t.Fatalf("%s: walk step %d visited %q", what, i, k)
-			}
-			i++
-			return true
-		})
-		tx.AscendKeys("", "", func(k string) bool {
-			if j >= len(keys) || k != keys[j] {
-				t.Fatalf("%s: key walk step %d visited %q", what, j, k)
-			}
-			j++
-			return true
-		})
-		k, v, ok := tx.Last("")
-		if ok != (len(keys) > 0) || ok && (k != keys[len(keys)-1] || string(v) != m[k]) {
-			t.Fatalf("%s: Last = %q, %v", what, k, ok)
-		}
+		checkAgainstModel(t, what, tx, m, nil, nil)
 		return nil
 	})
-	if err != nil || i != len(keys) || j != len(keys) {
-		t.Fatalf("%s: View = %v after %d and %d of %d keys", what, err, i, j, len(keys))
+	if err != nil {
+		t.Fatalf("%s: View = %v", what, err)
 	}
+}
+
+// prefillStore writes prefill's keys to s through Put and Delete.
+func prefillStore(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	return prefill(t, s.table, func(k, v string) {
+		if err := s.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}, func(k string) {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// rebuildStore rebuilds the table of s, as churn would.
+func rebuildStore(s *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.table.rebuild()
 }
 
 // boundary is the model as it stood when the WAL ended at offset at.
@@ -162,14 +163,15 @@ type boundary struct {
 	m  map[string]string
 }
 
-// runModelOps applies an op stream to s and to a plain map. Three bytes
-// make one op: what to do, the key (as in FuzzMemtableModel) and the
-// value's size, times scale; op 4 opens or applies a batch. It returns
-// the model and a snapshot of it at every WAL offset a write ended on
-// (a memory store's are all 0).
+// runModelOps applies an op stream to s, prefilled (prefillStore), and
+// to a plain map. Three bytes make one op: what to do, the key (as in
+// FuzzMemtableModel) and the value's size, times scale; op 4 opens or
+// applies a batch. It returns the model and a snapshot of it at the
+// empty WAL, at the end of the prefill and at every WAL offset a write
+// ended on (a memory store's are all 0).
 func runModelOps(t *testing.T, s *Store, ops []byte, scale int) (map[string]string, []boundary) {
 	t.Helper()
-	m := map[string]string{}
+	m := prefillStore(t, s)
 	bounds := []boundary{{0, map[string]string{}}}
 	mark := func() {
 		snap := make(map[string]string, len(m))
@@ -178,6 +180,7 @@ func runModelOps(t *testing.T, s *Store, ops []byte, scale int) (map[string]stri
 		}
 		bounds = append(bounds, boundary{s.WALOffset(), snap})
 	}
+	mark()
 	var b *Batch
 	for i := 0; len(ops) >= 3; i, ops = i+1, ops[3:] {
 		op, kb, vb := ops[0], ops[1], ops[2]
@@ -226,10 +229,11 @@ func runModelOps(t *testing.T, s *Store, ops []byte, scale int) (map[string]stri
 // FuzzDiskStoreModel: an arbitrary stream of puts, overwrites, deletes
 // and batches (runModelOps) on a disk store, whose memtable keeps only
 // where each value lies in the WAL, must answer every read like a plain
-// map: live, after Close and Open, after TruncateWAL back to a record
-// boundary (against the model as it stood there), and on a second store
-// fed the same bytes through ReadWAL and ApplyWALSegment. The first byte
-// picks the truncation point and the follower's segment size.
+// map: live, after a rebuild of its table, after Close and Open, after
+// TruncateWAL back to a record boundary (against the model as it stood
+// there), and on a second store fed the same bytes through ReadWAL and
+// ApplyWALSegment. The first byte picks the truncation point and the
+// follower's segment size.
 func FuzzDiskStoreModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0x41, 7, 0, 0x41, 9, 2, 0x41, 0, 1, 0x42, 200})
@@ -250,6 +254,8 @@ func FuzzDiskStoreModel(f *testing.F) {
 		defer func() { s.Close() }()
 		m, bounds := runModelOps(t, s, data[1:], 1)
 		checkStore(t, "live", s, m)
+		rebuildStore(s)
+		checkStore(t, "rebuilt", s, m)
 
 		follower, err := Open(filepath.Join(dir, "follower.wal"), Options{})
 		if err != nil {
@@ -291,8 +297,8 @@ func FuzzDiskStoreModel(f *testing.F) {
 // longer (up to 96 KiB): enough that overwrites rebuild the arena,
 // copying the values into fresh chunks and unmapping the old ones,
 // within the 64 ops a stream may hold. Every read must answer like the
-// map, and writing over everything the reads returned must change
-// nothing in the store. The first byte is unused, as it picks nothing a
+// map, after one more rebuild too, and writing over everything the reads
+// returned must change nothing in the store. The first byte is unused, as it picks nothing a
 // memory store has.
 func FuzzMemoryStoreModel(f *testing.F) {
 	f.Add([]byte{})
@@ -310,6 +316,8 @@ func FuzzMemoryStoreModel(f *testing.F) {
 		defer s.Close()
 		m, _ := runModelOps(t, s, data[1:], 128)
 		checkStore(t, "live", s, m)
+		rebuildStore(s)
+		checkStore(t, "rebuilt", s, m)
 		scribble := func(v []byte) {
 			for i := range v {
 				v[i] = '#'

@@ -335,8 +335,8 @@ func (s *Store) TruncateWAL(offset int64) error {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
 	// Rebuild memory from the surviving prefix, exactly like Open.
-	s.list.free()
-	s.list = newSkipList(nextSeed(), false)
+	s.table.free()
+	s.table = newMemtable(false)
 	validLen, err := s.replay()
 	if err != nil {
 		s.closed = true

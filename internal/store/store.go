@@ -29,7 +29,7 @@ type Options struct {
 // the values: a read fetches its value from the file.
 type Store struct {
 	mu     sync.RWMutex
-	list   *skipList
+	table  *memtable
 	log    *wal
 	path   string
 	opts   Options
@@ -52,7 +52,7 @@ func Open(path string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: mkdir: %w", err)
 		}
 	}
-	s := &Store{list: newSkipList(nextSeed(), false), path: path, opts: opts}
+	s := &Store{table: newMemtable(false), path: path, opts: opts}
 	validLen, err := s.replay()
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func Open(path string, opts Options) (*Store, error) {
 // tests and benchmarks that don't exercise recovery. Having no log, it
 // keeps its values in the memtable's arena.
 func OpenMemory() *Store {
-	return &Store{list: newSkipList(nextSeed(), true)}
+	return &Store{table: newMemtable(true)}
 }
 
 // replay rebuilds the in-memory state from the WAL file, returning the
@@ -93,9 +93,9 @@ func (s *Store) replay() (int64, error) {
 func (s *Store) applyLocked(r walRecord, at int64) {
 	switch r.op {
 	case opPut:
-		s.list.put(r.key, r.value, at+valueOffset(r))
+		s.table.put(r.key, r.value, at+valueOffset(r))
 	case opDel:
-		s.list.del(r.key)
+		s.table.del(r.key)
 	}
 }
 
@@ -111,7 +111,7 @@ func (s *Store) commit(single *walRecord, ops []walRecord) (Commit, error) {
 	if s.closed {
 		return Commit{}, ErrClosed
 	}
-	if single != nil && single.op == opDel && s.list.find(single.key, nil) == nil {
+	if single != nil && single.op == opDel && s.table.find(single.key) == nil {
 		return Commit{}, nil
 	}
 	// at follows each mutation's encoding through the frame about to be
@@ -194,7 +194,7 @@ func (s *Store) Has(key string) (bool, error) {
 	if s.closed {
 		return false, ErrClosed
 	}
-	return s.list.find(key, nil) != nil, nil
+	return s.table.find(key) != nil, nil
 }
 
 // Delete removes key. Deleting an absent key is not an error.
@@ -209,7 +209,7 @@ func (s *Store) Len() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	return s.list.size, nil
+	return s.table.size, nil
 }
 
 // AscendPrefix visits, in key order, every (key, value) whose key starts
@@ -222,33 +222,24 @@ func (s *Store) AscendPrefix(prefix string, fn func(key string, value []byte) bo
 	})
 }
 
-// AscendRange visits keys in [from, to) in order until fn returns false.
-// An empty `to` means "to the end".
-func (s *Store) AscendRange(from, to string, fn func(key string, value []byte) bool) error {
-	return s.View(func(tx Tx) error {
-		tx.AscendRange(from, to, fn)
-		return nil
-	})
-}
-
 // Tx is a read transaction handed to View: every read shares the same
 // lock acquisition. Every value it returns is a fresh slice the caller
 // owns: a disk store reads it from its WAL, a memory store copies it out
-// of the memtable's arena, which is unmapped when the list is rebuilt or
+// of the memtable's arena, which is unmapped when the table is rebuilt or
 // the store closed. The Tx must not be used outside the View callback.
 // A value that cannot be read ends the transaction's reads: that read
 // and every later one report nothing, and View returns the error, never
 // an absence.
 type Tx struct {
-	list *skipList
-	log  *os.File // the WAL a disk store's value refs point into
-	err  *error
+	table *memtable
+	log   *os.File // the WAL a disk store's value refs point into
+	err   *error
 }
 
 // tx returns a Tx over the store, recording a read error in *err. The
 // read lock must be held.
 func (s *Store) tx(err *error) Tx {
-	t := Tx{list: s.list, err: err}
+	t := Tx{table: s.table, err: err}
 	if s.log != nil {
 		t.log = s.log.f
 	}
@@ -277,8 +268,8 @@ func (t Tx) value(n []byte) ([]byte, bool) {
 		return nil, false
 	}
 	v := make([]byte, valueLen(n))
-	if t.list.mem {
-		copy(v, t.list.value(n))
+	if t.table.mem {
+		copy(v, t.table.value(n))
 		return v, true
 	}
 	if _, err := t.log.ReadAt(v, int64(valueRef(n))); err != nil {
@@ -290,16 +281,16 @@ func (t Tx) value(n []byte) ([]byte, bool) {
 
 // Get returns the value stored under key.
 func (t Tx) Get(key string) ([]byte, bool) {
-	if n := t.list.find(key, nil); n != nil {
+	if n := t.table.find(key); n != nil {
 		return t.value(n)
 	}
 	return nil, false
 }
 
 // Last returns the greatest key starting with prefix and its value, in
-// one descent of the list.
+// one search of the table.
 func (t Tx) Last(prefix string) (key string, value []byte, ok bool) {
-	n := t.list.last(prefix)
+	n := t.table.last(prefix)
 	if n == nil {
 		return "", nil, false
 	}
@@ -309,23 +300,10 @@ func (t Tx) Last(prefix string) (key string, value []byte, ok bool) {
 	return string(nodeKey(n)), value, true
 }
 
-// AscendRange visits keys in [from, to) in order until fn returns false.
-// An empty `to` means "to the end".
-func (t Tx) AscendRange(from, to string, fn func(key string, value []byte) bool) {
-	t.list.walk(from, func(n []byte) bool {
-		k := nodeKey(n)
-		if to != "" && string(k) >= to {
-			return false
-		}
-		v, ok := t.value(n)
-		return ok && fn(string(k), v)
-	})
-}
-
 // AscendPrefix visits every key starting with prefix in order until fn
 // returns false.
 func (t Tx) AscendPrefix(prefix string, fn func(key string, value []byte) bool) {
-	t.list.walk(prefix, func(n []byte) bool {
+	t.table.walk(prefix, func(n []byte) bool {
 		k := nodeKey(n)
 		if !hasPrefix(k, prefix) {
 			return false
@@ -339,7 +317,7 @@ func (t Tx) AscendPrefix(prefix string, fn func(key string, value []byte) bool) 
 // not below from, until fn returns false. It reads no value: a walk that
 // needs only keys costs a disk store no I/O.
 func (t Tx) AscendKeys(prefix, from string, fn func(key string) bool) {
-	t.list.walk(max(prefix, from), func(n []byte) bool {
+	t.table.walk(max(prefix, from), func(n []byte) bool {
 		k := nodeKey(n)
 		return hasPrefix(k, prefix) && fn(string(k))
 	})
@@ -354,7 +332,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.list.free()
+	s.table.free()
 	if s.log != nil {
 		return s.log.close()
 	}

@@ -106,20 +106,26 @@ func TestAscendPrefixAndRange(t *testing.T) {
 		t.Errorf("early-stop AscendPrefix visited %d", len(got))
 	}
 	got = nil
-	s.AscendRange("a/2", "b/1", func(k string, v []byte) bool {
-		got = append(got, k)
-		return true
+	s.View(func(tx Tx) error {
+		tx.AscendKeys("a/", "a/2", func(k string) bool {
+			got = append(got, k)
+			return true
+		})
+		return nil
 	})
 	if len(got) != 2 || got[0] != "a/2" || got[1] != "a/3" {
-		t.Errorf("AscendRange = %v", got)
+		t.Errorf("AscendKeys(a/, a/2) = %v", got)
 	}
 	got = nil
-	s.AscendRange("b/1", "", func(k string, v []byte) bool {
-		got = append(got, k)
-		return true
+	s.View(func(tx Tx) error {
+		tx.AscendKeys("", "b/1", func(k string) bool {
+			got = append(got, k)
+			return true
+		})
+		return nil
 	})
 	if len(got) != 2 || got[1] != "c/1" {
-		t.Errorf("AscendRange open end = %v", got)
+		t.Errorf("AscendKeys from b/1 = %v", got)
 	}
 }
 
@@ -326,7 +332,7 @@ func TestTxLast(t *testing.T) {
 }
 
 // TestViewSlicesSurviveRebuild: a value slice read from a View points
-// into the arena; when churn rebuilds the list into fresh chunks, and
+// into the arena; when churn rebuilds the table into fresh chunks, and
 // when the key is overwritten afterwards, the slice keeps reading what
 // it read.
 func TestViewSlicesSurviveRebuild(t *testing.T) {
@@ -338,13 +344,13 @@ func TestViewSlicesSurviveRebuild(t *testing.T) {
 		held, _ = tx.Get("held")
 		return nil
 	})
-	before := s.list.total
+	before := s.table.total
 	junk := make([]byte, chunkSize/8)
-	for i := 0; s.list.total >= before; i++ {
+	for i := 0; s.table.total >= before; i++ {
 		if i > 100 {
 			t.Fatal("100 overwrites of a 128 KiB value did not rebuild the arena")
 		}
-		before = s.list.total
+		before = s.table.total
 		s.Put("churn", junk)
 	}
 	var moved []byte
@@ -353,7 +359,7 @@ func TestViewSlicesSurviveRebuild(t *testing.T) {
 		return nil
 	})
 	if string(moved) != want || &moved[0] == &held[0] {
-		t.Errorf("after the rebuild the list reads %q at the same address: %v", moved, &moved[0] == &held[0])
+		t.Errorf("after the rebuild the table reads %q at the same address: %v", moved, &moved[0] == &held[0])
 	}
 	s.Put("held", []byte("overwritten"))
 	if string(held) != want {
