@@ -89,10 +89,11 @@ shard-smoke:
 	SHARD_SMOKE=1 $(GO) test -count 1 -run 'TestShardSmoke' ./integration/
 
 # Replication failover smoke: one primary ships WALs in quorum mode to
-# two replica processes running election managers; the primary is
-# killed without warning and NO promote call is made — the replicas
-# must auto-elect exactly one winner, which serves reads and writes
-# while feeding the survivor; the deposed primary then restarts as a
+# two replica processes running election managers, each a standby that
+# refuses /ws/inquire with 421; the primary is killed without warning
+# and NO promote call is made — the replicas must auto-elect exactly
+# one winner, which serves all five events and takes writes while
+# feeding the survivor; the deposed primary then restarts as a
 # replica, rejoins the winner's fan-out, and css-audit -compare must
 # show the chains converged.
 repl-smoke:

@@ -36,18 +36,15 @@
 //	                (default -1: unsharded). The topology is fixed at
 //	                boot and must name the id; the controller exits if
 //	                it does not.
-//	-shard-map      cluster topology as "id=url,id=url,..." or "@file"
-//	                (one id=url per line, # comments); all shards must
-//	                share -key-file — pseudonym partitioning assumes one
-//	                HMAC keyspace
-//	-peers          shorthand topology: comma-separated shard base URLs
-//	                assigned ids 0..n-1 in order (alternative to
-//	                -shard-map)
+//	-peers          cluster topology: comma-separated shard base URLs
+//	                assigned ids 0..n-1 in order; all shards must share
+//	                -key-file — pseudonym partitioning assumes one HMAC
+//	                keyspace
 //	-role           "primary" (default) or "replica". A replica requires
 //	                -data and -repl-listen, applies a primary's WAL
-//	                stream, serves index inquiries locally, refuses
-//	                writes with the not-primary redirect, and flips to
-//	                primary on POST /ws/promote. Either role restarts at
+//	                stream as a standby, refuses every flow — inquiries
+//	                included — with the not-primary redirect, and flips
+//	                to primary on POST /ws/promote. Either role restarts at
 //	                the fencing epoch it last held (<data>/election.epoch,
 //	                1 on a fresh data dir)
 //	-repl-listen    replica only: TCP address the WAL-stream follower
@@ -93,7 +90,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -134,7 +130,7 @@ func main() {
 	slow := flag.Duration("slow", telemetry.DefaultSlowThreshold, "slow-operation warning threshold")
 	queueCap := flag.Int("queue-cap", 1024, "per-subscription bus queue bound (<=0: unbounded)")
 	codecName := flag.String("codec", "", `codec details are asked for in from -gateway daemons: "xml" (default) or "binary"`)
-	role := flag.String("role", "primary", `replication role: "primary" or "replica"`)
+	role := flag.String("role", "primary", `replication role: "primary", or "replica" (a standby that refuses every flow until promoted)`)
 	replListen := flag.String("repl-listen", "", "replica: TCP address the WAL-stream follower listens on")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower addresses to ship WALs to")
 	quorum := flag.Bool("quorum", false, "wait for a follower fsync quorum before acknowledging publishes")
@@ -143,8 +139,7 @@ func main() {
 	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "minimum primary silence before a replica campaigns")
 	primaryURL := flag.String("primary-url", "", "replica: primary's HTTP base URL, probed before campaigning")
 	shardID := flag.Int("shard-id", -1, "this controller's shard id (default: unsharded)")
-	shardMapSpec := flag.String("shard-map", "", `cluster topology: "id=url,..." or "@file" with one id=url per line`)
-	peersSpec := flag.String("peers", "", "comma-separated shard base URLs assigned ids 0..n-1 (alternative to -shard-map)")
+	peersSpec := flag.String("peers", "", "comma-separated shard base URLs assigned ids 0..n-1")
 	gateways := gatewayFlags{}
 	flag.Var(gateways, "gateway", "attach a remote cooperation gateway as producer=URL (repeatable)")
 	gatewayToken := flag.String("gateway-token", "", "bearer token presented to remote gateways (auth-enabled gateways)")
@@ -183,21 +178,21 @@ func main() {
 		cfg.MasterKey = key
 	}
 
-	if *shardMapSpec != "" || *peersSpec != "" {
+	if *peersSpec != "" {
 		if *shardID < 0 {
-			log.Fatal("sharding: -shard-id is required with -shard-map/-peers")
+			log.Fatal("sharding: -shard-id is required with -peers")
 		}
 		if len(cfg.MasterKey) == 0 {
 			log.Fatal("sharding: -key-file is required (all shards must share one master key)")
 		}
-		m, err := parseShardTopology(*shardMapSpec, *peersSpec)
+		m, err := parseShardTopology(*peersSpec)
 		if err != nil {
 			log.Fatalf("sharding: %v", err)
 		}
 		cfg.ShardMap = m
 		cfg.ShardID = cluster.ShardID(*shardID)
 	} else if *shardID >= 0 {
-		log.Fatal("sharding: -shard-id needs a topology (-shard-map or -peers)")
+		log.Fatal("sharding: -shard-id needs a topology (-peers)")
 	}
 
 	switch *role {
@@ -366,42 +361,12 @@ func main() {
 }
 
 // parseShardTopology builds the boot shard map (version 1, default
-// vnodes) from -shard-map — inline "id=url,..." or "@file" with one
-// id=url per line — or from -peers, whose URLs take ids in list order.
-func parseShardTopology(mapSpec, peers string) (*cluster.Map, error) {
-	if mapSpec != "" && peers != "" {
-		return nil, fmt.Errorf("-shard-map and -peers are mutually exclusive")
-	}
-	var entries []string
-	switch {
-	case peers != "":
-		for id, u := range splitList(peers) {
-			entries = append(entries, fmt.Sprintf("%d=%s", id, u))
-		}
-	case strings.HasPrefix(mapSpec, "@"):
-		data, err := os.ReadFile(strings.TrimPrefix(mapSpec, "@"))
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
-				entries = append(entries, line)
-			}
-		}
-	default:
-		entries = splitList(mapSpec)
-	}
-	shards := make([]cluster.ShardInfo, 0, len(entries))
-	for _, e := range entries {
-		ids, url, ok := strings.Cut(e, "=")
-		if !ok || url == "" {
-			return nil, fmt.Errorf("want id=url, got %q", e)
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(ids))
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("bad shard id in %q", e)
-		}
-		shards = append(shards, cluster.ShardInfo{ID: cluster.ShardID(id), Addr: strings.TrimSpace(url)})
+// vnodes) from -peers, whose URLs take ids 0..n-1 in list order.
+func parseShardTopology(peers string) (*cluster.Map, error) {
+	urls := splitList(peers)
+	shards := make([]cluster.ShardInfo, len(urls))
+	for id, u := range urls {
+		shards[id] = cluster.ShardInfo{ID: cluster.ShardID(id), Addr: u}
 	}
 	return cluster.NewMap(1, 0, shards)
 }

@@ -18,8 +18,7 @@ var daemonFlags = map[string][]string{
 		"gateway-token", "heartbeat-interval", "key-file", "log-json",
 		"max-inflight", "peers", "pprof", "primary-url", "queue-cap",
 		"quorum", "repl-listen", "replicate-to", "role", "scenario",
-		"shard-id", "shard-map", "slow", "span-file", "span-sample",
-		"suspect-after",
+		"shard-id", "slow", "span-file", "span-sample", "suspect-after",
 	},
 	"css-gateway": {
 		"actor-rps", "addr", "auth-key-file", "codec", "controller",

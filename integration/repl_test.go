@@ -5,9 +5,11 @@ package integration
 // each replica running the self-healing election manager. The primary
 // is killed without warning and NO promote call is made: the replicas
 // must detect the death (silent heartbeats + failing HTTP probe),
-// elect exactly one of themselves at the next epoch, and serve reads
-// and writes — feeding the survivor. The deposed primary then restarts
-// as a replica, rejoins the winner's shipping fan-out, and css-audit
+// elect exactly one of themselves at the next epoch, and the winner
+// must serve inquiries and writes — feeding the survivor. Before and
+// after the failover every replica is a standby that refuses
+// /ws/inquire with 421. The deposed primary then restarts as a
+// replica, rejoins the winner's shipping fan-out, and css-audit
 // -compare must show its audit chain converged with the winner's.
 // POST /ws/promote remains available as a manual override, but the
 // happy path never touches it.
@@ -18,6 +20,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,6 +78,22 @@ func waitCaughtUp(t *testing.T, c *transport.Client, followers int) {
 	}
 }
 
+// refusesInquiry posts a class inquiry to the controller at base and
+// requires the standby's answer: HTTP 421 with the not-primary fault.
+func refusesInquiry(t *testing.T, name, base string) {
+	t.Helper()
+	resp, err := http.Post(base+"/ws/inquire", event.ContentTypeXML, strings.NewReader(
+		"<inquiryRequest><actor>family-doctor</actor><class>"+string(schema.ClassBloodTest)+"</class></inquiryRequest>"))
+	if err != nil {
+		t.Fatalf("%s inquiry: %v", name, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusMisdirectedRequest || !strings.Contains(string(body), transport.CodeNotPrimary) {
+		t.Fatalf("%s inquiry answered %d %s, want 421 %s", name, resp.StatusCode, body, transport.CodeNotPrimary)
+	}
+}
+
 // TestReplSmoke is the make repl-smoke entry point: the 1-primary /
 // 2-replica self-healing failover drill against the built binaries.
 func TestReplSmoke(t *testing.T) {
@@ -85,8 +105,8 @@ func TestReplSmoke(t *testing.T) {
 	dirR1 := filepath.Join(root, "replica1")
 	dirR2 := filepath.Join(root, "replica2")
 
-	// All three nodes must share one master key: the replicas serve
-	// pseudonym-keyed inquiries over the replicated index.
+	// All three nodes must share one master key: a promoted replica
+	// pseudonymises publishes and inquiries with it.
 	key := make([]byte, 32)
 	if _, err := rand.Read(key); err != nil {
 		t.Fatal(err)
@@ -160,16 +180,10 @@ func TestReplSmoke(t *testing.T) {
 	}
 	waitCaughtUp(t, pc, 2)
 
-	// Replicas answer index inquiries locally; writes are refused with
-	// the not-primary redirect.
-	for name, rc := range map[string]*transport.Client{"replica1": r1c, "replica2": r2c} {
-		notes, err := rc.InquireIndex(ctx, "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
-		if err != nil {
-			t.Fatalf("%s inquiry: %v", name, err)
-		}
-		if len(notes) != len(persons) {
-			t.Fatalf("%s serves %d events, want %d", name, len(notes), len(persons))
-		}
+	// Replicas are standbys: inquiries and writes alike are refused
+	// with the not-primary redirect.
+	for name, u := range map[string]string{"replica1": r1URL, "replica2": r2URL} {
+		refusesInquiry(t, name, u)
 	}
 	if _, err := r1c.Publish(ctx, &event.Notification{
 		Producer: "hospital-s-maria", SourceID: "repl-src-refused",
@@ -185,18 +199,18 @@ func TestReplSmoke(t *testing.T) {
 	pCmd.Wait()
 
 	var wc, sc *transport.Client // winner / survivor clients
-	var wDir string
+	var wDir, sURL string
 	var wLog, sLog *lockedBuffer
 	electDeadline := time.Now().Add(30 * time.Second)
 	for {
 		st1, err1 := r1c.ReplStatus(ctx)
 		st2, err2 := r2c.ReplStatus(ctx)
 		if err1 == nil && st1.Role == "primary" && st1.Epoch >= 2 {
-			wc, sc, wDir, wLog, sLog = r1c, r2c, dirR1, r1Log, r2Log
+			wc, sc, wDir, sURL, wLog, sLog = r1c, r2c, dirR1, r2URL, r1Log, r2Log
 			break
 		}
 		if err2 == nil && st2.Role == "primary" && st2.Epoch >= 2 {
-			wc, sc, wDir, wLog, sLog = r2c, r1c, dirR2, r2Log, r1Log
+			wc, sc, wDir, sURL, wLog, sLog = r2c, r1c, dirR2, r1URL, r2Log, r1Log
 			break
 		}
 		if time.Now().After(electDeadline) {
@@ -211,8 +225,9 @@ func TestReplSmoke(t *testing.T) {
 	}
 	winnerEpoch := wst.Epoch
 
-	// The winner serves reads and writes, feeding the survivor from its
-	// own WALs — which must have stood down as its follower.
+	// The winner serves all five events and takes writes, feeding the
+	// survivor from its own WALs — which must have stood down as its
+	// follower and still refuse inquiries.
 	notes, err := wc.InquireIndex(ctx, "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
 	if err != nil || len(notes) != len(persons) {
 		t.Fatalf("winner inquiry = %d events, %v; want %d", len(notes), err, len(persons))
@@ -224,21 +239,7 @@ func TestReplSmoke(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("post-failover publish: %v\nwinner log:\n%s", err, wLog.String())
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		got, err := sc.InquireIndex(ctx, "family-doctor", index.Inquiry{PersonID: "REPL-POST"})
-		if err == nil && len(got) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("post-failover event never reached the surviving replica (err %v)\nsurvivor log:\n%s",
-				err, sLog.String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if st, err := sc.ReplStatus(ctx); err != nil || st.Role != "replica" || st.Epoch != winnerEpoch {
-		t.Fatalf("survivor replstatus = %+v, %v; want replica fenced at epoch %d", st, err, winnerEpoch)
-	}
+	refusesInquiry(t, "survivor", sURL)
 
 	// The deposed primary restarts as a replica on the pre-arranged
 	// listener: it must discover the higher epoch, shed any unreplicated
@@ -248,6 +249,10 @@ func TestReplSmoke(t *testing.T) {
 		"-role", "replica", "-repl-listen", rl3)
 	waitReady(t, pURL)
 	waitCaughtUp(t, wc, 2) // survivor + rejoined node, both at zero lag
+	if st, err := sc.ReplStatus(ctx); err != nil || st.Role != "replica" || st.Epoch != winnerEpoch {
+		t.Fatalf("survivor replstatus = %+v, %v; want replica fenced at epoch %d\nsurvivor log:\n%s",
+			st, err, winnerEpoch, sLog.String())
+	}
 	if st, err := pc.ReplStatus(ctx); err != nil || st.Role != "replica" || st.Epoch != winnerEpoch {
 		t.Fatalf("rejoined replstatus = %+v, %v; want replica at epoch %d\nrejoined log:\n%s",
 			st, err, winnerEpoch, r3Log.String())

@@ -107,7 +107,7 @@ func Open(st *store.Store) (*Log, error) {
 // uses keys with prefix "a/" — zero-padded sequence numbers — so the
 // newest record is the last key, and Recover decodes that one record
 // whatever the chain's length. It follows the store both ways: records
-// that reached it behind the log's back (a read replica's audit store is
+// that reached it behind the log's back (a replica's audit store is
 // fed by the replication stream, not by Append) and records a WAL
 // truncation took away (a deposed primary rejoining), down to the
 // genesis of an emptied chain. A replica calls it after every applied

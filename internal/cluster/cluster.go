@@ -51,7 +51,9 @@ func (id ShardID) String() string { return "shard-" + strconv.Itoa(int(id)) }
 type ShardInfo struct {
 	ID   ShardID
 	Addr string // base URL of the shard's primary web-service binding
-	// Replicas are base URLs of the shard's read replicas (may be empty).
+	// Replicas are base URLs of the shard's standby replicas (may be
+	// empty); a client asks them for a newer map when the primary stops
+	// answering.
 	Replicas []string
 	// Epoch counts the promotions WithPromotedReplica has applied to
 	// this entry (zero in every daemon-booted map).
@@ -225,15 +227,15 @@ func (m *Map) Equal(o *Map) bool {
 	return true
 }
 
-// ErrNotPrimary is the sentinel identity of NotPrimaryError: a write
-// reached a read replica (or a deposed primary refusing writes). Like
+// ErrNotPrimary is the sentinel identity of NotPrimaryError: a request
+// reached a replica (or a deposed primary refusing writes). Like
 // ErrWrongShard it survives the wire as a typed fault, and the client
 // reacts the same way — refresh the map and retry at the shard's
 // current primary.
-var ErrNotPrimary = errors.New("cluster: not the primary for writes")
+var ErrNotPrimary = errors.New("cluster: not the primary")
 
-// NotPrimaryError carries the redirect hint for a write that landed on
-// a replica: the shard it belongs to and the replica's map version, so
+// NotPrimaryError carries the redirect hint for a request that landed
+// on a replica: the shard it belongs to and the replica's map version, so
 // a client that is behind refreshes before retrying.
 type NotPrimaryError struct {
 	Shard   ShardID
@@ -242,7 +244,7 @@ type NotPrimaryError struct {
 
 // Error implements the error interface.
 func (e *NotPrimaryError) Error() string {
-	return "cluster: not the primary for writes (" + e.Shard.String() +
+	return "cluster: not the primary (" + e.Shard.String() +
 		", map v" + strconv.FormatUint(e.Version, 10) + ")"
 }
 

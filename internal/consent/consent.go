@@ -123,9 +123,9 @@ func Open(st *store.Store, defaultAllow bool) (*Registry, error) {
 }
 
 // Reload replaces the in-memory view with a fresh scan of the persisted
-// directives. A read replica calls this after its replication follower
-// applies a consent write, so directives recorded on the primary govern
-// the replica's filtering without a restart.
+// directives. A replica calls this when it is promoted, so directives
+// recorded on the old primary and replicated since boot govern the new
+// primary's filtering from its first flow.
 func (r *Registry) Reload() error {
 	byID := make(map[string][]*Directive)
 	var seq uint64

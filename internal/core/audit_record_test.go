@@ -65,7 +65,7 @@ func TestAuditRecordsTakeControllerClock(t *testing.T) {
 // access flows: a request that fails validation, comes from an actor
 // that is no registered consumer, or reaches a closed controller is
 // refused before any decision is rendered, and appends no audit record.
-// (A replica's refusals: TestReplicaServesReadsRefusesWrites.)
+// (A replica's refusals, inquiries included: TestReplicaRefusesEveryFlow.)
 func TestRefusalsBeforeDecisionAreNotAudited(t *testing.T) {
 	w := newWorld(t)
 	w.doctorPolicy(t)

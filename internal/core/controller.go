@@ -196,7 +196,7 @@ type Controller struct {
 	shard *shardState
 
 	// Replication (see replica.go): repl is the attached node, which
-	// holds this process's role — a replica gates the write flows — and
+	// holds this process's role — a replica gates every flow — and
 	// runs the quorum barrier; replStores lists the persistent stores in
 	// write-path dependency order for replication wiring.
 	repl       atomic.Pointer[replication.Node]
@@ -372,11 +372,8 @@ func (c *Controller) isClosed() bool {
 // an existing producer is idempotent (the contract is simply confirmed),
 // so provisioning scripts can run against a reloaded controller.
 func (c *Controller) RegisterProducer(id event.ProducerID, name string) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.IsReplica() {
-		return c.notPrimary()
+	if err := c.gate(); err != nil {
+		return err
 	}
 	if err := c.reg.RegisterProducer(id, name); err != nil {
 		if registryDuplicate(err) {
@@ -390,11 +387,8 @@ func (c *Controller) RegisterProducer(id event.ProducerID, name string) error {
 // RegisterConsumer admits a consumer organization. Idempotent like
 // RegisterProducer.
 func (c *Controller) RegisterConsumer(actor event.Actor, name string) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.IsReplica() {
-		return c.notPrimary()
+	if err := c.gate(); err != nil {
+		return err
 	}
 	if err := c.reg.RegisterConsumer(actor, name); err != nil {
 		if registryDuplicate(err) {
@@ -409,11 +403,8 @@ func (c *Controller) RegisterConsumer(actor event.Actor, name string) error {
 // Re-declaring the identical version by the same producer is idempotent;
 // a newer version upgrades as usual.
 func (c *Controller) DeclareClass(producer event.ProducerID, s *schema.Schema) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.IsReplica() {
-		return c.notPrimary()
+	if err := c.gate(); err != nil {
+		return err
 	}
 	if err := c.reg.DeclareClass(producer, s); err != nil {
 		if s != nil {
@@ -451,11 +442,8 @@ func (c *Controller) Audit() *audit.Log { return c.aud }
 // producer must own the class, and the field set must be a subset of the
 // class schema (Definition 2: F ⊆ e_j).
 func (c *Controller) DefinePolicy(p *policy.Policy) (*policy.Policy, error) {
-	if c.isClosed() {
-		return nil, ErrClosed
-	}
-	if c.IsReplica() {
-		return nil, c.notPrimary()
+	if err := c.gate(); err != nil {
+		return nil, err
 	}
 	decl, err := c.reg.Class(p.Class)
 	if err != nil {
@@ -483,11 +471,8 @@ func (c *Controller) DefinePolicy(p *policy.Policy) (*policy.Policy, error) {
 
 // RevokePolicy removes a policy.
 func (c *Controller) RevokePolicy(id policy.ID) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.IsReplica() {
-		return c.notPrimary()
+	if err := c.gate(); err != nil {
+		return err
 	}
 	if err := c.enf.RemovePolicy(id); err != nil {
 		return err
@@ -506,11 +491,8 @@ func (c *Controller) Policies(producer event.ProducerID) []*policy.Policy {
 // live on every flow; no decision is memoized anywhere that could
 // outlive the change.
 func (c *Controller) RecordConsent(d consent.Directive) (consent.Directive, error) {
-	if c.isClosed() {
-		return consent.Directive{}, ErrClosed
-	}
-	if c.IsReplica() {
-		return consent.Directive{}, c.notPrimary()
+	if err := c.gate(); err != nil {
+		return consent.Directive{}, err
 	}
 	return c.con.Record(d)
 }

@@ -41,11 +41,8 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
-	if c.isClosed() {
-		return "", ErrClosed
-	}
-	if c.IsReplica() {
-		return "", c.notPrimary()
+	if err := c.gate(); err != nil {
+		return "", err
 	}
 	if err := n.Validate(); err != nil {
 		return "", err
@@ -288,12 +285,8 @@ func (c *Controller) SubscribeCtx(actor event.Actor, class event.ClassID, h Hand
 }
 
 func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h HandlerCtx, ctxFree bool) (*Subscription, error) {
-	if c.isClosed() {
-		return nil, ErrClosed
-	}
-	if c.IsReplica() {
-		// Subscriptions audit and deliver; both are primary duties.
-		return nil, c.notPrimary()
+	if err := c.gate(); err != nil {
+		return nil, err
 	}
 	if err := actor.Validate(); err != nil {
 		return nil, err
@@ -421,13 +414,8 @@ func (c *Controller) RequestDetails(r *event.DetailRequest) (*event.Detail, erro
 // round-trip and is audited with outcome "cancelled" — never "deny",
 // since no policy decision was rendered against the consumer.
 func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailRequest) (*event.Detail, error) {
-	if c.isClosed() {
-		return nil, ErrClosed
-	}
-	if c.IsReplica() {
-		// Detail disclosure must be audited on the chain of record (the
-		// primary's); replicas serve only index reads.
-		return nil, c.notPrimary()
+	if err := c.gate(); err != nil {
+		return nil, err
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -577,8 +565,8 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
-	if c.isClosed() {
-		return nil, ErrClosed
+	if err := c.gate(); err != nil {
+		return nil, err
 	}
 	if !c.reg.HasConsumer(actor) {
 		return nil, fmt.Errorf("%w: %s", ErrNotConsumer, actor)
@@ -589,7 +577,7 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 	// inquiry of the event index is managed in the same way").
 	trace := telemetry.NewTraceID()
 	if q.Class != "" && !c.enf.Repository().AllowsSubscription(actor, q.Class, now) {
-		c.auditRead(audit.Record{
+		c.aud.Append(audit.Record{
 			At: now, Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "deny",
 			Note: "no authorizing policy", Trace: trace,
 		})
@@ -618,11 +606,12 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 			break
 		}
 	}
-	if err := c.auditRead(audit.Record{
+	if _, err := c.aud.Append(audit.Record{
 		At: now, Kind: audit.KindIndexInquiry, Actor: string(actor), Class: q.Class, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " notifications", Trace: trace,
 	}); err != nil {
-		return nil, err
+		// Fail closed, like a detail permit.
+		return nil, fmt.Errorf("core: audit index inquiry: %w", err)
 	}
 	c.met.inquiries.Inc()
 	return out, nil
@@ -634,8 +623,8 @@ func (c *Controller) InquireIndexContext(ctx context.Context, actor event.Actor,
 // person id and redacts producer-local identifiers. The access is audited
 // under the "citizen:" actor prefix.
 func (c *Controller) InquireOwn(personID string, q index.Inquiry) ([]*event.Notification, error) {
-	if c.isClosed() {
-		return nil, ErrClosed
+	if err := c.gate(); err != nil {
+		return nil, err
 	}
 	if personID == "" {
 		return nil, errors.New("core: empty person id")
@@ -649,11 +638,11 @@ func (c *Controller) InquireOwn(personID string, q index.Inquiry) ([]*event.Noti
 	for _, n := range raw {
 		out = append(out, n.Redact())
 	}
-	if err := c.auditRead(audit.Record{
+	if _, err := c.aud.Append(audit.Record{
 		At: c.now(), Kind: audit.KindIndexInquiry, Actor: "citizen:" + personID, Outcome: "permit",
 		Note: strconv.Itoa(len(out)) + " own notifications", Trace: telemetry.NewTraceID(),
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: audit index inquiry: %w", err)
 	}
 	c.met.inquiries.Inc()
 	return out, nil

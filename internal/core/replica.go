@@ -1,18 +1,18 @@
-// Replication role of the controller: a read replica applies a
-// primary's WAL stream into the same stores a primary writes, serves
-// index inquiries from them, refuses every write flow with a
-// not-primary redirect, and can be promoted in place when the primary
-// dies. A primary exposes its persistent stores in write-path
-// dependency order for the replication shipper and, in quorum mode,
-// overlaps the follower fsync barrier with bus fan-out on every
-// publish.
+// Replication role of the controller: a replica is a standby. It
+// applies a primary's WAL stream into the same stores a primary writes,
+// keeps its catalog, policy listing and audit chain head current, and
+// answers every access and write flow — inquiries included — with a
+// not-primary redirect, so every request that is answered is decided
+// and logged on the primary's chain. It can be promoted in place when
+// the primary dies. A primary exposes its persistent stores in
+// write-path dependency order for the replication shipper and, in
+// quorum mode, overlaps the follower fsync barrier with bus fan-out on
+// every publish.
 package core
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/replication"
 	"repro/internal/telemetry"
@@ -22,15 +22,15 @@ import (
 // controller — WAL shipping needs WALs.
 var ErrNotPersistent = errors.New("core: replication requires a data directory")
 
-// IsReplica reports whether this controller currently runs as a read
-// replica (refusing writes): the role is the attached replication
+// IsReplica reports whether this controller currently runs as a
+// replica (refusing every flow): the role is the attached replication
 // node's, and a controller with none is a primary.
 func (c *Controller) IsReplica() bool {
 	n := c.repl.Load()
 	return n != nil && n.IsReplica()
 }
 
-// notPrimary builds the redirect fault a replica answers write flows
+// notPrimary builds the redirect fault a replica answers every flow
 // with. Under a shard map it names this shard and the map version so the
 // client can re-resolve the primary; unsharded replicas answer the
 // zero-valued hint.
@@ -45,18 +45,15 @@ func (c *Controller) notPrimary() error {
 	return e
 }
 
-// auditRead appends a read-flow audit record unless this controller is
-// a read replica: a replica's audit store is a byte-identical prefix of
-// the primary's chain, so a local append would fork it (and be
-// clobbered by the next applied segment). Replica-served reads remain
-// observable through css_index_inquiries_total. A permitted read whose
-// record fails to append returns the error and answers nothing.
-func (c *Controller) auditRead(r audit.Record) error {
-	if c.IsReplica() {
-		return nil
+// gate is the check every access and write flow opens with: a closed
+// controller answers ErrClosed, and a replica answers the not-primary
+// redirect before it reads, decides or logs anything.
+func (c *Controller) gate() error {
+	if c.isClosed() {
+		return ErrClosed
 	}
-	if _, err := c.aud.Append(r); err != nil {
-		return fmt.Errorf("core: audit index inquiry: %w", err)
+	if c.IsReplica() {
+		return c.notPrimary()
 	}
 	return nil
 }
@@ -75,8 +72,8 @@ func (c *Controller) ReplStores() ([]replication.NamedStore, error) {
 }
 
 // AttachReplication hands the controller the replication node that
-// holds its role: while the node is a replica every write flow answers
-// the not-primary redirect, and in quorum mode every accepted publish
+// holds its role: while the node is a replica every flow answers the
+// not-primary redirect, and in quorum mode every accepted publish
 // waits for the node's follower fsync barrier (overlapped with bus
 // fan-out, like the group-commit barrier it joins).
 func (c *Controller) AttachReplication(n *replication.Node) {
@@ -84,16 +81,13 @@ func (c *Controller) AttachReplication(n *replication.Node) {
 }
 
 // OnReplicatedApply is the replication node's OnApply callback: it
-// keeps a replica's derived in-memory state current as replicated
-// segments land — consent directives, the audit chain head, and the
-// catalog and policy sets are all rebuilt from the stores the stream
-// just wrote. idmap and index reads go straight to their stores, so
-// they need no refresh.
+// keeps what a standby still serves current as replicated segments
+// land — the audit chain head (/ws/audit, Verify) and the catalog and
+// policy listings are rebuilt from the stores the stream just wrote.
+// Consent is read by no flow a standby answers; Promote reloads it.
 func (c *Controller) OnReplicatedApply(storeName string) {
 	var err error
 	switch storeName {
-	case "consent":
-		err = c.con.Reload()
 	case "audit":
 		err = c.aud.Recover()
 	case "catalog", "policies":
@@ -105,7 +99,7 @@ func (c *Controller) OnReplicatedApply(storeName string) {
 	}
 }
 
-// Promote readies a read replica for the primary role: the audit chain
+// Promote readies a replica for the primary role: the audit chain
 // head and every derived in-memory view are recovered from the
 // replicated stores. It is the replication node's Promote step — the
 // node fences the new epoch first and flips the role (opening the write

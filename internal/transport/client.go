@@ -328,7 +328,7 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 	return out, nil
 }
 
-// Promote asks a read replica to assume the primary role at the given
+// Promote asks a replica to assume the primary role at the given
 // fencing epoch. A node already primary answers a conflict
 // (errors.Is(err, replication.ErrNotReplica) does not survive the wire
 // — the fault is a plain bad-request conflict).

@@ -2,14 +2,15 @@ package transport
 
 // Transport-layer replication tests: the not-primary fault round-trip,
 // the sharded client's failover refresh (one map fetch, no redirect
-// loop), read routing to replicas with primary fallback, and the
-// replication-status / promote endpoints over the wire.
+// loop), a replica's inquiry refusal, and the replication-status /
+// promote endpoints over the wire.
 
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -102,7 +103,8 @@ func TestNotPrimaryFaultRoundTrip(t *testing.T) {
 // failover: the client's map still names the deposed primary, which now
 // runs as a replica and holds the successor map. One write produces one
 // not-primary fault, one map refresh, and a successful retry at the
-// promoted node — no redirect loop.
+// promoted node — no redirect loop. An inquiry from a second stale
+// client follows the same redirect.
 func TestShardedClientFailoverRefresh(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 
@@ -200,6 +202,26 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	if n, _ := promoted.IndexLen(); n != 2 {
 		t.Fatalf("promoted node holds %d events, want 2", n)
 	}
+
+	// A read follows the same redirect: a client still on v1 sends its
+	// inquiry to the deposed node, which refuses it, and the retry at
+	// the promoted primary answers.
+	if _, err := promoted.DefinePolicy(doctorBloodPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := NewShardedClient(v1, func(info cluster.ShardInfo) *Client {
+		return NewClient(info.Addr, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes, err := reader.InquireIndex(context.Background(), "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
+	if err != nil || len(notes) != 2 {
+		t.Fatalf("inquiry across failover = %d events, %v; want 2", len(notes), err)
+	}
+	if v := reader.Map().Version(); v != 2 {
+		t.Fatalf("reader map version = %d, want 2", v)
+	}
 }
 
 // TestShardedClientStaleReplicaRescue drives the other stale-client
@@ -207,7 +229,7 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 // not-primary, but with a map no newer than the client's own (a deposed
 // primary restarted as a replica before learning its successor). The
 // fault's version can teach the client nothing, so the rescue must come
-// from the shard's read replicas — one of which holds the successor
+// from the shard's replicas — one of which holds the successor
 // map — instead of retrying the same stale address until the redirect
 // budget dies.
 func TestShardedClientStaleReplicaRescue(t *testing.T) {
@@ -284,14 +306,12 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 	}
 }
 
-// replicatedPair wires a primary and a read-replica controller over a
-// real replication link, each behind an HTTP server that counts its
-// /ws/inquire hits.
+// replicatedPair wires a primary and a replica controller over a real
+// replication link, each behind an HTTP server.
 type replicatedPair struct {
-	primary, replica        *core.Controller
-	priSrv, repSrv          *httptest.Server
-	priInquiries, repueries atomic.Int32
-	priNode, repNode        *replication.Node
+	primary, replica *core.Controller
+	priSrv, repSrv   *httptest.Server
+	priNode, repNode *replication.Node
 }
 
 func newReplicatedPair(t *testing.T) *replicatedPair {
@@ -329,77 +349,59 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 		t.Fatal(err)
 	}
 
-	priHandler := NewServer(primary).SetNode(rp.priNode)
-	rp.priSrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/ws/inquire" {
-			rp.priInquiries.Add(1)
-		}
-		priHandler.ServeHTTP(w, r)
-	}))
+	rp.priSrv = httptest.NewServer(NewServer(primary).SetNode(rp.priNode))
 	t.Cleanup(rp.priSrv.Close)
-	repHandler := NewServer(replica).SetNode(rp.repNode)
-	rp.repSrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/ws/inquire" {
-			rp.repueries.Add(1)
-		}
-		repHandler.ServeHTTP(w, r)
-	}))
+	rp.repSrv = httptest.NewServer(NewServer(replica).SetNode(rp.repNode))
 	t.Cleanup(rp.repSrv.Close)
 	return rp
 }
 
-func TestShardedClientRoutesReadsToReplica(t *testing.T) {
-	rp := newReplicatedPair(t)
+// TestReplicaRefusesInquiryOverTheWire pins the standby rule at the
+// wire: POST /ws/inquire to a sharded replica answers 421 with the
+// not-primary fault naming its shard and map version, and the
+// replica's audit chain does not grow.
+func TestReplicaRefusesInquiryOverTheWire(t *testing.T) {
+	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 	m, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
-		{ID: 0, Addr: rp.priSrv.URL, Replicas: []string{rp.repSrv.URL}, Epoch: 1},
+		{ID: 0, Addr: "http://127.0.0.1:1"}, {ID: 1, Addr: "http://127.0.0.1:2"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewShardedClient(m, func(info cluster.ShardInfo) *Client {
-		return NewClient(info.Addr, nil)
+	dir := t.TempDir()
+	replica, err := core.New(core.Config{
+		DataDir: dir, MasterKey: key, DefaultConsent: true, ShardID: 1, ShardMap: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { replica.Close() })
+	startNode(t, replica, replication.NodeConfig{Role: replication.RoleReplica, DataDir: dir})
+	srv := httptest.NewServer(NewServer(replica))
+	t.Cleanup(srv.Close)
 
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		if _, err := sc.Publish(ctx, &event.Notification{
-			Producer: "hospital", SourceID: event.SourceID(fmt.Sprintf("src-%d", i)),
-			Class: schema.ClassBloodTest, PersonID: "person-1", OccurredAt: time.Now(),
-		}); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	waitSameWALs(t, rp.primary, rp.replica)
-
-	got, err := sc.InquireIndex(ctx, "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
+	req := &inquiryRequest{Actor: "family-doctor", Class: schema.ClassBloodTest}
+	resp, err := http.Post(srv.URL+"/ws/inquire", event.ContentTypeXML, bytes.NewReader(req.appendXML(nil)))
 	if err != nil {
-		t.Fatalf("inquiry via replica: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) != 8 {
-		t.Fatalf("inquiry returned %d notifications, want 8", len(got))
-	}
-	if rp.repueries.Load() == 0 {
-		t.Fatal("read did not route to the replica")
-	}
-	if rp.priInquiries.Load() != 0 {
-		t.Fatal("read hit the primary although a replica is configured")
-	}
-
-	// A dead replica must not fail reads: the shard leg falls back to
-	// the primary within the same call.
-	rp.repSrv.Close()
-	got, err = sc.InquireIndex(ctx, "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("inquiry with dead replica: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) != 8 {
-		t.Fatalf("fallback inquiry returned %d notifications, want 8", len(got))
+	if resp.StatusCode != http.StatusMisdirectedRequest {
+		t.Fatalf("replica inquiry answered %d, want 421: %s", resp.StatusCode, body)
 	}
-	if rp.priInquiries.Load() == 0 {
-		t.Fatal("dead replica did not fall back to the primary")
+	var f Fault
+	if err := xml.Unmarshal(body, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Code != CodeNotPrimary || f.Shard != "1" || f.MapVersion != 1 {
+		t.Fatalf("fault = %+v, want not-primary naming shard 1 at map v1", f)
+	}
+	if n := replica.Audit().Len(); n != 0 {
+		t.Fatalf("replica audit chain holds %d records after a refusal, want 0", n)
 	}
 }
 

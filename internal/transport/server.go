@@ -43,13 +43,19 @@ import (
 //	GET  /ws/shardmap    — the cluster's shard map as a binary frame
 //	                       (not-found fault when the controller is unsharded)
 //	GET  /ws/replstatus  — replication role, fencing epoch, follower lag
-//	POST /ws/promote     — flip a read replica into the primary role at a
+//	POST /ws/promote     — flip a replica into the primary role at a
 //	                       named epoch (the failover runbook's lease claim)
 //
 // next to the scaffold's operational endpoints: GET /metrics (telemetry
 // registry, Prometheus text format), /healthz (200 ok / 503 when
 // closed), /debug/spans and /slo, served without authentication — they
 // carry operational counters only, never personal data.
+//
+// A replica is a standby: publish, subscribe, details, inquire, policy
+// and consent answer the not-primary fault (HTTP 421) naming the shard
+// and map version, so every notification or detail is disclosed, and
+// audited, by a primary. The other routes answer on either role; none
+// of them returns a notification.
 //
 // Every request passes the telemetry middleware: per-route latency and
 // status metrics, and an X-Trace-Id correlation header (minted when the
@@ -291,7 +297,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, _ bear
 	writeXML(w, http.StatusOK, resp)
 }
 
-// handlePromote flips a read replica into the primary role at the
+// handlePromote flips a replica into the primary role at the
 // epoch named in the request (the failover runbook's lease claim).
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request, _ bearer) {
 	var req promoteRequest

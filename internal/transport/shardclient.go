@@ -4,16 +4,15 @@ package transport
 // shard behind one Client-shaped surface. Publishes route to the shard
 // that owns the person's pseudonym; a wrong-shard fault from a stale
 // map is followed (bounded hops, with a map refresh when the fault
-// names a newer version); person inquiries scatter across the shards
-// and merge with stable ordering.
+// names a newer version); inquiries scatter across the shards and
+// merge with stable ordering. Every request goes to a shard's primary.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/consent"
@@ -53,9 +52,10 @@ func WithPseudonym(fn func(personID string) string) ShardedOption {
 
 // ShardedClient fans a Client per cluster member out of a factory (so
 // each member gets its own breaker group and connection pool) and
-// routes between them by the cluster's consistent-hash map: writes go
-// to each shard's primary, index inquiries to its read replicas
-// (round-robin, primary fallback).
+// routes between them by the cluster's consistent-hash map. Every
+// request, reads included, goes to a shard's primary and follows its
+// not-primary answers; a shard's replicas are asked only for a newer
+// map when its primary stops answering.
 type ShardedClient struct {
 	factory func(cluster.ShardInfo) *Client
 	opts    shardedOptions
@@ -68,9 +68,8 @@ type ShardedClient struct {
 	// the old one ages out with its breaker state intact.
 	clients map[string]*Client
 
-	rr      atomic.Uint32 // round-robin cursor over a shard's read replicas
-	persons routeCache    // personID → owning shard, learned from acks/redirects
-	events  routeCache    // event gid → shard that acked the publish
+	persons routeCache // personID → owning shard, learned from acks/redirects
+	events  routeCache // event gid → shard that acked the publish
 }
 
 // NewShardedClient builds a cluster client over the given map. factory
@@ -104,9 +103,9 @@ func (sc *ShardedClient) Map() *cluster.Map {
 }
 
 // clientAt returns (building if needed) the Client for one cluster
-// member. Replica clients are synthesized from the owning shard's info
-// with the replica's address substituted — the factory sees the same
-// shard id either way.
+// member. Replica clients (asked only for the shard map) are
+// synthesized from the owning shard's info with the replica's address
+// substituted — the factory sees the same shard id either way.
 func (sc *ShardedClient) clientAt(info cluster.ShardInfo) *Client {
 	sc.mu.RLock()
 	cl, ok := sc.clients[info.Addr]
@@ -133,25 +132,6 @@ func (sc *ShardedClient) clientFor(id cluster.ShardID) (*Client, error) {
 		return nil, fmt.Errorf("transport: %w: shard %s not in map v%d", cluster.ErrStaleMap, id, m.Version())
 	}
 	return sc.clientAt(info), nil
-}
-
-// readClientFor returns a Client for one of the shard's read replicas,
-// rotating between them, or the primary when the shard has none. The
-// second result reports whether a replica was picked, so callers know
-// a failure still has the primary to fall back to.
-func (sc *ShardedClient) readClientFor(id cluster.ShardID) (*Client, bool, error) {
-	m := sc.Map()
-	info, ok := m.Shard(id)
-	if !ok {
-		return nil, false, fmt.Errorf("transport: %w: shard %s not in map v%d", cluster.ErrStaleMap, id, m.Version())
-	}
-	if len(info.Replicas) == 0 {
-		return sc.clientAt(info), false, nil
-	}
-	i := int(sc.rr.Add(1)-1) % len(info.Replicas)
-	replica := info
-	replica.Addr = info.Replicas[i]
-	return sc.clientAt(replica), true, nil
 }
 
 // adoptMap swaps in a newer map and flushes the learned routes (member
@@ -234,7 +214,7 @@ func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (ev
 		var ws *cluster.WrongShardError
 		if !errors.As(err, &ws) {
 			// A dead primary answers nothing at all — no fault to follow.
-			// Ask the shard's read replicas for a newer map (a failover
+			// Ask the shard's replicas for a newer map (a failover
 			// bumps the version and names the promoted primary) and retry
 			// when one arrives; otherwise the error stands.
 			if ctx.Err() == nil && sc.refreshFromReplicas(ctx, target) {
@@ -279,7 +259,7 @@ func (sc *ShardedClient) refreshOnNotPrimary(ctx context.Context, id cluster.Sha
 	sc.refreshFromReplicas(ctx, id)
 }
 
-// refreshFromReplicas asks a shard's read replicas for a newer shard
+// refreshFromReplicas asks a shard's replicas for a newer shard
 // map when its named primary stopped answering — or answered
 // not-primary without a newer map to offer. After a failover the
 // survivors carry the successor map naming the promoted primary.
@@ -303,26 +283,28 @@ func (sc *ShardedClient) refreshFromReplicas(ctx context.Context, id cluster.Sha
 	return false
 }
 
-// writeRetry runs one write against a shard's primary, following
+// onPrimary runs one call against a shard's primary, following
 // not-primary redirects (refresh, then retry at the shard's current
-// primary) up to maxRedirects attempts. Broadcast writes wrap each
-// per-shard leg in it so a mid-broadcast failover is absorbed.
-func (sc *ShardedClient) writeRetry(ctx context.Context, id cluster.ShardID, call func(cl *Client) error) error {
+// primary) up to maxRedirects attempts. Every per-shard leg — broadcast
+// writes, inquiries and detail requests — runs in it, so a failover
+// mid-call is absorbed.
+func onPrimary[T any](ctx context.Context, sc *ShardedClient, id cluster.ShardID, call func(cl *Client) (T, error)) (T, error) {
+	var zero T
 	var lastErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
 		cl, err := sc.clientFor(id)
 		if err != nil {
-			return err
+			return zero, err
 		}
-		err = call(cl)
+		out, err := call(cl)
 		var np *cluster.NotPrimaryError
 		if !errors.As(err, &np) {
-			return err
+			return out, err
 		}
 		lastErr = err
 		sc.refreshOnNotPrimary(ctx, id, np.Version)
 	}
-	return fmt.Errorf("transport: write exceeded %d not-primary retries: %w", maxRedirects, lastErr)
+	return zero, fmt.Errorf("transport: shard %s exceeded %d not-primary retries: %w", id, maxRedirects, lastErr)
 }
 
 // RequestDetails resolves a detail request. The shard that acked the
@@ -332,19 +314,11 @@ func (sc *ShardedClient) writeRetry(ctx context.Context, id cluster.ShardID, cal
 // detail request never needs the pseudonym.
 func (sc *ShardedClient) RequestDetails(ctx context.Context, r *event.DetailRequest) (*event.Detail, error) {
 	if id, ok := sc.events.get(string(r.EventID)); ok {
-		cl, err := sc.clientFor(id)
-		if err != nil {
-			return nil, err
-		}
-		return cl.RequestDetails(ctx, r)
+		return sc.detailsOn(ctx, id, r)
 	}
 	var lastErr error = errUnknownEventAll
 	for _, info := range sc.Map().Shards() {
-		cl, err := sc.clientFor(info.ID)
-		if err != nil {
-			return nil, err
-		}
-		d, err := cl.RequestDetails(ctx, r)
+		d, err := sc.detailsOn(ctx, info.ID, r)
 		if err == nil {
 			sc.events.put(string(r.EventID), info.ID)
 			return d, nil
@@ -355,6 +329,13 @@ func (sc *ShardedClient) RequestDetails(ctx context.Context, r *event.DetailRequ
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// detailsOn asks one shard's primary for the details.
+func (sc *ShardedClient) detailsOn(ctx context.Context, id cluster.ShardID, r *event.DetailRequest) (*event.Detail, error) {
+	return onPrimary(ctx, sc, id, func(cl *Client) (*event.Detail, error) {
+		return cl.RequestDetails(ctx, r)
+	})
 }
 
 // errUnknownEventAll is returned when every shard disclaims the event;
@@ -369,41 +350,27 @@ func isUnknownEvent(err error) bool {
 // InquireIndex queries the events index across the cluster. When the
 // pseudonym function is present and the inquiry names a person, only
 // the owning shard is asked; otherwise the inquiry scatters to every
-// shard under ctx and the replies merge in stable
-// notification order (OccurredAt, then id), capped at q.Limit. When some shards fail the merged partial result is returned
-// together with a *cluster.PartialError naming the failed shards.
-// Index inquiries prefer each shard's read replicas (rotating between
-// them) so the primaries' write capacity is not spent on reads; a
-// replica failure falls back to the shard's primary within the same
-// call.
+// shard under ctx and the replies merge in stable notification order
+// (OccurredAt, then id), capped at q.Limit. When some shards fail the
+// merged partial result is returned together with a
+// *cluster.PartialError naming the failed shards.
 func (sc *ShardedClient) InquireIndex(ctx context.Context, actor event.Actor, q index.Inquiry) ([]*event.Notification, error) {
 	m := sc.Map()
 	if q.PersonID != "" && sc.opts.pseudonym != nil {
-		return sc.inquireShard(ctx, m.Owner(sc.opts.pseudonym(q.PersonID)), actor, q)
+		return sc.inquireOn(ctx, m.Owner(sc.opts.pseudonym(q.PersonID)), actor, q)
 	}
 	perShard, err := cluster.Gather(ctx, m.Shards(),
 		func(ctx context.Context, info cluster.ShardInfo) ([]*event.Notification, error) {
-			return sc.inquireShard(ctx, info.ID, actor, q)
+			return sc.inquireOn(ctx, info.ID, actor, q)
 		})
 	return cluster.MergeNotifications(perShard, q.Limit), err
 }
 
-// inquireShard runs one shard's leg of an index inquiry against a read
-// replica when the shard has one, retrying the primary on any replica
-// failure — a lagging or dead replica must not fail a read the primary
-// can serve.
-func (sc *ShardedClient) inquireShard(ctx context.Context, id cluster.ShardID, actor event.Actor, q index.Inquiry) ([]*event.Notification, error) {
-	cl, replica, err := sc.readClientFor(id)
-	if err != nil {
-		return nil, err
-	}
-	out, err := cl.InquireIndex(ctx, actor, q)
-	if err != nil && replica && ctx.Err() == nil {
-		if pcl, perr := sc.clientFor(id); perr == nil {
-			return pcl.InquireIndex(ctx, actor, q)
-		}
-	}
-	return out, err
+// inquireOn runs one shard's leg of an index inquiry at its primary.
+func (sc *ShardedClient) inquireOn(ctx context.Context, id cluster.ShardID, actor event.Actor, q index.Inquiry) ([]*event.Notification, error) {
+	return onPrimary(ctx, sc, id, func(cl *Client) ([]*event.Notification, error) {
+		return cl.InquireIndex(ctx, actor, q)
+	})
 }
 
 // Subscribe registers the callback on every shard — a class's events
@@ -414,11 +381,8 @@ func (sc *ShardedClient) inquireShard(ctx context.Context, id cluster.ShardID, a
 func (sc *ShardedClient) Subscribe(ctx context.Context, actor event.Actor, class event.ClassID, callbackURL string) (map[cluster.ShardID]string, error) {
 	ids := make(map[cluster.ShardID]string)
 	for _, info := range sc.Map().Shards() {
-		var id string
-		err := sc.writeRetry(ctx, info.ID, func(cl *Client) error {
-			var serr error
-			id, serr = cl.Subscribe(ctx, actor, class, callbackURL)
-			return serr
+		id, err := onPrimary(ctx, sc, info.ID, func(cl *Client) (string, error) {
+			return cl.Subscribe(ctx, actor, class, callbackURL)
 		})
 		if err != nil {
 			return ids, fmt.Errorf("transport: subscribe on %s: %w", info.ID, err)
@@ -436,10 +400,9 @@ func (sc *ShardedClient) Subscribe(ctx context.Context, actor event.Actor, class
 func (sc *ShardedClient) RecordConsent(ctx context.Context, d consent.Directive) (consent.Directive, error) {
 	var stored consent.Directive
 	for _, info := range sc.Map().Shards() {
-		err := sc.writeRetry(ctx, info.ID, func(cl *Client) error {
-			var cerr error
-			stored, cerr = cl.RecordConsent(ctx, d)
-			return cerr
+		var err error
+		stored, err = onPrimary(ctx, sc, info.ID, func(cl *Client) (consent.Directive, error) {
+			return cl.RecordConsent(ctx, d)
 		})
 		if err != nil {
 			return consent.Directive{}, fmt.Errorf("transport: consent on %s: %w", info.ID, err)
@@ -454,10 +417,9 @@ func (sc *ShardedClient) RecordConsent(ctx context.Context, d consent.Directive)
 func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*policy.Policy, error) {
 	var stored *policy.Policy
 	for _, info := range sc.Map().Shards() {
-		err := sc.writeRetry(ctx, info.ID, func(cl *Client) error {
-			var perr error
-			stored, perr = cl.DefinePolicy(ctx, p)
-			return perr
+		var err error
+		stored, err = onPrimary(ctx, sc, info.ID, func(cl *Client) (*policy.Policy, error) {
+			return cl.DefinePolicy(ctx, p)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("transport: policy on %s: %w", info.ID, err)
@@ -469,24 +431,32 @@ func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*p
 // --- learned-route cache ---------------------------------------------------
 
 // routeCache is a bounded string → shard map with wholesale flush on
-// overflow and on map change. It deliberately holds person identifiers
-// only in hashed form — a client-side cache must not become a person
-// registry. The zero value is an empty cache.
+// overflow and on map change. It keys person identifiers by a hash
+// under a seed drawn per cache, so its keys cannot be matched against
+// a table of hashed candidates computed in advance (a fiscal code has
+// few enough values to enumerate) nor correlated between two
+// processes or two caches. It does not hide ids from a reader of
+// process memory: that reader holds the seed too, and can hash
+// candidates. The zero value is an empty cache.
 type routeCache struct {
-	mu sync.Mutex
-	m  map[uint64]cluster.ShardID
+	mu   sync.Mutex
+	seed maphash.Seed
+	m    map[uint64]cluster.ShardID
 }
 
-func routeKey(k string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
+// key hashes k under the cache's seed, drawing the seed on first use.
+// Callers hold mu.
+func (rc *routeCache) key(k string) uint64 {
+	if rc.seed == (maphash.Seed{}) {
+		rc.seed = maphash.MakeSeed()
+	}
+	return maphash.String(rc.seed, k)
 }
 
 func (rc *routeCache) get(k string) (cluster.ShardID, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	id, ok := rc.m[routeKey(k)]
+	id, ok := rc.m[rc.key(k)]
 	return id, ok
 }
 
@@ -496,7 +466,7 @@ func (rc *routeCache) put(k string, id cluster.ShardID) {
 	if rc.m == nil || len(rc.m) >= routeCacheSize {
 		rc.m = make(map[uint64]cluster.ShardID)
 	}
-	rc.m[routeKey(k)] = id
+	rc.m[rc.key(k)] = id
 }
 
 func (rc *routeCache) reset() {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -422,6 +423,48 @@ func TestShardedSubscribeBroadcast(t *testing.T) {
 			t.Fatalf("%d notifications never delivered", len(want))
 		}
 	}
+}
+
+// TestRouteCacheKeysPerCacheSeed pins the route caches' keying: each
+// cache hashes a person id under its own seed, so two caches (two
+// clients, two processes) key one id differently, and each still finds
+// its own entries.
+func TestRouteCacheKeysPerCacheSeed(t *testing.T) {
+	const person = "RSSMRA80A01H501U" // a fiscal code: few enough values to enumerate
+	var a, b routeCache
+	a.put(person, 1)
+	b.put(person, 2)
+	if a.key(person) == b.key(person) {
+		t.Fatal("two caches key one person id identically")
+	}
+	for _, c := range []struct {
+		rc   *routeCache
+		want cluster.ShardID
+	}{{&a, 1}, {&b, 2}} {
+		if got, ok := c.rc.get(person); !ok || got != c.want {
+			t.Errorf("get = %v, %v; want %v, true", got, ok, c.want)
+		}
+	}
+	if _, ok := a.get("RSSMRA80A01H501V"); ok {
+		t.Error("a neighbouring id hit the cache")
+	}
+
+	// The seed is drawn on first use, which concurrent publishes race
+	// for: every goroutine must still find its own entry.
+	var c routeCache
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(id cluster.ShardID) {
+			defer wg.Done()
+			k := fmt.Sprintf("PRS-%d", id)
+			c.put(k, id)
+			if got, ok := c.get(k); !ok || got != id {
+				t.Errorf("concurrent get(%s) = %v, %v; want %v, true", k, got, ok, id)
+			}
+		}(cluster.ShardID(i))
+	}
+	wg.Wait()
 }
 
 // doctorBloodPolicy is the canonical disclosure policy of the suite.

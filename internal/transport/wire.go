@@ -54,7 +54,7 @@ const (
 	// the client refreshes its shard map and retries there. Permanent
 	// for the generic retrier — only the shard-aware client follows it.
 	CodeWrongShard = "wrong-shard"
-	// CodeNotPrimary (HTTP 421): a write reached a read replica (or a
+	// CodeNotPrimary (HTTP 421): a request reached a replica (or a
 	// deposed primary refusing writes after failover). The fault names
 	// the shard and the answering node's map version so the client
 	// refreshes its shard map and retries at the current primary.
