@@ -74,7 +74,8 @@ func NewRetrier(p RetryPolicy) *Retrier {
 // happened), so errors.Is/As keep working against the underlying cause.
 //
 // op receives ctx unchanged; per-attempt timeouts belong to the caller
-// (an http.Client timeout bounds each try, ctx bounds the whole call).
+// (the transport's caller gives each try its own context.WithTimeout,
+// ctx bounds the whole call).
 func (r *Retrier) Do(ctx context.Context, op string, fn func(ctx context.Context) error) error {
 	if r == nil {
 		return fn(ctx)

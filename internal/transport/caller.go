@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
 	"repro/internal/enforcer"
@@ -22,26 +24,6 @@ const DefaultHTTPTimeout = 10 * time.Second
 // Option configures a Client or RemoteGateway.
 type Option func(*caller)
 
-// NewTunedTransport returns an http.Transport configured for the
-// platform's steady-state traffic shape: many small requests to a
-// handful of hosts over persistent connections. The default transport's
-// 2 idle connections per host force a TCP handshake under any
-// concurrency; the platform clients (and the controller's callback
-// deliverer) keep a deep warm pool instead so a saturation publish run
-// never churns connections.
-func NewTunedTransport() *http.Transport {
-	var tr *http.Transport
-	if base, ok := http.DefaultTransport.(*http.Transport); ok {
-		tr = base.Clone()
-	} else {
-		tr = &http.Transport{}
-	}
-	tr.MaxIdleConns = 256
-	tr.MaxIdleConnsPerHost = 64
-	tr.IdleConnTimeout = 90 * time.Second
-	return tr
-}
-
 // WithCodec sets the wire codec the client encodes its hot-path
 // messages with (publish bodies, detail requests, subscribe requests)
 // and asks the server to answer in. Nil or unset means event.XML — the
@@ -52,8 +34,8 @@ func WithCodec(c event.Codec) Option {
 }
 
 // WithTimeout sets the per-attempt HTTP timeout used when no custom
-// http.Client is supplied (callers providing their own client own its
-// timeout). The retrier multiplies attempts; each one is bounded by
+// http.Client is supplied (a supplied client's Timeout takes its
+// place). The retrier multiplies attempts; each one is bounded by
 // this, and the caller's context bounds the whole call.
 func WithTimeout(d time.Duration) Option {
 	return func(o *caller) { o.timeout = d }
@@ -74,32 +56,39 @@ func WithBreakerGroup(g *resilience.Group) Option {
 }
 
 // caller is the one outgoing call path of the web-service binding: the
-// peer's base URL, the HTTP client, the optional bearer token, the
+// peer's base URL, the round tripper, the optional bearer token, the
 // negotiated codec and the fault-tolerance policy. Client, RemoteGateway
 // and the controller's callback deliverer all send through do.
 type caller struct {
 	base     string
-	http     *http.Client
+	rt       http.RoundTripper
 	token    string // optional bearer token (see WithToken)
 	codec    event.Codec
-	timeout  time.Duration
+	timeout  time.Duration // bounds each attempt; zero means unbounded
 	retrier  *resilience.Retrier
 	breakers *resilience.Group
 }
 
-// newCaller applies opts over the defaults. A nil httpClient means one
-// whose timeout is WithTimeout (10 seconds unless overridden) and whose
-// transport keeps a deep keep-alive pool (NewTunedTransport).
+// newCaller applies opts over the defaults. A nil httpClient means the
+// platform's synchronous round tripper (NewTunedTransport) with
+// attempts bounded by WithTimeout (10 seconds unless overridden); a
+// supplied one lends its Transport (nil for http.DefaultTransport) and
+// its Timeout.
 func newCaller(base string, httpClient *http.Client, opts []Option) caller {
-	c := caller{base: base, http: httpClient, timeout: DefaultHTTPTimeout}
+	c := caller{base: base, timeout: DefaultHTTPTimeout}
 	for _, opt := range opts {
 		opt(&c)
 	}
 	if c.codec == nil {
 		c.codec = event.XML
 	}
-	if c.http == nil {
-		c.http = &http.Client{Timeout: c.timeout, Transport: NewTunedTransport()}
+	if httpClient == nil {
+		c.rt = NewTunedTransport()
+	} else {
+		c.rt, c.timeout = httpClient.Transport, httpClient.Timeout
+		if c.rt == nil {
+			c.rt = http.DefaultTransport
+		}
 	}
 	return c
 }
@@ -137,12 +126,13 @@ func (c *caller) do(ctx context.Context, breaker, method, path, contentType, acc
 	})
 }
 
-// attempt performs one HTTP round trip. The request carries contentType
-// and the accept preference when it has a body, the bearer token when
-// one is configured, and the flow's trace — the explicit one, else the
-// context's — as the legacy X-Trace-Id plus the W3C traceparent naming
-// the caller's current span, so the server side parents its spans under
-// it and the cross-process tree stays connected.
+// attempt performs one HTTP round trip, bounded by the caller's
+// timeout. The request carries contentType and the accept preference
+// when it has a body, the bearer token when one is configured, and the
+// flow's trace — the explicit one, else the context's — as the legacy
+// X-Trace-Id plus the W3C traceparent naming the caller's current span,
+// so the server side parents its spans under it and the cross-process
+// tree stays connected.
 //
 // Outcomes are classified for the retrier: connection failures (unless
 // the caller's own deadline cut them short), 5xx and 429 answers (with
@@ -150,12 +140,20 @@ func (c *caller) do(ctx context.Context, breaker, method, path, contentType, acc
 // 2xx bodies are transient; 4xx faults stay permanent and come back as
 // the platform's sentinel errors.
 func (c *caller) attempt(ctx context.Context, method, path, contentType, accept, trace string, body []byte, decode func([]byte) error) error {
+	actx := ctx
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, c.timeout)
+		// Runs after drainClose below: the body reaches EOF first, so
+		// the connection goes back to the pool uncut.
+		defer cancel()
+	}
 	var reader io.Reader
 	if body != nil {
 		// A fresh reader per attempt: retries must resend the full body.
 		reader = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
+	req, err := http.NewRequestWithContext(actx, method, c.base+path, reader)
 	if err != nil {
 		return fmt.Errorf("transport: %s %s: %w", method, path, err)
 	}
@@ -176,9 +174,12 @@ func (c *caller) attempt(ctx context.Context, method, path, contentType, accept,
 		req.Header.Set(telemetry.TraceparentHeader,
 			telemetry.FormatTraceparent(trace, telemetry.SpanIDFrom(ctx)))
 	}
-	resp, err := c.http.Do(req)
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
-		err = fmt.Errorf("transport: %s %s: %w", method, path, err)
+		// Wrapped as http.Client wraps it: the callback deliverer tells
+		// a failure to reach the peer by its *url.Error.
+		err = fmt.Errorf("transport: %s %s: %w", method, path,
+			&url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.Redacted(), Err: err})
 		if ctx.Err() != nil {
 			// The caller's deadline elapsed: not retryable, the budget
 			// is gone.

@@ -88,7 +88,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// has the consumer-side faults in front of it) plus retries and a
 	// breaker, exactly as a production controller would attach a remote
 	// producer.
-	gwFaults := resilience.NewFaultInjector(nil, resilience.FaultConfig{
+	gwFaults := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
 		Seed:           seed + 1000,
 		ConnectFailure: 0.10,
 	})
@@ -108,7 +108,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// failures, plus response-side faults (synthesized 503s and truncated
 	// bodies) that force the at-least-once replay path: the controller
 	// indexed the event but the producer never saw the answer.
-	ctrlFaults := resilience.NewFaultInjector(nil, resilience.FaultConfig{
+	ctrlFaults := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.20,
 		ServerError:    0.05,

@@ -30,9 +30,10 @@ type Client struct {
 }
 
 // NewClient creates a client for the controller at base (e.g.
-// "http://controller:8080"). httpClient may be nil for a default whose
-// timeout is WithTimeout (10 seconds unless overridden) and whose
-// transport keeps a deep keep-alive pool (NewTunedTransport).
+// "http://controller:8080"). httpClient may be nil for the platform's
+// synchronous round tripper (NewTunedTransport) with each attempt
+// bounded by WithTimeout (10 seconds unless overridden); a supplied
+// client lends its Transport and its Timeout.
 func NewClient(base string, httpClient *http.Client, opts ...Option) *Client {
 	return &Client{newCaller(base, httpClient, opts)}
 }

@@ -230,7 +230,7 @@ func (rig *electionRig) winner(t *testing.T) (int, uint64) {
 
 func (rig *electionRig) stormClient(t *testing.T, seed int64) *ShardedClient {
 	t.Helper()
-	fi := resilience.NewFaultInjector(nil, resilience.FaultConfig{
+	fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.05,
 		ServerError:    0.03,

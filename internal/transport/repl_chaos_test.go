@@ -161,7 +161,7 @@ func TestChaosReplFailover(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rig := newReplChaosRig(t, seed)
-			fi := resilience.NewFaultInjector(nil, resilience.FaultConfig{
+			fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
 				Seed:           seed,
 				ConnectFailure: 0.05,
 				ServerError:    0.03,

@@ -85,9 +85,10 @@ func NewServer(ctrl *core.Controller) *Server {
 	s := &Server{
 		service: service{classify: routeClassFor, now: ctrl.Now},
 		ctrl:    ctrl,
-		// Callback deliveries reuse one warm keep-alive pool: the same
-		// few subscriber hosts receive every notification, so connection
-		// churn here would dominate fan-out latency.
+		// Callback deliveries share one round tripper and its warm
+		// keep-alive pool: the same few subscriber hosts receive every
+		// notification, and each delivery is written and its answer
+		// read on the bus worker's own goroutine.
 		callbacks: newCaller("", nil, nil),
 		deliveriesFailed: ctrl.Metrics().Counter("css_deliveries_failed_total",
 			"Callback deliveries that failed to reach the subscriber, by reason.",

@@ -38,7 +38,7 @@ func chaosPartition() time.Duration {
 // per-shard breaker groups.
 func newShardChaosClient(t *testing.T, r *shardRig, seed int64) (*ShardedClient, *resilience.FaultInjector) {
 	t.Helper()
-	fi := resilience.NewFaultInjector(nil, resilience.FaultConfig{
+	fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.10,
 		ServerError:    0.03,

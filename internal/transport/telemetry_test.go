@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/event"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
@@ -112,6 +116,47 @@ func TestFailedCallbackDeliveryIsCounted(t *testing.T) {
 			t.Fatalf("css_deliveries_failed_total never incremented:\n%s", r.metrics(t))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Each way a callback delivery fails adds one to its own reason: a
+// callback URL that does not parse ("request"), a subscriber that
+// cannot be reached ("connect") and one that answers 500 ("status").
+func TestCallbackFailureReasons(t *testing.T) {
+	ctrl, err := core.New(core.Config{MasterKey: bytes.Repeat([]byte{4}, crypto.KeySize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	srv := NewServer(ctrl)
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer failing.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String() + "/cb"
+	ln.Close()
+	n := &event.Notification{ID: "EVT-000000000001", Class: schema.ClassBloodTest, Trace: "feedbeefcafe0001"}
+	for _, tc := range []struct{ callback, reason string }{
+		{"://no-scheme/cb", "request"},
+		{refused, "connect"},
+		{failing.URL + "/cb", "status"},
+	} {
+		before := srv.deliveriesFailed.Value(tc.reason)
+		srv.deliverCallback(context.Background(), tc.callback, "family-doctor", event.XML, n)
+		if got := srv.deliveriesFailed.Value(tc.reason) - before; got != 1 {
+			t.Errorf("callback %q: reason %q counted %d times, want 1", tc.callback, tc.reason, got)
+		}
+	}
+	var total uint64
+	for _, reason := range []string{"request", "connect", "status", "encode"} {
+		total += srv.deliveriesFailed.Value(reason)
+	}
+	if total != 3 {
+		t.Errorf("%d failures counted for 3 failed deliveries", total)
 	}
 }
 

@@ -317,9 +317,9 @@ func readBodyAs[T any](r *http.Request, decode func([]byte) (*T, error)) (*T, er
 const maxBodyBytes = 4 << 20
 
 // drainClose drains any unread remainder of an HTTP response body and
-// closes it. Draining (rather than just closing) lets net/http return
-// the connection to the keep-alive pool instead of tearing it down —
-// error paths must not leak or churn connections.
+// closes it. Draining (rather than just closing) reads the body to EOF,
+// which returns the connection to the keep-alive pool; a body closed
+// before EOF tears it down, and error paths must not churn connections.
 func drainClose(body io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(body, maxBodyBytes))
 	body.Close()
