@@ -139,7 +139,7 @@ FRAME_FILES = $(filter-out %_test.go,$(wildcard internal/frame/*.go))
 JSONX_FILES = $(filter-out %_test.go,$(wildcard internal/jsonx/*.go))
 STORE_FILES = $(filter-out %_test.go,$(wildcard internal/store/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
-	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
+	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go internal/transport/serve.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \

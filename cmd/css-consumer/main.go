@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 
@@ -107,7 +106,7 @@ func runSubscribe(client *transport.Client, actor event.Actor, args []string) {
 		fmt.Printf("[%s] %s person=%s from=%s trace=%s — %s\n",
 			n.OccurredAt.Format("2006-01-02 15:04"), n.Class, n.PersonID, n.Producer, n.Trace, n.Summary)
 	})
-	go http.Serve(ln, receiver)
+	go transport.NewHTTPServer(receiver).Serve(ln)
 	callback := "http://" + ln.Addr().String()
 
 	ctx := context.Background()

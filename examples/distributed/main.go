@@ -141,7 +141,6 @@ func serve(h http.Handler) string {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
+	go transport.NewHTTPServer(h).Serve(ln)
 	return "http://" + ln.Addr().String()
 }

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/overload"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // Runner carries the shared flag values and the pieces built from them.
@@ -111,12 +113,16 @@ func (r *Runner) Serve(addr, title string, h http.Handler, slo *telemetry.SLO, s
 		"max_inflight", r.maxInflight, "actor_rps", r.actorRPS,
 		"drain_timeout", r.drainTimeout.String())
 
-	httpSrv := &http.Server{Addr: addr, Handler: mux}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	httpSrv := transport.NewHTTPServer(mux)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go slo.Run(ctx)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
+	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-serveErr:
 		log.Fatal(err)

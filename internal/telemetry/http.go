@@ -126,7 +126,7 @@ func TracingMiddleware(m *HTTPMetrics, tracer *Tracer, next http.Handler) http.H
 		trace, parent, ok := ParseTraceparent(r.Header.Get(TraceparentHeader))
 		if !ok {
 			trace = r.Header.Get(TraceHeader)
-			if trace == "" {
+			if !ValidTraceID(trace) {
 				trace = NewTraceID()
 			}
 		}

@@ -88,6 +88,43 @@ func TestMiddlewareTraceHeader(t *testing.T) {
 	}
 }
 
+// An X-Trace-Id the platform could not pass on verbatim is not
+// adopted: the middleware mints a fresh trace instead.
+func TestMiddlewareIgnoresInvalidTraceHeader(t *testing.T) {
+	var seen string
+	h := TracingMiddleware(NewHTTPMetrics(NewRegistry(), "css"), nil,
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			seen = TraceFrom(r.Context())
+		}))
+	for _, bad := range []string{strings.Repeat("a", 65), "has space", "caf\xc3\xa9"} {
+		req := httptest.NewRequest(http.MethodGet, "/ws/publish", nil)
+		req.Header.Set(TraceHeader, bad)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if seen == bad || !ValidTraceID(seen) || rec.Header().Get(TraceHeader) != seen {
+			t.Errorf("X-Trace-Id %q: handler saw %q, answer carried %q", bad, seen, rec.Header().Get(TraceHeader))
+		}
+	}
+}
+
+func TestValidTraceID(t *testing.T) {
+	for _, ok := range []string{"t1", "replay", NewTraceID(), "feedbeefcafe0001", "seq-000000000001",
+		"4bf92f3577b34da6a3ce929d0e0e4736", strings.Repeat("a", 64)} {
+		if !ValidTraceID(ok) {
+			t.Errorf("%q refused", ok)
+		}
+	}
+	padded, _, ok := ParseTraceparent(FormatTraceparent("feedbeefcafe0001", NewSpanID()))
+	if !ok || !ValidTraceID(padded) {
+		t.Errorf("parsed W3C trace %q refused", padded)
+	}
+	for _, bad := range []string{"", strings.Repeat("a", 65), "abc\r\nX-Evil: 1", "a b", "a\tb", "caf\xc3\xa9", "a\x7f"} {
+		if ValidTraceID(bad) {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
 func TestMetricsHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("css_publish_total", "P.").Inc()

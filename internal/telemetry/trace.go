@@ -28,6 +28,27 @@ func NewTraceID() string {
 	return string(dst[:])
 }
 
+// maxTraceIDLen bounds a trace ID accepted from a caller.
+const maxTraceIDLen = 64
+
+// ValidTraceID reports whether a trace ID received from a caller can be
+// adopted: 1 to 64 bytes, each printable ASCII other than
+// space (0x21-0x7e). Every ID the platform mints or parses passes (16
+// hex digits, 32-hex W3C IDs, "seq-..."); one that fails could not
+// travel verbatim in the X-Trace-Id header of later calls, and a CR or
+// LF in it would split that header.
+func ValidTraceID(s string) bool {
+	if len(s) == 0 || len(s) > maxTraceIDLen {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < 0x21 || s[i] > 0x7e {
+			return false
+		}
+	}
+	return true
+}
+
 var fallbackCounter atomic.Uint64
 
 func fallbackSeq() []byte {

@@ -59,7 +59,7 @@ func newAuthRig(t *testing.T) *authRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(ctrl).RequireAuth(authority))
+	srv := newTestServer(t, NewServer(ctrl).RequireAuth(authority))
 	t.Cleanup(srv.Close)
 	return &authRig{
 		rig: &rig{

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -81,7 +80,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwServer := httptest.NewServer(testGatewayServer(gw))
+	gwServer := newTestServer(t, testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 
 	// Controller → gateway: a lighter fault rate (the detail path already
@@ -101,7 +100,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 		t.Fatal(err)
 	}
 
-	ctrlServer := httptest.NewServer(NewServer(ctrl))
+	ctrlServer := newTestServer(t, NewServer(ctrl))
 	t.Cleanup(ctrlServer.Close)
 
 	// Client → controller: the acceptance scenario's 20% connection

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -38,11 +37,11 @@ type electionRig struct {
 	heartbeat time.Duration
 
 	pri     *core.Controller
-	priSrv  *httptest.Server
+	priSrv  *testServer
 	priNode *replication.Node
 
 	reps    [2]*core.Controller
-	repSrvs [2]*httptest.Server
+	repSrvs [2]*testServer
 	repURLs [2]string
 	nodes   [2]*replication.Node
 	// rejoinAddr is where the dead primary's stores come back as a
@@ -81,13 +80,11 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 		return net.DialTimeout("tcp", addr, 2*time.Second)
 	})
 
-	rig.priSrv = httptest.NewUnstartedServer(nil)
-	srvA := httptest.NewUnstartedServer(nil)
-	srvB := httptest.NewUnstartedServer(nil)
-	rig.repSrvs = [2]*httptest.Server{srvA, srvB}
-	priURL := "http://" + rig.priSrv.Listener.Addr().String()
+	rig.priSrv = newUnstartedTestServer(t)
+	rig.repSrvs = [2]*testServer{newUnstartedTestServer(t), newUnstartedTestServer(t)}
+	priURL := rig.priSrv.URL
 	for i, s := range rig.repSrvs {
-		rig.repURLs[i] = "http://" + s.Listener.Addr().String()
+		rig.repURLs[i] = s.URL
 	}
 	v1, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
 		{ID: 0, Addr: priURL, Replicas: rig.repURLs[:], Epoch: 1},
@@ -155,12 +152,10 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 		t.Fatal(err)
 	}
 
-	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.pri).SetNode(rig.priNode)}
-	rig.priSrv.Start()
+	rig.priSrv.Start(NewServer(rig.pri).SetNode(rig.priNode))
 	t.Cleanup(rig.priSrv.Close)
 	for i, s := range rig.repSrvs {
-		s.Config = &http.Server{Handler: NewServer(rig.reps[i]).SetNode(rig.nodes[i])}
-		s.Start()
+		s.Start(NewServer(rig.reps[i]).SetNode(rig.nodes[i]))
 		t.Cleanup(s.Close)
 	}
 

@@ -122,6 +122,9 @@ func (s *GatewayServer) handlePublishRelay(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	n, err := readBodyAs(r, event.DecodeNotification)
+	if err == nil {
+		err = checkTrace(n.Trace)
+	}
 	if err != nil {
 		badRequest(w, event.XML, err.Error())
 		return

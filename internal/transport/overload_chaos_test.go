@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strconv"
@@ -70,7 +69,7 @@ type stormRig struct {
 	ctrl    *core.Controller
 	gw      *gateway.Gateway
 	gate    *overload.Gate
-	hs      *httptest.Server
+	hs      *testServer
 	reg     *telemetry.Registry
 	release chan struct{} // closed to un-wedge the consumer
 }
@@ -132,7 +131,7 @@ func newStormRig(t *testing.T) *stormRig {
 		ActorRPS:    stormActorRPS,
 		Metrics:     reg,
 	})
-	hs := httptest.NewServer(NewServer(ctrl).SetAdmission(gate))
+	hs := newTestServer(t, NewServer(ctrl).SetAdmission(gate))
 	t.Cleanup(hs.Close)
 	return &stormRig{ctrl: ctrl, gw: gw, gate: gate, hs: hs, reg: reg, release: release}
 }
@@ -400,7 +399,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 			drainCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			drainStart := time.Now()
 			drainErr := overload.Drain(drainCtx, r.gate,
-				overload.Step{Name: "http-shutdown", Run: r.hs.Config.Shutdown},
+				overload.Step{Name: "http-shutdown", Run: r.hs.srv.Shutdown},
 				overload.Step{Name: "bus-flush", Run: r.ctrl.FlushContext},
 				overload.Step{Name: "store-close", Run: r.ctrl.CloseContext},
 			)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +35,7 @@ import (
 // server, routed by a map that names the replica.
 type replChaosRig struct {
 	primary, replica *core.Controller
-	priSrv, repSrv   *httptest.Server
+	priSrv, repSrv   *testServer
 	priNode, repNode *replication.Node
 	v1               *cluster.Map
 }
@@ -46,10 +45,9 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 	rig := &replChaosRig{}
 
-	rig.priSrv = httptest.NewUnstartedServer(nil)
-	rig.repSrv = httptest.NewUnstartedServer(nil)
-	priURL := "http://" + rig.priSrv.Listener.Addr().String()
-	repURL := "http://" + rig.repSrv.Listener.Addr().String()
+	rig.priSrv = newUnstartedTestServer(t)
+	rig.repSrv = newUnstartedTestServer(t)
+	priURL, repURL := rig.priSrv.URL, rig.repSrv.URL
 	v1, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
 		{ID: 0, Addr: priURL, Replicas: []string{repURL}, Epoch: 1},
 	})
@@ -116,11 +114,9 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 		t.Fatal(err)
 	}
 
-	rig.priSrv.Config = &http.Server{Handler: NewServer(rig.primary).SetNode(rig.priNode)}
-	rig.priSrv.Start()
+	rig.priSrv.Start(NewServer(rig.primary).SetNode(rig.priNode))
 	t.Cleanup(rig.priSrv.Close)
-	rig.repSrv.Config = &http.Server{Handler: NewServer(rig.replica).SetNode(rig.repNode)}
-	rig.repSrv.Start()
+	rig.repSrv.Start(NewServer(rig.replica).SetNode(rig.repNode))
 	t.Cleanup(rig.repSrv.Close)
 
 	// The storm must not race provisioning onto the replica: wait until

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -68,6 +70,10 @@ func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		closeBody(req)
 		return nil, errNoHost
 	}
+	if err := checkHeader(req.Header); err != nil {
+		closeBody(req)
+		return nil, err
+	}
 	addr := req.URL.Host
 	if req.URL.Port() == "" {
 		addr = net.JoinHostPort(req.URL.Hostname(), "80")
@@ -126,7 +132,7 @@ func (t *roundTripper) dial(ctx context.Context, addr string) (*persistConn, err
 func (t *roundTripper) exchange(ctx context.Context, pc *persistConn, req *http.Request) (resp *http.Response, unanswered bool, err error) {
 	nc := pc.nc
 	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Unix(1, 0)) })
-	if err = req.Write(pc.bw); err == nil {
+	if err = writeRequest(pc.bw, req); err == nil {
 		err = pc.bw.Flush()
 	}
 	if err == nil {
@@ -279,4 +285,82 @@ func (b *body) done(keep bool, err error) {
 	pc := b.pc
 	b.pc, b.err = nil, err
 	b.t.release(pc, b.stop, keep)
+}
+
+// checkHeader refuses a header name that is not a token and a value
+// holding a control character, CR and LF among them, as net/http's
+// Transport does: written out, such a value would end the header line
+// early and let its remainder pass for headers of its own.
+func checkHeader(h http.Header) error {
+	for k, vv := range h {
+		if !validFieldName(k) {
+			return errors.New("transport: invalid header field name " + strconv.Quote(k))
+		}
+		for _, v := range vv {
+			if !validFieldValue(v) {
+				return errors.New("transport: invalid header field value for " + strconv.Quote(k))
+			}
+		}
+	}
+	return nil
+}
+
+// writeRequest writes req to bw, head and body, and closes the body.
+// The head is the request line, Host, the request's headers, then
+// Content-Length, or Transfer-Encoding: chunked for a body of unknown
+// length.
+func writeRequest(bw *bufio.Writer, req *http.Request) error {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	host := req.Host
+	if host == "" {
+		host = req.URL.Host
+	}
+	bw.WriteString(req.Method)
+	bw.WriteByte(' ')
+	bw.WriteString(req.URL.RequestURI())
+	bw.WriteString(" HTTP/1.1\r\nHost: ")
+	bw.WriteString(host)
+	bw.WriteString("\r\n")
+	for k, vv := range req.Header {
+		switch k {
+		case "Host", "Content-Length", "Transfer-Encoding", "Trailer":
+			continue // written from the request's fields
+		}
+		for _, v := range vv {
+			writeField(bw, k, v)
+		}
+	}
+	if req.Close && len(req.Header["Connection"]) == 0 {
+		bw.WriteString("Connection: close\r\n")
+	}
+	n := req.ContentLength
+	if req.Body == nil || req.Body == http.NoBody {
+		n = 0
+	} else if n == 0 {
+		n = -1 // a body of unknown length
+	}
+	switch {
+	case n < 0:
+		bw.WriteString("Transfer-Encoding: chunked\r\n\r\n")
+		cw := httputil.NewChunkedWriter(bw)
+		if _, err := io.Copy(cw, req.Body); err != nil {
+			return err
+		}
+		if err := cw.Close(); err != nil {
+			return err
+		}
+		_, err := bw.WriteString("\r\n")
+		return err
+	case n > 0 || req.Method == http.MethodPost || req.Method == http.MethodPut || req.Method == http.MethodPatch:
+		bw.WriteString("Content-Length: ")
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), n, 10))
+		bw.WriteString("\r\n")
+	}
+	if _, err := bw.WriteString("\r\n"); err != nil || n == 0 {
+		return err
+	}
+	_, err := io.CopyN(bw, req.Body, n)
+	return err
 }

@@ -144,6 +144,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request, who beare
 		badRequest(w, resp, err.Error())
 		return
 	}
+	if err := checkTrace(n.Trace); err != nil {
+		badRequest(w, resp, err.Error())
+		return
+	}
 	if err := who.covers(event.Actor(n.Producer)); err != nil {
 		writeAuthFault(w, err)
 		return
@@ -173,8 +177,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		badRequest(w, resp, err.Error())
 		return
 	}
-	if req.Callback == "" {
-		badRequest(w, resp, "missing callback URL")
+	if err := checkCallback(req.Callback); err != nil {
+		badRequest(w, resp, err.Error())
 		return
 	}
 	// The callback codec is negotiated once here; every delivery to this
@@ -198,6 +202,28 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		return
 	}
 	writeEnvelope(w, resp, http.StatusOK, &subscribeResponse{ID: sub.ID()})
+}
+
+// checkCallback accepts a callback only where a delivery can go: an
+// absolute http or https URL that names a host. Refused here, before
+// the subscription is made or audited, such a callback would take a
+// subscription id and fail every delivery.
+func checkCallback(callback string) error {
+	u, err := url.Parse(callback)
+	if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
+		return errors.New("transport: callback must be an absolute http or https URL with a host: " + strconv.Quote(callback))
+	}
+	return nil
+}
+
+// checkTrace refuses a flow trace that the X-Trace-Id header of every
+// callback and gateway fetch could not carry verbatim (see
+// telemetry.ValidTraceID); empty means the controller mints one.
+func checkTrace(trace string) error {
+	if trace != "" && !telemetry.ValidTraceID(trace) {
+		return errors.New("transport: trace id must be 1-64 printable ASCII bytes without spaces: " + strconv.Quote(trace))
+	}
+	return nil
 }
 
 // deliverCallback POSTs the notification to the subscriber's endpoint,
@@ -331,6 +357,10 @@ func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request, who beare
 	resp := responseCodec(r, codec)
 	req, err := codec.DecodeDetailRequest(body)
 	if err != nil {
+		badRequest(w, resp, err.Error())
+		return
+	}
+	if err := checkTrace(req.Trace); err != nil {
 		badRequest(w, resp, err.Error())
 		return
 	}

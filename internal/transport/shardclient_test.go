@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -31,7 +30,7 @@ import (
 // to all of them.
 type shardRig struct {
 	ctrls   []*core.Controller
-	servers []*httptest.Server
+	servers []*testServer
 	gw      *gateway.Gateway
 	m       *cluster.Map
 	sc      *ShardedClient
@@ -44,15 +43,11 @@ func newShardRig(t *testing.T, n int, opts ...ShardedOption) *shardRig {
 	// The map must exist before the controllers (each shard is born
 	// knowing its assignment), but shard addresses are only known once
 	// the listeners are bound — so bind first, serve later.
-	lns := make([]net.Listener, n)
+	servers := make([]*testServer, n)
 	shards := make([]cluster.ShardInfo, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		shards[i] = cluster.ShardInfo{ID: cluster.ShardID(i), Addr: "http://" + ln.Addr().String()}
+	for i := range servers {
+		servers[i] = newUnstartedTestServer(t)
+		shards[i] = cluster.ShardInfo{ID: cluster.ShardID(i), Addr: servers[i].URL}
 	}
 	m, err := cluster.NewMap(1, 0, shards)
 	if err != nil {
@@ -65,7 +60,7 @@ func newShardRig(t *testing.T, n int, opts ...ShardedOption) *shardRig {
 		t.Fatal(err)
 	}
 	r.gw = gw
-	gwServer := httptest.NewServer(testGatewayServer(gw))
+	gwServer := newTestServer(t, testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 
 	for i := 0; i < n; i++ {
@@ -96,10 +91,8 @@ func newShardRig(t *testing.T, n int, opts ...ShardedOption) *shardRig {
 		if _, err := ctrl.DefinePolicy(doctorBloodPolicy()); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewUnstartedServer(NewServer(ctrl))
-		srv.Listener.Close()
-		srv.Listener = lns[i]
-		srv.Start()
+		srv := servers[i]
+		srv.Start(NewServer(ctrl))
 		t.Cleanup(srv.Close)
 		r.ctrls = append(r.ctrls, ctrl)
 		r.servers = append(r.servers, srv)

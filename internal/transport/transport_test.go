@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/consent"
 	"repro/internal/core"
 	"repro/internal/crypto"
@@ -30,8 +32,8 @@ import (
 type rig struct {
 	ctrl       *core.Controller
 	gw         *gateway.Gateway
-	ctrlServer *httptest.Server
-	gwServer   *httptest.Server
+	ctrlServer *testServer
+	gwServer   *testServer
 	client     *Client
 }
 
@@ -66,13 +68,13 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwServer := httptest.NewServer(testGatewayServer(gw))
+	gwServer := newTestServer(t, testGatewayServer(gw))
 	t.Cleanup(gwServer.Close)
 	if err := ctrl.AttachGateway("hospital", NewRemoteGateway(gwServer.URL, nil)); err != nil {
 		t.Fatal(err)
 	}
 
-	ctrlServer := httptest.NewServer(NewServer(ctrl))
+	ctrlServer := newTestServer(t, NewServer(ctrl))
 	t.Cleanup(ctrlServer.Close)
 
 	return &rig{
@@ -240,6 +242,101 @@ func TestRemoteSubscribeDenied(t *testing.T) {
 	// Missing callback is a bad request.
 	if _, err := r.client.Subscribe(context.Background(), "family-doctor", schema.ClassBloodTest, ""); err == nil {
 		t.Error("missing callback accepted")
+	}
+}
+
+// A callback no delivery can reach is refused before the subscription
+// is made: no subscription id, no audit record.
+func TestRemoteSubscribeRefusesUndeliverableCallback(t *testing.T) {
+	r := newRig(t)
+	r.doctorPolicy(t)
+	for _, cb := range []string{"", "://no-scheme/cb", "ftp://example.org/cb", "not a url", "http:///nohost", "/relative/cb"} {
+		id, err := r.client.Subscribe(context.Background(), "family-doctor", schema.ClassBloodTest, cb)
+		var f *Fault
+		if !errors.As(err, &f) || f.Code != CodeBadRequest {
+			t.Errorf("callback %q: id %q, err %v, want a %s fault", cb, id, err, CodeBadRequest)
+		}
+	}
+	recs, err := r.ctrl.Audit().Search(audit.Query{Kind: audit.KindSubscribe})
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("%d subscribe records audited (%v), want none", len(recs), err)
+	}
+	for _, cb := range []string{"http://127.0.0.1:1/cb", "https://consumer.example/cb"} {
+		if _, err := r.client.Subscribe(context.Background(), "family-doctor", schema.ClassBloodTest, cb); err != nil {
+			t.Errorf("callback %q: %v", cb, err)
+		}
+	}
+}
+
+// A trace that could not travel verbatim in an X-Trace-Id header is
+// refused with bad-request on publish and on a detail request, in both
+// codecs, before anything is recorded.
+func TestBadTraceIsBadRequest(t *testing.T) {
+	r := newRig(t)
+	r.doctorPolicy(t)
+	gid := r.produce(t, "src-ok", "PRS-1")
+	before, err := r.ctrl.Audit().Search(audit.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trace := range []string{"abc\r\nX-Evil: 1", strings.Repeat("t", 65), "has space"} {
+		n := &event.Notification{SourceID: "src-bad", Class: schema.ClassBloodTest, PersonID: "PRS-2",
+			Summary: "blood test", OccurredAt: time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC), Producer: "hospital", Trace: trace}
+		d := &event.DetailRequest{Requester: "family-doctor", Class: schema.ClassBloodTest, EventID: gid,
+			Purpose: event.PurposeHealthcareTreatment, Trace: trace}
+		for _, codec := range []event.Codec{event.XML, event.Binary} {
+			nb, err := codec.EncodeNotification(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := codec.EncodeDetailRequest(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, body := range map[string][]byte{"/ws/publish": nb, "/ws/details": db} {
+				resp, err := http.Post(r.ctrlServer.URL+path, codec.ContentType(), bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				f, err := decodeEnvelope(data, readFault)
+				if resp.StatusCode != http.StatusBadRequest || err != nil || f.Code != CodeBadRequest {
+					t.Errorf("%s %s trace %q: status %d, body %q", codec.Name(), path, trace, resp.StatusCode, data)
+				}
+			}
+		}
+	}
+	after, err := r.ctrl.Audit().Search(audit.Query{})
+	if err != nil || len(after) != len(before) {
+		t.Fatalf("%d audit records after refusals, %d before (%v)", len(after), len(before), err)
+	}
+	// The gateway's publish relay refuses it before parking it.
+	qp, err := NewQueuedPublisher(nopPublisher{}, store.OpenMemory(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qp.Close()
+	gs := testGatewayServer(r.gw)
+	gs.EnablePublishRelay(qp)
+	body, err := event.XML.EncodeNotification(&event.Notification{SourceID: "src-relay", Class: schema.ClassBloodTest,
+		PersonID: "PRS-2", Summary: "blood test", OccurredAt: time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC),
+		Producer: "hospital", Trace: "abc\r\nX-Evil: 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	gs.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/gw/publish", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || qp.Depth() != 0 {
+		t.Errorf("relay: status %d, %d parked, want 400 and none", rec.Code, qp.Depth())
+	}
+	// Traces in use stay valid.
+	for i, trace := range []string{"t1", "replay", "feedbeefcafe0001", "00000000000000004bf92f3577b34da6"} {
+		n := &event.Notification{SourceID: event.SourceID("src-" + trace), Class: schema.ClassBloodTest, PersonID: "PRS-3",
+			Summary: "blood test", OccurredAt: time.Date(2010, 5, 30, 9, i, 0, 0, time.UTC), Producer: "hospital", Trace: trace}
+		if _, err := r.client.Publish(context.Background(), n); err != nil {
+			t.Errorf("trace %q: %v", trace, err)
+		}
 	}
 }
 
