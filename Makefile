@@ -139,7 +139,8 @@ FRAME_FILES = $(filter-out %_test.go,$(wildcard internal/frame/*.go))
 JSONX_FILES = $(filter-out %_test.go,$(wildcard internal/jsonx/*.go))
 STORE_FILES = $(filter-out %_test.go,$(wildcard internal/store/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
-	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go internal/transport/serve.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
+	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go internal/transport/serve.go \
+	internal/transport/answer.go internal/transport/caller.go internal/transport/service.go internal/telemetry/http.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \
@@ -183,6 +184,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzXMLEnvelopeDifferential -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzIndexRecordDifferential -fuzztime=15s ./internal/index/
 	$(GO) test -run '^$$' -fuzz=FuzzControlFrame -fuzztime=15s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz=FuzzResponseHead -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzReplicationFrame -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableModel -fuzztime=15s ./internal/store/

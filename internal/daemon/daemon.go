@@ -102,11 +102,14 @@ func (r *Runner) Gate() *overload.Gate {
 // Accepted work is never abandoned. Serve exits the process non-zero
 // when the listener fails or a drain step does.
 func (r *Runner) Serve(addr, title string, h http.Handler, slo *telemetry.SLO, steps ...overload.Step) {
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
 	if r.pprof {
+		// The service goes behind a mux that adds /debug/pprof/;
+		// without -pprof it is served as it is, with no mux in front.
+		mux := http.NewServeMux()
+		mux.Handle("/", h)
 		telemetry.RegisterPprof(mux)
 		telemetry.Logger().Info("pprof profiling enabled", "path", "/debug/pprof/")
+		h = mux
 	}
 	telemetry.Logger().Info(title+" listening", "addr", addr,
 		"metrics", "/metrics", "healthz", "/healthz",
@@ -117,7 +120,7 @@ func (r *Runner) Serve(addr, title string, h http.Handler, slo *telemetry.SLO, s
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := transport.NewHTTPServer(mux)
+	httpSrv := transport.NewHTTPServer(h)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go slo.Run(ctx)

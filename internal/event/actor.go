@@ -1,7 +1,6 @@
 package event
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -19,11 +18,11 @@ type Actor string
 // Validate reports whether the actor path is well formed.
 func (a Actor) Validate() error {
 	if a == "" {
-		return errors.New("event: empty actor")
+		return invalid("event: empty actor")
 	}
 	for _, seg := range strings.Split(string(a), "/") {
 		if seg == "" {
-			return fmt.Errorf("event: actor %q has an empty path segment", a)
+			return invalid(fmt.Sprintf("event: actor %q has an empty path segment", a))
 		}
 	}
 	return nil
@@ -74,7 +73,7 @@ const (
 // Validate reports whether the purpose is well formed (non-empty).
 func (p Purpose) Validate() error {
 	if p == "" {
-		return errors.New("event: empty purpose")
+		return invalid("event: empty purpose")
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func (r *DetailRequest) Validate() error {
 		return err
 	}
 	if r.EventID == "" {
-		return errValue("event: detail request missing event id")
+		return invalid("event: detail request missing event id")
 	}
 	if err := CheckWireTime(r.At); err != nil {
 		return err
@@ -72,3 +72,17 @@ func (d Decision) String() string {
 type errValue string
 
 func (e errValue) Error() string { return string(e) }
+
+// ErrInvalid is what every error of the messages' Validate methods
+// wraps (ErrTimeRange aside): a field the protocol requires is missing,
+// or a class, actor or purpose is malformed. The sender's message is at
+// fault, and no resend can mend it.
+const ErrInvalid = errValue("event: invalid message")
+
+// invalid is an error of a Validate method: its own text, wrapping
+// ErrInvalid.
+type invalid string
+
+func (e invalid) Error() string { return string(e) }
+
+func (e invalid) Unwrap() error { return ErrInvalid }

@@ -587,31 +587,43 @@ func (n *Node) campaign() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LeaseFor)
 	defer cancel()
-	results := make(chan bool, len(n.cfg.Peers))
+	// A ballot is a peer's answer: its grant, or the epoch it held when
+	// it denied (0 when it could not be asked).
+	type ballot struct {
+		granted bool
+		holds   uint64
+	}
+	results := make(chan ballot, len(n.cfg.Peers))
 	for _, addr := range n.cfg.Peers {
 		go func(addr string) {
 			granted, voterEpoch, err := Campaign(ctx, n.cfg.Dial, addr, epoch, cursors)
 			if err != nil {
 				n.logf("election: peer %s: %v", addr, err)
-			} else if !granted {
+				results <- ballot{}
+				return
+			}
+			if !granted {
 				n.logf("election: peer %s denied epoch %d (holds %d)", addr, epoch, voterEpoch)
 				if span != nil {
 					span.AddEvent("election.denied", telemetry.Attr{Key: "peer", Value: addr})
 				}
 			}
-			results <- err == nil && granted
+			results <- ballot{granted: granted, holds: voterEpoch}
 		}(addr)
 	}
 
 	// The lease window (ctx's deadline): grants still in flight when it
 	// closes are discarded — they never count, deterministically.
 	pending := len(n.cfg.Peers)
+	var later uint64 // the latest epoch a denying peer holds
 	for votes < need && pending > 0 {
 		select {
-		case g := <-results:
+		case b := <-results:
 			pending--
-			if g {
+			if b.granted {
 				votes++
+			} else {
+				later = max(later, b.holds)
 			}
 		case <-ctx.Done():
 			pending = 0
@@ -625,6 +637,15 @@ func (n *Node) campaign() {
 		n.outcome("lost")
 		if span != nil {
 			span.AddEvent("election.lost", telemetry.Attr{Key: "votes", Value: fmt.Sprint(votes)})
+		}
+		// A peer holding a later epoch denies every claim up to it.
+		// Adopt it, so that the next claim goes past it: claiming one
+		// above our own each round, a node ahead in data could trail a
+		// lagging peer's epochs indefinitely, each denying the other.
+		if later > epoch {
+			if _, err := n.epoch.Raise(later); err != nil {
+				n.logf("election: adopting epoch %d: %v", later, err)
+			}
 		}
 		n.sleep(n.jitter(n.cfg.Backoff))
 		return

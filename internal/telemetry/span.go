@@ -194,12 +194,12 @@ func (t *Tracer) StartSpan(ctx context.Context, stage string) (context.Context, 
 		// the context only has to carry {trace, tracer} for propagation;
 		// when it already does, it is returned untouched.
 		if tc == nil || tc.trace != trace || tc.tracer != t {
-			ctx = context.WithValue(ctx, ctxKey{}, &traceCtx{trace: trace, span: parent, tracer: t})
+			ctx = &traceCtx{Context: ctx, trace: trace, span: parent, tracer: t}
 		}
 		return ctx, s
 	}
 	s.span.ID = NewSpanID()
-	ctx = context.WithValue(ctx, ctxKey{}, &traceCtx{trace: trace, span: s.span.ID, tracer: t})
+	ctx = &traceCtx{Context: ctx, trace: trace, span: s.span.ID, tracer: t}
 	return ctx, s
 }
 
@@ -228,7 +228,7 @@ func (t *Tracer) StartSpanFrom(ctx context.Context, stage, trace, parent string)
 		s.span.ID = NewSpanID()
 		cur = s.span.ID
 	}
-	ctx = context.WithValue(ctx, ctxKey{}, &traceCtx{trace: trace, span: cur, tracer: t})
+	ctx = &traceCtx{Context: ctx, trace: trace, span: cur, tracer: t}
 	return ctx, s
 }
 

@@ -104,13 +104,24 @@ type ctxKey struct{}
 
 // traceCtx bundles everything a traced flow carries through a context —
 // the trace ID, the current span ID (parent of any span started
-// beneath it) and the tracer — under ONE context key, so attaching all
-// three costs a single context.WithValue instead of three. Publish
-// fan-out opens a span per delivery; the difference is measurable.
+// beneath it) and the tracer — under ONE context key, and is itself the
+// context that carries them: attaching all three costs one allocation,
+// where context.WithValue of the bundle costs two. Publish fan-out
+// opens a span per delivery; the difference is measurable.
 type traceCtx struct {
-	trace  string
-	span   string
-	tracer *Tracer
+	context.Context // the parent
+	trace           string
+	span            string
+	tracer          *Tracer
+}
+
+// Value answers the trace state for ctxKey and leaves every other key
+// to the parent.
+func (c *traceCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
 }
 
 func traceCtxFrom(ctx context.Context) *traceCtx {
@@ -125,11 +136,11 @@ func WithTrace(ctx context.Context, trace string) context.Context {
 	if tc != nil && tc.trace == trace {
 		return ctx
 	}
-	nt := &traceCtx{trace: trace}
+	nt := &traceCtx{Context: ctx, trace: trace}
 	if tc != nil {
 		nt.span, nt.tracer = tc.span, tc.tracer
 	}
-	return context.WithValue(ctx, ctxKey{}, nt)
+	return nt
 }
 
 // WithTraceSpan returns a context carrying both the trace and the
@@ -137,11 +148,11 @@ func WithTrace(ctx context.Context, trace string) context.Context {
 // path, where the trace context is rebuilt from the message for every
 // delivery. The tracer, if any, is preserved.
 func WithTraceSpan(ctx context.Context, trace, span string) context.Context {
-	nt := &traceCtx{trace: trace, span: span}
+	nt := &traceCtx{Context: ctx, trace: trace, span: span}
 	if tc := traceCtxFrom(ctx); tc != nil {
 		nt.tracer = tc.tracer
 	}
-	return context.WithValue(ctx, ctxKey{}, nt)
+	return nt
 }
 
 // TraceFrom extracts the trace ID from a context ("" if absent).

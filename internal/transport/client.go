@@ -41,9 +41,7 @@ func NewClient(base string, httpClient *http.Client, opts ...Option) *Client {
 // WithToken returns a copy of the client that sends the bearer token on
 // every request.
 func (c *Client) WithToken(token string) *Client {
-	cp := *c
-	cp.token = token
-	return &cp
+	return &Client{c.withToken(token)}
 }
 
 // call sends one request to a controller route, one circuit breaker per
@@ -53,7 +51,7 @@ func (c *Client) WithToken(token string) *Client {
 // XML everywhere else.
 func (c *Client) call(ctx context.Context, method, path, contentType string, body []byte, decode func([]byte) error) error {
 	endpoint, _, _ := strings.Cut(path, "?")
-	return c.do(ctx, endpoint, method, path, contentType, contentType, "", body, decode)
+	return c.do(ctx, endpoint, method, c.baseURL, path, contentType, contentType, "", body, decode)
 }
 
 // post sends an XML body and decodes the XML response into out.

@@ -17,7 +17,6 @@ package transport
 import (
 	"encoding/xml"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -57,7 +56,7 @@ func responseCodec(r *http.Request, reqCodec event.Codec) event.Codec {
 // readRaw reads the size-bounded request body for codec-negotiated
 // routes (the codec is chosen after the bytes are in hand).
 func readRaw(r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	data, err := readSized(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, errors.New("transport: read body: " + err.Error())
 	}

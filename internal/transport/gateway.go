@@ -212,7 +212,7 @@ func NewRemoteGateway(base string, httpClient *http.Client, opts ...Option) *Rem
 // shared — the endpoint's health is identity-independent.
 func (g *RemoteGateway) WithToken(token string) *RemoteGateway {
 	cp := *g
-	cp.token = token
+	cp.caller = g.withToken(token)
 	cp.flights = &cache.Group[string, *event.Detail]{}
 	return &cp
 }
@@ -222,7 +222,7 @@ func (g *RemoteGateway) WithToken(token string) *RemoteGateway {
 // /healthz. The Accept preference asks for detail payloads in the
 // negotiated codec; responses are sniffed, so either format decodes.
 func (g *RemoteGateway) post(ctx context.Context, path, trace string, body []byte, decode func([]byte) error) error {
-	return g.do(ctx, g.base, http.MethodPost, path, event.ContentTypeXML, g.codec.ContentType(), trace, body, decode)
+	return g.do(ctx, g.base, http.MethodPost, g.baseURL, path, event.ContentTypeXML, g.codec.ContentType(), trace, body, decode)
 }
 
 // Persist ships a full detail message to the gateway's persist endpoint

@@ -148,7 +148,7 @@ func TestWithTokenGetsItsOwnFlightGroup(t *testing.T) {
 	if tok.flights == g.flights {
 		t.Error("WithToken shares the coalescing group across identities")
 	}
-	if tok.token != "secret" || g.token != "" {
-		t.Errorf("token isolation broken: %q / %q", tok.token, g.token)
+	if len(tok.auth) != 1 || tok.auth[0] != "Bearer secret" || g.auth != nil {
+		t.Errorf("token isolation broken: %q / %q", tok.auth, g.auth)
 	}
 }

@@ -177,7 +177,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		badRequest(w, resp, err.Error())
 		return
 	}
-	if err := checkCallback(req.Callback); err != nil {
+	callback, err := parseCallback(req.Callback)
+	if err != nil {
 		badRequest(w, resp, err.Error())
 		return
 	}
@@ -192,10 +193,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 		writeAuthFault(w, err)
 		return
 	}
-	callback := req.Callback
 	subscriber := string(req.Actor)
 	sub, err := s.ctrl.SubscribeCtx(req.Actor, req.Class, func(ctx context.Context, n *event.Notification) {
-		s.deliverCallback(ctx, callback, subscriber, cbCodec, n)
+		s.deliver(ctx, callback, subscriber, cbCodec, n)
 	})
 	if err != nil {
 		writeFault(w, resp, err)
@@ -204,16 +204,17 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, who bea
 	writeEnvelope(w, resp, http.StatusOK, &subscribeResponse{ID: sub.ID()})
 }
 
-// checkCallback accepts a callback only where a delivery can go: an
+// parseCallback accepts a callback only where a delivery can go: an
 // absolute http or https URL that names a host. Refused here, before
 // the subscription is made or audited, such a callback would take a
-// subscription id and fail every delivery.
-func checkCallback(callback string) error {
+// subscription id and fail every delivery. Accepted, it is parsed once
+// for every delivery of the subscription.
+func parseCallback(callback string) (*url.URL, error) {
 	u, err := url.Parse(callback)
 	if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
-		return errors.New("transport: callback must be an absolute http or https URL with a host: " + strconv.Quote(callback))
+		return nil, errors.New("transport: callback must be an absolute http or https URL with a host: " + strconv.Quote(callback))
 	}
-	return nil
+	return u, nil
 }
 
 // checkTrace refuses a flow trace that the X-Trace-Id header of every
@@ -226,7 +227,7 @@ func checkTrace(trace string) error {
 	return nil
 }
 
-// deliverCallback POSTs the notification to the subscriber's endpoint,
+// deliver POSTs the notification to the subscriber's endpoint,
 // forwarding the flow's trace ID in the X-Trace-Id header and the
 // delivery span in the W3C traceparent header, so spans the consumer
 // opens while handling the callback parent under this flow's
@@ -236,26 +237,37 @@ func checkTrace(trace string) error {
 // failed delivery is never silent: it is logged with the trace ID and
 // counted in css_deliveries_failed_total so operators see subscriber
 // outages.
-func (s *Server) deliverCallback(ctx context.Context, callback, subscriber string, codec event.Codec, n *event.Notification) {
+func (s *Server) deliver(ctx context.Context, callback *url.URL, subscriber string, codec event.Codec, n *event.Notification) {
 	reason := "encode"
 	body, err := codec.EncodeNotification(n)
 	if err == nil {
-		err = s.callbacks.do(ctx, callback, http.MethodPost, callback, codec.ContentType(), "", n.Trace, body, nil)
+		err = s.callbacks.do(ctx, callback.Host, http.MethodPost, callback, "", codec.ContentType(), "", n.Trace, body, nil)
 		if err == nil {
 			return
 		}
-		// What failed: building the request (an unparsable callback URL),
-		// reaching the subscriber, or the subscriber's answer.
-		var ue *url.Error
-		switch {
-		case !errors.As(err, &ue):
-			reason = "status"
-		case ue.Op == "parse":
-			reason = "request"
-		default:
+		// What failed: reaching the subscriber, or the subscriber's
+		// answer.
+		reason = "status"
+		if ue := (*url.Error)(nil); errors.As(err, &ue) {
 			reason = "connect"
 		}
 	}
+	s.deliveryFailed(n, subscriber, callback.String(), reason, err)
+}
+
+// deliverCallback is deliver to a callback URL given as text, which
+// fails as "request" when it does not parse.
+func (s *Server) deliverCallback(ctx context.Context, callback, subscriber string, codec event.Codec, n *event.Notification) {
+	u, err := url.Parse(callback)
+	if err != nil {
+		s.deliveryFailed(n, subscriber, callback, "request", err)
+		return
+	}
+	s.deliver(ctx, u, subscriber, codec, n)
+}
+
+// deliveryFailed counts and logs a delivery that failed for reason.
+func (s *Server) deliveryFailed(n *event.Notification, subscriber, callback, reason string, err error) {
 	s.deliveriesFailed.Inc(reason)
 	telemetry.Logger().Error("callback delivery failed",
 		"trace", n.Trace, "event", string(n.ID), "class", string(n.Class),

@@ -171,8 +171,10 @@ func faultFor(err error) (string, int) {
 		// Promote on a node already primary: the transition already
 		// happened, a conflict rather than a server failure.
 		return CodeBadRequest, http.StatusConflict
-	case errors.Is(err, event.ErrTimeRange):
-		// The message decoded, but carries a time only XML can spell.
+	case errors.Is(err, event.ErrInvalid), errors.Is(err, event.ErrTimeRange):
+		// The message decoded, but lacks a field the protocol requires,
+		// names a malformed class, actor or purpose, or carries a time
+		// only XML can spell: no resend can succeed.
 		return CodeBadRequest, http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-endpoint deadline expired mid-flow: a gateway timeout,
