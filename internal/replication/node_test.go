@@ -259,6 +259,32 @@ func TestNodeTransitions(t *testing.T) {
 		}
 	})
 
+	t.Run("a lost campaign adopts the epoch a denying peer holds", func(t *testing.T) {
+		// The voter holds epoch 7, so it denies every claim up to 7.
+		voter := testNode(t, t.TempDir(), nil)
+		if _, err := voter.epoch.Raise(7); err != nil {
+			t.Fatal(err)
+		}
+		promoted := make(chan uint64, 1)
+		n := testNode(t, t.TempDir(), func(c *NodeConfig) {
+			c.Election = true
+			c.Peers = []string{voter.Addr()}
+			c.ClusterSize = 3
+			c.OnPromoted = func(epoch uint64) { promoted <- epoch }
+		})
+		var epoch uint64
+		select {
+		case epoch = <-promoted:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no promotion: %+v", n.Status())
+		}
+		// The first claim (2) is denied; the second goes past 7 at once
+		// instead of climbing one epoch a round.
+		if st := n.Status(); epoch != 8 || st.Campaigns != 2 || st.Won != 1 {
+			t.Fatalf("promoted at %d with status %+v, want epoch 8 on the second campaign", epoch, st)
+		}
+	})
+
 	t.Run("manual promote while watching stands the loop down", func(t *testing.T) {
 		var mu sync.Mutex
 		var log []string
