@@ -35,6 +35,38 @@ func chaosBlackout() time.Duration {
 	return 400 * time.Millisecond
 }
 
+// chaosTransport is the round tripper of the chaos rigs: a
+// FaultInjector on the call path every caller built with
+// NewTunedTransport takes. The caller hands it the attempt's deadline as
+// it hands it to the platform's round tripper, with no context derived
+// for it, and the faults run in front of that round tripper's exchange.
+type chaosTransport struct {
+	*resilience.FaultInjector
+}
+
+// attemptDeadline carries an attempt's deadline across the injector,
+// which passes a request on as it got it, to the round tripper behind.
+type attemptDeadline struct{}
+
+func newChaosTransport(cfg resilience.FaultConfig) chaosTransport {
+	rt := NewTunedTransport().(*roundTripper)
+	return chaosTransport{resilience.NewFaultInjector(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		deadline, _ := req.Context().Value(attemptDeadline{}).(time.Time)
+		return rt.roundTrip(req.Context(), req, deadline)
+	}), cfg)}
+}
+
+func (c chaosTransport) roundTrip(ctx context.Context, req *http.Request, deadline time.Time) (*http.Response, error) {
+	return c.RoundTrip(req.WithContext(context.WithValue(ctx, attemptDeadline{}, deadline)))
+}
+
+// Every chaos rig runs the deadline path of the code that ships.
+var _ deadlineRoundTripper = chaosTransport{}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
 // chaosRig is a distributed deployment with fault injectors on both
 // remote hops: producer/consumer → controller (ctrlFaults) and
 // controller → producer gateway (gwFaults).
@@ -43,8 +75,8 @@ type chaosRig struct {
 	gw         *gateway.Gateway
 	client     *Client
 	qp         *QueuedPublisher
-	ctrlFaults *resilience.FaultInjector
-	gwFaults   *resilience.FaultInjector
+	ctrlFaults chaosTransport
+	gwFaults   chaosTransport
 }
 
 func newChaosRig(t *testing.T, seed int64) *chaosRig {
@@ -87,7 +119,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// has the consumer-side faults in front of it) plus retries and a
 	// breaker, exactly as a production controller would attach a remote
 	// producer.
-	gwFaults := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+	gwFaults := newChaosTransport(resilience.FaultConfig{
 		Seed:           seed + 1000,
 		ConnectFailure: 0.10,
 	})
@@ -107,7 +139,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// failures, plus response-side faults (synthesized 503s and truncated
 	// bodies) that force the at-least-once replay path: the controller
 	// indexed the event but the producer never saw the answer.
-	ctrlFaults := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+	ctrlFaults := newChaosTransport(resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.20,
 		ServerError:    0.05,

@@ -225,7 +225,7 @@ func (rig *electionRig) winner(t *testing.T) (int, uint64) {
 
 func (rig *electionRig) stormClient(t *testing.T, seed int64) *ShardedClient {
 	t.Helper()
-	fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+	fi := newChaosTransport(resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.05,
 		ServerError:    0.03,

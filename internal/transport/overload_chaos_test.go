@@ -202,7 +202,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 			r := newStormRig(t)
 			// Latency jitter on the client hop diversifies interleavings per
 			// seed without making any request fail outright.
-			faults := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+			faults := newChaosTransport(resilience.FaultConfig{
 				Seed:    seed,
 				Latency: 0.3, MaxLatency: 3 * time.Millisecond,
 			})

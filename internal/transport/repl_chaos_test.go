@@ -157,7 +157,7 @@ func TestChaosReplFailover(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rig := newReplChaosRig(t, seed)
-			fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+			fi := newChaosTransport(resilience.FaultConfig{
 				Seed:           seed,
 				ConnectFailure: 0.05,
 				ServerError:    0.03,

@@ -533,6 +533,35 @@ func TestRoundTripRefusesHeaderInjection(t *testing.T) {
 	}
 }
 
+// The round tripper refuses a control character in the parts of the
+// request line and Host it writes as they are, as net/http's Transport
+// does: the query, an opaque URL and the host.
+func TestRoundTripRefusesURLInjection(t *testing.T) {
+	e := &echo{}
+	s := newTestServer(t, e)
+	defer s.Close()
+	rt := newTestRoundTripper()
+	for _, edit := range []func(*http.Request){
+		func(r *http.Request) { r.URL.RawQuery = "a HTTP/1.1\r\nHost: h\r\n\r\nPOST /ws/promote?x=" },
+		func(r *http.Request) { r.URL.RawQuery = "a\nb" },
+		func(r *http.Request) { r.URL.Opaque = "/x\r\nX: y" },
+		func(r *http.Request) { r.Host = "h\r\nX: y" },
+	} {
+		req, err := http.NewRequest(http.MethodGet, s.URL+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(req)
+		if resp, err := rt.RoundTrip(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s %q sent", req.URL, req.Host)
+		}
+	}
+	if n := e.calls.Load(); n != 0 {
+		t.Fatalf("%d requests reached the server", n)
+	}
+}
+
 // A body of unknown length goes chunked through the same writer.
 func TestRoundTripSendsUnknownLengthChunked(t *testing.T) {
 	var te []string

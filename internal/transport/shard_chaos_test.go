@@ -36,9 +36,9 @@ func chaosPartition() time.Duration {
 // rig: one fault injector in front of every shard (so PartitionHosts
 // can cut a single shard while the rest keep answering), retries, and
 // per-shard breaker groups.
-func newShardChaosClient(t *testing.T, r *shardRig, seed int64) (*ShardedClient, *resilience.FaultInjector) {
+func newShardChaosClient(t *testing.T, r *shardRig, seed int64) (*ShardedClient, chaosTransport) {
 	t.Helper()
-	fi := resilience.NewFaultInjector(NewTunedTransport(), resilience.FaultConfig{
+	fi := newChaosTransport(resilience.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.10,
 		ServerError:    0.03,
