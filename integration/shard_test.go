@@ -59,11 +59,13 @@ func bootShard(t *testing.T, key []byte, id cluster.ShardID, m *cluster.Map, ln 
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewUnstartedServer(transport.NewServer(c))
-	srv.Listener.Close()
-	srv.Listener = ln
-	srv.Start()
-	t.Cleanup(srv.Close)
+	srv := transport.NewHTTPServer(transport.NewServer(c))
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
 	return c
 }
 

@@ -127,11 +127,12 @@ func (s *hangUpSource) GetResponseContext(ctx context.Context, _ string, src eve
 	return s.inner.GetResponse(src, fields)
 }
 
-// TestCoalescedFollowerNotAuditedCancelled: two consumers share one
-// gateway fetch and the one that started it hangs up. Only that consumer
-// abandoned anything: its record says "cancelled", while the follower
-// gets its detail and a "permit" record.
-func TestCoalescedFollowerNotAuditedCancelled(t *testing.T) {
+// TestTwinAuditedPermitWhileOtherCancelled: two consumers make the same
+// request and the first one's gateway fetch hangs until that consumer
+// hangs up. Each request fetches on its own: the twin gets its detail
+// and a "permit" record while the first is still in flight, and only
+// the consumer that hung up gets a "cancelled" record.
+func TestTwinAuditedPermitWhileOtherCancelled(t *testing.T) {
 	w := newWorld(t)
 	gid := w.producePublish(t, "bt-follow", "PERSON-F")
 	w.doctorPolicy(t)
@@ -145,41 +146,28 @@ func TestCoalescedFollowerNotAuditedCancelled(t *testing.T) {
 		return w.c.RequestDetailsContext(ctx, r)
 	}
 
-	leaderCtx, hangUp := context.WithCancel(context.Background())
+	ctx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()
-	leaderErr := make(chan error, 1)
+	hungErr := make(chan error, 1)
 	go func() {
-		_, err := request(leaderCtx, "aaaaaaaaaaaaaaa1")
-		leaderErr <- err
+		_, err := request(ctx, "aaaaaaaaaaaaaaa1")
+		hungErr <- err
 	}()
 	<-src.entered
 
-	type result struct {
-		d   *event.Detail
-		err error
+	d, err := request(context.Background(), "aaaaaaaaaaaaaaa2")
+	if err != nil {
+		t.Fatalf("twin err = %v, want the detail (it never hung up)", err)
 	}
-	followerDone := make(chan result, 1)
-	go func() {
-		d, err := request(context.Background(), "aaaaaaaaaaaaaaa2")
-		followerDone <- result{d, err}
-	}()
-	// The follower's pdp.decide span is its last observable step before it
-	// joins the flight; give it a moment to get from there to the wait.
-	for w.c.met.stageSeconds.Count("pdp.decide") < 2 {
-		time.Sleep(time.Millisecond)
+	if v, _ := d.Get("hemoglobin"); v != "13.5" {
+		t.Errorf("twin detail = %+v", d)
 	}
-	time.Sleep(20 * time.Millisecond)
 	hangUp()
-
-	if err := <-leaderErr; !errors.Is(err, ErrCancelled) {
-		t.Errorf("leader err = %v, want ErrCancelled", err)
+	if err := <-hungErr; !errors.Is(err, ErrCancelled) {
+		t.Errorf("hung-up request err = %v, want ErrCancelled", err)
 	}
-	got := <-followerDone
-	if got.err != nil {
-		t.Fatalf("follower err = %v, want the detail (it never hung up)", got.err)
-	}
-	if v, _ := got.d.Get("hemoglobin"); v != "13.5" {
-		t.Errorf("follower detail = %+v", got.d)
+	if n := src.calls.Load(); n != 2 {
+		t.Errorf("gateway fetched %d times, want 2 (one per request)", n)
 	}
 	for trace, want := range map[string]string{"aaaaaaaaaaaaaaa1": "cancelled", "aaaaaaaaaaaaaaa2": "permit"} {
 		recs, err := w.c.Audit().Search(audit.Query{Kind: audit.KindDetailRequest, Trace: trace})

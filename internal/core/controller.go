@@ -112,7 +112,6 @@ type instruments struct {
 	subDenials   *telemetry.Counter // css_subscription_denials_total
 	decisions    *telemetry.Counter // css_detail_decisions_total{outcome}
 	inquiries    *telemetry.Counter // css_index_inquiries_total
-	cacheEvents  *telemetry.Counter // css_cache_events_total{cache,result}
 
 	busDepth    *telemetry.Gauge   // css_bus_queue_depth
 	busHWM      *telemetry.Gauge   // css_bus_queue_depth_hwm
@@ -145,10 +144,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 			"Detail-request decisions, by outcome (permit/deny).", "outcome"),
 		inquiries: reg.Counter("css_index_inquiries_total",
 			"Events-index inquiries answered."),
-		cacheEvents: reg.Counter("css_cache_events_total",
-			"Gateway fetches (cache gateway.flight) by result: a hit means the "+
-				"fetch coalesced onto an in-flight twin.",
-			"cache", "result"),
 		busDepth: reg.Gauge("css_bus_queue_depth",
 			"Messages currently queued across all bus subscriptions."),
 		busHWM: reg.Gauge("css_bus_queue_depth_hwm",
@@ -302,7 +297,6 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.enf.SetCacheObserver(c.recordCacheEvent)
 	// Export the broker's load signals as css_bus_* metrics.
 	cfg.Bus.Observer = bus.Observer{
 		QueueDepth: func(delta int) { c.met.busDepth.Add(float64(delta)) },
@@ -515,16 +509,6 @@ func (c *Controller) Spans() *telemetry.SpanLog { return c.tracer.Spans() }
 // Tracer exposes the controller's tracer; the serving layer attaches it
 // to request contexts and daemons attach the durable span exporter.
 func (c *Controller) Tracer() *telemetry.Tracer { return c.tracer }
-
-// recordCacheEvent counts one gateway fetch of the enforcer: a hit is a
-// fetch that joined an in-flight twin.
-func (c *Controller) recordCacheEvent(cache string, hit bool) {
-	if hit {
-		c.met.cacheEvents.Inc(cache, "hit")
-	} else {
-		c.met.cacheEvents.Inc(cache, "miss")
-	}
-}
 
 // Healthy reports whether the controller can serve traffic; it backs the
 // /healthz endpoint.

@@ -25,9 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/event"
 	"repro/internal/idmap"
 	"repro/internal/policy"
@@ -76,20 +74,6 @@ type ContextDetailSource interface {
 	GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error)
 }
 
-// CacheObserver receives the outcome of one gateway fetch, reported as
-// the "gateway.flight" pseudo-cache: a hit means the fetch was coalesced
-// onto an identical in-flight request.
-type CacheObserver = func(cache string, hit bool)
-
-// flightKey identifies one gateway fetch for coalescing. The policy id
-// pins the exact authorized fieldset (a policy's fields are fixed while
-// installed), so two requests coalesce only when they would release
-// byte-identical privacy-aware details.
-type flightKey struct {
-	source   event.SourceID
-	policyID string
-}
-
 // Outcome describes how a detail request was resolved, for auditing.
 type Outcome struct {
 	// Decision is Permit or Deny.
@@ -112,22 +96,18 @@ type Outcome struct {
 // decided against the live repository under its read lock: a request
 // that starts after RemovePolicy returns cannot be permitted by the
 // revoked policy, and nothing is memoized that could outlive a policy
-// or consent change. The one mechanism on the hot path is singleflight
-// coalescing of identical gateway fetches, keyed on (source, policy):
-// concurrent consumers authorized by the same policy for the same event
-// share one producer round-trip. The result is shared only for the
-// duration of the flight — the controller never stores event details
-// (see the E13 ablation: controller-side detail caching would duplicate
-// sensitive data outside the producer's control).
+// or consent change. Each permitted request makes its own gateway fetch,
+// under its own context and trace: two identical requests are two
+// disclosures, each fetched and audited for its own requester, and the
+// controller never holds event details beyond the request that asked
+// for them (see the E13 ablation: controller-side detail caching would
+// duplicate sensitive data outside the producer's control).
 type Enforcer struct {
 	repo *policy.Repository
 	ids  *idmap.Map
 
 	mu       sync.RWMutex
 	gateways map[event.ProducerID]DetailSource
-
-	flights  cache.Group[flightKey, *event.Detail]
-	cacheObs atomic.Pointer[CacheObserver]
 }
 
 // New creates an enforcer around a policy repository (the PAP's store)
@@ -137,23 +117,6 @@ func New(repo *policy.Repository, ids *idmap.Map) (*Enforcer, error) {
 		return nil, errors.New("enforcer: nil repository or id map")
 	}
 	return &Enforcer{repo: repo, ids: ids, gateways: make(map[event.ProducerID]DetailSource)}, nil
-}
-
-// SetCacheObserver installs the cache hit/miss observer (nil disables).
-// The controller wires it into the telemetry registry.
-func (e *Enforcer) SetCacheObserver(o CacheObserver) {
-	if o == nil {
-		e.cacheObs.Store(nil)
-		return
-	}
-	e.cacheObs.Store(&o)
-}
-
-// noteCache reports one cache lookup to the observer, if any.
-func (e *Enforcer) noteCache(cache string, hit bool) {
-	if o := e.cacheObs.Load(); o != nil {
-		(*o)(cache, hit)
-	}
 }
 
 // AttachGateway registers the detail source of a producer.
@@ -194,25 +157,14 @@ func (e *Enforcer) RemovePolicy(id policy.ID) error {
 // subscription authorization).
 func (e *Enforcer) Repository() *policy.Repository { return e.repo }
 
-// fetch asks the producer's gateway for the authorized fields of src,
-// coalescing concurrent identical fetches: followers of an in-flight
-// call share the leader's result (and its trace). shared reports whether
-// the detail came from another caller's flight — the caller must clone
-// it before handing it on.
-// A follower joining an in-flight fetch shares the leader's context: its
-// own deadline cannot cut the shared round-trip short (the leader's
-// does), which errs on the side of completing work already paid for. A
-// leader that gives up takes only itself down: followers still waiting
-// fetch again under their own contexts.
-func (e *Enforcer) fetch(ctx context.Context, g DetailSource, trace string, src event.SourceID, policyID string, fields []event.FieldName) (*event.Detail, bool, error) {
-	d, shared, err := e.flights.Do(ctx, flightKey{source: src, policyID: policyID}, func() (*event.Detail, error) {
-		if cg, ok := g.(ContextDetailSource); ok {
-			return cg.GetResponseContext(ctx, trace, src, fields)
-		}
-		return g.GetResponse(src, fields)
-	})
-	e.noteCache("gateway.flight", shared)
-	return d, shared, err
+// fetch asks the producer's gateway for the authorized fields of src:
+// through the request's context and trace when the source takes them,
+// else without.
+func fetch(ctx context.Context, g DetailSource, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
+	if cg, ok := g.(ContextDetailSource); ok {
+		return cg.GetResponseContext(ctx, trace, src, fields)
+	}
+	return g.GetResponse(src, fields)
 }
 
 // GetEventDetails resolves a detail request — Algorithm 1 — under no
@@ -246,7 +198,7 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	}
 	if m.Class != r.Class {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
-			Reason: fmt.Sprintf("event %s has class %s, not %s", r.EventID, m.Class, r.Class)}
+			Reason: "event " + string(r.EventID) + " has class " + string(m.Class) + ", not " + string(r.Class)}
 		return nil, out, ErrClassMismatch
 	}
 
@@ -285,18 +237,13 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	// producer-side HTTP server span parents under "gateway.fetch".
 	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "gateway.fetch")
 	fetchSpan.SetAttr("producer", string(m.Producer))
-	d, shared, err := e.fetch(fetchCtx, g, r.Trace, m.Source, policyID, fields)
+	d, err := fetch(fetchCtx, g, r.Trace, m.Source, fields)
 	fetchSpan.SetError(err)
 	fetchSpan.End()
 	if err != nil {
 		out := Outcome{Decision: event.Deny, Producer: m.Producer, Source: m.Source,
 			PolicyID: policyID, Reason: "gateway: " + err.Error()}
 		return nil, out, err
-	}
-	if shared {
-		// A coalesced result is aliased by every follower of the flight;
-		// hand each consumer its own copy.
-		d = d.Clone()
 	}
 	// Defense in depth: re-check Definition 4 at the controller before
 	// forwarding to the consumer.

@@ -6,13 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/event"
 	"repro/internal/idmap"
 	"repro/internal/policy"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 func TestRemovePolicyDeniesNextRequest(t *testing.T) {
@@ -44,83 +42,6 @@ func TestAddPolicyPermitsNextRequest(t *testing.T) {
 	}
 }
 
-// gatedSource blocks GetResponse until released, counting calls.
-type gatedSource struct {
-	calls   atomic.Int32
-	entered chan struct{} // receives one tick per arrived call
-	release chan struct{}
-	detail  func(fields []event.FieldName) *event.Detail
-}
-
-func (s *gatedSource) GetResponse(src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
-	s.calls.Add(1)
-	s.entered <- struct{}{}
-	<-s.release
-	return s.detail(fields), nil
-}
-
-func TestGatewayFetchCoalescing(t *testing.T) {
-	ids := idmap.New(store.OpenMemory())
-	enf, err := New(policy.NewRepository(), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &gatedSource{
-		entered: make(chan struct{}, 16),
-		release: make(chan struct{}),
-		detail: func(fields []event.FieldName) *event.Detail {
-			return event.NewDetail("c.x", "src-1", "hospital").Set("allowed", "ok")
-		},
-	}
-	enf.AttachGateway("hospital", src)
-	gid, _ := ids.Assign("hospital", "src-1", "c.x")
-	if _, err := enf.AddPolicy(&policy.Policy{
-		Producer: "hospital", Actor: "a", Class: "c.x",
-		Purposes: []event.Purpose{"s"}, Fields: []event.FieldName{"allowed"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 8
-	results := make([]*event.Detail, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := &event.DetailRequest{Requester: "a", Class: "c.x", EventID: gid, Purpose: "s"}
-			d, out, err := enf.GetEventDetails(r)
-			if err != nil || out.Decision != event.Permit {
-				t.Errorf("request %d: err=%v out=%+v", i, err, out)
-				return
-			}
-			results[i] = d
-		}(i)
-	}
-	// Wait for the leader to reach the gateway, give followers time to
-	// pile onto the flight, then release.
-	<-src.entered
-	time.Sleep(20 * time.Millisecond)
-	close(src.release)
-	wg.Wait()
-
-	if got := src.calls.Load(); got != 1 {
-		t.Fatalf("gateway fetched %d times for %d identical concurrent requests, want 1", got, n)
-	}
-	// Every consumer must own its detail: mutating one must not be
-	// visible through another (flight followers receive clones).
-	seen := map[*event.Detail]bool{}
-	for i, d := range results {
-		if d == nil {
-			t.Fatalf("results[%d] missing", i)
-		}
-		if seen[d] {
-			t.Fatal("two consumers share one *event.Detail instance")
-		}
-		seen[d] = true
-	}
-}
-
 // hangUpSource is a context-aware detail source whose first fetch hangs
 // until its caller gives up; every later fetch answers at once.
 type hangUpSource struct {
@@ -141,10 +62,10 @@ func (s *hangUpSource) GetResponseContext(ctx context.Context, _ string, src eve
 	return event.NewDetail("c.x", src, "hospital").Set("allowed", "ok"), nil
 }
 
-// A coalesced follower must not inherit its leader's cancellation: when
-// the consumer that started the shared fetch hangs up, a follower whose
-// own context is live fetches again and still gets the detail.
-func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
+// Two identical requests are two fetches: while the first one's fetch
+// hangs, its twin fetches on its own and gets the detail, and the first
+// consumer's hang-up ends only its own request.
+func TestTwinSurvivesOtherCancellation(t *testing.T) {
 	ids := idmap.New(store.OpenMemory())
 	enf, err := New(policy.NewRepository(), ids)
 	if err != nil {
@@ -163,51 +84,28 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 		return enf.GetEventDetailsContext(ctx, &event.DetailRequest{Requester: "a", Class: "c.x", EventID: gid, Purpose: "s"})
 	}
 
-	leaderCtx, hangUp := context.WithCancel(context.Background())
+	ctx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()
-	leaderErr := make(chan error, 1)
+	hungErr := make(chan error, 1)
 	go func() {
-		_, _, err := request(leaderCtx)
-		leaderErr <- err
+		_, _, err := request(ctx)
+		hungErr <- err
 	}()
-	<-src.entered // the leader is inside the producer round-trip
+	<-src.entered // the first request is inside the producer round-trip
 
-	type result struct {
-		d   *event.Detail
-		out Outcome
-		err error
+	d, out, err := request(context.Background())
+	if err != nil || out.Decision != event.Permit {
+		t.Fatalf("twin: err=%v out=%+v, want the detail (it never hung up)", err, out)
 	}
-	// The follower's pdp.decide span is its last observable step before it
-	// joins the flight; give it a moment to get from there to the wait.
-	tracer := telemetry.NewTracer()
-	decided := make(chan struct{})
-	tracer.SetOnEnd(func(s *telemetry.Span) {
-		if s.Stage == "pdp.decide" {
-			close(decided)
-		}
-	})
-	followerCtx, _ := tracer.StartSpan(context.Background(), "follower")
-	followerDone := make(chan result, 1)
-	go func() {
-		d, out, err := request(followerCtx)
-		followerDone <- result{d, out, err}
-	}()
-	<-decided
-	time.Sleep(20 * time.Millisecond)
+	if v, _ := d.Get("allowed"); v != "ok" {
+		t.Errorf("twin detail = %+v", d)
+	}
 	hangUp()
-
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Errorf("leader err = %v, want context.Canceled", err)
-	}
-	got := <-followerDone
-	if got.err != nil || got.out.Decision != event.Permit {
-		t.Fatalf("follower: err=%v out=%+v, want the detail (it never hung up)", got.err, got.out)
-	}
-	if v, _ := got.d.Get("allowed"); v != "ok" {
-		t.Errorf("follower detail = %+v", got.d)
+	if err := <-hungErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("hung-up request err = %v, want context.Canceled", err)
 	}
 	if n := src.calls.Load(); n != 2 {
-		t.Errorf("gateway fetched %d times, want 2 (the leader's, then the follower's own)", n)
+		t.Errorf("gateway fetched %d times, want 2 (one per request)", n)
 	}
 }
 

@@ -128,16 +128,22 @@ type Serving struct {
 	start  time.Time
 }
 
-// StartServing opens the instrumentation of serving r: it parses the
-// W3C traceparent header (falling back to X-Trace-Id, minting a trace
-// when both are absent), echoes the trace on the answer, counts the
-// request in flight and opens a server span parented under the
-// caller's. It returns the context that carries the trace, the current
-// span and the tracer on top of r's, which the caller puts on r, and
-// the writer to answer through: w itself when w reports its status
-// (Status() int, as HTTPServer's writer does), else a wrapper that
-// records it. tracer may be nil.
-func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *http.Request) (context.Context, http.ResponseWriter, Serving) {
+// UnmatchedRoute is the route label of a request that matched no route:
+// one series for every path nothing serves, so a client cannot add
+// series, or put what it sent on /metrics, by making paths up.
+const UnmatchedRoute = "unmatched"
+
+// StartServing opens the instrumentation of serving r on route, the
+// path of the pattern r matched ("" when it matched none): it parses
+// the W3C traceparent header (falling back to X-Trace-Id, minting a
+// trace when both are absent), echoes the trace on the answer, counts
+// the request in flight and opens a server span parented under the
+// caller's (none for an unmatched request). It returns the context that
+// carries the trace, the current span and the tracer on top of r's,
+// which the caller puts on r, and the writer to answer through: w
+// itself when w reports its status (Status() int, as HTTPServer's
+// writer does), else a wrapper that records it. tracer may be nil.
+func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *http.Request, route string) (context.Context, http.ResponseWriter, Serving) {
 	trace, parent, ok := ParseTraceparent(r.Header.Get(TraceparentHeader))
 	if !ok {
 		trace = r.Header.Get(TraceHeader)
@@ -146,7 +152,10 @@ func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *htt
 		}
 	}
 	w.Header().Set(TraceHeader, trace)
-	s := Serving{m: m, trace: trace, method: r.Method, route: r.URL.Path}
+	s := Serving{m: m, trace: trace, method: r.Method, route: route}
+	if route == "" {
+		s.route = UnmatchedRoute
+	}
 	sw, ok := w.(interface{ Status() int })
 	if !ok {
 		rec := &statusWriter{ResponseWriter: w}
@@ -156,8 +165,8 @@ func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *htt
 
 	// Trace, caller's span and tracer attach in one context value.
 	var ctx context.Context = &traceCtx{Context: r.Context(), trace: trace, span: parent, tracer: tracer}
-	if tracer != nil && spanWorthy(s.route) {
-		ctx, s.span = tracer.StartSpan(ctx, spanName(s.method, s.route))
+	if tracer != nil && route != "" && spanWorthy(route) {
+		ctx, s.span = tracer.StartSpan(ctx, spanName(s.method, route))
 	}
 	m.inflight.Add(1)
 	s.start = time.Now()
@@ -192,16 +201,6 @@ func (s *Serving) End() {
 
 // spanName names the span of a request to route.
 func spanName(method, route string) string { return "http " + method + " " + route }
-
-// TracingMiddleware wraps next with request instrumentation and
-// distributed tracing (see StartServing and Serving.End).
-func TracingMiddleware(m *HTTPMetrics, tracer *Tracer, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, w, s := m.StartServing(tracer, w, r)
-		next.ServeHTTP(w, r.WithContext(ctx))
-		s.End()
-	})
-}
 
 // spanWorthy excludes scrape/probe/debug endpoints from span creation:
 // they would dominate the ring without ever being part of a flow.

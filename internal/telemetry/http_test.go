@@ -8,17 +8,31 @@ import (
 	"testing"
 )
 
+// serving wraps mux in StartServing and End as the transport's service
+// does: the route label is the pattern the request matched.
+func serving(m *HTTPMetrics, mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		ctx, w, s := m.StartServing(nil, w, r, pattern)
+		h.ServeHTTP(w, r.WithContext(ctx))
+		s.End()
+	})
+}
+
+// catchAll routes every path to h.
+func catchAll(h http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	return mux
+}
+
 func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, "css")
-	h := TracingMiddleware(m, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/boom" {
-			w.WriteHeader(http.StatusForbidden)
-			return
-		}
-		w.Write([]byte("ok"))
-	}))
-	srv := httptest.NewServer(h)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/ws/publish", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) })
+	mux.HandleFunc("/boom", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusForbidden) })
+	srv := httptest.NewServer(serving(m, mux))
 	defer srv.Close()
 
 	if _, err := http.Get(srv.URL + "/ws/publish"); err != nil {
@@ -30,12 +44,18 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 	if _, err := http.Get(srv.URL + "/boom"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := http.Get(srv.URL + "/nope-1"); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := m.requests.Value("/ws/publish", "GET", "200"); got != 2 {
 		t.Errorf("requests{/ws/publish,GET,200} = %d, want 2", got)
 	}
 	if got := m.requests.Value("/boom", "GET", "403"); got != 1 {
 		t.Errorf("requests{/boom,GET,403} = %d, want 1", got)
+	}
+	if got := m.requests.Value(UnmatchedRoute, "GET", "404"); got != 1 {
+		t.Errorf("requests{%s,GET,404} = %d, want 1", UnmatchedRoute, got)
 	}
 	if got := m.latency.Count("/ws/publish"); got != 2 {
 		t.Errorf("latency count = %d, want 2", got)
@@ -50,14 +70,16 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "/nope") {
+		t.Errorf("exposition names a path no route serves:\n%s", out)
+	}
 }
 
 func TestMiddlewareTraceHeader(t *testing.T) {
 	var seen string
-	h := TracingMiddleware(NewHTTPMetrics(NewRegistry(), "css"), nil,
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			seen = TraceFrom(r.Context())
-		}))
+	h := serving(NewHTTPMetrics(NewRegistry(), "css"), catchAll(func(w http.ResponseWriter, r *http.Request) {
+		seen = TraceFrom(r.Context())
+	}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -92,10 +114,9 @@ func TestMiddlewareTraceHeader(t *testing.T) {
 // adopted: the middleware mints a fresh trace instead.
 func TestMiddlewareIgnoresInvalidTraceHeader(t *testing.T) {
 	var seen string
-	h := TracingMiddleware(NewHTTPMetrics(NewRegistry(), "css"), nil,
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			seen = TraceFrom(r.Context())
-		}))
+	h := serving(NewHTTPMetrics(NewRegistry(), "css"), catchAll(func(w http.ResponseWriter, r *http.Request) {
+		seen = TraceFrom(r.Context())
+	}))
 	for _, bad := range []string{strings.Repeat("a", 65), "has space", "caf\xc3\xa9"} {
 		req := httptest.NewRequest(http.MethodGet, "/ws/publish", nil)
 		req.Header.Set(TraceHeader, bad)

@@ -248,7 +248,7 @@ func TestGatewayAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(testGatewayServer(gw).RequireAuth(authority, "data-controller"))
+	srv := newTestServer(t, testGatewayServer(gw).RequireAuth(authority, "data-controller"))
 	defer srv.Close()
 
 	mint := func(actor event.Actor) string {

@@ -5,12 +5,9 @@ import (
 	"encoding/xml"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/enforcer"
 	"repro/internal/event"
 	"repro/internal/gateway"
@@ -179,13 +176,10 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 
 // RemoteGateway is the controller-side client of a GatewayServer. It
 // implements enforcer.DetailSource, so a remote producer plugs into the
-// enforcement pipeline exactly like an in-process gateway.
-//
-// Concurrent GetResponse calls for the same (source, fieldset) coalesce
-// into one HTTP round-trip: followers wait on the in-flight leader and
-// receive a clone of its response. Nothing is retained once the flight
-// completes — the client never caches details (controller-side storage
-// of event details is prohibited; see the E13 ablation).
+// enforcement pipeline exactly like an in-process gateway. Each
+// GetResponse call is one HTTP round-trip, and nothing is retained once
+// it returns — the client never caches details (controller-side
+// storage of event details is prohibited; see the E13 ablation).
 //
 // With WithRetrier / WithBreakerGroup, fetches retry transient failures
 // and the gateway is guarded by a circuit breaker named after its base
@@ -194,27 +188,21 @@ func (s *GatewayServer) handleGetResponse(w http.ResponseWriter, r *http.Request
 // audits the outcome as "unavailable" — never as a policy denial.
 type RemoteGateway struct {
 	caller
-	flights *cache.Group[string, *event.Detail]
 }
 
 // NewRemoteGateway creates a client for the gateway at base. Pass
 // WithRetrier / WithBreakerGroup to make the controller→gateway hop
 // fault-tolerant, WithTimeout to bound each attempt.
 func NewRemoteGateway(base string, httpClient *http.Client, opts ...Option) *RemoteGateway {
-	return &RemoteGateway{caller: newCaller(base, httpClient, opts),
-		flights: &cache.Group[string, *event.Detail]{}}
+	return &RemoteGateway{caller: newCaller(base, httpClient, opts)}
 }
 
 // WithToken returns a copy of the remote gateway client that presents
-// the bearer token (the controller's identity) on every call. The copy
-// gets its own coalescing group, so calls never share a flight (and
-// hence a response) across identities. Retry policy and breakers stay
-// shared — the endpoint's health is identity-independent.
+// the bearer token (the controller's identity) on every call. Retry
+// policy and breakers stay shared — the endpoint's health is
+// identity-independent.
 func (g *RemoteGateway) WithToken(token string) *RemoteGateway {
-	cp := *g
-	cp.caller = g.withToken(token)
-	cp.flights = &cache.Group[string, *event.Detail]{}
-	return &cp
+	return &RemoteGateway{caller: g.withToken(token)}
 }
 
 // post sends one XML request to the gateway under the breaker named
@@ -242,30 +230,14 @@ func (g *RemoteGateway) GetResponse(src event.SourceID, fields []event.FieldName
 	return g.GetResponseContext(context.Background(), "", src, fields)
 }
 
-// GetResponseContext implements enforcer.ContextDetailSource: the
-// consumer's deadline rides the fetch end to end — it cancels the HTTP
-// round-trip (and any retry sleeps) the moment the caller gives up — and
-// the flow's trace crosses the process boundary in the request headers,
-// so the gateway-side spans and metrics of the fetch correlate with the
-// controller-side detail request. Identical concurrent calls share one
-// round-trip under the leader's context (and trace); followers get
-// their own clone, and a follower outliving a cancelled leader fetches
-// again for itself.
-func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (*event.Detail, error) {
-	d, shared, err := g.flights.Do(ctx, fetchKey(src, fields), func() (*event.Detail, error) {
-		return g.getResponse(ctx, trace, src, fields)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		d = d.Clone()
-	}
-	return d, nil
-}
-
-// getResponse performs the actual HTTP round-trip of Algorithm 2.
-func (g *RemoteGateway) getResponse(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (d *event.Detail, err error) {
+// GetResponseContext implements enforcer.ContextDetailSource with one
+// round-trip of Algorithm 2: the consumer's deadline rides the fetch end
+// to end — it cancels the HTTP round-trip (and any retry sleeps) the
+// moment the caller gives up — and the flow's trace crosses the process
+// boundary in the request headers, so the gateway-side spans and
+// metrics of the fetch correlate with the controller-side detail
+// request.
+func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, src event.SourceID, fields []event.FieldName) (d *event.Detail, err error) {
 	req := getResponseRequest{Source: src, Fields: fields}
 	err = g.post(ctx, "/gw/get-response", trace, req.appendXML(make([]byte, 0, 256)), func(data []byte) (derr error) {
 		d, derr = decodeAnyDetail(data)
@@ -284,19 +256,6 @@ func (g *RemoteGateway) getResponse(ctx context.Context, trace string, src event
 		return nil, fmt.Errorf("%w: %w", enforcer.ErrSourceUnavailable, err)
 	}
 	return nil, err
-}
-
-// fetchKey canonicalizes a fetch for coalescing: source id plus the
-// sorted field set, separated by characters field names cannot contain.
-// Exact string keys (not hashes) — two different fetches must never
-// collide into one shared response.
-func fetchKey(src event.SourceID, fields []event.FieldName) string {
-	names := make([]string, len(fields))
-	for i, f := range fields {
-		names[i] = string(f)
-	}
-	sort.Strings(names)
-	return string(src) + "\x1f" + strings.Join(names, "\x1e")
 }
 
 // encodeXML marshals v, reporting marshalling problems with context.

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,10 +108,10 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 
 	// Bind both listeners first so the maps can name real addresses.
-	deposedSrv := httptest.NewUnstartedServer(nil)
-	promotedSrv := httptest.NewUnstartedServer(nil)
-	deposedURL := "http://" + deposedSrv.Listener.Addr().String()
-	promotedURL := "http://" + promotedSrv.Listener.Addr().String()
+	deposedSrv := newUnstartedTestServer(t)
+	promotedSrv := newUnstartedTestServer(t)
+	deposedURL := deposedSrv.URL
+	promotedURL := promotedSrv.URL
 
 	v1, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
 		{ID: 0, Addr: deposedURL, Replicas: []string{promotedURL}, Epoch: 1},
@@ -136,8 +135,7 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	}
 	t.Cleanup(func() { deposed.Close() })
 	startNode(t, deposed, replication.NodeConfig{Role: replication.RoleReplica, DataDir: deposedDir})
-	deposedSrv.Config = &http.Server{Handler: NewServer(deposed)}
-	deposedSrv.Start()
+	deposedSrv.Start(NewServer(deposed))
 	t.Cleanup(deposedSrv.Close)
 
 	// The promoted node: primary role under the successor map.
@@ -157,8 +155,7 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	if err := promoted.DeclareClass("hospital", schema.BloodTest()); err != nil {
 		t.Fatal(err)
 	}
-	promotedSrv.Config = &http.Server{Handler: NewServer(promoted)}
-	promotedSrv.Start()
+	promotedSrv.Start(NewServer(promoted))
 	t.Cleanup(promotedSrv.Close)
 
 	var dials atomic.Int32
@@ -235,10 +232,10 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 func TestShardedClientStaleReplicaRescue(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 
-	deposedSrv := httptest.NewUnstartedServer(nil)
-	promotedSrv := httptest.NewUnstartedServer(nil)
-	deposedURL := "http://" + deposedSrv.Listener.Addr().String()
-	promotedURL := "http://" + promotedSrv.Listener.Addr().String()
+	deposedSrv := newUnstartedTestServer(t)
+	promotedSrv := newUnstartedTestServer(t)
+	deposedURL := deposedSrv.URL
+	promotedURL := promotedSrv.URL
 
 	v1, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
 		{ID: 0, Addr: deposedURL, Replicas: []string{promotedURL}, Epoch: 1},
@@ -263,8 +260,7 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 	}
 	t.Cleanup(func() { deposed.Close() })
 	startNode(t, deposed, replication.NodeConfig{Role: replication.RoleReplica, DataDir: deposedDir})
-	deposedSrv.Config = &http.Server{Handler: NewServer(deposed)}
-	deposedSrv.Start()
+	deposedSrv.Start(NewServer(deposed))
 	t.Cleanup(deposedSrv.Close)
 
 	// The promoted node holds the successor map naming itself.
@@ -281,8 +277,7 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 	if err := promoted.DeclareClass("hospital", schema.BloodTest()); err != nil {
 		t.Fatal(err)
 	}
-	promotedSrv.Config = &http.Server{Handler: NewServer(promoted)}
-	promotedSrv.Start()
+	promotedSrv.Start(NewServer(promoted))
 	t.Cleanup(promotedSrv.Close)
 
 	sc, err := NewShardedClient(v1, func(info cluster.ShardInfo) *Client {
@@ -310,7 +305,7 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 // replication link, each behind an HTTP server.
 type replicatedPair struct {
 	primary, replica *core.Controller
-	priSrv, repSrv   *httptest.Server
+	priSrv, repSrv   *testServer
 	priNode, repNode *replication.Node
 }
 
@@ -349,9 +344,9 @@ func newReplicatedPair(t *testing.T) *replicatedPair {
 		t.Fatal(err)
 	}
 
-	rp.priSrv = httptest.NewServer(NewServer(primary).SetNode(rp.priNode))
+	rp.priSrv = newTestServer(t, NewServer(primary).SetNode(rp.priNode))
 	t.Cleanup(rp.priSrv.Close)
-	rp.repSrv = httptest.NewServer(NewServer(replica).SetNode(rp.repNode))
+	rp.repSrv = newTestServer(t, NewServer(replica).SetNode(rp.repNode))
 	t.Cleanup(rp.repSrv.Close)
 	return rp
 }
@@ -377,7 +372,7 @@ func TestReplicaRefusesInquiryOverTheWire(t *testing.T) {
 	}
 	t.Cleanup(func() { replica.Close() })
 	startNode(t, replica, replication.NodeConfig{Role: replication.RoleReplica, DataDir: dir})
-	srv := httptest.NewServer(NewServer(replica))
+	srv := newTestServer(t, NewServer(replica))
 	t.Cleanup(srv.Close)
 
 	req := &inquiryRequest{Actor: "family-doctor", Class: schema.ClassBloodTest}

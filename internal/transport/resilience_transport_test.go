@@ -58,7 +58,7 @@ func newResilienceWorld(t *testing.T) (*core.Controller, *flakyFrontend, string)
 		t.Fatal(err)
 	}
 	front := &flakyFrontend{next: NewServer(ctrl)}
-	srv := httptest.NewServer(front)
+	srv := newTestServer(t, front)
 	t.Cleanup(srv.Close)
 	return ctrl, front, srv.URL
 }

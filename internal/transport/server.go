@@ -255,17 +255,6 @@ func (s *Server) deliver(ctx context.Context, callback *url.URL, subscriber stri
 	s.deliveryFailed(n, subscriber, callback.String(), reason, err)
 }
 
-// deliverCallback is deliver to a callback URL given as text, which
-// fails as "request" when it does not parse.
-func (s *Server) deliverCallback(ctx context.Context, callback, subscriber string, codec event.Codec, n *event.Notification) {
-	u, err := url.Parse(callback)
-	if err != nil {
-		s.deliveryFailed(n, subscriber, callback, "request", err)
-		return
-	}
-	s.deliver(ctx, u, subscriber, codec, n)
-}
-
 // deliveryFailed counts and logs a delivery that failed for reason.
 func (s *Server) deliveryFailed(n *event.Notification, subscriber, callback, reason string, err error) {
 	s.deliveriesFailed.Inc(reason)

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,11 +58,17 @@ func (s *service) mount(reg *telemetry.Registry, tracer *telemetry.Tracer, subsy
 // ServeHTTP implements http.Handler: the tracing and metrics of
 // telemetry.StartServing around the admission gate (so shed requests,
 // 429, show up in the per-route HTTP metrics) around the route. The
-// route runs under one context derived from the request's: the trace,
-// the caller's span and the tracer, and the admitted endpoint's
-// deadline.
+// route is looked up once, first, so the metrics and the span are named
+// after the pattern it matched, never after a path the client chose.
+// It runs under one context derived from the request's: the trace, the
+// caller's span and the tracer, and the admitted endpoint's deadline.
 func (s *service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ctx, w, served := s.metrics.StartServing(s.tracer, w, r)
+	h, pattern := s.mux.Handler(r)
+	if r.RequestURI == "*" {
+		h, pattern = refuseAsterisk, "" // as ServeMux.ServeHTTP refuses it
+	}
+	// A pattern is "METHOD /path"; its path part labels the request.
+	ctx, w, served := s.metrics.StartServing(s.tracer, w, r, pattern[strings.IndexByte(pattern, ' ')+1:])
 	if g := s.gate; g != nil && !exemptFromAdmission(r.URL.Path) {
 		rc := s.classify(r.URL.Path)
 		release, d := g.Admit(rc.endpoint, rc.pri, actorKey(r))
@@ -81,9 +88,16 @@ func (s *service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 		}
 	}
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
+	h.ServeHTTP(w, r.WithContext(ctx))
 	served.End()
 }
+
+// refuseAsterisk answers a request for "*" (OPTIONS *), which
+// ServeMux.Handler would redirect to "/*".
+var refuseAsterisk = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Connection", "close")
+	w.WriteHeader(http.StatusBadRequest)
+})
 
 // handle mounts one API route. The bearer token is verified before the
 // handler — and therefore before any body is read or decoded — on every

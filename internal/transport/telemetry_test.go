@@ -70,6 +70,43 @@ func TestMetricsEndpointExposesFlowCounters(t *testing.T) {
 	}
 }
 
+// A request is labelled by the route it matched: a path no route
+// serves is counted under one fixed label and opens no span, so after
+// three made-up paths no /metrics line names any of them.
+func TestUnmatchedPathsNameNoSeries(t *testing.T) {
+	r := newRig(t)
+	for _, path := range []string{"/nope-1", "/nope-2", "/nope-3"} {
+		resp, err := http.Get(r.ctrlServer.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	r.produce(t, "src-1", "PRS-1")
+	out := r.metrics(t)
+	var named []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "/nope") {
+			named = append(named, line)
+		}
+	}
+	if len(named) > 0 {
+		t.Errorf("%d /metrics lines name a made-up path, the first: %s", len(named), named[0])
+	}
+	for _, want := range []string{
+		`css_http_requests_total{route="` + telemetry.UnmatchedRoute + `",method="GET",code="404"} 3`,
+		`css_http_requests_total{route="/ws/publish",method="POST",code="200"} 1`,
+		`css_stage_seconds_count{stage="http POST /ws/publish"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 func TestHealthzEndpoint(t *testing.T) {
 	r := newRig(t)
 	resp, err := http.Get(r.ctrlServer.URL + "/healthz")
@@ -120,8 +157,9 @@ func TestFailedCallbackDeliveryIsCounted(t *testing.T) {
 }
 
 // Each way a callback delivery fails adds one to its own reason: a
-// callback URL that does not parse ("request"), a subscriber that
-// cannot be reached ("connect") and one that answers 500 ("status").
+// subscriber that cannot be reached ("connect") and one that answers
+// 500 ("status"). A callback URL that does not parse never gets this
+// far: parseCallback refuses it at subscribe time.
 func TestCallbackFailureReasons(t *testing.T) {
 	ctrl, err := core.New(core.Config{MasterKey: bytes.Repeat([]byte{4}, crypto.KeySize)})
 	if err != nil {
@@ -141,22 +179,25 @@ func TestCallbackFailureReasons(t *testing.T) {
 	ln.Close()
 	n := &event.Notification{ID: "EVT-000000000001", Class: schema.ClassBloodTest, Trace: "feedbeefcafe0001"}
 	for _, tc := range []struct{ callback, reason string }{
-		{"://no-scheme/cb", "request"},
 		{refused, "connect"},
 		{failing.URL + "/cb", "status"},
 	} {
+		u, err := parseCallback(tc.callback)
+		if err != nil {
+			t.Fatal(err)
+		}
 		before := srv.deliveriesFailed.Value(tc.reason)
-		srv.deliverCallback(context.Background(), tc.callback, "family-doctor", event.XML, n)
+		srv.deliver(context.Background(), u, "family-doctor", event.XML, n)
 		if got := srv.deliveriesFailed.Value(tc.reason) - before; got != 1 {
 			t.Errorf("callback %q: reason %q counted %d times, want 1", tc.callback, tc.reason, got)
 		}
 	}
 	var total uint64
-	for _, reason := range []string{"request", "connect", "status", "encode"} {
+	for _, reason := range []string{"connect", "status", "encode"} {
 		total += srv.deliveriesFailed.Value(reason)
 	}
-	if total != 3 {
-		t.Errorf("%d failures counted for 3 failed deliveries", total)
+	if total != 2 {
+		t.Errorf("%d failures counted for 2 failed deliveries", total)
 	}
 }
 

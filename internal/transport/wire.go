@@ -16,7 +16,6 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -317,15 +316,6 @@ func readBodyAs[T any](r *http.Request, decode func([]byte) (*T, error)) (*T, er
 }
 
 const maxBodyBytes = 4 << 20
-
-// drainClose drains any unread remainder of an HTTP response body and
-// closes it. Draining (rather than just closing) reads the body to EOF,
-// which returns the connection to the keep-alive pool; a body closed
-// before EOF tears it down, and error paths must not churn connections.
-func drainClose(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, maxBodyBytes))
-	body.Close()
-}
 
 // transientStatus reports whether an HTTP status indicates a condition
 // worth retrying (server-side failures and throttling).
