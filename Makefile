@@ -124,8 +124,9 @@ lint-traceid:
 # The publish and detail hot paths must stay free of reflection-driven
 # formatting and the XML encoder: no fmt.Sprintf and no encoding/xml
 # import in the files a publish or a detail request flows through (the
-# round tripper every outgoing call is sent with and the sharded client
-# a fleet's calls are routed by among them), no
+# round tripper every outgoing call is sent with, the sharded client
+# a fleet's calls are routed by and the replication link a fleet ships
+# every publish's WAL records over among them), no
 # reflect in the XML helper they share, no reflect and no fmt at all in
 # the binary frame layer under every hop and in the JSON helper audit
 # and index records are written and read with, and no reflect and no
@@ -142,7 +143,8 @@ STORE_FILES = $(filter-out %_test.go,$(wildcard internal/store/*.go))
 HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/audit.go \
 	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go internal/transport/serve.go \
 	internal/transport/answer.go internal/transport/caller.go internal/transport/service.go internal/telemetry/http.go \
-	internal/enforcer/enforcer.go internal/gateway/gateway.go internal/transport/shardclient.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
+	internal/enforcer/enforcer.go internal/gateway/gateway.go internal/transport/shardclient.go \
+	internal/replication/primary.go internal/replication/follower.go internal/replication/codec.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:
 	@bad=$$(grep -n 'fmt\.Sprintf\|"encoding/xml"' $(HOTPATH_FILES) /dev/null | grep -v '_test\.go'; \

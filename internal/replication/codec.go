@@ -39,7 +39,13 @@
 // its pseudonym mapping, or an audit record without its index entry.
 //
 // Wire format: each message is a 4-byte little-endian length followed
-// by one binary frame (internal/frame). Replication owns frame types
+// by one binary frame (internal/frame), and it is written whole: the
+// length and the frame go out in one Write, never as two. Each end
+// writes through one buffered writer per connection and flushes at the
+// points where the peer waits: the shipper once per round (its
+// heartbeat and data frames together), the follower once per drain
+// (every ack that drain's fsyncs certify), and every other message as
+// it is written. Replication owns frame types
 // 10-20; their field layouts are tabulated in DESIGN.md §8. Hello, data,
 // ack and deny (10-13) ship WALs and fence stale primaries. The rest
 // are the self-healing failover frames: heartbeat and campaign/grant
@@ -64,19 +70,38 @@ import (
 // below it, so anything larger is corruption, not load.
 const maxMessage = 64 << 20
 
-// writeMsg frames and writes one message: 4-byte LE length + frame.
+// writeMsg writes one message whole: the 4-byte LE length and the frame
+// in a single Write, so an unbuffered connection sends it in one
+// syscall. Into a bufio.Writer it is appended in place, without an
+// allocation.
 func writeMsg(w io.Writer, msg []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	var dst []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		dst = bw.AvailableBuffer()
 	}
-	_, err := w.Write(msg)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(msg)))
+	_, err := w.Write(append(dst, msg...))
 	return err
 }
 
-// readMsg reads one length-prefixed message.
+// sendMsg writes one message and flushes it: a request or reply the
+// peer waits on.
+func sendMsg(bw *bufio.Writer, msg []byte) error {
+	if err := writeMsg(bw, msg); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// readMsg reads one length-prefixed message into a new slice.
 func readMsg(br *bufio.Reader) ([]byte, error) {
+	return readMsgInto(br, nil)
+}
+
+// readMsgInto reads one length-prefixed message into buf's storage when
+// it is large enough, else into a new slice; the message is valid until
+// buf is read into again.
+func readMsgInto(br *bufio.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
@@ -85,7 +110,10 @@ func readMsg(br *bufio.Reader) ([]byte, error) {
 	if n > maxMessage {
 		return nil, fmt.Errorf("replication: message of %d bytes exceeds limit", n)
 	}
-	msg := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	msg := buf[:n]
 	if _, err := io.ReadFull(br, msg); err != nil {
 		return nil, err
 	}
@@ -154,17 +182,38 @@ func decodeCursors(data []byte, kind frame.Type) (epoch uint64, offsets []storeO
 	return epoch, offsets, nil
 }
 
-func encodeData(store string, epoch uint64, offset int64, seg []byte) []byte {
-	size := frame.HeaderLen + frame.StringLen(store) +
+// dataHeadLen is the length of a data frame up to its segment bytes.
+func dataHeadLen(store string, epoch uint64, offset int64, segLen int) int {
+	return frame.HeaderLen + frame.StringLen(store) +
 		frame.UvarintLen(epoch) + frame.UvarintLen(uint64(offset)) +
-		frame.UvarintLen(uint64(len(seg))) + len(seg)
-	dst := make([]byte, 0, size)
+		frame.UvarintLen(uint64(segLen))
+}
+
+// appendDataHead appends a data frame up to its segment bytes.
+func appendDataHead(dst []byte, store string, epoch uint64, offset int64, segLen int) []byte {
 	dst = frame.AppendHeader(dst, frame.Data)
 	dst = frame.AppendString(dst, store)
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(offset))
-	dst = binary.AppendUvarint(dst, uint64(len(seg)))
-	return append(dst, seg...)
+	return binary.AppendUvarint(dst, uint64(segLen))
+}
+
+func encodeData(store string, epoch uint64, offset int64, seg []byte) []byte {
+	dst := make([]byte, 0, dataHeadLen(store, epoch, offset, len(seg))+len(seg))
+	return append(appendDataHead(dst, store, epoch, offset, len(seg)), seg...)
+}
+
+// writeData writes the message writeMsg(bw, encodeData(...)) would, but
+// puts the length and frame head in bw's free buffer space and the
+// segment behind them, with no segment-sized frame built first.
+func writeData(bw *bufio.Writer, store string, epoch uint64, offset int64, seg []byte) error {
+	n := dataHeadLen(store, epoch, offset, len(seg)) + len(seg)
+	dst := binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(n))
+	if _, err := bw.Write(appendDataHead(dst, store, epoch, offset, len(seg))); err != nil {
+		return err
+	}
+	_, err := bw.Write(seg)
+	return err
 }
 
 // decodeData returns the segment as a slice of data, not a copy.

@@ -151,13 +151,13 @@ func (f *Follower) noteContact() {
 // checkEpoch applies the fencing rule to an incoming frame: deny and
 // drop anything below the current epoch, durably adopt anything above
 // it. Returns an error when the connection must be closed.
-func (f *Follower) checkEpoch(conn net.Conn, epoch uint64) error {
+func (f *Follower) checkEpoch(bw *bufio.Writer, epoch uint64) error {
 	cur := f.epoch.Load()
 	if epoch < cur {
 		if f.fenced != nil {
 			f.fenced.Inc()
 		}
-		writeMsg(conn, encodeEpoch(frame.Deny, cur))
+		_ = sendMsg(bw, encodeEpoch(frame.Deny, cur)) // the link drops either way
 		return fmt.Errorf("denied stale epoch %d (holding %d)", epoch, cur)
 	}
 	if epoch > cur {
@@ -187,152 +187,185 @@ func (f *Follower) handleConn(conn net.Conn) error {
 		}
 		offsets[i] = storeOffset{name: ns.Name, offset: off, crc: crc}
 	}
-	if err := writeMsg(conn, encodeCursors(frame.Hello, f.epoch.Load(), offsets)); err != nil {
+	c := f.newInbound(bufio.NewReader(conn), bufio.NewWriter(conn))
+	if err := sendMsg(c.bw, encodeCursors(frame.Hello, f.epoch.Load(), offsets)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-
-	br := bufio.NewReader(conn)
-	touched := make(map[int]struct{})
 	for {
 		// Batch the fsync+ack over every frame already buffered: under a
 		// storm one fsync covers many segments (group commit shape). The
-		// flush runs whenever the read buffer drains, whatever kind the
+		// drain runs whenever the read buffer empties, whatever kind the
 		// last frame was — a heartbeat buffered behind a data frame must
 		// not withhold that frame's ack until the next write.
-		if br.Buffered() == 0 {
-			for i := range touched {
-				if err := syncAck(conn, f.cfg.Stores[i]); err != nil {
-					return err
-				}
+		if c.br.Buffered() == 0 {
+			if err := c.drain(); err != nil {
+				return err
 			}
-			clear(touched)
 		}
-		msg, err := readMsg(br)
+		msg, err := readMsgInto(c.br, c.buf)
 		if err != nil {
 			return err
 		}
-		switch frameKind(msg) {
-		case frame.SyncStart:
-			if err := decodeSyncStart(msg); err != nil {
-				return err
-			}
-			// Certify the (possibly truncated) prefix: fsync everything
-			// and ack every store once, so quorum accounting on the
-			// primary starts from the true durable state instead of
-			// waiting for each store's next write.
-			for _, ns := range f.cfg.Stores {
-				if err := syncAck(conn, ns); err != nil {
-					return err
-				}
-			}
-
-		case frame.Heartbeat:
-			epoch, err := decodeEpoch(msg, frame.Heartbeat)
-			if err != nil {
-				return err
-			}
-			if err := f.checkEpoch(conn, epoch); err != nil {
-				return err
-			}
-			f.noteContact()
-
-		case frame.Campaign:
-			epoch, theirs, err := decodeCursors(msg, frame.Campaign)
-			if err != nil {
-				return err
-			}
-			granted := f.decideVote(epoch, theirs)
-			if err := writeMsg(conn, encodeGrant(granted, f.epoch.Load())); err != nil {
-				return err
-			}
-
-		case frame.DigestReq:
-			name, from, max, err := decodeDigestReq(msg)
-			if err != nil {
-				return err
-			}
-			st := f.storeNamed(name)
-			if st == nil {
-				return fmt.Errorf("digest request for unknown store %q", name)
-			}
-			if max <= 0 || max > 4096 {
-				max = 4096
-			}
-			ds, err := st.DigestWAL(st.WALGen(), from, max)
-			if err != nil {
-				return fmt.Errorf("digest %s from %d: %w", name, from, err)
-			}
-			wire := make([]recordDigest, len(ds))
-			end := from
-			for i, d := range ds {
-				wire[i] = recordDigest{end: d.End, crc: d.CRC}
-				end = d.End
-			}
-			done := len(ds) < max || end >= st.WALOffset()
-			if err := writeMsg(conn, encodeDigests(name, done, wire)); err != nil {
-				return err
-			}
-
-		case frame.Truncate:
-			name, offset, err := decodeStoreOffset(msg, frame.Truncate)
-			if err != nil {
-				return err
-			}
-			st := f.storeNamed(name)
-			if st == nil {
-				return fmt.Errorf("truncate for unknown store %q", name)
-			}
-			f.logf("repl: truncating %s back to %d (diverged old-epoch suffix)", name, offset)
-			if err := st.TruncateWAL(offset); err != nil {
-				return fmt.Errorf("truncate %s to %d: %w", name, offset, err)
-			}
-			if f.truncates != nil {
-				f.truncates.Inc()
-			}
-			if f.cfg.OnApply != nil {
-				f.cfg.OnApply(name)
-			}
-			if err := writeMsg(conn, encodeStoreOffset(frame.Ack, name, offset)); err != nil {
-				return err
-			}
-
-		case frame.Data:
-			name, epoch, offset, seg, err := decodeData(msg)
-			if err != nil {
-				return fmt.Errorf("data: %w", err)
-			}
-			if err := f.checkEpoch(conn, epoch); err != nil {
-				return err
-			}
-			f.noteContact()
-			idx := storeIndex(f.cfg.Stores, name)
-			if idx < 0 {
-				return fmt.Errorf("data for unknown store %q", name)
-			}
-			if _, err := f.cfg.Stores[idx].Store.ApplyWALSegment(offset, seg); err != nil {
-				return fmt.Errorf("apply %s at %d: %w", name, offset, err)
-			}
-			if f.applied != nil {
-				f.applied.Add(uint64(len(seg)), name)
-			}
-			if f.cfg.OnApply != nil {
-				f.cfg.OnApply(name)
-			}
-			touched[idx] = struct{}{}
-
-		default:
-			return fmt.Errorf("unexpected frame type %d", frameKind(msg))
+		c.buf = msg
+		if err := c.handle(msg); err != nil {
+			return err
 		}
 	}
 }
 
-// syncAck fsyncs one store and acknowledges the offset it is durable
-// through.
-func syncAck(conn net.Conn, ns NamedStore) error {
+// inbound is one connection's state on the follower side: its
+// buffered ends, the buffer every message is read into, and the stores
+// applied to since the last drain.
+type inbound struct {
+	f       *Follower
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	buf     []byte
+	touched []bool // per store, parallel to cfg.Stores
+}
+
+func (f *Follower) newInbound(br *bufio.Reader, bw *bufio.Writer) *inbound {
+	return &inbound{f: f, br: br, bw: bw, touched: make([]bool, len(f.cfg.Stores))}
+}
+
+// drain fsyncs every store applied to since the last drain, in
+// dependency order, and sends all their acks in one write.
+func (c *inbound) drain() error {
+	for i, t := range c.touched {
+		if t {
+			if err := syncAck(c.bw, c.f.cfg.Stores[i]); err != nil {
+				return err
+			}
+			c.touched[i] = false
+		}
+	}
+	return c.bw.Flush()
+}
+
+// handle dispatches one message. Data is applied and acked by the next
+// drain; every other reply is flushed as it is written.
+func (c *inbound) handle(msg []byte) error {
+	f := c.f
+	switch frameKind(msg) {
+	case frame.SyncStart:
+		if err := decodeSyncStart(msg); err != nil {
+			return err
+		}
+		// Certify the (possibly truncated) prefix: fsync everything
+		// and ack every store once, so quorum accounting on the
+		// primary starts from the true durable state instead of
+		// waiting for each store's next write.
+		for _, ns := range f.cfg.Stores {
+			if err := syncAck(c.bw, ns); err != nil {
+				return err
+			}
+		}
+		return c.bw.Flush()
+
+	case frame.Heartbeat:
+		epoch, err := decodeEpoch(msg, frame.Heartbeat)
+		if err != nil {
+			return err
+		}
+		if err := f.checkEpoch(c.bw, epoch); err != nil {
+			return err
+		}
+		f.noteContact()
+
+	case frame.Campaign:
+		epoch, theirs, err := decodeCursors(msg, frame.Campaign)
+		if err != nil {
+			return err
+		}
+		granted := f.decideVote(epoch, theirs)
+		return sendMsg(c.bw, encodeGrant(granted, f.epoch.Load()))
+
+	case frame.DigestReq:
+		name, from, max, err := decodeDigestReq(msg)
+		if err != nil {
+			return err
+		}
+		st := f.storeNamed(name)
+		if st == nil {
+			return fmt.Errorf("digest request for unknown store %q", name)
+		}
+		if max <= 0 || max > 4096 {
+			max = 4096
+		}
+		ds, err := st.DigestWAL(st.WALGen(), from, max)
+		if err != nil {
+			return fmt.Errorf("digest %s from %d: %w", name, from, err)
+		}
+		wire := make([]recordDigest, len(ds))
+		end := from
+		for i, d := range ds {
+			wire[i] = recordDigest{end: d.End, crc: d.CRC}
+			end = d.End
+		}
+		done := len(ds) < max || end >= st.WALOffset()
+		return sendMsg(c.bw, encodeDigests(name, done, wire))
+
+	case frame.Truncate:
+		name, offset, err := decodeStoreOffset(msg, frame.Truncate)
+		if err != nil {
+			return err
+		}
+		st := f.storeNamed(name)
+		if st == nil {
+			return fmt.Errorf("truncate for unknown store %q", name)
+		}
+		f.logf("repl: truncating %s back to %d (diverged old-epoch suffix)", name, offset)
+		if err := st.TruncateWAL(offset); err != nil {
+			return fmt.Errorf("truncate %s to %d: %w", name, offset, err)
+		}
+		if f.truncates != nil {
+			f.truncates.Inc()
+		}
+		if f.cfg.OnApply != nil {
+			f.cfg.OnApply(name)
+		}
+		return sendMsg(c.bw, encodeStoreOffset(frame.Ack, name, offset))
+
+	case frame.Data:
+		// The segment is a slice of the reused read buffer: the store
+		// copies what it keeps (the WAL bytes, the keys), and nothing
+		// below holds on to seg.
+		name, epoch, offset, seg, err := decodeData(msg)
+		if err != nil {
+			return fmt.Errorf("data: %w", err)
+		}
+		if err := f.checkEpoch(c.bw, epoch); err != nil {
+			return err
+		}
+		f.noteContact()
+		idx := storeIndex(f.cfg.Stores, name)
+		if idx < 0 {
+			return fmt.Errorf("data for unknown store %q", name)
+		}
+		if _, err := f.cfg.Stores[idx].Store.ApplyWALSegment(offset, seg); err != nil {
+			return fmt.Errorf("apply %s at %d: %w", name, offset, err)
+		}
+		if f.applied != nil {
+			f.applied.Add(uint64(len(seg)), name)
+		}
+		if f.cfg.OnApply != nil {
+			f.cfg.OnApply(name)
+		}
+		c.touched[idx] = true
+
+	default:
+		return fmt.Errorf("unexpected frame type %d", frameKind(msg))
+	}
+	return nil
+}
+
+// syncAck fsyncs one store and writes the ack of the offset it is
+// durable through; the caller flushes.
+func syncAck(bw *bufio.Writer, ns NamedStore) error {
 	if err := ns.Store.SyncWAL(); err != nil {
 		return err
 	}
-	return writeMsg(conn, encodeStoreOffset(frame.Ack, ns.Name, ns.Store.WALOffset()))
+	return writeMsg(bw, encodeStoreOffset(frame.Ack, ns.Name, ns.Store.WALOffset()))
 }
 
 // decideVote applies the election rules to one campaign: the candidate

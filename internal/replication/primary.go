@@ -189,6 +189,11 @@ func (p *Primary) runFollower(link *followerLink) {
 	}
 }
 
+// shipBuffer is the per-connection write buffer of the ship loop: a
+// round's heartbeat and data frames collect in it and leave in one
+// write unless they outgrow it.
+const shipBuffer = 64 << 10
+
 // serve runs one connection: read the follower's hello, negotiate the
 // resume point for every store (ordering a truncate when the follower's
 // log diverged — a rejoining deposed primary), then ship WAL segments
@@ -210,12 +215,17 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	}
 
 	n := len(p.cfg.Stores)
-	gens := make([]uint64, n)
-	for i, ns := range p.cfg.Stores {
-		gens[i] = ns.Store.WALGen()
+	sh := &shipper{
+		stores:  p.cfg.Stores,
+		epoch:   p.cfg.Epoch,
+		bw:      bufio.NewWriterSize(conn, shipBuffer),
+		gens:    make([]uint64, n),
+		targets: make([]int64, n),
 	}
-	cursors, err := p.negotiate(link, conn, br, gens, offsets)
-	if err != nil {
+	for i, ns := range p.cfg.Stores {
+		sh.gens[i] = ns.Store.WALGen()
+	}
+	if sh.cursors, err = p.negotiate(link, sh.bw, br, sh.gens, offsets); err != nil {
 		return err
 	}
 	// Reset the ack state: the hello only proves the follower *applied*
@@ -228,7 +238,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	p.mu.Unlock()
 	// Negotiation over: the follower certifies its (possibly truncated)
 	// prefix and the data stream begins.
-	if err := writeMsg(conn, encodeSyncStart()); err != nil {
+	if err := sendMsg(sh.bw, encodeSyncStart()); err != nil {
 		return fmt.Errorf("syncstart: %w", err)
 	}
 
@@ -256,8 +266,10 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	jittered := func() time.Duration {
 		return time.Duration(float64(hb) * (0.8 + 0.4*rand.Float64()))
 	}
+	beat := encodeEpoch(frame.Heartbeat, p.cfg.Epoch)
+	idle := time.NewTimer(time.Hour)
+	defer idle.Stop()
 
-	targets := make([]int64, n)
 	for {
 		select {
 		case <-link.stop:
@@ -267,61 +279,90 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 		default:
 		}
 		if hb > 0 && !time.Now().Before(nextBeat) {
-			if err := writeMsg(conn, encodeEpoch(frame.Heartbeat, p.cfg.Epoch)); err != nil {
+			if err := writeMsg(sh.bw, beat); err != nil {
 				return fmt.Errorf("heartbeat: %w", err)
 			}
 			nextBeat = time.Now().Add(jittered())
 		}
-		progress := false
-		// Capture targets in reverse dependency order, ship in forward
-		// order: a record visible in a later store was staged before
-		// that store's capture, so its prerequisites in earlier stores
-		// fall under their (later) captures — every shipped round is a
-		// consistent cut.
-		for i := n - 1; i >= 0; i-- {
-			targets[i] = p.cfg.Stores[i].Store.WALOffset()
+		progress, err := sh.round()
+		if err != nil {
+			return err
 		}
-		for i, ns := range p.cfg.Stores {
-			for cursors[i] < targets[i] {
-				seg, err := ns.Store.ReadWAL(gens[i], cursors[i], segmentBytes)
-				if err != nil {
-					return fmt.Errorf("read %s wal at %d: %w", ns.Name, cursors[i], err)
-				}
-				if seg == nil {
-					break
-				}
-				frame := encodeData(ns.Name, p.cfg.Epoch, cursors[i], seg)
-				if err := writeMsg(conn, frame); err != nil {
-					return fmt.Errorf("ship %s: %w", ns.Name, err)
-				}
-				cursors[i] += int64(len(seg))
-				progress = true
-			}
+		p.updateLag(link, sh.targets)
+		if progress {
+			continue
 		}
-		p.updateLag(link, targets)
-		if !progress {
-			idle := 500 * time.Millisecond
-			if hb > 0 {
-				if until := time.Until(nextBeat); until < idle {
-					idle = until
-				}
-				if idle < time.Millisecond {
-					idle = time.Millisecond
-				}
-			}
+		wait := 500 * time.Millisecond
+		if hb > 0 {
+			wait = max(min(wait, time.Until(nextBeat)), time.Millisecond)
+		}
+		if !idle.Stop() {
 			select {
-			case <-wake:
-			case <-link.stop:
-				return nil
-			case err := <-ackErr:
-				return err
-			case <-time.After(idle):
-				// Periodic pass so the lag gauge stays fresh (and the
-				// heartbeat fires) even when idle, and a missed edge
-				// trigger cannot wedge the loop.
+			case <-idle.C:
+			default:
 			}
+		}
+		idle.Reset(wait)
+		select {
+		case <-wake:
+		case <-link.stop:
+			return nil
+		case err := <-ackErr:
+			return err
+		case <-idle.C:
+			// Periodic pass so the lag gauge stays fresh (and the
+			// heartbeat fires) even when idle, and a missed edge
+			// trigger cannot wedge the loop.
 		}
 	}
+}
+
+// shipper is one connection's ship loop: the cursors negotiated for it,
+// the targets of the latest round, the buffered writer every round goes
+// out through and the segment buffer every read reuses.
+type shipper struct {
+	stores  []NamedStore
+	epoch   uint64
+	bw      *bufio.Writer
+	gens    []uint64
+	cursors []int64
+	targets []int64
+	seg     []byte
+}
+
+// round ships every byte staged in every store since the last round,
+// behind whatever bw already holds (a heartbeat), and flushes it all in
+// one write. It reports whether any data frame went out.
+func (s *shipper) round() (progress bool, err error) {
+	// Capture targets in reverse dependency order, ship in forward
+	// order: a record visible in a later store was staged before that
+	// store's capture, so its prerequisites in earlier stores fall
+	// under their (later) captures — every shipped round is a
+	// consistent cut.
+	for i := len(s.stores) - 1; i >= 0; i-- {
+		s.targets[i] = s.stores[i].Store.WALOffset()
+	}
+	for i, ns := range s.stores {
+		for s.cursors[i] < s.targets[i] {
+			seg, err := ns.Store.ReadWALInto(s.seg, s.gens[i], s.cursors[i], segmentBytes)
+			if err != nil {
+				return false, fmt.Errorf("read %s wal at %d: %w", ns.Name, s.cursors[i], err)
+			}
+			if seg == nil {
+				break
+			}
+			s.seg = seg
+			if err := writeData(s.bw, ns.Name, s.epoch, s.cursors[i], seg); err != nil {
+				return false, fmt.Errorf("ship %s: %w", ns.Name, err)
+			}
+			s.cursors[i] += int64(len(seg))
+			progress = true
+		}
+	}
+	if err := s.bw.Flush(); err != nil {
+		return false, fmt.Errorf("ship: %w", err)
+	}
+	return progress, nil
 }
 
 // digestBatch bounds one digest request during rejoin negotiation.
@@ -336,7 +377,7 @@ const digestBatch = 1024
 // our own to the first divergent record — exactly the comparison
 // `css-audit -compare` runs over audit chains — and order a truncate
 // back to the common prefix before shipping.
-func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader, gens []uint64, offsets []storeOffset) ([]int64, error) {
+func (p *Primary) negotiate(link *followerLink, bw *bufio.Writer, br *bufio.Reader, gens []uint64, offsets []storeOffset) ([]int64, error) {
 	cursors := make([]int64, len(p.cfg.Stores))
 	for i, ns := range p.cfg.Stores {
 		var theirs storeOffset
@@ -360,14 +401,14 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 				continue
 			}
 		}
-		common, err := p.firstDivergence(conn, br, ns, gens[i], min(theirs.offset, ourOff))
+		common, err := p.firstDivergence(bw, br, ns, gens[i], min(theirs.offset, ourOff))
 		if err != nil {
 			return nil, fmt.Errorf("digest walk %s: %w", ns.Name, err)
 		}
 		if common < theirs.offset {
 			p.logf("repl: follower %s diverged on %s at %d (its log ends at %d): ordering truncate",
 				link.addr, ns.Name, common, theirs.offset)
-			if err := writeMsg(conn, encodeStoreOffset(frame.Truncate, ns.Name, common)); err != nil {
+			if err := sendMsg(bw, encodeStoreOffset(frame.Truncate, ns.Name, common)); err != nil {
 				return nil, fmt.Errorf("truncate %s: %w", ns.Name, err)
 			}
 			name, acked, err := p.readAck(br)
@@ -386,11 +427,11 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 // firstDivergence walks the follower's per-record digests against our
 // own log and returns the end offset of the last record both sides
 // agree on (the truncation point), never past limit.
-func (p *Primary) firstDivergence(conn net.Conn, br *bufio.Reader, ns NamedStore, gen uint64, limit int64) (int64, error) {
+func (p *Primary) firstDivergence(bw *bufio.Writer, br *bufio.Reader, ns NamedStore, gen uint64, limit int64) (int64, error) {
 	var common int64
 	pos := int64(0)
 	for pos < limit {
-		if err := writeMsg(conn, encodeDigestReq(ns.Name, pos, digestBatch)); err != nil {
+		if err := sendMsg(bw, encodeDigestReq(ns.Name, pos, digestBatch)); err != nil {
 			return 0, err
 		}
 		msg, err := readMsg(br)
@@ -446,11 +487,13 @@ func (p *Primary) readAck(br *bufio.Reader) (string, int64, error) {
 // readAcks folds the follower's ack stream into the link state until
 // the connection breaks or the follower fences us.
 func (p *Primary) readAcks(link *followerLink, br *bufio.Reader) error {
+	var buf []byte
 	for {
-		msg, err := readMsg(br)
+		msg, err := readMsgInto(br, buf)
 		if err != nil {
 			return err
 		}
+		buf = msg
 		if ep, derr := decodeEpoch(msg, frame.Deny); derr == nil {
 			p.markFenced(link)
 			return fmt.Errorf("%w (follower %s holds epoch %d)", ErrFenced, link.addr, ep)

@@ -87,6 +87,13 @@ func (s *Store) notifyWatchersLocked() {
 // established under; a truncation since then yields ErrWALRotated, as
 // does an offset beyond the log end.
 func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
+	return s.ReadWALInto(nil, gen, from, maxBytes)
+}
+
+// ReadWALInto is ReadWAL reading into buf's storage when it is large
+// enough, so a shipper that sends each segment before the next read
+// can reuse one buffer; it allocates only to grow past cap(buf).
+func (s *Store) ReadWALInto(buf []byte, gen uint64, from int64, maxBytes int) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -104,7 +111,7 @@ func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 	}
 	// Read a record header at least, even under a smaller cap.
 	n := min(limit-from, max(int64(maxBytes), 8))
-	buf := make([]byte, n)
+	buf = grow(buf, n)
 	if _, err := s.log.f.ReadAt(buf, from); err != nil {
 		return nil, fmt.Errorf("store: wal read at %d: %w", from, err)
 	}
@@ -129,11 +136,20 @@ func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 	if rl <= 0 || from+8+rl > limit {
 		return nil, fmt.Errorf("%w at offset %d: record overruns flushed boundary", ErrCorrupt, from)
 	}
-	big := make([]byte, 8+rl)
-	if _, err := s.log.f.ReadAt(big, from); err != nil {
+	buf = grow(buf, 8+rl)
+	if _, err := s.log.f.ReadAt(buf, from); err != nil {
 		return nil, fmt.Errorf("store: wal read at %d: %w", from, err)
 	}
-	return big, nil
+	return buf, nil
+}
+
+// grow returns buf resliced to n bytes, or a new slice when buf is
+// too small.
+func grow(buf []byte, n int64) []byte {
+	if int64(cap(buf)) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // ApplyWALSegment applies a replicated segment — whole records read by
