@@ -2,9 +2,10 @@
 // controller shards each own a slice of the person-pseudonym space,
 // assigned by consistent hashing over a versioned vnode ring. The
 // events index, the bus routing and the audit chain of a person's
-// events all live on the shard that owns her pseudonym, so every
+// events all live on the shard that owns their pseudonym, so every
 // publish touches exactly one shard and the single-node publish path
-// (PR 7) is preserved per shard.
+// is preserved per shard. Each shard mints only event ids the same
+// ring assigns to it, so an event id names its shard too.
 //
 // The package is deliberately low-level: it knows nothing about the
 // controller or the transport. It provides
@@ -28,7 +29,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -169,13 +169,22 @@ func (m *Map) buildRing() {
 }
 
 func vnodeHash(id ShardID, vnode int) uint64 {
-	h := fnv.New64a()
 	var buf [24]byte
 	b := strconv.AppendInt(buf[:0], int64(id), 10)
 	b = append(b, '#')
 	b = strconv.AppendInt(b, int64(vnode), 10)
-	h.Write(b)
-	return h.Sum64()
+	return keyHash(b)
+}
+
+// keyHash is 64-bit FNV-1a, written out so a key held in a string and
+// one held in a byte slice hash alike without a conversion.
+func keyHash[K string | []byte](key K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Version returns the map version. Versions are strictly increasing
@@ -198,13 +207,16 @@ func (m *Map) Shard(id ShardID) (ShardInfo, bool) {
 	return ShardInfo{}, false
 }
 
-// Owner returns the shard owning a person pseudonym: the first vnode
-// clockwise of the key's hash on the ring.
-func (m *Map) Owner(pseudonym string) ShardID {
-	h := fnv.New64a()
-	h.Write([]byte(pseudonym))
-	key := h.Sum64()
-	i := sort.Search(len(m.ring), func(i int) bool { return m.ring[i].hash >= key })
+// Owner returns the shard owning a key — a person's pseudonym or an
+// event id: the first vnode clockwise of the key's hash on the ring.
+func (m *Map) Owner(key string) ShardID { return m.at(keyHash(key)) }
+
+// OwnerBytes is Owner for a key held in a byte slice.
+func (m *Map) OwnerBytes(key []byte) ShardID { return m.at(keyHash(key)) }
+
+// at returns the shard of the first vnode at or clockwise of hash h.
+func (m *Map) at(h uint64) ShardID {
+	i := sort.Search(len(m.ring), func(i int) bool { return m.ring[i].hash >= h })
 	if i == len(m.ring) {
 		i = 0 // wrap around
 	}

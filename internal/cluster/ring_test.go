@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -58,6 +59,27 @@ func TestOwnerDeterministic(t *testing.T) {
 		k := fmt.Sprintf("pseudonym-%04d", i)
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner disagreement for %s", k)
+		}
+	}
+}
+
+// TestKeyHashIsFNV1a pins the ring hash to 64-bit FNV-1a, so the
+// assignment of keys, and with it the owner of every stored event id,
+// stays the same across builds; and a key answers the same owner as a
+// string and as bytes.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	m, err := NewMap(1, 0, testShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"", "a", "3#17", "evt-00112233445566778899aabbccddeeff", "hmac-pseudonym-000042"} {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := keyHash(k), h.Sum64(); got != want {
+			t.Errorf("keyHash(%q) = %x, FNV-1a %x", k, got, want)
+		}
+		if m.Owner(k) != m.OwnerBytes([]byte(k)) {
+			t.Errorf("Owner(%q) and OwnerBytes disagree", k)
 		}
 	}
 }

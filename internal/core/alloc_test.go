@@ -91,3 +91,44 @@ func TestPublishAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestClusteredPublishAllocBudget pins the garbage of a publish on one
+// shard of a 3-shard map, with no subscribers: shard admission, the id
+// mint and the writes. A shard mints only ids its map assigns to it, so
+// it draws about three ids per publish; the draws it discards must cost
+// no allocation. The budget is the count measured when a shard still
+// kept its first draw.
+func TestClusteredPublishAllocBudget(t *testing.T) {
+	const budget = 25
+	m := threeShards(t)
+	c, err := New(Config{DefaultConsent: true, MasterKey: clusterKey, ShardMap: m, ShardID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterProducer("hospital", "H"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeclareClass("hospital", schema.BloodTest()); err != nil {
+		t.Fatal(err)
+	}
+	person := ownedPerson(t, c, m, 1, 0)
+	seq := 0
+	publish := func() {
+		seq++
+		if _, err := c.Publish(&event.Notification{
+			SourceID: event.SourceID(fmt.Sprintf("s-%09d", seq)), Class: schema.ClassBloodTest,
+			PersonID: person, OccurredAt: time.Now(), Producer: "hospital",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := math.Inf(1)
+	for round := 0; round < 5; round++ {
+		got = min(got, testing.AllocsPerRun(200, publish))
+	}
+	t.Logf("clustered publish: %.0f allocs/op (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("clustered publish allocates %.0f/op, budget %d", got, budget)
+	}
+}

@@ -1,8 +1,8 @@
-// Cluster membership of the controller: shard identity and publish-path
-// ownership enforcement. The shard map is fixed at boot; only a
-// failover's AdoptMap replaces it. An unsharded controller (the
-// default) carries none of this — c.shard stays nil and the publish
-// path pays one nil check.
+// Cluster membership of the controller: shard identity, publish-path
+// ownership enforcement and the ids the shard mints. The shard map is
+// fixed at boot; only a failover's AdoptMap replaces it. An unsharded
+// controller (the default) carries none of this — c.shard stays nil and
+// the publish path pays one nil check.
 package core
 
 import (
@@ -26,6 +26,13 @@ type shardState struct {
 // construction. Called from New when Config.ShardMap is set. The id
 // must name a shard of the map: a shard the map leaves out would own
 // no keys and redirect every publish, forever.
+//
+// The shard mints only event ids the map assigns to it, so a detail
+// request goes to the one shard an id names. A failover keeps every
+// shard's key range, so a promoted replica keeps minting its own ids.
+// A data dir holding an id of another shard (written unsharded, or as
+// another shard) is refused here: its events would be asked for at a
+// shard that does not hold them.
 func (c *Controller) initCluster(id cluster.ShardID, m *cluster.Map) error {
 	if id < 0 {
 		return fmt.Errorf("core: invalid shard id %d", id)
@@ -35,6 +42,14 @@ func (c *Controller) initCluster(id cluster.ShardID, m *cluster.Map) error {
 	}
 	if err := c.reg.SetShardMap(m); err != nil {
 		return err
+	}
+	foreign, err := c.ids.Restrict(func(gid []byte) bool { return c.reg.ShardMap().OwnerBytes(gid) == id })
+	if err != nil {
+		return err
+	}
+	if foreign != "" {
+		return fmt.Errorf("core: data dir %q holds event id %s, which the shard map assigns to %s, not to %s: the dir was written unsharded or as another shard",
+			c.cfg.DataDir, foreign, m.Owner(string(foreign)), id)
 	}
 	c.shard = &shardState{id: id, label: id.String()}
 	c.met.clusterMapVersion.Set(float64(m.Version()))

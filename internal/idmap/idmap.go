@@ -36,6 +36,12 @@ type Mapping struct {
 type Map struct {
 	mu sync.Mutex // serializes Assign's check-then-mint
 	st *store.Store
+
+	// owns, when set, accepts the ids Assign may mint (see Restrict).
+	owns func(id []byte) bool
+	// draw holds the id being minted, so an id owns refuses is
+	// discarded without a conversion. Guarded by mu.
+	draw [4 + 32]byte
 }
 
 // New creates a Map backed by st. The map uses the key prefixes "g/"
@@ -61,7 +67,7 @@ func (m *Map) Assign(producer event.ProducerID, source event.SourceID, class eve
 	} else if ok {
 		return event.GlobalID(v), nil
 	}
-	gid, err := newGlobalID()
+	gid, err := m.mint()
 	if err != nil {
 		return "", err
 	}
@@ -123,18 +129,48 @@ func reverseKey(p event.ProducerID, s event.SourceID) string {
 	return "r/" + string(p) + "\x00" + string(s)
 }
 
-// newGlobalID mints a 128-bit random identifier with a readable prefix.
-// The id is assembled on the stack and converted once, instead of the
-// hex.EncodeToString + concatenation pair (two allocations per mint).
-func newGlobalID() (event.GlobalID, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("idmap: generate id: %w", err)
+// Restrict makes Assign mint only ids owns accepts. A clustered
+// controller passes its shard map's test, so every id it mints names
+// its shard; owns must accept some ids, as a shard of the map does
+// about one draw in N. owns runs under the map's lock and must not call
+// back into the map. Restrict returns the first stored id owns refuses,
+// or "" when it refuses none: a store written under another assignment.
+func (m *Map) Restrict(owns func(id []byte) bool) (event.GlobalID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.owns = owns
+	var foreign event.GlobalID
+	err := m.st.View(func(tx store.Tx) error {
+		var id []byte
+		tx.AscendKeys("g/", "", func(k string) bool {
+			id = append(id[:0], k[len("g/"):]...)
+			if !owns(id) {
+				foreign = event.GlobalID(id)
+				return false
+			}
+			return true
+		})
+		return nil
+	})
+	return foreign, err
+}
+
+// mint draws 128-bit random identifiers with a readable prefix until
+// owns accepts one (the first, when the map is unrestricted). Each draw
+// is assembled in m.draw and only the one kept is converted, so a
+// discarded draw costs no allocation. Callers hold mu.
+func (m *Map) mint() (event.GlobalID, error) {
+	m.draw[0], m.draw[1], m.draw[2], m.draw[3] = 'e', 'v', 't', '-'
+	for {
+		var b [16]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			return "", fmt.Errorf("idmap: generate id: %w", err)
+		}
+		hex.Encode(m.draw[4:], b[:])
+		if m.owns == nil || m.owns(m.draw[:]) {
+			return event.GlobalID(m.draw[:]), nil
+		}
 	}
-	var out [4 + 32]byte
-	out[0], out[1], out[2], out[3] = 'e', 'v', 't', '-'
-	hex.Encode(out[4:], b[:])
-	return event.GlobalID(out[:]), nil
 }
 
 // appendMapping packs origin fields with NUL separators (none of the id

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/xml"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sync/atomic"
@@ -467,4 +468,65 @@ func TestReplStatusAndPromoteOverTheWire(t *testing.T) {
 	if _, err := repClient.Promote(context.Background(), 3); err == nil {
 		t.Fatal("second promote succeeded")
 	}
+}
+
+// TestFollowerCatchesUpPreloadedPrimary boots a fleet shard the way the
+// benchmark harness does: the primary's dir is written in process
+// through core.Publish, the replica starts first on an empty dir, then
+// the primary opens the written dir and ships to it. The replica must
+// catch up on the whole history, which spans several shipped segments
+// and write buffers (the index WAL alone is about 1 MB).
+func TestFollowerCatchesUpPreloadedPrimary(t *testing.T) {
+	key := bytes.Repeat([]byte{7}, crypto.KeySize)
+	m, err := cluster.NewMap(1, 0, []cluster.ShardInfo{{ID: 0, Addr: "http://s0"}, {ID: 1, Addr: "http://s1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(dir string) core.Config {
+		return core.Config{DataDir: dir, MasterKey: key, DefaultConsent: true, ShardMap: m, ShardID: 0, SpanSampleRate: -1}
+	}
+	priDir, repDir := t.TempDir(), t.TempDir()
+	pre, err := core.New(cfg(priDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.RegisterProducer("hospital", "Hospital"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.DeclareClass("hospital", schema.BloodTest()); err != nil {
+		t.Fatal(err)
+	}
+	const history = 2000
+	for i, published := 0, 0; published < history; i++ {
+		person := fmt.Sprintf("PRS-%06d", i)
+		if m.Owner(pre.Pseudonym(person)) != 0 {
+			continue
+		}
+		if _, err := pre.Publish(&event.Notification{
+			SourceID: event.SourceID(fmt.Sprintf("src-%06d", i)), Class: schema.ClassBloodTest,
+			PersonID: person, Summary: "blood test", Producer: "hospital",
+			OccurredAt: time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		published++
+	}
+	if err := pre.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replica, err := core.New(cfg(repDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replica.Close() })
+	repNode := startNode(t, replica, replication.NodeConfig{Role: replication.RoleReplica, DataDir: repDir})
+	primary, err := core.New(cfg(priDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	startNode(t, primary, replication.NodeConfig{Role: replication.RolePrimary, DataDir: priDir,
+		Peers: []string{repNode.Addr()}})
+	waitSameWALs(t, primary, replica)
 }

@@ -2,21 +2,22 @@ package transport
 
 // ShardedClient is the cluster-aware SDK: it speaks to every controller
 // shard behind one Client-shaped surface. Publishes route to the shard
-// that owns the person's pseudonym; a wrong-shard fault from a stale
-// map is followed (bounded hops, with a map refresh when the fault
-// names a newer version); inquiries scatter across the shards and
-// merge with stable ordering. Every request goes to a shard's primary.
+// that owns the person's pseudonym, computed when the client holds the
+// pseudonym function and otherwise guessed and corrected by the
+// wrong-shard fault (bounded hops, with a map refresh when the fault
+// names a newer version); detail requests go to the one shard the
+// event id names; inquiries scatter across the shards and merge with
+// stable ordering. Every request goes to a shard's primary. The client
+// learns no routes: the shard map is all it routes by.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/consent"
-	"repro/internal/enforcer"
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/policy"
@@ -27,12 +28,6 @@ import (
 // single map change (stale guess → named owner); the third absorbs a
 // map flip racing the retry.
 const maxRedirects = 3
-
-// routeCacheSize bounds each learned-routing cache (person → shard,
-// event → shard). When full the cache is flushed wholesale — entries
-// are one redirect away from being relearned, so eviction bookkeeping
-// would cost more than the misses it prevents.
-const routeCacheSize = 4096
 
 // ShardedOption configures a ShardedClient.
 type ShardedOption func(*shardedOptions)
@@ -67,9 +62,6 @@ type ShardedClient struct {
 	// next write route to a fresh client for the promoted node while
 	// the old one ages out with its breaker state intact.
 	clients map[string]*Client
-
-	persons routeCache // personID → owning shard, learned from acks/redirects
-	events  routeCache // event gid → shard that acked the publish
 }
 
 // NewShardedClient builds a cluster client over the given map. factory
@@ -134,18 +126,15 @@ func (sc *ShardedClient) clientFor(id cluster.ShardID) (*Client, error) {
 	return sc.clientAt(info), nil
 }
 
-// adoptMap swaps in a newer map and flushes the learned routes (member
-// clients persist — they are keyed by address, so a failover's primary
-// change routes to the promoted node's client on the next write).
+// adoptMap swaps in a newer map (member clients persist — they are
+// keyed by address, so a failover's primary change routes to the
+// promoted node's client on the next write).
 func (sc *ShardedClient) adoptMap(next *cluster.Map) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if next.Version() <= sc.m.Version() {
-		return
+	if next.Version() > sc.m.Version() {
+		sc.m = next
 	}
-	sc.m = next
-	sc.persons.reset()
-	sc.events.reset()
 }
 
 // RefreshMap fetches the shard map from the given shard (any member
@@ -163,19 +152,14 @@ func (sc *ShardedClient) RefreshMap(ctx context.Context, from cluster.ShardID) e
 	return nil
 }
 
-// ownerFor picks the shard a person's publishes should go to: computed
-// exactly when the pseudonym function is present, otherwise the cached
-// learned route, otherwise a deterministic guess (hash of the raw
-// person id over the same ring) that the first redirect corrects.
+// ownerFor picks the shard a person's publishes go to first: computed
+// exactly when the pseudonym function is present, otherwise a guess
+// (the raw person id over the same ring) that the wrong-shard redirect
+// corrects.
 func (sc *ShardedClient) ownerFor(personID string) cluster.ShardID {
-	sc.mu.RLock()
-	m := sc.m
-	sc.mu.RUnlock()
+	m := sc.Map()
 	if sc.opts.pseudonym != nil {
 		return m.Owner(sc.opts.pseudonym(personID))
-	}
-	if id, ok := sc.persons.get(personID); ok {
-		return id
 	}
 	return m.Owner(personID)
 }
@@ -198,8 +182,6 @@ func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (ev
 		}
 		gid, err := cl.Publish(ctx, n)
 		if err == nil {
-			sc.persons.put(n.PersonID, target)
-			sc.events.put(string(gid), target)
 			return gid, nil
 		}
 		var np *cluster.NotPrimaryError
@@ -225,7 +207,6 @@ func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (ev
 		}
 		lastErr = err
 		sc.refreshIfNewer(ctx, target, ws.Version)
-		sc.persons.put(n.PersonID, ws.Owner)
 		target = ws.Owner
 	}
 	return "", fmt.Errorf("transport: publish exceeded %d shard redirects: %w", maxRedirects, lastErr)
@@ -307,44 +288,13 @@ func onPrimary[T any](ctx context.Context, sc *ShardedClient, id cluster.ShardID
 	return zero, fmt.Errorf("transport: shard %s exceeded %d not-primary retries: %w", id, maxRedirects, lastErr)
 }
 
-// RequestDetails resolves a detail request. The shard that acked the
-// event's publish is asked alone (learned route), and its answer
-// stands: each event lives on exactly one shard. On a cache miss the
-// shards are asked in order, skipping unknown-event answers, so a
-// detail request never needs the pseudonym.
+// RequestDetails asks the shard the event id names, and its answer
+// stands: each shard mints only ids the map assigns to it, so no other
+// shard holds the event, and no other shard audits the request.
 func (sc *ShardedClient) RequestDetails(ctx context.Context, r *event.DetailRequest) (*event.Detail, error) {
-	if id, ok := sc.events.get(string(r.EventID)); ok {
-		return sc.detailsOn(ctx, id, r)
-	}
-	var lastErr error = errUnknownEventAll
-	for _, info := range sc.Map().Shards() {
-		d, err := sc.detailsOn(ctx, info.ID, r)
-		if err == nil {
-			sc.events.put(string(r.EventID), info.ID)
-			return d, nil
-		}
-		if !isUnknownEvent(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// detailsOn asks one shard's primary for the details.
-func (sc *ShardedClient) detailsOn(ctx context.Context, id cluster.ShardID, r *event.DetailRequest) (*event.Detail, error) {
-	return onPrimary(ctx, sc, id, func(cl *Client) (*event.Detail, error) {
+	return onPrimary(ctx, sc, sc.Map().Owner(string(r.EventID)), func(cl *Client) (*event.Detail, error) {
 		return cl.RequestDetails(ctx, r)
 	})
-}
-
-// errUnknownEventAll is returned when every shard disclaims the event;
-// it unwraps to the single-controller sentinel so errors.Is keeps
-// working for cluster callers.
-var errUnknownEventAll = fmt.Errorf("transport: event unknown to every shard: %w", enforcer.ErrUnknownEvent)
-
-func isUnknownEvent(err error) bool {
-	return errors.Is(err, enforcer.ErrUnknownEvent)
 }
 
 // InquireIndex queries the events index across the cluster. When the
@@ -426,51 +376,4 @@ func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*p
 		}
 	}
 	return stored, nil
-}
-
-// --- learned-route cache ---------------------------------------------------
-
-// routeCache is a bounded string → shard map with wholesale flush on
-// overflow and on map change. It keys person identifiers by a hash
-// under a seed drawn per cache, so its keys cannot be matched against
-// a table of hashed candidates computed in advance (a fiscal code has
-// few enough values to enumerate) nor correlated between two
-// processes or two caches. It does not hide ids from a reader of
-// process memory: that reader holds the seed too, and can hash
-// candidates. The zero value is an empty cache.
-type routeCache struct {
-	mu   sync.Mutex
-	seed maphash.Seed
-	m    map[uint64]cluster.ShardID
-}
-
-// key hashes k under the cache's seed, drawing the seed on first use.
-// Callers hold mu.
-func (rc *routeCache) key(k string) uint64 {
-	if rc.seed == (maphash.Seed{}) {
-		rc.seed = maphash.MakeSeed()
-	}
-	return maphash.String(rc.seed, k)
-}
-
-func (rc *routeCache) get(k string) (cluster.ShardID, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	id, ok := rc.m[rc.key(k)]
-	return id, ok
-}
-
-func (rc *routeCache) put(k string, id cluster.ShardID) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.m == nil || len(rc.m) >= routeCacheSize {
-		rc.m = make(map[uint64]cluster.ShardID)
-	}
-	rc.m[rc.key(k)] = id
-}
-
-func (rc *routeCache) reset() {
-	rc.mu.Lock()
-	rc.m = nil
-	rc.mu.Unlock()
 }

@@ -8,10 +8,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/crypto"
@@ -152,10 +152,11 @@ func (r *shardRig) indexTotal(t *testing.T) int {
 	return total
 }
 
-// TestShardedPublishByRedirect routes with no pseudonym function: the
-// first publish per person guesses, the wrong-shard fault names the
-// owner, and the learned route makes the second round direct. Every
-// event must land exactly once, on its owning shard.
+// TestShardedPublishByRedirect routes with no pseudonym function: each
+// publish guesses from the raw person id, and the wrong-shard fault
+// names the owner when the guess is wrong, in the second round as in
+// the first (the client learns no routes). Every event must land
+// exactly once, on its owning shard.
 func TestShardedPublishByRedirect(t *testing.T) {
 	r := newShardRig(t, 3)
 	ctx := context.Background()
@@ -166,7 +167,7 @@ func TestShardedPublishByRedirect(t *testing.T) {
 			t.Fatalf("publish %s: %v", person, err)
 		}
 	}
-	// Second round: the cached routes must hold (and stay correct).
+	// Second round: the same guesses, corrected by the same redirects.
 	for p := 0; p < persons; p++ {
 		person := fmt.Sprintf("PRS-%03d", p)
 		if _, err := r.sc.Publish(ctx, r.note(person, 1)); err != nil {
@@ -323,10 +324,9 @@ func TestShardedInquirePartialResult(t *testing.T) {
 	}
 }
 
-// TestShardedDetails resolves a detail request without knowing the
-// owner: the learned route from the publish ack answers directly, and
-// an unknown event is disclaimed by every shard with the usual
-// sentinel.
+// TestShardedDetails resolves a detail request at the shard its event
+// id names, and an unknown event is disclaimed by that one shard with
+// the usual sentinel.
 func TestShardedDetails(t *testing.T) {
 	r := newShardRig(t, 3)
 	ctx := context.Background()
@@ -360,21 +360,86 @@ func TestShardedDetails(t *testing.T) {
 		t.Fatalf("detail hemoglobin = %q (ok=%v)", got, ok)
 	}
 
-	// A cold cache must still find the event by sweeping the shards.
-	r.sc.events.reset()
-	if _, err := r.sc.RequestDetails(ctx, &event.DetailRequest{
-		EventID: gid, Class: schema.ClassBloodTest, Requester: "family-doctor",
-		Purpose: event.PurposeHealthcareTreatment,
-	}); err != nil {
-		t.Fatalf("cold-cache details: %v", err)
+	const unknown = "evt-ffffffffffffffffffffffffffffffff"
+	before := make([]uint64, len(r.ctrls))
+	for i, c := range r.ctrls {
+		before[i] = c.Audit().Len()
 	}
-
 	if _, err := r.sc.RequestDetails(ctx, &event.DetailRequest{
-		EventID: "evt-ffffffffffffffffffffffffffffffff", Class: schema.ClassBloodTest,
+		EventID: unknown, Class: schema.ClassBloodTest,
 		Requester: "family-doctor",
 		Purpose:   event.PurposeHealthcareTreatment,
 	}); !errors.Is(err, enforcer.ErrUnknownEvent) {
 		t.Fatalf("unknown event error = %v", err)
+	}
+	for i, c := range r.ctrls {
+		asked := cluster.ShardID(i) == r.m.Owner(unknown)
+		if grew := c.Audit().Len() > before[i]; grew != asked {
+			t.Errorf("shard %d audited the unknown event: %v, want %v", i, grew, asked)
+		}
+	}
+}
+
+// TestFreshClientDetailsAuditOnlyOwner requests details through a
+// client that published nothing: each request reaches only the shard
+// that owns the event, so every request is permitted once and no other
+// shard's audit chain records a denial no consumer was given.
+func TestFreshClientDetailsAuditOnlyOwner(t *testing.T) {
+	r := newShardRig(t, 3)
+	ctx := context.Background()
+	if _, err := r.sc.DefinePolicy(ctx, doctorBloodPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	const events = 6
+	gids := make([]event.GlobalID, events)
+	for i := range gids {
+		person := fmt.Sprintf("PRF-%03d", i)
+		n := r.note(person, i)
+		d := event.NewDetail(schema.ClassBloodTest, n.SourceID, "hospital").
+			Set("patient-id", person).
+			Set("exam-date", "2010-05-30").
+			Set("hemoglobin", "14.2")
+		if err := r.gw.Persist(d); err != nil {
+			t.Fatal(err)
+		}
+		gid, err := r.sc.Publish(ctx, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gids[i] = gid
+	}
+
+	fresh, err := NewShardedClient(r.m, func(info cluster.ShardInfo) *Client {
+		return NewClient(info.Addr, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gid := range gids {
+		if _, err := fresh.RequestDetails(ctx, &event.DetailRequest{
+			EventID: gid, Class: schema.ClassBloodTest, Requester: "family-doctor",
+			Purpose: event.PurposeHealthcareTreatment,
+		}); err != nil {
+			t.Fatalf("details of %s: %v", gid, err)
+		}
+	}
+	permits := 0
+	for i, c := range r.ctrls {
+		recs, err := c.Audit().Search(audit.Query{Kind: audit.KindDetailRequest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			switch {
+			case rec.Outcome == "permit" && r.m.Owner(string(rec.EventID)) == cluster.ShardID(i):
+				permits++
+			case rec.Outcome == "deny":
+				t.Errorf("shard %d audited a deny for %s: %s", i, rec.EventID, rec.Note)
+			}
+		}
+	}
+	if permits != events {
+		t.Fatalf("owners' audit chains hold %d permits, want %d", permits, events)
 	}
 }
 
@@ -416,48 +481,6 @@ func TestShardedSubscribeBroadcast(t *testing.T) {
 			t.Fatalf("%d notifications never delivered", len(want))
 		}
 	}
-}
-
-// TestRouteCacheKeysPerCacheSeed pins the route caches' keying: each
-// cache hashes a person id under its own seed, so two caches (two
-// clients, two processes) key one id differently, and each still finds
-// its own entries.
-func TestRouteCacheKeysPerCacheSeed(t *testing.T) {
-	const person = "RSSMRA80A01H501U" // a fiscal code: few enough values to enumerate
-	var a, b routeCache
-	a.put(person, 1)
-	b.put(person, 2)
-	if a.key(person) == b.key(person) {
-		t.Fatal("two caches key one person id identically")
-	}
-	for _, c := range []struct {
-		rc   *routeCache
-		want cluster.ShardID
-	}{{&a, 1}, {&b, 2}} {
-		if got, ok := c.rc.get(person); !ok || got != c.want {
-			t.Errorf("get = %v, %v; want %v, true", got, ok, c.want)
-		}
-	}
-	if _, ok := a.get("RSSMRA80A01H501V"); ok {
-		t.Error("a neighbouring id hit the cache")
-	}
-
-	// The seed is drawn on first use, which concurrent publishes race
-	// for: every goroutine must still find its own entry.
-	var c routeCache
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id cluster.ShardID) {
-			defer wg.Done()
-			k := fmt.Sprintf("PRS-%d", id)
-			c.put(k, id)
-			if got, ok := c.get(k); !ok || got != id {
-				t.Errorf("concurrent get(%s) = %v, %v; want %v, true", k, got, ok, id)
-			}
-		}(cluster.ShardID(i))
-	}
-	wg.Wait()
 }
 
 // doctorBloodPolicy is the canonical disclosure policy of the suite.
