@@ -125,7 +125,9 @@ lint-traceid:
 # formatting and the XML encoder: no fmt.Sprintf and no encoding/xml
 # import in the files a publish or a detail request flows through (the
 # round tripper every outgoing call is sent with, the sharded client
-# a fleet's calls are routed by and the replication link a fleet ships
+# a fleet's calls are routed by, the shard map whose Owner and
+# OwnerBytes run on every clustered publish, id draw and fleet detail
+# request, and the replication link a fleet ships
 # every publish's WAL records over among them), no
 # reflect in the XML helper they share, no reflect and no fmt at all in
 # the binary frame layer under every hop and in the JSON helper audit
@@ -189,6 +191,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzIndexRecordDifferential -fuzztime=15s ./internal/index/
 	$(GO) test -run '^$$' -fuzz=FuzzControlFrame -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzResponseHead -fuzztime=15s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz=FuzzRequestHead -fuzztime=15s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz=FuzzReplicationFrame -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableModel -fuzztime=15s ./internal/store/

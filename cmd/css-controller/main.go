@@ -37,9 +37,11 @@
 //	                boot and must name the id; the controller exits if
 //	                it does not.
 //	-peers          cluster topology: comma-separated shard base URLs
-//	                assigned ids 0..n-1 in order; all shards must share
-//	                -key-file — pseudonym partitioning assumes one HMAC
-//	                keyspace
+//	                assigned ids 0..n-1 in order; a key's owner is its
+//	                hash scaled over n, so changing n re-homes nearly
+//	                every key and a data dir booted under another n is
+//	                refused. All shards must share -key-file — pseudonym
+//	                partitioning assumes one HMAC keyspace
 //	-role           "primary" (default) or "replica". A replica requires
 //	                -data and -repl-listen, applies a primary's WAL
 //	                stream as a standby, refuses every flow — inquiries
@@ -224,7 +226,7 @@ func main() {
 		self, _ := ctrl.ShardID()
 		telemetry.Logger().Info("controller is sharded",
 			"shard", self.String(), "map_version", m.Version(),
-			"shards", len(m.Shards()), "vnodes", m.VNodes())
+			"shards", len(m.Shards()))
 	}
 
 	run.ExportSpans(ctrl.Tracer())
@@ -360,8 +362,8 @@ func main() {
 		overload.Step{Name: "store-close", Run: ctrl.CloseContext})
 }
 
-// parseShardTopology builds the boot shard map (version 1, default
-// vnodes) from -peers, whose URLs take ids 0..n-1 in list order.
+// parseShardTopology builds the boot shard map (version 1) from
+// -peers, whose URLs take ids 0..n-1 in list order.
 func parseShardTopology(peers string) (*cluster.Map, error) {
 	urls := splitList(peers)
 	shards := make([]cluster.ShardInfo, len(urls))

@@ -2,7 +2,7 @@ package integration
 
 // Multi-shard smoke (make shard-smoke, part of `make check`): a 3-shard
 // controller cluster boots in one process, a shard-routing client
-// publishes across the ring by redirect discovery with exactly-once
+// publishes across the shards by redirect discovery with exactly-once
 // placement, a class inquiry scatter-gathers the cluster, and an
 // opt-out recorded through the client binds on every shard: the
 // person's events reach neither a class subscriber nor an inquiry.
@@ -138,7 +138,7 @@ func TestShardSmoke(t *testing.T) {
 	}
 
 	// Cross-shard placement: every event indexed exactly once, on the
-	// shard the ring owns its pseudonym to.
+	// shard the map owns its pseudonym to.
 	if got := indexTotal(); got != len(persons) {
 		t.Fatalf("cluster indexes %d events, want %d", got, len(persons))
 	}

@@ -1,16 +1,18 @@
 // Package cluster partitions the data controller horizontally: N
-// controller shards each own a slice of the person-pseudonym space,
-// assigned by consistent hashing over a versioned vnode ring. The
-// events index, the bus routing and the audit chain of a person's
-// events all live on the shard that owns their pseudonym, so every
-// publish touches exactly one shard and the single-node publish path
-// is preserved per shard. Each shard mints only event ids the same
-// ring assigns to it, so an event id names its shard too.
+// controller shards, numbered 0..N-1, each own a slice of the
+// person-pseudonym space. A key's owner is the high bits of its 64-bit
+// FNV-1a hash scaled over N, so every node holding the same shard count
+// computes the same assignment without coordinating. The events index,
+// the bus routing and the audit chain of a person's events all live on
+// the shard that owns their pseudonym, so every publish touches exactly
+// one shard and the single-node publish path is preserved per shard.
+// Each shard mints only event ids the same hash assigns to it, so an
+// event id names its shard too.
 //
 // The package is deliberately low-level: it knows nothing about the
 // controller or the transport. It provides
 //
-//   - the versioned shard map (ring layout + binary frame codec),
+//   - the versioned shard map (owner hash + binary frame codec),
 //   - the typed routing errors (ErrWrongShard with the owner hint,
 //     ErrNotPrimary for a write that reached a replica), and
 //   - the scatter-gather engine for cross-shard inquiries (stable
@@ -29,13 +31,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 )
 
-// ShardID identifies one controller shard. IDs are small dense
-// integers assigned by the operator; they never change across map
-// versions.
+// ShardID identifies one controller shard. IDs are dense, 0..N-1 for
+// a map of N shards; they never change across map versions.
 type ShardID int
 
 // String renders the id for labels and log lines.
@@ -74,11 +76,6 @@ func equalInfo(a, b ShardInfo) bool {
 	return true
 }
 
-// DefaultVNodes is the number of virtual nodes each shard contributes
-// to the ring. 64 vnodes keep the max/mean key imbalance under ~1.25
-// for small clusters while the ring stays tiny (N*64 points).
-const DefaultVNodes = 64
-
 // ErrWrongShard is the sentinel identity of WrongShardError: a request
 // landed on a shard that does not own the person key. errors.Is works
 // locally and across the wire (transport maps it to a fault code).
@@ -105,75 +102,35 @@ func (e *WrongShardError) Error() string {
 // Is makes errors.Is(err, ErrWrongShard) match the typed redirect.
 func (e *WrongShardError) Is(target error) bool { return target == ErrWrongShard }
 
-// Map is a versioned assignment of the pseudonym space to shards: a
-// consistent-hash ring of VNodes virtual points per shard. A Map is
-// immutable after construction (a failover derives its successor with
-// WithPromotedReplica); methods are safe for concurrent use.
+// Map is a versioned assignment of the pseudonym space to shards
+// 0..N-1. A Map is immutable after construction (a failover derives
+// its successor with WithPromotedReplica); methods are safe for
+// concurrent use.
 type Map struct {
 	version uint64
-	vnodes  int
-	shards  []ShardInfo // sorted by ID
-
-	ring []ringPoint // sorted by hash
+	shards  []ShardInfo // shards[i].ID == i
 }
 
-type ringPoint struct {
-	hash  uint64
-	shard ShardID
-}
-
-// NewMap builds a shard map. vnodes <= 0 means DefaultVNodes. Shard
-// IDs must be unique and non-negative; at least one shard is required.
+// NewMap builds a shard map over shards whose ids are exactly 0..N-1,
+// given in any order; at least one shard is required. vnodes stays in
+// the signature for callers written against the earlier vnode ring and
+// must be 0.
 func NewMap(version uint64, vnodes int, shards []ShardInfo) (*Map, error) {
+	if vnodes != 0 {
+		return nil, fmt.Errorf("cluster: vnodes %d: the shard map has no ring, pass 0", vnodes)
+	}
 	if len(shards) == 0 {
 		return nil, errors.New("cluster: shard map needs at least one shard")
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+	dense := make([]ShardInfo, len(shards))
+	seen := make([]bool, len(shards))
+	for _, s := range shards {
+		if s.ID < 0 || int(s.ID) >= len(shards) || seen[s.ID] {
+			return nil, fmt.Errorf("cluster: shard id %d: ids must be 0..%d, each once", s.ID, len(shards)-1)
+		}
+		dense[s.ID], seen[s.ID] = s, true
 	}
-	sorted := make([]ShardInfo, len(shards))
-	copy(sorted, shards)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	for i, s := range sorted {
-		if s.ID < 0 {
-			return nil, fmt.Errorf("cluster: negative shard id %d", s.ID)
-		}
-		if i > 0 && sorted[i-1].ID == s.ID {
-			return nil, fmt.Errorf("cluster: duplicate shard id %d", s.ID)
-		}
-	}
-	m := &Map{version: version, vnodes: vnodes, shards: sorted}
-	m.buildRing()
-	return m, nil
-}
-
-// buildRing places vnodes points per shard, hashed from the shard id
-// and vnode ordinal only — deterministic across processes, so every
-// node holding the same (version, vnodes, shard set) computes the
-// identical assignment without any coordination.
-func (m *Map) buildRing() {
-	m.ring = make([]ringPoint, 0, len(m.shards)*m.vnodes)
-	for _, s := range m.shards {
-		for v := 0; v < m.vnodes; v++ {
-			m.ring = append(m.ring, ringPoint{hash: vnodeHash(s.ID, v), shard: s.ID})
-		}
-	}
-	sort.Slice(m.ring, func(i, j int) bool {
-		if m.ring[i].hash != m.ring[j].hash {
-			return m.ring[i].hash < m.ring[j].hash
-		}
-		// Hash ties (vanishingly rare) break by shard id so the ring
-		// order stays deterministic everywhere.
-		return m.ring[i].shard < m.ring[j].shard
-	})
-}
-
-func vnodeHash(id ShardID, vnode int) uint64 {
-	var buf [24]byte
-	b := strconv.AppendInt(buf[:0], int64(id), 10)
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(vnode), 10)
-	return keyHash(b)
+	return &Map{version: version, shards: dense}, nil
 }
 
 // keyHash is 64-bit FNV-1a, written out so a key held in a string and
@@ -191,36 +148,32 @@ func keyHash[K string | []byte](key K) uint64 {
 // across failovers; a higher version always supersedes a lower one.
 func (m *Map) Version() uint64 { return m.version }
 
-// VNodes returns the per-shard virtual node count.
-func (m *Map) VNodes() int { return m.vnodes }
-
 // Shards returns the member shards, sorted by ID. The caller must not
 // mutate the returned slice.
 func (m *Map) Shards() []ShardInfo { return m.shards }
 
-// Shard returns the info for one shard id.
+// Shard returns the info for one shard id; an id off the wire may be
+// anything, so one outside 0..N-1 reports false.
 func (m *Map) Shard(id ShardID) (ShardInfo, bool) {
-	i := sort.Search(len(m.shards), func(i int) bool { return m.shards[i].ID >= id })
-	if i < len(m.shards) && m.shards[i].ID == id {
-		return m.shards[i], true
+	if id < 0 || int(id) >= len(m.shards) {
+		return ShardInfo{}, false
 	}
-	return ShardInfo{}, false
+	return m.shards[id], true
 }
 
 // Owner returns the shard owning a key — a person's pseudonym or an
-// event id: the first vnode clockwise of the key's hash on the ring.
-func (m *Map) Owner(key string) ShardID { return m.at(keyHash(key)) }
+// event id: the key's hash scaled over the N shards by its high bits,
+// the high word of hash*N. hash % N would read the low bits, and
+// FNV-1a's low k bits depend only on the low k bits of each key byte.
+func (m *Map) Owner(key string) ShardID {
+	hi, _ := bits.Mul64(keyHash(key), uint64(len(m.shards)))
+	return ShardID(hi)
+}
 
 // OwnerBytes is Owner for a key held in a byte slice.
-func (m *Map) OwnerBytes(key []byte) ShardID { return m.at(keyHash(key)) }
-
-// at returns the shard of the first vnode at or clockwise of hash h.
-func (m *Map) at(h uint64) ShardID {
-	i := sort.Search(len(m.ring), func(i int) bool { return m.ring[i].hash >= h })
-	if i == len(m.ring) {
-		i = 0 // wrap around
-	}
-	return m.ring[i].shard
+func (m *Map) OwnerBytes(key []byte) ShardID {
+	hi, _ := bits.Mul64(keyHash(key), uint64(len(m.shards)))
+	return ShardID(hi)
 }
 
 // Equal reports whether two maps describe the identical assignment.
@@ -228,7 +181,7 @@ func (m *Map) Equal(o *Map) bool {
 	if m == nil || o == nil {
 		return m == o
 	}
-	if m.version != o.version || m.vnodes != o.vnodes || len(m.shards) != len(o.shards) {
+	if m.version != o.version || len(m.shards) != len(o.shards) {
 		return false
 	}
 	for i := range m.shards {
@@ -285,12 +238,7 @@ func (m *Map) WithPromotedReplica(id ShardID, promoted string) (*Map, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: promote: %s is not a replica of shard %d", promoted, id)
 	}
-	shards := make([]ShardInfo, len(m.shards))
-	copy(shards, m.shards)
-	for i := range shards {
-		if shards[i].ID == id {
-			shards[i] = ShardInfo{ID: id, Addr: promoted, Replicas: rest, Epoch: cur.Epoch + 1}
-		}
-	}
-	return NewMap(m.version+1, m.vnodes, shards)
+	shards := slices.Clone(m.shards)
+	shards[id] = ShardInfo{ID: id, Addr: promoted, Replicas: rest, Epoch: cur.Epoch + 1}
+	return NewMap(m.version+1, 0, shards)
 }

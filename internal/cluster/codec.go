@@ -20,7 +20,6 @@ import (
 func (m *Map) EncodeFrame() []byte {
 	size := frame.HeaderLen +
 		frame.UvarintLen(m.version) +
-		frame.UvarintLen(uint64(m.vnodes)) +
 		frame.UvarintLen(uint64(len(m.shards)))
 	for _, s := range m.shards {
 		size += frame.UvarintLen(uint64(s.ID)) + frame.StringLen(s.Addr) +
@@ -32,7 +31,6 @@ func (m *Map) EncodeFrame() []byte {
 	dst := make([]byte, 0, size)
 	dst = frame.AppendHeader(dst, frame.ShardMap)
 	dst = binary.AppendUvarint(dst, m.version)
-	dst = binary.AppendUvarint(dst, uint64(m.vnodes))
 	dst = binary.AppendUvarint(dst, uint64(len(m.shards)))
 	for _, s := range m.shards {
 		dst = binary.AppendUvarint(dst, uint64(s.ID))
@@ -46,20 +44,20 @@ func (m *Map) EncodeFrame() []byte {
 	return dst
 }
 
-// DecodeMapFrame parses a shard-map frame and rebuilds the ring. All
-// NewMap validation (non-empty, unique non-negative IDs) applies, so a
-// frame that decodes cleanly always yields a routable map.
+// DecodeMapFrame parses a shard-map frame. All NewMap validation
+// (non-empty, ids exactly 0..N-1) applies, so a frame that decodes
+// cleanly always yields a routable map.
 func DecodeMapFrame(data []byte) (*Map, error) {
 	r := frame.Read(data, frame.ShardMap)
-	version, vnodes := r.Uvarint(), r.Uvarint()
+	version := r.Uvarint()
 	// A shard entry is at least four bytes: a one-byte id, a zero-length
 	// addr, a zero epoch and a zero replica count.
 	shards := make([]ShardInfo, r.Count(4))
 	for i := range shards {
 		s := &shards[i]
 		id := r.Uvarint()
-		if id > 1<<30 {
-			return nil, errors.New("cluster: shard map frame has invalid shard id")
+		if id >= uint64(len(shards)) {
+			return nil, errors.New("cluster: shard map frame has a shard id past its count")
 		}
 		s.ID, s.Addr, s.Epoch = ShardID(id), r.String(), r.Uvarint()
 		// A replica entry is at least its one-byte length.
@@ -70,8 +68,5 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if vnodes == 0 || vnodes > 1<<16 {
-		return nil, errors.New("cluster: shard map frame has invalid vnode count")
-	}
-	return NewMap(version, int(vnodes), shards)
+	return NewMap(version, 0, shards)
 }

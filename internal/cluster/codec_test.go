@@ -8,7 +8,7 @@ import (
 )
 
 func TestMapFrameRoundTrip(t *testing.T) {
-	m, err := NewMap(42, 64, testShards(4))
+	m, err := NewMap(42, 0, testShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestMapFrameRoundTrip(t *testing.T) {
 }
 
 func TestMapFrameTornRejected(t *testing.T) {
-	m, err := NewMap(7, 32, testShards(3))
+	m, err := NewMap(7, 0, testShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,14 @@ func TestMapFrameHostileInputs(t *testing.T) {
 		"empty":                     {},
 		"bad magic":                 {0x00, 0x00, 0x01, byte(frame.ShardMap)},
 		"wrong type (notification)": {0xC5, 0x5F, 0x01, 0x01},
-		// version=1, vnodes=1, count claims 2^62 shards.
-		"length bomb": append([]byte{0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x01},
+		// version=1, count claims 2^62 shards.
+		"length bomb": append([]byte{0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01},
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f),
-		// vnodes=0 would make an unroutable ring.
-		"zero vnodes": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x00, 0x01, 0x00, 0x00},
+		// Two shards numbered 0 and 2: ids must be dense, 0..N-1.
+		"sparse ids": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x02,
+			0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00},
 		// count=0 shards decodes structurally but fails NewMap.
-		"no shards": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x01, 0x00},
+		"no shards": {0xC5, 0x5F, 0x01, byte(frame.ShardMap), 0x01, 0x00},
 	}
 	for name, data := range cases {
 		if _, err := DecodeMapFrame(data); err == nil {

@@ -14,19 +14,18 @@ func TestGoldenShardMapFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		version uint64
-		vnodes  int
 		shards  []ShardInfo
 		want    string
 	}{
-		{"one shard, no replication", 1, 8, []ShardInfo{{ID: 0, Addr: "http://a"}},
-			"c55f01080108010008687474703a2f2f610000"},
-		{"replicated: per-shard epoch and replica lists, a multi-byte version and id", 900, 64, []ShardInfo{
+		{"one shard, no replication", 1, []ShardInfo{{ID: 0, Addr: "http://a"}},
+			"c55f010801010008687474703a2f2f610000"},
+		{"replicated: per-shard epoch and replica lists, a multi-byte version", 900, []ShardInfo{
 			{ID: 0, Addr: "http://127.0.0.1:19080", Epoch: 3, Replicas: []string{"http://127.0.0.1:19180", "http://127.0.0.1:19181"}},
 			{ID: 1, Addr: "http://127.0.0.1:19081", Epoch: 1, Replicas: []string{"http://127.0.0.1:19182"}},
-			{ID: 300, Addr: ""}},
-			"c55f0108840740030016687474703a2f2f3132372e302e302e313a3139303830030216687474703a2f2f3132372e302e302e313a313931383016687474703a2f2f3132372e302e302e313a31393138310116687474703a2f2f3132372e302e302e313a3139303831010116687474703a2f2f3132372e302e302e313a3139313832ac02000000"},
+			{ID: 2, Addr: ""}},
+			"c55f01088407030016687474703a2f2f3132372e302e302e313a3139303830030216687474703a2f2f3132372e302e302e313a313931383016687474703a2f2f3132372e302e302e313a31393138310116687474703a2f2f3132372e302e302e313a3139303831010116687474703a2f2f3132372e302e302e313a313931383202000000"},
 	} {
-		m, err := NewMap(tc.version, tc.vnodes, tc.shards)
+		m, err := NewMap(tc.version, 0, tc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestWithPromotedReplica(t *testing.T) {
 	if !equalInfo(s1, replicatedShards()[1]) {
 		t.Fatalf("shard 1 changed across promotion: %+v", s1)
 	}
-	// Consistent hashing ignores addresses: ownership must not move.
+	// Ownership hashes over the shard count, not addresses: it must not move.
 	for _, key := range []string{"alpha", "beta", "gamma", "delta"} {
 		if m.Owner(key) != next.Owner(key) {
 			t.Fatalf("promotion moved ownership of %q: %v → %v", key, m.Owner(key), next.Owner(key))
@@ -59,7 +59,7 @@ func TestWithPromotedReplica(t *testing.T) {
 // The promoted map survives the wire: replicas and epochs round-trip
 // through the binary shard-map frame.
 func TestPromotedMapFrameRoundTrip(t *testing.T) {
-	m, err := NewMap(7, 16, replicatedShards())
+	m, err := NewMap(7, 0, replicatedShards())
 	if err != nil {
 		t.Fatal(err)
 	}

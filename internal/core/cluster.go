@@ -34,9 +34,6 @@ type shardState struct {
 // another shard) is refused here: its events would be asked for at a
 // shard that does not hold them.
 func (c *Controller) initCluster(id cluster.ShardID, m *cluster.Map) error {
-	if id < 0 {
-		return fmt.Errorf("core: invalid shard id %d", id)
-	}
 	if _, ok := m.Shard(id); !ok {
 		return fmt.Errorf("core: shard id %d is not in the shard map", id)
 	}
@@ -61,7 +58,7 @@ func (c *Controller) initCluster(id cluster.ShardID, m *cluster.Map) error {
 func (c *Controller) ShardMap() *cluster.Map { return c.reg.ShardMap() }
 
 // Pseudonym maps a person identifier to the HMAC pseudonym the index
-// keys by — the value the shard ring hashes. In-process callers (the
+// keys by — the value the shard map hashes. In-process callers (the
 // benchmark harness, the smoke suites) hand it to the sharded client
 // so publishes route without a discovery redirect; remote producers
 // never see it.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consent"
 	"repro/internal/crypto"
 	"repro/internal/event"
 	"repro/internal/gateway"
@@ -250,5 +251,32 @@ func TestCatalogAndPoliciesSurviveRestart(t *testing.T) {
 	}
 	if err := c2.DeclareClass("other", schema.BloodTest()); err == nil {
 		t.Error("class takeover accepted after reload")
+	}
+}
+
+// TestPublishReturnsBeforeFsync pins the durability contract README's
+// "Crash safety" states: no daemon opens its stores with
+// store.Options.SyncEvery, so a publish returns with its writes in the
+// page cache and not yet fsynced, on every store the controller
+// replicates. A change to SyncEvery breaks this test and must edit that
+// README sentence with it.
+func TestPublishReturnsBeforeFsync(t *testing.T) {
+	w := newWorldIn(t, t.TempDir())
+	w.doctorPolicy(t)
+	// Every replicated store holds a record before the publish, so the
+	// check below reads something on each: the consent store is
+	// written only by a directive.
+	if _, err := w.c.RecordConsent(consent.Directive{PersonID: "PRS-OTHER", Allow: false}); err != nil {
+		t.Fatal(err)
+	}
+	w.producePublish(t, "src-durability", "PRS-1")
+	stores, err := w.c.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range stores {
+		if synced, end := ns.Store.WALSynced(), ns.Store.WALOffset(); synced >= end {
+			t.Errorf("store %s: WAL fsynced through %d of %d bytes after a publish; README's crash-safety sentence says no daemon fsyncs", ns.Name, synced, end)
+		}
 	}
 }

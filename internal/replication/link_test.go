@@ -208,3 +208,61 @@ func TestRoundAndDrainAreOneWriteEach(t *testing.T) {
 		t.Errorf("the drain's %d acks took %d writes of the follower, want 1", len(fs), writes)
 	}
 }
+
+// TestSilentFollowerIsRedialled: a follower that accepts the connection
+// and never sends its hello holds the link for one linkTimeout read
+// bound, after which the primary drops it and dials again; Close does
+// not wait on the silent peer.
+func TestSilentFollowerIsRedialled(t *testing.T) {
+	t.Parallel()
+	ps := openStores(t, t.TempDir())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Accept every connection and keep it open, saying nothing.
+	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	dials := make(chan struct{}, 16)
+	pri, err := NewPrimary(PrimaryConfig{Stores: ps, Epoch: 1, Dial: func(addr string) (net.Conn, error) {
+		dials <- struct{}{}
+		return net.Dial("tcp", addr)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pri.Close()
+	pri.AddFollower(ln.Addr().String())
+	deadline := time.After(3 * linkTimeout)
+	for n := 0; n < 2; n++ {
+		select {
+		case <-dials:
+		case <-deadline:
+			t.Fatalf("%d dial(s) in %s: the primary still waits on the silent follower", n, 3*linkTimeout)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		pri.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on the silent follower's link")
+	}
+}

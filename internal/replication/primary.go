@@ -35,9 +35,31 @@ func storeIndex(stores []NamedStore, name string) int {
 	return -1
 }
 
-// dialTCP is the default dialer: plain TCP with a 5s connect timeout.
+// linkTimeout bounds a follower connect, and each read of the
+// handshake that follows it: a follower that accepts and then never
+// answers costs its link one bound and a redial, not its shipper.
+const linkTimeout = 5 * time.Second
+
+// dialTCP is the default dialer: plain TCP under linkTimeout.
 func dialTCP(addr string) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, 5*time.Second)
+	return net.DialTimeout("tcp", addr, linkTimeout)
+}
+
+// handshakeReader puts a fresh linkTimeout read deadline on every read
+// while armed. serve reads the handshake through it and disarms it
+// before the ship loop, whose ack reads wait as long as the link idles.
+type handshakeReader struct {
+	conn  net.Conn
+	armed bool
+}
+
+func (r *handshakeReader) Read(b []byte) (int, error) {
+	if r.armed {
+		if err := r.conn.SetReadDeadline(time.Now().Add(linkTimeout)); err != nil {
+			return 0, err
+		}
+	}
+	return r.conn.Read(b)
 }
 
 // ErrClosed reports an operation on a closed Primary.
@@ -71,7 +93,7 @@ type PrimaryConfig struct {
 	// Metrics registers css_repl_* instruments when set.
 	Metrics *telemetry.Registry
 	// Dial overrides the follower dialer (chaos tests inject faults
-	// here); nil means plain TCP with a 5s connect timeout.
+	// here); nil means plain TCP under linkTimeout (5s).
 	Dial func(addr string) (net.Conn, error)
 	// Logf receives replication lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
@@ -165,6 +187,12 @@ func (p *Primary) runFollower(link *followerLink) {
 		if err == nil {
 			backoff = 50 * time.Millisecond
 			p.mu.Lock()
+			if p.closed {
+				// Close ran during the dial and found no conn to close.
+				p.mu.Unlock()
+				conn.Close()
+				return
+			}
 			link.conn = conn
 			link.connected = true
 			p.mu.Unlock()
@@ -200,7 +228,8 @@ const shipBuffer = 64 << 10
 // as the stores grow, while a sibling goroutine folds acks into the
 // link state.
 func (p *Primary) serve(link *followerLink, conn net.Conn) error {
-	br := bufio.NewReader(conn)
+	hs := &handshakeReader{conn: conn, armed: true}
+	br := bufio.NewReader(hs)
 	msg, err := readMsg(br)
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
@@ -237,7 +266,11 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	}
 	p.mu.Unlock()
 	// Negotiation over: the follower certifies its (possibly truncated)
-	// prefix and the data stream begins.
+	// prefix and the data stream begins, its reads unbounded.
+	hs.armed = false
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("syncstart: %w", err)
+	}
 	if err := sendMsg(sh.bw, encodeSyncStart()); err != nil {
 		return fmt.Errorf("syncstart: %w", err)
 	}

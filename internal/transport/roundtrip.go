@@ -77,17 +77,9 @@ func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 // can end before its deadline (ctx.Done is not nil). Either way the
 // call fails with the context's error.
 func (t *roundTripper) roundTrip(ctx context.Context, req *http.Request, deadline time.Time) (*http.Response, error) {
-	if req.URL.Host == "" {
-		closeBody(req)
-		return nil, errNoHost
-	}
-	if err := checkHeader(req.Header); err != nil {
+	if err := checkOutgoing(req); err != nil {
 		closeBody(req)
 		return nil, err
-	}
-	if !validTarget(req.URL.RawQuery) || !validTarget(req.URL.Opaque) || !validTarget(req.URL.Host) || !validTarget(req.Host) {
-		closeBody(req)
-		return nil, errors.New("transport: invalid control character in request URL or Host")
 	}
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
@@ -371,12 +363,26 @@ func (p *payload) Read(b []byte) (int, error) {
 
 func (p *payload) Close() error { return nil }
 
-// checkHeader refuses a header name that is not a token and a value
-// holding a control character, CR and LF among them, as net/http's
-// Transport does: written out, such a value would end the header line
-// early and let its remainder pass for headers of its own.
-func checkHeader(h http.Header) error {
-	for k, vv := range h {
+// checkOutgoing refuses, before a connection is taken, what net/http's
+// Transport refuses and what Request.Write would refuse after writing
+// part of it: a URL with no host; a method that is not a token; a
+// ContentLength with a nil body; a header name that is not a
+// token and a value holding a control character, CR and LF among them
+// (written out, such a value would end the header line early and let
+// its remainder pass for headers of its own); and a control character
+// in the query, an opaque URL or the Host, which would end the request
+// line.
+func checkOutgoing(req *http.Request) error {
+	if req.URL.Host == "" {
+		return errNoHost
+	}
+	if req.Method != "" && !validFieldName(req.Method) {
+		return errors.New("transport: invalid method " + strconv.Quote(req.Method))
+	}
+	if req.ContentLength != 0 && req.Body == nil {
+		return errors.New("transport: request ContentLength " + strconv.FormatInt(req.ContentLength, 10) + " with nil body")
+	}
+	for k, vv := range req.Header {
 		if !validFieldName(k) {
 			return errors.New("transport: invalid header field name " + strconv.Quote(k))
 		}
@@ -385,6 +391,9 @@ func checkHeader(h http.Header) error {
 				return errors.New("transport: invalid header field value for " + strconv.Quote(k))
 			}
 		}
+	}
+	if !validTarget(req.URL.RawQuery) || !validTarget(req.URL.Opaque) || !validTarget(req.URL.Host) || !validTarget(req.Host) {
+		return errors.New("transport: invalid control character in request URL or Host")
 	}
 	return nil
 }
@@ -401,10 +410,14 @@ func validTarget(s string) bool {
 	return true
 }
 
-// writeRequest writes req to bw, head and body, and closes the body.
-// The head is the request line, Host, the request's headers, then
-// Content-Length, or Transfer-Encoding: chunked for a body of unknown
-// length.
+// writeRequest writes req, which checkOutgoing passed, to bw, head and
+// body, and closes the body. The head is the request line (an empty
+// method is GET), Host, Connection: close when req.Close asks for it
+// and the first Connection field does not list it, the request's
+// headers, then Content-Length, or Transfer-Encoding: chunked for a
+// body of unknown length. A body longer than its ContentLength is an
+// error, as in Request.Write. FuzzRequestHead holds the bytes to
+// Request.Write's; DESIGN.md §8 lists where they differ.
 func writeRequest(bw *bufio.Writer, req *http.Request) error {
 	if req.Body != nil {
 		defer req.Body.Close()
@@ -413,12 +426,19 @@ func writeRequest(bw *bufio.Writer, req *http.Request) error {
 	if host == "" {
 		host = req.URL.Host
 	}
-	bw.WriteString(req.Method)
+	if req.Method == "" {
+		bw.WriteString(http.MethodGet)
+	} else {
+		bw.WriteString(req.Method)
+	}
 	bw.WriteByte(' ')
 	bw.WriteString(req.URL.RequestURI())
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
 	bw.WriteString(host)
 	bw.WriteString("\r\n")
+	if req.Close && !listsClose(req.Header.Get("Connection")) {
+		bw.WriteString("Connection: close\r\n")
+	}
 	for k, vv := range req.Header {
 		switch k {
 		case "Host", "Content-Length", "Transfer-Encoding", "Trailer":
@@ -427,9 +447,6 @@ func writeRequest(bw *bufio.Writer, req *http.Request) error {
 		for _, v := range vv {
 			writeField(bw, k, v)
 		}
-	}
-	if req.Close && len(req.Header["Connection"]) == 0 {
-		bw.WriteString("Connection: close\r\n")
 	}
 	n := req.ContentLength
 	if req.Body == nil || req.Body == http.NoBody {
@@ -462,6 +479,28 @@ func writeRequest(bw *bufio.Writer, req *http.Request) error {
 		p.off = len(p.data)
 		return err
 	}
-	_, err := io.CopyN(bw, req.Body, n)
-	return err
+	if _, err := io.CopyN(bw, req.Body, n); err != nil {
+		return err
+	}
+	var extra [1]byte
+	if k, _ := req.Body.Read(extra[:]); k > 0 {
+		return errors.New("transport: request body longer than its ContentLength " + strconv.FormatInt(n, 10))
+	}
+	return nil
 }
+
+// listsClose reports whether a Connection field value names close, by
+// the rule Request.Write adds its own Connection: close with: the token
+// set off by the value's ends, spaces, tabs or commas, in any case.
+func listsClose(v string) bool {
+	for i := 0; i+len("close") <= len(v); i++ {
+		end := i + len("close")
+		if (i == 0 || isTokenBoundary(v[i-1])) && (end == len(v) || isTokenBoundary(v[end])) &&
+			asciiEqualFold(v[i:end], "close") {
+			return true
+		}
+	}
+	return false
+}
+
+func isTokenBoundary(b byte) bool { return b == ' ' || b == ',' || b == '\t' }

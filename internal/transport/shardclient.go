@@ -8,7 +8,8 @@ package transport
 // names a newer version); detail requests go to the one shard the
 // event id names; inquiries scatter across the shards and merge with
 // stable ordering. Every request goes to a shard's primary. The client
-// learns no routes: the shard map is all it routes by.
+// learns no routes: the shard map is all it routes by, a key's owner
+// being its hash scaled over the map's N shards, computed locally.
 
 import (
 	"context"
@@ -47,7 +48,7 @@ func WithPseudonym(fn func(personID string) string) ShardedOption {
 
 // ShardedClient fans a Client per cluster member out of a factory (so
 // each member gets its own breaker group and connection pool) and
-// routes between them by the cluster's consistent-hash map. Every
+// routes between them by the cluster's shard map. Every
 // request, reads included, goes to a shard's primary and follows its
 // not-primary answers; a shard's replicas are asked only for a newer
 // map when its primary stops answering.
@@ -154,7 +155,7 @@ func (sc *ShardedClient) RefreshMap(ctx context.Context, from cluster.ShardID) e
 
 // ownerFor picks the shard a person's publishes go to first: computed
 // exactly when the pseudonym function is present, otherwise a guess
-// (the raw person id over the same ring) that the wrong-shard redirect
+// (the raw person id over the same hash) that the wrong-shard redirect
 // corrects.
 func (sc *ShardedClient) ownerFor(personID string) cluster.ShardID {
 	m := sc.Map()

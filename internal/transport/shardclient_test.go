@@ -204,7 +204,7 @@ func TestShardedPublishByRedirect(t *testing.T) {
 		}
 		if n == 0 {
 			id, _ := c.ShardID()
-			t.Fatalf("shard %s is empty: ring routing is degenerate", id)
+			t.Fatalf("shard %s is empty: hash routing is degenerate", id)
 		}
 	}
 }

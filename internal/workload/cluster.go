@@ -7,7 +7,7 @@ import "repro/internal/core"
 // state — producers, consumers, event classes, policies — is per-shard
 // (only the events index and id map are partitioned by the shard map),
 // so every member must carry the complete roster for publishes and
-// inquiries to be answerable wherever the ring routes them.
+// inquiries to be answerable wherever the shard map routes them.
 func ProvisionCluster(ctrls ...*core.Controller) ([]*Platform, error) {
 	out := make([]*Platform, 0, len(ctrls))
 	for _, c := range ctrls {
