@@ -88,11 +88,14 @@ overload-smoke:
 shard-smoke:
 	SHARD_SMOKE=1 $(GO) test -count 1 -run 'TestShardSmoke' ./integration/
 
-# Replication failover smoke: one primary ships WALs in quorum mode to
-# two replica processes running election managers, each a standby that
-# refuses /ws/inquire with 421; the primary is killed without warning
-# and NO promote call is made — the replicas must auto-elect exactly
-# one winner, which serves all five events and takes writes while
+# Replication failover smoke, run twice — in quorum mode and in the
+# default async mode: one primary ships WALs to two replica processes
+# running election managers, each a standby that refuses /ws/inquire
+# with 421. In async mode one replica is first SIGKILLed mid-stream and
+# restarted on its data dir, and every WAL of both replicas must be
+# byte-identical to the primary's. Then the primary is killed without
+# warning and NO promote call is made — the replicas must auto-elect
+# exactly one winner, which serves every event and takes writes while
 # feeding the survivor; the deposed primary then restarts as a
 # replica, rejoins the winner's fan-out, and css-audit -compare must
 # show the chains converged.

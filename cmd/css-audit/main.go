@@ -54,15 +54,11 @@ func main() {
 		log.Fatal("-data is required")
 	}
 
-	st, err := store.Open(filepath.Join(*dataDir, "audit.wal"), store.Options{})
+	st, logch, err := openChain(*dataDir)
 	if err != nil {
-		log.Fatalf("open audit store: %v", err)
+		log.Fatal(err)
 	}
 	defer st.Close()
-	logch, err := audit.Open(st)
-	if err != nil {
-		log.Fatalf("open audit log: %v", err)
-	}
 
 	if err := logch.Verify(); err != nil {
 		log.Fatalf("AUDIT CHAIN BROKEN: %v", err)
@@ -155,15 +151,11 @@ func headHash(recs []audit.Record) string {
 // loadChain opens a controller's audit store read-only, verifies the
 // chain, and returns its records in sequence order.
 func loadChain(dir string) []audit.Record {
-	st, err := store.Open(filepath.Join(dir, "audit.wal"), store.Options{})
+	st, logch, err := openChain(dir)
 	if err != nil {
-		log.Fatalf("open audit store %s: %v", dir, err)
+		log.Fatal(err)
 	}
 	defer st.Close()
-	logch, err := audit.Open(st)
-	if err != nil {
-		log.Fatalf("open audit log %s: %v", dir, err)
-	}
 	if err := logch.Verify(); err != nil {
 		log.Fatalf("AUDIT CHAIN BROKEN in %s: %v", dir, err)
 	}
@@ -204,4 +196,20 @@ func printStageTimings(path, trace string) {
 		}
 		fmt.Println(line)
 	}
+}
+
+// openChain opens the audit chain of the controller data directory dir.
+// The store opens with the zero store.Options, as the controller's do:
+// css-audit reads, and fsyncs nothing.
+func openChain(dir string) (*store.Store, *audit.Log, error) {
+	st, err := store.Open(filepath.Join(dir, "audit.wal"), store.Options{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("open audit store %s: %w", dir, err)
+	}
+	logch, err := audit.Open(st)
+	if err != nil {
+		st.Close()
+		return nil, nil, fmt.Errorf("open audit log %s: %w", dir, err)
+	}
+	return st, logch, nil
 }

@@ -65,9 +65,14 @@
 //	                next fencing epoch; a quorum of durable grants
 //	                promotes it with no operator involvement. POST
 //	                /ws/promote stays available as a manual override
-//	-heartbeat-interval  primary heartbeat cadence on idle replication
-//	                links, and the detector's expected interval on
-//	                replicas (default 100ms)
+//	-heartbeat-interval  primary heartbeat cadence on every replication
+//	                link (a beat goes out whenever one is due, busy link
+//	                or idle), and the detector's expected interval on
+//	                replicas (default 100ms). Without -quorum it is also
+//	                an async follower's fsync cadence: a follower acks
+//	                what it applied and fsyncs when a beat arrives.
+//	                0 turns heartbeats off and keeps a follower's fsync
+//	                before every ack
 //	-suspect-after  minimum primary silence before a replica may
 //	                campaign, however high suspicion climbs (default 2s)
 //	-primary-url    replica only: the primary's HTTP base URL, probed
@@ -137,7 +142,7 @@ func main() {
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower addresses to ship WALs to")
 	quorum := flag.Bool("quorum", false, "wait for a follower fsync quorum before acknowledging publishes")
 	electionOn := flag.Bool("election", false, "replica: campaign for promotion when the primary goes silent")
-	heartbeatEvery := flag.Duration("heartbeat-interval", 100*time.Millisecond, "primary heartbeat cadence on idle replication links")
+	heartbeatEvery := flag.Duration("heartbeat-interval", 100*time.Millisecond, "primary heartbeat cadence on replication links; without -quorum also the followers' fsync cadence (0: off, fsync before every ack)")
 	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "minimum primary silence before a replica campaigns")
 	primaryURL := flag.String("primary-url", "", "replica: primary's HTTP base URL, probed before campaigning")
 	shardID := flag.Int("shard-id", -1, "this controller's shard id (default: unsharded)")

@@ -90,14 +90,9 @@ func main() {
 	}
 	run.Start()
 
-	var st *store.Store
-	if *dataDir == "" {
-		st = store.OpenMemory()
-	} else {
-		st, err = store.Open(filepath.Join(*dataDir, "gateway.wal"), store.Options{})
-		if err != nil {
-			log.Fatalf("store: %v", err)
-		}
+	st, err := openStore(*dataDir, "gateway.wal")
+	if err != nil {
+		log.Fatalf("store: %v", err)
 	}
 	defer st.Close()
 
@@ -172,14 +167,9 @@ func main() {
 		// With a controller configured, the gateway also relays the source
 		// system's publishes: POST /gw/publish forwards to the controller
 		// and parks notifications in a durable outbox during outages.
-		var obStore *store.Store
-		if *dataDir == "" {
-			obStore = store.OpenMemory()
-		} else {
-			obStore, err = store.Open(filepath.Join(*dataDir, "outbox.wal"), store.Options{})
-			if err != nil {
-				log.Fatalf("outbox store: %v", err)
-			}
+		obStore, err := openStore(*dataDir, "outbox.wal")
+		if err != nil {
+			log.Fatalf("outbox store: %v", err)
 		}
 		defer obStore.Close()
 		qp, err = transport.NewQueuedPublisher(relay, obStore, resMetrics, 0)
@@ -223,4 +213,15 @@ func main() {
 	steps = append(steps, overload.Step{Name: "store-close", Run: func(context.Context) error { return st.Close() }})
 	telemetry.Logger().Info("gateway configured", "producer", *producer)
 	run.Serve(*addr, "local cooperation gateway", srv, slo, steps...)
+}
+
+// openStore opens the gateway's store named file under dataDir, or a
+// memory store when dataDir is empty. Every store opens with the zero
+// store.Options: a write is in the page cache when it returns, and on
+// disk only once the kernel writes it back (README "Crash safety").
+func openStore(dataDir, file string) (*store.Store, error) {
+	if dataDir == "" {
+		return store.OpenMemory(), nil
+	}
+	return store.Open(filepath.Join(dataDir, file), store.Options{})
 }

@@ -1,8 +1,11 @@
 package integration
 
 // Replicated bring-up smoke (make repl-smoke, part of `make check`):
-// one primary ships its WALs to two replica processes in quorum mode,
-// each replica running the self-healing election manager. The primary
+// one primary ships its WALs to two replica processes, each running the
+// self-healing election manager. The drill runs twice: in quorum mode,
+// and in the default async mode, where one replica is first SIGKILLed
+// mid-stream and restarted on its data dir, and must end with WALs
+// byte-identical to the primary's. The primary
 // is killed without warning and NO promote call is made: the replicas
 // must detect the death (silent heartbeats + failing HTTP probe),
 // elect exactly one of themselves at the next epoch, and the winner
@@ -94,11 +97,44 @@ func refusesInquiry(t *testing.T, name, base string) {
 	}
 }
 
+// sameWALs requires every WAL file of dir a to be byte-identical to its
+// namesake in dir b.
+func sameWALs(t *testing.T, a, b string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(a, "*.wal"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no WALs in %s: %v", a, err)
+	}
+	for _, fa := range files {
+		want, err := os.ReadFile(fa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(b, filepath.Base(fa)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes in %s, %d in %s, not byte-identical", filepath.Base(fa), len(got), b, len(want), a)
+		}
+	}
+}
+
 // TestReplSmoke is the make repl-smoke entry point: the 1-primary /
-// 2-replica self-healing failover drill against the built binaries.
+// 2-replica self-healing failover drill against the built binaries, in
+// quorum mode and in async mode.
 func TestReplSmoke(t *testing.T) {
 	if os.Getenv("REPL_SMOKE") == "" {
 		t.Skip("set REPL_SMOKE=1 (or run `make repl-smoke`)")
+	}
+	t.Run("quorum", func(t *testing.T) { replDrill(t, true) })
+	t.Run("async", func(t *testing.T) { replDrill(t, false) })
+}
+
+func replDrill(t *testing.T, quorum bool) {
+	var mode []string
+	if quorum {
+		mode = []string{"-quorum"}
 	}
 	root := t.TempDir()
 	dirP := filepath.Join(root, "primary")
@@ -129,24 +165,25 @@ func TestReplSmoke(t *testing.T) {
 	// the first tick — the probe channel is what keeps a freshly booted
 	// replica from campaigning against a primary whose replication link
 	// is merely still connecting.
-	pCmd, pLog := startController(t,
+	pCmd, pLog := startController(t, append([]string{
 		"-addr", pAddr, "-data", dirP, "-key-file", keyFile, "-scenario",
-		"-role", "primary", "-replicate-to", rl1+","+rl2, "-quorum",
-		"-heartbeat-interval", "50ms")
+		"-role", "primary", "-replicate-to", rl1 + "," + rl2,
+		"-heartbeat-interval", "50ms"}, mode...)...)
 	waitReady(t, pURL)
 
 	electionArgs := []string{
 		"-election", "-primary-url", pURL,
 		"-heartbeat-interval", "50ms", "-suspect-after", "750ms",
 	}
-	_, r1Log := startController(t, append([]string{
+	_, r1Log := startController(t, append(append([]string{
 		"-addr", r1Addr, "-data", dirR1, "-key-file", keyFile,
 		"-role", "replica", "-repl-listen", rl1,
-		"-replicate-to", rl2 + "," + rl3, "-quorum"}, electionArgs...)...)
-	_, r2Log := startController(t, append([]string{
+		"-replicate-to", rl2 + "," + rl3}, mode...), electionArgs...)...)
+	r2Args := append(append([]string{
 		"-addr", r2Addr, "-data", dirR2, "-key-file", keyFile,
 		"-role", "replica", "-repl-listen", rl2,
-		"-replicate-to", rl1 + "," + rl3, "-quorum"}, electionArgs...)...)
+		"-replicate-to", rl1 + "," + rl3}, mode...), electionArgs...)
+	r2Cmd, r2Log := startController(t, r2Args...)
 	waitReady(t, r1URL)
 	waitReady(t, r2URL)
 
@@ -158,27 +195,48 @@ func TestReplSmoke(t *testing.T) {
 	// The scenario provisioning must replicate before the storm of
 	// asserts: wait for both followers to drain the catch-up stream.
 	waitCaughtUp(t, pc, 2)
-	if st, err := pc.ReplStatus(ctx); err != nil || st.Role != "primary" || st.Quorum != true {
+	if st, err := pc.ReplStatus(ctx); err != nil || st.Role != "primary" || st.Quorum != quorum {
 		t.Fatalf("primary replstatus = %+v, %v", st, err)
 	}
 	if st, err := r1c.ReplStatus(ctx); err != nil || st.Role != "replica" || st.Epoch != 1 || st.Election != "watching" {
 		t.Fatalf("replica replstatus = %+v, %v; want watching replica at epoch 1", st, err)
 	}
 
-	// Quorum-acknowledged publishes through the primary.
-	persons := make([]string, 5)
+	// Publishes through the primary, quorum-acknowledged in quorum mode.
+	var persons []string
 	base := time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC)
-	for i := range persons {
-		persons[i] = fmt.Sprintf("REPL-%03d", i)
-		if _, err := pc.Publish(ctx, &event.Notification{
-			Producer: "hospital-s-maria", SourceID: event.SourceID(fmt.Sprintf("repl-src-%03d", i)),
-			Class: schema.ClassBloodTest, PersonID: persons[i], Summary: "blood test",
-			OccurredAt: base.Add(time.Duration(i) * time.Minute),
-		}); err != nil {
-			t.Fatalf("publish %s: %v\nprimary log:\n%s", persons[i], err, pLog.String())
+	publish := func(n int) {
+		t.Helper()
+		for end := len(persons) + n; len(persons) < end; {
+			i := len(persons)
+			person := fmt.Sprintf("REPL-%03d", i)
+			if _, err := pc.Publish(ctx, &event.Notification{
+				Producer: "hospital-s-maria", SourceID: event.SourceID(fmt.Sprintf("repl-src-%03d", i)),
+				Class: schema.ClassBloodTest, PersonID: person, Summary: "blood test",
+				OccurredAt: base.Add(time.Duration(i) * time.Minute),
+			}); err != nil {
+				t.Fatalf("publish %s: %v\nprimary log:\n%s", person, err, pLog.String())
+			}
+			persons = append(persons, person)
 		}
 	}
+	publish(5)
 	waitCaughtUp(t, pc, 2)
+
+	if !quorum {
+		// An async follower's kill: replica2 dies mid-stream with what
+		// it applied since its last heartbeat unfsynced, misses
+		// publishes, and restarts on its data dir. It must resume and
+		// end byte-identical to the primary, as replica1 must.
+		r2Cmd.Process.Kill()
+		r2Cmd.Wait()
+		publish(3)
+		_, r2Log = startController(t, r2Args...)
+		waitReady(t, r2URL)
+		waitCaughtUp(t, pc, 2)
+		sameWALs(t, dirP, dirR1)
+		sameWALs(t, dirP, dirR2)
+	}
 
 	// Replicas are standbys: inquiries and writes alike are refused
 	// with the not-primary redirect.

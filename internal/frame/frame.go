@@ -184,6 +184,14 @@ func (r *Reader) Bytes() []byte { return r.take(r.Uvarint(), ErrLength) }
 // String reads a length-prefixed string field.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
+// Byte reads one raw byte (a one-byte enum).
+func (r *Reader) Byte() byte {
+	if b := r.take(1, ErrShort); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
 // Uint32 reads a fixed four-byte little-endian integer (the CRCs).
 func (r *Reader) Uint32() uint32 {
 	if b := r.take(4, ErrShort); b != nil {

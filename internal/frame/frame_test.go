@@ -160,6 +160,7 @@ func TestReaderFailures(t *testing.T) {
 		{"varint cut short", payload(0x80), func(r *Reader) { r.Uvarint() }, ErrVarint},
 		{"varint of eleven bytes", payload(bytes.Repeat([]byte{0xff}, 11)...), func(r *Reader) { r.Uvarint() }, ErrVarint},
 		{"uint32 of three bytes", payload(1, 2, 3), func(r *Reader) { r.Uint32() }, ErrShort},
+		{"byte of an empty payload", payload(), func(r *Reader) { r.Byte() }, ErrShort},
 		{"time with no presence byte", payload(), func(r *Reader) { r.Time() }, ErrShort},
 		{"time with presence 2", payload(2, 0), func(r *Reader) { r.Time() }, ErrPresence},
 		{"time present, value cut short", payload(1, 0x80), func(r *Reader) { r.Time() }, ErrVarint},
@@ -168,7 +169,7 @@ func TestReaderFailures(t *testing.T) {
 		{"the first failure wins", payload(0x05, 'a'), func(r *Reader) { _ = r.String(); r.Uint32(); r.Time() }, ErrLength},
 	} {
 		tc.read(&tc.r)
-		if tc.r.Uvarint() != 0 || tc.r.String() != "" || tc.r.Uint32() != 0 || !tc.r.Time().IsZero() || tc.r.Count(1) != 0 || tc.r.More() {
+		if tc.r.Uvarint() != 0 || tc.r.String() != "" || tc.r.Uint32() != 0 || tc.r.Byte() != 0 || !tc.r.Time().IsZero() || tc.r.Count(1) != 0 || tc.r.More() {
 			t.Errorf("%s: a failed reader still yields values", tc.name)
 		}
 		if err := tc.r.Done(); !errors.Is(err, tc.want) || tc.r.Err() != err {

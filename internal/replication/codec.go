@@ -13,11 +13,17 @@
 // Durability modes:
 //
 //   - async: the publish path never waits for followers; the bounded
-//     loss window is visible as css_repl_lag_bytes per follower.
+//     loss window is visible as css_repl_lag_bytes per follower. A
+//     follower acks what it applied and fsyncs when a heartbeat
+//     arrives, so its disk trails its page cache by at most one
+//     heartbeat interval.
 //   - quorum: Primary.Barrier blocks until ⌈N/2⌉ followers have fsynced
 //     everything staged before the barrier. The controller overlaps the
 //     barrier with bus fan-out exactly like the PR 7 group-commit wait,
 //     so it costs one network round trip off the latency path.
+//
+// The sync-start frame tells the follower which: a link is durable, and
+// each ack certifies an fsync, under quorum or with heartbeats off.
 //
 // Fencing: every data frame carries the primary's epoch. A follower
 // that has seen a higher epoch (because a promoted primary reached it
@@ -44,8 +50,8 @@
 // writes through one buffered writer per connection and flushes at the
 // points where the peer waits: the shipper once per round (its
 // heartbeat and data frames together), the follower once per drain
-// (every ack that drain's fsyncs certify), and every other message as
-// it is written. Replication owns frame types
+// (every ack of what the drain applied), and every other message as it
+// is written. Replication owns frame types
 // 10-20; their field layouts are tabulated in DESIGN.md §8. Hello, data,
 // ack and deny (10-13) ship WALs and fence stale primaries. The rest
 // are the self-healing failover frames: heartbeat and campaign/grant
@@ -336,11 +342,41 @@ func decodeDigests(data []byte) (store string, done bool, ds []recordDigest, err
 	return store, done, ds, nil
 }
 
-func encodeSyncStart() []byte {
-	return frame.AppendHeader(make([]byte, 0, frame.HeaderLen), frame.SyncStart)
+// The sync-start's mode field: what the link's acks certify.
+const (
+	// modeDurable: an ack names an offset the follower has fsynced.
+	modeDurable = 0
+	// modeAsync: an ack names an offset the follower has applied; it
+	// fsyncs when a heartbeat arrives.
+	modeAsync = 1
+)
+
+// encodeSyncStartMode builds the sync-start frame: the header, then the
+// link's one-byte mode.
+func encodeSyncStartMode(durable bool) []byte {
+	dst := frame.AppendHeader(make([]byte, 0, frame.HeaderLen+1), frame.SyncStart)
+	if durable {
+		return append(dst, modeDurable)
+	}
+	return append(dst, modeAsync)
 }
 
-func decodeSyncStart(data []byte) error {
+// decodeSyncStart reads a sync-start's mode. A header-only frame is an
+// older primary's, whose links were all durable.
+func decodeSyncStart(data []byte) (durable bool, err error) {
 	r := frame.Read(data, frame.SyncStart)
-	return r.Done()
+	if !r.More() {
+		return true, r.Done()
+	}
+	mode := r.Byte()
+	if err := r.Done(); err != nil {
+		return false, err
+	}
+	switch mode {
+	case modeDurable:
+		return true, nil
+	case modeAsync:
+		return false, nil
+	}
+	return false, fmt.Errorf("replication: sync-start mode %d", mode)
 }

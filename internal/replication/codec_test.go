@@ -22,9 +22,13 @@ func goodFrames() [][]byte {
 		encodeDigestReq("index", 123456, 512),
 		encodeDigests("index", true, []recordDigest{{end: 41, crc: 0xcafef00d}, {end: 300, crc: 2}}),
 		encodeStoreOffset(frame.Truncate, "idmap", 4096),
-		encodeSyncStart(),
+		encodeSyncStartMode(false),
 	}
 }
+
+// encodeSyncStart is a durable link's sync-start, the one the raw-link
+// tests open their streams with.
+func encodeSyncStart() []byte { return encodeSyncStartMode(true) }
 
 // recoders holds, per frame type, the type's decoder followed by its
 // encoder over what came out.
@@ -51,7 +55,10 @@ var recoders = map[frame.Type]func([]byte) ([]byte, error){
 		store, done, ds, err := decodeDigests(data)
 		return encodeDigests(store, done, ds), err
 	},
-	frame.SyncStart: func(data []byte) ([]byte, error) { return encodeSyncStart(), decodeSyncStart(data) },
+	frame.SyncStart: func(data []byte) ([]byte, error) {
+		durable, err := decodeSyncStart(data)
+		return encodeSyncStartMode(durable), err
+	},
 }
 
 func recodeCursors(kind frame.Type) func([]byte) ([]byte, error) {
@@ -87,7 +94,10 @@ func reencode(data []byte) ([]byte, error) {
 
 // Every frame round-trips byte for byte, and no damaged form of it
 // decodes: cut short at any byte, with a byte appended, with a foreign
-// magic or version, or handed to another type's decoder.
+// magic or version, or handed to another type's decoder. The one cut
+// that decodes is a sync-start's cut to its header, which is an older
+// primary's sync-start; it must read as durable. A sync-start's mode
+// is 0 or 1, and the durable form takes no trailing byte either.
 func TestCodecRoundTripAndDamage(t *testing.T) {
 	if len(goodFrames()) != len(recoders) {
 		t.Fatalf("%d sample frames for %d types", len(goodFrames()), len(recoders))
@@ -98,6 +108,12 @@ func TestCodecRoundTripAndDamage(t *testing.T) {
 			t.Fatalf("type %d: re-encoded to %x, %v; want %x", kind, re, err, good)
 		}
 		for cut := 0; cut < len(good); cut++ {
+			if kind == frame.SyncStart && cut == frame.HeaderLen {
+				if durable, err := decodeSyncStart(good[:cut]); err != nil || !durable {
+					t.Errorf("sync-start cut to its header = (durable %v, %v), want durable", durable, err)
+				}
+				continue
+			}
 			if _, err := recoders[kind](good[:cut]); err == nil {
 				t.Errorf("type %d cut to %d of %d bytes decoded", kind, cut, len(good))
 			}
@@ -116,6 +132,16 @@ func TestCodecRoundTripAndDamage(t *testing.T) {
 			if _, err := recode(good); err == nil && other != kind {
 				t.Errorf("type %d frame decoded as type %d", kind, other)
 			}
+		}
+	}
+	durable := encodeSyncStartMode(true)
+	if _, err := reencode(append(bytes.Clone(durable), 0x00)); !errors.Is(err, frame.ErrTrail) {
+		t.Errorf("durable sync-start with a trailing byte: %v, want %v", err, frame.ErrTrail)
+	}
+	for mode := 2; mode < 256; mode++ {
+		bad := append(frame.AppendHeader(nil, frame.SyncStart), byte(mode))
+		if _, err := decodeSyncStart(bad); err == nil {
+			t.Errorf("sync-start with mode %d decoded", mode)
 		}
 	}
 }
@@ -154,7 +180,8 @@ func TestCodecBombs(t *testing.T) {
 // decodes and re-encodes to itself, no longer than the input. (Not to
 // the input's own bytes: binary.Uvarint accepts a varint padded with
 // continuation bytes, and a grant or done flag other than 1 reads as
-// false.)
+// false. The one frame that re-encodes longer is an older primary's
+// header-only sync-start, which gains its durable mode byte.)
 func FuzzReplicationFrame(f *testing.F) {
 	for _, good := range goodFrames() {
 		f.Add(good)
@@ -162,12 +189,14 @@ func FuzzReplicationFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xC5, 0x5F, 0x01, byte(frame.Hello), 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{})
+	f.Add(append(frame.AppendHeader(nil, frame.SyncStart), 2))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		re, err := reencode(in)
 		if err != nil {
 			return
 		}
-		if len(re) > len(in) {
+		legacy := frameKind(in) == frame.SyncStart && len(in) == frame.HeaderLen
+		if len(re) > len(in) && !(legacy && bytes.Equal(re, encodeSyncStartMode(true))) {
 			t.Fatalf("%x re-encoded longer, to %x", in, re)
 		}
 		again, err := reencode(re)

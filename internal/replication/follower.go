@@ -32,12 +32,14 @@ type FollowerConfig struct {
 }
 
 // Follower listens for a primary's replication stream and applies the
-// shipped WAL segments into its local stores, fsyncing before every
-// acknowledgement. A frame from an epoch older than the node's is
-// denied and the connection dropped; a newer one is adopted. It is also
-// the election endpoint: a candidate dials the same listener, reads the
-// hello, and sends a campaign frame; whether the vote is granted is
-// decided by the Node the follower belongs to.
+// shipped WAL segments into its local stores. On a durable link (the
+// primary runs quorum, or sends no heartbeats) it fsyncs before every
+// acknowledgement; on an async link it acknowledges what it applied and
+// fsyncs when a heartbeat arrives. A frame from an epoch older than the
+// node's is denied and the connection dropped; a newer one is adopted.
+// It is also the election endpoint: a candidate dials the same
+// listener, reads the hello, and sends a campaign frame; whether the
+// vote is granted is decided by the Node the follower belongs to.
 type Follower struct {
 	cfg   FollowerConfig
 	ln    net.Listener
@@ -56,6 +58,7 @@ type Follower struct {
 	applied   *telemetry.Counter
 	fenced    *telemetry.Counter
 	truncates *telemetry.Counter
+	fsyncs    *telemetry.Counter
 }
 
 // NewFollower listens on addr (host:port, port 0 for ephemeral) and
@@ -86,6 +89,7 @@ func newFollower(addr string, cfg FollowerConfig, epoch *epochCell, node *Node) 
 		f.applied = m.Counter("css_repl_applied_bytes_total", "Replicated WAL bytes applied, per store.", "store")
 		f.fenced = m.Counter("css_repl_fenced_total", "Frames or connections rejected for a stale epoch.")
 		f.truncates = m.Counter("css_repl_truncates_total", "WAL truncations performed while rejoining as follower.")
+		f.fsyncs = m.Counter("css_repl_follower_fsyncs_total", "WAL fsyncs made by this follower, per store.", "store")
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
@@ -188,15 +192,19 @@ func (f *Follower) handleConn(conn net.Conn) error {
 		offsets[i] = storeOffset{name: ns.Name, offset: off, crc: crc}
 	}
 	c := f.newInbound(bufio.NewReader(conn), bufio.NewWriter(conn))
+	// What an async link applied but has not fsynced reaches the disk
+	// when the link ends, however it ends: no heartbeat will come.
+	defer c.syncUnsynced()
 	if err := sendMsg(c.bw, encodeCursors(frame.Hello, f.epoch.Load(), offsets)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	for {
-		// Batch the fsync+ack over every frame already buffered: under a
-		// storm one fsync covers many segments (group commit shape). The
-		// drain runs whenever the read buffer empties, whatever kind the
-		// last frame was — a heartbeat buffered behind a data frame must
-		// not withhold that frame's ack until the next write.
+		// Batch the acks (and a durable link's fsyncs) over every frame
+		// already buffered: under a storm one fsync covers many segments
+		// (group commit shape). The drain runs whenever the read buffer
+		// empties, whatever kind the last frame was — a heartbeat
+		// buffered behind a data frame must not withhold that frame's
+		// ack until the next write.
 		if c.br.Buffered() == 0 {
 			if err := c.drain(); err != nil {
 				return err
@@ -214,32 +222,73 @@ func (f *Follower) handleConn(conn net.Conn) error {
 }
 
 // inbound is one connection's state on the follower side: its
-// buffered ends, the buffer every message is read into, and the stores
-// applied to since the last drain.
+// buffered ends, the buffer every message is read into, the link's
+// mode, and the stores applied to since the last drain and since the
+// last fsync.
 type inbound struct {
-	f       *Follower
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	buf     []byte
-	touched []bool // per store, parallel to cfg.Stores
+	f   *Follower
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	buf []byte
+	// durable is the mode the sync-start declared: acks certify an
+	// fsync. An async link acks applied offsets and fsyncs at the
+	// drain after a heartbeat.
+	durable  bool
+	beat     bool   // a heartbeat arrived since the last drain
+	touched  []bool // per store, parallel to cfg.Stores: to ack
+	unsynced []bool // per store: applied to since its last fsync
 }
 
 func (f *Follower) newInbound(br *bufio.Reader, bw *bufio.Writer) *inbound {
-	return &inbound{f: f, br: br, bw: bw, touched: make([]bool, len(f.cfg.Stores))}
+	n := len(f.cfg.Stores)
+	return &inbound{f: f, br: br, bw: bw, durable: true, touched: make([]bool, n), unsynced: make([]bool, n)}
 }
 
-// drain fsyncs every store applied to since the last drain, in
-// dependency order, and sends all their acks in one write.
+// drain acks every store applied to since the last drain, in
+// dependency order, in one write. A durable link fsyncs each store
+// before its ack. An async link acks at once and, when a heartbeat
+// came in since the last drain, then fsyncs every store applied to
+// since its last fsync, in the same order.
 func (c *inbound) drain() error {
 	for i, t := range c.touched {
-		if t {
-			if err := syncAck(c.bw, c.f.cfg.Stores[i]); err != nil {
+		if !t {
+			continue
+		}
+		ns := c.f.cfg.Stores[i]
+		if c.durable {
+			if err := c.f.fsync(ns); err != nil {
 				return err
 			}
-			c.touched[i] = false
+		} else {
+			c.unsynced[i] = true
+		}
+		if err := writeAck(c.bw, ns); err != nil {
+			return err
+		}
+		c.touched[i] = false
+	}
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	if !c.beat {
+		return nil
+	}
+	c.beat = false
+	return c.syncUnsynced()
+}
+
+// syncUnsynced fsyncs, in dependency order, every store applied to
+// since its last fsync.
+func (c *inbound) syncUnsynced() error {
+	for i, u := range c.unsynced {
+		if u {
+			if err := c.f.fsync(c.f.cfg.Stores[i]); err != nil {
+				return err
+			}
+			c.unsynced[i] = false
 		}
 	}
-	return c.bw.Flush()
+	return nil
 }
 
 // handle dispatches one message. Data is applied and acked by the next
@@ -248,15 +297,20 @@ func (c *inbound) handle(msg []byte) error {
 	f := c.f
 	switch frameKind(msg) {
 	case frame.SyncStart:
-		if err := decodeSyncStart(msg); err != nil {
+		durable, err := decodeSyncStart(msg)
+		if err != nil {
 			return err
 		}
-		// Certify the (possibly truncated) prefix: fsync everything
-		// and ack every store once, so quorum accounting on the
-		// primary starts from the true durable state instead of
-		// waiting for each store's next write.
+		c.durable = durable
+		// Certify the (possibly truncated) prefix, whatever the mode:
+		// fsync everything and ack every store once, so quorum
+		// accounting on the primary starts from the true durable state
+		// instead of waiting for each store's next write.
 		for _, ns := range f.cfg.Stores {
-			if err := syncAck(c.bw, ns); err != nil {
+			if err := f.fsync(ns); err != nil {
+				return err
+			}
+			if err := writeAck(c.bw, ns); err != nil {
 				return err
 			}
 		}
@@ -271,6 +325,7 @@ func (c *inbound) handle(msg []byte) error {
 			return err
 		}
 		f.noteContact()
+		c.beat = true
 
 	case frame.Campaign:
 		epoch, theirs, err := decodeCursors(msg, frame.Campaign)
@@ -359,12 +414,20 @@ func (c *inbound) handle(msg []byte) error {
 	return nil
 }
 
-// syncAck fsyncs one store and writes the ack of the offset it is
-// durable through; the caller flushes.
-func syncAck(bw *bufio.Writer, ns NamedStore) error {
+// fsync fsyncs one store's WAL through its end and counts it.
+func (f *Follower) fsync(ns NamedStore) error {
 	if err := ns.Store.SyncWAL(); err != nil {
 		return err
 	}
+	if f.fsyncs != nil {
+		f.fsyncs.Inc(ns.Name)
+	}
+	return nil
+}
+
+// writeAck writes the ack of the offset one store is applied through;
+// the caller flushes.
+func writeAck(bw *bufio.Writer, ns NamedStore) error {
 	return writeMsg(bw, encodeStoreOffset(frame.Ack, ns.Name, ns.Store.WALOffset()))
 }
 
@@ -428,7 +491,7 @@ func (f *Follower) Close() error {
 	err := f.ln.Close()
 	f.wg.Wait()
 	for _, ns := range f.cfg.Stores {
-		if serr := ns.Store.SyncWAL(); serr != nil && err == nil {
+		if serr := f.fsync(ns); serr != nil && err == nil {
 			err = serr
 		}
 	}

@@ -39,7 +39,8 @@ func describeFrame(data []byte) (string, error) {
 		store, done, ds, err := decodeDigests(data)
 		return fmt.Sprintf("store=%s done=%v digests=%v", store, done, ds), err
 	case frame.SyncStart:
-		return "", decodeSyncStart(data)
+		durable, err := decodeSyncStart(data)
+		return fmt.Sprintf("durable=%v", durable), err
 	default:
 		return "", fmt.Errorf("not a replication frame: type %d", kind)
 	}
@@ -109,10 +110,18 @@ func TestGoldenReplicationFrames(t *testing.T) {
 			encodeDigests("idmap", false, nil),
 			"c55f01120569646d61700000",
 			"store=idmap done=false digests=[]"},
-		{"syncstart (20): header only",
-			encodeSyncStart(),
+		{"syncstart (20), async: the header and mode 1",
+			encodeSyncStartMode(false),
+			"c55f011401",
+			"durable=false"},
+		{"syncstart (20), durable: mode 0",
+			encodeSyncStartMode(true),
+			"c55f011400",
+			"durable=true"},
+		{"syncstart (20), header only: an older primary's, durable",
+			frame.AppendHeader(nil, frame.SyncStart),
 			"c55f0114",
-			""},
+			"durable=true"},
 	} {
 		if hex.EncodeToString(tc.frame) != tc.want {
 			t.Errorf("%s: frame bytes changed\n got %x\nwant %s", tc.name, tc.frame, tc.want)

@@ -63,8 +63,9 @@ type NodeConfig struct {
 	Quorum bool
 	// Election arms the failure detector and campaign loop on a replica.
 	Election bool
-	// HeartbeatEvery is the liveness beacon cadence on shipping links
-	// (zero disables beacons) and the detector's prior mean (default
+	// HeartbeatEvery is the liveness beacon cadence on shipping links,
+	// an async follower's fsync cadence (zero disables beacons and makes
+	// every link durable), and the detector's prior mean (default
 	// 100ms).
 	HeartbeatEvery time.Duration
 	// SuspectAfter is the silence floor: suspicion never fires before

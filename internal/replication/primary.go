@@ -87,8 +87,10 @@ type PrimaryConfig struct {
 	Quorum bool
 	// HeartbeatEvery, when positive, sends liveness heartbeats on every
 	// follower link at roughly this interval (±20% jitter so a fleet's
-	// beats never synchronize). Heartbeats carry the epoch and feed the
-	// followers' failure detectors; zero disables them.
+	// beats never synchronize), whenever one is due, busy link or idle.
+	// Heartbeats carry the epoch and feed the followers' failure
+	// detectors; on an async link they also set the follower's fsync
+	// cadence. Zero disables them, and makes every link durable.
 	HeartbeatEvery time.Duration
 	// Metrics registers css_repl_* instruments when set.
 	Metrics *telemetry.Registry
@@ -100,8 +102,13 @@ type PrimaryConfig struct {
 }
 
 // Primary tails the configured stores' WALs and streams them to every
-// registered follower, tracking per-follower fsync cursors for the
-// quorum barrier and the lag gauge.
+// registered follower, tracking per-follower ack cursors for the quorum
+// barrier and the lag gauge.
+//
+// A link is durable when the primary runs quorum or sends no
+// heartbeats: the follower fsyncs before each ack, so an acked offset
+// is on its disk. Every other link is async: an acked offset is
+// applied, and reaches the follower's disk at the next heartbeat.
 type Primary struct {
 	cfg  PrimaryConfig
 	dial func(addr string) (net.Conn, error)
@@ -123,7 +130,7 @@ type Primary struct {
 // guarded by Primary.mu; the ship loop runs in its own goroutine.
 type followerLink struct {
 	addr      string
-	acked     []int64 // per store, parallel to cfg.Stores; fsynced through
+	acked     []int64 // per store, parallel to cfg.Stores; acked through
 	connected bool
 	denied    bool // follower fenced us (saw a newer epoch)
 	conn      net.Conn
@@ -146,7 +153,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	if m := cfg.Metrics; m != nil {
 		p.lag = m.Gauge("css_repl_lag_bytes", "Unacked WAL bytes per follower (primary view).", "follower")
-		p.acks = m.Counter("css_repl_acks_total", "Follower fsync acknowledgements received.", "follower")
+		p.acks = m.Counter("css_repl_acks_total", "Follower acknowledgements received; fsync-certified only on durable (quorum or heartbeat-less) links.", "follower")
 		p.fenced = m.Counter("css_repl_fenced_total", "Frames or connections rejected for a stale epoch.")
 		p.quorumWait = m.Histogram("css_repl_quorum_wait_seconds", "Time publishes spent in the quorum barrier.")
 	}
@@ -259,7 +266,8 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	}
 	// Reset the ack state: the hello only proves the follower *applied*
 	// those bytes, not that they are fsynced. Quorum counts only acks
-	// received on this connection, each of which certifies an fsync.
+	// received on this connection, each of which certifies an fsync on
+	// a durable link.
 	p.mu.Lock()
 	for i := range link.acked {
 		link.acked[i] = 0
@@ -271,7 +279,8 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return fmt.Errorf("syncstart: %w", err)
 	}
-	if err := sendMsg(sh.bw, encodeSyncStart()); err != nil {
+	durable := p.cfg.Quorum || p.cfg.HeartbeatEvery <= 0
+	if err := sendMsg(sh.bw, encodeSyncStartMode(durable)); err != nil {
 		return fmt.Errorf("syncstart: %w", err)
 	}
 

@@ -161,7 +161,8 @@ func (c *caller) do(ctx context.Context, breaker, method string, base *url.URL, 
 // connected.
 //
 // Outcomes are classified for the retrier: connection failures (unless
-// the caller's own deadline cut them short), 5xx and 429 answers (with
+// the caller's own context ended meanwhile: then the error wraps the
+// context's and is not retried), 5xx and 429 answers (with
 // the server's Retry-After hint), read failures mid-body and undecodable
 // 2xx bodies are transient; 4xx faults stay permanent and come back as
 // the platform's sentinel errors.
@@ -208,10 +209,12 @@ func (c *caller) attempt(ctx context.Context, method string, base *url.URL, path
 		}
 		err = fmt.Errorf("transport: %s %s: %w", method, target,
 			&url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u, Err: err})
-		if ctx.Err() != nil {
-			// The caller's deadline elapsed: not retryable, the budget
-			// is gone.
-			return err
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller's context ended: not retryable, the budget is
+			// gone. The error wraps the context's, so a caller that
+			// keeps its work on a deadline (the relay's outbox) keeps
+			// it, however the attempt itself failed.
+			return fmt.Errorf("%w: %w", err, cerr)
 		}
 		return resilience.MarkRetryable(err)
 	}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -187,6 +189,74 @@ func TestQueuedPublisherParksAndDrains(t *testing.T) {
 	}
 	if len(notes) != 3 {
 		t.Fatalf("indexed %d notifications, want 3", len(notes))
+	}
+}
+
+// refusedDial fails every call as a refused connect. While stalled, it
+// fails only once the caller's context has ended, as a connect that
+// outlives the caller's budget does.
+type refusedDial struct {
+	stalled atomic.Bool
+	calls   atomic.Int32
+}
+
+func (d *refusedDial) RoundTrip(req *http.Request) (*http.Response, error) {
+	return d.roundTrip(req.Context(), req, time.Time{})
+}
+
+func (d *refusedDial) roundTrip(ctx context.Context, _ *http.Request, _ time.Time) (*http.Response, error) {
+	d.calls.Add(1)
+	if d.stalled.Load() {
+		<-ctx.Done()
+	}
+	return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+}
+
+// TestRelayKeepsEntryWhenContextEndsInConnectFailure: a drain whose
+// context ends inside a failing connect keeps the entry in the outbox
+// instead of dead-lettering it, and a relay publish cut short the same
+// way is parked, not refused.
+func TestRelayKeepsEntryWhenContextEndsInConnectFailure(t *testing.T) {
+	dial := &refusedDial{}
+	client := NewClient("http://127.0.0.1:1", &http.Client{Transport: dial})
+	qp, err := NewQueuedPublisher(client, store.OpenMemory(), nil, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qp.Close()
+	publish := func(ctx context.Context, source event.SourceID) {
+		t.Helper()
+		_, queued, err := qp.Publish(ctx, &event.Notification{
+			SourceID: source, Class: schema.ClassBloodTest,
+			PersonID: "PRS-Q", Summary: "blood test", Producer: "hospital",
+			OccurredAt: time.Date(2010, 5, 30, 9, 0, 0, 0, time.UTC),
+		})
+		if err != nil || !queued {
+			t.Fatalf("publish %s: queued %v, %v; want parked", source, queued, err)
+		}
+	}
+
+	publish(context.Background(), "s-refused")
+	// From here each drain attempt stalls for its whole 20 ms context,
+	// then fails.
+	dial.stalled.Store(true)
+	calls := dial.calls.Load()
+	deadline := time.Now().Add(5 * time.Second)
+	for dial.calls.Load() < calls+4 && qp.Dead() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if depth, dead := qp.Depth(), qp.Dead(); depth != 1 || dead != 0 {
+		t.Fatalf("outbox depth %d, dead %d after drains cut short; want 1 and 0", depth, dead)
+	}
+	if n := dial.calls.Load() - calls; n < 4 {
+		t.Fatalf("%d drain attempts, want at least four", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	publish(ctx, "s-stalled")
+	if depth, dead := qp.Depth(), qp.Dead(); depth != 2 || dead != 0 {
+		t.Fatalf("outbox depth %d, dead %d; want 2 and 0", depth, dead)
 	}
 }
 
