@@ -129,9 +129,9 @@ lint-traceid:
 # import in the files a publish or a detail request flows through (the
 # round tripper every outgoing call is sent with, the sharded client
 # a fleet's calls are routed by, the shard map whose Owner and
-# OwnerBytes run on every clustered publish, id draw and fleet detail
-# request, and the replication link a fleet ships
-# every publish's WAL records over among them), no
+# OwnerBytes run on every publish, id draw and fleet detail request,
+# the shard admission every publish opens with, and the replication
+# link a fleet ships every publish's WAL records over among them), no
 # reflect in the XML helper they share, no reflect and no fmt at all in
 # the binary frame layer under every hop and in the JSON helper audit
 # and index records are written and read with, and no reflect and no
@@ -149,6 +149,7 @@ HOTPATH_FILES = internal/event/codec.go internal/core/flows.go internal/audit/au
 	internal/index/index.go internal/idmap/idmap.go internal/transport/roundtrip.go internal/transport/serve.go \
 	internal/transport/answer.go internal/transport/caller.go internal/transport/service.go internal/telemetry/http.go \
 	internal/enforcer/enforcer.go internal/gateway/gateway.go internal/transport/shardclient.go \
+	internal/cluster/cluster.go internal/core/cluster.go \
 	internal/replication/primary.go internal/replication/follower.go internal/replication/codec.go $(XMLX_FILES) $(FRAME_FILES) $(JSONX_FILES) $(STORE_FILES) \
 	$(filter-out %_test.go,$(wildcard internal/bus/*.go))
 lint-hotpath:

@@ -32,10 +32,11 @@
 //	-span-sample    head-sampling rate for span recording and export
 //	                (default 0.1; failed spans and spans of at least
 //	                100ms are always kept, in the ring and the file alike)
-//	-shard-id       this controller's shard id within the cluster
-//	                (default -1: unsharded). The topology is fixed at
-//	                boot and must name the id; the controller exits if
-//	                it does not.
+//	-shard-id       this controller's shard id within the -peers
+//	                cluster (default -1: none; without -peers the
+//	                controller is shard 0 of a one-shard map). The
+//	                topology is fixed at boot and must name the id; the
+//	                controller exits if it does not.
 //	-peers          cluster topology: comma-separated shard base URLs
 //	                assigned ids 0..n-1 in order; a key's owner is its
 //	                hash scaled over n, so changing n re-homes nearly
@@ -145,7 +146,7 @@ func main() {
 	heartbeatEvery := flag.Duration("heartbeat-interval", 100*time.Millisecond, "primary heartbeat cadence on replication links; without -quorum also the followers' fsync cadence (0: off, fsync before every ack)")
 	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "minimum primary silence before a replica campaigns")
 	primaryURL := flag.String("primary-url", "", "replica: primary's HTTP base URL, probed before campaigning")
-	shardID := flag.Int("shard-id", -1, "this controller's shard id (default: unsharded)")
+	shardID := flag.Int("shard-id", -1, "this controller's shard id within -peers (without -peers: shard 0 of a one-shard map)")
 	peersSpec := flag.String("peers", "", "comma-separated shard base URLs assigned ids 0..n-1")
 	gateways := gatewayFlags{}
 	flag.Var(gateways, "gateway", "attach a remote cooperation gateway as producer=URL (repeatable)")
@@ -227,12 +228,10 @@ func main() {
 	}
 	defer ctrl.Close()
 
-	if m := ctrl.ShardMap(); m != nil {
-		self, _ := ctrl.ShardID()
-		telemetry.Logger().Info("controller is sharded",
-			"shard", self.String(), "map_version", m.Version(),
-			"shards", len(m.Shards()))
-	}
+	m := ctrl.ShardMap()
+	telemetry.Logger().Info("controller shard",
+		"shard", ctrl.ShardID().String(), "map_version", m.Version(),
+		"shards", len(m.Shards()))
 
 	run.ExportSpans(ctrl.Tracer())
 

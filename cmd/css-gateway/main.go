@@ -16,9 +16,10 @@
 //	             and mounts POST /gw/publish — a publish relay that
 //	             forwards notifications to the controller and parks them
 //	             in a durable outbox (outbox.wal under -data) while the
-//	             controller is unreachable. A sharded controller (one
-//	             serving GET /ws/shardmap) upgrades the relay to a
-//	             shard-routing client automatically
+//	             controller is unreachable. The relay routes by shard
+//	             map, starting from a one-shard map of this URL: a
+//	             sharded controller's first redirect teaches it the
+//	             fleet's map
 //	-pprof       expose net/http/pprof under /debug/pprof/ (opt-in)
 //	-log-json    structured JSON logs on stderr (default: text)
 //	-max-inflight   global concurrent-request budget (default 256)
@@ -98,7 +99,7 @@ func main() {
 
 	var schemas gateway.SchemaSource
 	var client *transport.Client
-	var relay transport.EventPublisher
+	var relay *transport.ShardedClient
 	resMetrics := resilience.NewMetrics(telemetry.Default())
 	if *controller != "" {
 		breakers := resilience.NewGroup(resilience.BreakerConfig{Metrics: resMetrics})
@@ -119,30 +120,8 @@ func main() {
 		}
 		schemas = cat
 		log.Printf("validating against %d catalog classes", len(cat))
-
-		// A sharded controller answers GET /ws/shardmap with its cluster
-		// topology: upgrade the publish relay to a shard-routing client,
-		// so relayed notifications land on (or get redirected to) the
-		// owning shard. An unsharded controller answers not-found and the
-		// plain client stays.
-		relay = client
-		if m, merr := client.ShardMap(context.Background()); merr == nil {
-			sc, serr := transport.NewShardedClient(m, func(info cluster.ShardInfo) *transport.Client {
-				c := transport.NewClient(info.Addr, nil,
-					transport.WithCodec(codec),
-					transport.WithRetrier(resilience.NewRetrier(resilience.RetryPolicy{Metrics: resMetrics})),
-					transport.WithBreakerGroup(resilience.NewGroup(resilience.BreakerConfig{Metrics: resMetrics})))
-				if *token != "" {
-					c = c.WithToken(*token)
-				}
-				return c
-			})
-			if serr != nil {
-				log.Fatalf("sharded controller: %v", serr)
-			}
-			relay = sc
-			telemetry.Logger().Info("controller is sharded; publish relay routes by shard",
-				"map_version", m.Version(), "shards", len(m.Shards()))
+		if relay, err = newRelay(*controller, codec, *token, resMetrics); err != nil {
+			log.Fatalf("publish relay: %v", err)
 		}
 	}
 
@@ -213,6 +192,30 @@ func main() {
 	steps = append(steps, overload.Step{Name: "store-close", Run: func(context.Context) error { return st.Close() }})
 	telemetry.Logger().Info("gateway configured", "producer", *producer)
 	run.Serve(*addr, "local cooperation gateway", srv, slo, steps...)
+}
+
+// newRelay builds the publish relay's client toward controller. It
+// routes by shard map, and starts from a version-0 map of one shard at
+// controller, without asking the controller for its map: a lone
+// controller is that shard, and a sharded one answers a publish for a
+// person it does not own with a redirect naming its map (version 1 or
+// later), which the client then fetches and routes by. Each shard gets
+// its own breaker group.
+func newRelay(controller string, codec event.Codec, token string, met *resilience.Metrics) (*transport.ShardedClient, error) {
+	seed, err := cluster.NewMap(0, 0, []cluster.ShardInfo{{ID: 0, Addr: controller}})
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewShardedClient(seed, func(info cluster.ShardInfo) *transport.Client {
+		c := transport.NewClient(info.Addr, nil,
+			transport.WithCodec(codec),
+			transport.WithRetrier(resilience.NewRetrier(resilience.RetryPolicy{Metrics: met})),
+			transport.WithBreakerGroup(resilience.NewGroup(resilience.BreakerConfig{Metrics: met})))
+		if token != "" {
+			c = c.WithToken(token)
+		}
+		return c
+	})
 }
 
 // openStore opens the gateway's store named file under dataDir, or a

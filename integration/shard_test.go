@@ -261,7 +261,7 @@ func TestShardSmoke(t *testing.T) {
 	// Every shard's audit hash-chain must verify.
 	for _, c := range ctrls {
 		if err := c.Audit().Verify(); err != nil {
-			id, _ := c.ShardID()
+			id := c.ShardID()
 			t.Errorf("audit chain on shard %s broken: %v", id, err)
 		}
 	}

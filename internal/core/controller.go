@@ -94,13 +94,14 @@ type Config struct {
 	// ShardMap makes this controller one shard of a cluster: publishes
 	// for person pseudonyms owned by other shards are redirected
 	// (cluster.ErrWrongShard). The map is fixed at boot; only a
-	// failover's AdoptMap replaces it. Nil (the default) runs unsharded
-	// with zero cluster overhead. All shards of one cluster must share
-	// MasterKey — the pseudonym partitioning assumes one HMAC keyspace.
+	// failover's AdoptMap replaces it. Nil (the default) boots a lone
+	// controller: shard 0 of a version-0 one-shard map, which owns every
+	// key. All shards of one cluster must share MasterKey — the
+	// pseudonym partitioning assumes one HMAC keyspace.
 	ShardMap *cluster.Map
-	// ShardID is this controller's identity within ShardMap. Only
-	// meaningful when ShardMap is set, and then it must name a shard of
-	// the map: New rejects an id the map leaves out.
+	// ShardID is this controller's identity within ShardMap. Only read
+	// when ShardMap is set, and then it must name a shard of the map:
+	// New rejects an id the map leaves out.
 	ShardID cluster.ShardID
 }
 
@@ -162,7 +163,7 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		clusterWrongShard: reg.Counter("css_cluster_wrong_shard_total",
 			"Publishes refused with a wrong-shard redirect to the owning shard."),
 		clusterMapVersion: reg.Gauge("css_cluster_map_version",
-			"Version of the shard map this controller routes by (0 = unsharded)."),
+			"Version of the shard map this controller routes by (0 = a lone controller)."),
 	}
 }
 
@@ -187,8 +188,8 @@ type Controller struct {
 	tracer *telemetry.Tracer
 	met    instruments
 
-	// shard is the cluster identity; nil when unsharded (see cluster.go).
-	shard *shardState
+	// shard is the cluster identity (see cluster.go).
+	shard shardState
 
 	// Replication (see replica.go): repl is the attached node, which
 	// holds this process's role — a replica gates every flow — and
@@ -306,10 +307,15 @@ func New(cfg Config) (*Controller, error) {
 	c.brk = bus.New(cfg.Bus)
 	c.pending = newPendingBook()
 
-	if cfg.ShardMap != nil {
-		if err := c.initCluster(cfg.ShardID, cfg.ShardMap); err != nil {
+	m, id := cfg.ShardMap, cfg.ShardID
+	if m == nil {
+		if m, err = loneMap(); err != nil {
 			return nil, err
 		}
+		id = 0
+	}
+	if err := c.initCluster(id, m); err != nil {
+		return nil, err
 	}
 
 	if cfg.DataDir != "" {

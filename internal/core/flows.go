@@ -57,13 +57,12 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	if decl.Producer != n.Producer {
 		return "", fmt.Errorf("%w: %s is owned by %s", ErrNotClassOwner, n.Class, decl.Producer)
 	}
-	// Clustered deployments enforce pseudonym ownership before any state
-	// changes (critically: before the global id is assigned). Unsharded:
-	// one nil check.
-	if c.shard != nil {
-		if err := c.shardAdmit(n.PersonID); err != nil {
-			return "", err
-		}
+	// Pseudonym ownership is enforced before any state changes
+	// (critically: before the global id is assigned). The pseudonym it
+	// computes keys the index put below.
+	pseudonym, err := c.shardAdmit(n.PersonID)
+	if err != nil {
+		return "", err
 	}
 
 	// Mint the flow's trace ID unless the producer supplied one; it rides
@@ -81,9 +80,7 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 		parent = telemetry.SpanIDFrom(ctx)
 	}
 	pubSpan := c.tracer.StartDetached("publish", trace, parent)
-	if c.shard != nil {
-		pubSpan.SetAttr("shard", c.shard.label)
-	}
+	pubSpan.SetAttr("shard", c.shard.label)
 	start := time.Now()
 	fail := func(err error) (event.GlobalID, error) {
 		pubSpan.SetError(err)
@@ -113,7 +110,7 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	// crash before the barrier loses whole WAL frames and the unacked
 	// producer retries under the same global id (Assign is idempotent).
 	putSpan := pubSpan.StartChild("index.put")
-	idxCommit, err := c.idx.PutStaged(stamped)
+	idxCommit, err := c.idx.PutStagedWith(stamped, pseudonym)
 	putSpan.SetError(err)
 	putSpan.End()
 	if err != nil {

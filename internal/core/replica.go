@@ -31,18 +31,11 @@ func (c *Controller) IsReplica() bool {
 }
 
 // notPrimary builds the redirect fault a replica answers every flow
-// with. Under a shard map it names this shard and the map version so the
-// client can re-resolve the primary; unsharded replicas answer the
-// zero-valued hint.
+// with. It names this shard and the map version so the client can
+// re-resolve the primary; a lone replica names version 0, which no
+// client adopts.
 func (c *Controller) notPrimary() error {
-	e := &cluster.NotPrimaryError{}
-	if c.shard != nil {
-		e.Shard = c.shard.id
-		if m := c.reg.ShardMap(); m != nil {
-			e.Version = m.Version()
-		}
-	}
-	return e
+	return &cluster.NotPrimaryError{Shard: c.shard.id, Version: c.reg.ShardMap().Version()}
 }
 
 // gate is the check every access and write flow opens with: a closed

@@ -40,8 +40,17 @@ var ErrDecrypt = errors.New("crypto: message authentication failed")
 type Keyring struct {
 	aead    cipher.AEAD
 	pseuKey []byte
-	// hmacPool recycles HMAC states for Pseudonym.
+	// hmacPool recycles *pseudonymState for Pseudonym.
 	hmacPool sync.Pool
+}
+
+// pseudonymState is a pooled HMAC with the input and digest buffers a
+// Pseudonym call hands it: passed through the hash.Hash interface, a
+// buffer on the stack would escape and cost an allocation each call.
+type pseudonymState struct {
+	mac hash.Hash
+	in  []byte
+	sum [sha256.Size]byte
 }
 
 // NewKeyring derives the sealing and pseudonym keys from a master key.
@@ -60,7 +69,7 @@ func NewKeyring(master []byte) (*Keyring, error) {
 		return nil, fmt.Errorf("crypto: %w", err)
 	}
 	k := &Keyring{aead: aead, pseuKey: pseuKey}
-	k.hmacPool.New = func() any { return hmac.New(sha256.New, k.pseuKey) }
+	k.hmacPool.New = func() any { return &pseudonymState{mac: hmac.New(sha256.New, k.pseuKey)} }
 	return k, nil
 }
 
@@ -137,17 +146,18 @@ func (k *Keyring) OpenString(s string) (string, error) {
 // Pseudonym returns the deterministic keyed pseudonym of a person
 // identifier: equal identifiers map to equal pseudonyms (enabling index
 // lookups), while the identifier cannot be recovered without the key.
-// The HMAC state is pooled and the digest staged on the stack: one
-// pseudonym runs per indexed notification, and a fresh HMAC-SHA-256
-// costs several allocations that Reset makes recoverable.
+// The HMAC state and its buffers are pooled: one pseudonym runs per
+// published notification, and a fresh HMAC-SHA-256 costs several
+// allocations that Reset makes recoverable. The returned string is the
+// call's one allocation.
 func (k *Keyring) Pseudonym(personID string) string {
-	m := k.hmacPool.Get().(hash.Hash)
-	m.Reset()
-	m.Write([]byte(personID))
-	var sum [sha256.Size]byte
-	m.Sum(sum[:0])
-	k.hmacPool.Put(m)
+	st := k.hmacPool.Get().(*pseudonymState)
+	st.mac.Reset()
+	st.in = append(st.in[:0], personID...)
+	st.mac.Write(st.in)
+	st.mac.Sum(st.sum[:0])
 	var out [24]byte // base64 of 18 digest bytes
-	base64.URLEncoding.Encode(out[:], sum[:18])
+	base64.URLEncoding.Encode(out[:], st.sum[:18])
+	k.hmacPool.Put(st)
 	return string(out[:])
 }

@@ -87,6 +87,14 @@ var batchPool = sync.Pool{New: func() any { return new(store.Batch) }}
 // is unaffected because a crash before the barrier loses the whole
 // batch and the unacked publisher retries under the same global ID.
 func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
+	return ix.PutStagedWith(n, ix.keys.Pseudonym(n.PersonID))
+}
+
+// PutStagedWith is PutStaged for a caller that already holds the
+// person's pseudonym (Pseudonym(n.PersonID)), as the controller does
+// once it has checked the person's shard, so a publish computes the
+// HMAC once.
+func (ix *Index) PutStagedWith(n *event.Notification, pseudonym string) (store.Commit, error) {
 	if n.ID == "" {
 		return store.Commit{}, errors.New("index: notification without global id")
 	}
@@ -97,7 +105,6 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	if err != nil {
 		return store.Commit{}, err
 	}
-	personKey := ix.keys.Pseudonym(n.PersonID)
 	data := appendRecordJSON(n, sealed)
 	// The primary record and its person and class keys commit as one
 	// store batch: one lock acquisition, one WAL frame, and — because a
@@ -109,7 +116,7 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	b := batchPool.Get().(*store.Batch)
 	b.Reset()
 	b.PutOwned(eventKey(n.ID), data)
-	b.PutOwned(personIdxKey(personKey, ts, n.ID), nil)
+	b.PutOwned(personIdxKey(pseudonym, ts, n.ID), nil)
 	b.PutOwned(classIdxKey(n.Class, ts, n.ID), nil)
 	c, err := ix.st.StageApply(b)
 	batchPool.Put(b)

@@ -25,8 +25,9 @@ func (r *Registry) SetShardMap(m *cluster.Map) error {
 	}
 }
 
-// ShardMap returns the current shard map, or nil when the platform
-// runs unsharded (the default single-controller deployment).
+// ShardMap returns the current shard map: the last one SetShardMap
+// installed. A controller installs one at boot, a lone controller the
+// version-0 map of one shard.
 func (r *Registry) ShardMap() *cluster.Map {
 	return r.shardMap.Load()
 }

@@ -209,10 +209,25 @@ func TestRoundAndDrainAreOneWriteEach(t *testing.T) {
 	}
 }
 
+// shortDeadlineConn moves every read deadline set on it to at most
+// readBound from now, so a test sees a link's read bound expire without
+// waiting out linkTimeout. Clearing the deadline still clears it.
+type shortDeadlineConn struct{ net.Conn }
+
+const readBound = 100 * time.Millisecond
+
+func (c shortDeadlineConn) SetReadDeadline(t time.Time) error {
+	if limit := time.Now().Add(readBound); !t.IsZero() && t.After(limit) {
+		t = limit
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
 // TestSilentFollowerIsRedialled: a follower that accepts the connection
-// and never sends its hello holds the link for one linkTimeout read
+// and never sends its hello holds the link for one handshake read
 // bound, after which the primary drops it and dials again; Close does
-// not wait on the silent peer.
+// not wait on the silent peer. The dialer shortens the bound to
+// readBound.
 func TestSilentFollowerIsRedialled(t *testing.T) {
 	t.Parallel()
 	ps := openStores(t, t.TempDir())
@@ -240,19 +255,25 @@ func TestSilentFollowerIsRedialled(t *testing.T) {
 	dials := make(chan struct{}, 16)
 	pri, err := NewPrimary(PrimaryConfig{Stores: ps, Epoch: 1, Dial: func(addr string) (net.Conn, error) {
 		dials <- struct{}{}
-		return net.Dial("tcp", addr)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return shortDeadlineConn{conn}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pri.Close()
 	pri.AddFollower(ln.Addr().String())
-	deadline := time.After(3 * linkTimeout)
+	// The second dial follows one read bound and one 50ms backoff.
+	const wait = 20 * readBound
+	deadline := time.After(wait)
 	for n := 0; n < 2; n++ {
 		select {
 		case <-dials:
 		case <-deadline:
-			t.Fatalf("%d dial(s) in %s: the primary still waits on the silent follower", n, 3*linkTimeout)
+			t.Fatalf("%d dial(s) in %s: the primary still waits on the silent follower", n, wait)
 		}
 	}
 	closed := make(chan struct{})

@@ -304,9 +304,8 @@ type policyRawXML struct {
 	Raw []byte `xml:",innerxml"`
 }
 
-// ShardMap fetches the controller's current shard map. A non-clustered
-// controller answers the not-found fault
-// (errors.Is(err, gateway.ErrNotFound)).
+// ShardMap fetches the controller's current shard map; a lone
+// controller's is the version-0 map of one shard.
 func (c *Client) ShardMap(ctx context.Context) (*cluster.Map, error) {
 	var m *cluster.Map
 	err := c.call(ctx, http.MethodGet, "/ws/shardmap", "", nil, func(data []byte) (derr error) {

@@ -41,7 +41,7 @@ import (
 //	GET  /ws/audit       — ?actor=&kind=&outcome=&event=&class=&trace=&limit= →
 //	                       audit records (guarantor role when auth is on)
 //	GET  /ws/shardmap    — the cluster's shard map as a binary frame
-//	                       (not-found fault when the controller is unsharded)
+//	                       (a lone controller's is version 0, one shard)
 //	GET  /ws/replstatus  — replication role, fencing epoch, follower lag
 //	POST /ws/promote     — flip a replica into the primary role at a
 //	                       named epoch (the failover runbook's lease claim)
@@ -287,12 +287,7 @@ func (s *Server) handleSubscriptionProbe(w http.ResponseWriter, r *http.Request,
 // addresses only, never personal data; any authenticated member may
 // fetch it.
 func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request, _ bearer) {
-	m := s.ctrl.ShardMap()
-	if m == nil {
-		writeXML(w, http.StatusNotFound, &Fault{Code: CodeNotFound, Message: "controller is not sharded"})
-		return
-	}
-	writeBody(w, http.StatusOK, event.ContentTypeBinary, m.EncodeFrame())
+	writeBody(w, http.StatusOK, event.ContentTypeBinary, s.ctrl.ShardMap().EncodeFrame())
 }
 
 // SetNode attaches the controller's replication node: /ws/replstatus

@@ -112,7 +112,7 @@ func assertClusterInvariants(t *testing.T, r *shardRig, persons []string) {
 	for _, person := range persons {
 		owner := r.m.Owner(r.ctrls[0].Pseudonym(person))
 		for _, c := range r.ctrls {
-			self, _ := c.ShardID()
+			self := c.ShardID()
 			notes, err := c.InquireIndex("family-doctor", index.Inquiry{PersonID: person})
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func assertClusterInvariants(t *testing.T, r *shardRig, persons []string) {
 	}
 	for _, c := range r.ctrls {
 		if err := c.Audit().Verify(); err != nil {
-			id, _ := c.ShardID()
+			id := c.ShardID()
 			t.Errorf("audit chain on %s broken: %v", id, err)
 		}
 	}

@@ -179,7 +179,7 @@ func TestShardedPublishByRedirect(t *testing.T) {
 	}
 	// Exactly-once placement: each shard holds only pseudonyms it owns.
 	for _, c := range r.ctrls {
-		self, _ := c.ShardID()
+		self := c.ShardID()
 		for p := 0; p < persons; p++ {
 			person := fmt.Sprintf("PRS-%03d", p)
 			notes, err := c.InquireIndex("family-doctor", index.Inquiry{PersonID: person})
@@ -203,7 +203,7 @@ func TestShardedPublishByRedirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n == 0 {
-			id, _ := c.ShardID()
+			id := c.ShardID()
 			t.Fatalf("shard %s is empty: hash routing is degenerate", id)
 		}
 	}
@@ -232,7 +232,7 @@ func TestShardedPublishWithPseudonym(t *testing.T) {
 	}
 	for _, c := range r.ctrls {
 		if n := metricValue(t, c, "css_cluster_wrong_shard_total"); n != 0 {
-			id, _ := c.ShardID()
+			id := c.ShardID()
 			t.Fatalf("shard %s saw %v wrong-shard publishes with local routing", id, n)
 		}
 	}

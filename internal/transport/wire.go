@@ -230,8 +230,9 @@ func errorFor(f *Fault) error {
 		}
 		base = &cluster.WrongShardError{Owner: cluster.ShardID(owner), Version: f.MapVersion}
 	case CodeNotPrimary:
-		// Rebuild the typed redirect; a missing shard attribute (an
-		// unsharded replica answered) leaves the zero-valued hint.
+		// Rebuild the typed redirect. Every controller names its shard;
+		// a missing shard attribute comes only from an older peer, whose
+		// unsharded replica left the zero-valued hint.
 		shard, _ := strconv.Atoi(f.Shard)
 		base = &cluster.NotPrimaryError{Shard: cluster.ShardID(shard), Version: f.MapVersion}
 	default:
