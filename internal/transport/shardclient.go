@@ -22,6 +22,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 )
 
 // maxRedirects bounds how many wrong-shard redirects one publish
@@ -175,53 +176,52 @@ func (sc *ShardedClient) ownerFor(personID string) cluster.ShardID {
 // redirect loop.
 func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (event.GlobalID, error) {
 	target := sc.ownerFor(n.PersonID)
-	var lastErr error
+	var lastErr, refreshErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
+		routed := sc.Map().Version()
 		cl, err := sc.clientFor(target)
 		if err != nil {
-			return "", err
+			// Only a redirect names a shard the map lacks: the refresh
+			// that would have taught it failed (an overload answer, an
+			// open breaker, the deadline). A later refresh can succeed,
+			// so the publish is retryable, and an ended context is
+			// named, so a caller that keeps its work on a deadline (the
+			// relay's outbox) keeps it.
+			return "", resilience.MarkRetryable(errors.Join(err, refreshErr, ctx.Err()))
 		}
 		gid, err := cl.Publish(ctx, n)
 		if err == nil {
 			return gid, nil
 		}
+		lastErr = err
 		var np *cluster.NotPrimaryError
-		if errors.As(err, &np) {
+		var ws *cluster.WrongShardError
+		switch {
+		case errors.As(err, &np):
 			// Right shard, wrong role: converge the route and retry the
 			// same shard — clientFor then resolves the promoted
-			// primary's address.
-			lastErr = err
-			sc.refreshOnNotPrimary(ctx, target, np.Version)
-			continue
-		}
-		var ws *cluster.WrongShardError
-		if !errors.As(err, &ws) {
-			// A dead primary answers nothing at all — no fault to follow.
-			// Ask the shard's replicas for a newer map (a failover
-			// bumps the version and names the promoted primary) and retry
-			// when one arrives; otherwise the error stands.
-			if ctx.Err() == nil && sc.refreshFromReplicas(ctx, target) {
-				lastErr = err
-				continue
+			// primary's address. With no newer map to route by, the
+			// retry would meet the same node (a lone replica, a demoted
+			// primary awaiting its successor), so the fault stands.
+			if !sc.refreshOnNotPrimary(ctx, target, np.Version, routed) {
+				return "", err
 			}
+		case errors.As(err, &ws):
+			// Refresh when the fault names a newer map — unrelated
+			// routes benefit too — and follow the redirect either way.
+			if ws.Version > sc.Map().Version() {
+				refreshErr = sc.RefreshMap(ctx, target)
+			}
+			target = ws.Owner
+		case ctx.Err() != nil || !sc.refreshFromReplicas(ctx, target):
+			// A dead primary answers nothing at all — no fault to follow.
+			// Its replicas may hold a newer map (a failover bumps the
+			// version and names the promoted primary) to retry by;
+			// otherwise the error stands.
 			return "", err
 		}
-		lastErr = err
-		sc.refreshIfNewer(ctx, target, ws.Version)
-		target = ws.Owner
 	}
 	return "", fmt.Errorf("transport: publish exceeded %d shard redirects: %w", maxRedirects, lastErr)
-}
-
-// refreshIfNewer refreshes the shard map from the given shard when a
-// fault named a version newer than the one routed by — unrelated routes
-// benefit from the refresh too. Refresh failures are swallowed: the
-// bounded redirect loop surfaces the routing error if the stale map
-// never improves.
-func (sc *ShardedClient) refreshIfNewer(ctx context.Context, from cluster.ShardID, version uint64) {
-	if version > sc.Map().Version() {
-		sc.RefreshMap(ctx, from)
-	}
 }
 
 // refreshOnNotPrimary converges the route after a not-primary answer.
@@ -232,13 +232,16 @@ func (sc *ShardedClient) refreshIfNewer(ctx context.Context, from cluster.ShardI
 // before learning who replaced it) cannot teach us anything: refreshing
 // from it would spin the bounded retry loop against the same stale
 // address. Fall back to the shard's other replicas, which carry the
-// successor map once the election commits.
-func (sc *ShardedClient) refreshOnNotPrimary(ctx context.Context, id cluster.ShardID, version uint64) {
-	if version > sc.Map().Version() {
+// successor map once the election commits. Reports whether the client
+// now routes by a map newer than routed, the version the refused call
+// went by (a concurrent call may have adopted it already).
+func (sc *ShardedClient) refreshOnNotPrimary(ctx context.Context, id cluster.ShardID, version, routed uint64) bool {
+	if current := sc.Map().Version(); current == routed && version > current {
 		sc.RefreshMap(ctx, id)
-		return
+	} else if current == routed {
+		sc.refreshFromReplicas(ctx, id)
 	}
-	sc.refreshFromReplicas(ctx, id)
+	return sc.Map().Version() > routed
 }
 
 // refreshFromReplicas asks a shard's replicas for a newer shard
@@ -274,6 +277,7 @@ func onPrimary[T any](ctx context.Context, sc *ShardedClient, id cluster.ShardID
 	var zero T
 	var lastErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
+		routed := sc.Map().Version()
 		cl, err := sc.clientFor(id)
 		if err != nil {
 			return zero, err
@@ -283,8 +287,10 @@ func onPrimary[T any](ctx context.Context, sc *ShardedClient, id cluster.ShardID
 		if !errors.As(err, &np) {
 			return out, err
 		}
+		if !sc.refreshOnNotPrimary(ctx, id, np.Version, routed) {
+			return zero, err
+		}
 		lastErr = err
-		sc.refreshOnNotPrimary(ctx, id, np.Version)
 	}
 	return zero, fmt.Errorf("transport: shard %s exceeded %d not-primary retries: %w", id, maxRedirects, lastErr)
 }
