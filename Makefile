@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision examples fuzz loc clean
+.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision lint-outcome examples fuzz loc clean
 
 all: check
 
-# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision lints, unit
+# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision+outcome lints, unit
 # tests (among them the allocation budgets of the publish path and the
 # XML detail codec, TestPublishAllocBudget and
 # TestDetailCodecAllocBudget), the race detector over the whole tree, a
@@ -20,7 +20,7 @@ all: check
 # refactors), and the end-to-end benchmark harness (its own module: vet,
 # unit tests, quick run) — the one place a commit's cost is measured.
 # The code-size report (`loc`) prints last.
-check: build vet lint-traceid lint-hotpath lint-decision test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
+check: build vet lint-traceid lint-hotpath lint-decision lint-outcome test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -173,6 +173,23 @@ lint-decision:
 	@bad=$$(grep -n '"repro/internal/xacml"' $(DECISION_FILES) /dev/null); \
 	if [ -n "$$bad" ]; then \
 		echo "internal/enforcer and internal/core must not import internal/xacml:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One outcome per call: caller.go classifies each call once, and a
+# caller keeps, parks or reports unavailable what transport.Refused
+# says did not land. resilience.Retryable is the retrier's and the
+# breaker's "resend at this peer" test, so only caller.go and
+# internal/resilience may read it; a caller that reads it elsewhere
+# classifies by hand again. Test files are exempt.
+lint-outcome:
+	@bad=$$(grep -rn 'resilience\.Retryable(' --include='*.go' \
+		internal cmd 2>/dev/null \
+		| grep -v '_test\.go' \
+		| grep -v '^internal/transport/caller\.go:' \
+		| grep -v '^internal/resilience/'); \
+	if [ -n "$$bad" ]; then \
+		echo "only internal/transport/caller.go and internal/resilience may read resilience.Retryable; callers read transport.Refused:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

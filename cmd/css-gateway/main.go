@@ -98,19 +98,10 @@ func main() {
 	defer st.Close()
 
 	var schemas gateway.SchemaSource
-	var client *transport.Client
 	var relay *transport.ShardedClient
 	resMetrics := resilience.NewMetrics(telemetry.Default())
 	if *controller != "" {
-		breakers := resilience.NewGroup(resilience.BreakerConfig{Metrics: resMetrics})
-		client = transport.NewClient(*controller, nil,
-			transport.WithCodec(codec),
-			transport.WithRetrier(resilience.NewRetrier(resilience.RetryPolicy{Metrics: resMetrics})),
-			transport.WithBreakerGroup(breakers))
-		if *token != "" {
-			client = client.WithToken(*token)
-		}
-		list, err := client.Catalog(context.Background())
+		list, err := memberClient(*controller, codec, *token, resMetrics).Catalog(context.Background())
 		if err != nil {
 			log.Fatalf("fetch catalog: %v", err)
 		}
@@ -142,7 +133,7 @@ func main() {
 	)
 	srv.SetSLO(slo)
 	var qp *transport.QueuedPublisher
-	if client != nil {
+	if relay != nil {
 		// With a controller configured, the gateway also relays the source
 		// system's publishes: POST /gw/publish forwards to the controller
 		// and parks notifications in a durable outbox during outages.
@@ -199,23 +190,31 @@ func main() {
 // controller, without asking the controller for its map: a lone
 // controller is that shard, and a sharded one answers a publish for a
 // person it does not own with a redirect naming its map (version 1 or
-// later), which the client then fetches and routes by. Each shard gets
-// its own breaker group.
+// later), which the client then fetches and routes by. Each member
+// gets a client of its own (see memberClient).
 func newRelay(controller string, codec event.Codec, token string, met *resilience.Metrics) (*transport.ShardedClient, error) {
 	seed, err := cluster.NewMap(0, 0, []cluster.ShardInfo{{ID: 0, Addr: controller}})
 	if err != nil {
 		return nil, err
 	}
 	return transport.NewShardedClient(seed, func(info cluster.ShardInfo) *transport.Client {
-		c := transport.NewClient(info.Addr, nil,
-			transport.WithCodec(codec),
-			transport.WithRetrier(resilience.NewRetrier(resilience.RetryPolicy{Metrics: met})),
-			transport.WithBreakerGroup(resilience.NewGroup(resilience.BreakerConfig{Metrics: met})))
-		if token != "" {
-			c = c.WithToken(token)
-		}
-		return c
+		return memberClient(info.Addr, codec, token, met)
 	})
+}
+
+// memberClient builds the gateway's client toward one controller at
+// addr: the codec, a retrier and a breaker group of its own, and the
+// bearer token when one is set. The boot catalog fetch and every
+// member of the relay's map use it.
+func memberClient(addr string, codec event.Codec, token string, met *resilience.Metrics) *transport.Client {
+	c := transport.NewClient(addr, nil,
+		transport.WithCodec(codec),
+		transport.WithRetrier(resilience.NewRetrier(resilience.RetryPolicy{Metrics: met})),
+		transport.WithBreakerGroup(resilience.NewGroup(resilience.BreakerConfig{Metrics: met})))
+	if token != "" {
+		c = c.WithToken(token)
+	}
+	return c
 }
 
 // openStore opens the gateway's store named file under dataDir, or a

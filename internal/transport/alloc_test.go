@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/event"
@@ -342,9 +343,11 @@ func fixedPeer(t *testing.T, answer string) string {
 }
 
 // TestCallAllocBudget gates the calling side of an outgoing call on its
-// own: one callback delivery (the encode and the POST) and one binary
-// Client.Publish, each on a warm connection to a fixedPeer, so the peer
-// adds nothing. Lowest of five rounds of testing.AllocsPerRun, budget =
+// own: one callback delivery (the encode and the POST), one binary
+// Client.Publish and the same publish through a ShardedClient whose
+// member acks it at the first hop, each on a warm connection to a
+// fixedPeer, so the peer adds nothing. The shard routing adds no
+// allocation to the publish it wraps: both read 13. Lowest of five rounds of testing.AllocsPerRun, budget =
 // measured + 5 %, for calls that carry a trace. Measured 31 and 45
 // building each attempt with http.NewRequestWithContext and Header.Set
 // under a context.WithTimeout, with the round tripper's
@@ -377,9 +380,21 @@ func TestCallAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack := encodeEnvelope(event.Binary, &publishResponse{EventID: "EVT-000000000001"})
-	client := NewClient(fixedPeer(t, "HTTP/1.1 200 OK\r\nContent-Type: "+event.ContentTypeBinary+
-		"\r\nContent-Length: "+strconv.Itoa(len(ack))+"\r\nX-Trace-Id: feedbeefcafe0001\r\n"+date+"\r\n"+string(ack)),
-		nil, WithCodec(event.Binary))
+	acked := "HTTP/1.1 200 OK\r\nContent-Type: " + event.ContentTypeBinary +
+		"\r\nContent-Length: " + strconv.Itoa(len(ack)) + "\r\nX-Trace-Id: feedbeefcafe0001\r\n" + date + "\r\n" + string(ack)
+	client := NewClient(fixedPeer(t, acked), nil, WithCodec(event.Binary))
+	// The same publish through the shard-routing client, over a
+	// one-shard map of a member that acks it at the first hop.
+	m, err := cluster.NewMap(0, 0, []cluster.ShardInfo{{ID: 0, Addr: fixedPeer(t, acked)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedClient(m, func(info cluster.ShardInfo) *Client {
+		return NewClient(info.Addr, nil, WithCodec(event.Binary))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := srv.deliveriesFailed.Value("connect") + srv.deliveriesFailed.Value("status")
 	for _, tc := range []struct {
 		name   string
@@ -390,6 +405,11 @@ func TestCallAllocBudget(t *testing.T) {
 		{"publish", func() {
 			if id, err := client.Publish(context.Background(), n); err != nil || id != "EVT-000000000001" {
 				t.Fatalf("publish: %q, %v", id, err)
+			}
+		}, 14},
+		{"sharded publish", func() {
+			if id, err := sharded.Publish(context.Background(), n); err != nil || id != "EVT-000000000001" {
+				t.Fatalf("sharded publish: %q, %v", id, err)
 			}
 		}, 14},
 	} {

@@ -116,6 +116,37 @@ func (c caller) withToken(token string) caller {
 	return c
 }
 
+// refusal is a call's refused outcome: the peer answered with a fault
+// no resend changes, or the request could not be formed.
+type refusal struct{ err error }
+
+func (r *refusal) Error() string { return r.err.Error() }
+func (r *refusal) Unwrap() error { return r.err }
+
+// refuse marks err as a refused outcome; nil stays nil.
+func refuse(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &refusal{err}
+}
+
+// Refused reports whether a call ended refused: the peer answered with
+// a 4xx fault other than 421 (a routing fault), 429 (throttled) and 499
+// (the request was cancelled), or the request could not be formed (an
+// unparsable base URL, a control character in the target, a message
+// that does not encode). Every other outcome, a nil err aside, is not
+// landed: a connect failure, a reset, a short read or undecodable 2xx
+// body, a 5xx or 429, an open breaker, a routing fault, a stale or
+// unfetchable shard map, the caller's context ending. Nothing known
+// refused it, so a resend may land it: the relay's outbox parks and
+// keeps exactly those, and a remote gateway reports them as the
+// source being unavailable.
+func Refused(err error) bool {
+	var r *refusal
+	return errors.As(err, &r)
+}
+
 // breakerFailure classifies an attempt outcome for the circuit breaker:
 // transport-level failures (connection errors, 5xx, truncated bodies)
 // count against the endpoint; application-level faults are successes —
@@ -160,21 +191,24 @@ func (c *caller) do(ctx context.Context, breaker, method string, base *url.URL, 
 // parents its spans under it and the cross-process tree stays
 // connected.
 //
-// Outcomes are classified for the retrier: connection failures (unless
-// the caller's own context ended meanwhile: then the error wraps the
-// context's and is not retried), 5xx and 429 answers (with
-// the server's Retry-After hint), read failures mid-body and undecodable
-// 2xx bodies are transient; 4xx faults stay permanent and come back as
-// the platform's sentinel errors.
+// Each outcome is classified once, here. A request that cannot be
+// formed and a 4xx fault other than 421, 429 and 499 are refused (see
+// Refused) and come back as the platform's sentinel errors. Everything
+// else is not landed, and of that the retrier resends at this peer
+// (resilience.Retryable) connection and read failures, 5xx and 429
+// answers (with the server's Retry-After hint) and undecodable 2xx
+// bodies — unless the caller's own context ended meanwhile: then a
+// failure to connect or to read wraps the context's error and is not
+// retried.
 func (c *caller) attempt(ctx context.Context, method string, base *url.URL, path, contentType, accept, trace string, body []byte, decode func([]byte) error) error {
 	if base == nil {
-		return fmt.Errorf("transport: %s %s: %w", method, path, c.baseErr)
+		return refuse(fmt.Errorf("transport: %s %s: %w", method, path, c.baseErr))
 	}
 	if !validTarget(path) {
 		// Refused before a connection is taken, as url.Parse refuses
 		// it: a CR or LF would end the request line early and let the
 		// rest pass for a request of its own on the pooled connection.
-		return fmt.Errorf("transport: %s %q: invalid control character in URL", method, path)
+		return refuse(fmt.Errorf("transport: %s %q: invalid control character in URL", method, path))
 	}
 	req := c.request(ctx, method, base, path, contentType, accept, trace, body)
 	var resp *http.Response
@@ -207,16 +241,8 @@ func (c *caller) attempt(ctx context.Context, method string, base *url.URL, path
 		if target == "" {
 			target = u // a callback, whose URL is all of its target
 		}
-		err = fmt.Errorf("transport: %s %s: %w", method, target,
-			&url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u, Err: err})
-		if cerr := ctx.Err(); cerr != nil {
-			// The caller's context ended: not retryable, the budget is
-			// gone. The error wraps the context's, so a caller that
-			// keeps its work on a deadline (the relay's outbox) keeps
-			// it, however the attempt itself failed.
-			return fmt.Errorf("%w: %w", err, cerr)
-		}
-		return resilience.MarkRetryable(err)
+		return unreached(ctx, fmt.Errorf("transport: %s %s: %w", method, target,
+			&url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u, Err: err}))
 	}
 	data, err := readSized(resp.Body, resp.ContentLength)
 	// A body read to its end has handed its connection back already; one
@@ -224,7 +250,7 @@ func (c *caller) attempt(ctx context.Context, method string, base *url.URL, path
 	resp.Body.Close()
 	if err != nil {
 		// A truncated response says nothing about the next attempt.
-		return resilience.MarkRetryable(fmt.Errorf("transport: read response: %w", err))
+		return unreached(ctx, fmt.Errorf("transport: read response: %w", err))
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return faultError(resp, data)
@@ -236,6 +262,16 @@ func (c *caller) attempt(ctx context.Context, method string, base *url.URL, path
 		return resilience.MarkRetryable(fmt.Errorf("transport: decode response: %w", err))
 	}
 	return nil
+}
+
+// unreached classifies a failure to reach the peer or to read its
+// answer: retryable at this peer, unless the caller's context ended,
+// in which case the budget is gone and the error wraps the context's.
+func unreached(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("%w: %w", err, cerr)
+	}
+	return resilience.MarkRetryable(err)
 }
 
 // outgoing is the request of one attempt and what it points at, in one
@@ -315,7 +351,9 @@ func readSized(body io.Reader, n int64) ([]byte, error) {
 }
 
 // faultError reconstructs the platform error from a non-2xx answer's
-// fault payload (XML or binary envelope).
+// fault payload (XML or binary envelope), classified by its status:
+// retryable for 5xx and 429, refused for every other 4xx but 421 and
+// 499.
 func faultError(resp *http.Response, data []byte) error {
 	f, err := decodeEnvelope(data, readFault)
 	if err == nil && f.Code != "" {
@@ -323,8 +361,11 @@ func faultError(resp *http.Response, data []byte) error {
 	} else {
 		err = fmt.Errorf("transport: http %d: %s", resp.StatusCode, data)
 	}
-	if transientStatus(resp.StatusCode) {
+	switch status := resp.StatusCode; {
+	case transientStatus(status):
 		return resilience.MarkRetryableAfter(err, retryAfterHeader(resp))
+	case status >= 400 && status < 500 && status != http.StatusMisdirectedRequest && status != StatusClientClosedRequest:
+		return refuse(err)
 	}
 	return err
 }

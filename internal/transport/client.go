@@ -77,7 +77,7 @@ func (c *Client) Publish(ctx context.Context, n *event.Notification) (event.Glob
 	}
 	body, err := c.codec.EncodeNotification(n)
 	if err != nil {
-		return "", err
+		return "", refuse(err)
 	}
 	var out *publishResponse
 	err = c.call(ctx, http.MethodPost, "/ws/publish", c.codec.ContentType(), body, func(data []byte) (derr error) {
@@ -143,7 +143,7 @@ func (c *Client) RequestDetails(ctx context.Context, r *event.DetailRequest) (*e
 	}
 	body, err := c.codec.EncodeDetailRequest(r)
 	if err != nil {
-		return nil, err
+		return nil, refuse(err)
 	}
 	var d *event.Detail
 	err = c.call(ctx, http.MethodPost, "/ws/details", c.codec.ContentType(), body, func(data []byte) (derr error) {
@@ -181,7 +181,7 @@ func (c *Client) InquireIndex(ctx context.Context, actor event.Actor, q index.In
 func (c *Client) DefinePolicy(ctx context.Context, p *policy.Policy) (*policy.Policy, error) {
 	body, err := policy.Encode(p)
 	if err != nil {
-		return nil, err
+		return nil, refuse(err)
 	}
 	var stored *policy.Policy
 	err = c.call(ctx, http.MethodPost, "/ws/policy", event.ContentTypeXML, body, func(data []byte) (derr error) {
@@ -333,7 +333,7 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 func (c *Client) Promote(ctx context.Context, epoch uint64) (ReplStatus, error) {
 	body, err := encodeXML(&promoteRequest{Epoch: epoch})
 	if err != nil {
-		return ReplStatus{}, err
+		return ReplStatus{}, refuse(err)
 	}
 	var out ReplStatus
 	if err := c.post(ctx, "/ws/promote", body, &out); err != nil {
@@ -349,7 +349,7 @@ func (c *Client) RecordConsent(ctx context.Context, d consent.Directive) (consen
 		Class: d.Scope.Class, Consumer: d.Scope.Consumer, Purpose: d.Scope.Purpose,
 	})
 	if err != nil {
-		return consent.Directive{}, err
+		return consent.Directive{}, refuse(err)
 	}
 	var out consentDirectiveXML
 	if err := c.post(ctx, "/ws/consent", body, &out); err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/identity"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/xmlx"
 )
@@ -218,7 +217,7 @@ func (g *RemoteGateway) post(ctx context.Context, path, trace string, body []byt
 func (g *RemoteGateway) Persist(ctx context.Context, d *event.Detail) error {
 	body, err := event.EncodeDetail(d)
 	if err != nil {
-		return err
+		return refuse(err)
 	}
 	return g.post(ctx, "/gw/persist", "", body, nil)
 }
@@ -250,9 +249,9 @@ func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, sr
 		// The caller's deadline (or hang-up) cut the fetch short: that
 		// is the caller's condition, not the producer's unavailability.
 		return nil, ctx.Err()
-	case resilience.Retryable(err):
-		// The producer side never answered (or answered 5xx): report
-		// unavailability, keeping the cause in the chain.
+	case !Refused(err):
+		// The fetch did not land (no answer, a 5xx, an open breaker):
+		// report unavailability, keeping the cause in the chain.
 		return nil, fmt.Errorf("%w: %w", enforcer.ErrSourceUnavailable, err)
 	}
 	return nil, err

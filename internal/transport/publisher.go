@@ -18,8 +18,8 @@ import (
 const DefaultDrainInterval = 500 * time.Millisecond
 
 // QueuedPublisher publishes notifications to a remote controller with a
-// durable fallback: when the controller is unreachable (connection
-// failure, 5xx, open breaker), the notification is parked in a
+// durable fallback: when a publish does not land (connection failure,
+// 5xx, open breaker, a routing fault), the notification is parked in a
 // store-backed outbox — one crash-atomic WAL batch per entry — and
 // drained by a background loop with at-least-once semantics once the
 // controller answers again. Replays are deduplicated by the
@@ -71,17 +71,17 @@ func NewQueuedPublisher(client EventPublisher, st *store.Store, metrics *resilie
 	return q, nil
 }
 
-// Publish attempts a direct publish; on transport-level failure the
-// notification is parked durably and queued=true is returned with an
-// empty global id (the controller assigns it at drain time). Permanent
-// rejections (unknown producer, bad class, auth) are returned as-is —
-// queueing cannot fix them.
+// Publish attempts a direct publish; when it does not land (see
+// Refused) the notification is parked durably and queued=true is
+// returned with an empty global id (the controller assigns it at drain
+// time). A refused publish (unknown producer, bad class, auth) is
+// returned as-is — queueing cannot fix it.
 func (q *QueuedPublisher) Publish(ctx context.Context, n *event.Notification) (gid event.GlobalID, queued bool, err error) {
 	gid, err = q.client.Publish(ctx, n)
 	if err == nil {
 		return gid, false, nil
 	}
-	if !resilience.Retryable(err) && !errors.Is(err, context.DeadlineExceeded) {
+	if Refused(err) {
 		return "", false, err
 	}
 	if _, qerr := q.outbox.Enqueue(n); qerr != nil {
@@ -166,10 +166,10 @@ func (q *QueuedPublisher) drainLoop() {
 }
 
 // drainOnce publishes queued entries oldest-first until the queue is
-// empty or the controller stops answering. A replayed entry the
-// controller already indexed just returns the original global id —
-// exactly-once at the index. Permanently rejected entries are
-// dead-lettered so one poisoned notification cannot wedge the queue.
+// empty or a publish does not land. A replayed entry the controller
+// already indexed just returns the original global id — exactly-once
+// at the index. Refused entries are dead-lettered so one poisoned
+// notification cannot wedge the queue; every other entry is kept.
 func (q *QueuedPublisher) drainOnce() {
 	for {
 		select {
@@ -191,11 +191,12 @@ func (q *QueuedPublisher) drainOnce() {
 					"producer", string(n.Producer), "source", string(n.SourceID), "err", err)
 				return
 			}
-		case resilience.Retryable(err) || errors.Is(err, context.DeadlineExceeded):
-			// Controller still unreachable; try again next round.
+		case !Refused(err):
+			// Not landed (the controller unreachable, a routing fault,
+			// the deadline); try again next round.
 			return
 		default:
-			telemetry.Logger().Error("outbox entry rejected permanently, dead-lettering",
+			telemetry.Logger().Error("outbox entry refused, dead-lettering",
 				"producer", string(n.Producer), "source", string(n.SourceID), "err", err)
 			if err := q.outbox.Reject(seq, n); err != nil {
 				return

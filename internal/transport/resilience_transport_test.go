@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/event"
@@ -337,5 +340,145 @@ func TestSubscriptionProbeOverTheWire(t *testing.T) {
 	active, err = r.client.SubscriptionActive(context.Background(), "no-such-subscription")
 	if err != nil || active {
 		t.Fatalf("SubscriptionActive(unknown) = %v, %v; want false, nil", active, err)
+	}
+}
+
+// outcome is how one call ended: refused (Refused), to be resent at
+// this peer (resilience.Retryable), and counted as a failure by the
+// endpoint's circuit breaker.
+type outcome struct{ refused, retryable, counted bool }
+
+// cancelOnAnswer ends the caller's context as the exchange completes:
+// after the answer arrived, read whole, or the failure came back, and
+// before the caller looks at either.
+type cancelOnAnswer struct {
+	next   chaosTransport
+	cancel context.CancelFunc
+}
+
+func (c cancelOnAnswer) RoundTrip(req *http.Request) (*http.Response, error) {
+	return c.roundTrip(req.Context(), req, time.Time{})
+}
+
+func (c cancelOnAnswer) roundTrip(ctx context.Context, req *http.Request, deadline time.Time) (*http.Response, error) {
+	defer c.cancel()
+	resp, err := c.next.roundTrip(ctx, req, deadline)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(data)), int64(len(data))
+	return resp, nil
+}
+
+// TestCallOutcomeTable classifies one call per cell: each fault the
+// chaos transport injects, a 421 of each kind, an open breaker, a 4xx
+// fault, a malformed target and an unparsable base URL, under a caller
+// context that is live, ended before the send, or ended during the
+// call. Only a peer's 4xx fault and a request that cannot be formed are
+// refused; an answer that arrived is classified as it reads, whenever
+// the context ended; a failure to reach the peer under an ended
+// context is neither resent nor held against the peer.
+func TestCallOutcomeTable(t *testing.T) {
+	ack := encodeEnvelope(event.XML, &publishResponse{EventID: "EVT-000000000001"})
+	peer := newTestServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/wrong-shard":
+			writeFault(w, event.XML, &cluster.WrongShardError{Owner: 1, Version: 2})
+		case "/not-primary":
+			writeFault(w, event.XML, &cluster.NotPrimaryError{Shard: 0, Version: 2})
+		case "/unknown-class":
+			writeFault(w, event.XML, core.ErrUnknownClass)
+		default:
+			writeBody(w, http.StatusOK, event.ContentTypeXML, ack)
+		}
+	}))
+	t.Cleanup(peer.Close)
+
+	var (
+		notLanded = outcome{}
+		transient = outcome{retryable: true, counted: true}
+		open      = outcome{retryable: true}
+		refused   = outcome{refused: true}
+	)
+	rows := []struct {
+		name   string
+		faults resilience.FaultConfig
+		base   string // the peer's URL when empty
+		path   string
+		trip   bool // the breaker is open before the call
+		want   [3]outcome
+	}{
+		{name: "connect failure", faults: resilience.FaultConfig{ConnectFailure: 1},
+			want: [3]outcome{transient, notLanded, notLanded}},
+		{name: "blackhole", faults: resilience.FaultConfig{Blackhole: 1, MaxHang: 10 * time.Millisecond},
+			want: [3]outcome{transient, notLanded, notLanded}},
+		{name: "503", faults: resilience.FaultConfig{ServerError: 1},
+			want: [3]outcome{transient, notLanded, transient}},
+		{name: "truncated body", faults: resilience.FaultConfig{TruncateBody: 1},
+			want: [3]outcome{transient, notLanded, transient}},
+		{name: "421 wrong-shard", path: "/wrong-shard",
+			want: [3]outcome{notLanded, notLanded, notLanded}},
+		{name: "421 not-primary", path: "/not-primary",
+			want: [3]outcome{notLanded, notLanded, notLanded}},
+		{name: "open breaker", trip: true,
+			want: [3]outcome{open, open, open}},
+		{name: "4xx fault", path: "/unknown-class",
+			want: [3]outcome{refused, notLanded, refused}},
+		{name: "malformed target", path: "/ack\r\nX-Smuggled: 1",
+			want: [3]outcome{refused, refused, refused}},
+		{name: "unparsable base URL", base: "http://[::1",
+			want: [3]outcome{refused, refused, refused}},
+	}
+	for _, row := range rows {
+		for col, when := range []string{"live", "ended before the send", "ended during the call"} {
+			t.Run(row.name+"/"+when, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				row.faults.Seed = 1
+				chaos := newChaosTransport(row.faults)
+				var rt http.RoundTripper = chaos
+				switch col {
+				case 1:
+					cancel()
+				case 2:
+					rt = cancelOnAnswer{next: chaos, cancel: cancel}
+				}
+				opened := 0
+				breakers := resilience.NewGroup(resilience.BreakerConfig{
+					ConsecutiveFailures: 1, ErrorRate: -1, OpenFor: time.Minute,
+					OnTransition: func(_ string, _, to resilience.State) {
+						if to == resilience.StateOpen {
+							opened++
+						}
+					},
+				})
+				base, path := cmp.Or(row.base, peer.URL), cmp.Or(row.path, "/ack")
+				if row.trip {
+					release, err := breakers.Breaker(path).Acquire()
+					if err != nil {
+						t.Fatal(err)
+					}
+					release(true)
+					opened = 0
+				}
+				cl := NewClient(base, &http.Client{Transport: rt}, WithBreakerGroup(breakers))
+				err := cl.call(ctx, http.MethodPost, path, event.ContentTypeXML, []byte("<notification/>"), func(data []byte) error {
+					_, err := decodeEnvelope(data, readPublishResponse)
+					return err
+				})
+				if err == nil {
+					t.Fatal("the call succeeded")
+				}
+				got := outcome{refused: Refused(err), retryable: resilience.Retryable(err), counted: opened > 0}
+				if got != row.want[col] {
+					t.Errorf("%+v, want %+v (err: %v)", got, row.want[col], err)
+				}
+			})
+		}
 	}
 }

@@ -22,11 +22,10 @@ import (
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/policy"
-	"repro/internal/resilience"
 )
 
-// maxRedirects bounds how many wrong-shard redirects one publish
-// follows before surfacing the routing error. Two hops suffice for any
+// maxRedirects bounds how many redirects one call follows (see route)
+// before surfacing the routing error. Two hops suffice for any
 // single map change (stale guess → named owner); the third absorbs a
 // map flip racing the retry.
 const maxRedirects = 3
@@ -139,9 +138,9 @@ func (sc *ShardedClient) adoptMap(next *cluster.Map) {
 	}
 }
 
-// RefreshMap fetches the shard map from the given shard (any member
+// refreshMap fetches the shard map from the given shard (any member
 // serves it) and adopts it when newer.
-func (sc *ShardedClient) RefreshMap(ctx context.Context, from cluster.ShardID) error {
+func (sc *ShardedClient) refreshMap(ctx context.Context, from cluster.ShardID) error {
 	cl, err := sc.clientFor(from)
 	if err != nil {
 		return err
@@ -166,16 +165,26 @@ func (sc *ShardedClient) ownerFor(personID string) cluster.ShardID {
 	return m.Owner(personID)
 }
 
-// Publish routes the notification to the owning shard's primary,
-// following wrong-shard redirects (the authoritative owner travels in
-// the fault) and not-primary redirects (a failover moved the shard's
-// primary) up to maxRedirects hops. A redirect naming a newer map
-// version triggers a map refresh from the node that answered — after a
-// failover that is the deposed primary, which holds the successor map
-// naming its replacement, so one refresh converges the route without a
-// redirect loop.
+// Publish routes the notification to the shard that owns its person
+// (see route).
 func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (event.GlobalID, error) {
-	target := sc.ownerFor(n.PersonID)
+	return route(ctx, sc, sc.ownerFor(n.PersonID), func(cl *Client) (event.GlobalID, error) {
+		return cl.Publish(ctx, n)
+	})
+}
+
+// route runs call at target's primary and follows the fleet's answers,
+// up to maxRedirects hops: the one redirect loop of every leg. A
+// refused answer stands at once. A wrong-shard fault moves the target
+// to the owner it names, refreshing the map first when the fault names
+// a newer version. Any other failure leaves the target where it is: a
+// not-primary fault (a failover moved the shard's primary) or none at
+// all (a dead primary answers nothing). The call is retried only by a
+// map newer than the one it went by; without one it would meet the
+// same node again, so the failure stands. What route returns is
+// refused only when the last answer was (see Refused).
+func route[T any](ctx context.Context, sc *ShardedClient, target cluster.ShardID, call func(*Client) (T, error)) (T, error) {
+	var zero T
 	var lastErr, refreshErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
 		routed := sc.Map().Version()
@@ -184,122 +193,74 @@ func (sc *ShardedClient) Publish(ctx context.Context, n *event.Notification) (ev
 			// Only a redirect names a shard the map lacks: the refresh
 			// that would have taught it failed (an overload answer, an
 			// open breaker, the deadline). A later refresh can succeed,
-			// so the publish is retryable, and an ended context is
-			// named, so a caller that keeps its work on a deadline (the
-			// relay's outbox) keeps it.
-			return "", resilience.MarkRetryable(errors.Join(err, refreshErr, ctx.Err()))
+			// so this is not refused, and an ended context is named. The
+			// refresh's failure is told, not wrapped: a refused fetch
+			// is no refused call.
+			if refreshErr != nil {
+				refreshErr = fmt.Errorf("map refresh: %v", refreshErr)
+			}
+			return zero, errors.Join(err, refreshErr, ctx.Err())
 		}
-		gid, err := cl.Publish(ctx, n)
-		if err == nil {
-			return gid, nil
+		out, err := call(cl)
+		if err == nil || Refused(err) {
+			return out, err
 		}
 		lastErr = err
-		var np *cluster.NotPrimaryError
 		var ws *cluster.WrongShardError
-		switch {
-		case errors.As(err, &np):
-			// Right shard, wrong role: converge the route and retry the
-			// same shard — clientFor then resolves the promoted
-			// primary's address. With no newer map to route by, the
-			// retry would meet the same node (a lone replica, a demoted
-			// primary awaiting its successor), so the fault stands.
-			if !sc.refreshOnNotPrimary(ctx, target, np.Version, routed) {
-				return "", err
-			}
-		case errors.As(err, &ws):
+		if errors.As(err, &ws) {
 			// Refresh when the fault names a newer map — unrelated
 			// routes benefit too — and follow the redirect either way.
 			if ws.Version > sc.Map().Version() {
-				refreshErr = sc.RefreshMap(ctx, target)
+				refreshErr = sc.refreshMap(ctx, target)
 			}
 			target = ws.Owner
-		case ctx.Err() != nil || !sc.refreshFromReplicas(ctx, target):
-			// A dead primary answers nothing at all — no fault to follow.
-			// Its replicas may hold a newer map (a failover bumps the
-			// version and names the promoted primary) to retry by;
-			// otherwise the error stands.
-			return "", err
+			continue
+		}
+		// A concurrent call may have adopted a newer map already.
+		if ctx.Err() == nil && sc.Map().Version() == routed {
+			var np *cluster.NotPrimaryError
+			if errors.As(err, &np) && np.Version > routed {
+				// The answering node holds a newer map: after a
+				// failover, the deposed primary holds its successor's.
+				sc.refreshMap(ctx, target)
+			} else {
+				// Nothing to learn from the node (a dead primary, or a
+				// deposed one restarted as a replica before learning
+				// who replaced it): the shard's replicas carry the
+				// successor map once the election commits.
+				sc.refreshFromReplicas(ctx, target)
+			}
+		}
+		if sc.Map().Version() <= routed {
+			return zero, err
 		}
 	}
-	return "", fmt.Errorf("transport: publish exceeded %d shard redirects: %w", maxRedirects, lastErr)
+	return zero, fmt.Errorf("transport: exceeded %d shard redirects: %w", maxRedirects, lastErr)
 }
 
-// refreshOnNotPrimary converges the route after a not-primary answer.
-// A fault naming a newer map version pulls the map from the answering
-// node — after a failover that is the deposed primary holding the
-// successor map. But a node that answers not-primary with a stale,
-// lower-or-equal version (a deposed primary restarted as a replica
-// before learning who replaced it) cannot teach us anything: refreshing
-// from it would spin the bounded retry loop against the same stale
-// address. Fall back to the shard's other replicas, which carry the
-// successor map once the election commits. Reports whether the client
-// now routes by a map newer than routed, the version the refused call
-// went by (a concurrent call may have adopted it already).
-func (sc *ShardedClient) refreshOnNotPrimary(ctx context.Context, id cluster.ShardID, version, routed uint64) bool {
-	if current := sc.Map().Version(); current == routed && version > current {
-		sc.RefreshMap(ctx, id)
-	} else if current == routed {
-		sc.refreshFromReplicas(ctx, id)
-	}
-	return sc.Map().Version() > routed
-}
-
-// refreshFromReplicas asks a shard's replicas for a newer shard
-// map when its named primary stopped answering — or answered
-// not-primary without a newer map to offer. After a failover the
-// survivors carry the successor map naming the promoted primary.
-// Reports whether a newer map was adopted (so the caller retries).
-func (sc *ShardedClient) refreshFromReplicas(ctx context.Context, id cluster.ShardID) bool {
+// refreshFromReplicas asks a shard's replicas for its map and adopts
+// the first one newer than the client's.
+func (sc *ShardedClient) refreshFromReplicas(ctx context.Context, id cluster.ShardID) {
 	m := sc.Map()
 	info, ok := m.Shard(id)
 	if !ok {
-		return false
+		return
 	}
 	for _, addr := range info.Replicas {
 		replica := info
 		replica.Addr = addr
-		nm, err := sc.clientAt(replica).ShardMap(ctx)
-		if err != nil || nm.Version() <= m.Version() {
-			continue
+		if nm, err := sc.clientAt(replica).ShardMap(ctx); err == nil && nm.Version() > m.Version() {
+			sc.adoptMap(nm)
+			return
 		}
-		sc.adoptMap(nm)
-		return sc.Map().Version() > m.Version()
 	}
-	return false
-}
-
-// onPrimary runs one call against a shard's primary, following
-// not-primary redirects (refresh, then retry at the shard's current
-// primary) up to maxRedirects attempts. Every per-shard leg — broadcast
-// writes, inquiries and detail requests — runs in it, so a failover
-// mid-call is absorbed.
-func onPrimary[T any](ctx context.Context, sc *ShardedClient, id cluster.ShardID, call func(cl *Client) (T, error)) (T, error) {
-	var zero T
-	var lastErr error
-	for hop := 0; hop <= maxRedirects; hop++ {
-		routed := sc.Map().Version()
-		cl, err := sc.clientFor(id)
-		if err != nil {
-			return zero, err
-		}
-		out, err := call(cl)
-		var np *cluster.NotPrimaryError
-		if !errors.As(err, &np) {
-			return out, err
-		}
-		if !sc.refreshOnNotPrimary(ctx, id, np.Version, routed) {
-			return zero, err
-		}
-		lastErr = err
-	}
-	return zero, fmt.Errorf("transport: shard %s exceeded %d not-primary retries: %w", id, maxRedirects, lastErr)
 }
 
 // RequestDetails asks the shard the event id names, and its answer
 // stands: each shard mints only ids the map assigns to it, so no other
 // shard holds the event, and no other shard audits the request.
 func (sc *ShardedClient) RequestDetails(ctx context.Context, r *event.DetailRequest) (*event.Detail, error) {
-	return onPrimary(ctx, sc, sc.Map().Owner(string(r.EventID)), func(cl *Client) (*event.Detail, error) {
+	return route(ctx, sc, sc.Map().Owner(string(r.EventID)), func(cl *Client) (*event.Detail, error) {
 		return cl.RequestDetails(ctx, r)
 	})
 }
@@ -325,9 +286,27 @@ func (sc *ShardedClient) InquireIndex(ctx context.Context, actor event.Actor, q 
 
 // inquireOn runs one shard's leg of an index inquiry at its primary.
 func (sc *ShardedClient) inquireOn(ctx context.Context, id cluster.ShardID, actor event.Actor, q index.Inquiry) ([]*event.Notification, error) {
-	return onPrimary(ctx, sc, id, func(cl *Client) ([]*event.Notification, error) {
+	return route(ctx, sc, id, func(cl *Client) ([]*event.Notification, error) {
 		return cl.InquireIndex(ctx, actor, q)
 	})
+}
+
+// broadcast runs call at every shard's primary in map order, each leg
+// through route, and returns each shard's answer and the last one. The
+// first failure stops it, naming the shard, and leaves the legs before
+// it applied.
+func broadcast[T any](ctx context.Context, sc *ShardedClient, what string, call func(*Client) (T, error)) (map[cluster.ShardID]T, T, error) {
+	each := make(map[cluster.ShardID]T)
+	var last T
+	for _, info := range sc.Map().Shards() {
+		out, err := route(ctx, sc, info.ID, call)
+		if err != nil {
+			var zero T
+			return each, zero, fmt.Errorf("transport: %s on %s: %w", what, info.ID, err)
+		}
+		each[info.ID], last = out, out
+	}
+	return each, last, nil
 }
 
 // Subscribe registers the callback on every shard — a class's events
@@ -336,17 +315,10 @@ func (sc *ShardedClient) inquireOn(ctx context.Context, id cluster.ShardID, acto
 // returned for liveness probing; a failure on any shard unwinds
 // nothing (probe-and-resubscribe reconciles, as after a restart).
 func (sc *ShardedClient) Subscribe(ctx context.Context, actor event.Actor, class event.ClassID, callbackURL string) (map[cluster.ShardID]string, error) {
-	ids := make(map[cluster.ShardID]string)
-	for _, info := range sc.Map().Shards() {
-		id, err := onPrimary(ctx, sc, info.ID, func(cl *Client) (string, error) {
-			return cl.Subscribe(ctx, actor, class, callbackURL)
-		})
-		if err != nil {
-			return ids, fmt.Errorf("transport: subscribe on %s: %w", info.ID, err)
-		}
-		ids[info.ID] = id
-	}
-	return ids, nil
+	ids, _, err := broadcast(ctx, sc, "subscribe", func(cl *Client) (string, error) {
+		return cl.Subscribe(ctx, actor, class, callbackURL)
+	})
+	return ids, err
 }
 
 // RecordConsent broadcasts the directive to every shard, in map order,
@@ -355,32 +327,18 @@ func (sc *ShardedClient) Subscribe(ctx context.Context, actor event.Actor, class
 // the same directive again yields the same decision, so a caller
 // retries until the broadcast returns nil.
 func (sc *ShardedClient) RecordConsent(ctx context.Context, d consent.Directive) (consent.Directive, error) {
-	var stored consent.Directive
-	for _, info := range sc.Map().Shards() {
-		var err error
-		stored, err = onPrimary(ctx, sc, info.ID, func(cl *Client) (consent.Directive, error) {
-			return cl.RecordConsent(ctx, d)
-		})
-		if err != nil {
-			return consent.Directive{}, fmt.Errorf("transport: consent on %s: %w", info.ID, err)
-		}
-	}
-	return stored, nil
+	_, stored, err := broadcast(ctx, sc, "consent", func(cl *Client) (consent.Directive, error) {
+		return cl.RecordConsent(ctx, d)
+	})
+	return stored, err
 }
 
 // DefinePolicy broadcasts the policy to every shard (policies are
 // producer-scoped, not person-scoped, so each shard enforces the same
 // corpus).
 func (sc *ShardedClient) DefinePolicy(ctx context.Context, p *policy.Policy) (*policy.Policy, error) {
-	var stored *policy.Policy
-	for _, info := range sc.Map().Shards() {
-		var err error
-		stored, err = onPrimary(ctx, sc, info.ID, func(cl *Client) (*policy.Policy, error) {
-			return cl.DefinePolicy(ctx, p)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("transport: policy on %s: %w", info.ID, err)
-		}
-	}
-	return stored, nil
+	_, stored, err := broadcast(ctx, sc, "policy", func(cl *Client) (*policy.Policy, error) {
+		return cl.DefinePolicy(ctx, p)
+	})
+	return stored, err
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -489,5 +492,138 @@ func doctorBloodPolicy() *policy.Policy {
 		Producer: "hospital", Actor: "family-doctor", Class: schema.ClassBloodTest,
 		Purposes: []event.Purpose{event.PurposeHealthcareTreatment},
 		Fields:   []event.FieldName{"patient-id", "hemoglobin"},
+	}
+}
+
+// countingHandler counts the requests it serves, by path, and hands
+// them to next (nil answers 503).
+type countingHandler struct {
+	next http.Handler
+	mu   sync.Mutex
+	hits map[string]int
+}
+
+func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.mu.Lock()
+	if h.hits == nil {
+		h.hits = make(map[string]int)
+	}
+	h.hits[r.URL.Path]++
+	h.mu.Unlock()
+	if h.next == nil {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		return
+	}
+	h.next.ServeHTTP(w, r)
+}
+
+func (h *countingHandler) count(path string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.hits[path]
+}
+
+// TestShardedRefusedPublishFetchesNoMap: a publish the primary refuses
+// (an undeclared class) stands at once. The client sends it once and
+// asks none of the shard's replicas for a map: no map can change a
+// refusal.
+func TestShardedRefusedPublishFetchesNoMap(t *testing.T) {
+	ctrl, err := core.New(core.Config{MasterKey: bytes.Repeat([]byte{7}, crypto.KeySize), DefaultConsent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctrl.Close() })
+	if err := ctrl.RegisterProducer("hospital", "Hospital"); err != nil {
+		t.Fatal(err)
+	}
+	primary := &countingHandler{next: NewServer(ctrl)}
+	replica := &countingHandler{}
+	priSrv, repSrv := newTestServer(t, primary), newTestServer(t, replica)
+	t.Cleanup(priSrv.Close)
+	t.Cleanup(repSrv.Close)
+	m, err := cluster.NewMap(0, 0, []cluster.ShardInfo{{ID: 0, Addr: priSrv.URL, Replicas: []string{repSrv.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewShardedClient(m, func(info cluster.ShardInfo) *Client { return NewClient(info.Addr, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &event.Notification{
+		Producer: "hospital", SourceID: "src-refused", Class: "hospital.no-such-class",
+		PersonID: "person-1", Summary: "blood test", OccurredAt: time.Now(),
+	}
+	if _, err := sc.Publish(context.Background(), n); !errors.Is(err, core.ErrUnknownClass) || !Refused(err) {
+		t.Fatalf("publish of an undeclared class: %v, want a refused unknown-class fault", err)
+	}
+	if got := primary.count("/ws/publish"); got != 1 {
+		t.Errorf("%d publishes sent, want 1", got)
+	}
+	if got := replica.count("/ws/shardmap"); got != 0 {
+		t.Errorf("%d map fetches from the replica, want 0", got)
+	}
+}
+
+// TestShardedReadRescuedThroughReplicas: a client whose map names a
+// dead primary reaches the promoted one through the shard's replicas
+// on a read as on a publish. The inquiry's connect failure asks the
+// replica for a map, the replica holds the successor map naming
+// itself, and the retry there answers.
+func TestShardedReadRescuedThroughReplicas(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+	promotedSrv := newUnstartedTestServer(t)
+	v1, err := cluster.NewMap(1, 0, []cluster.ShardInfo{
+		{ID: 0, Addr: deadURL, Replicas: []string{promotedSrv.URL}, Epoch: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := v1.WithPromotedReplica(0, promotedSrv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := core.New(core.Config{
+		MasterKey: bytes.Repeat([]byte{7}, crypto.KeySize), DefaultConsent: true, ShardID: 0, ShardMap: v2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { promoted.Close() })
+	for _, err := range []error{
+		promoted.RegisterProducer("hospital", "Hospital"),
+		promoted.RegisterConsumer("family-doctor", "Doctors"),
+		promoted.DeclareClass("hospital", schema.BloodTest()),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := promoted.DefinePolicy(doctorBloodPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	promotedSrv.Start(NewServer(promoted))
+	t.Cleanup(promotedSrv.Close)
+	if _, err := promoted.Publish(&event.Notification{
+		Producer: "hospital", SourceID: "src-rescue", Class: schema.ClassBloodTest,
+		PersonID: "person-1", Summary: "blood test", OccurredAt: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sc, err := NewShardedClient(v1, func(info cluster.ShardInfo) *Client { return NewClient(info.Addr, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes, err := sc.InquireIndex(context.Background(), "family-doctor", index.Inquiry{Class: schema.ClassBloodTest})
+	if err != nil || len(notes) != 1 {
+		t.Fatalf("inquiry past a dead primary = %d events, %v; want 1", len(notes), err)
+	}
+	if v := sc.Map().Version(); v != 2 {
+		t.Fatalf("client map version = %d, want 2 (rescued from the replica)", v)
 	}
 }
