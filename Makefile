@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision lint-outcome examples fuzz loc clean
+.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision lint-outcome lint-latency examples fuzz loc clean
 
 all: check
 
-# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision+outcome lints, unit
+# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision+outcome+latency lints, unit
 # tests (among them the allocation budgets of the publish path and the
 # XML detail codec, TestPublishAllocBudget and
 # TestDetailCodecAllocBudget), the race detector over the whole tree, a
@@ -20,7 +20,7 @@ all: check
 # refactors), and the end-to-end benchmark harness (its own module: vet,
 # unit tests, quick run) — the one place a commit's cost is measured.
 # The code-size report (`loc`) prints last.
-check: build vet lint-traceid lint-hotpath lint-decision lint-outcome test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
+check: build vet lint-traceid lint-hotpath lint-decision lint-outcome lint-latency test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -190,6 +190,23 @@ lint-outcome:
 		| grep -v '^internal/resilience/'); \
 	if [ -n "$$bad" ]; then \
 		echo "only internal/transport/caller.go and internal/resilience may read resilience.Retryable; callers read transport.Refused:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One timing record per stage: the tracer observes every finished span
+# into css_stage_seconds{stage}, so a latency histogram registered beside
+# it times a stage twice. Only css_detail_request_seconds (the outcome no
+# stage carries) and css_repl_quorum_wait_seconds (the quorum barrier no
+# span times) may join it. A histogram whose name is a css_*_seconds
+# literal or a "_*_seconds" suffix glued to a prefix is checked. Test
+# files are exempt.
+lint-latency:
+	@bad=$$(grep -rnE 'Histogram(Buckets)?\([^"]*"(css)?_[a-z0-9_]*_seconds"' --include='*.go' \
+		internal cmd 2>/dev/null \
+		| grep -v '_test\.go' \
+		| grep -vE 'Histogram(Buckets)?\("(css_stage_seconds|css_detail_request_seconds|css_repl_quorum_wait_seconds)"'); \
+	if [ -n "$$bad" ]; then \
+		echo "latency histograms other than css_stage_seconds, css_detail_request_seconds and css_repl_quorum_wait_seconds time a stage twice:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -338,13 +338,16 @@ func main() {
 	srv.SetAdmission(run.Gate())
 
 	// Per-flow latency objectives, computed from the same histogram
-	// families /metrics exposes. Targets sit on bucket bounds.
+	// families /metrics exposes: the publish and delivery spans in
+	// css_stage_seconds, and the detail requests that were permitted.
+	// Targets sit on bucket bounds.
 	reg := telemetry.Default()
+	stages := reg.Histogram("css_stage_seconds", "", "stage")
 	slo := telemetry.NewSLO(telemetry.SLOConfig{},
 		telemetry.Objective{Name: "publish", Target: 0.25, Goal: 0.99,
-			Hist: reg.Histogram("css_publish_seconds", "")},
+			Hist: stages, LabelValues: []string{"publish"}},
 		telemetry.Objective{Name: "deliver", Target: 0.25, Goal: 0.99,
-			Hist: reg.Histogram("css_delivery_seconds", "")},
+			Hist: stages, LabelValues: []string{"bus.deliver"}},
 		telemetry.Objective{Name: "detail-permit", Target: 0.5, Goal: 0.99,
 			Hist:        reg.Histogram("css_detail_request_seconds", "", "outcome"),
 			LabelValues: []string{"permit"}},

@@ -123,14 +123,7 @@ func main() {
 	srv := transport.NewGatewayServer(gw, telemetry.Default())
 	srv.Tracer().SetSampleRate(run.SpanSample)
 	run.ExportSpans(srv.Tracer())
-	// The gateway's latency objective rides its own HTTP histogram: the
-	// filtered-retrieval endpoint is the producer-side stage of the
-	// detail flow.
-	slo := telemetry.NewSLO(telemetry.SLOConfig{},
-		telemetry.Objective{Name: "gw-get-response", Target: 0.25, Goal: 0.99,
-			Hist:        telemetry.Default().Histogram("css_gateway_http_request_seconds", "", "route"),
-			LabelValues: []string{"/gw/get-response"}},
-	)
+	slo := gatewaySLO(telemetry.Default())
 	srv.SetSLO(slo)
 	var qp *transport.QueuedPublisher
 	if relay != nil {
@@ -200,6 +193,18 @@ func newRelay(controller string, codec event.Codec, token string, met *resilienc
 	return transport.NewShardedClient(seed, func(info cluster.ShardInfo) *transport.Client {
 		return memberClient(info.Addr, codec, token, met)
 	})
+}
+
+// gatewaySLO is the gateway's latency objective: the server span of the
+// filtered-retrieval endpoint, the producer-side stage of the detail
+// flow, read from the css_stage_seconds the gateway server's tracer
+// records into reg.
+func gatewaySLO(reg *telemetry.Registry) *telemetry.SLO {
+	return telemetry.NewSLO(telemetry.SLOConfig{},
+		telemetry.Objective{Name: "gw-get-response", Target: 0.25, Goal: 0.99,
+			Hist:        reg.Histogram("css_stage_seconds", "", "stage"),
+			LabelValues: []string{"http POST /gw/get-response"}},
+	)
 }
 
 // memberClient builds the gateway's client toward one controller at

@@ -118,14 +118,9 @@ type instruments struct {
 	busHWM      *telemetry.Gauge   // css_bus_queue_depth_hwm
 	busOverflow *telemetry.Counter // css_bus_overflow_total{policy}
 
-	// The publish and delivery histograms are unlabeled and observed on
-	// every publish (deliverySeconds once per subscriber), so they are
-	// held as pre-resolved children: no label join, lock or child-map
-	// lookup on the hot path.
-	publishSeconds  *telemetry.HistogramChild // css_publish_seconds
-	deliverySeconds *telemetry.HistogramChild // css_delivery_seconds
-	detailSeconds   *telemetry.Histogram      // css_detail_request_seconds{outcome}
-	stageSeconds    *telemetry.Histogram      // css_stage_seconds{stage}
+	// Stage latencies are the tracer's (css_stage_seconds{stage}); the
+	// detail histogram adds the outcome no stage carries.
+	detailSeconds *telemetry.Histogram // css_detail_request_seconds{outcome}
 
 	clusterWrongShard *telemetry.Counter // css_cluster_wrong_shard_total
 	clusterMapVersion *telemetry.Gauge   // css_cluster_map_version
@@ -152,14 +147,8 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		busOverflow: reg.Counter("css_bus_overflow_total",
 			"Messages a full subscription queue shed, by policy.",
 			"policy"),
-		publishSeconds: reg.Histogram("css_publish_seconds",
-			"Publish latency (validate, index, audit, route) in seconds.").Child(),
-		deliverySeconds: reg.Histogram("css_delivery_seconds",
-			"Per-subscriber delivery latency (consent check + handler) in seconds.").Child(),
 		detailSeconds: reg.Histogram("css_detail_request_seconds",
 			"Detail-request latency in seconds, by outcome.", "outcome"),
-		stageSeconds: reg.Histogram("css_stage_seconds",
-			"Per-stage latency of traced flows in seconds, by stage.", "stage"),
 		clusterWrongShard: reg.Counter("css_cluster_wrong_shard_total",
 			"Publishes refused with a wrong-shard redirect to the owning shard."),
 		clusterMapVersion: reg.Gauge("css_cluster_map_version",
@@ -216,7 +205,10 @@ func New(cfg Config) (*Controller, error) {
 	if c.tel == nil {
 		c.tel = telemetry.NewRegistry()
 	}
-	c.tracer = telemetry.NewTracer()
+	// Every finished span feeds css_stage_seconds with the trace as
+	// exemplar, and the slow log: one recording path for ring, histogram
+	// and (when a daemon attaches one) the durable exporter.
+	c.tracer = telemetry.NewTracer(c.tel)
 	switch {
 	case cfg.SpanSampleRate == 0:
 		c.tracer.SetSampleRate(telemetry.DefaultSampleRate)
@@ -226,19 +218,6 @@ func New(cfg Config) (*Controller, error) {
 		c.tracer.SetSampleRate(cfg.SpanSampleRate)
 	}
 	c.met = newInstruments(c.tel)
-	// Every finished span feeds the per-stage latency histogram, with the
-	// trace as exemplar — one recording path for ring, histogram and (when
-	// a daemon attaches one) the durable exporter. The hook runs once per
-	// span (19 times per 16-subscriber publish), so the per-stage series
-	// handles are cached instead of re-resolving labels on every call.
-	var stageChildren sync.Map // stage name -> *telemetry.HistogramChild
-	c.tracer.SetOnEnd(func(s *telemetry.Span) {
-		ch, ok := stageChildren.Load(s.Stage)
-		if !ok {
-			ch, _ = stageChildren.LoadOrStore(s.Stage, c.met.stageSeconds.Child(s.Stage))
-		}
-		ch.(*telemetry.HistogramChild).ObserveDurationTrace(s.Duration, s.Trace)
-	})
 
 	var err error
 	if cfg.MasterKey != nil {

@@ -81,7 +81,6 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	}
 	pubSpan := c.tracer.StartDetached("publish", trace, parent)
 	pubSpan.SetAttr("shard", c.shard.label)
-	start := time.Now()
 	fail := func(err error) (event.GlobalID, error) {
 		pubSpan.SetError(err)
 		pubSpan.End()
@@ -181,9 +180,6 @@ func (c *Controller) PublishContext(ctx context.Context, n *event.Notification) 
 	}
 	pubSpan.End()
 	c.met.published.Inc()
-	elapsed := time.Since(start)
-	c.met.publishSeconds.ObserveDurationTrace(elapsed, trace)
-	telemetry.LogIfSlow("publish", trace, elapsed)
 	return gid, nil
 }
 
@@ -386,13 +382,7 @@ func (c *Controller) deliver(actor event.Actor, class event.ClassID, h HandlerCt
 	}
 	h(ctx, n)
 	c.met.delivered.Inc()
-	// The span's own duration doubles as the delivery latency sample, so
-	// the hot path reads the clock once at start and once at End.
-	elapsed := span.End()
-	c.met.deliverySeconds.ObserveDurationTrace(elapsed, n.Trace)
-	if elapsed >= telemetry.SlowThreshold() {
-		telemetry.LogIfSlow("deliver "+string(actor), n.Trace, elapsed)
-	}
+	span.End()
 }
 
 // --- request for details ------------------------------------------------------
@@ -438,15 +428,11 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 	// the consent check, PDP decision and gateway fetch nest beneath it.
 	ctx, reqSpan := c.tracer.StartSpan(flowRootCtx(ctx, r.Trace), "detail.request")
 	reqSpan.SetAttr("requester", string(r.Requester))
-	start := time.Now()
 	finish := func(outcome string, spanErr error) {
 		c.met.decisions.Inc(outcome)
-		elapsed := time.Since(start)
-		c.met.detailSeconds.ObserveDurationTrace(elapsed, r.Trace, outcome)
 		reqSpan.SetAttr("outcome", outcome)
 		reqSpan.SetError(spanErr)
-		reqSpan.End()
-		telemetry.LogIfSlow("request-details", r.Trace, elapsed)
+		c.met.detailSeconds.ObserveDurationTrace(reqSpan.End(), r.Trace, outcome)
 	}
 
 	// A request already abandoned on arrival is stopped before any

@@ -1,14 +1,20 @@
 package core
 
 import (
+	"bufio"
+	"encoding/json"
+	"log/slog"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/schema"
+	"repro/internal/telemetry"
 )
 
 // TestTraceCorrelatesTwoPhaseFlow is the observability acceptance test:
@@ -165,7 +171,7 @@ func TestFlowCountersInRegistry(t *testing.T) {
 		`css_detail_decisions_total{outcome="deny"} 1`,
 		`css_detail_decisions_total{outcome="permit"} 1`,
 		"css_index_inquiries_total 1",
-		"css_publish_seconds_count 1",
+		`css_stage_seconds_count{stage="publish"} 1`,
 		`css_detail_request_seconds_count{outcome="permit"} 1`,
 		`css_stage_seconds_count{stage="index.put"} 1`,
 		`css_stage_seconds_count{stage="bus.publish"} 1`,
@@ -192,5 +198,128 @@ func TestControllersDoNotShareDefaultRegistry(t *testing.T) {
 	b.c.Close()
 	if err := b.c.Healthy(); err == nil {
 		t.Fatal("Healthy() on closed controller should fail")
+	}
+}
+
+// histogramCounts sums the _count series of every histogram family the
+// controller exposes, by family, as a scrape of /metrics reads them.
+func histogramCounts(t *testing.T, c *Controller) map[string]uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := c.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, rest, ok := strings.Cut(line, "_count")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasPrefix(rest, "{") && !strings.HasPrefix(rest, " ") {
+			continue
+		}
+		n, err := strconv.ParseUint(rest[strings.LastIndexByte(rest, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("unparsable count line %q", line)
+		}
+		out[name] += n
+	}
+	return out
+}
+
+// One in-process publish to 16 subscribers is timed once per stage:
+// css_stage_seconds gains exactly 20 observations (publish, index.put,
+// audit.append, bus.publish and 16 bus.deliver) and no other histogram
+// family moves.
+func TestPublishTimesEachStageOnce(t *testing.T) {
+	w := newWorld(t)
+	w.doctorPolicy(t)
+	for i := 0; i < 16; i++ {
+		if _, err := w.c.Subscribe("family-doctor", schema.ClassBloodTest, func(*event.Notification) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := histogramCounts(t, w.c)
+	w.producePublish(t, "src-1", "PRS-1")
+	if !w.c.Flush(flushTimeout) {
+		t.Fatal("Flush timed out")
+	}
+	after := histogramCounts(t, w.c)
+	for family, n := range after {
+		moved := n - before[family]
+		switch {
+		case family == "css_stage_seconds" && moved != 20:
+			t.Errorf("css_stage_seconds gained %d observations, want 20", moved)
+		case family != "css_stage_seconds" && moved != 0:
+			t.Errorf("%s gained %d observations, want 0", family, moved)
+		}
+	}
+	stages := w.c.Metrics().Histogram("css_stage_seconds", "", "stage")
+	for stage, want := range map[string]uint64{"publish": 1, "index.put": 1, "audit.append": 1, "bus.publish": 1, "bus.deliver": 16} {
+		if got := stages.Count(stage); got != want {
+			t.Errorf("css_stage_seconds{stage=%q} = %d, want %d", stage, got, want)
+		}
+	}
+}
+
+// syncBuffer is a log sink safe for the bus goroutines that end the
+// delivery spans.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// With the slow threshold at a nanosecond, one publish to one
+// subscriber logs one "slow operation" line for each stage it ran,
+// keyed by the stage name and carrying the flow's trace.
+func TestSlowLogNamesEachPublishStage(t *testing.T) {
+	w := newWorld(t)
+	w.doctorPolicy(t)
+	if _, err := w.c.Subscribe("family-doctor", schema.ClassBloodTest, func(*event.Notification) {}); err != nil {
+		t.Fatal(err)
+	}
+	var out syncBuffer
+	prevLogger, prevThreshold := telemetry.Logger(), telemetry.SlowThreshold()
+	telemetry.SetLogger(slog.New(slog.NewJSONHandler(&out, nil)))
+	telemetry.SetSlowThreshold(time.Nanosecond)
+	t.Cleanup(func() {
+		telemetry.SetLogger(prevLogger)
+		telemetry.SetSlowThreshold(prevThreshold)
+	})
+
+	const trace = "feedc0de00000042"
+	if _, err := w.c.Publish(&event.Notification{
+		SourceID: "src-1", Class: schema.ClassBloodTest, PersonID: "PRS-1", Summary: "blood test",
+		OccurredAt: w.now.Add(-time.Hour), Producer: "hospital", Trace: trace,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !w.c.Flush(flushTimeout) {
+		t.Fatal("Flush timed out")
+	}
+	lines := make(map[string]int)
+	sc := bufio.NewScanner(strings.NewReader(out.String()))
+	for sc.Scan() {
+		var rec struct{ Msg, Stage, Trace string }
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("log line %q: %v", sc.Text(), err)
+		}
+		if rec.Msg == "slow operation" && rec.Trace == trace {
+			lines[rec.Stage]++
+		}
+	}
+	for _, stage := range []string{"publish", "index.put", "audit.append", "bus.publish", "bus.deliver"} {
+		if lines[stage] != 1 {
+			t.Errorf("%d slow lines for stage %q of trace %s, want 1 (got %v)", lines[stage], stage, trace, lines)
+		}
 	}
 }

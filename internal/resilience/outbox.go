@@ -37,11 +37,23 @@ type Outbox struct {
 	st      *store.Store
 	metrics *Metrics
 
-	mu    sync.Mutex
-	seq   uint64 // last assigned sequence number
-	depth int    // pending entries
-	dead  int    // dead-lettered entries
+	mu       sync.Mutex
+	seq      uint64 // last assigned sequence number
+	depth    int    // pending entries
+	dead     int    // dead-lettered entries
+	lastKept string // why the latest drain round kept an entry ("" once one is acked)
 }
+
+// Why a drain round kept an entry that did not land (Keep, LastKept).
+const (
+	// KeptRouting: a controller answered with a routing fault (not
+	// primary, wrong shard, stale map); the relay needs pointing at the
+	// shard's primary.
+	KeptRouting = "routing"
+	// KeptUnreachable: any other failure; the controller needs to come
+	// back.
+	KeptUnreachable = "unreachable"
+)
 
 // OpenOutbox opens (or recovers) the outbox stored in st. Pending
 // entries from a previous run are preserved; the caller drains them via
@@ -165,8 +177,32 @@ func (o *Outbox) Ack(seq uint64, n *event.Notification) error {
 	if o.depth > 0 {
 		o.depth--
 	}
+	o.lastKept = ""
 	o.metrics.outbox("drain", o.depth)
 	return nil
+}
+
+// Keep records a drain round that left the oldest entry queued because
+// its publish did not land, why being KeptRouting or KeptUnreachable:
+// it is counted in css_resilience_outbox_ops_total (op "kept_routing"
+// or "kept") and named by LastKept until an entry is acked.
+func (o *Outbox) Keep(why string) {
+	op := "kept"
+	if why == KeptRouting {
+		op = "kept_routing"
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.lastKept = why
+	o.metrics.outbox(op, o.depth)
+}
+
+// LastKept reports why the latest drain round kept an entry, "" when
+// none was kept since an entry was last acked.
+func (o *Outbox) LastKept() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.lastKept
 }
 
 // Reject dead-letters an entry that failed permanently (e.g. the

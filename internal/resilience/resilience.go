@@ -118,7 +118,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		outboxDepth: reg.Gauge("css_resilience_outbox_depth",
 			"Notifications queued in the durable publish outbox."),
 		outboxOps: reg.Counter("css_resilience_outbox_ops_total",
-			"Outbox operations (enqueue, drain, dedup, dead).", "op"),
+			"Outbox operations (enqueue, drain, dedup, dead, kept, kept_routing).", "op"),
 		faults: reg.Counter("css_resilience_faults_injected_total",
 			"Faults injected by the chaos RoundTripper, by kind.", "kind"),
 	}

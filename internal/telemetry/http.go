@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"time"
 )
 
 // TraceHeader is the HTTP header carrying the trace/correlation ID
@@ -71,11 +70,10 @@ func isHex(s string) bool {
 	return true
 }
 
-// HTTPMetrics are the instruments the middleware records into.
+// HTTPMetrics are the instruments the middleware records into. A
+// request's latency is its server span's, in css_stage_seconds.
 type HTTPMetrics struct {
-	requests *Counter   // route, method, code
-	latency  *Histogram // route
-	inflight *Gauge
+	requests *Counter // route, method, code
 }
 
 // NewHTTPMetrics registers the HTTP server metrics on reg under the
@@ -88,10 +86,6 @@ func NewHTTPMetrics(reg *Registry, subsystem string) *HTTPMetrics {
 		requests: reg.Counter(subsystem+"_http_requests_total",
 			"HTTP requests served, by route, method and status code.",
 			"route", "method", "code"),
-		latency: reg.Histogram(subsystem+"_http_request_seconds",
-			"HTTP request latency in seconds, by route.", "route"),
-		inflight: reg.Gauge(subsystem+"_http_inflight_requests",
-			"HTTP requests currently being served."),
 	}
 }
 
@@ -122,10 +116,8 @@ type Serving struct {
 	m      *HTTPMetrics
 	span   *ActiveSpan
 	w      interface{ Status() int }
-	trace  string
 	method string
 	route  string
-	start  time.Time
 }
 
 // UnmatchedRoute is the route label of a request that matched no route:
@@ -136,13 +128,14 @@ const UnmatchedRoute = "unmatched"
 // StartServing opens the instrumentation of serving r on route, the
 // path of the pattern r matched ("" when it matched none): it parses
 // the W3C traceparent header (falling back to X-Trace-Id, minting a
-// trace when both are absent), echoes the trace on the answer, counts
-// the request in flight and opens a server span parented under the
-// caller's (none for an unmatched request). It returns the context that
-// carries the trace, the current span and the tracer on top of r's,
-// which the caller puts on r, and the writer to answer through: w
-// itself when w reports its status (Status() int, as HTTPServer's
-// writer does), else a wrapper that records it. tracer may be nil.
+// trace when both are absent), echoes the trace on the answer and opens
+// a server span parented under the caller's (none for an unmatched
+// request, nor for the scrape, probe and debug endpoints). It returns
+// the context that carries the trace, the current span and the tracer
+// on top of r's, which the caller puts on r, and the writer to answer
+// through: w itself when w reports its status (Status() int, as
+// HTTPServer's writer does), else a wrapper that records it. tracer may
+// be nil.
 func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *http.Request, route string) (context.Context, http.ResponseWriter, Serving) {
 	trace, parent, ok := ParseTraceparent(r.Header.Get(TraceparentHeader))
 	if !ok {
@@ -152,7 +145,7 @@ func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *htt
 		}
 	}
 	w.Header().Set(TraceHeader, trace)
-	s := Serving{m: m, trace: trace, method: r.Method, route: route}
+	s := Serving{m: m, method: r.Method, route: route}
 	if route == "" {
 		s.route = UnmatchedRoute
 	}
@@ -168,18 +161,13 @@ func (m *HTTPMetrics) StartServing(tracer *Tracer, w http.ResponseWriter, r *htt
 	if tracer != nil && route != "" && spanWorthy(route) {
 		ctx, s.span = tracer.StartSpan(ctx, spanName(s.method, route))
 	}
-	m.inflight.Add(1)
-	s.start = time.Now()
 	return ctx, w, s
 }
 
 // End closes the instrumentation once the answer is written: the span
-// (an error for a 5xx, the status as an attribute for a 4xx), the
-// per-route counters and latency with the trace as exemplar, and the
-// slow-request log.
+// (an error for a 5xx, the status as an attribute for a 4xx), which the
+// tracer times and logs when slow, and the per-route counter.
 func (s *Serving) End() {
-	elapsed := time.Since(s.start)
-	s.m.inflight.Add(-1)
 	status := s.w.Status()
 	if status == 0 {
 		status = http.StatusOK
@@ -193,10 +181,6 @@ func (s *Serving) End() {
 		span.End()
 	}
 	s.m.requests.Inc(s.route, s.method, itoa(status))
-	s.m.latency.ObserveDurationTrace(elapsed, s.trace, s.route)
-	if elapsed >= SlowThreshold() { // the name is built only to be logged
-		LogIfSlow(spanName(s.method, s.route), s.trace, elapsed)
-	}
 }
 
 // spanName names the span of a request to route.

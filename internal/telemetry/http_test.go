@@ -9,11 +9,12 @@ import (
 )
 
 // serving wraps mux in StartServing and End as the transport's service
-// does: the route label is the pattern the request matched.
-func serving(m *HTTPMetrics, mux *http.ServeMux) http.Handler {
+// does: the route label is the pattern the request matched. tracer may
+// be nil.
+func serving(m *HTTPMetrics, tracer *Tracer, mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h, pattern := mux.Handler(r)
-		ctx, w, s := m.StartServing(nil, w, r, pattern)
+		ctx, w, s := m.StartServing(tracer, w, r, pattern)
 		h.ServeHTTP(w, r.WithContext(ctx))
 		s.End()
 	})
@@ -32,7 +33,7 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ws/publish", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) })
 	mux.HandleFunc("/boom", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusForbidden) })
-	srv := httptest.NewServer(serving(m, mux))
+	srv := httptest.NewServer(serving(m, NewTracer(reg), mux))
 	defer srv.Close()
 
 	if _, err := http.Get(srv.URL + "/ws/publish"); err != nil {
@@ -57,14 +58,11 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 	if got := m.requests.Value(UnmatchedRoute, "GET", "404"); got != 1 {
 		t.Errorf("requests{%s,GET,404} = %d, want 1", UnmatchedRoute, got)
 	}
-	if got := m.latency.Count("/ws/publish"); got != 2 {
-		t.Errorf("latency count = %d, want 2", got)
-	}
 	out := expose(t, reg)
 	for _, want := range []string{
 		`css_http_requests_total{route="/boom",method="GET",code="403"} 1`,
 		`css_http_requests_total{route="/ws/publish",method="GET",code="200"} 2`,
-		`css_http_request_seconds_count{route="/ws/publish"} 2`,
+		`css_stage_seconds_count{stage="http GET /ws/publish"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -77,7 +75,7 @@ func TestMiddlewareRecordsRouteStatusLatency(t *testing.T) {
 
 func TestMiddlewareTraceHeader(t *testing.T) {
 	var seen string
-	h := serving(NewHTTPMetrics(NewRegistry(), "css"), catchAll(func(w http.ResponseWriter, r *http.Request) {
+	h := serving(NewHTTPMetrics(NewRegistry(), "css"), nil, catchAll(func(w http.ResponseWriter, r *http.Request) {
 		seen = TraceFrom(r.Context())
 	}))
 	srv := httptest.NewServer(h)
@@ -114,7 +112,7 @@ func TestMiddlewareTraceHeader(t *testing.T) {
 // adopted: the middleware mints a fresh trace instead.
 func TestMiddlewareIgnoresInvalidTraceHeader(t *testing.T) {
 	var seen string
-	h := serving(NewHTTPMetrics(NewRegistry(), "css"), catchAll(func(w http.ResponseWriter, r *http.Request) {
+	h := serving(NewHTTPMetrics(NewRegistry(), "css"), nil, catchAll(func(w http.ResponseWriter, r *http.Request) {
 		seen = TraceFrom(r.Context())
 	}))
 	for _, bad := range []string{strings.Repeat("a", 65), "has space", "caf\xc3\xa9"} {

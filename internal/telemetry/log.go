@@ -37,8 +37,8 @@ func NewLogger(json bool, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, opts))
 }
 
-// DefaultSlowThreshold is the latency above which LogIfSlow emits a
-// warning for an operation.
+// DefaultSlowThreshold is the span duration at or above which the
+// tracer logs a slow operation.
 const DefaultSlowThreshold = 250 * time.Millisecond
 
 // slowThreshold is process-wide and adjustable (SetSlowThreshold).
@@ -46,7 +46,7 @@ var slowThreshold atomic.Int64
 
 func init() { slowThreshold.Store(int64(DefaultSlowThreshold)) }
 
-// SetSlowThreshold adjusts the slow-request threshold (<= 0 restores
+// SetSlowThreshold adjusts the slow-operation threshold (<= 0 restores
 // the default).
 func SetSlowThreshold(d time.Duration) {
 	if d <= 0 {
@@ -55,15 +55,21 @@ func SetSlowThreshold(d time.Duration) {
 	slowThreshold.Store(int64(d))
 }
 
-// SlowThreshold returns the current slow-request threshold.
+// SlowThreshold returns the current slow-operation threshold.
 func SlowThreshold() time.Duration { return time.Duration(slowThreshold.Load()) }
 
-// LogIfSlow emits a structured warning when an operation exceeded the
-// slow threshold, carrying the trace ID so the operator can pull the
-// flow's spans and audit records.
-func LogIfSlow(op, trace string, d time.Duration) {
-	if d < SlowThreshold() {
-		return
+// logSlow emits the structured warning for a span that reached the slow
+// threshold, keyed by its stage and carrying the trace ID (so the
+// operator can pull the flow's spans and audit records), the duration
+// and the span's attributes and error.
+func logSlow(sp *Span) {
+	args := make([]any, 0, 6+2*len(sp.Attrs)+2)
+	args = append(args, "stage", sp.Stage, "trace", sp.Trace, "duration", sp.Duration.String())
+	for _, a := range sp.Attrs {
+		args = append(args, a.Key, a.Value)
 	}
-	Logger().Warn("slow operation", "op", op, "trace", trace, "duration", d.String())
+	if sp.Error != "" {
+		args = append(args, "error", sp.Error)
+	}
+	Logger().Warn("slow operation", args...)
 }

@@ -80,11 +80,13 @@ type child struct {
 	bucketCounts []atomic.Uint64 // histogram: per-bucket (non-cumulative)
 
 	// exemplars holds, per bucket (plus one +Inf slot at the end), the
-	// most recently sampled traced observation. Stores are sampled
-	// 1-in-exemplarInterval (riding the observation count, no extra
-	// atomic) once a slot is occupied, bounding hot-path allocation to
-	// ~1 pointer write per 8 traced observations.
-	exemplars []atomic.Pointer[Exemplar] // histogram: per bucket + +Inf
+	// most recently sampled traced observation, by value under exMu.
+	// Stores are sampled 1-in-exemplarInterval (riding the observation
+	// count, no extra atomic) once a slot is seeded, so exMu is taken
+	// only on the sampled path and no store allocates.
+	exMu      sync.Mutex
+	exemplars []Exemplar    // histogram: per bucket + +Inf
+	seeded    []atomic.Bool // parallel to exemplars: the slot holds one
 }
 
 // Exemplar links a histogram bucket to a recent trace that landed in
@@ -159,7 +161,8 @@ func (f *family) get(values []string) *child {
 	c = &child{values: append([]string(nil), values...)}
 	if f.kind == kindHistogram {
 		c.bucketCounts = make([]atomic.Uint64, len(f.buckets))
-		c.exemplars = make([]atomic.Pointer[Exemplar], len(f.buckets)+1)
+		c.exemplars = make([]Exemplar, len(f.buckets)+1)
+		c.seeded = make([]atomic.Bool, len(f.buckets)+1)
 	}
 	f.children[k] = c
 	return c
@@ -258,14 +261,6 @@ func (h *Histogram) ObserveDuration(d time.Duration, labelValues ...string) {
 	h.Observe(d.Seconds(), labelValues...)
 }
 
-// ObserveTrace records an observation and, when trace is non-empty,
-// considers it as the exemplar of the bucket it lands in. A bucket's
-// first traced observation always seeds its exemplar; after that,
-// stores are sampled 1-in-exemplarInterval to keep the hot path cheap.
-func (h *Histogram) ObserveTrace(seconds float64, trace string, labelValues ...string) {
-	h.observeChild(h.f.get(labelValues), seconds, trace)
-}
-
 func (h *Histogram) observeChild(c *child, seconds float64, trace string) {
 	idx := len(h.f.buckets) // +Inf slot
 	for i, ub := range h.f.buckets {
@@ -280,14 +275,21 @@ func (h *Histogram) observeChild(c *child, seconds float64, trace string) {
 	if trace == "" {
 		return
 	}
-	if c.exemplars[idx].Load() == nil || n%exemplarInterval == 0 {
-		c.exemplars[idx].Store(&Exemplar{Trace: trace, Value: seconds, At: time.Now()})
+	if n%exemplarInterval == 0 || !c.seeded[idx].Load() {
+		c.exMu.Lock()
+		c.exemplars[idx] = Exemplar{Trace: trace, Value: seconds, At: time.Now()}
+		c.seeded[idx].Store(true)
+		c.exMu.Unlock()
 	}
 }
 
-// ObserveDurationTrace records a traced duration observation.
+// ObserveDurationTrace records a duration observation and, when trace
+// is non-empty, considers it as the exemplar of the bucket it lands in.
+// A bucket's first traced observation always seeds its exemplar; after
+// that, stores are sampled 1-in-exemplarInterval to keep the hot path
+// cheap.
 func (h *Histogram) ObserveDurationTrace(d time.Duration, trace string, labelValues ...string) {
-	h.ObserveTrace(d.Seconds(), trace, labelValues...)
+	h.observeChild(h.f.get(labelValues), d.Seconds(), trace)
 }
 
 // HistogramChild is one pre-resolved labeled series of a histogram.
@@ -305,11 +307,6 @@ func (h *Histogram) Child(labelValues ...string) *HistogramChild {
 	return &HistogramChild{h: h, c: h.f.get(labelValues)}
 }
 
-// ObserveTrace records a traced observation in seconds on this series.
-func (hc *HistogramChild) ObserveTrace(seconds float64, trace string) {
-	hc.h.observeChild(hc.c, seconds, trace)
-}
-
 // ObserveDurationTrace records a traced duration observation.
 func (hc *HistogramChild) ObserveDurationTrace(d time.Duration, trace string) {
 	hc.h.observeChild(hc.c, d.Seconds(), trace)
@@ -321,13 +318,15 @@ func (hc *HistogramChild) ObserveDurationTrace(d time.Duration, trace string) {
 func (h *Histogram) Exemplars(labelValues ...string) map[float64]Exemplar {
 	c := h.f.get(labelValues)
 	out := make(map[float64]Exemplar)
-	for i := range c.exemplars {
-		if e := c.exemplars[i].Load(); e != nil {
+	c.exMu.Lock()
+	defer c.exMu.Unlock()
+	for i, e := range c.exemplars {
+		if c.seeded[i].Load() {
 			ub := math.Inf(1)
 			if i < len(h.f.buckets) {
 				ub = h.f.buckets[i]
 			}
-			out[ub] = *e
+			out[ub] = e
 		}
 	}
 	return out
@@ -432,13 +431,12 @@ func (f *family) write(w io.Writer) error {
 // exemplarSuffix renders an OpenMetrics-style exemplar annotation
 // (` # {trace_id="..."} value timestamp`) for bucket slot i, or "".
 func exemplarSuffix(c *child, i int) string {
-	if c.exemplars == nil || i >= len(c.exemplars) {
+	if c.exemplars == nil || i >= len(c.exemplars) || !c.seeded[i].Load() {
 		return ""
 	}
-	e := c.exemplars[i].Load()
-	if e == nil {
-		return ""
-	}
+	c.exMu.Lock()
+	e := c.exemplars[i]
+	c.exMu.Unlock()
 	return fmt.Sprintf(` # {trace_id=%q} %s %d.%03d`, e.Trace, formatFloat(e.Value),
 		e.At.Unix(), e.At.Nanosecond()/int(time.Millisecond))
 }

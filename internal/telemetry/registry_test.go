@@ -188,3 +188,18 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }
+
+// Exemplars are held by value: the sampled store (one in
+// exemplarInterval traced observations) writes into the child without
+// allocating.
+func TestExemplarStoreAllocatesNothing(t *testing.T) {
+	ch := NewRegistry().Histogram("css_alloc_seconds", "Allocs.").Child()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < exemplarInterval; i++ {
+			ch.ObserveDurationTrace(time.Millisecond, "feedbeefcafe0001")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d traced observations: %v allocs, want 0", exemplarInterval, allocs)
+	}
+}

@@ -26,16 +26,19 @@ func TracerFrom(ctx context.Context) *Tracer {
 	return nil
 }
 
-// Tracer mints hierarchical spans and records them into a bounded
+// Tracer mints hierarchical spans and is the one recorder of stage
+// timing: every finished span is observed into css_stage_seconds{stage}
+// (when the tracer was built with a registry) with its trace as
+// exemplar, and a span at or above SlowThreshold emits the
+// slow-operation log line. Spans are also recorded into a bounded
 // in-process ring (for /debug/spans) plus, optionally, a durable
-// Exporter and an OnEnd hook (the controller uses the hook to feed the
-// per-stage latency histogram). Safe for concurrent use.
+// Exporter. Safe for concurrent use.
 //
 // Recording is head-sampled per trace (SetSampleRate): spans of traces
-// that lose the draw are still timed — the OnEnd hook fires for every
-// span, so latency metrics keep full fidelity — but they skip ID
-// minting and are not kept, which removes most of the tracing overhead
-// from the publish fan-out. Error spans and spans at or above
+// that lose the draw are still timed — the stage histogram and the slow
+// log see every span, so latency metrics keep full fidelity — but they
+// skip ID minting and are not kept, which removes most of the tracing
+// overhead from the publish fan-out. Error spans and spans at or above
 // DefaultSlowTail are kept even when their trace is unsampled, so
 // post-mortems keep the interesting outliers (their parent links may
 // dangle: an unsampled parent that finished fast was already dropped).
@@ -45,8 +48,12 @@ func TracerFrom(ctx context.Context) *Tracer {
 type Tracer struct {
 	log        *SpanLog
 	exporter   atomic.Pointer[Exporter]
-	onEnd      atomic.Pointer[func(*Span)]
 	sampleBits atomic.Uint64 // head-sampling rate, float64 bits
+	// stages is css_stage_seconds{stage} (nil: nothing is observed).
+	// Spans end up to 19 times per 16-subscriber publish, so each
+	// stage's series is resolved once and cached in children.
+	stages   *Histogram
+	children sync.Map // stage name -> *HistogramChild
 }
 
 // Sampling defaults.
@@ -59,11 +66,16 @@ const (
 )
 
 // NewTracer creates a tracer whose ring keeps the latest
-// DefaultSpanCapacity spans. The sample rate starts at 1 (record
-// everything) — embedded and test tracers see every span unless they
-// opt into sampling.
-func NewTracer() *Tracer {
+// DefaultSpanCapacity spans and which observes every finished span into
+// reg's css_stage_seconds (reg may be nil: no histogram). The sample
+// rate starts at 1 (record everything) — embedded and test tracers see
+// every span unless they opt into sampling.
+func NewTracer(reg *Registry) *Tracer {
 	t := &Tracer{log: NewSpanLog(DefaultSpanCapacity)}
+	if reg != nil {
+		t.stages = reg.Histogram("css_stage_seconds",
+			"Per-stage latency of traced flows in seconds, by stage.", "stage")
+	}
 	t.sampleBits.Store(math.Float64bits(1))
 	return t
 }
@@ -129,21 +141,6 @@ func (t *Tracer) SetExporter(e *Exporter) {
 	if t != nil {
 		t.exporter.Store(e)
 	}
-}
-
-// SetOnEnd registers a hook invoked for every finished span (nil
-// clears). The hook runs on the path that ends the span: keep it
-// cheap, and do not retain the *Span beyond the call — it aliases
-// pooled memory.
-func (t *Tracer) SetOnEnd(fn func(*Span)) {
-	if t == nil {
-		return
-	}
-	if fn == nil {
-		t.onEnd.Store(nil)
-		return
-	}
-	t.onEnd.Store(&fn)
 }
 
 // spanPool recycles ActiveSpan allocations on the publish hot path.
@@ -366,9 +363,8 @@ func (s *ActiveSpan) End() time.Duration {
 			s.span.Attrs = merged
 		}
 	} else if s.nattrs > 0 {
-		// Only the OnEnd hook will see the span; lend it the inline
-		// attrs without allocating. The hook must not retain the slice —
-		// it aliases this pooled struct.
+		// Only the slow log can see the span; lend it the inline attrs
+		// without allocating (they alias this pooled struct).
 		s.span.Attrs = s.attrs[:s.nattrs:s.nattrs]
 	}
 	t.record(&s.span, keep)
@@ -381,12 +377,12 @@ func (s *ActiveSpan) End() time.Duration {
 	return d
 }
 
-// record fans a finished span out to the ring, the exporter and the
-// OnEnd hook. The pointer avoids copying the ~170-byte Span once per
-// consumer; each consumer copies (or reads) what it needs before
-// record returns, because the memory behind sp is pooled. keep gates
-// the ring and the exporter; the OnEnd hook fires for every span so
-// the latency histograms stay exact under sampling.
+// record fans a finished span out to the ring, the exporter, the stage
+// histogram and the slow log. The pointer avoids copying the ~170-byte
+// Span once per consumer; each consumer copies (or reads) what it needs
+// before record returns, because the memory behind sp is pooled. keep
+// gates the ring and the exporter; the histogram and the slow log see
+// every span, so the latency figures stay exact under sampling.
 func (t *Tracer) record(sp *Span, keep bool) {
 	if keep {
 		t.log.RecordSpan(*sp)
@@ -394,7 +390,14 @@ func (t *Tracer) record(sp *Span, keep bool) {
 			e.Export(*sp)
 		}
 	}
-	if fn := t.onEnd.Load(); fn != nil {
-		(*fn)(sp)
+	if t.stages != nil {
+		ch, ok := t.children.Load(sp.Stage)
+		if !ok {
+			ch, _ = t.children.LoadOrStore(sp.Stage, t.stages.Child(sp.Stage))
+		}
+		ch.(*HistogramChild).ObserveDurationTrace(sp.Duration, sp.Trace)
+	}
+	if sp.Duration >= SlowThreshold() {
+		logSlow(sp)
 	}
 }

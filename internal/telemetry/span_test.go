@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestStartSpanBuildsParentLinkedTree(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer(nil)
 	ctx, root := tr.StartSpan(context.Background(), "publish")
 	trace := root.Trace()
 	if len(trace) != 16 {
@@ -65,7 +66,7 @@ func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
 }
 
 func TestSpanAttrsEventsAndError(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer(nil)
 	_, span := tr.StartSpan(context.Background(), "gateway.fetch")
 	trace := span.Trace()
 	span.SetAttr("producer", "hospital")
@@ -148,7 +149,7 @@ func TestExporterSamplingAndTailKeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
+	tr := NewTracer(nil)
 	tr.SetExporter(e)
 
 	// The draw is taken when a span starts: this trace is drawn at 1,
@@ -231,7 +232,7 @@ func TestExporterConcurrentExportAndRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
+	tr := NewTracer(nil)
 	tr.SetExporter(e)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -267,7 +268,7 @@ func TestConcurrentSpanExportThroughTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
+	tr := NewTracer(nil)
 	tr.SetExporter(e)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -386,7 +387,7 @@ func TestExemplarsConcurrentUpdates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				hist.ObserveTrace(0.001*float64(i%20), fmt.Sprintf("%016x", g*1000+i), "/ws/publish")
+				hist.ObserveDurationTrace(time.Duration(i%20)*time.Millisecond, fmt.Sprintf("%016x", g*1000+i), "/ws/publish")
 			}
 		}(g)
 	}
@@ -408,7 +409,7 @@ func TestExemplarsConcurrentUpdates(t *testing.T) {
 func TestExemplarsOnMetricsOutput(t *testing.T) {
 	reg := NewRegistry()
 	hist := reg.Histogram("exemplar_out_seconds", "test latency")
-	hist.ObserveTrace(0.003, "deadbeef00000001")
+	hist.ObserveDurationTrace(3*time.Millisecond, "deadbeef00000001")
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -422,5 +423,84 @@ func TestExemplarsOnMetricsOutput(t *testing.T) {
 		if strings.Contains(line, "trace_id") && !strings.Contains(line, "_bucket") {
 			t.Fatalf("exemplar on non-bucket line: %s", line)
 		}
+	}
+}
+
+// Every finished span is one observation of css_stage_seconds under its
+// stage, with the trace as exemplar, whether or not its trace won the
+// sampling draw.
+func TestTracerObservesEveryStage(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg)
+	tr.SetSampleRate(0)
+	root := tr.StartDetached("publish", "feedbeefcafe0001", "")
+	child := root.StartChild("index.put")
+	child.End()
+	root.End()
+	if len(tr.Spans().ByTrace("feedbeefcafe0001")) != 0 {
+		t.Fatal("an unsampled fast span was kept")
+	}
+	hist := reg.Histogram("css_stage_seconds", "", "stage")
+	for _, stage := range []string{"publish", "index.put"} {
+		if got := hist.Count(stage); got != 1 {
+			t.Errorf("css_stage_seconds{stage=%q} count = %d, want 1", stage, got)
+		}
+		for _, ex := range hist.Exemplars(stage) {
+			if ex.Trace != "feedbeefcafe0001" {
+				t.Errorf("stage %q exemplar trace = %q", stage, ex.Trace)
+			}
+		}
+	}
+}
+
+// syncBuffer is a log sink safe for the concurrent writers a flow's
+// goroutines are.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// A span at or above the slow threshold logs one "slow operation" line
+// keyed by its stage, carrying the trace, the duration, the span's
+// attributes and its error; a span below it logs nothing.
+func TestTracerLogsSlowSpans(t *testing.T) {
+	var out syncBuffer
+	prev := Logger()
+	SetLogger(slog.New(slog.NewTextHandler(&out, nil)))
+	t.Cleanup(func() { SetLogger(prev); SetSlowThreshold(0) })
+	tr := NewTracer(nil)
+
+	fast := tr.StartDetached("bus.publish", "feedbeefcafe0001", "")
+	fast.End()
+	if out.String() != "" {
+		t.Fatalf("a fast span logged:\n%s", out.String())
+	}
+	SetSlowThreshold(time.Nanosecond)
+	slow := tr.StartDetached("bus.deliver", "feedbeefcafe0002", "")
+	slow.SetAttr("subscriber", "family-doctor")
+	slow.SetError(errors.New("handler failed"))
+	time.Sleep(time.Microsecond)
+	slow.End()
+	line := out.String()
+	for _, want := range []string{`msg="slow operation"`, "stage=bus.deliver", "trace=feedbeefcafe0002",
+		"duration=", "subscriber=family-doctor", `error="handler failed"`} {
+		if !strings.Contains(line, want) {
+			t.Errorf("slow line missing %q:\n%s", want, line)
+		}
+	}
+	if n := strings.Count(line, "slow operation"); n != 1 {
+		t.Errorf("%d slow lines, want 1:\n%s", n, line)
 	}
 }

@@ -44,7 +44,7 @@ type GatewayServer struct {
 // daemon passes telemetry.Default(), tests a private registry).
 func NewGatewayServer(gw *gateway.Gateway, reg *telemetry.Registry) *GatewayServer {
 	s := &GatewayServer{service: service{classify: gwRouteClassFor, now: time.Now},
-		gw: gw, tracer: telemetry.NewTracer()}
+		gw: gw, tracer: telemetry.NewTracer(reg)}
 	s.mount(reg, s.tracer, "css_gateway", "gateway", nil)
 	s.handle("POST /gw/get-response", s.handleGetResponse)
 	s.handle("POST /gw/persist", s.handlePersist)
@@ -60,13 +60,15 @@ func (s *GatewayServer) Tracer() *telemetry.Tracer { return s.tracer }
 // system hands its notification to the *local* gateway, which forwards
 // it to the data controller — or parks it durably when the controller
 // is down (202 Accepted, empty event id). Call during setup, before
-// serving. The outbox depth joins /healthz automatically.
+// serving. The outbox depth, its dead letters and why the last drain
+// round kept an entry (outbox_last_kept) join /healthz automatically.
 func (s *GatewayServer) EnablePublishRelay(qp *QueuedPublisher) {
 	s.publisher = qp
 	s.AddHealthDetail(func() map[string]string {
 		return map[string]string{
-			"outbox_depth": strconv.Itoa(qp.Depth()),
-			"outbox_dead":  strconv.Itoa(qp.Dead()),
+			"outbox_depth":     strconv.Itoa(qp.Depth()),
+			"outbox_dead":      strconv.Itoa(qp.Dead()),
+			"outbox_last_kept": qp.LastKept(),
 		}
 	})
 }

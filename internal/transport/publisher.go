@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/resilience"
 	"repro/internal/store"
@@ -106,6 +107,10 @@ func (q *QueuedPublisher) Depth() int { return q.outbox.Depth() }
 // Dead reports the dead-lettered outbox entries.
 func (q *QueuedPublisher) Dead() int { return q.outbox.Dead() }
 
+// LastKept reports why the latest drain round kept an entry that did
+// not land (see resilience.Outbox.LastKept).
+func (q *QueuedPublisher) LastKept() string { return q.outbox.LastKept() }
+
 // DrainContext blocks until the outbox is empty or ctx expires, kicking
 // the drain loop so parked notifications are pushed out immediately
 // rather than on the next tick. It is the graceful-shutdown hook: a
@@ -169,7 +174,8 @@ func (q *QueuedPublisher) drainLoop() {
 // empty or a publish does not land. A replayed entry the controller
 // already indexed just returns the original global id — exactly-once
 // at the index. Refused entries are dead-lettered so one poisoned
-// notification cannot wedge the queue; every other entry is kept.
+// notification cannot wedge the queue; every other entry is kept, and
+// the round is counted and named by why (Outbox.Keep).
 func (q *QueuedPublisher) drainOnce() {
 	for {
 		select {
@@ -194,6 +200,12 @@ func (q *QueuedPublisher) drainOnce() {
 		case !Refused(err):
 			// Not landed (the controller unreachable, a routing fault,
 			// the deadline); try again next round.
+			why := resilience.KeptUnreachable
+			if errors.Is(err, cluster.ErrNotPrimary) || errors.Is(err, cluster.ErrWrongShard) ||
+				errors.Is(err, cluster.ErrStaleMap) {
+				why = resilience.KeptRouting
+			}
+			q.outbox.Keep(why)
 			return
 		default:
 			telemetry.Logger().Error("outbox entry refused, dead-lettering",

@@ -58,15 +58,46 @@ func TestMetricsEndpointExposesFlowCounters(t *testing.T) {
 		"css_publish_total 1",
 		`css_detail_decisions_total{outcome="permit"} 1`,
 		`css_detail_decisions_total{outcome="deny"} 1`,
-		"# TYPE css_publish_seconds histogram",
-		`css_publish_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE css_stage_seconds histogram",
+		`css_stage_seconds_bucket{stage="publish",le="+Inf"} 1`,
 		`css_detail_request_seconds_count{outcome="permit"} 1`,
 		`css_http_requests_total{route="/ws/publish",method="POST",code="200"} 1`,
-		"# TYPE css_http_request_seconds histogram",
+		`css_stage_seconds_count{stage="http POST /ws/publish"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// The gateway's tracer times the filtered retrieval it serves into its
+// registry's css_stage_seconds, the series its gw-get-response
+// objective reads; the gateway keeps no HTTP latency family beside it.
+func TestGatewayTimesGetResponseAsStage(t *testing.T) {
+	r := newRig(t)
+	r.doctorPolicy(t)
+	gid := r.produce(t, "src-1", "PRS-1")
+	if _, err := r.client.RequestDetails(context.Background(), &event.DetailRequest{
+		Requester: "family-doctor", Class: schema.ClassBloodTest,
+		EventID: gid, Purpose: event.PurposeHealthcareTreatment,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(r.gwServer.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(body)
+	if want := `css_stage_seconds_count{stage="http POST /gw/get-response"} 1`; !strings.Contains(out, want) {
+		t.Errorf("gateway /metrics missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "css_gateway_http_request_seconds") || strings.Contains(out, "inflight_requests") {
+		t.Errorf("gateway /metrics still carries an HTTP latency family or in-flight gauge:\n%s", out)
 	}
 }
 
