@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision lint-outcome lint-latency examples fuzz loc clean
+.PHONY: all check build vet test race cover bench-smoke bench-harness chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath lint-decision lint-outcome lint-latency lint-reach examples fuzz loc clean
 
 all: check
 
-# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision+outcome+latency lints, unit
+# The default gate: compile, vet+gofmt+trace-ID+hot-path+decision+outcome+latency+reach lints, unit
 # tests (among them the allocation budgets of the publish path and the
 # XML detail codec, TestPublishAllocBudget and
 # TestDetailCodecAllocBudget), the race detector over the whole tree, a
@@ -20,7 +20,7 @@ all: check
 # refactors), and the end-to-end benchmark harness (its own module: vet,
 # unit tests, quick run) — the one place a commit's cost is measured.
 # The code-size report (`loc`) prints last.
-check: build vet lint-traceid lint-hotpath lint-decision lint-outcome lint-latency test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
+check: build vet lint-traceid lint-hotpath lint-decision lint-outcome lint-latency lint-reach test race chaos-smoke overload-smoke trace-smoke shard-smoke repl-smoke bench-smoke bench-harness loc
 
 build:
 	$(GO) build ./...
@@ -210,6 +210,17 @@ lint-latency:
 		echo "$$bad"; exit 1; \
 	fi
 
+# Non-test code is reached by something that ships. internal/lintreach
+# builds every cmd/ and examples/ main, and the benchmark harness,
+# without inlining, and fails, naming file:line, on any non-test
+# function outside package main that no main links (the functions only
+# the harness links are printed; a short allowlist names what a ROADMAP
+# item is to ship). It also fails on a non-test import of
+# internal/testsupport, where code only tests link lives. Warm, it takes
+# about 10 s.
+lint-reach:
+	$(GO) run ./internal/lintreach
+
 examples:
 	@for e in quickstart homecare statistics audittrail distributed phr monitoring accountability; do \
 		echo "=== $$e ==="; $(GO) run ./examples/$$e || exit 1; \
@@ -241,14 +252,17 @@ fuzz:
 
 # Code size, the measure issues set targets in: non-test, non-comment,
 # non-blank Go lines per package and in total, without the nested
-# benchmark/ module.
-LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
+# benchmark/ module. internal/testsupport (code only tests link) is
+# printed on its own line and left out of the total.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/testsupport/*'
 LOC_COUNT = xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'
 loc:
 	@for d in $$($(LOC_FILES) -exec dirname {} \; | sort -u); do \
 		printf '%6d %s\n' $$($(LOC_FILES) -path "$$d/*" ! -path "$$d/*/*" | $(LOC_COUNT)) $$d; \
 	done
 	@printf '%6d total\n' $$($(LOC_FILES) | $(LOC_COUNT))
+	@printf '%6d ./internal/testsupport (test support, not in the total)\n' \
+		$$(find ./internal/testsupport -name '*.go' ! -name '*_test.go' | $(LOC_COUNT))
 
 # git clean keeps the committed seed corpus and removes only the
 # crasher inputs the fuzzer writes next to it.

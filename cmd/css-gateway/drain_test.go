@@ -15,6 +15,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 	"repro/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func parkedRelay(t *testing.T, reg *telemetry.Registry, controller string, notes
 // keptRounds reads the outbox's kept rounds by op ("kept",
 // "kept_routing").
 func keptRounds(reg *telemetry.Registry, op string) uint64 {
-	return reg.Counter("css_resilience_outbox_ops_total", "", "op").Value(op)
+	return testsupport.CounterValue(reg, "css_resilience_outbox_ops_total", op)
 }
 
 // TestRelayDrainKeepsWhatDidNotLand: the relay's outbox drain

@@ -20,6 +20,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 	"repro/internal/transport"
 )
 
@@ -124,7 +125,7 @@ func testRelay(t *testing.T, controller string) *transport.ShardedClient {
 
 func indexLen(t *testing.T, c *core.Controller) int {
 	t.Helper()
-	n, err := c.IndexLen()
+	n, err := testsupport.Indexed(c.Audit())
 	if err != nil {
 		t.Fatal(err)
 	}

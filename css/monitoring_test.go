@@ -55,33 +55,3 @@ func TestMonitorProcessesRequiresAuthorization(t *testing.T) {
 		t.Errorf("monitor observed after Stop: %+v", report.Active)
 	}
 }
-
-func TestMonitorProcessesBackfillViaObserve(t *testing.T) {
-	s := newScenario(t)
-	s.doctorPolicy(t)
-	// Events published before the monitor existed...
-	id := s.emit(t, "src-1", "PRS-1")
-	_ = id
-	pathway := &css.Pathway{
-		Name:    "exam follow-up",
-		Trigger: schema.ClassBloodTest,
-		Stages:  []css.PathwayStage{{Name: "repeat", Class: schema.ClassBloodTest}},
-	}
-	m, err := s.doctor.MonitorProcesses(pathway)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	// ...are backfilled from an authorized index inquiry.
-	history, err := s.doctor.Inquire(css.Inquiry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range history {
-		m.Observe(n)
-	}
-	report := m.Snapshot(time.Now())
-	if len(report.Active) != 1 {
-		t.Errorf("active after backfill = %+v", report.Active)
-	}
-}

@@ -1,10 +1,8 @@
 package css
 
 import (
-	"path/filepath"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/enforcer"
 	"repro/internal/gateway"
@@ -31,41 +29,19 @@ var (
 // Option configures NewPlatform.
 type Option func(*core.Config)
 
-// WithDataDir persists the platform state under dir.
-func WithDataDir(dir string) Option {
-	return func(c *core.Config) { c.DataDir = dir }
-}
-
-// WithMasterKey supplies the 32-byte key protecting person identifiers.
-func WithMasterKey(key []byte) Option {
-	return func(c *core.Config) { c.MasterKey = key }
-}
-
-// WithDefaultConsent sets the decision with no recorded directive
-// (default: allow — opt-out model).
-func WithDefaultConsent(allow bool) Option {
-	return func(c *core.Config) { c.DefaultConsent = allow }
-}
-
 // WithClock injects a clock for simulated time.
 func WithClock(now func() time.Time) Option {
 	return func(c *core.Config) { c.Now = now }
 }
 
-// WithBusOptions tunes the event distribution fabric.
-func WithBusOptions(o bus.Options) Option {
-	return func(c *core.Config) { c.Bus = o }
-}
-
 // Platform is one CSS deployment: the data controller plus the producer
 // gateways created through it. Safe for concurrent use.
 type Platform struct {
-	ctrl    *core.Controller
-	dataDir string
+	ctrl *core.Controller
 }
 
-// NewPlatform creates a platform. By default everything is in-memory
-// with a random master key and opt-out consent; see the Options.
+// NewPlatform creates an in-memory platform with a random master key
+// and opt-out consent; see the Options.
 func NewPlatform(opts ...Option) (*Platform, error) {
 	cfg := core.Config{DefaultConsent: true}
 	for _, o := range opts {
@@ -75,7 +51,7 @@ func NewPlatform(opts ...Option) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Platform{ctrl: ctrl, dataDir: cfg.DataDir}, nil
+	return &Platform{ctrl: ctrl}, nil
 }
 
 // Close shuts the platform down.
@@ -86,23 +62,12 @@ func (p *Platform) Close() error { return p.ctrl.Close() }
 func (p *Platform) Controller() *core.Controller { return p.ctrl }
 
 // RegisterProducer admits a data source and provisions its local
-// cooperation gateway (persistent when the platform has a data
-// directory).
+// cooperation gateway.
 func (p *Platform) RegisterProducer(id ProducerID, name string) (*Producer, error) {
 	if err := p.ctrl.RegisterProducer(id, name); err != nil {
 		return nil, err
 	}
-	var st *store.Store
-	if p.dataDir == "" {
-		st = store.OpenMemory()
-	} else {
-		var err error
-		st, err = store.Open(filepath.Join(p.dataDir, "gateway-"+string(id)+".wal"), store.Options{})
-		if err != nil {
-			return nil, err
-		}
-	}
-	gw, err := gateway.New(id, st, p.ctrl.Catalog())
+	gw, err := gateway.New(id, store.OpenMemory(), p.ctrl.Catalog())
 	if err != nil {
 		return nil, err
 	}
@@ -130,20 +95,9 @@ func (p *Platform) Department(actor Actor) (*Consumer, error) {
 	return &Consumer{platform: p, actor: actor}, nil
 }
 
-// RecordConsent stores a citizen consent directive.
-func (p *Platform) RecordConsent(d ConsentDirective) (ConsentDirective, error) {
-	return p.ctrl.RecordConsent(d)
-}
-
 // OptOut records a denial for person, optionally scoped.
 func (p *Platform) OptOut(personID string, scope ConsentScope) error {
 	_, err := p.ctrl.RecordConsent(ConsentDirective{PersonID: personID, Allow: false, Scope: scope})
-	return err
-}
-
-// OptIn records a permission for person, optionally scoped.
-func (p *Platform) OptIn(personID string, scope ConsentScope) error {
-	_, err := p.ctrl.RecordConsent(ConsentDirective{PersonID: personID, Allow: true, Scope: scope})
 	return err
 }
 
@@ -159,6 +113,3 @@ func (p *Platform) AuditVerify() error { return p.ctrl.Audit().Verify() }
 // Flush waits for all pending notification deliveries (useful in tests
 // and batch jobs).
 func (p *Platform) Flush(timeout time.Duration) bool { return p.ctrl.Flush(timeout) }
-
-// RevokePolicy removes a stored policy.
-func (p *Platform) RevokePolicy(id PolicyID) error { return p.ctrl.RevokePolicy(id) }

@@ -18,9 +18,6 @@ type Producer struct {
 	gw       *gateway.Gateway
 }
 
-// ID returns the producer identifier.
-func (p *Producer) ID() ProducerID { return p.id }
-
 // DeclareClass installs an event class schema in the catalog.
 func (p *Producer) DeclareClass(s *Schema) error {
 	return p.platform.ctrl.DeclareClass(p.id, s)
@@ -53,24 +50,9 @@ func (p *Producer) Policy(s *Schema) *PolicyBuilder {
 	}
 }
 
-// Policies lists the producer's stored policies.
-func (p *Producer) Policies() []*Policy {
-	return p.platform.ctrl.Policies(p.id)
-}
-
 // PendingRequest is a consumer access attempt denied for lack of a
 // policy, awaiting the producer's elicitation decision (paper §5).
 type PendingRequest = core.PendingRequest
-
-// PendingRequests lists the unresolved access requests on this producer's
-// classes, most recent first. Applying a policy that satisfies an entry
-// clears it.
-func (p *Producer) PendingRequests() []PendingRequest {
-	return p.platform.ctrl.PendingRequests(p.id)
-}
-
-// GatewayStats reports the gateway's exposure counters.
-func (p *Producer) GatewayStats() gateway.Stats { return p.gw.Stats() }
 
 // PolicyBuilder elicits privacy policy rules step by step (Figs 6-7 of
 // the paper) and stores them on Apply.
@@ -106,12 +88,6 @@ func (b *PolicyBuilder) SelectPurposes(purposes ...Purpose) *PolicyBuilder {
 // Label names the rule.
 func (b *PolicyBuilder) Label(name, description string) *PolicyBuilder {
 	b.builder.Label(name, description)
-	return b
-}
-
-// ValidFrom bounds the rule's validity start.
-func (b *PolicyBuilder) ValidFrom(t time.Time) *PolicyBuilder {
-	b.builder.ValidFrom(t)
 	return b
 }
 

@@ -115,13 +115,8 @@ const (
 	Sensitive   = schema.Sensitive
 )
 
-// NewSchema declares an event class schema.
-func NewSchema(class ClassID, version int, doc string, fields ...Field) (*Schema, error) {
-	return schema.New(class, version, doc, fields...)
-}
-
-// MustSchema is NewSchema that panics on error, for statically known
-// schemas.
+// MustSchema declares an event class schema and panics on error, for
+// statically known schemas.
 func MustSchema(class ClassID, version int, doc string, fields ...Field) *Schema {
 	return schema.MustNew(class, version, doc, fields...)
 }

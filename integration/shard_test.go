@@ -29,6 +29,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/policy"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 	"repro/internal/transport"
 )
 
@@ -122,7 +123,7 @@ func TestShardSmoke(t *testing.T) {
 		t.Helper()
 		total := 0
 		for _, c := range ctrls {
-			n, err := c.IndexLen()
+			n, err := testsupport.Indexed(c.Audit())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +204,7 @@ func TestShardSmoke(t *testing.T) {
 	consentDrops := func() uint64 {
 		var n uint64
 		for _, c := range ctrls {
-			n += c.Metrics().Counter("css_consent_drops_total", "").Value()
+			n += testsupport.CounterValue(c.Metrics(), "css_consent_drops_total", "consent")
 		}
 		return n
 	}

@@ -108,18 +108,6 @@ type Stats struct {
 	QueueHWM   int64  // high-water mark of QueueDepth
 }
 
-// Stats returns a snapshot of the broker counters.
-func (b *Broker) Stats() Stats {
-	return Stats{
-		Published:  b.published.Load(),
-		Delivered:  b.delivered.Load(),
-		Failed:     b.failed.Load(),
-		Overflowed: b.overflow.Load(),
-		QueueDepth: b.depth.Load(),
-		QueueHWM:   b.depthHWM.Load(),
-	}
-}
-
 // noteEnqueue updates the depth accounting (and its high-water mark) for
 // one message entering a subscription queue.
 func (b *Broker) noteEnqueue() {
@@ -260,18 +248,6 @@ func (b *Broker) PublishPayloadSpan(topic string, body []byte, payload any, span
 
 // fanoutPool recycles the per-publish subscription snapshot buffers.
 var fanoutPool = sync.Pool{New: func() any { s := make([]*Subscription, 0, 16); return &s }}
-
-// Subscriptions returns the subscription names currently registered on a
-// topic, in unspecified order.
-func (b *Broker) Subscriptions(topic string) []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.topics[topic]))
-	for n := range b.topics[topic] {
-		names = append(names, n)
-	}
-	return names
-}
 
 // Flush blocks until every subscription's queue is empty and no handler
 // is running, or the timeout elapses. It reports whether the broker

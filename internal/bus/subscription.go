@@ -32,12 +32,6 @@ func (s *Subscription) Topic() string { return s.topic }
 // Name returns the subscription name.
 func (s *Subscription) Name() string { return s.name }
 
-// Pending returns the number of queued, not-yet-delivered messages.
-func (s *Subscription) Pending() int {
-	queued, _ := s.busy()
-	return queued
-}
-
 // qlenLocked reports the live queue depth; qmu must be held.
 func (s *Subscription) qlenLocked() int { return len(s.queue) - s.head }
 

@@ -80,18 +80,26 @@ func (c *Controller) Pseudonym(personID string) string { return c.idx.Pseudonym(
 func (c *Controller) ShardID() cluster.ShardID { return c.shard.id }
 
 // shardAdmit enforces pseudonym ownership at the top of a publish and
-// returns the person's pseudonym, which the index put reuses: a key this
-// shard does not own under the current map answers
-// *cluster.WrongShardError naming the owner (the client refreshes its
-// map and retries there).
+// returns the person's pseudonym, which the index put reuses.
 func (c *Controller) shardAdmit(personID string) (string, error) {
-	m := c.reg.ShardMap()
 	pseudonym := c.idx.Pseudonym(personID)
-	if owner := m.Owner(pseudonym); owner != c.shard.id {
-		c.met.clusterWrongShard.Inc()
-		return "", &cluster.WrongShardError{Owner: owner, Version: m.Version()}
+	if err := c.owns(pseudonym); err != nil {
+		return "", err
 	}
 	return pseudonym, nil
+}
+
+// owns checks that this shard owns key under the current map. A key it
+// does not own answers *cluster.WrongShardError naming the owner (the
+// client refreshes its map and retries there), counted in
+// css_cluster_wrong_shard_total. A lone controller owns every key.
+func (c *Controller) owns(key string) error {
+	m := c.reg.ShardMap()
+	if owner := m.Owner(key); owner != c.shard.id {
+		c.met.clusterWrongShard.Inc()
+		return &cluster.WrongShardError{Owner: owner, Version: m.Version()}
+	}
+	return nil
 }
 
 // AdoptMap atomically switches the controller to next, the successor
@@ -104,7 +112,3 @@ func (c *Controller) AdoptMap(next *cluster.Map) error {
 	c.met.clusterMapVersion.Set(float64(next.Version()))
 	return nil
 }
-
-// IndexLen returns the number of events in this shard's index — the
-// exactly-once assertion surface of the chaos and smoke suites.
-func (c *Controller) IndexLen() (int, error) { return c.idx.Len() }

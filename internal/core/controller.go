@@ -109,7 +109,7 @@ type Config struct {
 type instruments struct {
 	published    *telemetry.Counter // css_publish_total
 	delivered    *telemetry.Counter // css_deliveries_total
-	consentDrops *telemetry.Counter // css_consent_drops_total
+	consentDrops *telemetry.Counter // css_consent_drops_total{reason}
 	subDenials   *telemetry.Counter // css_subscription_denials_total
 	decisions    *telemetry.Counter // css_detail_decisions_total{outcome}
 	inquiries    *telemetry.Counter // css_index_inquiries_total
@@ -133,7 +133,7 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		delivered: reg.Counter("css_deliveries_total",
 			"Notifications handed to subscriber handlers."),
 		consentDrops: reg.Counter("css_consent_drops_total",
-			"Deliveries suppressed by consent or revoked authorization."),
+			"Deliveries suppressed, by reason: consent (the person opted out) or authorization (no policy covers the subscriber any more).", "reason"),
 		subDenials: reg.Counter("css_subscription_denials_total",
 			"Subscription requests rejected (no authorizing policy)."),
 		decisions: reg.Counter("css_detail_decisions_total",
@@ -486,10 +486,6 @@ func (c *Controller) ConsentDirectives(personID string) []consent.Directive {
 // Metrics exposes the controller's telemetry registry (the serving layer
 // mounts it at /metrics).
 func (c *Controller) Metrics() *telemetry.Registry { return c.tel }
-
-// Spans exposes the in-process span recorder with the per-stage timings
-// of recent traced flows.
-func (c *Controller) Spans() *telemetry.SpanLog { return c.tracer.Spans() }
 
 // Tracer exposes the controller's tracer; the serving layer attaches it
 // to request contexts and daemons attach the durable span exporter.

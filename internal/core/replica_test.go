@@ -15,6 +15,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/replication"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // replRig wires a primary controller to a replica controller over a
@@ -246,7 +247,7 @@ func TestPromoteReplicaAcceptsWritesWithIntactChain(t *testing.T) {
 	// Exactly-once across failover: every pre-failover event is present
 	// exactly once, and a producer retry of an old source id gets its
 	// original global id back.
-	n, err := rig.replica.IndexLen()
+	n, err := testsupport.Indexed(rig.replica.Audit())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/policy"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 	"repro/internal/workload"
 )
 
@@ -193,11 +194,10 @@ func TestControllerStress(t *testing.T) {
 		t.Fatalf("%d privacy violations under concurrency", violations.Load())
 	}
 	reg := c.Metrics()
-	if got := reg.Counter("css_publish_total", "").Value(); got != producers*perStream {
+	if got := testsupport.CounterValue(reg, "css_publish_total"); got != producers*perStream {
 		t.Errorf("css_publish_total = %d, want %d", got, producers*perStream)
 	}
-	decisions := reg.Counter("css_detail_decisions_total", "", "outcome")
-	if decisions.Value("permit")+decisions.Value("deny") == 0 {
+	if testsupport.CounterValue(reg, "css_detail_decisions_total", "permit")+testsupport.CounterValue(reg, "css_detail_decisions_total", "deny") == 0 {
 		t.Error("no detail requests recorded")
 	}
 	if err := c.Audit().Verify(); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // TestTraceCorrelatesTwoPhaseFlow is the observability acceptance test:
@@ -120,7 +121,7 @@ func TestSpansCoverFlowStages(t *testing.T) {
 	}
 	stages := func(trace string) map[string]bool {
 		m := make(map[string]bool)
-		for _, s := range w.c.Spans().ByTrace(trace) {
+		for _, s := range testsupport.SpansOf(w.c.Tracer().Spans(), trace) {
 			m[s.Stage] = true
 		}
 		return m
@@ -253,7 +254,7 @@ func TestPublishTimesEachStageOnce(t *testing.T) {
 	}
 	stages := w.c.Metrics().Histogram("css_stage_seconds", "", "stage")
 	for stage, want := range map[string]uint64{"publish": 1, "index.put": 1, "audit.append": 1, "bus.publish": 1, "bus.deliver": 16} {
-		if got := stages.Count(stage); got != want {
+		if _, got := stages.BucketCounts(stage); got != want {
 			t.Errorf("css_stage_seconds{stage=%q} = %d, want %d", stage, got, want)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/enforcer"
 	"repro/internal/event"
 	"repro/internal/index"
+	"repro/internal/testsupport"
 )
 
 // unavailableSource simulates a producer gateway that never answers.
@@ -46,7 +47,7 @@ func TestCancelledAuditRecordCarriesTrace(t *testing.T) {
 		t.Fatal("cancelled audit record has no trace id")
 	}
 
-	spans := w.c.Spans().ByTrace(trace)
+	spans := testsupport.SpansOf(w.c.Tracer().Spans(), trace)
 	if len(spans) == 0 {
 		t.Fatalf("no spans recorded for cancelled trace %s", trace)
 	}
@@ -105,7 +106,7 @@ func TestUnavailableAuditRecordCarriesTrace(t *testing.T) {
 	if trace == "" {
 		t.Fatal("unavailable audit record has no trace id")
 	}
-	spans := w.c.Spans().ByTrace(trace)
+	spans := testsupport.SpansOf(w.c.Tracer().Spans(), trace)
 	var stages []string
 	for _, s := range spans {
 		stages = append(stages, s.Stage)

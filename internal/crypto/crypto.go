@@ -120,17 +120,8 @@ func (k *Keyring) Open(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// SealString encrypts a string and encodes the result in URL-safe base64
-// so it can live inside XML attributes and store keys.
-func (k *Keyring) SealString(s string) (string, error) {
-	sealed, err := k.Seal([]byte(s))
-	if err != nil {
-		return "", err
-	}
-	return base64.URLEncoding.EncodeToString(sealed), nil
-}
-
-// OpenString reverses SealString.
+// OpenString decrypts a sealed value held in URL-safe base64, the form
+// index records keep the person identifier in.
 func (k *Keyring) OpenString(s string) (string, error) {
 	sealed, err := base64.URLEncoding.DecodeString(s)
 	if err != nil {

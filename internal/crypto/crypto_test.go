@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/base64"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,10 +109,11 @@ func TestOpenRejectsOtherKey(t *testing.T) {
 
 func TestSealStringRoundTrip(t *testing.T) {
 	k := testKeyring(t)
-	enc, err := k.SealString("PRS-0001")
+	sealed, err := k.Seal([]byte("PRS-0001"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	enc := base64.URLEncoding.EncodeToString(sealed)
 	if strings.Contains(enc, "PRS") {
 		t.Error("sealed string leaks plaintext")
 	}

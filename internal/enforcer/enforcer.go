@@ -167,12 +167,6 @@ func fetch(ctx context.Context, g DetailSource, trace string, src event.SourceID
 	return g.GetResponse(src, fields)
 }
 
-// GetEventDetails resolves a detail request — Algorithm 1 — under no
-// particular deadline. See GetEventDetailsContext.
-func (e *Enforcer) GetEventDetails(r *event.DetailRequest) (*event.Detail, Outcome, error) {
-	return e.GetEventDetailsContext(context.Background(), r)
-}
-
 // GetEventDetailsContext resolves a detail request — Algorithm 1. On
 // permit it returns the privacy-aware detail produced by the gateway
 // plus the outcome; on deny it returns a nil detail, the outcome with

@@ -1,6 +1,7 @@
 package enforcer
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -83,9 +84,9 @@ func TestNewValidation(t *testing.T) {
 func TestAlgorithm1Permit(t *testing.T) {
 	f := newFixture(t)
 	p := f.addPolicy(t, "patient-id", "hemoglobin")
-	d, out, err := f.enf.GetEventDetails(f.request())
+	d, out, err := f.enf.GetEventDetailsContext(context.Background(), f.request())
 	if err != nil {
-		t.Fatalf("GetEventDetails: %v", err)
+		t.Fatalf("GetEventDetailsContext: %v", err)
 	}
 	if out.Decision != event.Permit || out.PolicyID != string(p.ID) {
 		t.Errorf("outcome = %+v", out)
@@ -107,7 +108,7 @@ func TestAlgorithm1Permit(t *testing.T) {
 func TestAlgorithm1DenyByDefault(t *testing.T) {
 	f := newFixture(t)
 	// No policy at all.
-	d, out, err := f.enf.GetEventDetails(f.request())
+	d, out, err := f.enf.GetEventDetailsContext(context.Background(), f.request())
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("err = %v, want ErrDenied", err)
 	}
@@ -126,7 +127,7 @@ func TestAlgorithm1DenyOnMismatches(t *testing.T) {
 	for name, mutate := range cases {
 		r := f.request()
 		mutate(r)
-		if _, out, err := f.enf.GetEventDetails(r); !errors.Is(err, ErrDenied) || out.Decision != event.Deny {
+		if _, out, err := f.enf.GetEventDetailsContext(context.Background(), r); !errors.Is(err, ErrDenied) || out.Decision != event.Deny {
 			t.Errorf("%s: err=%v outcome=%+v", name, err, out)
 		}
 	}
@@ -137,7 +138,7 @@ func TestAlgorithm1UnknownEvent(t *testing.T) {
 	f.addPolicy(t, "patient-id")
 	r := f.request()
 	r.EventID = "evt-never-assigned"
-	if _, _, err := f.enf.GetEventDetails(r); !errors.Is(err, ErrUnknownEvent) {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), r); !errors.Is(err, ErrUnknownEvent) {
 		t.Errorf("err = %v, want ErrUnknownEvent", err)
 	}
 }
@@ -157,7 +158,7 @@ func TestAlgorithm1ClassMismatch(t *testing.T) {
 	}
 	r := f.request()
 	r.Class = "hospital.discharge" // real class of f.gid is blood-test
-	if _, _, err := f.enf.GetEventDetails(r); !errors.Is(err, ErrClassMismatch) {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), r); !errors.Is(err, ErrClassMismatch) {
 		t.Errorf("err = %v, want ErrClassMismatch", err)
 	}
 }
@@ -176,7 +177,7 @@ func TestAlgorithm1NoGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &event.DetailRequest{Requester: "a", Class: "c.x", EventID: gid, Purpose: "s"}
-	if _, _, err := enf.GetEventDetails(r); !errors.Is(err, ErrNoGateway) {
+	if _, _, err := enf.GetEventDetailsContext(context.Background(), r); !errors.Is(err, ErrNoGateway) {
 		t.Errorf("err = %v, want ErrNoGateway", err)
 	}
 }
@@ -188,7 +189,7 @@ func TestAlgorithm1GatewayMiss(t *testing.T) {
 	gid, _ := f.ids.Assign("hospital", "src-ghost", "hospital.blood-test")
 	r := f.request()
 	r.EventID = gid
-	if _, _, err := f.enf.GetEventDetails(r); !errors.Is(err, gateway.ErrNotFound) {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), r); !errors.Is(err, gateway.ErrNotFound) {
 		t.Errorf("err = %v, want gateway.ErrNotFound", err)
 	}
 }
@@ -198,7 +199,7 @@ func TestAlgorithm1InvalidRequest(t *testing.T) {
 	f.addPolicy(t, "patient-id")
 	r := f.request()
 	r.Purpose = ""
-	if _, out, err := f.enf.GetEventDetails(r); err == nil || out.Decision != event.Deny {
+	if _, out, err := f.enf.GetEventDetailsContext(context.Background(), r); err == nil || out.Decision != event.Deny {
 		t.Error("invalid request accepted")
 	}
 }
@@ -223,7 +224,7 @@ func TestDefenseInDepthAgainstUnsafeGateway(t *testing.T) {
 		Purposes: []event.Purpose{"s"}, Fields: []event.FieldName{"allowed"},
 	})
 	r := &event.DetailRequest{Requester: "a", Class: "c.x", EventID: gid, Purpose: "s"}
-	d, out, err := enf.GetEventDetails(r)
+	d, out, err := enf.GetEventDetailsContext(context.Background(), r)
 	if !errors.Is(err, ErrUnsafeResponse) {
 		t.Fatalf("err = %v, want ErrUnsafeResponse", err)
 	}
@@ -235,13 +236,13 @@ func TestDefenseInDepthAgainstUnsafeGateway(t *testing.T) {
 func TestRemovePolicy(t *testing.T) {
 	f := newFixture(t)
 	p := f.addPolicy(t, "patient-id")
-	if _, _, err := f.enf.GetEventDetails(f.request()); err != nil {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); err != nil {
 		t.Fatalf("pre-revocation request failed: %v", err)
 	}
 	if err := f.enf.RemovePolicy(p.ID); err != nil {
 		t.Fatalf("RemovePolicy: %v", err)
 	}
-	if _, _, err := f.enf.GetEventDetails(f.request()); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); !errors.Is(err, ErrDenied) {
 		t.Errorf("post-revocation err = %v, want ErrDenied", err)
 	}
 	if err := f.enf.RemovePolicy(p.ID); err == nil {
@@ -284,7 +285,7 @@ func TestMostSpecificPolicyGovernsFields(t *testing.T) {
 	}
 	r := f.request()
 	r.Requester = "family-doctor/north"
-	d, out, err := f.enf.GetEventDetails(r)
+	d, out, err := f.enf.GetEventDetailsContext(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

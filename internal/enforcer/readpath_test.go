@@ -17,14 +17,14 @@ func TestRemovePolicyDeniesNextRequest(t *testing.T) {
 	f := newFixture(t)
 	p := f.addPolicy(t, "patient-id")
 	// A permit first.
-	if _, out, err := f.enf.GetEventDetails(f.request()); err != nil || out.Decision != event.Permit {
+	if _, out, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); err != nil || out.Decision != event.Permit {
 		t.Fatalf("warm-up: err=%v out=%+v", err, out)
 	}
 	if err := f.enf.RemovePolicy(p.ID); err != nil {
 		t.Fatal(err)
 	}
 	// The VERY NEXT request must be denied — no stale permit window.
-	if _, out, err := f.enf.GetEventDetails(f.request()); !errors.Is(err, ErrDenied) || out.Decision != event.Deny {
+	if _, out, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); !errors.Is(err, ErrDenied) || out.Decision != event.Deny {
 		t.Fatalf("post-revocation: err=%v out=%+v, want immediate deny", err, out)
 	}
 }
@@ -32,12 +32,12 @@ func TestRemovePolicyDeniesNextRequest(t *testing.T) {
 func TestAddPolicyPermitsNextRequest(t *testing.T) {
 	f := newFixture(t)
 	// A deny first (no policy yet).
-	if _, _, err := f.enf.GetEventDetails(f.request()); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); !errors.Is(err, ErrDenied) {
 		t.Fatal("expected initial deny")
 	}
 	f.addPolicy(t, "patient-id")
 	// The new policy must take effect on the very next request.
-	if _, out, err := f.enf.GetEventDetails(f.request()); err != nil || out.Decision != event.Permit {
+	if _, out, err := f.enf.GetEventDetailsContext(context.Background(), f.request()); err != nil || out.Decision != event.Permit {
 		t.Fatalf("post-grant: err=%v out=%+v, want immediate permit", err, out)
 	}
 }
@@ -169,7 +169,7 @@ func TestNoStalePermitUnderPolicyChurn(t *testing.T) {
 			r := f.request()
 			for i := 0; i < perWorker; i++ {
 				s1 := seq.Load()
-				_, out, err := f.enf.GetEventDetails(r)
+				_, out, err := f.enf.GetEventDetailsContext(context.Background(), r)
 				switch {
 				case err == nil && out.Decision == event.Permit:
 					permits.Add(1)

@@ -28,15 +28,6 @@ func (a Actor) Validate() error {
 	return nil
 }
 
-// Organization returns the top-level organization segment of the actor.
-func (a Actor) Organization() string {
-	s := string(a)
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // Contains reports whether other falls under a in the organizational
 // hierarchy: a == other, or a is a proper ancestor (path prefix on a
 // segment boundary). A policy granted to an organization therefore covers

@@ -167,15 +167,6 @@ func TestActorValidate(t *testing.T) {
 	}
 }
 
-func TestActorOrganization(t *testing.T) {
-	if got := Actor("hospital/lab").Organization(); got != "hospital" {
-		t.Errorf("Organization() = %q, want hospital", got)
-	}
-	if got := Actor("hospital").Organization(); got != "hospital" {
-		t.Errorf("Organization() = %q, want hospital", got)
-	}
-}
-
 func TestActorContains(t *testing.T) {
 	cases := []struct {
 		a, b Actor
@@ -217,15 +208,6 @@ func TestDetailRequestValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("missing %s accepted", name)
 		}
-	}
-}
-
-func TestDecisionString(t *testing.T) {
-	if Permit.String() != "Permit" || Deny.String() != "Deny" {
-		t.Errorf("Decision strings = %q/%q", Permit, Deny)
-	}
-	if s := Decision(99).String(); s != "Deny" {
-		t.Errorf("unknown decision should read as Deny, got %q", s)
 	}
 }
 

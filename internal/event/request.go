@@ -61,14 +61,6 @@ const (
 	Permit
 )
 
-// String returns the XACML-style name of the decision.
-func (d Decision) String() string {
-	if d == Permit {
-		return "Permit"
-	}
-	return "Deny"
-}
-
 type errValue string
 
 func (e errValue) Error() string { return string(e) }

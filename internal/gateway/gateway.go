@@ -96,11 +96,6 @@ func (g *Gateway) Persist(d *event.Detail) error {
 	return nil
 }
 
-// Has reports whether details for the source id are persisted.
-func (g *Gateway) Has(src event.SourceID) (bool, error) {
-	return g.st.Has(detailKey(src))
-}
-
 // load retrieves and decodes the full persisted detail. Unexported: full
 // details never cross the package boundary unfiltered — GetResponse is
 // the only exit path, mirroring the paper's guarantee that "it is never
@@ -145,19 +140,6 @@ func (g *Gateway) GetResponse(src event.SourceID, fields []event.FieldName) (*ev
 	g.bytesOut.Add(out)
 	g.bytesHeld.Add(held)
 	return filtered, nil
-}
-
-// Len returns the number of persisted detail messages, counting keys.
-func (g *Gateway) Len() (int, error) {
-	n := 0
-	err := g.st.View(func(tx store.Tx) error {
-		tx.AscendKeys("dt/", "", func(string) bool {
-			n++
-			return true
-		})
-		return nil
-	})
-	return n, err
 }
 
 // Stats reports cumulative gateway counters, used by the exposure

@@ -57,9 +57,6 @@ func TestPersistAndGetResponse(t *testing.T) {
 	if err := g.Persist(bloodDetail("src-1")); err != nil {
 		t.Fatalf("Persist: %v", err)
 	}
-	if ok, _ := g.Has("src-1"); !ok {
-		t.Error("Has(src-1) = false")
-	}
 	got, err := g.GetResponse("src-1", []event.FieldName{"patient-id", "hemoglobin"})
 	if err != nil {
 		t.Fatalf("GetResponse: %v", err)

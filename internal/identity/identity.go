@@ -7,9 +7,9 @@
 //
 // An Authority issues HMAC-signed bearer tokens binding a principal to an
 // organizational actor and a role set, with an expiry; it verifies tokens
-// presented on web-service calls and supports revocation. The trusted-
-// parties assumption of the paper becomes checkable: a request may only
-// act as an actor its token covers.
+// presented on web-service calls. A token is not revocable before it
+// expires. The trusted-parties assumption of the paper becomes
+// checkable: a request may only act as an actor its token covers.
 package identity
 
 import (
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/event"
@@ -36,13 +35,12 @@ var (
 	ErrMalformed = errors.New("identity: malformed token")
 	ErrSignature = errors.New("identity: invalid signature")
 	ErrExpired   = errors.New("identity: token expired")
-	ErrRevoked   = errors.New("identity: token revoked")
 	ErrNotYet    = errors.New("identity: token not yet valid")
 )
 
 // Claims are the verified contents of a token.
 type Claims struct {
-	// TokenID identifies the token for revocation.
+	// TokenID identifies the token.
 	TokenID string `json:"jti"`
 	// Actor is the organizational unit the bearer acts as. The token
 	// covers the actor and (for organization-level tokens) its
@@ -72,12 +70,9 @@ func (c *Claims) HasRole(role string) bool {
 	return false
 }
 
-// Authority issues, verifies and revokes tokens. Safe for concurrent use.
+// Authority issues and verifies tokens. Safe for concurrent use.
 type Authority struct {
 	key []byte
-
-	mu      sync.RWMutex
-	revoked map[string]bool
 }
 
 // NewAuthority creates an authority with the given signing key.
@@ -85,16 +80,7 @@ func NewAuthority(key []byte) (*Authority, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("identity: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	return &Authority{key: append([]byte(nil), key...), revoked: make(map[string]bool)}, nil
-}
-
-// NewRandomAuthority creates an authority with a fresh random key.
-func NewRandomAuthority() (*Authority, error) {
-	key := make([]byte, KeySize)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("identity: %w", err)
-	}
-	return NewAuthority(key)
+	return &Authority{key: append([]byte(nil), key...)}, nil
 }
 
 // Issue mints a token for actor with the given roles and time-to-live.
@@ -132,8 +118,8 @@ func (a *Authority) sign(body string) string {
 	return base64.RawURLEncoding.EncodeToString(m.Sum(nil))
 }
 
-// Verify checks a token's signature, validity window and revocation
-// status at the given instant (zero means now), returning its claims.
+// Verify checks a token's signature and validity window at the given
+// instant (zero means now), returning its claims.
 func (a *Authority) Verify(token string, at time.Time) (Claims, error) {
 	if at.IsZero() {
 		at = time.Now()
@@ -161,19 +147,5 @@ func (a *Authority) Verify(token string, at time.Time) (Claims, error) {
 	if at.After(claims.ExpiresAt) {
 		return Claims{}, ErrExpired
 	}
-	a.mu.RLock()
-	revoked := a.revoked[claims.TokenID]
-	a.mu.RUnlock()
-	if revoked {
-		return Claims{}, ErrRevoked
-	}
 	return claims, nil
-}
-
-// Revoke invalidates a token by its id ("manage changes and revocation
-// of authorizations", §5). Revoking an unknown id is a no-op.
-func (a *Authority) Revoke(tokenID string) {
-	a.mu.Lock()
-	a.revoked[tokenID] = true
-	a.mu.Unlock()
 }

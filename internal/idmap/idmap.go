@@ -110,19 +110,6 @@ func (m *Map) Resolve(gid event.GlobalID) (Mapping, error) {
 	return Mapping{Global: gid, Producer: producer, Source: source, Class: class}, nil
 }
 
-// Len returns the number of assigned global identifiers, counting keys.
-func (m *Map) Len() (int, error) {
-	n := 0
-	err := m.st.View(func(tx store.Tx) error {
-		tx.AscendKeys("g/", "", func(string) bool {
-			n++
-			return true
-		})
-		return nil
-	})
-	return n, err
-}
-
 func globalKey(gid event.GlobalID) string { return "g/" + string(gid) }
 
 func reverseKey(p event.ProducerID, s event.SourceID) string {

@@ -65,17 +65,6 @@ func (ix *Index) Pseudonym(person string) string {
 	return ix.keys.Pseudonym(person)
 }
 
-// Put stores a published notification. The notification must carry its
-// controller-assigned global ID. Put is idempotent on the global ID.
-// Put is PutStaged followed immediately by the commit barrier.
-func (ix *Index) Put(n *event.Notification) error {
-	c, err := ix.PutStaged(n)
-	if err != nil {
-		return err
-	}
-	return c.Wait()
-}
-
 // batchPool recycles the batch (and its ops slice) across puts.
 var batchPool = sync.Pool{New: func() any { return new(store.Batch) }}
 
@@ -131,8 +120,7 @@ func (ix *Index) PutStagedWith(n *event.Notification, pseudonym string) (store.C
 // produced, so existing stores decode identically. One exact-guess
 // allocation instead of reflection. The sealed person identifier is
 // base64-encoded straight into the record (the URL-safe alphabet never
-// needs JSON escaping), producing the byte-identical personId value
-// SealString used to build through an intermediate string.
+// needs JSON escaping), the form crypto.Keyring.OpenString reads back.
 func appendRecordJSON(n *event.Notification, sealed []byte) []byte {
 	dst := make([]byte, 0, len(n.ID)+len(n.Class)+base64.URLEncoding.EncodedLen(len(sealed))+len(n.Summary)+
 		len(n.Producer)+2*len(time.RFC3339Nano)+112)
@@ -367,19 +355,6 @@ func matches(n *event.Notification, q Inquiry) bool {
 		return false
 	}
 	return true
-}
-
-// Len returns the number of stored notifications, counting keys.
-func (ix *Index) Len() (int, error) {
-	n := 0
-	err := ix.st.View(func(tx store.Tx) error {
-		tx.AscendKeys("e/", "", func(string) bool {
-			n++
-			return true
-		})
-		return nil
-	})
-	return n, err
 }
 
 func eventKey(id event.GlobalID) string { return "e/" + string(id) }

@@ -265,15 +265,9 @@ func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(
 	}, Decision{Admitted: true}
 }
 
-// InFlight reports the number of currently admitted requests.
-func (g *Gate) InFlight() int { return int(g.inflight.Load()) }
-
 // BeginDrain flips the gate into draining: every subsequent Admit is
 // refused with ReasonDraining while already-admitted requests finish.
 func (g *Gate) BeginDrain() { g.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (g *Gate) Draining() bool { return g.draining.Load() }
 
 // RecordDrainDuration publishes the duration of a completed drain on
 // css_overload_drain_seconds.

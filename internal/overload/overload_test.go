@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // admit is a test helper asserting the admission outcome.
@@ -149,10 +150,10 @@ func TestMetricsRecorded(t *testing.T) {
 	release := admit(t, g, "ep", Critical, "", true)
 	g.Admit("ep", Low, "") // shed: pressure
 	release()
-	if v := g.admitted.Value("critical"); v != 1 {
+	if v := testsupport.CounterValue(reg, "css_overload_admitted_total", "critical"); v != 1 {
 		t.Fatalf("admitted{critical} = %d", v)
 	}
-	if v := g.shed.Value("low", ReasonPressure); v != 1 {
+	if v := testsupport.CounterValue(reg, "css_overload_shed_total", "low", ReasonPressure); v != 1 {
 		t.Fatalf("shed{low,pressure} = %d", v)
 	}
 }

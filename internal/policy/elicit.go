@@ -31,7 +31,6 @@ type Builder struct {
 	purposes  []event.Purpose
 	name      string
 	desc      string
-	notBefore time.Time
 	notAfter  time.Time
 	err       error
 }
@@ -148,15 +147,6 @@ func (b *Builder) ValidUntil(t time.Time) *Builder {
 	return b
 }
 
-// ValidFrom sets the start of the validity window.
-func (b *Builder) ValidFrom(t time.Time) *Builder {
-	if b.err != nil {
-		return b
-	}
-	b.notBefore = t
-	return b
-}
-
 // Build validates the elicited selections and returns one policy per
 // selected consumer.
 func (b *Builder) Build() ([]*Policy, error) {
@@ -180,7 +170,6 @@ func (b *Builder) Build() ([]*Policy, error) {
 			Class:       b.schema.Class(),
 			Purposes:    append([]event.Purpose(nil), b.purposes...),
 			Fields:      append([]event.FieldName(nil), b.fields...),
-			NotBefore:   b.notBefore,
 			NotAfter:    b.notAfter,
 		}
 		if err := p.Validate(); err != nil {

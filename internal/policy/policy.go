@@ -120,16 +120,6 @@ func (p *Policy) AllowsPurpose(s event.Purpose) bool {
 	return false
 }
 
-// AllowsField reports whether f ∈ F.
-func (p *Policy) AllowsField(f event.FieldName) bool {
-	for _, allowed := range p.Fields {
-		if allowed == f {
-			return true
-		}
-	}
-	return false
-}
-
 // ValidAt reports whether the policy's validity window covers t.
 func (p *Policy) ValidAt(t time.Time) bool {
 	if !p.NotBefore.IsZero() && t.Before(p.NotBefore) {

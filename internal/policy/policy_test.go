@@ -95,9 +95,6 @@ func TestAllowsPurposeAndField(t *testing.T) {
 	if p.AllowsPurpose(event.PurposeStatisticalAnalysis) {
 		t.Error("disallowed purpose accepted")
 	}
-	if !p.AllowsField("name") || p.AllowsField("care-notes") {
-		t.Error("AllowsField misreports")
-	}
 }
 
 func TestValidAt(t *testing.T) {

@@ -123,22 +123,6 @@ func (r *Repository) best(req *event.DetailRequest) *Policy {
 	return best
 }
 
-// Match implements the policy matching phase of §5: it finds the policy
-// that matches the request per Definition 3. When several policies match
-// (e.g. one granted to the organization and one to the department), the
-// most specific actor wins; ties break toward the most recently created
-// policy. It returns ErrNotFound when no policy matches — the caller must
-// then deny (deny-by-default).
-func (r *Repository) Match(req *event.DetailRequest) (*Policy, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	best := r.best(req)
-	if best == nil {
-		return nil, ErrNotFound
-	}
-	return best.Clone(), nil
-}
-
 // MatchFields returns the identifier and field set F of the policy Match
 // would select, without copying it: the decision of Algorithm 1, since a
 // matched policy grants exactly F. The slice is the stored one, which
@@ -157,17 +141,6 @@ func (r *Repository) MatchFields(req *event.DetailRequest) (ID, []event.FieldNam
 func (r *Repository) MatchID(req *event.DetailRequest) (ID, error) {
 	id, _, err := r.MatchFields(req)
 	return id, err
-}
-
-// MatchAll returns a copy of every policy matching the request, most
-// specific first: Match's candidates in the order it resolves them.
-func (r *Repository) MatchAll(req *event.DetailRequest) []*Policy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Policy
-	r.eachMatch(req, func(p *Policy) { out = append(out, p.Clone()) })
-	sort.Slice(out, func(i, j int) bool { return moreSpecific(out[i], out[j]) })
-	return out
 }
 
 // OrderForEnforcement returns a copy of the policies sorted by the
@@ -221,18 +194,6 @@ func (r *Repository) ByProducer(prod event.ProducerID) []*Policy {
 		if p.Producer == prod {
 			out = append(out, p.Clone())
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ByClass returns all policies protecting a class, sorted by ID.
-func (r *Repository) ByClass(class event.ClassID) []*Policy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Policy, 0, len(r.byClass[class]))
-	for _, p := range r.byClass[class] {
-		out = append(out, p.Clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

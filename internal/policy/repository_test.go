@@ -78,13 +78,13 @@ func TestRepositoryAddStoresCopy(t *testing.T) {
 
 func TestMatchDenyByDefault(t *testing.T) {
 	r := NewRepository()
-	if _, err := r.Match(request()); !errors.Is(err, ErrNotFound) {
+	if _, _, err := r.MatchFields(request()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Match on empty repo = %v, want ErrNotFound", err)
 	}
 	r.Add(validPolicy())
 	req := request()
 	req.Purpose = event.PurposeAdministration
-	if _, err := r.Match(req); !errors.Is(err, ErrNotFound) {
+	if _, _, err := r.MatchFields(req); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Match with wrong purpose = %v, want ErrNotFound", err)
 	}
 }
@@ -92,12 +92,12 @@ func TestMatchDenyByDefault(t *testing.T) {
 func TestMatchFindsPolicy(t *testing.T) {
 	r := NewRepository()
 	want, _ := r.Add(validPolicy())
-	got, err := r.Match(request())
+	id, _, err := r.MatchFields(request())
 	if err != nil {
-		t.Fatalf("Match: %v", err)
+		t.Fatalf("MatchFields: %v", err)
 	}
-	if got.ID != want.ID {
-		t.Errorf("Match = %s, want %s", got.ID, want.ID)
+	if id != want.ID {
+		t.Errorf("MatchFields = %s, want %s", id, want.ID)
 	}
 }
 
@@ -109,26 +109,26 @@ func TestMatchPrefersMostSpecificActor(t *testing.T) {
 	dept := validPolicy()
 	dept.Actor = "hospital/laboratory"
 	dept.Fields = []event.FieldName{"patient-id", "name"}
-	r.Add(org)
-	r.Add(dept)
+	storedOrg, _ := r.Add(org)
+	storedDept, _ := r.Add(dept)
 
 	req := request()
 	req.Requester = "hospital/laboratory"
-	got, err := r.Match(req)
+	id, fields, err := r.MatchFields(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Actor != "hospital/laboratory" || len(got.Fields) != 2 {
-		t.Errorf("Match chose %s with %d fields, want department policy", got.Actor, len(got.Fields))
+	if id != storedDept.ID || len(fields) != 2 {
+		t.Errorf("MatchFields chose %s with %d fields, want department policy %s", id, len(fields), storedDept.ID)
 	}
 	// A sibling department only matches the org-level grant.
 	req.Requester = "hospital/dermatology"
-	got, err = r.Match(req)
+	id, _, err = r.MatchFields(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Actor != "hospital" {
-		t.Errorf("sibling matched %s", got.Actor)
+	if id != storedOrg.ID {
+		t.Errorf("sibling matched %s, want %s", id, storedOrg.ID)
 	}
 }
 
@@ -142,31 +142,12 @@ func TestMatchTieBreaksByNewest(t *testing.T) {
 	newer.Fields = []event.FieldName{"patient-id", "name"}
 	r.Add(older)
 	r.Add(newer)
-	got, err := r.Match(request())
+	_, fields, err := r.MatchFields(request())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Fields) != 2 {
-		t.Error("Match did not prefer the newest policy on actor tie")
-	}
-}
-
-func TestMatchAll(t *testing.T) {
-	r := NewRepository()
-	org := validPolicy()
-	org.Actor = "hospital"
-	dept := validPolicy()
-	dept.Actor = "hospital/laboratory"
-	r.Add(org)
-	r.Add(dept)
-	req := request()
-	req.Requester = "hospital/laboratory"
-	all := r.MatchAll(req)
-	if len(all) != 2 {
-		t.Fatalf("MatchAll = %d, want 2", len(all))
-	}
-	if all[0].Actor != "hospital/laboratory" {
-		t.Errorf("MatchAll[0] = %s, want most specific first", all[0].Actor)
+	if len(fields) != 2 {
+		t.Error("MatchFields did not prefer the newest policy on actor tie")
 	}
 }
 
@@ -205,9 +186,6 @@ func TestByProducerByClassAll(t *testing.T) {
 	if got := r.ByProducer("municipality-trento"); len(got) != 1 {
 		t.Errorf("ByProducer = %d", len(got))
 	}
-	if got := r.ByClass("hospital.blood-test"); len(got) != 1 {
-		t.Errorf("ByClass = %d", len(got))
-	}
 	if got := r.All(); len(got) != 2 || got[0].ID >= got[1].ID {
 		t.Errorf("All = %v", got)
 	}
@@ -227,7 +205,7 @@ func TestRepositoryConcurrency(t *testing.T) {
 					t.Errorf("Add: %v", err)
 					return
 				}
-				r.Match(request())
+				r.MatchFields(request())
 				r.All()
 			}
 		}(g)

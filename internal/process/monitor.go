@@ -162,9 +162,3 @@ func (m *Monitor) Snapshot(now time.Time) Report {
 	}
 	return r
 }
-
-// Stalled returns the instances whose awaited stage is overdue at now —
-// the monitoring alarms a governing body acts on.
-func (m *Monitor) Stalled(now time.Time) []Instance {
-	return m.Snapshot(now).Stalled
-}

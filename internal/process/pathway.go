@@ -81,18 +81,6 @@ const (
 	Completed
 )
 
-// String returns the lowercase state name.
-func (s State) String() string {
-	switch s {
-	case Completed:
-		return "completed"
-	case Stalled:
-		return "stalled"
-	default:
-		return "active"
-	}
-}
-
 // Instance is the monitored progress of one person through one pathway.
 type Instance struct {
 	// Pathway names the declaration this instance follows.

@@ -89,21 +89,21 @@ func TestStallDetection(t *testing.T) {
 	m.Observe(notif("e1", "P1", schema.ClassDischarge, pt0))
 
 	// Within the 7-day window: active.
-	if got := m.Stalled(pt0.Add(6 * 24 * time.Hour)); len(got) != 0 {
+	if got := m.Snapshot(pt0.Add(6 * 24 * time.Hour)).Stalled; len(got) != 0 {
 		t.Errorf("stalled too early: %+v", got)
 	}
 	// Past it: stalled, awaiting stage 0.
-	got := m.Stalled(pt0.Add(8 * 24 * time.Hour))
+	got := m.Snapshot(pt0.Add(8 * 24 * time.Hour)).Stalled
 	if len(got) != 1 || got[0].NextStage != 0 {
 		t.Fatalf("stalled = %+v", got)
 	}
 	// The late event still advances the instance (observational monitor).
 	m.Observe(notif("e2", "P1", schema.ClassHomeCare, pt0.Add(9*24*time.Hour)))
-	if got := m.Stalled(pt0.Add(10 * 24 * time.Hour)); len(got) != 0 {
+	if got := m.Snapshot(pt0.Add(10 * 24 * time.Hour)).Stalled; len(got) != 0 {
 		t.Errorf("still stalled after late advance: %+v", got)
 	}
 	// Second deadline counts from the advancing event.
-	if got := m.Stalled(pt0.Add((9 + 15) * 24 * time.Hour)); len(got) != 1 {
+	if got := m.Snapshot(pt0.Add((9 + 15) * 24 * time.Hour)).Stalled; len(got) != 1 {
 		t.Errorf("second-stage stall missed: %+v", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestRetriggerAfterCompletionOpensNewInstance(t *testing.T) {
 		t.Errorf("report = completed %d, active %d", len(r.Completed), len(r.Active))
 	}
 	// Zero deadline stage never stalls.
-	if got := m.Stalled(pt0.Add(1000 * time.Hour)); len(got) != 0 {
+	if got := m.Snapshot(pt0.Add(1000 * time.Hour)).Stalled; len(got) != 0 {
 		t.Errorf("deadline-less stage stalled: %+v", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,54 +187,6 @@ func (r *Registry) Classes() []Declaration {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// ClassesByProducer returns the declarations of one producer, sorted by
-// class id.
-func (r *Registry) ClassesByProducer(id event.ProducerID) []Declaration {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Declaration
-	for _, d := range r.classes {
-		if d.Producer == id {
-			out = append(out, *d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-// Search finds declarations whose class id, documentation or field
-// documentation contains the keyword (case-insensitive) — the catalog
-// discovery a candidate consumer performs before subscribing.
-func (r *Registry) Search(keyword string) []Declaration {
-	needle := strings.ToLower(keyword)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Declaration
-	for _, d := range r.classes {
-		if declarationMatches(d, needle) {
-			out = append(out, *d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-func declarationMatches(d *Declaration, needle string) bool {
-	if strings.Contains(strings.ToLower(string(d.Class)), needle) {
-		return true
-	}
-	if strings.Contains(strings.ToLower(d.Schema.Doc()), needle) {
-		return true
-	}
-	for _, f := range d.Schema.Fields() {
-		if strings.Contains(strings.ToLower(string(f.Name)), needle) ||
-			strings.Contains(strings.ToLower(f.Doc), needle) {
-			return true
-		}
-	}
-	return false
 }
 
 // Producers returns all registered producers, sorted by id.

@@ -136,40 +136,6 @@ func TestClassesListing(t *testing.T) {
 			t.Error("Classes not sorted")
 		}
 	}
-	mine := r.ClassesByProducer("hospital-s-maria")
-	if len(mine) != 2 {
-		t.Errorf("ClassesByProducer = %d", len(mine))
-	}
-}
-
-func TestSearch(t *testing.T) {
-	r := memberRegistry(t)
-	r.DeclareClass("hospital-s-maria", schema.BloodTest())
-	r.RegisterProducer("municipality", "Municipality")
-	r.DeclareClass("municipality", schema.HomeCare())
-
-	if got := r.Search("blood"); len(got) != 1 || got[0].Class != schema.ClassBloodTest {
-		t.Errorf("Search(blood) = %+v", got)
-	}
-	// Match on schema doc text.
-	if got := r.Search("home care service delivered"); len(got) != 1 {
-		t.Errorf("Search(doc text) = %d", len(got))
-	}
-	// Match on field name/doc.
-	if got := r.Search("hemoglobin"); len(got) != 1 {
-		t.Errorf("Search(field) = %d", len(got))
-	}
-	// Case-insensitive.
-	if got := r.Search("BLOOD"); len(got) != 1 {
-		t.Errorf("Search(BLOOD) = %d", len(got))
-	}
-	if got := r.Search("zebra"); len(got) != 0 {
-		t.Errorf("Search(zebra) = %d", len(got))
-	}
-	// patient-id appears in both schemas.
-	if got := r.Search("patient-id"); len(got) != 2 {
-		t.Errorf("Search(patient-id) = %d", len(got))
-	}
 }
 
 func TestConcurrent(t *testing.T) {
@@ -192,7 +158,6 @@ func TestConcurrent(t *testing.T) {
 					return
 				}
 				r.Classes()
-				r.Search("x")
 			}
 		}(g)
 	}

@@ -204,11 +204,6 @@ func appendDataHead(dst []byte, store string, epoch uint64, offset int64, segLen
 	return binary.AppendUvarint(dst, uint64(segLen))
 }
 
-func encodeData(store string, epoch uint64, offset int64, seg []byte) []byte {
-	dst := make([]byte, 0, dataHeadLen(store, epoch, offset, len(seg))+len(seg))
-	return append(appendDataHead(dst, store, epoch, offset, len(seg)), seg...)
-}
-
 // writeData writes the message writeMsg(bw, encodeData(...)) would, but
 // puts the length and frame head in bw's free buffer space and the
 // segment behind them, with no segment-sized frame built first.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/frame"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // The durability contract of a link, by mode: an async link's acks name
@@ -140,7 +141,6 @@ func TestAsyncLinkSyncsAtHeartbeat(t *testing.T) {
 	fs := openStores(t, filepath.Join(dir, "f"))
 	reg := telemetry.NewRegistry()
 	pri, _, gate := asyncLink(t, ps, fs, reg)
-	fsyncs := reg.Counter("css_repl_follower_fsyncs_total", "", "store")
 
 	for i := 0; i < 5; i++ {
 		for _, ns := range ps[:2] { // idmap and index; audit untouched
@@ -153,7 +153,7 @@ func TestAsyncLinkSyncsAtHeartbeat(t *testing.T) {
 	}
 	before := make([]uint64, len(fs))
 	for i, ns := range fs {
-		before[i] = fsyncs.Value(ns.Name)
+		before[i] = testsupport.CounterValue(reg, "css_repl_follower_fsyncs_total", ns.Name)
 		if i < 2 && ns.Store.WALSynced() >= ns.Store.WALOffset() {
 			t.Errorf("%s: synced %d of %d after five rounds without a heartbeat, want less",
 				ns.Name, ns.Store.WALSynced(), ns.Store.WALOffset())
@@ -163,11 +163,11 @@ func TestAsyncLinkSyncsAtHeartbeat(t *testing.T) {
 	gate(true)
 	waitSynced(t, fs)
 	for i, ns := range fs {
-		if got := fsyncs.Value(ns.Name) - before[i]; i < 2 && got == 0 {
+		if got := testsupport.CounterValue(reg, "css_repl_follower_fsyncs_total", ns.Name) - before[i]; i < 2 && got == 0 {
 			t.Errorf("%s synced with no fsync counted", ns.Name)
 		}
 	}
-	if got := fsyncs.Value("audit") - before[2]; got != 0 {
+	if got := testsupport.CounterValue(reg, "css_repl_follower_fsyncs_total", "audit") - before[2]; got != 0 {
 		t.Errorf("audit, applied to by no round, fsynced %d times at the heartbeat", got)
 	}
 }

@@ -100,9 +100,6 @@ func newFollower(addr string, cfg FollowerConfig, epoch *epochCell, node *Node) 
 // test wiring).
 func (f *Follower) Addr() string { return f.ln.Addr().String() }
 
-// Epoch returns the highest primary epoch seen.
-func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
-
 // Offsets snapshots the per-store WAL offsets — the catch-up cursor
 // this follower would announce, and the measure of "most caught up"
 // during failover.
@@ -233,22 +230,21 @@ type inbound struct {
 	// durable is the mode the sync-start declared: acks certify an
 	// fsync. An async link acks applied offsets and fsyncs at the
 	// drain after a heartbeat.
-	durable  bool
-	beat     bool   // a heartbeat arrived since the last drain
-	touched  []bool // per store, parallel to cfg.Stores: to ack
-	unsynced []bool // per store: applied to since its last fsync
+	durable bool
+	beat    bool   // a heartbeat arrived since the last drain
+	touched []bool // per store, parallel to cfg.Stores: to ack
 }
 
 func (f *Follower) newInbound(br *bufio.Reader, bw *bufio.Writer) *inbound {
 	n := len(f.cfg.Stores)
-	return &inbound{f: f, br: br, bw: bw, durable: true, touched: make([]bool, n), unsynced: make([]bool, n)}
+	return &inbound{f: f, br: br, bw: bw, durable: true, touched: make([]bool, n)}
 }
 
 // drain acks every store applied to since the last drain, in
 // dependency order, in one write. A durable link fsyncs each store
 // before its ack. An async link acks at once and, when a heartbeat
-// came in since the last drain, then fsyncs every store applied to
-// since its last fsync, in the same order.
+// came in since the last drain, then fsyncs every store whose WAL holds
+// bytes not yet fsynced, in the same order.
 func (c *inbound) drain() error {
 	for i, t := range c.touched {
 		if !t {
@@ -259,8 +255,6 @@ func (c *inbound) drain() error {
 			if err := c.f.fsync(ns); err != nil {
 				return err
 			}
-		} else {
-			c.unsynced[i] = true
 		}
 		if err := writeAck(c.bw, ns); err != nil {
 			return err
@@ -277,15 +271,14 @@ func (c *inbound) drain() error {
 	return c.syncUnsynced()
 }
 
-// syncUnsynced fsyncs, in dependency order, every store applied to
-// since its last fsync.
+// syncUnsynced fsyncs, in dependency order, every store whose WAL
+// holds bytes not yet fsynced.
 func (c *inbound) syncUnsynced() error {
-	for i, u := range c.unsynced {
-		if u {
-			if err := c.f.fsync(c.f.cfg.Stores[i]); err != nil {
+	for _, ns := range c.f.cfg.Stores {
+		if ns.Store.WALSynced() < ns.Store.WALOffset() {
+			if err := c.f.fsync(ns); err != nil {
 				return err
 			}
-			c.unsynced[i] = false
 		}
 	}
 	return nil

@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testsupport"
 )
 
 func newTarget(t *testing.T, body string) *httptest.Server {
@@ -36,7 +38,7 @@ func get(t *testing.T, c *http.Client, url string) (*http.Response, string, erro
 
 func TestFaultInjectorPassesThroughWithoutFaults(t *testing.T) {
 	srv := newTarget(t, "hello")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 7})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 7})
 	resp, body, err := get(t, &http.Client{Transport: fi}, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func TestFaultInjectorPassesThroughWithoutFaults(t *testing.T) {
 func TestFaultInjectorSameSeedSameFaultStream(t *testing.T) {
 	srv := newTarget(t, "hello")
 	run := func(seed int64) []string {
-		fi := NewFaultInjector(nil, FaultConfig{Seed: seed, ConnectFailure: 0.3, ServerError: 0.2})
+		fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: seed, ConnectFailure: 0.3, ServerError: 0.2})
 		c := &http.Client{Transport: fi}
 		var outcomes []string
 		for i := 0; i < 40; i++ {
@@ -81,10 +83,10 @@ func TestFaultInjectorSameSeedSameFaultStream(t *testing.T) {
 
 func TestFaultInjectorConnectFailureIsTyped(t *testing.T) {
 	srv := newTarget(t, "hello")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 1, ConnectFailure: 1})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 1, ConnectFailure: 1})
 	_, _, err := get(t, &http.Client{Transport: fi}, srv.URL)
-	if !errors.Is(err, ErrInjectedConnection) {
-		t.Fatalf("err = %v, want ErrInjectedConnection in the chain", err)
+	if !errors.Is(err, testsupport.ErrInjectedConnection) {
+		t.Fatalf("err = %v, want testsupport.ErrInjectedConnection in the chain", err)
 	}
 	if fi.Injected()["connect"] == 0 {
 		t.Fatal("connect fault not counted")
@@ -93,14 +95,14 @@ func TestFaultInjectorConnectFailureIsTyped(t *testing.T) {
 
 func TestFaultInjectorBlackout(t *testing.T) {
 	srv := newTarget(t, "hello")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 1})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 1})
 	c := &http.Client{Transport: fi}
 	if _, _, err := get(t, c, srv.URL); err != nil {
 		t.Fatalf("before blackout: %v", err)
 	}
 	fi.BlackoutFor(200 * time.Millisecond)
-	if _, _, err := get(t, c, srv.URL); !errors.Is(err, ErrInjectedConnection) {
-		t.Fatalf("during blackout: err = %v, want ErrInjectedConnection", err)
+	if _, _, err := get(t, c, srv.URL); !errors.Is(err, testsupport.ErrInjectedConnection) {
+		t.Fatalf("during blackout: err = %v, want testsupport.ErrInjectedConnection", err)
 	}
 	time.Sleep(250 * time.Millisecond)
 	if _, _, err := get(t, c, srv.URL); err != nil {
@@ -114,13 +116,13 @@ func TestFaultInjectorBlackout(t *testing.T) {
 func TestFaultInjectorPartitionIsAsymmetric(t *testing.T) {
 	srvA := newTarget(t, "alpha")
 	srvB := newTarget(t, "beta")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 3})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 3})
 	c := &http.Client{Transport: fi}
 
 	hostA := strings.TrimPrefix(srvA.URL, "http://")
 	fi.PartitionHosts(200*time.Millisecond, hostA)
 
-	if _, _, err := get(t, c, srvA.URL); !errors.Is(err, ErrInjectedConnection) {
+	if _, _, err := get(t, c, srvA.URL); !errors.Is(err, testsupport.ErrInjectedConnection) {
 		t.Fatalf("partitioned host reachable: err = %v", err)
 	}
 	// The other side of the partition stays reachable — that is the
@@ -147,7 +149,7 @@ func TestFaultInjectorPartitionIsAsymmetric(t *testing.T) {
 
 func TestFaultInjectorServerErrorCarriesRetryAfter(t *testing.T) {
 	srv := newTarget(t, "hello")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 1, ServerError: 1})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 1, ServerError: 1})
 	resp, _, err := get(t, &http.Client{Transport: fi}, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +165,7 @@ func TestFaultInjectorServerErrorCarriesRetryAfter(t *testing.T) {
 func TestFaultInjectorTruncatesBody(t *testing.T) {
 	const body = "0123456789abcdef"
 	srv := newTarget(t, body)
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 1, TruncateBody: 1})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 1, TruncateBody: 1})
 	_, got, err := get(t, &http.Client{Transport: fi}, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestFaultInjectorTruncatesBody(t *testing.T) {
 
 func TestFaultInjectorBlackholeRespectsContext(t *testing.T) {
 	srv := newTarget(t, "hello")
-	fi := NewFaultInjector(nil, FaultConfig{Seed: 1, Blackhole: 1, MaxHang: time.Minute})
+	fi := testsupport.NewFaultInjector(nil, testsupport.FaultConfig{Seed: 1, Blackhole: 1, MaxHang: time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)

@@ -99,7 +99,6 @@ type Metrics struct {
 	transitions  *telemetry.Counter // css_resilience_breaker_transitions_total{endpoint,to}
 	outboxDepth  *telemetry.Gauge   // css_resilience_outbox_depth
 	outboxOps    *telemetry.Counter // css_resilience_outbox_ops_total{op}
-	faults       *telemetry.Counter // css_resilience_faults_injected_total{kind}
 }
 
 // NewMetrics registers the resilience instruments on reg. A nil registry
@@ -119,8 +118,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Notifications queued in the durable publish outbox."),
 		outboxOps: reg.Counter("css_resilience_outbox_ops_total",
 			"Outbox operations (enqueue, drain, dedup, dead, kept, kept_routing).", "op"),
-		faults: reg.Counter("css_resilience_faults_injected_total",
-			"Faults injected by the chaos RoundTripper, by kind.", "kind"),
 	}
 }
 
@@ -146,11 +143,5 @@ func (m *Metrics) outbox(op string, depth int) {
 	if m != nil {
 		m.outboxOps.Inc(op)
 		m.outboxDepth.Set(float64(depth))
-	}
-}
-
-func (m *Metrics) fault(kind string) {
-	if m != nil {
-		m.faults.Inc(kind)
 	}
 }

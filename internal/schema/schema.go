@@ -235,15 +235,6 @@ func (s *Schema) Fields() []Field {
 	return out
 }
 
-// Field returns the declaration of the named field.
-func (s *Schema) Field(name event.FieldName) (Field, bool) {
-	i, ok := s.byName[name]
-	if !ok {
-		return Field{}, false
-	}
-	return s.fields[i], true
-}
-
 // Has reports whether the schema declares the named field.
 func (s *Schema) Has(name event.FieldName) bool {
 	_, ok := s.byName[name]
@@ -299,13 +290,6 @@ func (s *Schema) Validate(d *event.Detail) error {
 		}
 	}
 	return nil
-}
-
-// ValidatePartial checks a (possibly policy-filtered) detail message:
-// declared fields must be typed correctly, but required fields may be
-// absent, since enforcement blanks unauthorized fields.
-func (s *Schema) ValidatePartial(d *event.Detail) error {
-	return s.validateValues(d)
 }
 
 func (s *Schema) validateValues(d *event.Detail) error {

@@ -64,11 +64,11 @@ func TestAccessors(t *testing.T) {
 	if len(s.Fields()) != 8 || len(s.FieldNames()) != 8 {
 		t.Errorf("Fields()=%d FieldNames()=%d, want 8", len(s.Fields()), len(s.FieldNames()))
 	}
-	if f, ok := s.Field("score"); !ok || f.Type != Int || !f.Required {
-		t.Errorf("Field(score) = %+v, %v", f, ok)
+	if f := s.Fields()[s.byName["score"]]; f.Name != "score" || f.Type != Int || !f.Required {
+		t.Errorf("Fields()[score] = %+v", f)
 	}
-	if _, ok := s.Field("nope"); ok {
-		t.Error("Field(nope) reported present")
+	if s.Has("nope") {
+		t.Error("Has(nope) reported present")
 	}
 	if !s.Has("ratio") || s.Has("nope") {
 		t.Error("Has misreports")
@@ -153,13 +153,6 @@ func TestValidateRequired(t *testing.T) {
 	if err := s.Validate(d2); err == nil {
 		t.Error("Validate accepted empty required field")
 	}
-	// ValidatePartial tolerates missing/blank required fields.
-	if err := s.ValidatePartial(d); err != nil {
-		t.Errorf("ValidatePartial(filtered) = %v", err)
-	}
-	if err := s.ValidatePartial(d2); err != nil {
-		t.Errorf("ValidatePartial(blanked) = %v", err)
-	}
 }
 
 func TestValidateRejectsUndeclaredAndWrongClass(t *testing.T) {
@@ -172,9 +165,6 @@ func TestValidateRejectsUndeclaredAndWrongClass(t *testing.T) {
 	wrong.Class = "other.class"
 	if err := s.Validate(wrong); err == nil {
 		t.Error("Validate accepted wrong class")
-	}
-	if err := s.ValidatePartial(nil); err == nil {
-		t.Error("ValidatePartial accepted nil detail")
 	}
 }
 

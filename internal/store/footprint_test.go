@@ -49,11 +49,15 @@ func TestMemtableFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		occurred := at.Add(time.Duration(i) * time.Minute)
-		if err := ix.Put(&event.Notification{
+		c, err := ix.PutStaged(&event.Notification{
 			ID: gid, Class: class, PersonID: fmt.Sprintf("PRS-%04d", i%2000),
 			Summary: "blood test results available", Producer: producer,
 			OccurredAt: occurred, PublishedAt: occurred.Add(time.Second),
-		}); err != nil {
+		})
+		if err == nil {
+			err = c.Wait()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := aud.Append(audit.Record{

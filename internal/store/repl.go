@@ -214,9 +214,9 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	return s.log.size, nil
 }
 
-// WALSynced returns the number of WAL bytes known durable (fsynced) —
-// the follower's crash-safe applied-offset checkpoint. Always ≤
-// WALOffset; in-memory stores report 0.
+// WALSynced returns the number of WAL bytes known durable (fsynced):
+// an async replication follower fsyncs a store at a heartbeat when it
+// is behind WALOffset. Always ≤ WALOffset; in-memory stores report 0.
 func (s *Store) WALSynced() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -55,21 +55,6 @@ func ToRecord(s Span, proc string) SpanRecord {
 	}
 }
 
-// Span converts the record back to the in-process form.
-func (r SpanRecord) Span() Span {
-	return Span{
-		Trace:    r.Trace,
-		Stage:    r.Stage,
-		ID:       r.ID,
-		Parent:   r.Parent,
-		Start:    r.Start,
-		Duration: time.Duration(r.Duration) * time.Microsecond,
-		Attrs:    r.Attrs,
-		Events:   r.Events,
-		Error:    r.Error,
-	}
-}
-
 // DecodeSpans reads JSONL span records from r, skipping blank lines.
 func DecodeSpans(r io.Reader) ([]SpanRecord, error) {
 	var out []SpanRecord
@@ -177,13 +162,6 @@ func (e *Exporter) rotateLocked() error {
 		return err
 	}
 	return e.open()
-}
-
-// Dropped reports how many spans were lost to write errors.
-func (e *Exporter) Dropped() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
 }
 
 // Flush forces buffered spans to disk (wired into daemon drain).

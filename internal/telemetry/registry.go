@@ -187,11 +187,6 @@ func (c *Counter) Add(n uint64, labelValues ...string) {
 	c.f.get(labelValues).count.Add(n)
 }
 
-// Value returns the current value of one child (0 if never touched).
-func (c *Counter) Value(labelValues ...string) uint64 {
-	return c.f.get(labelValues).count.Load()
-}
-
 // --- gauge ------------------------------------------------------------------
 
 // Gauge is a metric that can go up and down, optionally labeled.
@@ -217,11 +212,6 @@ func (g *Gauge) Add(delta float64, labelValues ...string) {
 			return
 		}
 	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value(labelValues ...string) float64 {
-	return math.Float64frombits(g.f.get(labelValues).bits.Load())
 }
 
 // --- histogram --------------------------------------------------------------
@@ -312,26 +302,6 @@ func (hc *HistogramChild) ObserveDurationTrace(d time.Duration, trace string) {
 	hc.h.observeChild(hc.c, d.Seconds(), trace)
 }
 
-// Exemplars returns the currently held exemplars of one child, keyed by
-// bucket upper bound (+Inf for the overflow slot). Buckets that never
-// saw a traced observation are absent.
-func (h *Histogram) Exemplars(labelValues ...string) map[float64]Exemplar {
-	c := h.f.get(labelValues)
-	out := make(map[float64]Exemplar)
-	c.exMu.Lock()
-	defer c.exMu.Unlock()
-	for i, e := range c.exemplars {
-		if c.seeded[i].Load() {
-			ub := math.Inf(1)
-			if i < len(h.f.buckets) {
-				ub = h.f.buckets[i]
-			}
-			out[ub] = e
-		}
-	}
-	return out
-}
-
 // Buckets returns the histogram's upper bounds (in seconds).
 func (h *Histogram) Buckets() []float64 {
 	return append([]float64(nil), h.f.buckets...)
@@ -347,16 +317,6 @@ func (h *Histogram) BucketCounts(labelValues ...string) (counts []uint64, total 
 		counts[i] = c.bucketCounts[i].Load()
 	}
 	return counts, c.count.Load()
-}
-
-// Count returns the observation count of one child.
-func (h *Histogram) Count(labelValues ...string) uint64 {
-	return h.f.get(labelValues).count.Load()
-}
-
-// Sum returns the observation sum (seconds) of one child.
-func (h *Histogram) Sum(labelValues ...string) float64 {
-	return float64(h.f.get(labelValues).sumNanos.Load()) / 1e9
 }
 
 // --- exposition -------------------------------------------------------------

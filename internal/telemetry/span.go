@@ -94,14 +94,6 @@ func (t *Tracer) SetSampleRate(rate float64) {
 	t.sampleBits.Store(math.Float64bits(rate))
 }
 
-// SampleRate reports the current head-sampling fraction.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return math.Float64frombits(t.sampleBits.Load())
-}
-
 // traceSampled is the per-trace recording decision.
 func (t *Tracer) traceSampled(trace string) bool {
 	return headSampled(trace, math.Float64frombits(t.sampleBits.Load()))
@@ -284,14 +276,6 @@ func (s *ActiveSpan) StartChild(stage string) *ActiveSpan {
 		c.span.ID = NewSpanID()
 	}
 	return c
-}
-
-// Trace reports the span's trace ID ("" on a nil span).
-func (s *ActiveSpan) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.span.Trace
 }
 
 // ID reports the span's own ID ("" on a nil span).

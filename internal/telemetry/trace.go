@@ -303,14 +303,3 @@ func (l *SpanLog) Snapshot() []Span {
 	}
 	return out
 }
-
-// ByTrace returns the retained spans of one trace, oldest first.
-func (l *SpanLog) ByTrace(trace string) []Span {
-	var out []Span
-	for _, s := range l.Snapshot() {
-		if s.Trace == trace {
-			out = append(out, s)
-		}
-	}
-	return out
-}

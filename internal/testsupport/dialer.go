@@ -1,4 +1,4 @@
-package resilience
+package testsupport
 
 import (
 	"fmt"
@@ -21,7 +21,7 @@ func FlakyDialer[C any](seed int64, rate float64, dial func(addr string) (C, err
 		mu.Unlock()
 		if roll < rate {
 			var zero C
-			return zero, fmt.Errorf("resilience: injected dial failure to %s", addr)
+			return zero, fmt.Errorf("testsupport: injected dial failure to %s", addr)
 		}
 		return dial(addr)
 	}
@@ -69,7 +69,7 @@ func (p *Partitioner[C]) Dial(addr string) (C, error) {
 	p.mu.Unlock()
 	if cut {
 		var zero C
-		return zero, fmt.Errorf("resilience: partitioned from %s", addr)
+		return zero, fmt.Errorf("testsupport: partitioned from %s", addr)
 	}
 	return p.dial(addr)
 }

@@ -1,4 +1,4 @@
-package resilience
+package testsupport
 
 import (
 	"bytes"
@@ -15,7 +15,7 @@ import (
 // ErrInjectedConnection is the transport error synthesized for injected
 // connection refusals and blackouts (distinguishable from real network
 // failures in test output).
-var ErrInjectedConnection = errors.New("resilience: injected connection failure")
+var ErrInjectedConnection = errors.New("testsupport: injected connection failure")
 
 // FaultConfig configures a FaultInjector. Probabilities are evaluated
 // independently per request in a fixed order (blackout, connection,
@@ -45,8 +45,6 @@ type FaultConfig struct {
 	// TruncateBody is the probability a successful response's body is
 	// cut to half its length (exercising decode-failure handling).
 	TruncateBody float64
-	// Metrics counts injected faults. Nil disables.
-	Metrics *Metrics
 }
 
 // FaultInjector is an http.RoundTripper that injects faults in front of
@@ -159,7 +157,6 @@ func (f *FaultInjector) span(max time.Duration) time.Duration {
 
 // note counts one injected fault of the kind.
 func (f *FaultInjector) note(kind string) {
-	f.cfg.Metrics.fault(kind)
 	f.mu.Lock()
 	f.counts[kind]++
 	f.mu.Unlock()

@@ -24,6 +24,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/policy"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // TestInquiryAllocBudget is the allocation-regression gate of the
@@ -395,7 +396,7 @@ func TestCallAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := srv.deliveriesFailed.Value("connect") + srv.deliveriesFailed.Value("status")
+	before := testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", "connect") + testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", "status")
 	for _, tc := range []struct {
 		name   string
 		call   func()
@@ -425,7 +426,7 @@ func TestCallAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	if after := srv.deliveriesFailed.Value("connect") + srv.deliveriesFailed.Value("status"); after != before {
+	if after := testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", "connect") + testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", "status"); after != before {
 		t.Fatalf("%d callback deliveries failed", after-before)
 	}
 }

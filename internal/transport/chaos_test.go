@@ -21,6 +21,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/testsupport"
 )
 
 // chaosBlackout returns the scripted controller outage duration: short
@@ -41,16 +42,16 @@ func chaosBlackout() time.Duration {
 // it hands it to the platform's round tripper, with no context derived
 // for it, and the faults run in front of that round tripper's exchange.
 type chaosTransport struct {
-	*resilience.FaultInjector
+	*testsupport.FaultInjector
 }
 
 // attemptDeadline carries an attempt's deadline across the injector,
 // which passes a request on as it got it, to the round tripper behind.
 type attemptDeadline struct{}
 
-func newChaosTransport(cfg resilience.FaultConfig) chaosTransport {
+func newChaosTransport(cfg testsupport.FaultConfig) chaosTransport {
 	rt := NewTunedTransport().(*roundTripper)
-	return chaosTransport{resilience.NewFaultInjector(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	return chaosTransport{testsupport.NewFaultInjector(roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		deadline, _ := req.Context().Value(attemptDeadline{}).(time.Time)
 		return rt.roundTrip(req.Context(), req, deadline)
 	}), cfg)}
@@ -119,7 +120,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// has the consumer-side faults in front of it) plus retries and a
 	// breaker, exactly as a production controller would attach a remote
 	// producer.
-	gwFaults := newChaosTransport(resilience.FaultConfig{
+	gwFaults := newChaosTransport(testsupport.FaultConfig{
 		Seed:           seed + 1000,
 		ConnectFailure: 0.10,
 	})
@@ -139,7 +140,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	// failures, plus response-side faults (synthesized 503s and truncated
 	// bodies) that force the at-least-once replay path: the controller
 	// indexed the event but the producer never saw the answer.
-	ctrlFaults := newChaosTransport(resilience.FaultConfig{
+	ctrlFaults := newChaosTransport(testsupport.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.20,
 		ServerError:    0.05,

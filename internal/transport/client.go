@@ -54,13 +54,6 @@ func (c *Client) call(ctx context.Context, method, path, contentType string, bod
 	return c.do(ctx, endpoint, method, c.baseURL, path, contentType, contentType, "", body, decode)
 }
 
-// post sends an XML body and decodes the XML response into out.
-func (c *Client) post(ctx context.Context, path string, body []byte, out any) error {
-	return c.call(ctx, http.MethodPost, path, event.ContentTypeXML, body, func(data []byte) error {
-		return xml.Unmarshal(data, out)
-	})
-}
-
 // get fetches path and decodes the XML response into out.
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.call(ctx, http.MethodGet, path, "", nil, func(data []byte) error {
@@ -331,12 +324,14 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 // (errors.Is(err, replication.ErrNotReplica) does not survive the wire
 // — the fault is a plain bad-request conflict).
 func (c *Client) Promote(ctx context.Context, epoch uint64) (ReplStatus, error) {
-	body, err := encodeXML(&promoteRequest{Epoch: epoch})
+	body, err := xml.Marshal(&promoteRequest{Epoch: epoch})
 	if err != nil {
-		return ReplStatus{}, refuse(err)
+		return ReplStatus{}, refuse(fmt.Errorf("transport: encode: %w", err))
 	}
 	var out ReplStatus
-	if err := c.post(ctx, "/ws/promote", body, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/ws/promote", event.ContentTypeXML, body, func(data []byte) error {
+		return xml.Unmarshal(data, &out)
+	}); err != nil {
 		return ReplStatus{}, err
 	}
 	return out, nil
@@ -344,15 +339,17 @@ func (c *Client) Promote(ctx context.Context, epoch uint64) (ReplStatus, error) 
 
 // RecordConsent submits a consent directive.
 func (c *Client) RecordConsent(ctx context.Context, d consent.Directive) (consent.Directive, error) {
-	body, err := encodeXML(&consentDirectiveXML{
+	body, err := xml.Marshal(&consentDirectiveXML{
 		PersonID: d.PersonID, Allow: d.Allow,
 		Class: d.Scope.Class, Consumer: d.Scope.Consumer, Purpose: d.Scope.Purpose,
 	})
 	if err != nil {
-		return consent.Directive{}, refuse(err)
+		return consent.Directive{}, refuse(fmt.Errorf("transport: encode: %w", err))
 	}
 	var out consentDirectiveXML
-	if err := c.post(ctx, "/ws/consent", body, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/ws/consent", event.ContentTypeXML, body, func(data []byte) error {
+		return xml.Unmarshal(data, &out)
+	}); err != nil {
 		return consent.Directive{}, err
 	}
 	return consent.Directive{

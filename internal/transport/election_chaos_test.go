@@ -28,6 +28,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/resilience"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // electionRig is one shard deployed for self-healing drills: a primary
@@ -49,7 +50,7 @@ type electionRig struct {
 	// winner ships to it as soon as it listens.
 	rejoinAddr string
 
-	part *resilience.Partitioner[net.Conn]
+	part *testsupport.Partitioner[net.Conn]
 	v1   *cluster.Map
 	// promotions records each auto-promotion as it happens (index, epoch).
 	promoMu    sync.Mutex
@@ -76,7 +77,7 @@ func newElectionRig(t *testing.T, seed int64) *electionRig {
 	t.Helper()
 	key := bytes.Repeat([]byte{7}, crypto.KeySize)
 	rig := &electionRig{heartbeat: 20 * time.Millisecond, rejoinAddr: freeAddr(t)}
-	rig.part = resilience.NewPartitioner(func(addr string) (net.Conn, error) {
+	rig.part = testsupport.NewPartitioner(func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, 2*time.Second)
 	})
 
@@ -225,7 +226,7 @@ func (rig *electionRig) winner(t *testing.T) (int, uint64) {
 
 func (rig *electionRig) stormClient(t *testing.T, seed int64) *ShardedClient {
 	t.Helper()
-	fi := newChaosTransport(resilience.FaultConfig{
+	fi := newChaosTransport(testsupport.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.05,
 		ServerError:    0.03,
@@ -335,7 +336,7 @@ func TestChaosElectionFailover(t *testing.T) {
 					t.Errorf("winner holds %d events for %s, want exactly 1", len(notes), person)
 				}
 			}
-			if n, err := winner.IndexLen(); err != nil || n != len(persons) {
+			if n, err := testsupport.Indexed(winner.Audit()); err != nil || n != len(persons) {
 				t.Errorf("winner index holds %d events (%v), want %d", n, err, len(persons))
 			}
 			if err := winner.Audit().Verify(); err != nil {

@@ -258,12 +258,3 @@ func (g *RemoteGateway) GetResponseContext(ctx context.Context, trace string, sr
 	}
 	return nil, err
 }
-
-// encodeXML marshals v, reporting marshalling problems with context.
-func encodeXML(v any) ([]byte, error) {
-	data, err := xml.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return data, nil
-}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/resilience"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // replChaosRig is one shard as deployed for failover drills: a primary
@@ -96,7 +97,7 @@ func newReplChaosRig(t *testing.T, seed int64) *replChaosRig {
 	rig.priNode = startNode(t, rig.primary, replication.NodeConfig{
 		Role: replication.RolePrimary, DataDir: priDir,
 		Peers: []string{rig.repNode.Addr()}, Quorum: true,
-		Dial: resilience.FlakyDialer(seed, 0.3, func(addr string) (net.Conn, error) {
+		Dial: testsupport.FlakyDialer(seed, 0.3, func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 2*time.Second)
 		}),
 	})
@@ -157,7 +158,7 @@ func TestChaosReplFailover(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rig := newReplChaosRig(t, seed)
-			fi := newChaosTransport(resilience.FaultConfig{
+			fi := newChaosTransport(testsupport.FaultConfig{
 				Seed:           seed,
 				ConnectFailure: 0.05,
 				ServerError:    0.03,
@@ -234,7 +235,7 @@ func TestChaosReplFailover(t *testing.T) {
 					t.Errorf("survivor holds %d events for %s, want exactly 1", len(notes), person)
 				}
 			}
-			n, err := rig.replica.IndexLen()
+			n, err := testsupport.Indexed(rig.replica.Audit())
 			if err != nil {
 				t.Fatal(err)
 			}

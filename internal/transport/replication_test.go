@@ -24,6 +24,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/replication"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // startNode starts ctrl's replication node — the wiring css-controller
@@ -181,7 +182,7 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	if v := sc.Map().Version(); v != 2 {
 		t.Fatalf("client map version = %d, want 2 (refreshed from the deposed node)", v)
 	}
-	n, err := promoted.IndexLen()
+	n, err := testsupport.Indexed(promoted.Audit())
 	if err != nil || n != 1 {
 		t.Fatalf("promoted node holds %d events (%v), want 1", n, err)
 	}
@@ -197,7 +198,7 @@ func TestShardedClientFailoverRefresh(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("post-refresh publish: %v", err)
 	}
-	if n, _ := promoted.IndexLen(); n != 2 {
+	if n, _ := testsupport.Indexed(promoted.Audit()); n != 2 {
 		t.Fatalf("promoted node holds %d events, want 2", n)
 	}
 
@@ -297,7 +298,7 @@ func TestShardedClientStaleReplicaRescue(t *testing.T) {
 	if v := sc.Map().Version(); v != 2 {
 		t.Fatalf("client map version = %d, want 2 (rescued from the replica)", v)
 	}
-	if n, err := promoted.IndexLen(); err != nil || n != 1 {
+	if n, err := testsupport.Indexed(promoted.Audit()); err != nil || n != 1 {
 		t.Fatalf("promoted node holds %d events (%v), want 1", n, err)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/testsupport"
 )
 
 // flakyFrontend proxies to a real controller server but can be switched
@@ -407,19 +408,19 @@ func TestCallOutcomeTable(t *testing.T) {
 	)
 	rows := []struct {
 		name   string
-		faults resilience.FaultConfig
+		faults testsupport.FaultConfig
 		base   string // the peer's URL when empty
 		path   string
 		trip   bool // the breaker is open before the call
 		want   [3]outcome
 	}{
-		{name: "connect failure", faults: resilience.FaultConfig{ConnectFailure: 1},
+		{name: "connect failure", faults: testsupport.FaultConfig{ConnectFailure: 1},
 			want: [3]outcome{transient, notLanded, notLanded}},
-		{name: "blackhole", faults: resilience.FaultConfig{Blackhole: 1, MaxHang: 10 * time.Millisecond},
+		{name: "blackhole", faults: testsupport.FaultConfig{Blackhole: 1, MaxHang: 10 * time.Millisecond},
 			want: [3]outcome{transient, notLanded, notLanded}},
-		{name: "503", faults: resilience.FaultConfig{ServerError: 1},
+		{name: "503", faults: testsupport.FaultConfig{ServerError: 1},
 			want: [3]outcome{transient, notLanded, transient}},
-		{name: "truncated body", faults: resilience.FaultConfig{TruncateBody: 1},
+		{name: "truncated body", faults: testsupport.FaultConfig{TruncateBody: 1},
 			want: [3]outcome{transient, notLanded, transient}},
 		{name: "421 wrong-shard", path: "/wrong-shard",
 			want: [3]outcome{notLanded, notLanded, notLanded}},

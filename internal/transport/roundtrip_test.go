@@ -20,6 +20,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/event"
 	"repro/internal/schema"
+	"repro/internal/testsupport"
 )
 
 // connServer is an httptest server that counts the connections it
@@ -439,7 +440,7 @@ func TestCallbackTimeoutDiscardsConnection(t *testing.T) {
 	if took := time.Since(start); took < timeout || took > 20*timeout {
 		t.Errorf("delivery failed after %v, want about %v", took, timeout)
 	}
-	if got := srv.deliveriesFailed.Value("connect"); got != 1 {
+	if got := testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", "connect"); got != 1 {
 		t.Errorf("connect failures counted %d, want 1", got)
 	}
 	select {

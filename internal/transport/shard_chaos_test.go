@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/index"
 	"repro/internal/resilience"
+	"repro/internal/testsupport"
 )
 
 // chaosPartition returns the scripted partition window: short for
@@ -38,7 +39,7 @@ func chaosPartition() time.Duration {
 // per-shard breaker groups.
 func newShardChaosClient(t *testing.T, r *shardRig, seed int64) (*ShardedClient, chaosTransport) {
 	t.Helper()
-	fi := newChaosTransport(resilience.FaultConfig{
+	fi := newChaosTransport(testsupport.FaultConfig{
 		Seed:           seed,
 		ConnectFailure: 0.10,
 		ServerError:    0.03,

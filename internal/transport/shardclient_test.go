@@ -25,6 +25,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/testsupport"
 )
 
 // shardRig is an in-process cluster: n controller shards sharing one
@@ -146,7 +147,7 @@ func (r *shardRig) indexTotal(t *testing.T) int {
 	t.Helper()
 	total := 0
 	for _, c := range r.ctrls {
-		n, err := c.IndexLen()
+		n, err := testsupport.Indexed(c.Audit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestShardedPublishByRedirect(t *testing.T) {
 	// The balance sanity: three shards, twenty persons — no shard
 	// should be empty (probability of an empty shard is negligible).
 	for _, c := range r.ctrls {
-		n, err := c.IndexLen()
+		n, err := testsupport.Indexed(c.Audit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func TestShardedInquirePartialResult(t *testing.T) {
 	}
 	alive := 0
 	for i, c := range r.ctrls {
-		n, err := c.IndexLen()
+		n, err := testsupport.Indexed(c.Audit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,6 +444,45 @@ func TestFreshClientDetailsAuditOnlyOwner(t *testing.T) {
 	}
 	if permits != events {
 		t.Fatalf("owners' audit chains hold %d permits, want %d", permits, events)
+	}
+}
+
+// TestNonOwnerRefusesDetailRequest: a plain client that asks a shard
+// for details of an event another shard assigned gets the wrong-shard
+// fault naming the owner, and the shard it asked records nothing. (A
+// non-owner used to answer "unknown event" and audit a deny.)
+func TestNonOwnerRefusesDetailRequest(t *testing.T) {
+	r := newShardRig(t, 2)
+	ctx := context.Background()
+	gid, err := r.sc.Publish(ctx, r.note("PRS-NONOWNER", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := r.m.Owner(string(gid))
+	other := 1 - owner
+	chain := func() int {
+		recs, err := r.ctrls[other].Audit().Search(audit.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+	before := chain()
+	wrongShard := testsupport.CounterValue(r.ctrls[other].Metrics(), "css_cluster_wrong_shard_total")
+
+	_, err = NewClient(r.servers[other].URL, nil).RequestDetails(ctx, &event.DetailRequest{
+		EventID: gid, Class: schema.ClassBloodTest, Requester: "family-doctor",
+		Purpose: event.PurposeHealthcareTreatment,
+	})
+	var wse *cluster.WrongShardError
+	if !errors.Is(err, cluster.ErrWrongShard) || !errors.As(err, &wse) || wse.Owner != owner {
+		t.Fatalf("details at the non-owner = %v, want the wrong-shard fault naming shard %d", err, owner)
+	}
+	if after := chain(); after != before {
+		t.Errorf("non-owner's audit chain went %d -> %d records", before, after)
+	}
+	if got := testsupport.CounterValue(r.ctrls[other].Metrics(), "css_cluster_wrong_shard_total") - wrongShard; got != 1 {
+		t.Errorf("css_cluster_wrong_shard_total moved by %d, want 1", got)
 	}
 }
 

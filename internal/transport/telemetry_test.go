@@ -17,6 +17,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 func (r *rig) metrics(t *testing.T) string {
@@ -217,15 +218,15 @@ func TestCallbackFailureReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := srv.deliveriesFailed.Value(tc.reason)
+		before := testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", tc.reason)
 		srv.deliver(context.Background(), u, "family-doctor", event.XML, n)
-		if got := srv.deliveriesFailed.Value(tc.reason) - before; got != 1 {
+		if got := testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", tc.reason) - before; got != 1 {
 			t.Errorf("callback %q: reason %q counted %d times, want 1", tc.callback, tc.reason, got)
 		}
 	}
 	var total uint64
 	for _, reason := range []string{"connect", "status", "encode"} {
-		total += srv.deliveriesFailed.Value(reason)
+		total += testsupport.CounterValue(srv.ctrl.Metrics(), "css_deliveries_failed_total", reason)
 	}
 	if total != 2 {
 		t.Errorf("%d failures counted for 2 failed deliveries", total)

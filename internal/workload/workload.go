@@ -152,13 +152,6 @@ func makePeople(rnd *rand.Rand, n int) []Person {
 	return people
 }
 
-// People returns the synthetic population.
-func (g *Generator) People() []Person {
-	out := make([]Person, len(g.people))
-	copy(out, g.people)
-	return out
-}
-
 // pickPerson draws a person index with the configured skew.
 func (g *Generator) pickPerson() Person {
 	if g.zipf != nil {

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/index"
@@ -174,50 +172,5 @@ func TestProvisionAndStandardPolicies(t *testing.T) {
 		}
 	} else {
 		t.Log("no autonomy test in the sampled stream")
-	}
-}
-
-func TestProvisionClusterMirrorsRosterOnEveryShard(t *testing.T) {
-	key := bytes.Repeat([]byte{4}, 32)
-	shards := []cluster.ShardInfo{
-		{ID: 0, Addr: "http://shard-0"},
-		{ID: 1, Addr: "http://shard-1"},
-	}
-	m, err := cluster.NewMap(1, 0, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrls := make([]*core.Controller, len(shards))
-	for i := range ctrls {
-		c, err := core.New(core.Config{
-			DefaultConsent: true, MasterKey: key,
-			ShardID: cluster.ShardID(i), ShardMap: m,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		ctrls[i] = c
-	}
-	platforms, err := ProvisionCluster(ctrls...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(platforms) != len(ctrls) {
-		t.Fatalf("got %d platforms, want %d", len(platforms), len(ctrls))
-	}
-	// Every shard must carry the identical membership state: same class
-	// catalog, same gateway roster.
-	want := len(ctrls[0].Catalog().Classes())
-	if want == 0 {
-		t.Fatal("shard 0 has an empty catalog")
-	}
-	for i, c := range ctrls {
-		if got := len(c.Catalog().Classes()); got != want {
-			t.Errorf("shard %d catalog holds %d classes, shard 0 holds %d", i, got, want)
-		}
-		if got := len(platforms[i].Gateways); got != len(Producers()) {
-			t.Errorf("shard %d has %d gateways, want %d", i, got, len(Producers()))
-		}
 	}
 }

@@ -105,22 +105,3 @@ func CompileRequest(r *event.DetailRequest) *Request {
 		}},
 	}
 }
-
-// AuthorizedFields extracts the field names of the include-fields
-// obligations of a Permit response. A Permit without such an obligation
-// authorizes no fields at all (fail closed).
-func AuthorizedFields(resp *Response) []event.FieldName {
-	if resp.Decision != Permit {
-		return nil
-	}
-	var out []event.FieldName
-	for _, o := range resp.Obligations {
-		if o.ID != ObligationIncludeFields {
-			continue
-		}
-		for _, v := range o.FieldValues() {
-			out = append(out, event.FieldName(v))
-		}
-	}
-	return out
-}

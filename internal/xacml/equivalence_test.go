@@ -1,6 +1,7 @@
 package xacml_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -227,7 +228,7 @@ func (sc *eqScope) check(set []shape, created []time.Time, reqs []probe) {
 
 		// (i) the policy Match selects is the one the compiled policy and
 		// the first-applicable export both name, with the same fields.
-		m, merr := repo.Match(q.r)
+		mID, mFields, merr := repo.MatchFields(q.r)
 		if merr != nil && !errors.Is(merr, policy.ErrNotFound) {
 			sc.t.Fatal(merr)
 		}
@@ -237,25 +238,25 @@ func (sc *eqScope) check(set []shape, created []time.Time, reqs []probe) {
 				sc.errorf(set, "%+v: no match, export says %s by %s", *q.r, exp.Decision, exp.PolicyID)
 			}
 		} else {
-			one := pdp.EvaluateOne(string(m.ID), q.x)
-			if one.Decision != xacml.Permit || !slices.Equal(xacml.AuthorizedFields(&one), m.Fields) {
-				sc.errorf(set, "%+v: Match %s %v, compiled says %s %v", *q.r, m.ID, m.Fields, one.Decision, xacml.AuthorizedFields(&one))
+			one := pdp.EvaluateOne(string(mID), q.x)
+			if one.Decision != xacml.Permit || !slices.Equal(xacml.AuthorizedFields(&one), mFields) {
+				sc.errorf(set, "%+v: Match %s %v, compiled says %s %v", *q.r, mID, mFields, one.Decision, xacml.AuthorizedFields(&one))
 			}
-			if exp.Decision != xacml.Permit || exp.PolicyID != string(m.ID) {
-				sc.errorf(set, "%+v: Match %s, export says %s by %s", *q.r, m.ID, exp.Decision, exp.PolicyID)
+			if exp.Decision != xacml.Permit || exp.PolicyID != string(mID) {
+				sc.errorf(set, "%+v: Match %s, export says %s by %s", *q.r, mID, exp.Decision, exp.PolicyID)
 			}
 		}
 
 		// (ii) Algorithm 1 permits exactly on a match and discloses exactly
 		// the matched policy's fields; otherwise it denies.
-		d, out, derr := enf.GetEventDetails(q.r)
+		d, out, derr := enf.GetEventDetailsContext(context.Background(), q.r)
 		if merr != nil {
 			if !errors.Is(derr, enforcer.ErrDenied) || d != nil || out.Decision != event.Deny {
 				sc.errorf(set, "%+v: no match, GetEventDetails = %v, %+v, %v", *q.r, d, out, derr)
 			}
-		} else if derr != nil || out.Decision != event.Permit || out.PolicyID != string(m.ID) ||
-			!slices.Equal(out.Fields, m.Fields) || !d.ExposesOnly(m.Fields) || len(d.Fields) != len(m.Fields) {
-			sc.errorf(set, "%+v: Match %s %v, GetEventDetails = %v, %+v, %v", *q.r, m.ID, m.Fields, d, out, derr)
+		} else if derr != nil || out.Decision != event.Permit || out.PolicyID != string(mID) ||
+			!slices.Equal(out.Fields, mFields) || !d.ExposesOnly(mFields) || len(d.Fields) != len(mFields) {
+			sc.errorf(set, "%+v: Match %s %v, GetEventDetails = %v, %+v, %v", *q.r, mID, mFields, d, out, derr)
 		}
 	}
 

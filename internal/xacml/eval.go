@@ -2,7 +2,6 @@ package xacml
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -45,18 +44,6 @@ func (d *PDP) Add(p *Policy) error {
 	}
 	d.byID[p.ID] = p
 	d.policies = append(d.policies, p)
-	return nil
-}
-
-// Remove uninstalls a policy by id.
-func (d *PDP) Remove(id string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.byID[id]; !ok {
-		return fmt.Errorf("xacml: no policy %q", id)
-	}
-	delete(d.byID, id)
-	d.policies = slices.DeleteFunc(d.policies, func(p *Policy) bool { return p.ID == id })
 	return nil
 }
 

@@ -44,19 +44,6 @@ func (ps *PolicySet) Validate() error {
 	return nil
 }
 
-// Evaluate runs a request against the set: the set's target gates the
-// members, whose decisions combine under the set's algorithm.
-func (ps *PolicySet) Evaluate(req *Request) Response {
-	applicable, err := matchTarget(&ps.Target, req)
-	if err != nil {
-		return Response{Decision: Indeterminate, PolicyID: ps.ID}
-	}
-	if !applicable {
-		return Response{Decision: NotApplicable}
-	}
-	return combine(ps.Alg, ps.Policies, req)
-}
-
 // CompileProducerSet compiles a producer's policies into one PolicySet,
 // first-applicable, ordered most-specific-actor-first so the set's
 // standalone evaluation agrees with the platform's Definition-3
@@ -121,35 +108,4 @@ func EncodeSet(ps *PolicySet) ([]byte, error) {
 		w.Policies = append(w.Policies, xp)
 	}
 	return xml.MarshalIndent(w, "", "  ")
-}
-
-// DecodeSet parses and re-validates a policy set.
-func DecodeSet(data []byte) (*PolicySet, error) {
-	var w xmlPolicySet
-	if err := xml.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("xacml: decode set: %w", err)
-	}
-	ps := &PolicySet{
-		ID:          w.PolicySetID,
-		Description: w.Description,
-		Alg:         w.Alg,
-		Target:      fromXMLTarget(w.Target),
-	}
-	for _, xp := range w.Policies {
-		// Round-trip each member through the policy decoder for its
-		// validation.
-		data, err := xml.Marshal(xp)
-		if err != nil {
-			return nil, err
-		}
-		p, err := Decode(data)
-		if err != nil {
-			return nil, err
-		}
-		ps.Policies = append(ps.Policies, p)
-	}
-	if err := ps.Validate(); err != nil {
-		return nil, err
-	}
-	return ps, nil
 }

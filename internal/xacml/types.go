@@ -75,20 +75,6 @@ const (
 	Indeterminate
 )
 
-// String returns the XACML name of the decision.
-func (d Decision) String() string {
-	switch d {
-	case Permit:
-		return "Permit"
-	case Deny:
-		return "Deny"
-	case Indeterminate:
-		return "Indeterminate"
-	default:
-		return "NotApplicable"
-	}
-}
-
 // CombiningAlg identifies a rule/policy combining algorithm.
 type CombiningAlg string
 
@@ -161,18 +147,6 @@ type Obligation struct {
 	ID        string
 	FulfillOn Effect
 	Attrs     []Attribute
-}
-
-// FieldValues returns the values of all AttrField attributes, i.e. the
-// authorized field names of an include-fields obligation.
-func (o *Obligation) FieldValues() []string {
-	var out []string
-	for _, a := range o.Attrs {
-		if a.ID == AttrField {
-			out = append(out, a.Value)
-		}
-	}
-	return out
 }
 
 // Policy is an XACML policy: a target, a combined set of rules, and
